@@ -130,7 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--max-sweeps",
             type=_positive_int,
             default=DEFAULT_MAX_SWEEPS,
-            help=f"eigensolver sweep budget (default: {DEFAULT_MAX_SWEEPS})",
+            help="eigensolver sweep budget, per charge sector for built "
+            f"operators (default: {DEFAULT_MAX_SWEEPS})",
         )
 
     p_spectrum = sub.add_parser(
@@ -310,17 +311,19 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         if args.file is None:
             raise ValueError("--hamiltonian file requires --file PATH")
         matrix = read_matrix_file(args.file)
+        charge = None
         spin = None
         source = args.file
     else:
         if args.spin is None:
             raise ValueError(f"--hamiltonian {args.hamiltonian} requires --spin")
         build = build_heisenberg if args.hamiltonian == "H" else build_cyclic
-        matrix = build(args.spin).matrix
+        h = build(args.spin)
+        matrix, charge = h.matrix, h.charge
         spin = args.spin
         source = None
 
-    dec = hermitian_eig(matrix, tol, args.max_sweeps)
+    dec = hermitian_eig(matrix, tol, args.max_sweeps, charge=charge)
     cluster_tol = args.cluster_tol or default_cluster_tol(matrix)
     spectrum = cluster_spectrum(dec.values, cluster_tol)
     closed_form_match = None
@@ -384,6 +387,7 @@ def _certify_spin(
         prefix=prefix,
         eig_tol=tol,
         max_sweeps=max_sweeps,
+        charges=(h.charge, k.charge),
     )
     closed_form_match = spectra_match(
         cert.spectrum_a, closed_form_spectrum(s), value_tol=_CLOSED_FORM_TOL
@@ -459,7 +463,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _gate_check(gate: Gate) -> dict:
-    residual = unitarity_residual(gate.matrix)
+    residual = gate.unitarity_residual
+    if residual is None:
+        residual = unitarity_residual(gate.matrix)
     phases = gate_eigenphases(gate)
     global_phase = None
     if float(phases[-1] - phases[0]) <= _UNIFORM_PHASE_TOL:
@@ -613,6 +619,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except ArithmeticError as exc:
+        # float overflow and the like, e.g. a moment scale raised past 1e308
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -42,6 +42,8 @@ class Gate:
 
     ``source_values`` are the generator's eigenvalues (ascending); they
     determine the gate's eigenphases -theta * lambda modulo 2 pi.
+    ``unitarity_residual`` is ||U^H U - I||_F as measured at synthesis, or
+    None for a gate assembled by hand.
     """
 
     theta: float
@@ -49,6 +51,7 @@ class Gate:
     spin: HalfInteger
     matrix: np.ndarray
     source_values: np.ndarray
+    unitarity_residual: float | None = None
 
     @property
     def dimension(self) -> int:
@@ -63,7 +66,8 @@ def synthesize_gate(
 ) -> Gate:
     """Build U(theta) = exp(-i theta M) from a Hermitian generator.
 
-    Rejects carriers whose computed hermiticity flag is false.  The result
+    Rejects carriers whose computed hermiticity flag is false.  A carrier
+    with a conserved charge is diagonalized sector by sector.  The result
     is checked against ||U^H U - I|| <= 1e-10 * dim before being returned.
     """
     if not isinstance(theta, (int, float)) or not np.isfinite(theta):
@@ -73,7 +77,7 @@ def synthesize_gate(
             "gate synthesis needs a Hermitian generator; this carrier's "
             "hermiticity flag is false"
         )
-    dec = hermitian_eig(h.matrix, eig_tol, max_sweeps)
+    dec = hermitian_eig(h.matrix, eig_tol, max_sweeps, charge=h.charge)
     phases = np.exp(-1j * float(theta) * dec.values)
     u = (dec.vectors * phases[np.newaxis, :]) @ dec.vectors.conj().T
     residual = unitarity_residual(u)
@@ -88,6 +92,7 @@ def synthesize_gate(
         spin=h.s,
         matrix=u,
         source_values=dec.values,
+        unitarity_residual=residual,
     )
 
 

@@ -7,6 +7,12 @@ Both named operators act on the (2s+1)^2 dimensional product space:
 
 where x is the Kronecker product.  The general bilinear form
 sum_jk c_jk Sj x Sk covers both as special cases.
+
+When the pattern c is a proper rotation (orthogonal, det +1), the operator
+is H conjugated by a rotation of the second site that maps each Sj to
+sum_k c_jk Sk, so it commutes with the charge S3 x I + I x sum_k c_3k Sk.
+Its single-site factors are kept as ``Hamiltonian.charge`` for the
+eigensolver's sector route.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ __all__ = [
 
 _ALIGNED = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 _SHIFTED = ((0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (1.0, 0.0, 0.0))
+_ROTATION_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -45,12 +52,16 @@ class Hamiltonian:
     ``hermitian`` is measured, not assumed: it records whether the assembled
     matrix came out Hermitian within 1e-12 per dimension.  Real coefficient
     patterns always satisfy it; downstream consumers must still check.
+    ``charge`` holds the single-site factors (A, B) of a conserved charge
+    A x I + I x B when the pattern is a proper rotation within 1e-12, and
+    is None otherwise.
     """
 
     kind: HamiltonianKind
     s: HalfInteger
     matrix: np.ndarray
     hermitian: bool
+    charge: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def dimension(self) -> int:
@@ -78,7 +89,19 @@ def _assemble(s: HalfInteger, label: str, coeffs) -> Hamiltonian:
         s=s,
         matrix=total,
         hermitian=hermitian,
+        charge=_rotation_charge(pattern, ops),
     )
+
+
+def _rotation_charge(pattern, ops) -> tuple[np.ndarray, np.ndarray] | None:
+    c = np.array(pattern)
+    if np.abs(c @ c.T - np.eye(3)).max() > _ROTATION_TOL:
+        return None
+    if abs(np.linalg.det(c) - 1.0) > _ROTATION_TOL:
+        return None
+    second = sum(c[2, k] * ops[k] for k in range(3))
+    second.flags.writeable = False
+    return ops[2], second
 
 
 def build_heisenberg(s: HalfInteger) -> Hamiltonian:

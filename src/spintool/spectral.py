@@ -246,6 +246,7 @@ def certify_isospectral(
     prefix: int | None = None,
     eig_tol: float = DEFAULT_TOL,
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
+    charges: tuple = (None, None),
 ) -> IsospectralReport:
     """Certify that two Hermitian operators share a spectrum.
 
@@ -254,6 +255,8 @@ def certify_isospectral(
     compares trace moments for k = 1..kmax (default: the full dimension).
     ``prefix`` additionally reports the comparison restricted to the first
     so-many powers; the verdict never rests on the prefix alone.
+    ``charges`` passes each operator's conserved-charge factors (or None)
+    to :func:`hermitian_eig`, which then diagonalizes sector by sector.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -269,8 +272,8 @@ def certify_isospectral(
     if prefix is not None and not 1 <= prefix <= kmax:
         raise ValueError(f"prefix must lie in 1..kmax, got {prefix}")
 
-    dec_a = hermitian_eig(a, eig_tol, max_sweeps)
-    dec_b = hermitian_eig(b, eig_tol, max_sweeps)
+    dec_a = hermitian_eig(a, eig_tol, max_sweeps, charge=charges[0])
+    dec_b = hermitian_eig(b, eig_tol, max_sweeps, charge=charges[1])
     if cluster_tol is None:
         cluster_tol = max(default_cluster_tol(a), default_cluster_tol(b))
     spectrum_a = cluster_spectrum(dec_a.values, cluster_tol)

@@ -290,3 +290,44 @@ def test_module_entry_point_subprocess():
     assert result.returncode == 0
     header = result.stdout.splitlines()[0]
     assert header.startswith("spin,dimension,")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--spin", "1", "--kmax", "600"],
+        ["verify", "--spin", "6"],
+    ],
+)
+def test_arithmetic_failures_end_in_an_exit_code(argv, capsys):
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 3)
+    if code == 3:
+        assert err.startswith("error:")
+
+
+def test_file_and_built_operator_routes_agree(run_cli, tmp_path):
+    k = cli.build_cyclic(cli.HalfInteger(3)).matrix
+    path = tmp_path / "k.txt"
+    path.write_text(
+        "\n".join(" ".join(cli.format_complex(z) for z in row) for row in k.tolist())
+    )
+    code_file, out_file, _ = run_cli(
+        "spectrum", "--hamiltonian", "file", "--file", str(path), "--format", "json"
+    )
+    code_k, out_k, _ = run_cli(
+        "spectrum", "--spin", "3/2", "--hamiltonian", "K", "--format", "json"
+    )
+    assert code_file == code_k == 0
+    by_file = _valid_json(out_file)
+    by_charge = _valid_json(out_k)
+    assert by_file["cluster_tol"] == by_charge["cluster_tol"]
+    assert [c["multiplicity"] for c in by_file["clusters"]] == [
+        c["multiplicity"] for c in by_charge["clusters"]
+    ]
+    np.testing.assert_allclose(
+        [c["value"] for c in by_file["clusters"]],
+        [c["value"] for c in by_charge["clusters"]],
+        atol=by_file["cluster_tol"],
+    )

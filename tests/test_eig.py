@@ -1,10 +1,23 @@
 import numpy as np
 import pytest
 
+from spintool.cli import _CLOSED_FORM_TOL
 from spintool.eig import ConvergenceError, hermitian_eig, verify_eigenpair
-from spintool.linalg import HermiticityError, ShapeError, frobenius_norm
-from spintool.hamiltonians import build_cyclic, build_heisenberg
-from spintool.spin import HalfInteger
+from spintool.linalg import (
+    DEFAULT_TOL,
+    HermiticityError,
+    NumericalError,
+    ShapeError,
+    frobenius_norm,
+)
+from spintool.hamiltonians import build_bilinear, build_cyclic, build_heisenberg
+from spintool.spectral import (
+    closed_form_spectrum,
+    cluster_spectrum,
+    default_cluster_tol,
+    spectra_match,
+)
+from spintool.spin import HalfInteger, make_spin_triple
 
 SQ2 = np.sqrt(2.0)
 
@@ -76,9 +89,12 @@ def test_rejects_bad_arguments():
 
 
 def test_sweep_budget_exhaustion():
-    m = build_heisenberg(HalfInteger(1)).matrix
+    h = build_heisenberg(HalfInteger(1))
     with pytest.raises(ConvergenceError):
-        hermitian_eig(m, max_sweeps=0)
+        hermitian_eig(h.matrix, max_sweeps=0)
+    # on the sector route the budget applies to each sector
+    with pytest.raises(ConvergenceError):
+        hermitian_eig(h.matrix, max_sweeps=0, charge=h.charge)
 
 
 def test_deterministic_repeat():
@@ -144,3 +160,65 @@ def test_degenerate_subspace_projectors_match_lapack():
         p_ours = dec.vectors[:, ours] @ dec.vectors[:, ours].conj().T
         p_lap = lap_vectors[:, theirs] @ lap_vectors[:, theirs].conj().T
         assert frobenius_norm(p_ours - p_lap) <= 1e-9
+
+
+def _random_rotation(seed):
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))
+    q = q * np.sign(np.diagonal(r))[np.newaxis, :]
+    return q if np.linalg.det(q) > 0.0 else -q
+
+
+def _sector_case(spin_cache, twice, label):
+    if label == "H":
+        entry = spin_cache(twice)
+        return entry.h, entry.dec_h
+    if label == "K":
+        entry = spin_cache(twice)
+        return entry.k, entry.dec_k
+    ham = build_bilinear(HalfInteger(twice), _random_rotation(700 + twice))
+    return ham, hermitian_eig(ham.matrix)
+
+
+@pytest.mark.parametrize("label", ["H", "K", "rotated"])
+@pytest.mark.parametrize("twice", range(1, 9))
+def test_sector_route_matches_full_jacobi(twice, label, spin_cache):
+    ham, full = _sector_case(spin_cache, twice, label)
+    assert ham.charge is not None
+    dec = hermitian_eig(ham.matrix, charge=ham.charge)
+    n = ham.dimension
+    scale = max(1.0, frobenius_norm(ham.matrix))
+    np.testing.assert_allclose(dec.values, full.values, atol=1e-10 * n * scale)
+    np.testing.assert_allclose(
+        dec.values, np.linalg.eigvalsh(ham.matrix), atol=1e-10 * n * scale
+    )
+    assert dec.residual <= 1e-10 * n * scale
+    gram = dec.vectors.conj().T @ dec.vectors
+    assert frobenius_norm(gram - np.eye(n)) <= 1e-10 * n
+    stop = DEFAULT_TOL * frobenius_norm(ham.matrix)
+    assert dec.leak <= stop
+    assert dec.commutator <= stop
+    assert full.leak == 0.0 and full.commutator == 0.0
+
+
+def test_sector_route_rejects_a_charge_that_does_not_commute():
+    s = HalfInteger(2)
+    t = make_spin_triple(s)
+    k = build_cyclic(s)
+    with pytest.raises(NumericalError, match="off-sector norm"):
+        hermitian_eig(k.matrix, charge=(t.s1, t.s1))
+    with pytest.raises(ShapeError):
+        hermitian_eig(k.matrix, charge=(t.s3, np.eye(2)))
+
+
+def test_sector_route_at_the_cap():
+    s = HalfInteger(24)
+    k = build_cyclic(s)
+    dec = hermitian_eig(k.matrix, charge=k.charge)
+    n = k.dimension
+    scale = max(1.0, frobenius_norm(k.matrix))
+    assert dec.residual <= 1e-10 * n * scale
+    assert dec.leak <= DEFAULT_TOL * frobenius_norm(k.matrix)
+    spectrum = cluster_spectrum(dec.values, default_cluster_tol(k.matrix))
+    assert spectra_match(
+        spectrum, closed_form_spectrum(s), value_tol=_CLOSED_FORM_TOL
+    )

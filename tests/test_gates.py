@@ -147,6 +147,11 @@ def test_rejects_bad_theta():
         synthesize_gate(ham, np.inf)
 
 
+def test_gate_keeps_its_unitarity_residual():
+    gate = synthesize_gate(build_cyclic(HalfInteger(3)), 0.8)
+    assert gate.unitarity_residual == unitarity_residual(gate.matrix)
+
+
 def test_unitarity_residual_values():
     assert unitarity_residual(np.eye(3)) == 0.0
     assert unitarity_residual(2.0 * np.eye(2)) == pytest.approx(np.sqrt(18.0))

@@ -86,6 +86,32 @@ def test_bilinear_shift_pattern_matches_cyclic():
     assert general.kind.coeffs == ((0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (1.0, 0.0, 0.0))
 
 
+def test_charge_factors_of_the_named_operators():
+    s = HalfInteger(3)
+    t = make_spin_triple(s)
+    h_a, h_b = build_heisenberg(s).charge
+    k_a, k_b = build_cyclic(s).charge
+    np.testing.assert_array_equal(h_a, t.s3)
+    np.testing.assert_array_equal(k_a, t.s3)
+    np.testing.assert_array_equal(h_b, t.s3)
+    np.testing.assert_array_equal(k_b, t.s1)
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    [
+        np.diag([1.0, 1.0, -1.0]),  # orthogonal with det -1
+        -np.eye(3),
+        2.0 * np.eye(3),
+        [[1, 2, 0], [0, 1, 0], [0, 0, 1]],
+        np.eye(3) + 1e-9,
+        np.zeros((3, 3)),
+    ],
+)
+def test_charge_is_none_unless_pattern_is_a_rotation(pattern):
+    assert build_bilinear(HalfInteger(2), pattern).charge is None
+
+
 def test_bilinear_zero_pattern():
     out = build_bilinear(HalfInteger(1), np.zeros((3, 3)))
     assert frobenius_norm(out.matrix) == 0.0
