@@ -154,9 +154,8 @@ def _jacobi(
 
 
 def _site_eig(
-    factor, tol: float, max_sweeps: int
+    f: np.ndarray, tol: float, max_sweeps: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    f = np.asarray(factor)
     if f.ndim != 2 or f.shape[0] != f.shape[1] or f.shape[0] == 0:
         raise ShapeError(f"charge factors must be square, got shape {f.shape}")
     if not np.isfinite(f).all():
@@ -171,7 +170,7 @@ def _sector_jacobi(
     m: np.ndarray, charge, tol: float, stop: float, max_sweeps: int
 ) -> tuple[np.ndarray, np.ndarray, int, float, float]:
     """Jacobi on each sector of ``m`` in the eigenbasis of A x I + I x B."""
-    a_site, b_site = charge
+    a_site, b_site = (np.asarray(f) for f in charge)
     qa, va = _site_eig(a_site, tol, max_sweeps)
     qb, vb = _site_eig(b_site, tol, max_sweeps)
     n = m.shape[0]
@@ -180,9 +179,7 @@ def _sector_jacobi(
             f"charge factors of sizes {qa.size} and {qb.size} do not "
             f"factor the dimension {n}"
         )
-    q = np.kron(np.asarray(a_site), np.eye(qb.size)) + np.kron(
-        np.eye(qa.size), np.asarray(b_site)
-    )
+    q = np.kron(a_site, np.eye(qb.size)) + np.kron(np.eye(qa.size), b_site)
     commutator = float(np.linalg.norm(m @ q - q @ m))
     del q
 
