@@ -228,6 +228,28 @@ def test_non_hermitian_matrix_file_is_numerical_error(run_cli, tmp_path):
     assert "Hermitian" in err
 
 
+def test_overflowing_matrix_file_is_numerical_error(run_cli, tmp_path):
+    # every entry is finite, but the norm that sets the stop threshold is not
+    path = tmp_path / "big.txt"
+    path.write_text("1e308 0\n0 1e308\n")
+    code, out, err = run_cli("spectrum", "--hamiltonian", "file", "--file", str(path))
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "error: the Frobenius norm of the matrix overflows; rescale its entries\n"
+    )
+
+
+def test_sector_sweep_budget_names_the_sector(run_cli):
+    code, out, err = run_cli(
+        "spectrum", "--hamiltonian", "K", "--spin", "3", "--max-sweeps", "2"
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: sector of charge 2(qa+qb) = ")
+    assert "(width " in err and "after 2 sweeps" in err
+
+
 def test_missing_file_is_usage_error(run_cli, tmp_path):
     code, _, _ = run_cli(
         "spectrum", "--hamiltonian", "file", "--file", str(tmp_path / "nope.txt")

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from spintool.cli import _CLOSED_FORM_TOL
-from spintool.eig import ConvergenceError, hermitian_eig, verify_eigenpair
+from spintool.eig import (
+    ConvergenceError,
+    _jacobi,
+    _jacobi_stack,
+    _split_sectors,
+    _symmetrized,
+    hermitian_eig,
+    verify_eigenpair,
+)
 from spintool.linalg import (
     DEFAULT_TOL,
     HermiticityError,
@@ -95,6 +103,90 @@ def test_sweep_budget_exhaustion():
     # on the sector route the budget applies to each sector
     with pytest.raises(ConvergenceError):
         hermitian_eig(h.matrix, max_sweeps=0, charge=h.charge)
+    k = build_cyclic(HalfInteger(4))
+    with pytest.raises(
+        ConvergenceError,
+        match=r"^sector of charge 2\(qa\+qb\) = -?\d+ \(width \d+\): "
+        r"off-diagonal norm \S+ still above \S+ after 0 sweeps$",
+    ):
+        hermitian_eig(k.matrix, max_sweeps=0, charge=k.charge)
+
+
+def test_overflowing_norm_is_a_numerical_error():
+    with pytest.raises(NumericalError, match="norm of the matrix overflows"):
+        hermitian_eig(np.diag([1e308, 1e308]).astype(complex))
+    # entries near 1e200 are finite, but their squares are not
+    with pytest.raises(NumericalError, match="norm of the matrix overflows"):
+        hermitian_eig(np.full((2, 2), 1e200, dtype=complex))
+
+
+def _stack_cases(case):
+    if case == "random":
+        # widths 1..9 in scrambled order, plus a block that is already diagonal
+        rng = np.random.default_rng(2024)
+        blocks = [_random_hermitian(rng, n) for n in (5, 1, 9, 3, 7, 2, 8, 4, 6)]
+        blocks.append(np.diag(rng.standard_normal(6)).astype(complex))
+        return blocks, [DEFAULT_TOL * frobenius_norm(b) for b in blocks]
+    # stop 0.5 gives the 4 x 4 block a skip threshold of 0.0125: its pivot
+    # 0.02 is rotated, though it would not be at twice that threshold.  The
+    # 2 x 2 block starts below its stop, so its pivot 0.1 (above its skip
+    # threshold 0.025) must never be rotated while the other block sweeps.
+    wide = np.array(
+        [[1.0, 1.0, 0, 0], [1.0, 2.0, 0, 0], [0, 0, 3.0, 0.02], [0, 0, 0.02, 5.0]]
+    )
+    narrow = np.array([[1.0, 0.1], [0.1, 2.0]])
+    return [wide.astype(complex), narrow.astype(complex)], [0.5, 0.5]
+
+
+@pytest.mark.parametrize("case", ["random", "thresholds"])
+def test_stack_matches_the_scalar_solver_block_by_block(case):
+    blocks, stops = _stack_cases(case)
+    stops = np.array(stops)
+    sizes = np.array([b.shape[0] for b in blocks])
+    width = int(sizes.max())
+    stack = np.zeros((len(blocks), width, width), dtype=complex)
+    for k, block in enumerate(blocks):
+        stack[k, : sizes[k], : sizes[k]] = _symmetrized(block)
+    before = stack.copy()
+    diagonals, vectors, sweeps, off = _jacobi_stack(stack, sizes, stops, 100)
+    np.testing.assert_array_equal(stack, before)
+    for k, block in enumerate(blocks):
+        n = sizes[k]
+        ref_values, ref_vectors, ref_sweeps = _jacobi(
+            _symmetrized(block), stops[k], 100
+        )
+        assert sweeps[k] == ref_sweeps
+        assert off[k] <= stops[k]
+        # same rotations, so diagonals and vectors agree entry by entry
+        atol = 1e-13 * frobenius_norm(block)
+        np.testing.assert_allclose(diagonals[k, :n], ref_values, rtol=0, atol=atol)
+        v = vectors[k, :n, :n]
+        np.testing.assert_allclose(v, ref_vectors, rtol=0, atol=1e-13 * n)
+        # the residual is the off-diagonal mass left over, plus rounding
+        scale = max(1.0, frobenius_norm(block))
+        residual = np.linalg.norm(block @ v - v * diagonals[k, :n], axis=0).max()
+        assert residual <= off[k] + 1e-10 * n * scale
+        if ref_sweeps == 0:
+            # a block that starts converged is never touched
+            np.testing.assert_array_equal(diagonals[k, :n], np.diagonal(block).real)
+            np.testing.assert_array_equal(v, np.eye(n))
+        # padding stays out of every rotation
+        padded = vectors[k].copy()
+        padded[:n, :n] = np.eye(n)
+        np.testing.assert_array_equal(padded, np.eye(width))
+        np.testing.assert_array_equal(diagonals[k, n:], 0.0)
+
+
+def test_stack_reports_blocks_that_run_out_of_sweeps():
+    rng = np.random.default_rng(7)
+    block = _symmetrized(_random_hermitian(rng, 6))
+    stack = np.zeros((2, 6, 6), dtype=complex)
+    stack[0] = block
+    stack[1, 0, 0] = 1.0
+    stops = np.array([DEFAULT_TOL * frobenius_norm(block), DEFAULT_TOL])
+    _, _, sweeps, off = _jacobi_stack(stack, np.array([6, 1]), stops, 2)
+    np.testing.assert_array_equal(sweeps, [2, 0])
+    assert off[0] > stops[0] and off[1] <= stops[1]
 
 
 def test_deterministic_repeat():
@@ -179,12 +271,23 @@ def _sector_case(spin_cache, twice, label):
     return ham, hermitian_eig(ham.matrix)
 
 
+def _largest_sector_sweeps(ham):
+    """Most sweeps the scalar solver needs on any one sector, solved alone."""
+    stop = DEFAULT_TOL * frobenius_norm(ham.matrix)
+    _, _, blocks, _, _ = _split_sectors(ham.matrix, ham.charge, DEFAULT_TOL, stop)
+    return max(
+        _jacobi(block, DEFAULT_TOL * frobenius_norm(block), 100)[2]
+        for block in blocks
+    )
+
+
 @pytest.mark.parametrize("label", ["H", "K", "rotated"])
 @pytest.mark.parametrize("twice", range(1, 9))
 def test_sector_route_matches_full_jacobi(twice, label, spin_cache):
     ham, full = _sector_case(spin_cache, twice, label)
     assert ham.charge is not None
     dec = hermitian_eig(ham.matrix, charge=ham.charge)
+    assert dec.sweeps == _largest_sector_sweeps(ham)
     n = ham.dimension
     scale = max(1.0, frobenius_norm(ham.matrix))
     np.testing.assert_allclose(dec.values, full.values, atol=1e-10 * n * scale)
@@ -210,15 +313,16 @@ def test_sector_route_rejects_a_charge_that_does_not_commute():
         hermitian_eig(k.matrix, charge=(t.s3, np.eye(2)))
 
 
-def test_sector_route_at_the_cap():
+@pytest.mark.parametrize("build", [build_heisenberg, build_cyclic], ids=["H", "K"])
+def test_sector_route_at_the_cap(build):
     s = HalfInteger(24)
-    k = build_cyclic(s)
-    dec = hermitian_eig(k.matrix, charge=k.charge)
-    n = k.dimension
-    scale = max(1.0, frobenius_norm(k.matrix))
+    ham = build(s)
+    dec = hermitian_eig(ham.matrix, charge=ham.charge)
+    n = ham.dimension
+    scale = max(1.0, frobenius_norm(ham.matrix))
     assert dec.residual <= 1e-10 * n * scale
-    assert dec.leak <= DEFAULT_TOL * frobenius_norm(k.matrix)
-    spectrum = cluster_spectrum(dec.values, default_cluster_tol(k.matrix))
+    assert dec.leak <= DEFAULT_TOL * frobenius_norm(ham.matrix)
+    spectrum = cluster_spectrum(dec.values, default_cluster_tol(ham.matrix))
     assert spectra_match(
         spectrum, closed_form_spectrum(s), value_tol=_CLOSED_FORM_TOL
     )
