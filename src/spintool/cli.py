@@ -5,23 +5,29 @@ a matrix file), ``verify`` (full algebra + isospectrality certificate for
 one spin), ``gate`` (synthesize exp(-i theta M)), and ``table`` (one
 certificate row per spin up to a maximum).
 
+Each subcommand builds one JSON report dict and nothing else; ``main``
+renders it and derives the exit code from its verdict.  ``json`` output
+(validating against the shipped report_schema.json) is the report itself;
+``plain`` key=value lines and ``csv`` are views of it.  The csv output is the
+command's main table (spectrum clusters, verify moments, gate matrix, table
+rows) and the repeated plain lines show the same cells.
+
 Exit codes: 0 success, 1 a verification verdict failed, 2 usage or input
-error, 3 numerical failure (non-Hermitian input, no convergence, overflow).
-Reports render as ``plain`` key=value lines, ``json`` (validating against
-the shipped report_schema.json), or ``csv`` with the command's main table.
-The base tolerance comes from --tol, else the SPIN_TOOL_TOL environment
-variable, else 1e-12.
+error, 3 numerical failure (non-Hermitian input, no convergence, overflow,
+including a gate whose phases theta * lambda overflow).  ``gate --check``
+reports a global phase whenever all eigenphases coincide on the circle, also
+when they straddle the 0 / 2 pi wrap.  The base tolerance comes from --tol,
+else the SPIN_TOOL_TOL environment variable, else 1e-12.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
 import sys
+from collections.abc import Iterable, Sequence
 from pathlib import Path
 
 import numpy as np
@@ -198,19 +204,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_tol(args: argparse.Namespace) -> float:
-    if args.tol is not None:
-        return args.tol
+def _resolve_tol(flag: float | None) -> float:
+    """--tol if given, else SPIN_TOOL_TOL if set, else the default."""
+    if flag is not None:
+        return flag
     env = os.environ.get("SPIN_TOOL_TOL")
-    if env is not None:
-        try:
-            value = float(env)
-        except ValueError:
-            raise ValueError(f"SPIN_TOOL_TOL is not a number: {env!r}") from None
-        if not math.isfinite(value) or value <= 0.0:
-            raise ValueError(f"SPIN_TOOL_TOL must be positive and finite: {env!r}")
-        return value
-    return DEFAULT_TOL
+    if env is None:
+        return DEFAULT_TOL
+    try:
+        return _positive_float(env)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"SPIN_TOOL_TOL: {exc}") from None
 
 
 def parse_complex_token(token: str) -> complex:
@@ -289,24 +293,7 @@ def _spin_notes(s: HalfInteger | None) -> list[str]:
     return []
 
 
-def _emit(lines: list[str]) -> None:
-    sys.stdout.write("\n".join(lines) + "\n")
-
-
-def _emit_json(report: dict) -> None:
-    sys.stdout.write(json.dumps(report, indent=2, allow_nan=False) + "\n")
-
-
-def _emit_csv(header: list[str], rows: list[list]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    sys.stdout.write(buf.getvalue())
-
-
-def cmd_spectrum(args: argparse.Namespace) -> int:
-    tol = _resolve_tol(args)
+def cmd_spectrum(args: argparse.Namespace) -> dict:
     if args.hamiltonian == "file":
         if args.file is None:
             raise ValueError("--hamiltonian file requires --file PATH")
@@ -323,52 +310,27 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         spin = args.spin
         source = None
 
-    dec = hermitian_eig(matrix, tol, args.max_sweeps, charge=charge)
+    dec = hermitian_eig(matrix, args.tol, args.max_sweeps, charge=charge)
     cluster_tol = args.cluster_tol or default_cluster_tol(matrix)
     spectrum = cluster_spectrum(dec.values, cluster_tol)
     closed_form_match = None
-    if spin is not None and args.hamiltonian in ("H", "K"):
+    if spin is not None:
         closed_form_match = spectra_match(
             spectrum, closed_form_spectrum(spin), value_tol=_CLOSED_FORM_TOL
         )
-    verdict = closed_form_match is not False
-    notes = _spin_notes(spin)
-
-    if args.format == "json":
-        _emit_json(
-            {
-                "command": "spectrum",
-                "spin": None if spin is None else str(spin),
-                "hamiltonian": args.hamiltonian,
-                "source": source,
-                "dimension": spectrum.dimension,
-                "tol": tol,
-                "cluster_tol": cluster_tol,
-                "clusters": _cluster_dicts(spectrum),
-                "closed_form_match": closed_form_match,
-                "verdict": verdict,
-                "notes": notes,
-            }
-        )
-    elif args.format == "csv":
-        _emit_csv(
-            ["value", "multiplicity"],
-            [[repr(float(v)), m] for v, m in spectrum.clusters],
-        )
-    else:
-        lines = [
-            f"spectrum spin={spin} hamiltonian={args.hamiltonian} "
-            f"dimension={spectrum.dimension} cluster_tol={cluster_tol!r}"
-        ]
-        lines += [
-            f"cluster value={float(v)!r} multiplicity={m}"
-            for v, m in spectrum.clusters
-        ]
-        lines.append(f"closed_form_match={closed_form_match}")
-        lines += [f"note={n}" for n in notes]
-        lines.append(f"verdict={'PASS' if verdict else 'FAIL'}")
-        _emit(lines)
-    return EXIT_OK if verdict else EXIT_VERDICT
+    return {
+        "command": "spectrum",
+        "spin": None if spin is None else str(spin),
+        "hamiltonian": args.hamiltonian,
+        "source": source,
+        "dimension": spectrum.dimension,
+        "tol": args.tol,
+        "cluster_tol": cluster_tol,
+        "clusters": _cluster_dicts(spectrum),
+        "closed_form_match": closed_form_match,
+        "verdict": closed_form_match is not False,
+        "notes": _spin_notes(spin),
+    }
 
 
 def _certify_spin(
@@ -395,71 +357,31 @@ def _certify_spin(
     return cert, closed_form_match
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    tol = _resolve_tol(args)
+def cmd_verify(args: argparse.Namespace) -> dict:
     s = args.spin
-    algebra = verify_su2(make_spin_triple(s), tol)
-    cert, closed_form_match = _certify_spin(s, args.kmax, tol, args.max_sweeps)
-    verdict = algebra.passed and cert.verdict and closed_form_match
-    notes = _spin_notes(s)
-
-    if args.format == "json":
-        _emit_json(
-            {
-                "command": "verify",
-                "spin": str(s),
-                "dimension": cert.dimension,
-                "tol": tol,
-                "kmax": len(cert.moments.powers),
-                "cluster_tol": cert.spectrum_a.cluster_tol,
-                "algebra": {
-                    "tol": algebra.tol,
-                    "max_residual": algebra.max_residual,
-                    "passed": algebra.passed,
-                    "residuals": dict(algebra.residuals),
-                },
-                "clusters": _cluster_dicts(cert.spectrum_a),
-                "clusters_b": _cluster_dicts(cert.spectrum_b),
-                "spectra_equal": cert.spectra_equal,
-                "closed_form_match": closed_form_match,
-                "moments": _moments_dict(cert.moments),
-                "verdict": verdict,
-                "notes": notes,
-            }
-        )
-    elif args.format == "csv":
-        rows = [
-            [k, repr(ta), repr(tb)]
-            for k, ta, tb in zip(
-                cert.moments.powers, cert.moments.traces_a, cert.moments.traces_b
-            )
-        ]
-        _emit_csv(["power", "trace_a", "trace_b"], rows)
-    else:
-        m = cert.moments
-        lines = [
-            f"verify spin={s} dimension={cert.dimension} "
-            f"kmax={len(m.powers)} cluster_tol={cert.spectrum_a.cluster_tol!r}",
-            f"algebra passed={algebra.passed} max_residual={algebra.max_residual!r}",
-        ]
-        lines += [
-            f"cluster value={float(v)!r} multiplicity={mult}"
-            for v, mult in cert.spectrum_a.clusters
-        ]
-        lines.append(f"spectra_equal={cert.spectra_equal}")
-        lines.append(f"closed_form_match={closed_form_match}")
-        lines.append(
-            f"moments passed={m.passed} max_abs_diff={m.max_abs_diff!r} "
-            f"prefix_len={m.prefix_len} prefix_passed={m.prefix_passed}"
-        )
-        lines += [
-            f"moment power={k} trace_a={ta!r} trace_b={tb!r}"
-            for k, ta, tb in zip(m.powers, m.traces_a, m.traces_b)
-        ]
-        lines += [f"note={n}" for n in notes]
-        lines.append(f"verdict={'PASS' if verdict else 'FAIL'}")
-        _emit(lines)
-    return EXIT_OK if verdict else EXIT_VERDICT
+    algebra = verify_su2(make_spin_triple(s), args.tol)
+    cert, closed_form_match = _certify_spin(s, args.kmax, args.tol, args.max_sweeps)
+    return {
+        "command": "verify",
+        "spin": str(s),
+        "dimension": cert.dimension,
+        "tol": args.tol,
+        "kmax": len(cert.moments.powers),
+        "cluster_tol": cert.spectrum_a.cluster_tol,
+        "algebra": {
+            "tol": algebra.tol,
+            "max_residual": algebra.max_residual,
+            "passed": algebra.passed,
+            "residuals": dict(algebra.residuals),
+        },
+        "clusters": _cluster_dicts(cert.spectrum_a),
+        "clusters_b": _cluster_dicts(cert.spectrum_b),
+        "spectra_equal": cert.spectra_equal,
+        "closed_form_match": closed_form_match,
+        "moments": _moments_dict(cert.moments),
+        "verdict": algebra.passed and cert.verdict and closed_form_match,
+        "notes": _spin_notes(s),
+    }
 
 
 def _gate_check(gate: Gate) -> dict:
@@ -467,10 +389,15 @@ def _gate_check(gate: Gate) -> dict:
     if residual is None:
         residual = unitarity_residual(gate.matrix)
     phases = gate_eigenphases(gate)
+    # The phases lie on a circle: they span 2 pi minus the widest gap between
+    # neighbours, where the last gap wraps from the largest phase back to the
+    # smallest, and their arc starts just after that gap.
+    gaps = np.diff(phases, append=phases[0] + 2.0 * math.pi)
+    widest = int(np.argmax(gaps))
     global_phase = None
-    if float(phases[-1] - phases[0]) <= _UNIFORM_PHASE_TOL:
+    if 2.0 * math.pi - float(gaps[widest]) <= _UNIFORM_PHASE_TOL:
         # all eigenphases coincide: the gate is a global phase times identity
-        principal = float(phases[0])
+        principal = float(phases[(widest + 1) % len(phases)])
         if principal > math.pi:
             principal -= 2.0 * math.pi
         global_phase = principal
@@ -482,62 +409,36 @@ def _gate_check(gate: Gate) -> dict:
     }
 
 
-def cmd_gate(args: argparse.Namespace) -> int:
-    tol = _resolve_tol(args)
+def cmd_gate(args: argparse.Namespace) -> dict:
     build = build_heisenberg if args.hamiltonian == "H" else build_cyclic
     h = build(args.spin)
-    gate = synthesize_gate(h, args.theta, eig_tol=tol, max_sweeps=args.max_sweeps)
+    gate = synthesize_gate(h, args.theta, eig_tol=args.tol, max_sweeps=args.max_sweeps)
     check = _gate_check(gate) if args.check else None
-    verdict = check is None or check["passed"]
-
-    if args.format == "json":
-        _emit_json(
-            {
-                "command": "gate",
-                "spin": str(args.spin),
-                "hamiltonian": args.hamiltonian,
-                "theta": gate.theta,
-                "dimension": gate.dimension,
-                "tol": tol,
-                "matrix": [
-                    [[z.real, z.imag] for z in row] for row in gate.matrix.tolist()
-                ],
-                "check": check,
-                "verdict": verdict,
-            }
-        )
-    elif args.format == "csv":
-        rows = [[format_complex(z) for z in row] for row in gate.matrix.tolist()]
-        _emit_csv([f"col{j}" for j in range(gate.dimension)], rows)
-    else:
-        lines = [
-            f"gate spin={args.spin} hamiltonian={args.hamiltonian} "
-            f"theta={gate.theta!r} dimension={gate.dimension}"
-        ]
-        if check is not None:
-            lines.append(f"unitarity_residual={check['unitarity_residual']!r}")
-            lines += [f"eigenphase {p!r}" for p in check["eigenphases"]]
-            if check["global_phase"] is not None:
-                lines.append(f"global_phase={check['global_phase']!r}")
-        lines += [
-            " ".join(format_complex(z) for z in row) for row in gate.matrix.tolist()
-        ]
-        lines.append(f"verdict={'PASS' if verdict else 'FAIL'}")
-        _emit(lines)
-    return EXIT_OK if verdict else EXIT_VERDICT
+    return {
+        "command": "gate",
+        "spin": str(args.spin),
+        "hamiltonian": args.hamiltonian,
+        "theta": gate.theta,
+        "dimension": gate.dimension,
+        "tol": args.tol,
+        # (re, im) pairs of the entries' doubles, which json writes as arrays;
+        # zipped tuples build in half the time of tolist() on an (n, n, 2) view
+        "matrix": [
+            list(zip(re, im))
+            for re, im in zip(gate.matrix.real.tolist(), gate.matrix.imag.tolist())
+        ],
+        "check": check,
+        "verdict": check is None or check["passed"],
+    }
 
 
-def cmd_table(args: argparse.Namespace) -> int:
-    tol = _resolve_tol(args)
+def cmd_table(args: argparse.Namespace) -> dict:
     rows = []
-    all_pass = True
     for twice in range(1, args.max_spin.twice + 1):
         s = HalfInteger(twice)
         cert, closed_form_match = _certify_spin(
-            s, s.dimension, tol, args.max_sweeps
+            s, s.dimension, args.tol, args.max_sweeps
         )
-        verdict = cert.verdict and closed_form_match
-        all_pass = all_pass and verdict
         rows.append(
             {
                 "spin": str(s),
@@ -548,65 +449,146 @@ def cmd_table(args: argparse.Namespace) -> int:
                 "spectra_equal": cert.spectra_equal,
                 "closed_form_match": closed_form_match,
                 "moments": _moments_dict(cert.moments),
-                "verdict": verdict,
+                "verdict": cert.verdict and closed_form_match,
                 "notes": _spin_notes(s),
             }
         )
+    return {
+        "command": "table",
+        "max_spin": str(args.max_spin),
+        "tol": args.tol,
+        "rows": rows,
+        "verdict": all(row["verdict"] for row in rows),
+    }
 
-    if args.format == "json":
-        _emit_json(
-            {
-                "command": "table",
-                "max_spin": str(args.max_spin),
-                "tol": tol,
-                "rows": rows,
-                "verdict": all_pass,
-            }
+
+# -- rendering: plain and csv are views of the JSON report -------------------
+
+_CLUSTER_HEADER = ["value", "multiplicity"]
+
+# fields of the first plain line, after the command name
+_HEAD_FIELDS = {
+    "spectrum": ("spin", "hamiltonian", "dimension", "cluster_tol"),
+    "verify": ("spin", "dimension", "kmax", "cluster_tol"),
+    "gate": ("spin", "hamiltonian", "theta", "dimension"),
+    "table": ("max_spin",),
+}
+
+
+def _cluster_rows(clusters: list[dict]) -> Iterable[list]:
+    return ([c["value"], c["multiplicity"]] for c in clusters)
+
+
+def _main_table(report: dict) -> tuple[list[str], Iterable[Sequence]]:
+    """Header and rows of the command's main table, read from the report.
+
+    The rows are the csv output; the repeated lines of the plain output show
+    the same cells.  Cells are report values, which str() renders as repr()
+    does for floats, or strings.
+    """
+    command = report["command"]
+    if command == "spectrum":
+        return _CLUSTER_HEADER, _cluster_rows(report["clusters"])
+    if command == "verify":
+        m = report["moments"]
+        return ["power", "trace_a", "trace_b"], zip(
+            m["powers"], m["traces_a"], m["traces_b"]
         )
-    elif args.format == "csv":
-        csv_rows = [
-            [
-                row["spin"],
-                row["dimension"],
-                len(row["clusters"]),
-                row["spectra_equal"],
-                row["closed_form_match"],
-                row["moments"]["passed"],
-                row["verdict"],
-            ]
-            for row in rows
+    if command == "gate":
+        # format_complex's a+bi text, written inline: a call per entry adds
+        # about 0.1 s on the 625 x 625 gate at the cap (one Xeon core)
+        return [f"col{j}" for j in range(report["dimension"])], (
+            [f"{re!r}{'-' if im < 0 else '+'}{abs(im)!r}i" for re, im in row]
+            for row in report["matrix"]
+        )
+    header = [
+        "spin",
+        "dimension",
+        "num_clusters",
+        "spectra_equal",
+        "closed_form_match",
+        "moments_passed",
+        "verdict",
+    ]
+    return header, (
+        [
+            row["spin"],
+            row["dimension"],
+            len(row["clusters"]),
+            row["spectra_equal"],
+            row["closed_form_match"],
+            row["moments"]["passed"],
+            row["verdict"],
         ]
-        _emit_csv(
-            [
-                "spin",
-                "dimension",
-                "num_clusters",
-                "spectra_equal",
-                "closed_form_match",
-                "moments_passed",
-                "verdict",
-            ],
-            csv_rows,
+        for row in report["rows"]
+    )
+
+
+def _kv(pairs: Iterable[tuple[str, object]]) -> str:
+    return " ".join(f"{label}={value}" for label, value in pairs)
+
+
+def _pass(verdict: bool) -> str:
+    return "PASS" if verdict else "FAIL"
+
+
+def _render_json(report: dict) -> str:
+    return json.dumps(report, indent=2, allow_nan=False) + "\n"
+
+
+def _render_csv(report: dict) -> str:
+    header, rows = _main_table(report)
+    # no cell holds a comma, a quote or a line break, so none needs quoting
+    lines = [",".join(header)]
+    lines += [",".join(map(str, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _render_plain(report: dict) -> str:
+    command = report["command"]
+    header, rows = _main_table(report)
+    lines = [f"{command} " + _kv((k, report[k]) for k in _HEAD_FIELDS[command])]
+    if command == "spectrum":
+        lines += [f"cluster {_kv(zip(header, row))}" for row in rows]
+        lines.append(f"closed_form_match={report['closed_form_match']}")
+    elif command == "verify":
+        algebra, m = report["algebra"], report["moments"]
+        lines.append(
+            f"algebra passed={algebra['passed']} max_residual={algebra['max_residual']}"
         )
+        lines += [
+            f"cluster {_kv(zip(_CLUSTER_HEADER, row))}"
+            for row in _cluster_rows(report["clusters"])
+        ]
+        lines.append(f"spectra_equal={report['spectra_equal']}")
+        lines.append(f"closed_form_match={report['closed_form_match']}")
+        fields = ("passed", "max_abs_diff", "prefix_len", "prefix_passed")
+        lines.append("moments " + _kv((k, m[k]) for k in fields))
+        lines += [f"moment {_kv(zip(header, row))}" for row in rows]
+    elif command == "gate":
+        check = report["check"]
+        if check is not None:
+            lines.append(f"unitarity_residual={check['unitarity_residual']}")
+            lines += [f"eigenphase {p}" for p in check["eigenphases"]]
+            if check["global_phase"] is not None:
+                lines.append(f"global_phase={check['global_phase']}")
+        lines += [" ".join(row) for row in rows]
     else:
-        lines = [f"table max_spin={args.max_spin}"]
-        for row in rows:
+        for row, cells in zip(report["rows"], rows):
+            fields = dict(zip(header, cells))
+            del fields["num_clusters"]
+            fields["verdict"] = _pass(row["verdict"])
             clusters = " ".join(
-                f"{c['value']!r}x{c['multiplicity']}" for c in row["clusters"]
+                f"{c['value']}x{c['multiplicity']}" for c in row["clusters"]
             )
-            lines.append(
-                f"row spin={row['spin']} dimension={row['dimension']} "
-                f"spectra_equal={row['spectra_equal']} "
-                f"closed_form_match={row['closed_form_match']} "
-                f"moments_passed={row['moments']['passed']} "
-                f"verdict={'PASS' if row['verdict'] else 'FAIL'} "
-                f"clusters: {clusters}"
-            )
-            for note in row["notes"]:
-                lines.append(f"note spin={row['spin']} {note}")
-        lines.append(f"verdict={'PASS' if all_pass else 'FAIL'}")
-        _emit(lines)
-    return EXIT_OK if all_pass else EXIT_VERDICT
+            lines.append(f"row {_kv(fields.items())} clusters: {clusters}")
+            lines += [f"note spin={row['spin']} {note}" for note in row["notes"]]
+    lines += [f"note={note}" for note in report.get("notes", ())]
+    lines.append(f"verdict={_pass(report['verdict'])}")
+    return "\n".join(lines) + "\n"
+
+
+_RENDERERS = {"json": _render_json, "csv": _render_csv, "plain": _render_plain}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -616,7 +598,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.handler(args)
+        args.tol = _resolve_tol(args.tol)
+        report = args.handler(args)
+        text = _RENDERERS[args.format](report)
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -627,6 +611,8 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    sys.stdout.write(text)
+    return EXIT_OK if report["verdict"] else EXIT_VERDICT
 
 
 if __name__ == "__main__":

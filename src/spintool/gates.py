@@ -68,7 +68,8 @@ def synthesize_gate(
 
     Rejects carriers whose computed hermiticity flag is false.  A carrier
     with a conserved charge is diagonalized sector by sector.  The result
-    is checked against ||U^H U - I|| <= 1e-10 * dim before being returned.
+    is checked against ||U^H U - I|| <= 1e-10 * dim before being returned;
+    a NaN gate, from theta * lambda overflowing, fails that check too.
     """
     if not isinstance(theta, (int, float)) or not np.isfinite(theta):
         raise ValueError(f"theta must be a finite real number, got {theta!r}")
@@ -78,10 +79,12 @@ def synthesize_gate(
             "hermiticity flag is false"
         )
     dec = hermitian_eig(h.matrix, eig_tol, max_sweeps, charge=h.charge)
-    phases = np.exp(-1j * float(theta) * dec.values)
-    u = (dec.vectors * phases[np.newaxis, :]) @ dec.vectors.conj().T
-    residual = unitarity_residual(u)
-    if residual > UNITARITY_TOL * u.shape[0]:
+    # theta * lambda can overflow; the gate is then NaN and fails the bound below
+    with np.errstate(over="ignore", invalid="ignore"):
+        phases = np.exp(-1j * float(theta) * dec.values)
+        u = (dec.vectors * phases[np.newaxis, :]) @ dec.vectors.conj().T
+        residual = unitarity_residual(u)
+    if not residual <= UNITARITY_TOL * u.shape[0]:
         raise NumericalError(
             f"synthesized gate failed the unitarity bound: {residual:.3e}"
         )
@@ -118,6 +121,8 @@ def gate_fidelity(a: np.ndarray, b: np.ndarray) -> float:
 def gate_eigenphases(gate: Gate) -> np.ndarray:
     """Eigenphases -theta * lambda reduced to [0, 2 pi), ascending."""
     phases = np.mod(-gate.theta * gate.source_values, 2.0 * np.pi)
+    # mod rounds a tiny negative phase up to 2 pi itself, which is phase 0
+    phases[phases == 2.0 * np.pi] = 0.0
     return np.sort(phases)
 
 

@@ -132,6 +132,39 @@ def test_gate_check_full_turn(run_cli):
     assert doc["check"]["global_phase"] == pytest.approx(-np.pi / 2.0, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "theta, global_phase",
+    [
+        (25.132741228718345, 0.0),  # 8 pi: the phases straddle the 0 / 2 pi wrap
+        (2.0 * np.pi, -np.pi / 2.0),  # one phase, 3 pi / 2, away from the wrap
+        (0.7, None),  # two distinct phases
+    ],
+)
+def test_gate_check_global_phase_across_the_wrap(run_cli, theta, global_phase):
+    argv = ["gate", "--spin", "1/2", "--hamiltonian", "K", "--theta", repr(theta), "--check"]
+    code, out, _ = run_cli(*argv, "--format", "json")
+    assert code == 0
+    found = _valid_json(out)["check"]["global_phase"]
+    if global_phase is None:
+        assert found is None
+    else:
+        assert found == pytest.approx(global_phase, abs=1e-9)
+    code, out, _ = run_cli(*argv)
+    assert code == 0
+    assert (f"global_phase={found!r}" in out.splitlines()) == (found is not None)
+
+
+@pytest.mark.parametrize("check", [[], ["--check"]])
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+def test_gate_with_overflowing_phases_is_numerical_error(run_cli, fmt, check):
+    # theta * lambda overflows to inf, so every gate entry is NaN
+    code, out, err = run_cli(
+        "gate", "--spin", "2", "--theta", "1e308", *check, "--format", fmt
+    )
+    assert (code, out) == (3, "")
+    assert err == "error: synthesized gate failed the unitarity bound: nan\n"
+
+
 def test_gate_check_catches_broken_unitary(run_cli, monkeypatch):
     real = cli.synthesize_gate
 
@@ -151,6 +184,32 @@ def test_gate_check_catches_broken_unitary(run_cli, monkeypatch):
     code, out, _ = run_cli("gate", "--spin", "1/2", "--theta", "1.0", "--check")
     assert code == 1
     assert "verdict=FAIL" in out
+
+
+def test_gate_cells_are_format_complex_of_the_json_pairs(run_cli, monkeypatch):
+    edge = np.array(
+        [
+            [complex(0.0, -0.0), complex(-0.0, 0.0), complex(1e16, -1e16)],
+            [complex(5e-324, -5e-324), complex(-100.0, -0.05), complex(0.1, 2.5)],
+            [complex(-1.5, 1e-300), complex(2.0, -1.0), complex(-0.0, -0.0)],
+        ]
+    )
+    real = cli.synthesize_gate
+
+    def with_edge_entries(ham, theta, **kwargs):
+        gate = real(ham, theta, **kwargs)
+        return cli.Gate(gate.theta, gate.kind, gate.spin, edge, gate.source_values)
+
+    monkeypatch.setattr(cli, "synthesize_gate", with_edge_entries)
+    argv = ["gate", "--spin", "1/2", "--theta", "1.0"]
+    cells = [[cli.format_complex(z) for z in row] for row in edge.tolist()]
+    _, out, _ = run_cli(*argv, "--format", "csv")
+    assert out.splitlines() == ["col0,col1,col2"] + [",".join(row) for row in cells]
+    _, out, _ = run_cli(*argv)
+    assert out.splitlines()[1:4] == [" ".join(row) for row in cells]
+    _, out, _ = run_cli(*argv, "--format", "json")
+    pairs = json.loads(out)["matrix"]
+    assert [[cli.format_complex(complex(*z)) for z in row] for row in pairs] == cells
 
 
 def test_table_json_validates(run_cli):

@@ -10,7 +10,13 @@ from spintool.gates import (
     unitarity_residual,
 )
 from spintool.hamiltonians import Hamiltonian, HamiltonianKind, build_cyclic, build_heisenberg
-from spintool.linalg import HermiticityError, ShapeError, frobenius_distance, frobenius_norm
+from spintool.linalg import (
+    HermiticityError,
+    NumericalError,
+    ShapeError,
+    frobenius_distance,
+    frobenius_norm,
+)
 from spintool.spin import HalfInteger
 
 SWAP = np.array(
@@ -114,6 +120,13 @@ def test_apply_gate_preserves_norm():
         apply_gate(gate, np.ones(5))
 
 
+def test_eigenphases_of_a_tiny_angle_stay_below_two_pi():
+    # for lambda > 0, -theta * lambda is a tiny negative number that mod 2 pi
+    # rounds up to 2 pi itself
+    phases = gate_eigenphases(synthesize_gate(build_heisenberg(HalfInteger(1)), 1e-127))
+    assert phases.tolist() == [0.0, 0.0, 0.0, 7.5e-128]
+
+
 def test_eigenphases_sorted_in_range():
     gate = synthesize_gate(build_heisenberg(HalfInteger(3)), 0.37)
     phases = gate_eigenphases(gate)
@@ -145,6 +158,12 @@ def test_rejects_bad_theta():
         synthesize_gate(ham, np.nan)
     with pytest.raises(ValueError):
         synthesize_gate(ham, np.inf)
+
+
+def test_overflowing_phases_fail_the_unitarity_bound():
+    # theta is finite, but theta * lambda overflows and the gate comes out NaN
+    with pytest.raises(NumericalError, match="unitarity bound: nan"):
+        synthesize_gate(build_heisenberg(HalfInteger(4)), 1e308)
 
 
 def test_gate_keeps_its_unitarity_residual():
