@@ -51,13 +51,9 @@ CASES = {
 }
 
 
-def _tokens(text: str) -> list[str]:
-    return _NUMBER.split(text)
-
-
 def _same_output(expected: str, actual: str) -> str | None:
     """None if the outputs agree, else a description of the first difference."""
-    want, got = _tokens(expected), _tokens(actual)
+    want, got = _NUMBER.split(expected), _NUMBER.split(actual)
     if len(want) != len(got):
         return f"{len(got)} tokens, expected {len(want)}"
     # split with one capture group alternates text (even) and numbers (odd)
