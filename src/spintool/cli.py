@@ -23,9 +23,11 @@ else the SPIN_TOOL_TOL environment variable, else 1e-12.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
+import re
 import sys
 from collections.abc import Iterable, Sequence
 from pathlib import Path
@@ -37,9 +39,7 @@ from .gates import Gate, gate_eigenphases, synthesize_gate, unitarity_residual
 from .hamiltonians import build_cyclic, build_heisenberg
 from .linalg import DEFAULT_TOL, NumericalError, as_cmatrix
 from .spectral import (
-    MOMENT_TOL,
     IsospectralReport,
-    MomentReport,
     Spectrum,
     certify_isospectral,
     closed_form_spectrum,
@@ -56,8 +56,9 @@ EXIT_VERDICT = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
-# highest power whose trace stays within double precision at the cap;
-# beyond spin 6 the default moment range shrinks to the 2s+1 prefix
+# largest 2s whose default moment range is the full dimension (2s+1)^2;
+# beyond it the default is the 2s+1 prefix.  At 2s = 11 and 12 the full
+# range already overflows scale**k, so verify exits 3 there by default.
 _FULL_MOMENT_TWICE = 12
 
 _GATE_RESIDUAL_LIMIT = 1e-8
@@ -107,8 +108,20 @@ def _finite_float(text: str) -> float:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads -1.5e-10 and -.5 as negative numbers, not as options.
+
+    argparse in Python 3.10-3.12 takes only plain decimals such as -1.5 for
+    negative numbers; subparsers are built from this class as well.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spintool",
         description=(
             "Spin operator triples, the two-site exchange operators "
@@ -268,21 +281,6 @@ def _cluster_dicts(spectrum: Spectrum) -> list[dict]:
     ]
 
 
-def _moments_dict(report: MomentReport) -> dict:
-    return {
-        "powers": list(report.powers),
-        "traces_a": list(report.traces_a),
-        "traces_b": list(report.traces_b),
-        "scale": report.scale,
-        "max_abs_diff": report.max_abs_diff,
-        "tol": report.tol,
-        "passed": report.passed,
-        "prefix_len": report.prefix_len,
-        "prefix_max_abs_diff": report.prefix_max_abs_diff,
-        "prefix_passed": report.prefix_passed,
-    }
-
-
 def _spin_notes(s: HalfInteger | None) -> list[str]:
     if s is not None and s.twice == 3:
         return [
@@ -345,7 +343,6 @@ def _certify_spin(
         h.matrix,
         k.matrix,
         kmax=kmax,
-        tol=MOMENT_TOL,
         prefix=prefix,
         eig_tol=tol,
         max_sweeps=max_sweeps,
@@ -378,7 +375,7 @@ def cmd_verify(args: argparse.Namespace) -> dict:
         "clusters_b": _cluster_dicts(cert.spectrum_b),
         "spectra_equal": cert.spectra_equal,
         "closed_form_match": closed_form_match,
-        "moments": _moments_dict(cert.moments),
+        "moments": dataclasses.asdict(cert.moments),
         "verdict": algebra.passed and cert.verdict and closed_form_match,
         "notes": _spin_notes(s),
     }
@@ -448,7 +445,7 @@ def cmd_table(args: argparse.Namespace) -> dict:
                 "clusters": _cluster_dicts(cert.spectrum_a),
                 "spectra_equal": cert.spectra_equal,
                 "closed_form_match": closed_form_match,
-                "moments": _moments_dict(cert.moments),
+                "moments": dataclasses.asdict(cert.moments),
                 "verdict": cert.verdict and closed_form_match,
                 "notes": _spin_notes(s),
             }

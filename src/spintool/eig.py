@@ -37,15 +37,16 @@ are measured and reported, and a leak above the full route's stop
 threshold tol * ||M||_F is an error.  Both routes end in the same sorting,
 phase pinning and residual check against the original M.
 
-The sectors are zero-padded into one stack and swept together: each pivot
-(p, q) is one vectorized update of every sector that still needs it, so a
-sweep costs one pass over the widest sector's pivots instead of one per
-sector.  Every sector still sees exactly the rotation sequence the scalar
-solver would give it alone (pivot order, skip threshold, stop test and
-sweep count), so only rounding differs.  The scalar solver stays for the
-full route and the charge factors: on a single block the stack's
-vectorized step costs more than the scalar one, and it is the reference
-the stack is tested against.
+The sector blocks go to ``_jacobi_stack`` as a plain list, each with its
+own stop.  It zero-pads them into one private stack and sweeps them
+together: each pivot (p, q) is one vectorized update of every block that
+still needs it, so a sweep costs one pass over the widest block's pivots
+instead of one per block.  Every block still sees exactly the rotation
+sequence the scalar solver would give it alone (pivot order, skip
+threshold, stop test and sweep count), so only rounding differs.  The
+scalar solver stays for the full route and the charge factors: on a single
+block the stack's vectorized step costs more than the scalar one, and it
+is the reference the stack is tested against.
 """
 
 from __future__ import annotations
@@ -174,42 +175,43 @@ def _site_eig(f: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _jacobi_stack(
-    a: np.ndarray, sizes: np.ndarray, stops: np.ndarray, max_sweeps: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Cyclic Jacobi sweeps on a zero-padded stack of Hermitian blocks.
+    blocks: list[np.ndarray], stops: list[float], max_sweeps: int
+) -> list[tuple[np.ndarray, np.ndarray, int, float]]:
+    """Cyclic Jacobi sweeps on a list of exactly Hermitian blocks at once.
 
-    Block k is ``a[k, :sizes[k], :sizes[k]]``, exactly Hermitian (as
-    :func:`_symmetrized` leaves it), and the rest of ``a[k]`` is zero.  Each
-    block gets the rotations :func:`_jacobi` would apply to it alone with
-    stop ``stops[k]``: the same row-major pivot order, skip threshold and
-    stop test at the start of every sweep, after which a converged block
-    takes no further rotations.  Each pivot (p, q) is applied to every block
-    that still needs it in one vectorized step; the others, and every block
+    Each block gets the rotations :func:`_jacobi` would apply to it alone
+    with its stop: the same row-major pivot order, skip threshold and stop
+    test at the start of every sweep, after which a converged block takes
+    no further rotations.  Each pivot (p, q) is applied to every block that
+    still needs it in one vectorized step; the others, and every block
     narrower than q + 1, are left untouched.
 
-    Returns the unsorted diagonals, the accumulated rotations, the completed
-    sweeps and the off-diagonal norm on exit, one row per block of ``a``
-    (which is not modified); a norm still above its stop means that block
-    ran out of ``max_sweeps``.
+    Returns, per block and in input order, its unsorted diagonal, its
+    accumulated rotations, its completed sweeps and its off-diagonal norm on
+    exit; a norm still above its stop means that block ran out of
+    ``max_sweeps``.  The blocks are not modified.
     """
-    count, width, _ = a.shape
+    sizes = np.array([block.shape[0] for block in blocks])
     # widest blocks first, so those that reach column q are a leading slice
     order = np.argsort(-sizes, kind="stable")
     sizes = sizes[order]
-    stops = stops[order]
+    stops = np.asarray(stops)[order]
     skip = stops / (10.0 * sizes)
+    count, width = sizes.size, int(sizes[0])
     wider_than = (sizes[:, np.newaxis] > np.arange(width)).sum(axis=0)
-    # [A | V^H]: the row update A <- J^H A also gives V^H <- J^H V^H, and
-    # the column update A <- A J copies the conjugated rows by hermiticity
+    # [A | V^H], zero-padded to the widest block: the row update A <- J^H A
+    # also gives V^H <- J^H V^H, and the column update A <- A J copies the
+    # conjugated rows by hermiticity
     aug = np.zeros((count, width, 2 * width), dtype=np.complex128)
-    aug[:, :, :width] = a[order]
+    for j, k in enumerate(order):
+        aug[j, : sizes[j], : sizes[j]] = blocks[k]
     aug[:, np.arange(width), width + np.arange(width)] = 1.0
-    blocks = aug[:, :, :width]
+    stack = aug[:, :, :width]
     off_mask = ~np.eye(width, dtype=bool)
     sweeps = np.zeros(count, dtype=int)
 
     for done in range(max_sweeps + 1):
-        off = np.linalg.norm(blocks * off_mask, axis=(1, 2))
+        off = np.linalg.norm(stack * off_mask, axis=(1, 2))
         running = off > stops
         if done == max_sweeps or not running.any():
             break
@@ -249,12 +251,15 @@ def _jacobi_stack(
                 x[act, p, q] = 0.0
                 x[:, :, p] = x[:, p, :width].conj()
                 x[:, :, q] = x[:, q, :width].conj()
-        sweeps[order[running]] += 1
+        sweeps[running] += 1
 
+    diagonals = np.diagonal(stack, axis1=1, axis2=2).real
+    vectors = aug[:, :, width:].conj().transpose(0, 2, 1)
     back = np.argsort(order)
-    diagonals = np.diagonal(blocks, axis1=1, axis2=2).real[back]
-    vectors = aug[back, :, width:].conj().transpose(0, 2, 1)
-    return diagonals, vectors, sweeps, off[back]
+    return [
+        (diagonals[j, :n], vectors[j, :n, :n], int(sweeps[j]), float(off[j]))
+        for j, n in zip(back, sizes[back])
+    ]
 
 
 def _mode(t: np.ndarray, f: np.ndarray, axis: int) -> np.ndarray:
@@ -303,11 +308,7 @@ def _split_sectors(
         for idx in np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
     }
 
-    outside = rotated.copy()
-    for idx in sectors.values():
-        outside[np.ix_(idx, idx)] = 0.0
-    leak = float(np.linalg.norm(outside))
-    del outside
+    leak = float(np.linalg.norm(rotated[labels[:, np.newaxis] != labels]))
     if leak > stop:
         raise NumericalError(
             f"charge does not split the operator: off-sector norm {leak:.3e} "
@@ -320,32 +321,25 @@ def _split_sectors(
 def _sector_jacobi(
     m: np.ndarray, charge, tol: float, stop: float, max_sweeps: int
 ) -> tuple[np.ndarray, np.ndarray, int, float, float]:
-    """Jacobi on all sectors of ``m`` at once, in one padded stack."""
+    """Jacobi on all sectors of ``m`` at once, each to tol times its own norm."""
     w, sectors, blocks, leak, commutator = _split_sectors(m, charge, tol, stop)
-    sizes = np.array([block.shape[0] for block in blocks])
-    width = int(sizes.max())
-    stack = np.zeros((len(blocks), width, width), dtype=np.complex128)
-    for k, block in enumerate(blocks):
-        stack[k, : sizes[k], : sizes[k]] = block
-    stops = np.array([tol * frobenius_norm(block) for block in blocks])
-    diagonals, rotations, sweeps, off = _jacobi_stack(
-        stack, sizes, stops, max_sweeps
-    )
-    for k, label in enumerate(sectors):
-        if off[k] > stops[k]:
-            raise ConvergenceError(
-                f"sector of charge 2(qa+qb) = {label} (width {sizes[k]}): "
-                f"off-diagonal norm {off[k]:.3e} still above {stops[k]:.3e} "
-                f"after {max_sweeps} sweeps"
-            )
-
+    stops = [tol * frobenius_norm(block) for block in blocks]
+    solved = _jacobi_stack(blocks, stops, max_sweeps)
     n = m.shape[0]
     values = np.empty(n)
     vectors = np.empty((n, n), dtype=np.complex128)
-    for k, idx in enumerate(sectors.values()):
-        values[idx] = diagonals[k, : idx.size]
-        vectors[:, idx] = w[:, idx] @ rotations[k, : idx.size, : idx.size]
-    return values, vectors, int(sweeps.max()), leak, commutator
+    for (label, idx), block_stop, (diagonal, rotations, _, off) in zip(
+        sectors.items(), stops, solved
+    ):
+        if off > block_stop:
+            raise ConvergenceError(
+                f"sector of charge 2(qa+qb) = {label} (width {idx.size}): "
+                f"off-diagonal norm {off:.3e} still above {block_stop:.3e} "
+                f"after {max_sweeps} sweeps"
+            )
+        values[idx] = diagonal
+        vectors[:, idx] = w[:, idx] @ rotations
+    return values, vectors, max(sweeps for _, _, sweeps, _ in solved), leak, commutator
 
 
 def _finish(

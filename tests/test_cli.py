@@ -309,6 +309,14 @@ def test_sector_sweep_budget_names_the_sector(run_cli):
     assert "(width " in err and "after 2 sweeps" in err
 
 
+@pytest.mark.parametrize("theta", ["-1.5e-10", "-1e-05", "-.5", "-1.5"])
+def test_negative_theta_is_a_value_in_both_forms(run_cli, theta):
+    # a negative exponent literal once read as an unknown option and exited 2
+    joined = run_cli("gate", "--spin", "1/2", f"--theta={theta}", "--check")
+    assert joined[0] == 0
+    assert run_cli("gate", "--spin", "1/2", "--theta", theta, "--check") == joined
+
+
 def test_missing_file_is_usage_error(run_cli, tmp_path):
     code, _, _ = run_cli(
         "spectrum", "--hamiltonian", "file", "--file", str(tmp_path / "nope.txt")
@@ -331,6 +339,8 @@ def test_missing_file_is_usage_error(run_cli, tmp_path):
         ["table", "--max-spin", "2", "--kmax", "4"],
         ["bogus"],
         [],
+        ["gate", "--spin", "1", "--thetaa", "0.5"],
+        ["gate", "--spin", "1", "--theta", "-x"],
     ],
 )
 def test_usage_errors_exit_two(argv, capsys):

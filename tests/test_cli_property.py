@@ -35,9 +35,16 @@ TOLS = st.one_of(
 )
 
 
+def _value(flag: str, values: st.SearchStrategy) -> st.SearchStrategy:
+    """['--flag', 'value'] or ['--flag=value']; '-1e-05' must read as a value."""
+    return st.tuples(values, st.booleans()).map(
+        lambda pair: [f"{flag}={pair[0]}"] if pair[1] else [flag, str(pair[0])]
+    )
+
+
 def _option(flag: str, values: st.SearchStrategy) -> st.SearchStrategy:
-    """Either nothing or ['--flag=value']; '=' keeps '-1e-5' from reading as a flag."""
-    return st.one_of(st.just([]), values.map(lambda v: [f"{flag}={v}"]))
+    """Either nothing or the flag with a drawn value, in either form."""
+    return st.one_of(st.just([]), _value(flag, values))
 
 
 def _common() -> st.SearchStrategy:
@@ -60,7 +67,7 @@ COMMANDS = {
     "gate": st.tuples(
         SPINS.map(lambda s: ["gate", "--spin", s]),
         st.sampled_from([["--hamiltonian", "H"], ["--hamiltonian", "K"]]),
-        THETAS.map(lambda t: [f"--theta={t!r}"]),
+        _value("--theta", THETAS.map(repr)),
         st.sampled_from([[], ["--check"]]),
     ),
     "table": st.tuples(SPINS.map(lambda s: ["table", "--max-spin", s])),

@@ -141,52 +141,41 @@ def _stack_cases(case):
 @pytest.mark.parametrize("case", ["random", "thresholds"])
 def test_stack_matches_the_scalar_solver_block_by_block(case):
     blocks, stops = _stack_cases(case)
-    stops = np.array(stops)
-    sizes = np.array([b.shape[0] for b in blocks])
-    width = int(sizes.max())
-    stack = np.zeros((len(blocks), width, width), dtype=complex)
-    for k, block in enumerate(blocks):
-        stack[k, : sizes[k], : sizes[k]] = _symmetrized(block)
-    before = stack.copy()
-    diagonals, vectors, sweeps, off = _jacobi_stack(stack, sizes, stops, 100)
-    np.testing.assert_array_equal(stack, before)
-    for k, block in enumerate(blocks):
-        n = sizes[k]
-        ref_values, ref_vectors, ref_sweeps = _jacobi(
-            _symmetrized(block), stops[k], 100
-        )
-        assert sweeps[k] == ref_sweeps
-        assert off[k] <= stops[k]
+    blocks = [_symmetrized(block) for block in blocks]
+    before = [block.copy() for block in blocks]
+    solved = _jacobi_stack(blocks, stops, 100)
+    assert len(solved) == len(blocks)
+    for block, kept, stop, (diagonal, v, sweeps, off) in zip(
+        blocks, before, stops, solved
+    ):
+        np.testing.assert_array_equal(block, kept)
+        n = block.shape[0]
+        assert diagonal.shape == (n,) and v.shape == (n, n)
+        ref_values, ref_vectors, ref_sweeps = _jacobi(block.copy(), stop, 100)
+        assert sweeps == ref_sweeps
+        assert off <= stop
         # same rotations, so diagonals and vectors agree entry by entry
         atol = 1e-13 * frobenius_norm(block)
-        np.testing.assert_allclose(diagonals[k, :n], ref_values, rtol=0, atol=atol)
-        v = vectors[k, :n, :n]
+        np.testing.assert_allclose(diagonal, ref_values, rtol=0, atol=atol)
         np.testing.assert_allclose(v, ref_vectors, rtol=0, atol=1e-13 * n)
         # the residual is the off-diagonal mass left over, plus rounding
         scale = max(1.0, frobenius_norm(block))
-        residual = np.linalg.norm(block @ v - v * diagonals[k, :n], axis=0).max()
-        assert residual <= off[k] + 1e-10 * n * scale
+        residual = np.linalg.norm(block @ v - v * diagonal, axis=0).max()
+        assert residual <= off + 1e-10 * n * scale
         if ref_sweeps == 0:
             # a block that starts converged is never touched
-            np.testing.assert_array_equal(diagonals[k, :n], np.diagonal(block).real)
+            np.testing.assert_array_equal(diagonal, np.diagonal(block).real)
             np.testing.assert_array_equal(v, np.eye(n))
-        # padding stays out of every rotation
-        padded = vectors[k].copy()
-        padded[:n, :n] = np.eye(n)
-        np.testing.assert_array_equal(padded, np.eye(width))
-        np.testing.assert_array_equal(diagonals[k, n:], 0.0)
 
 
 def test_stack_reports_blocks_that_run_out_of_sweeps():
     rng = np.random.default_rng(7)
     block = _symmetrized(_random_hermitian(rng, 6))
-    stack = np.zeros((2, 6, 6), dtype=complex)
-    stack[0] = block
-    stack[1, 0, 0] = 1.0
-    stops = np.array([DEFAULT_TOL * frobenius_norm(block), DEFAULT_TOL])
-    _, _, sweeps, off = _jacobi_stack(stack, np.array([6, 1]), stops, 2)
-    np.testing.assert_array_equal(sweeps, [2, 0])
-    assert off[0] > stops[0] and off[1] <= stops[1]
+    blocks = [block, np.ones((1, 1), dtype=complex)]
+    stops = [DEFAULT_TOL * frobenius_norm(block), DEFAULT_TOL]
+    solved = _jacobi_stack(blocks, stops, 2)
+    assert [sweeps for _, _, sweeps, _ in solved] == [2, 0]
+    assert solved[0][3] > stops[0] and solved[1][3] <= stops[1]
 
 
 def test_deterministic_repeat():
