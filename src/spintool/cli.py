@@ -57,8 +57,8 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 # largest 2s whose default moment range is the full dimension (2s+1)^2;
-# beyond it the default is the 2s+1 prefix.  At 2s = 11 and 12 the full
-# range already overflows scale**k, so verify exits 3 there by default.
+# beyond it the default is the 2s+1 prefix, because from 2s = 13 the raw
+# traces of the full range pass 1e308 (48.75^196 is about 1e331).
 _FULL_MOMENT_TWICE = 12
 
 _GATE_RESIDUAL_LIMIT = 1e-8
@@ -187,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=None,
         help="highest moment power (default: full dimension up to spin 6, "
-        "the 2s+1 prefix beyond; traces overflow doubles otherwise)",
+        "the 2s+1 prefix beyond, where the full range of traces exceeds doubles)",
     )
     add_common(p_verify)
     p_verify.set_defaults(handler=cmd_verify)
@@ -602,7 +602,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ArithmeticError as exc:
-        # float overflow and the like, e.g. a moment scale raised past 1e308
+        # float overflow, division by zero and the like
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

@@ -9,10 +9,17 @@ Trace magnitudes grow like ||M||^k, so every moment comparison is scaled
 per power by max(1, r)^k with r the spectral radius; a fixed absolute
 tolerance would be unsatisfiable at high powers, where double-precision
 rounding alone produces absolute errors far above any fixed bound.
+
+The traces themselves come from powers kept at unit scale by exact
+power-of-two factors, two traces per matrix product.  Operators whose
+entries are each purely real or purely imaginary, H and K among them, are
+first conjugated by a diagonal of ones and i's into an exactly real
+matrix with the same traces, so their powers are real matrix products.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,12 +117,20 @@ class IsospectralReport:
 
 
 def moments(m: np.ndarray, kmax: int) -> np.ndarray:
-    """Traces of m^k for k = 1..kmax, by iterated multiplication.
+    """Traces of m^k for k = 1..kmax, from ceil(kmax/2) - 1 matrix products.
 
-    The input must be Hermitian within 1e-10 per dimension, so every trace
-    is real up to rounding; the imaginary residue of each trace is checked
-    against 1e-8 * dim * max(1, ||m||_F)^k and anything larger raises
-    :class:`NumericalError`, as does a trace overflowing double precision.
+    The input must be Hermitian within 1e-10 per dimension.  When a diagonal
+    D with entries in {1, i} makes D^H m D exactly real (see
+    :func:`_real_form`), the powers are taken of that real matrix, which has
+    the same traces; otherwise they are complex, and the imaginary residue
+    of each odd trace is checked against 1e-8 * dim * max(1, ||m||_F)^k, in
+    log space, raising :class:`NumericalError` beyond it.
+
+    The running power is kept as P_j = m^j * 2^(-e_j) with ||P_j||_F near 1,
+    so no intermediate overflows and every rescaling is exact.  Each product
+    yields two traces: tr(m^2j) = ||P_j||_F^2 * 2^(2 e_j) and
+    tr(m^(2j+1)) = <P_j, P_(j+1)> * 2^(e_j + e_(j+1)).  A trace whose value
+    lies beyond double precision raises :class:`NumericalError`.
     """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -123,26 +138,103 @@ def moments(m: np.ndarray, kmax: int) -> np.ndarray:
     if kmax < 1:
         raise ValueError(f"kmax must be at least 1, got {kmax}")
     require_hermitian(m, 1e-10)
-    n = m.shape[0]
-    scale = max(1.0, frobenius_norm(m))
-    out = np.empty(kmax, dtype=np.float64)
-    power = m
-    for k in range(1, kmax + 1):
-        t = complex(np.trace(power))
-        if not (np.isfinite(t.real) and np.isfinite(t.imag)):
+    a, drift = _real_form(m), None
+    if a is None:
+        a = m.astype(np.complex128)
+        # log2 of the bound 1e-8 * dim * max(1, ||m||_F)^k is drift + k * growth
+        drift = math.log2(1e-8 * m.shape[0])
+        growth = math.log2(max(1.0, frobenius_norm(m)))
+    top = float(np.max(np.abs(a), initial=0.0))
+    g = max(math.frexp(top)[1], -1000)  # 2^-g stays finite for subnormal entries
+    a *= math.ldexp(1.0, -g)
+    traces = np.empty(kmax, dtype=np.float64)
+
+    def put(k: int, mantissa: complex, exponent: int) -> None:
+        if drift is not None and mantissa.imag != 0.0:
+            if math.log2(abs(mantissa.imag)) + exponent > drift + k * growth:
+                raise NumericalError(
+                    f"trace of power {k} has imaginary part "
+                    f"{_power_of_two(abs(mantissa.imag), exponent):.3e} "
+                    "beyond the hermiticity drift bound"
+                )
+        traces[k - 1] = _power_of_two(mantissa.real, exponent)
+        if not math.isfinite(traces[k - 1]):
             raise NumericalError(
                 f"trace of power {k} overflowed double precision; lower kmax"
             )
-        if abs(t.imag) > 1e-8 * n * scale**k:
-            raise NumericalError(
-                f"trace of power {k} has imaginary part {t.imag:.3e} "
-                "beyond the hermiticity drift bound"
-            )
-        out[k - 1] = t.real
-        if k < kmax:
-            power = power @ m
-    out.flags.writeable = False
-    return out
+
+    put(1, complex(np.trace(a)), g)
+    power, e = a, g  # m^j = power * 2^e, starting at j = 1
+    square = np.vdot(a, a).real
+    for k in range(2, kmax + 1, 2):
+        put(k, square, 2 * e)
+        if k == kmax:
+            break
+        product = power @ a  # m^(j+1) * 2^-(e + g)
+        put(k + 1, np.vdot(product, power), 2 * e + g)
+        square = np.vdot(product, product).real
+        f = math.frexp(square)[1] // 2
+        product *= math.ldexp(1.0, -f)
+        power, e, square = product, e + g + f, math.ldexp(square, -2 * f)
+    traces.flags.writeable = False
+    return traces
+
+
+def _power_of_two(mantissa: float, exponent: int) -> float:
+    """mantissa * 2^exponent, inf when that lies beyond double precision."""
+    try:
+        return math.ldexp(mantissa, exponent)
+    except OverflowError:
+        return math.copysign(math.inf, mantissa)
+
+
+def _real_form(m: np.ndarray) -> np.ndarray | None:
+    """The exactly real matrix D^H m D for a diagonal D in {1, i}, or None.
+
+    The result is a new float64 array.  An input with no imaginary part
+    gives a copy of its real part.  Otherwise D = i^colour with the colours
+    of :func:`_gauge_colours`, and the purely imaginary entries must link
+    indices of opposite colour, the purely real ones indices of equal
+    colour.  Conjugating by D then only moves signs and swaps real and
+    imaginary parts, so the result is exact.  None when some entry breaks
+    that rule, for instance an entry with both parts nonzero or a
+    frustrated cycle of imaginary entries.
+    """
+    if not (np.iscomplexobj(m) and m.imag.any()):
+        return np.array(m.real, dtype=np.float64)
+    colour = _gauge_colours(m)
+    shift = colour[:, None] - colour[None, :]
+    if np.any(m.imag, where=shift == 0) or np.any(m.real, where=shift != 0):
+        return None
+    real = shift * m.imag
+    real += m.real
+    return real
+
+
+def _gauge_colours(m: np.ndarray) -> np.ndarray:
+    """A 0/1 colour per index, flipping across purely imaginary entries.
+
+    Breadth-first over the nonzero pattern of m: a neighbour linked by an
+    entry with zero real part takes the opposite colour, any other neighbour
+    the same colour.  The colouring is consistent only when no cycle holds
+    an odd number of imaginary links; :func:`_real_form` checks that.
+    """
+    n = m.shape[0]
+    linked = m != 0
+    flips = (m.real == 0).view(np.int8)
+    colour = np.full(n, -1, dtype=np.int8)
+    for root in range(n):
+        if colour[root] >= 0:
+            continue
+        colour[root] = 0
+        frontier = np.array([root])
+        while frontier.size:
+            reach = linked[frontier] & (colour < 0)
+            fresh = np.flatnonzero(reach.any(axis=0))
+            source = frontier[reach[:, fresh].argmax(axis=0)]
+            colour[fresh] = colour[source] ^ flips[source, fresh]
+            frontier = fresh
+    return colour
 
 
 def newton_check(values, traces, tol: float = MOMENT_TOL) -> bool:

@@ -109,6 +109,45 @@ def test_verify_csv_moment_table(run_cli):
     assert float(rows[2]["trace_a"]) == -0.375
 
 
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+@pytest.mark.parametrize(
+    "argv, kmax",
+    [
+        (("--spin", "11/2"), 144),
+        (("--spin", "6"), 169),
+        (("--spin", "1", "--kmax", "600"), 600),
+    ],
+    ids=["11/2", "6", "1-kmax600"],
+)
+def test_verify_full_moment_range_passes(run_cli, argv, kmax, fmt):
+    code, out, err = run_cli("verify", *argv, "--format", fmt)
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        doc = _valid_json(out)
+        assert doc["verdict"] is True
+        assert doc["moments"]["passed"] is True
+        assert doc["kmax"] == kmax
+    elif fmt == "plain":
+        assert "\nmoments passed=True " in out
+        assert out.endswith("\nverdict=PASS\n")
+    else:
+        # csv holds the moment table only; exit 0 is the passing verdict
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [int(r["power"]) for r in rows] == list(range(1, kmax + 1))
+        assert all(np.isfinite(float(r["trace_b"])) for r in rows)
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+def test_traces_beyond_doubles_are_a_numerical_error(run_cli, fmt):
+    code, out, err = run_cli(
+        "verify", "--spin", "2", "--kmax", "10000", "--format", fmt
+    )
+    assert (code, out) == (3, "")
+    [line] = err.splitlines()
+    assert line.startswith("error: trace of power ")
+    assert line.endswith(" overflowed double precision; lower kmax")
+
+
 def test_gate_json_identity_at_zero(run_cli):
     code, out, _ = run_cli(
         "gate", "--spin", "1/2", "--theta", "0", "--format", "json"

@@ -1,9 +1,13 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from spintool.hamiltonians import build_cyclic, build_heisenberg
-from spintool.linalg import HermiticityError, ShapeError
+from spintool.hamiltonians import build_bilinear, build_cyclic, build_heisenberg
+from spintool.linalg import HermiticityError, NumericalError, ShapeError
 from spintool.spectral import (
+    _gauge_colours,
+    _real_form,
     certify_isospectral,
     closed_form_spectrum,
     cluster_spectrum,
@@ -43,6 +47,104 @@ def test_moments_guards():
         moments(np.eye(2, dtype=complex), 0)
     with pytest.raises(ShapeError):
         moments(np.ones((2, 3)), 2)
+
+
+def test_moments_scale_by_exact_powers_of_two():
+    # ||m||_F^40 = 2^1040 overflows, yet every trace (3 + (-1)^k) 2^(25k) is a
+    # double, and power-of-two rescaling must reproduce it bit for bit
+    m = np.diag([1.0, 1.0, 1.0, -1.0]) * 2.0**25
+    expected = [(3.0 + (-1.0) ** k) * 2.0 ** (25 * k) for k in range(1, 41)]
+    np.testing.assert_array_equal(moments(m, 40), expected)
+
+
+def test_moments_overflowing_trace_is_a_numerical_error():
+    assert moments(np.eye(2) * 1e300, 1)[0] == 2e300
+    with pytest.raises(NumericalError, match="trace of power 2 overflowed"):
+        moments(np.eye(2) * 1e300, 2)
+
+
+def _gauged(m):
+    """D^H m D with D = i^colour, computed in complex arithmetic."""
+    d = np.where(_gauge_colours(m) == 1, 1j, 1.0)
+    return d.conj()[:, None] * m * d[None, :]
+
+
+def _cube_rotation(seed):
+    """A seeded signed permutation matrix with determinant +1."""
+    rng = np.random.default_rng(seed)
+    q = np.eye(3)[rng.permutation(3)] * rng.choice([-1.0, 1.0], size=3)
+    return q if np.linalg.det(q) > 0.0 else -q
+
+
+def _generic_rotation(seed):
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))
+    q = q * np.sign(np.diagonal(r))[np.newaxis, :]
+    return q if np.linalg.det(q) > 0.0 else -q
+
+
+def _assert_exact_real_form(m):
+    real = _real_form(m)
+    assert real is not None and real.dtype == np.float64
+    gauged = _gauged(m)
+    assert not gauged.imag.any()
+    np.testing.assert_array_equal(real, gauged.real)
+
+
+@pytest.mark.parametrize("build", [build_heisenberg, build_cyclic], ids=["H", "K"])
+@pytest.mark.parametrize("twice", [1, 2, 3, 4, 5, 6, 7, 8, 24])
+def test_exchange_operators_have_an_exact_real_form(build, twice):
+    _assert_exact_real_form(build(HalfInteger(twice)).matrix)
+
+
+@pytest.mark.parametrize("seed", [800, 803, 804, 805, 809])
+def test_signed_permutation_rotations_have_an_exact_real_form(seed):
+    pattern = _cube_rotation(seed)
+    ham = build_bilinear(HalfInteger(3), pattern)
+    assert ham.charge is not None
+    _assert_exact_real_form(ham.matrix)
+
+
+def _frustrated_cycle():
+    # i on every edge of a triangle: no colouring of the 3-cycle alternates
+    return 1j * np.array([[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 0.0]])
+
+
+def _random_hermitian():
+    rng = np.random.default_rng(47)
+    r = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    return (r + r.conj().T) / 2.0
+
+
+def _generic_rotation_operator():
+    # a generic rotation mixes S1 and S2 on site 2, so entries are complex
+    return build_bilinear(HalfInteger(3), _generic_rotation(703)).matrix
+
+
+@pytest.mark.parametrize(
+    "make, kmax",
+    [(_frustrated_cycle, 7), (_random_hermitian, 12), (_generic_rotation_operator, 16)],
+    ids=["frustrated-cycle", "random-hermitian", "generic-rotation"],
+)
+def test_complex_path_matches_matrix_powers(make, kmax):
+    m = make()
+    assert _real_form(m) is None
+    scale = max(1.0, float(np.max(np.abs(np.linalg.eigvalsh(m)))))
+    got = moments(m, kmax)
+    for k in range(1, kmax + 1):
+        expected = np.trace(np.linalg.matrix_power(m, k)).real
+        assert abs(got[k - 1] - expected) <= 1e-12 * m.shape[0] * scale**k
+
+
+@pytest.mark.parametrize("build", [build_heisenberg, build_cyclic], ids=["H", "K"])
+@pytest.mark.parametrize("twice, kmax", [(11, 144), (12, 169), (24, 25)])
+def test_moments_match_closed_form_power_sums(build, twice, kmax):
+    s = HalfInteger(twice)
+    traces = moments(build(s).matrix, kmax)
+    closed = closed_form_spectrum(s)
+    radius = Fraction(max(abs(v) for v in closed.values))
+    for k in range(1, kmax + 1):
+        exact = sum(Fraction(v) ** k * mult for v, mult in closed.clusters)
+        assert float(abs(Fraction(traces[k - 1]) - exact) / radius**k) <= 1e-12
 
 
 def test_newton_check_accepts_true_pairs():
