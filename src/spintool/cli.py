@@ -10,7 +10,10 @@ renders it and derives the exit code from its verdict.  ``json`` output
 (validating against the shipped report_schema.json) is the report itself;
 ``plain`` key=value lines and ``csv`` are views of it.  The csv output is the
 command's main table (spectrum clusters, verify moments, gate matrix, table
-rows) and the repeated plain lines show the same cells.
+rows) and the repeated plain lines show the same cells.  The gate report
+holds its matrix as the complex array, and every format writes it straight
+from that array; in json each entry is an [re, im] pair, in the same bytes
+that ``json.dumps(indent=2)`` gives for a list of such pairs.
 
 Exit codes: 0 success, 1 a verification verdict failed, 2 usage or input
 error, 3 numerical failure (non-Hermitian input, no convergence, overflow,
@@ -418,12 +421,8 @@ def cmd_gate(args: argparse.Namespace) -> dict:
         "theta": gate.theta,
         "dimension": gate.dimension,
         "tol": args.tol,
-        # (re, im) pairs of the entries' doubles, which json writes as arrays;
-        # zipped tuples build in half the time of tolist() on an (n, n, 2) view
-        "matrix": [
-            list(zip(re, im))
-            for re, im in zip(gate.matrix.real.tolist(), gate.matrix.imag.tolist())
-        ],
+        # the complex array itself; json writes each entry as an [re, im] pair
+        "matrix": gate.matrix,
         "check": check,
         "verdict": check is None or check["passed"],
     }
@@ -494,9 +493,10 @@ def _main_table(report: dict) -> tuple[list[str], Iterable[Sequence]]:
     if command == "gate":
         # format_complex's a+bi text, written inline: a call per entry adds
         # about 0.1 s on the 625 x 625 gate at the cap (one Xeon core)
+        m = report["matrix"]
         return [f"col{j}" for j in range(report["dimension"])], (
-            [f"{re!r}{'-' if im < 0 else '+'}{abs(im)!r}i" for re, im in row]
-            for row in report["matrix"]
+            [f"{re!r}{'-' if im < 0 else '+'}{abs(im)!r}i" for re, im in zip(res, ims)]
+            for res, ims in zip(m.real.tolist(), m.imag.tolist())
         )
     header = [
         "spin",
@@ -529,8 +529,35 @@ def _pass(verdict: bool) -> str:
     return "PASS" if verdict else "FAIL"
 
 
+# one [re, im] entry of the gate matrix as json.dumps(indent=2) lays it out
+# at its depth in the report; json writes a float as its repr
+_PAIR = "[\n        %r,\n        %r\n      ]"
+
+
+def _matrix_json(m: np.ndarray) -> str:
+    """The complex matrix m as json.dumps(indent=2) writes its [re, im] pairs.
+
+    json.dumps takes its C encoder only without indent, so the report's
+    largest field is written here, one %-template per row.  Non-finite
+    entries raise ValueError, as allow_nan=False does.
+    """
+    flat = m.view(np.float64)  # each row as re, im, re, im, ...
+    finite = np.isfinite(flat)
+    if not finite.all():
+        value = float(flat[~finite][0])
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    row = "[\n      " + ",\n      ".join([_PAIR] * m.shape[1]) + "\n    ]"
+    return "[\n    " + ",\n    ".join(row % tuple(r.tolist()) for r in flat) + "\n  ]"
+
+
 def _render_json(report: dict) -> str:
-    return json.dumps(report, indent=2, allow_nan=False) + "\n"
+    if report["command"] != "gate":
+        return json.dumps(report, indent=2, allow_nan=False) + "\n"
+    text = json.dumps({**report, "matrix": None}, indent=2, allow_nan=False)
+    # json escapes line breaks in strings, so no string can hold this text
+    head, tail = text.split('\n  "matrix": null')
+    matrix = _matrix_json(report["matrix"])
+    return "".join([head, '\n  "matrix": ', matrix, tail, "\n"])
 
 
 def _render_csv(report: dict) -> str:

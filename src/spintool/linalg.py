@@ -136,10 +136,13 @@ def hermiticity_defect(a: np.ndarray) -> float:
 
 
 def require_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> None:
-    """Raise :class:`HermiticityError` unless the defect is <= tol * dim."""
+    """Raise :class:`HermiticityError` unless the defect is <= tol * dim.
+
+    A matrix holding NaN has a NaN defect, which is not <= any bound.
+    """
     defect = hermiticity_defect(a)
     bound = tol * np.asarray(a).shape[0]
-    if defect > bound:
+    if not defect <= bound:
         raise HermiticityError(
             f"matrix is not Hermitian: defect {defect:.3e} exceeds {bound:.3e}"
         )

@@ -329,6 +329,27 @@ def spectra_match(a: Spectrum, b: Spectrum, value_tol: float | None = None) -> b
     return True
 
 
+def _scaled_differences(
+    traces_a: np.ndarray, traces_b: np.ndarray, radius: float
+) -> np.ndarray:
+    """|traces_a[k-1] - traces_b[k-1]| / radius^k for k = 1, 2, ...
+
+    Where the difference or radius^k passes double precision, the traces are
+    halved, which is exact, and the quotient is taken in log2, so it stays
+    finite for finite traces and radius >= 1.
+    """
+    powers = np.arange(1, traces_a.size + 1, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = np.abs(traces_a - traces_b)
+        scale = radius**powers
+        scaled = diff / scale
+    for i in np.flatnonzero(np.isinf(diff) | np.isinf(scale)):
+        half = abs(float(traces_a[i]) / 2.0 - float(traces_b[i]) / 2.0)
+        log2 = math.log2(half) + 1.0 - (i + 1) * math.log2(radius) if half else -math.inf
+        scaled[i] = 2.0**log2
+    return scaled
+
+
 def certify_isospectral(
     a: np.ndarray,
     b: np.ndarray,
@@ -380,7 +401,7 @@ def certify_isospectral(
         float(np.max(np.abs(dec_b.values))),
     )
     powers = np.arange(1, kmax + 1)
-    scaled = np.abs(traces_a - traces_b) / radius**powers.astype(np.float64)
+    scaled = _scaled_differences(traces_a, traces_b, radius)
     max_abs_diff = float(np.max(scaled))
     threshold = tol * n
     prefix_diff = float(np.max(scaled[:prefix])) if prefix is not None else None

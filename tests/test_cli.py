@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -249,6 +250,57 @@ def test_gate_cells_are_format_complex_of_the_json_pairs(run_cli, monkeypatch):
     _, out, _ = run_cli(*argv, "--format", "json")
     pairs = json.loads(out)["matrix"]
     assert [[cli.format_complex(complex(*z)) for z in row] for row in pairs] == cells
+
+
+def _gate_report(*argv):
+    args = cli.build_parser().parse_args(["gate", *argv])
+    args.tol = cli.DEFAULT_TOL
+    return cli.cmd_gate(args)
+
+
+def _dumps_with_pairs(report):
+    """The json of the report with its matrix as (re, im) pairs of floats."""
+    m = report["matrix"]
+    pairs = [list(zip(re, im)) for re, im in zip(m.real.tolist(), m.imag.tolist())]
+    return json.dumps({**report, "matrix": pairs}, indent=2, allow_nan=False) + "\n"
+
+
+def _assert_same_text(found, expected):
+    """Fail at the first differing character; pytest's own diff of two
+    strings of 17 MB would take minutes."""
+    if found != expected:
+        at = len(os.path.commonprefix([found, expected]))
+        start = max(0, at - 40)
+        pytest.fail(
+            f"texts differ at offset {at}: "
+            f"{found[start:at + 40]!r} != {expected[start:at + 40]!r}"
+        )
+
+
+@pytest.mark.parametrize("spin, hamiltonian", [("1/2", "K"), ("2", "K"), ("12", "H")])
+def test_gate_json_is_byte_exact(spin, hamiltonian):
+    argv = ["--spin", spin, "--hamiltonian", hamiltonian, "--theta", "0.7", "--check"]
+    report = _gate_report(*argv)
+    _assert_same_text(cli._render_json(report), _dumps_with_pairs(report))
+
+
+def test_gate_json_of_edge_entries_is_byte_exact():
+    report = _gate_report("--spin", "1/2", "--theta", "1.0")
+    report["matrix"] = np.array(
+        [
+            [complex(-0.0, 5e-324), complex(1e300, -1e-300), complex(0.1, -0.0)],
+            [complex(-5e-324, 1e16), complex(-2.5, 2.0**-1074), complex(1e-300, -1e300)],
+        ]
+    )
+    _assert_same_text(cli._render_json(report), _dumps_with_pairs(report))
+    for bad in (np.nan, np.inf):
+        report["matrix"] = report["matrix"].copy()
+        report["matrix"][1, 1] = complex(1.0, bad)
+        with pytest.raises(ValueError) as expected:
+            _dumps_with_pairs(report)
+        with pytest.raises(ValueError) as found:
+            cli._render_json(report)
+        assert str(found.value) == str(expected.value)
 
 
 def test_table_json_validates(run_cli):

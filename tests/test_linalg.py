@@ -140,3 +140,9 @@ def test_hermiticity_defect_and_require():
     assert hermiticity_defect(skew) == pytest.approx(np.sqrt(2.0))
     with pytest.raises(HermiticityError):
         require_hermitian(skew)
+
+
+def test_require_hermitian_rejects_nan():
+    # the defect is NaN, which compares False against any bound
+    with pytest.raises(HermiticityError):
+        require_hermitian([[1.0, np.nan], [2.0, 1.0]])

@@ -1,13 +1,17 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spintool.hamiltonians import build_bilinear, build_cyclic, build_heisenberg
 from spintool.linalg import HermiticityError, NumericalError, ShapeError
 from spintool.spectral import (
     _gauge_colours,
     _real_form,
+    _scaled_differences,
     certify_isospectral,
     closed_form_spectrum,
     cluster_spectrum,
@@ -47,6 +51,11 @@ def test_moments_guards():
         moments(np.eye(2, dtype=complex), 0)
     with pytest.raises(ShapeError):
         moments(np.ones((2, 3)), 2)
+
+
+def test_moments_reject_nan_as_not_hermitian():
+    with pytest.raises(HermiticityError):
+        moments(np.array([[1.0, np.nan], [2.0, 1.0]]), 3)
 
 
 def test_moments_scale_by_exact_powers_of_two():
@@ -194,6 +203,40 @@ def test_cluster_separation_invariant():
     assert sum(spectrum.multiplicities) == spectrum.dimension
 
 
+# steps between neighbours, in units of cluster_tol: repeats, steps just
+# inside and just outside the tolerance, and clear gaps
+STEPS = st.one_of(
+    st.sampled_from([0.0, 0.25, 0.5, 0.9, 0.999, 1.0, 1.001, 1.5, 3.0]),
+    st.floats(0.0, 3.0),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    base=st.floats(-100.0, 100.0),
+    tol=st.sampled_from([1e-12, 1e-9, 1e-3, 0.5]),
+    steps=st.lists(STEPS, min_size=1, max_size=60),
+)
+def test_cluster_spectrum_on_near_degenerate_chains(base, tol, steps):
+    # chains of steps just under the tolerance let the running mean drift,
+    # so a cluster can span more than cluster_tol
+    values = base + tol * np.cumsum([0.0] + steps)
+    spectrum = cluster_spectrum(values, tol)
+    counts = spectrum.multiplicities
+    assert sum(counts) == spectrum.dimension == values.size
+    # the clusters take consecutive runs of the values; their ranges are
+    # disjoint, so every value lies in exactly one cluster
+    ends = np.cumsum(counts)
+    spans = [(values[end - count], values[end - 1]) for end, count in zip(ends, counts)]
+    assert all(hi < lo for (_, hi), (lo, _) in zip(spans, spans[1:]))
+    assert all(lo <= mean <= hi for (lo, hi), mean in zip(spans, spectrum.values))
+    assert (np.diff(spectrum.values) > tol).all()
+    # each cluster value is the mean of its run, up to the running sum's rounding
+    for end, count, mean in zip(ends, counts, spectrum.values):
+        run_mean = float(np.mean(values[end - count : end]))
+        assert abs(mean - run_mean) <= 1e-14 * count * max(1.0, abs(run_mean))
+
+
 @pytest.mark.parametrize(
     "twice, expected",
     [
@@ -257,6 +300,31 @@ def test_certify_reflexive():
     report = certify_isospectral(m, m)
     assert report.verdict
     assert report.moments.max_abs_diff == 0.0
+
+
+def test_certify_survives_radius_powers_beyond_doubles():
+    # 1000^103 passes 1e308 while every trace, 0 at odd powers, is a double
+    m = np.diag([1000.0, -1000.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = certify_isospectral(m, m, kmax=103).moments
+    assert report.passed
+    assert report.max_abs_diff == 0.0
+
+
+def test_scaled_differences_stay_finite():
+    # |a - b| overflows at the first power, radius^4 at the last
+    a = np.array([1.5e308, 0.0, 1e300, 3.0])
+    b = np.array([-1.5e308, 0.0, -1e300, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = _scaled_differences(a, b, 1e154)
+    np.testing.assert_allclose(scaled, [3e154, 0.0, 2e-162, 0.0], rtol=1e-13)
+    assert _scaled_differences(a[:1], b[:1], 1.5e308)[0] == pytest.approx(2.0, rel=1e-13)
+    # without overflow the quotient is the plain one, bit for bit
+    a, b = np.array([0.5, 7.0, -3.25]), np.array([0.25, 1.0, 2.0])
+    expected = np.abs(a - b) / 1.7 ** np.arange(1.0, 4.0)
+    np.testing.assert_array_equal(_scaled_differences(a, b, 1.7), expected)
 
 
 def test_certify_guards():
