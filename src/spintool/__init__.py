@@ -6,108 +6,18 @@ certifies that the two share a spectrum by two independent routes, and
 synthesizes the unitary gates they generate.
 """
 
-from .eig import ConvergenceError, EigDecomposition, hermitian_eig, verify_eigenpair
-from .gates import (
-    Gate,
-    apply_gate,
-    gate_eigenphases,
-    gate_fidelity,
-    synthesize_gate,
-    unitarity_residual,
-)
-from .hamiltonians import (
-    Hamiltonian,
-    HamiltonianKind,
-    build_bilinear,
-    build_cyclic,
-    build_heisenberg,
-)
-from .linalg import (
-    DEFAULT_TOL,
-    HermiticityError,
-    NumericalError,
-    ShapeError,
-    adjoint,
-    as_cmatrix,
-    commutator,
-    frobenius_distance,
-    frobenius_norm,
-    hermiticity_defect,
-    identity,
-    kron,
-    matmul,
-    require_hermitian,
-    trace,
-)
-from .spectral import (
-    IsospectralReport,
-    MomentReport,
-    Spectrum,
-    certify_isospectral,
-    closed_form_spectrum,
-    cluster_spectrum,
-    default_cluster_tol,
-    moments,
-    newton_check,
-    spectra_match,
-)
-from .spin import (
-    MAX_TWICE_SPIN,
-    AlgebraReport,
-    HalfInteger,
-    SpinTriple,
-    make_spin_triple,
-    verify_su2,
-)
+from . import eig, gates, hamiltonians, linalg, spectral, spin
+from .eig import *
+from .gates import *
+from .hamiltonians import *
+from .linalg import *
+from .spectral import *
+from .spin import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "DEFAULT_TOL",
-    "MAX_TWICE_SPIN",
-    "ShapeError",
-    "NumericalError",
-    "HermiticityError",
-    "ConvergenceError",
-    "as_cmatrix",
-    "identity",
-    "matmul",
-    "kron",
-    "adjoint",
-    "trace",
-    "commutator",
-    "frobenius_norm",
-    "frobenius_distance",
-    "hermiticity_defect",
-    "require_hermitian",
-    "HalfInteger",
-    "SpinTriple",
-    "AlgebraReport",
-    "make_spin_triple",
-    "verify_su2",
-    "HamiltonianKind",
-    "Hamiltonian",
-    "build_heisenberg",
-    "build_cyclic",
-    "build_bilinear",
-    "EigDecomposition",
-    "hermitian_eig",
-    "verify_eigenpair",
-    "Spectrum",
-    "MomentReport",
-    "IsospectralReport",
-    "moments",
-    "newton_check",
-    "cluster_spectrum",
-    "closed_form_spectrum",
-    "default_cluster_tol",
-    "spectra_match",
-    "certify_isospectral",
-    "Gate",
-    "synthesize_gate",
-    "apply_gate",
-    "gate_fidelity",
-    "gate_eigenphases",
-    "unitarity_residual",
+__all__ = ["__version__"] + [
+    name
+    for module in (linalg, spin, hamiltonians, eig, spectral, gates)
+    for name in module.__all__
 ]

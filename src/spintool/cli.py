@@ -170,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--file",
         default=None,
         help="path of a whitespace-separated matrix of a+bi entries "
-        "(required with --hamiltonian file)",
+        "(required with --hamiltonian file, and rejected otherwise)",
     )
     p_spectrum.add_argument(
         "--cluster-tol",
@@ -298,6 +298,8 @@ def cmd_spectrum(args: argparse.Namespace) -> dict:
     if args.hamiltonian == "file":
         if args.file is None:
             raise ValueError("--hamiltonian file requires --file PATH")
+        if args.spin is not None:
+            raise ValueError("--spin does not apply to --hamiltonian file")
         matrix = read_matrix_file(args.file)
         charge = None
         spin = None
@@ -305,6 +307,8 @@ def cmd_spectrum(args: argparse.Namespace) -> dict:
     else:
         if args.spin is None:
             raise ValueError(f"--hamiltonian {args.hamiltonian} requires --spin")
+        if args.file is not None:
+            raise ValueError("--file applies only to --hamiltonian file")
         build = build_heisenberg if args.hamiltonian == "H" else build_cyclic
         h = build(args.spin)
         matrix, charge = h.matrix, h.charge

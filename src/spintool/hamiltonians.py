@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, hermiticity_defect, kron
+from .linalg import DEFAULT_TOL, hermiticity_defect
 from .spin import HalfInteger, make_spin_triple
 
 __all__ = [
@@ -81,7 +81,7 @@ def _assemble(s: HalfInteger, label: str, coeffs) -> Hamiltonian:
     for j in range(3):
         for k in range(3):
             if pattern[j][k] != 0.0:
-                total += pattern[j][k] * kron(ops[j], ops[k])
+                total += pattern[j][k] * np.kron(ops[j], ops[k])
     hermitian = hermiticity_defect(total) <= DEFAULT_TOL * total.shape[0]
     total.flags.writeable = False
     return Hamiltonian(

@@ -240,8 +240,10 @@ def _gauge_colours(m: np.ndarray) -> np.ndarray:
 def newton_check(values, traces, tol: float = MOMENT_TOL) -> bool:
     """Check sum_i values_i^k == traces[k-1] for every provided power.
 
-    The comparison at power k is made within tol * len(values) * r^k where
-    r = max(1, max |value|), matching how trace magnitudes grow.
+    With r = max(1, max |value|), both sides are divided by r^k, the traces
+    through the overflow-safe quotient of the moment certificate, and must
+    agree within tol * len(values), matching how trace magnitudes grow.  A
+    NaN on either side fails the comparison.
     """
     values = np.asarray(values, dtype=np.float64)
     traces = np.asarray(traces, dtype=np.float64)
@@ -249,13 +251,11 @@ def newton_check(values, traces, tol: float = MOMENT_TOL) -> bool:
         raise ShapeError("values and traces must be 1-D")
     if values.size == 0 or traces.size == 0:
         raise ValueError("values and traces must be non-empty")
-    dim = values.size
     radius = max(1.0, float(np.max(np.abs(values))))
-    for k in range(1, traces.size + 1):
-        power_sum = float(np.sum(values**k))
-        if abs(power_sum - traces[k - 1]) > tol * dim * radius**k:
-            return False
-    return True
+    powers = np.arange(1, traces.size + 1)[:, None]
+    sums = np.sum((values / radius) ** powers, axis=1)
+    scaled = np.abs(sums - _over_powers(traces, radius))
+    return bool(np.all(scaled <= tol * values.size))
 
 
 def cluster_spectrum(values, cluster_tol: float) -> Spectrum:
@@ -329,24 +329,35 @@ def spectra_match(a: Spectrum, b: Spectrum, value_tol: float | None = None) -> b
     return True
 
 
+def _over_powers(x: np.ndarray, radius: float) -> np.ndarray:
+    """x[k-1] / radius^k for k = 1, 2, ...
+
+    Where radius^k passes double precision, the quotient of a finite x is
+    taken in log2, so it stays finite for radius >= 1.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = radius ** np.arange(1, x.size + 1, dtype=np.float64)
+        scaled = x / scale
+    for i in np.flatnonzero(np.isinf(scale) & np.isfinite(x) & (x != 0.0)):
+        log2 = math.log2(abs(x[i])) - (i + 1) * math.log2(radius)
+        scaled[i] = math.copysign(2.0**log2, x[i])
+    return scaled
+
+
 def _scaled_differences(
     traces_a: np.ndarray, traces_b: np.ndarray, radius: float
 ) -> np.ndarray:
     """|traces_a[k-1] - traces_b[k-1]| / radius^k for k = 1, 2, ...
 
-    Where the difference or radius^k passes double precision, the traces are
-    halved, which is exact, and the quotient is taken in log2, so it stays
-    finite for finite traces and radius >= 1.
+    Where the difference of two finite traces passes double precision, the
+    traces are halved, which is exact, and the quotient doubled.
     """
-    powers = np.arange(1, traces_a.size + 1, dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         diff = np.abs(traces_a - traces_b)
-        scale = radius**powers
-        scaled = diff / scale
-    for i in np.flatnonzero(np.isinf(diff) | np.isinf(scale)):
-        half = abs(float(traces_a[i]) / 2.0 - float(traces_b[i]) / 2.0)
-        log2 = math.log2(half) + 1.0 - (i + 1) * math.log2(radius) if half else -math.inf
-        scaled[i] = 2.0**log2
+    wide = np.isinf(diff)
+    diff[wide] = np.abs(traces_a[wide] / 2.0 - traces_b[wide] / 2.0)
+    scaled = _over_powers(diff, radius)
+    scaled[wide] *= 2.0
     return scaled
 
 
@@ -400,13 +411,12 @@ def certify_isospectral(
         float(np.max(np.abs(dec_a.values))),
         float(np.max(np.abs(dec_b.values))),
     )
-    powers = np.arange(1, kmax + 1)
     scaled = _scaled_differences(traces_a, traces_b, radius)
     max_abs_diff = float(np.max(scaled))
     threshold = tol * n
     prefix_diff = float(np.max(scaled[:prefix])) if prefix is not None else None
     report = MomentReport(
-        powers=tuple(int(k) for k in powers),
+        powers=tuple(range(1, kmax + 1)),
         traces_a=tuple(float(t) for t in traces_a),
         traces_b=tuple(float(t) for t in traces_b),
         scale=radius,

@@ -408,6 +408,24 @@ def test_negative_theta_is_a_value_in_both_forms(run_cli, theta):
     assert run_cli("gate", "--spin", "1/2", "--theta", theta, "--check") == joined
 
 
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--spin", "1/2", "--file", "{path}"],
+        ["--hamiltonian", "K", "--spin", "1", "--file", "{path}"],
+        ["--hamiltonian", "file", "--file", "{path}", "--spin", "2"],
+    ],
+)
+def test_spectrum_rejects_flags_it_would_ignore(run_cli, tmp_path, argv, fmt):
+    path = tmp_path / "herm.txt"
+    path.write_text("2 1-1i\n1+1i 3\n")
+    argv = [arg.format(path=path) for arg in argv]
+    code, out, err = run_cli("spectrum", *argv, "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --") and err.count("\n") == 1
+
+
 def test_missing_file_is_usage_error(run_cli, tmp_path):
     code, _, _ = run_cli(
         "spectrum", "--hamiltonian", "file", "--file", str(tmp_path / "nope.txt")

@@ -163,6 +163,23 @@ def test_newton_check_accepts_true_pairs():
 
 def test_newton_check_rejects_false_pairs():
     assert not newton_check([1.0, 2.0], [3.0, 4.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not newton_check([1.0, 2.0], [3.0, np.nan])
+        assert not newton_check([1.0, 2.0], [3.0, np.inf])
+        assert not newton_check([np.nan, 2.0], [3.0, 5.0])
+
+
+def test_newton_check_survives_radius_powers_beyond_doubles():
+    # 1000^103 passes 1e308 while every trace, 0 at odd powers, is a double
+    values = [1000.0, -1000.0]
+    traces = moments(np.diag(values), 103)
+    wrong = traces.copy()
+    wrong[-1] = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert newton_check(values, traces)
+        assert not newton_check(values, wrong)
 
 
 def test_newton_check_guards():
