@@ -32,7 +32,7 @@ import math
 import os
 import re
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +64,8 @@ EXIT_NUMERICAL = 3
 # traces of the full range pass 1e308 (48.75^196 is about 1e331).
 _FULL_MOMENT_TWICE = 12
 
+# past k = 2600 every trace of an operator the CLI builds overflows or is 0
+_MAX_KMAX = 100000
 _GATE_RESIDUAL_LIMIT = 1e-8
 _CLOSED_FORM_TOL = 1e-9
 _UNIFORM_PHASE_TOL = 1e-9
@@ -81,34 +83,26 @@ def _parse_spin_arg(text: str) -> HalfInteger:
     return s
 
 
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not math.isfinite(value) or value <= 0.0:
-        raise argparse.ArgumentTypeError(f"must be a positive finite number: {text!r}")
-    return value
+def _number(convert: Callable, need: str, test: Callable) -> Callable[[str], float]:
+    """An argparse type: ``convert(text)``, which must pass ``test``."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            noun = "an integer" if convert is int else "a number"
+            raise argparse.ArgumentTypeError(f"not {noun}: {text!r}") from None
+        if not test(value):
+            raise argparse.ArgumentTypeError(f"must be {need}: {text!r}")
+        return value
+
+    return parse
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1: {text!r}")
-    return value
-
-
-def _finite_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite: {text!r}")
-    return value
+_positive_float = _number(float, "a positive finite number", lambda v: 0 < v < math.inf)
+_finite_float = _number(float, "finite", math.isfinite)
+_positive_int = _number(int, "at least 1", lambda v: v >= 1)
+_kmax = _number(_positive_int, f"at most {_MAX_KMAX}", lambda v: v <= _MAX_KMAX)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -187,10 +181,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--spin", type=_parse_spin_arg, required=True)
     p_verify.add_argument(
         "--kmax",
-        type=_positive_int,
+        type=_kmax,
         default=None,
-        help="highest moment power (default: full dimension up to spin 6, "
-        "the 2s+1 prefix beyond, where the full range of traces exceeds doubles)",
+        help=f"highest moment power, at most {_MAX_KMAX} (default: full dimension up "
+        "to spin 6, the 2s+1 prefix beyond, where the full range exceeds doubles)",
     )
     add_common(p_verify)
     p_verify.set_defaults(handler=cmd_verify)

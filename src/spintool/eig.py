@@ -26,16 +26,16 @@ pivot order makes runs deterministic.
 Sector route
 ------------
 When the caller knows single-site Hermitian factors (A, B) of a charge
-Q = A x I + I x B that commutes with M, the solver diagonalizes A and B
-(size at most 2s + 1), rotates M into the product basis W = Va x Vb and
-labels each basis vector by its rounded charge 2(qa + qb).  M' = W^H M W is
-then block diagonal over equal labels, so each sector (size at most 2s + 1
-for the exchange operators) is diagonalized on its own and its vectors are
-mapped back through W.  Nothing about the charge is assumed: the
-commutator ||[M, Q]||_F and the leak, the norm of M' outside the sectors,
-are measured and reported, and a leak above the full route's stop
-threshold tol * ||M||_F is an error.  Both routes end in the same sorting,
-phase pinning and residual check against the original M.
+Q = A x I + I x B that commutes with M, the solver diagonalizes A and B (size
+at most 2s + 1), rotates M into the product basis W = Va x Vb and labels each
+basis vector by its rounded charge 2(qa + qb).  M' = W^H M W, symmetrized
+once, is then block diagonal over equal labels, so each sector (size at most
+2s + 1 for the exchange operators) is an exactly Hermitian block,
+diagonalized on its own, whose vectors are mapped back through W.  Nothing
+about the charge is assumed: the commutator ||[M, Q]||_F and the leak, the
+norm of M' outside the sectors, are measured and reported, and a leak above
+the full route's stop threshold tol * ||M||_F is an error.  Both routes end
+in the same sorting, phase pinning and residual check against the original M.
 
 The sector blocks go to ``_jacobi_stack`` as a plain list, each with its
 own stop.  It zero-pads them into one private stack and sweeps them
@@ -62,6 +62,7 @@ from .linalg import (
     ShapeError,
     frobenius_norm,
     require_hermitian,
+    require_square,
 )
 
 __all__ = [
@@ -116,7 +117,7 @@ def _offdiag_norm(a: np.ndarray) -> float:
 
 
 def _symmetrized(m: np.ndarray) -> np.ndarray:
-    a = np.array(m, dtype=np.complex128)
+    a = np.asarray(m, dtype=np.complex128)
     return (a + a.conj().T) / 2.0
 
 
@@ -164,8 +165,6 @@ def _jacobi(
 
 
 def _site_eig(f: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    if f.ndim != 2 or f.shape[0] != f.shape[1] or f.shape[0] == 0:
-        raise ShapeError(f"charge factors must be square, got shape {f.shape}")
     if not np.isfinite(f).all():
         raise ValueError("charge factor entries must be finite")
     require_hermitian(f, tol)
@@ -273,18 +272,19 @@ def _split_sectors(
     """Rotate ``m`` into the eigenbasis W of A x I + I x B and split it.
 
     Returns W, the basis indices of each sector keyed by its charge label
-    2(qa + qb) in ascending order, each sector's symmetrized block, the
-    leak and the commutator norm.
+    2(qa + qb) in ascending order, each sector's block of the rotated
+    matrix, which is symmetrized once as a whole, the leak and the
+    commutator norm.
     """
-    a_site, b_site = (np.asarray(f) for f in charge)
+    a_site, b_site = (require_square(f, "charge factors must be square") for f in charge)
+    n = m.shape[0]
+    if a_site.shape[0] * b_site.shape[0] != n:
+        raise ShapeError(
+            f"charge factors of sizes {a_site.shape[0]} and {b_site.shape[0]} do "
+            f"not factor the dimension {n}"
+        )
     qa, va = _site_eig(a_site, tol)
     qb, vb = _site_eig(b_site, tol)
-    n = m.shape[0]
-    if qa.size * qb.size != n:
-        raise ShapeError(
-            f"charge factors of sizes {qa.size} and {qb.size} do not "
-            f"factor the dimension {n}"
-        )
     # m as a 4-tensor (a, b, c, d), rows (a, b) and columns (c, d): a
     # product with A x I or I x B contracts one index with a single-site
     # factor, at a fraction of the cost of a dense n x n product
@@ -296,10 +296,8 @@ def _split_sectors(
             + (_mode(t, b_site, 3) - _mode(t, b_site.T, 1))
         )
     )
-    t = _symmetrized(m).reshape(shape)
-    rotated = _mode(
-        _mode(_mode(_mode(t, va, 2), vb, 3), va.conj(), 0), vb.conj(), 1
-    ).reshape(n, n)
+    rotated = _mode(_mode(_mode(_mode(t, va, 2), vb, 3), va.conj(), 0), vb.conj(), 1)
+    rotated = _symmetrized(rotated.reshape(n, n))
     w = np.kron(va, vb)
     labels = np.rint(2.0 * (qa[:, np.newaxis] + qb[np.newaxis, :])).ravel()
     order = np.argsort(labels, kind="stable")
@@ -314,7 +312,7 @@ def _split_sectors(
             f"charge does not split the operator: off-sector norm {leak:.3e} "
             f"exceeds {stop:.3e} (commutator norm {commutator:.3e})"
         )
-    blocks = [_symmetrized(rotated[np.ix_(idx, idx)]) for idx in sectors.values()]
+    blocks = [rotated[np.ix_(idx, idx)] for idx in sectors.values()]
     return w, sectors, blocks, leak, commutator
 
 
@@ -391,8 +389,9 @@ def hermitian_eig(
     full sweeps.  Pivots already below the stop threshold scaled by 1/(10 n)
     are skipped; the convergence check always measures the true remaining
     off-diagonal mass, so skipping never masks a miss.  Inputs within the
-    hermiticity tolerance are symmetrized once on entry; the reported
-    residual is still taken against the original matrix.
+    hermiticity tolerance are symmetrized once, on entry (full route) or once
+    rotated into the charge basis (sector route); the reported residual is
+    still taken against the original matrix.
 
     ``charge = (A, B)`` selects the sector route: single-site Hermitian
     factors whose sum A x I + I x B should commute with ``m``.  Both factors
@@ -408,9 +407,7 @@ def hermitian_eig(
     :class:`NumericalError` on either route, since no stop threshold can be
     derived from it.
     """
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ShapeError(f"eigensolver needs a square matrix, got shape {m.shape}")
+    m = require_square(m, "eigensolver needs a square matrix")
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     if not tol > 0.0:
@@ -433,10 +430,8 @@ def hermitian_eig(
 
 def verify_eigenpair(m: np.ndarray, vector: np.ndarray, value: float) -> float:
     """Scale-free residual ||M v - value * v|| / ||v|| of a claimed pair."""
-    m = np.asarray(m)
+    m = require_square(m, "expected a square matrix")
     vector = np.asarray(vector, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {m.shape}")
     if vector.ndim != 1 or vector.shape[0] != m.shape[0]:
         raise ShapeError(
             f"vector shape {vector.shape} does not match matrix {m.shape}"

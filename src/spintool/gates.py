@@ -21,6 +21,7 @@ from .linalg import (
     NumericalError,
     ShapeError,
     frobenius_norm,
+    require_square,
 )
 from .spin import HalfInteger
 
@@ -128,7 +129,5 @@ def gate_eigenphases(gate: Gate) -> np.ndarray:
 
 def unitarity_residual(u: np.ndarray) -> float:
     """||u^H u - I|| in the Frobenius norm."""
-    u = np.asarray(u)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {u.shape}")
+    u = require_square(u, "expected a square matrix")
     return frobenius_norm(u.conj().T @ u - np.eye(u.shape[0]))

@@ -1,8 +1,9 @@
 """Dense complex matrix helpers shared by every other module.
 
 Matrices are plain 2-D ``numpy.ndarray`` values of dtype ``complex128`` in
-row-major (C) element order.  Every function here is pure: inputs are never
-mutated, and arrays returned by constructors are marked read-only.
+row-major (C) element order; ``require_square`` is the package's one check
+that a lone matrix argument is square.  Every function here is pure: inputs
+are never mutated, and arrays returned by constructors are marked read-only.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ __all__ = [
     "NumericalError",
     "HermiticityError",
     "as_cmatrix",
+    "require_square",
     "identity",
     "matmul",
     "kron",
@@ -58,6 +60,14 @@ def as_cmatrix(entries) -> np.ndarray:
     return m
 
 
+def require_square(a, what: str) -> np.ndarray:
+    """``np.asarray(a)``, or :class:`ShapeError` "<what>, got shape <shape>"."""
+    a = np.asarray(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ShapeError(f"{what}, got shape {a.shape}")
+    return a
+
+
 def identity(n: int) -> np.ndarray:
     """n-by-n complex identity matrix."""
     if n < 1:
@@ -98,10 +108,7 @@ def adjoint(a: np.ndarray) -> np.ndarray:
 
 def trace(a: np.ndarray) -> complex:
     """Sum of the diagonal; defined for square matrices only."""
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"trace needs a square matrix, got shape {a.shape}")
-    return complex(np.trace(a))
+    return complex(np.trace(require_square(a, "trace needs a square matrix")))
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -129,9 +136,7 @@ def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 def hermiticity_defect(a: np.ndarray) -> float:
     """Frobenius norm of a - adjoint(a)."""
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"hermiticity is defined for square matrices, got {a.shape}")
+    a = require_square(a, "hermiticity is defined for square matrices")
     return float(np.linalg.norm(a - a.conj().T))
 
 

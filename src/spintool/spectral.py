@@ -31,6 +31,7 @@ from .linalg import (
     ShapeError,
     frobenius_norm,
     require_hermitian,
+    require_square,
 )
 from .spin import HalfInteger
 
@@ -132,9 +133,7 @@ def moments(m: np.ndarray, kmax: int) -> np.ndarray:
     tr(m^(2j+1)) = <P_j, P_(j+1)> * 2^(e_j + e_(j+1)).  A trace whose value
     lies beyond double precision raises :class:`NumericalError`.
     """
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ShapeError(f"moments need a square matrix, got shape {m.shape}")
+    m = require_square(m, "moments need a square matrix")
     if kmax < 1:
         raise ValueError(f"kmax must be at least 1, got {kmax}")
     require_hermitian(m, 1e-10)
@@ -382,10 +381,8 @@ def certify_isospectral(
     ``charges`` passes each operator's conserved-charge factors (or None)
     to :func:`hermitian_eig`, which then diagonalizes sector by sector.
     """
-    a = np.asarray(a)
+    a = require_square(a, "expected square matrices")
     b = np.asarray(b)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"expected square matrices, got shape {a.shape}")
     if a.shape != b.shape:
         raise ShapeError(f"dimension mismatch: {a.shape} vs {b.shape}")
     n = a.shape[0]

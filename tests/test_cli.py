@@ -370,6 +370,17 @@ def test_ragged_matrix_file_is_usage_error(run_cli, tmp_path):
     assert "expected" in err
 
 
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+def test_non_square_matrix_file_is_usage_error(run_cli, tmp_path, fmt):
+    path = tmp_path / "wide.txt"
+    path.write_text("1 2 3\n4 5 6\n")
+    code, out, err = run_cli(
+        "spectrum", "--hamiltonian", "file", "--file", str(path), "--format", fmt
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: eigensolver needs a square matrix, got shape (2, 3)\n"
+
+
 def test_non_hermitian_matrix_file_is_numerical_error(run_cli, tmp_path):
     path = tmp_path / "nonherm.txt"
     path.write_text("0 1\n0 0\n")
@@ -456,6 +467,20 @@ def test_usage_errors_exit_two(argv, capsys):
     code = cli.main(argv)
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+@pytest.mark.parametrize("kmax", ["100001", "1000000000000"])
+def test_kmax_above_the_bound_is_usage_error(run_cli, kmax, fmt):
+    # 1e12 once died allocating the trace array, exiting 1 with a traceback
+    code, out, err = run_cli("verify", "--spin", "1/2", "--kmax", kmax, "--format", fmt)
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    lines = [line for line in err.splitlines() if "argument --kmax" in line]
+    assert len(lines) == 1
+    assert lines[0].endswith(f"argument --kmax: must be at most 100000: '{kmax}'")
+    args = cli.build_parser().parse_args(["verify", "--spin", "1/2", "--kmax", "100000"])
+    assert args.kmax == 100000
 
 
 def test_env_var_sets_tolerance(run_cli, monkeypatch):

@@ -292,6 +292,23 @@ def test_sector_route_matches_full_jacobi(twice, label, spin_cache):
     assert full.leak == 0.0 and full.commutator == 0.0
 
 
+@pytest.mark.parametrize("label", ["H", "K", "rotated"])
+@pytest.mark.parametrize("twice", [*range(1, 9), 24])
+def test_sector_blocks_are_exactly_hermitian(twice, label):
+    # _jacobi_stack updates rows only and copies their conjugates into the
+    # columns, so a block must equal its conjugate transpose exactly
+    s = HalfInteger(twice)
+    builds = {"H": build_heisenberg, "K": build_cyclic}
+    if label in builds:
+        ham = builds[label](s)
+    else:
+        ham = build_bilinear(s, _random_rotation(700 + twice))
+    stop = DEFAULT_TOL * frobenius_norm(ham.matrix)
+    _, _, blocks, _, _ = _split_sectors(ham.matrix, ham.charge, DEFAULT_TOL, stop)
+    for block in blocks:
+        assert np.array_equal(block, block.conj().T)
+
+
 def test_sector_route_rejects_a_charge_that_does_not_commute():
     s = HalfInteger(2)
     t = make_spin_triple(s)
@@ -300,6 +317,16 @@ def test_sector_route_rejects_a_charge_that_does_not_commute():
         hermitian_eig(k.matrix, charge=(t.s1, t.s1))
     with pytest.raises(ShapeError):
         hermitian_eig(k.matrix, charge=(t.s3, np.eye(2)))
+
+
+@pytest.mark.parametrize("factor", [np.zeros((0, 0)), np.zeros((2, 3)), np.zeros(5)])
+def test_sector_route_rejects_empty_and_non_square_factors(factor):
+    s = HalfInteger(4)
+    t = make_spin_triple(s)
+    k = build_cyclic(s)
+    for charge in [(factor, t.s3), (t.s3, factor)]:
+        with pytest.raises(ShapeError, match="charge factors"):
+            hermitian_eig(k.matrix, charge=charge)
 
 
 @pytest.mark.parametrize("build", [build_heisenberg, build_cyclic], ids=["H", "K"])
