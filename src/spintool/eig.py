@@ -131,7 +131,7 @@ def _jacobi(
     """
     n = a.shape[0]
     v = np.eye(n, dtype=np.complex128)
-    skip = stop / (10.0 * n)
+    skip = stop / (10.0 * max(n, 1))  # an empty matrix has no pivots
     sweeps = 0
 
     while _offdiag_norm(a) > stop:

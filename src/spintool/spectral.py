@@ -15,6 +15,11 @@ power-of-two factors, two traces per matrix product.  Operators whose
 entries are each purely real or purely imaginary, H and K among them, are
 first conjugated by a diagonal of ones and i's into an exactly real
 matrix with the same traces, so their powers are real matrix products.
+Every power keeps the split of the matrix's nonzero pattern into connected
+components, so the powers are taken block by block on a stack of the
+components' diagonal blocks and the traces summed over blocks.  H, which
+conserves total S3, splits into 4s+1 blocks; K's pattern is one component
+and is powered whole.  The split reads only the matrix's exact zeros.
 """
 
 from __future__ import annotations
@@ -127,6 +132,17 @@ def moments(m: np.ndarray, kmax: int) -> np.ndarray:
     of each odd trace is checked against 1e-8 * dim * max(1, ||m||_F)^k, in
     log space, raising :class:`NumericalError` beyond it.
 
+    The powered matrix is split along the connected components of its
+    nonzero pattern (see :func:`_gauge_colours`): every power keeps the
+    split, so tr(m^k) is the sum of the blocks' traces.  The blocks are
+    zero-padded to the widest one and stacked, shape (count, width, width),
+    whenever there are at least two and the stack holds no more entries
+    than the matrix (count * width^2 <= dim^2); otherwise the matrix itself
+    is powered.  A product then costs count * width^3 multiply-adds,
+    padding included, instead of dim^3: the exchange operator H, whose
+    pattern splits into the 4s+1 sectors of total S3, costs 49 products of
+    width at most 25 at 2s = 24 instead of one of width 625.
+
     The running power is kept as P_j = m^j * 2^(-e_j) with ||P_j||_F near 1,
     so no intermediate overflows and every rescaling is exact.  Each product
     yields two traces: tr(m^2j) = ||P_j||_F^2 * 2^(2 e_j) and
@@ -137,12 +153,14 @@ def moments(m: np.ndarray, kmax: int) -> np.ndarray:
     if kmax < 1:
         raise ValueError(f"kmax must be at least 1, got {kmax}")
     require_hermitian(m, 1e-10)
-    a, drift = _real_form(m), None
+    colour, component = _gauge_colours(m)
+    a, drift = _real_form(m, colour), None
     if a is None:
         a = m.astype(np.complex128)
         # log2 of the bound 1e-8 * dim * max(1, ||m||_F)^k is drift + k * growth
         drift = math.log2(1e-8 * m.shape[0])
         growth = math.log2(max(1.0, frobenius_norm(m)))
+    a = _stacked(a, component)
     top = float(np.max(np.abs(a), initial=0.0))
     g = max(math.frexp(top)[1], -1000)  # 2^-g stays finite for subnormal entries
     a *= math.ldexp(1.0, -g)
@@ -162,7 +180,7 @@ def moments(m: np.ndarray, kmax: int) -> np.ndarray:
                 f"trace of power {k} overflowed double precision; lower kmax"
             )
 
-    put(1, complex(np.trace(a)), g)
+    put(1, complex(np.trace(a, axis1=-2, axis2=-1).sum()), g)
     power, e = a, g  # m^j = power * 2^e, starting at j = 1
     square = np.vdot(a, a).real
     for k in range(2, kmax + 1, 2):
@@ -187,21 +205,20 @@ def _power_of_two(mantissa: float, exponent: int) -> float:
         return math.copysign(math.inf, mantissa)
 
 
-def _real_form(m: np.ndarray) -> np.ndarray | None:
-    """The exactly real matrix D^H m D for a diagonal D in {1, i}, or None.
+def _real_form(m: np.ndarray, colour: np.ndarray) -> np.ndarray | None:
+    """The exactly real matrix D^H m D for D = i^colour, or None.
 
     The result is a new float64 array.  An input with no imaginary part
-    gives a copy of its real part.  Otherwise D = i^colour with the colours
-    of :func:`_gauge_colours`, and the purely imaginary entries must link
-    indices of opposite colour, the purely real ones indices of equal
-    colour.  Conjugating by D then only moves signs and swaps real and
-    imaginary parts, so the result is exact.  None when some entry breaks
-    that rule, for instance an entry with both parts nonzero or a
-    frustrated cycle of imaginary entries.
+    gives a copy of its real part.  Otherwise, with the colours of
+    :func:`_gauge_colours`, the purely imaginary entries must link indices
+    of opposite colour, the purely real ones indices of equal colour.
+    Conjugating by D then only moves signs and swaps real and imaginary
+    parts, so the result is exact.  None when some entry breaks that rule,
+    for instance an entry with both parts nonzero or a frustrated cycle of
+    imaginary entries.
     """
     if not (np.iscomplexobj(m) and m.imag.any()):
         return np.array(m.real, dtype=np.float64)
-    colour = _gauge_colours(m)
     shift = colour[:, None] - colour[None, :]
     if np.any(m.imag, where=shift == 0) or np.any(m.real, where=shift != 0):
         return None
@@ -210,30 +227,60 @@ def _real_form(m: np.ndarray) -> np.ndarray | None:
     return real
 
 
-def _gauge_colours(m: np.ndarray) -> np.ndarray:
-    """A 0/1 colour per index, flipping across purely imaginary entries.
+def _gauge_colours(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A 0/1 colour and a connected-component label per index of m.
 
-    Breadth-first over the nonzero pattern of m: a neighbour linked by an
-    entry with zero real part takes the opposite colour, any other neighbour
-    the same colour.  The colouring is consistent only when no cycle holds
-    an odd number of imaginary links; :func:`_real_form` checks that.
+    Breadth-first over the symmetric nonzero pattern of m (i and j are
+    linked when m[i, j] or m[j, i] is nonzero), from the lowest index not
+    yet reached, so components are labelled 0, 1, ... in the order of their
+    lowest index.  A neighbour linked by entries with zero real part takes
+    the opposite colour, any other neighbour the same colour.  The colouring
+    is consistent only when no cycle holds an odd number of imaginary links;
+    :func:`_real_form` checks that.
     """
     n = m.shape[0]
     linked = m != 0
-    flips = (m.real == 0).view(np.int8)
-    colour = np.full(n, -1, dtype=np.int8)
+    linked |= linked.T
+    rows, cols = np.nonzero(linked)
+    flips = (m[rows, cols].real == 0) & (m[cols, rows].real == 0)
+    start = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    cols, flips = cols.tolist(), flips.tolist()
+    colour, component = [-1] * n, [0] * n
+    count = 0
     for root in range(n):
         if colour[root] >= 0:
             continue
-        colour[root] = 0
-        frontier = np.array([root])
-        while frontier.size:
-            reach = linked[frontier] & (colour < 0)
-            fresh = np.flatnonzero(reach.any(axis=0))
-            source = frontier[reach[:, fresh].argmax(axis=0)]
-            colour[fresh] = colour[source] ^ flips[source, fresh]
-            frontier = fresh
-    return colour
+        colour[root], component[root] = 0, count
+        reached = [root]
+        for i in reached:
+            for edge in range(start[i], start[i + 1]):
+                j = cols[edge]
+                if colour[j] < 0:
+                    colour[j] = colour[i] ^ flips[edge]
+                    component[j] = count
+                    reached.append(j)
+        count += 1
+    return np.array(colour, dtype=np.int8), np.array(component, dtype=np.intp)
+
+
+def _stacked(a: np.ndarray, component: np.ndarray) -> np.ndarray:
+    """a's diagonal blocks, one per component, zero-padded and stacked.
+
+    Entries outside the blocks are zero, since no nonzero links two
+    components.  Returns a itself, uncopied, when there is one component or
+    the stack of shape (count, width, width) would hold more entries than a.
+    """
+    n = a.shape[0]
+    sizes = np.bincount(component)
+    count, width = sizes.size, int(sizes.max(initial=0))
+    if count < 2 or count * width * width > n * n:
+        return a
+    filled = np.arange(width) < sizes[:, None]
+    members = np.zeros((count, width), dtype=np.intp)
+    members[filled] = np.argsort(component, kind="stable")
+    stack = a[members[:, :, None], members[:, None, :]]
+    stack[~(filled[:, :, None] & filled[:, None, :])] = 0
+    return stack
 
 
 def newton_check(values, traces, tol: float = MOMENT_TOL) -> bool:

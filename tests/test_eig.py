@@ -57,6 +57,14 @@ def test_diagonal_matrix_sorted_exactly():
     assert dec.residual == 0.0
 
 
+def test_empty_matrix_gives_an_empty_decomposition():
+    dec = hermitian_eig(np.zeros((0, 0)))
+    assert dec.values.shape == (0,)
+    assert dec.vectors.shape == (0, 0)
+    assert dec.residual == 0.0
+    assert dec.sweeps == 0
+
+
 def test_spin_half_exchange_values():
     for build in (build_heisenberg, build_cyclic):
         m = build(HalfInteger(1)).matrix

@@ -12,6 +12,7 @@ from spintool.spectral import (
     _gauge_colours,
     _real_form,
     _scaled_differences,
+    _stacked,
     certify_isospectral,
     closed_form_spectrum,
     cluster_spectrum,
@@ -72,9 +73,99 @@ def test_moments_overflowing_trace_is_a_numerical_error():
         moments(np.eye(2) * 1e300, 2)
 
 
+def test_moments_of_an_empty_matrix_are_zero():
+    np.testing.assert_array_equal(moments(np.zeros((0, 0)), 3), [0.0, 0.0, 0.0])
+
+
+def _assert_matches_matrix_powers(m, kmax):
+    scale = max(1.0, float(np.max(np.abs(np.linalg.eigvalsh(m)))))
+    got = moments(m, kmax)
+    for k in range(1, kmax + 1):
+        expected = np.trace(np.linalg.matrix_power(m, k)).real
+        assert abs(got[k - 1] - expected) <= 1e-12 * m.shape[0] * scale**k
+
+
+_WIDTHS = (5, 3, 2, 1, 1)
+
+
+def _permuted_blocks(seed, imaginary):
+    """Hermitian blocks of widths 5, 3, 2 and 1 plus an isolated zero index,
+    under a seeded permutation, with each index's block label; blocks with
+    complex entries leave no exact real form."""
+    rng = np.random.default_rng(seed)
+    m = np.zeros((12, 12), dtype=complex)
+    start = 0
+    for width in _WIDTHS[:-1]:
+        r = rng.standard_normal((width, width))
+        if imaginary:
+            r = r + 1j * rng.standard_normal((width, width))
+        m[start : start + width, start : start + width] = (r + r.conj().T) / 2.0
+        start += width
+    order = rng.permutation(12)
+    label = np.repeat(np.arange(len(_WIDTHS)), _WIDTHS)
+    return m[np.ix_(order, order)], label[order]
+
+
+@pytest.mark.parametrize("imaginary", [False, True], ids=["real-form", "complex"])
+def test_moments_split_permuted_blocks(imaginary):
+    m, label = _permuted_blocks(53, imaginary)
+    colour, component = _gauge_colours(m)
+    assert (_real_form(m, colour) is None) == imaginary
+    same = component[:, None] == component[None, :]
+    np.testing.assert_array_equal(same, label[:, None] == label[None, :])
+    # labels count up in the order of each component's lowest index
+    values, first = np.unique(component, return_index=True)
+    np.testing.assert_array_equal(values, np.arange(len(_WIDTHS)))
+    assert np.all(np.diff(first) > 0)
+    assert _stacked(m, component).shape == (5, 5, 5)
+    _assert_matches_matrix_powers(m, 15)
+
+
+def test_components_follow_one_sided_entries():
+    # Hermitian within tolerance, but only m[1, 0] is nonzero: the link
+    # still joins indices 0 and 1, so no nonzero falls outside a block
+    m = np.diag([1.0, 2.0, 3.0])
+    m[1, 0] = 1e-12
+    np.testing.assert_array_equal(_gauge_colours(m)[1], [0, 0, 1])
+    assert _stacked(m, _gauge_colours(m)[1]).shape == (2, 2, 2)
+
+
+def test_moments_of_a_diagonal_matrix():
+    values = np.array([0.5, -2.0, 0.0, 1.25, -2.0, 3.0])
+    m = np.diag(values)
+    assert _stacked(m, _gauge_colours(m)[1]).shape == (6, 1, 1)
+    expected = [np.sum(values**k) for k in range(1, 13)]
+    np.testing.assert_allclose(moments(m, 12), expected, rtol=1e-15, atol=0.0)
+
+
+def test_stack_layout_holds_no_more_entries_than_the_matrix():
+    h = build_heisenberg(HalfInteger(24)).matrix
+    component = _gauge_colours(h)[1]
+    stack = _stacked(h, component)
+    assert stack.shape == (49, 25, 25)
+    assert stack.size <= h.size
+    # one block of n - 1 plus a singleton: a stack of 2 (n-1)^2 entries
+    # would outgrow the matrix, so the matrix is powered as it is
+    m = np.eye(6)
+    m[:5, :5] += 1.0
+    component = _gauge_colours(m)[1]
+    np.testing.assert_array_equal(component, [0, 0, 0, 0, 0, 1])
+    assert _stacked(m, component) is m
+    # widths 3, 1, 1, 1: the stack holds exactly n^2 entries, and is taken
+    m = np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    m[:3, :3] += 1.0
+    assert _stacked(m, _gauge_colours(m)[1]).shape == (4, 3, 3)
+    _assert_matches_matrix_powers(m, 9)
+    # one component, K's case, keeps the matrix itself too
+    k = build_cyclic(HalfInteger(4)).matrix
+    component = _gauge_colours(k)[1]
+    assert not component.any()
+    assert _stacked(k, component) is k
+
+
 def _gauged(m):
     """D^H m D with D = i^colour, computed in complex arithmetic."""
-    d = np.where(_gauge_colours(m) == 1, 1j, 1.0)
+    d = np.where(_gauge_colours(m)[0] == 1, 1j, 1.0)
     return d.conj()[:, None] * m * d[None, :]
 
 
@@ -92,7 +183,7 @@ def _generic_rotation(seed):
 
 
 def _assert_exact_real_form(m):
-    real = _real_form(m)
+    real = _real_form(m, _gauge_colours(m)[0])
     assert real is not None and real.dtype == np.float64
     gauged = _gauged(m)
     assert not gauged.imag.any()
@@ -136,12 +227,8 @@ def _generic_rotation_operator():
 )
 def test_complex_path_matches_matrix_powers(make, kmax):
     m = make()
-    assert _real_form(m) is None
-    scale = max(1.0, float(np.max(np.abs(np.linalg.eigvalsh(m)))))
-    got = moments(m, kmax)
-    for k in range(1, kmax + 1):
-        expected = np.trace(np.linalg.matrix_power(m, k)).real
-        assert abs(got[k - 1] - expected) <= 1e-12 * m.shape[0] * scale**k
+    assert _real_form(m, _gauge_colours(m)[0]) is None
+    _assert_matches_matrix_powers(m, kmax)
 
 
 @pytest.mark.parametrize("build", [build_heisenberg, build_cyclic], ids=["H", "K"])
