@@ -1,4 +1,4 @@
-"""Hermitian eigensolver built on cyclic complex Jacobi rotations.
+"""Hermitian eigensolver built on complex Jacobi rotations in round-robin order.
 
 The solver repeatedly annihilates off-diagonal pivots a[p, q] with 2 x 2
 unitary rotations until the off-diagonal Frobenius mass falls below a
@@ -6,8 +6,8 @@ relative threshold.  It is deliberately self-contained: diagonalization is
 the load-bearing step of the isospectrality certificates, so it must not
 rest on an opaque library call.
 
-Rotation construction for pivot (p, q), p < q
----------------------------------------------
+Rotation construction for pivot (p, q)
+--------------------------------------
 Write the pivot entry as a[p, q] = b * exp(i*phi) with b > 0.  The principal
 2 x 2 submatrix is unitarily similar to a real symmetric one, so the real
 Jacobi angle formulas apply after stripping the phase:
@@ -20,8 +20,18 @@ Jacobi angle formulas apply after stripping the phase:
 and the applied rotation, J = [[c, s], [-s*e, c*e]] with e = exp(-i*phi),
 zeroes a[p, q] exactly in the update A <- J^H A J while preserving
 hermiticity and the eigenvalues.  Each rotation removes 2 b^2 from the
-squared off-diagonal mass, which forces convergence; cyclic row-major
-pivot order makes runs deterministic.
+squared off-diagonal mass, which forces convergence.
+
+Round-robin sweeps
+------------------
+A sweep over an even width w is w - 1 rounds of w / 2 disjoint pivots in
+which every pair meets once, the circle ordering of Sameh (Math. Comp. 25,
+1971) and Brent & Luk (SIAM J. Sci. Stat. Comput. 6(1), 1985), so a round is
+one batched row update and one batched column update.  One kernel,
+``_jacobi_stack``, serves every route: it sweeps a zero-padded (count, w, w)
+stack of blocks, each to its own stop.  The full route is a one-block
+stack, the two charge factors a two-block stack, and the sectors are
+stacked by width.
 
 Sector route
 ------------
@@ -36,17 +46,6 @@ about the charge is assumed: the commutator ||[M, Q]||_F and the leak, the
 norm of M' outside the sectors, are measured and reported, and a leak above
 the full route's stop threshold tol * ||M||_F is an error.  Both routes end
 in the same sorting, phase pinning and residual check against the original M.
-
-The sector blocks go to ``_jacobi_stack`` as a plain list, each with its
-own stop.  It zero-pads them into one private stack and sweeps them
-together: each pivot (p, q) is one vectorized update of every block that
-still needs it, so a sweep costs one pass over the widest block's pivots
-instead of one per block.  Every block still sees exactly the rotation
-sequence the scalar solver would give it alone (pivot order, skip
-threshold, stop test and sweep count), so only rounding differs.  The
-scalar solver stays for the full route and the charge factors: on a single
-block the stack's vectorized step costs more than the scalar one, and it
-is the reference the stack is tested against.
 """
 
 from __future__ import annotations
@@ -112,153 +111,144 @@ class EigDecomposition:
         return self.values.shape[0]
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a - np.diag(np.diagonal(a))))
-
-
 def _symmetrized(m: np.ndarray) -> np.ndarray:
     a = np.asarray(m, dtype=np.complex128)
     return (a + a.conj().T) / 2.0
 
 
-def _jacobi(
-    a: np.ndarray, stop: float, max_sweeps: int
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Cyclic Jacobi sweeps on the Hermitian array ``a``, in place.
+def _round_robin(width: int) -> np.ndarray:
+    """The gather from one round's layout to the next, starting at identity.
 
-    Returns the unsorted diagonal, the accumulated rotations and the number
-    of completed sweeps once the off-diagonal norm is <= ``stop``.
+    A round pairs positions 2k and 2k + 1, seats k and w - 1 - k of the
+    circle method: seat 0 keeps its index and the other seats pass theirs
+    on, so every pair meets once in w - 1 rounds, which end at identity.
     """
-    n = a.shape[0]
-    v = np.eye(n, dtype=np.complex128)
-    skip = stop / (10.0 * max(n, 1))  # an empty matrix has no pivots
-    sweeps = 0
-
-    while _offdiag_norm(a) > stop:
-        if sweeps >= max_sweeps:
-            raise ConvergenceError(
-                f"off-diagonal norm {_offdiag_norm(a):.3e} still above "
-                f"{stop:.3e} after {max_sweeps} sweeps"
-            )
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                pivot = a[p, q]
-                b = abs(pivot)
-                if b <= skip:
-                    continue
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * b)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                e = pivot.conjugate() / b
-                rot = np.array([[c, s], [-s * e, c * e]], dtype=np.complex128)
-                a[[p, q], :] = rot.conj().T @ a[[p, q], :]
-                a[:, [p, q]] = a[:, [p, q]] @ rot
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                v[:, [p, q]] = v[:, [p, q]] @ rot
-        sweeps += 1
-
-    return np.diagonal(a).real.copy(), v, sweeps
-
-
-def _site_eig(f: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    if not np.isfinite(f).all():
-        raise ValueError("charge factor entries must be finite")
-    require_hermitian(f, tol)
-    stop = _SITE_TOL * frobenius_norm(f)
-    values, vectors, _ = _jacobi(_symmetrized(f), stop, DEFAULT_MAX_SWEEPS)
-    return values, vectors
+    half = width // 2
+    seat = np.empty(width, dtype=np.intp)
+    seat[0::2] = np.arange(half)
+    seat[1::2] = width - 1 - np.arange(half)
+    previous = np.concatenate(([0, width - 1], np.arange(1, width - 1)))
+    return np.argsort(seat)[previous[seat]]
 
 
 def _jacobi_stack(
     blocks: list[np.ndarray], stops: list[float], max_sweeps: int
 ) -> list[tuple[np.ndarray, np.ndarray, int, float]]:
-    """Cyclic Jacobi sweeps on a list of exactly Hermitian blocks at once.
+    """Round-robin Jacobi sweeps on a list of exactly Hermitian blocks at once.
 
-    Each block gets the rotations :func:`_jacobi` would apply to it alone
-    with its stop: the same row-major pivot order, skip threshold and stop
-    test at the start of every sweep, after which a converged block takes
-    no further rotations.  Each pivot (p, q) is applied to every block that
-    still needs it in one vectorized step; the others, and every block
-    narrower than q + 1, are left untouched.
+    The blocks are zero-padded into one stack of even width w >= 2, each
+    beside its accumulated V^H.  A block runs while its off-diagonal norm,
+    taken at the start of each sweep, is above its stop.  A pivot at or
+    below stop / (10 n), n the block's own width, is idle: its rotation is
+    the identity.  So is every padding pivot, which is exactly 0.
 
     Returns, per block and in input order, its unsorted diagonal, its
     accumulated rotations, its completed sweeps and its off-diagonal norm on
     exit; a norm still above its stop means that block ran out of
     ``max_sweeps``.  The blocks are not modified.
     """
-    sizes = np.array([block.shape[0] for block in blocks])
-    # widest blocks first, so those that reach column q are a leading slice
-    order = np.argsort(-sizes, kind="stable")
-    sizes = sizes[order]
-    stops = np.asarray(stops)[order]
-    skip = stops / (10.0 * sizes)
-    count, width = sizes.size, int(sizes[0])
-    wider_than = (sizes[:, np.newaxis] > np.arange(width)).sum(axis=0)
-    # [A | V^H], zero-padded to the widest block: the row update A <- J^H A
-    # also gives V^H <- J^H V^H, and the column update A <- A J copies the
-    # conjugated rows by hermiticity
-    aug = np.zeros((count, width, 2 * width), dtype=np.complex128)
-    for j, k in enumerate(order):
-        aug[j, : sizes[j], : sizes[j]] = blocks[k]
+    sizes = np.array([block.shape[0] for block in blocks], dtype=np.intp)
+    stops = np.asarray(stops, dtype=np.float64)
+    skip = stops / (10.0 * np.maximum(sizes, 1))
+    widest = int(sizes.max(initial=0))
+    width = max(widest + widest % 2, 2)
+    half = width // 2
+    # [A | V^H]: the row update A <- J^H A also gives V^H <- J^H V^H
+    aug = np.zeros((sizes.size, width, 2 * width), dtype=np.complex128)
+    for j, block in enumerate(blocks):
+        aug[j, : sizes[j], : sizes[j]] = block
     aug[:, np.arange(width), width + np.arange(width)] = 1.0
-    stack = aug[:, :, :width]
+    a = aug[:, :, :width]
     off_mask = ~np.eye(width, dtype=bool)
-    sweeps = np.zeros(count, dtype=int)
+    sweeps = np.zeros(sizes.size, dtype=int)
+    move = _round_robin(width)
+    # the move gathers the rows of [A | V^H] and the columns of A only
+    gather = move[:, np.newaxis], np.concatenate((move, np.arange(width, 2 * width)))
+    p, q = np.arange(0, width, 2), np.arange(1, width, 2)
+    # entries (p, p), (q, q), (p, q) and (q, p) of every pivot of a round
+    fix = np.concatenate((p, q, p, q)), np.concatenate((p, q, q, p))
 
     for done in range(max_sweeps + 1):
-        off = np.linalg.norm(stack * off_mask, axis=(1, 2))
-        running = off > stops
-        if done == max_sweeps or not running.any():
+        off = np.linalg.norm(a * off_mask, axis=(1, 2))
+        running = np.flatnonzero(off > stops)
+        if done == max_sweeps or running.size == 0:
             break
-        reach = int(sizes[running].max())
-        for p in range(reach - 1):
-            for q in range(p + 1, reach):
-                k = wider_than[q]
-                x = aug[:k]
-                pivot = x[:, p, q]
-                b = np.abs(pivot)
-                act = running[:k] & (b > skip[:k])
-                idle = ~act
-                if idle.all():
-                    continue
-                b[idle] = 1.0
-                app = x[:, p, p].real
-                aqq = x[:, q, q].real
-                tau = (aqq - app) / (2.0 * b)
-                t = np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau))
-                e = pivot.conj() / b
-                # idle blocks get the identity rotation c = 1, s = 0, e = 1
-                t[idle] = 0.0
-                e[idle] = 1.0
-                # (J^H A J)[p, p] and [q, q] in closed form
-                new_pp = app - t * b
-                new_qq = aqq + t * b
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = (t * c)[:, np.newaxis]
-                c = c[:, np.newaxis]
-                e = e[:, np.newaxis]
-                row_p = x[:, p].copy()
-                row_q = x[:, q]
-                x[:, p] = c * row_p - (s * e).conj() * row_q
-                x[:, q] = s * row_p + (c * e).conj() * row_q
-                x[:, p, p] = new_pp
-                x[:, q, q] = new_qq
-                x[act, p, q] = 0.0
-                x[:, :, p] = x[:, p, :width].conj()
-                x[:, :, q] = x[:, q, :width].conj()
+        x, floor = aug[running], skip[running, np.newaxis]
+        for _ in range(width - 1):
+            pivot = x[:, p, q]
+            b = np.abs(pivot)
+            idle = b <= floor
+            b[idle] = 1.0
+            app = x[:, p, p].real
+            aqq = x[:, q, q].real
+            # t = sign(tau) / (|tau| + hypot(1, tau)) with tau = d / (2 b),
+            # and e = conj(pivot) / b by real quotients
+            d = aqq - app
+            t = np.copysign(2.0 * b, d) / (np.abs(d) + np.hypot(2.0 * b, d))
+            e = pivot.conj()
+            e.real /= b
+            e.imag /= b
+            # idle pivots get the identity rotation c = 1, s = 0, e = 1
+            t[idle] = 0.0
+            e[idle] = 1.0
+            # complex c and s keep the updates below free of casts
+            c = (1.0 / np.hypot(1.0, t)).astype(np.complex128)
+            s = t * c
+            se, ce = s * e, c * e
+            rows = x.reshape(-1, half, 2, 2 * width)
+            row_p, row_q = rows[:, :, 0], rows[:, :, 1]
+            new_p = row_p * c[..., None] - row_q * se.conj()[..., None]
+            row_q *= ce.conj()[..., None]
+            row_q += row_p * s[..., None]
+            row_p[...] = new_p
+            cols = x[:, :, :width].reshape(-1, width, half, 2)
+            col_p, col_q = cols[..., 0], cols[..., 1]
+            new_p = col_p * c[:, None] - col_q * se[:, None]
+            col_q *= ce[:, None]
+            col_q += col_p * s[:, None]
+            col_p[...] = new_p
+            # (J^H A J)[p, p] and [q, q] in closed form; a rotated pivot is
+            # exactly 0 and an idle one keeps its value
+            kept = pivot * idle
+            x[:, fix[0], fix[1]] = np.concatenate(
+                (app - t * b, aqq + t * b, kept, kept.conj()), axis=1
+            )
+            x = x[:, gather[0], gather[1]]
+        aug[running] = x
         sweeps[running] += 1
 
-    diagonals = np.diagonal(stack, axis1=1, axis2=2).real
+    diagonals = np.diagonal(a, axis1=1, axis2=2).real
     vectors = aug[:, :, width:].conj().transpose(0, 2, 1)
-    back = np.argsort(order)
     return [
         (diagonals[j, :n], vectors[j, :n, :n], int(sweeps[j]), float(off[j]))
-        for j, n in zip(back, sizes[back])
+        for j, n in enumerate(sizes)
     ]
+
+
+def _solved(
+    blocks: list[np.ndarray], stops: list[float], max_sweeps: int, names: list[str]
+) -> list[tuple[np.ndarray, np.ndarray, int, float]]:
+    """Run the kernel on ``blocks``; raise, by name, for the first that ran out.
+
+    Blocks up to 16 wide share one stack, as do blocks whose widths share an
+    interval (2^(k-1), 2^k], so padding never doubles a wide block.
+    """
+    classes = [max((block.shape[0] - 1).bit_length(), 4) for block in blocks]
+    solved: list = [None] * len(blocks)
+    for k in dict.fromkeys(classes):
+        members = [j for j, c in enumerate(classes) if c == k]
+        stacked = _jacobi_stack(
+            [blocks[j] for j in members], [stops[j] for j in members], max_sweeps
+        )
+        for j, result in zip(members, stacked):
+            solved[j] = result
+    for name, stop, (_, _, _, off) in zip(names, stops, solved):
+        if off > stop:
+            raise ConvergenceError(
+                f"{name}off-diagonal norm {off:.3e} still above {stop:.3e} "
+                f"after {max_sweeps} sweeps"
+            )
+    return solved
 
 
 def _mode(t: np.ndarray, f: np.ndarray, axis: int) -> np.ndarray:
@@ -283,8 +273,16 @@ def _split_sectors(
             f"charge factors of sizes {a_site.shape[0]} and {b_site.shape[0]} do "
             f"not factor the dimension {n}"
         )
-    qa, va = _site_eig(a_site, tol)
-    qb, vb = _site_eig(b_site, tol)
+    for f in (a_site, b_site):
+        if not np.isfinite(f).all():
+            raise ValueError("charge factor entries must be finite")
+        require_hermitian(f, tol)
+    (qa, va, _, _), (qb, vb, _, _) = _solved(
+        [_symmetrized(f) for f in (a_site, b_site)],
+        [_SITE_TOL * frobenius_norm(f) for f in (a_site, b_site)],
+        DEFAULT_MAX_SWEEPS,
+        ["", ""],
+    )
     # m as a 4-tensor (a, b, c, d), rows (a, b) and columns (c, d): a
     # product with A x I or I x B contracts one index with a single-site
     # factor, at a fraction of the cost of a dense n x n product
@@ -322,19 +320,15 @@ def _sector_jacobi(
     """Jacobi on all sectors of ``m`` at once, each to tol times its own norm."""
     w, sectors, blocks, leak, commutator = _split_sectors(m, charge, tol, stop)
     stops = [tol * frobenius_norm(block) for block in blocks]
-    solved = _jacobi_stack(blocks, stops, max_sweeps)
+    names = [
+        f"sector of charge 2(qa+qb) = {label} (width {idx.size}): "
+        for label, idx in sectors.items()
+    ]
+    solved = _solved(blocks, stops, max_sweeps, names)
     n = m.shape[0]
     values = np.empty(n)
     vectors = np.empty((n, n), dtype=np.complex128)
-    for (label, idx), block_stop, (diagonal, rotations, _, off) in zip(
-        sectors.items(), stops, solved
-    ):
-        if off > block_stop:
-            raise ConvergenceError(
-                f"sector of charge 2(qa+qb) = {label} (width {idx.size}): "
-                f"off-diagonal norm {off:.3e} still above {block_stop:.3e} "
-                f"after {max_sweeps} sweeps"
-            )
+    for idx, (diagonal, rotations, _, _) in zip(sectors.values(), solved):
         values[idx] = diagonal
         vectors[:, idx] = w[:, idx] @ rotations
     return values, vectors, max(sweeps for _, _, sweeps, _ in solved), leak, commutator
@@ -352,18 +346,16 @@ def _finish(
     n = m.shape[0]
     order = np.argsort(values, kind="stable")
     values = values[order]
-    vectors = vectors[:, order].copy()
-    for k in range(n):
-        col = vectors[:, k]
-        lead = int(np.argmax(np.abs(col)))
-        mag = abs(col[lead])
-        if mag > 0.0:
-            vectors[:, k] = col * (col[lead].conjugate() / mag)
+    vectors = vectors[:, order]
     if n:
-        deltas = m @ vectors - vectors * values[np.newaxis, :]
-        residual = float(np.max(np.linalg.norm(deltas, axis=0)))
-    else:
-        residual = 0.0
+        # each column's first largest-magnitude entry becomes real and positive
+        lead = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(n)]
+        mag = np.abs(lead)
+        vectors = vectors * np.divide(
+            lead.conj(), mag, out=np.ones(n, dtype=np.complex128), where=mag > 0.0
+        )
+    deltas = m @ vectors - vectors * values
+    residual = float(np.max(np.linalg.norm(deltas, axis=0), initial=0.0))
     values.flags.writeable = False
     vectors.flags.writeable = False
     return EigDecomposition(
@@ -382,16 +374,17 @@ def hermitian_eig(
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
     charge: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> EigDecomposition:
-    """Diagonalize a Hermitian matrix with cyclic complex Jacobi sweeps.
+    """Diagonalize a Hermitian matrix with round-robin complex Jacobi sweeps.
 
     Stops once the off-diagonal Frobenius norm is <= tol * ||m||_F; raises
     :class:`ConvergenceError` if that does not happen within ``max_sweeps``
-    full sweeps.  Pivots already below the stop threshold scaled by 1/(10 n)
-    are skipped; the convergence check always measures the true remaining
-    off-diagonal mass, so skipping never masks a miss.  Inputs within the
-    hermiticity tolerance are symmetrized once, on entry (full route) or once
-    rotated into the charge basis (sector route); the reported residual is
-    still taken against the original matrix.
+    full sweeps.  Without a charge, ``m`` is swept whole, as a one-block
+    stack of the Jacobi kernel.  Pivots at or below the stop threshold
+    scaled by 1/(10 n) are skipped; the convergence check always measures
+    the true remaining off-diagonal mass, so skipping never masks a miss.
+    Inputs within the hermiticity tolerance are symmetrized once, on entry
+    (full route) or once rotated into the charge basis (sector route); the
+    reported residual is still taken against the original matrix.
 
     ``charge = (A, B)`` selects the sector route: single-site Hermitian
     factors whose sum A x I + I x B should commute with ``m``.  Both factors
@@ -424,7 +417,10 @@ def hermitian_eig(
         )
     stop = tol * norm
     if charge is None:
-        return _finish(m, *_jacobi(_symmetrized(m), stop, max_sweeps))
+        ((values, vectors, sweeps, _),) = _solved(
+            [_symmetrized(m)], [stop], max_sweeps, [""]
+        )
+        return _finish(m, values, vectors, sweeps)
     return _finish(m, *_sector_jacobi(m, charge, tol, stop, max_sweeps))
 
 

@@ -532,6 +532,23 @@ def test_arithmetic_failures_end_in_an_exit_code(argv, capsys):
         assert err.startswith("error:")
 
 
+def test_subnormal_tol_ends_silently_in_an_exit_code():
+    # a subnormal pivot once overflowed the Jacobi step: under -W error
+    # that was a RuntimeWarning traceback and exit 1
+    result = subprocess.run(
+        [
+            sys.executable, "-W", "error", "-m", "spintool.cli", "spectrum",
+            "--spin", "3", "--hamiltonian", "H", "--tol", "1e-310",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode in (0, 3), result.stderr
+    assert "Warning" not in result.stderr and "Traceback" not in result.stderr
+    if result.returncode == 0:
+        assert result.stdout.splitlines()[-1].startswith("verdict=")
+
+
 def test_file_and_built_operator_routes_agree(run_cli, tmp_path):
     k = cli.build_cyclic(cli.HalfInteger(3)).matrix
     path = tmp_path / "k.txt"
