@@ -1,4 +1,4 @@
-"""Hermitian eigensolver built on complex Jacobi rotations in round-robin order.
+"""Hermitian eigensolver built on Jacobi rotations in round-robin order.
 
 The solver repeatedly annihilates off-diagonal pivots a[p, q] with 2 x 2
 unitary rotations until the off-diagonal Frobenius mass falls below a
@@ -32,6 +32,18 @@ one batched row update and one batched column update.  One kernel,
 stack of blocks, each to its own stop.  The full route is a one-block
 stack, the two charge factors a two-block stack, and the sectors are
 stacked by width.
+
+Arithmetic
+----------
+The kernel runs in the dtype of its blocks.  A matrix, or a charge factor,
+whose imaginary parts are all exactly 0 is taken as float64 on entry, so
+its blocks, rotations and vectors are real and the rotation's phase e is
+the sign of the pivot; any other input stays complex128.  The test is
+exact, never a tolerance: an imaginary part of 1e-300 keeps the complex
+path.  H, its charge factors (S3, S3) and its rotation W = I are exactly
+real and take the real path throughout, including the residual; K is
+complex, and only its real factors (S3, S1) run in float64.  Either way the
+decomposition holds complex128 vectors, pinned and measured as below.
 
 Sector route
 ------------
@@ -111,8 +123,21 @@ class EigDecomposition:
         return self.values.shape[0]
 
 
-def _symmetrized(m: np.ndarray) -> np.ndarray:
-    a = np.asarray(m, dtype=np.complex128)
+def _exact_dtype(m: np.ndarray) -> np.ndarray:
+    """``m`` as float64 if every imaginary part is exactly 0, else as complex128.
+
+    The test is exact, never a tolerance, so only exactly real input takes
+    real arithmetic; a complex128 matrix with an imaginary part is returned
+    without a copy.
+    """
+    a = np.asarray(m)
+    if np.iscomplexobj(a) and not a.imag.any():
+        # contiguous, so that products of it go to BLAS
+        return np.ascontiguousarray(a.real, dtype=np.float64)
+    return a.astype(np.complex128 if np.iscomplexobj(a) else np.float64, copy=False)
+
+
+def _symmetrized(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().T) / 2.0
 
 
@@ -137,7 +162,10 @@ def _jacobi_stack(
     """Round-robin Jacobi sweeps on a list of exactly Hermitian blocks at once.
 
     The blocks are zero-padded into one stack of even width w >= 2, each
-    beside its accumulated V^H.  A block runs while its off-diagonal norm,
+    beside its accumulated V^H.  The stack takes the dtype of the blocks:
+    float64 when every block is a real array, so its rotations and V are
+    real, and complex128 otherwise; exactness is decided by the caller (see
+    ``_exact_dtype``).  A block runs while its off-diagonal norm,
     taken at the start of each sweep, is above its stop.  A pivot at or
     below stop / (10 n), n the block's own width, is idle: its rotation is
     the identity.  So is every padding pivot, which is exactly 0.
@@ -154,7 +182,8 @@ def _jacobi_stack(
     width = max(widest + widest % 2, 2)
     half = width // 2
     # [A | V^H]: the row update A <- J^H A also gives V^H <- J^H V^H
-    aug = np.zeros((sizes.size, width, 2 * width), dtype=np.complex128)
+    dtype = np.result_type(np.float64, *blocks)
+    aug = np.zeros((sizes.size, width, 2 * width), dtype=dtype)
     for j, block in enumerate(blocks):
         aug[j, : sizes[j], : sizes[j]] = block
     aug[:, np.arange(width), width + np.arange(width)] = 1.0
@@ -182,17 +211,18 @@ def _jacobi_stack(
             app = x[:, p, p].real
             aqq = x[:, q, q].real
             # t = sign(tau) / (|tau| + hypot(1, tau)) with tau = d / (2 b),
-            # and e = conj(pivot) / b by real quotients
+            # and e = conj(pivot) / b by real quotients, one per real part
             d = aqq - app
             t = np.copysign(2.0 * b, d) / (np.abs(d) + np.hypot(2.0 * b, d))
-            e = pivot.conj()
+            e = np.conjugate(pivot)
             e.real /= b
-            e.imag /= b
+            if np.iscomplexobj(e):
+                e.imag /= b
             # idle pivots get the identity rotation c = 1, s = 0, e = 1
             t[idle] = 0.0
             e[idle] = 1.0
-            # complex c and s keep the updates below free of casts
-            c = (1.0 / np.hypot(1.0, t)).astype(np.complex128)
+            # c and s in the stack's dtype keep the updates below free of casts
+            c = (1.0 / np.hypot(1.0, t)).astype(dtype)
             s = t * c
             se, ce = s * e, c * e
             rows = x.reshape(-1, half, 2, 2 * width)
@@ -277,6 +307,7 @@ def _split_sectors(
         if not np.isfinite(f).all():
             raise ValueError("charge factor entries must be finite")
         require_hermitian(f, tol)
+    a_site, b_site = _exact_dtype(a_site), _exact_dtype(b_site)
     (qa, va, _, _), (qb, vb, _, _) = _solved(
         [_symmetrized(f) for f in (a_site, b_site)],
         [_SITE_TOL * frobenius_norm(f) for f in (a_site, b_site)],
@@ -327,7 +358,7 @@ def _sector_jacobi(
     solved = _solved(blocks, stops, max_sweeps, names)
     n = m.shape[0]
     values = np.empty(n)
-    vectors = np.empty((n, n), dtype=np.complex128)
+    vectors = np.empty((n, n), dtype=np.result_type(w, *(v for _, v, _, _ in solved)))
     for idx, (diagonal, rotations, _, _) in zip(sectors.values(), solved):
         values[idx] = diagonal
         vectors[:, idx] = w[:, idx] @ rotations
@@ -342,7 +373,11 @@ def _finish(
     leak: float = 0.0,
     commutator: float = 0.0,
 ) -> EigDecomposition:
-    """Sort ascending, pin phases and measure residuals against ``m``."""
+    """Sort ascending, pin phases and measure residuals against ``m``.
+
+    ``m`` and ``vectors`` may both be real; the vectors are returned as
+    complex128 either way.
+    """
     n = m.shape[0]
     order = np.argsort(values, kind="stable")
     values = values[order]
@@ -352,10 +387,11 @@ def _finish(
         lead = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(n)]
         mag = np.abs(lead)
         vectors = vectors * np.divide(
-            lead.conj(), mag, out=np.ones(n, dtype=np.complex128), where=mag > 0.0
+            lead.conj(), mag, out=np.ones(n, dtype=vectors.dtype), where=mag > 0.0
         )
     deltas = m @ vectors - vectors * values
     residual = float(np.max(np.linalg.norm(deltas, axis=0), initial=0.0))
+    vectors = vectors.astype(np.complex128, copy=False)
     values.flags.writeable = False
     vectors.flags.writeable = False
     return EigDecomposition(
@@ -374,7 +410,7 @@ def hermitian_eig(
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
     charge: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> EigDecomposition:
-    """Diagonalize a Hermitian matrix with round-robin complex Jacobi sweeps.
+    """Diagonalize a Hermitian matrix with round-robin Jacobi sweeps.
 
     Stops once the off-diagonal Frobenius norm is <= tol * ||m||_F; raises
     :class:`ConvergenceError` if that does not happen within ``max_sweeps``
@@ -384,7 +420,9 @@ def hermitian_eig(
     the true remaining off-diagonal mass, so skipping never masks a miss.
     Inputs within the hermiticity tolerance are symmetrized once, on entry
     (full route) or once rotated into the charge basis (sector route); the
-    reported residual is still taken against the original matrix.
+    reported residual is still taken against the original matrix.  A matrix
+    whose imaginary parts are all exactly 0 is swept in real arithmetic,
+    any other in complex; the vectors are complex128 either way.
 
     ``charge = (A, B)`` selects the sector route: single-site Hermitian
     factors whose sum A x I + I x B should commute with ``m``.  Both factors
@@ -407,6 +445,7 @@ def hermitian_eig(
         raise ValueError(f"tol must be positive, got {tol}")
     if max_sweeps < 0:
         raise ValueError(f"max_sweeps must be non-negative, got {max_sweeps}")
+    m = _exact_dtype(m)
     require_hermitian(m, tol)
 
     with np.errstate(over="ignore"):

@@ -8,6 +8,8 @@ are never mutated, and arrays returned by constructors are marked read-only.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -135,9 +137,18 @@ def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def hermiticity_defect(a: np.ndarray) -> float:
-    """Frobenius norm of a - adjoint(a)."""
+    """Frobenius norm of a - adjoint(a).
+
+    Taken from the parts, sqrt(||Re a - Re a^T||^2 + ||Im a + Im a^T||^2),
+    so no complex temporary is built; a real matrix has no second term.  A
+    NaN or an infinity in ``a`` gives a NaN or infinite defect, silently.
+    """
     a = require_square(a, "hermiticity is defined for square matrices")
-    return float(np.linalg.norm(a - a.conj().T))
+    with np.errstate(invalid="ignore", over="ignore"):
+        defect = float(np.linalg.norm(a.real - a.real.T))
+        if np.iscomplexobj(a):
+            defect = math.hypot(defect, float(np.linalg.norm(a.imag + a.imag.T)))
+    return defect
 
 
 def require_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> None:

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -277,11 +278,63 @@ def _assert_same_text(found, expected):
         )
 
 
-@pytest.mark.parametrize("spin, hamiltonian", [("1/2", "K"), ("2", "K"), ("12", "H")])
+@pytest.mark.parametrize(
+    "spin, hamiltonian", [("1/2", "K"), ("2", "K"), ("6", "K"), ("12", "H")]
+)
 def test_gate_json_is_byte_exact(spin, hamiltonian):
     argv = ["--spin", spin, "--hamiltonian", hamiltonian, "--theta", "0.7", "--check"]
     report = _gate_report(*argv)
     _assert_same_text(cli._render_json(report), _dumps_with_pairs(report))
+
+
+def _reference_csv(report):
+    """The csv of a gate report, one format_complex call per cell."""
+    m = report["matrix"]
+    lines = [",".join(f"col{j}" for j in range(report["dimension"]))]
+    lines += [",".join(cli.format_complex(z) for z in row) for row in m.tolist()]
+    return "\n".join(lines) + "\n"
+
+
+def _reference_plain(report):
+    """The plain text of a gate report, one format_complex call per cell.
+
+    The lines around the matrix are those of the same report with no rows.
+    """
+    m = report["matrix"]
+    around = cli._render_plain({**report, "matrix": m[:0]}).splitlines()
+    rows = [" ".join(cli.format_complex(z) for z in row) for row in m.tolist()]
+    return "\n".join(around[:-1] + rows + around[-1:]) + "\n"
+
+
+@pytest.mark.parametrize("spin, hamiltonian", [("2", "K"), ("12", "H")])
+def test_gate_csv_and_plain_are_byte_exact(spin, hamiltonian):
+    argv = ["--spin", spin, "--hamiltonian", hamiltonian, "--theta", "0.7", "--check"]
+    report = _gate_report(*argv)
+    _assert_same_text(cli._render_csv(report), _reference_csv(report))
+    _assert_same_text(cli._render_plain(report), _reference_plain(report))
+
+
+def test_gate_zero_and_signed_zero_entries_in_every_format():
+    # only an entry whose parts are both +0.0, bit for bit, may take the
+    # shared zero text: (+0.0, -0.0) keeps its -0.0 in json, and (-0.0, +0.0)
+    # and (-0.0, -0.0) keep theirs in csv and plain
+    z, nz = 0.0, -0.0
+    report = _gate_report("--spin", "1/2", "--theta", "1.0", "--check")
+    report["matrix"] = np.array(
+        [
+            [complex(z, z)] * 4,
+            [complex(z, nz), complex(nz, z), complex(nz, nz), complex(z, z)],
+            [complex(5e-324, -1e16), complex(-0.1, 2.5), complex(1e300, z), complex(z, -1.0)],
+            [complex(z, 1.0), complex(z, z), complex(-2.5, nz), complex(z, z)],
+        ]
+    )
+    _assert_same_text(cli._render_json(report), _dumps_with_pairs(report))
+    csv_text = cli._render_csv(report)
+    _assert_same_text(csv_text, _reference_csv(report))
+    _assert_same_text(cli._render_plain(report), _reference_plain(report))
+    assert csv_text.splitlines()[2] == "0.0+0.0i,-0.0+0.0i,-0.0+0.0i,0.0+0.0i"
+    pairs = json.loads(cli._render_json(report))["matrix"]
+    assert [math.copysign(1.0, x) for x in pairs[1][0]] == [1.0, -1.0]
 
 
 def test_gate_json_of_edge_entries_is_byte_exact():

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from spintool import eig
 from spintool.cli import _CLOSED_FORM_TOL
 from spintool.eig import (
     ConvergenceError,
@@ -131,6 +132,16 @@ def test_overflowing_norm_is_a_numerical_error():
 
 
 def _stack_cases(case):
+    if case == "real":
+        # real symmetric blocks run the float64 stack: widths in scrambled
+        # order, a diagonal block and a 5 x 5 block padded with zeros to 9 x 9
+        rng = np.random.default_rng(2025)
+        blocks = [_random_hermitian(rng, n).real for n in (4, 9, 1, 6, 3)]
+        blocks.append(np.diag(rng.standard_normal(5)))
+        padded = np.zeros((9, 9))
+        padded[:5, :5] = _random_hermitian(rng, 5).real
+        blocks.append(padded)
+        return blocks, [DEFAULT_TOL * frobenius_norm(b) for b in blocks]
     if case == "random":
         # widths 1..9 in scrambled order, a block that is already diagonal,
         # and a 5 x 5 block padded with zeros to 9 x 9 like the stack pads it
@@ -157,7 +168,7 @@ def _stack_cases(case):
     return blocks, [0.5, 0.5, 0.5]
 
 
-@pytest.mark.parametrize("case", ["random", "thresholds"])
+@pytest.mark.parametrize("case", ["random", "thresholds", "real"])
 def test_stack_solves_each_block(case):
     blocks, stops = _stack_cases(case)
     blocks = [_symmetrized(block) for block in blocks]
@@ -170,6 +181,8 @@ def test_stack_solves_each_block(case):
         np.testing.assert_array_equal(block, kept)
         n = block.shape[0]
         assert diagonal.shape == (n,) and v.shape == (n, n)
+        # the stack runs in the blocks' dtype: real blocks get real rotations
+        assert v.dtype == (np.float64 if case == "real" else np.complex128)
         assert off <= stop
         # by Weyl's bound the values and the residual are within the
         # off-diagonal mass left over, plus rounding
@@ -212,15 +225,31 @@ def test_stack_reports_blocks_that_run_out_of_sweeps():
     assert solved[0][3] > stops[0] and solved[1][3] <= stops[1]
 
 
+@pytest.fixture
+def stack_dtypes(monkeypatch):
+    """The dtype of every stack the Jacobi kernel runs, in call order."""
+    seen = []
+    kernel = eig._jacobi_stack
+
+    def spy(blocks, stops, max_sweeps):
+        seen.append(np.result_type(*blocks))
+        return kernel(blocks, stops, max_sweeps)
+
+    monkeypatch.setattr(eig, "_jacobi_stack", spy)
+    return seen
+
+
 @pytest.mark.parametrize("route", ["sectors", "full"])
-def test_subnormal_tol_stays_finite_and_silent(route):
+def test_subnormal_tol_stays_finite_and_silent(route, stack_dtypes):
     # stop near 1e-308 leaves subnormal pivots above the skip threshold;
-    # tau = d / (2 b) and pivot / b once overflowed there
+    # tau = d / (2 b) and pivot / b once overflowed there.  H is exactly
+    # real, so this runs the float64 stack.
     ham = build_heisenberg(HalfInteger(6))
     charge = ham.charge if route == "sectors" else None
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         dec = hermitian_eig(ham.matrix, tol=1e-310, charge=charge)
+    assert set(stack_dtypes) == {np.dtype(np.float64)}
     n = ham.dimension
     scale = max(1.0, frobenius_norm(ham.matrix))
     np.testing.assert_allclose(
@@ -244,6 +273,84 @@ def test_stack_rotates_a_subnormal_pivot_silently():
     np.testing.assert_allclose(
         v, np.diag([1.0, 0.6 - 0.8j, 1.0, 1.0]), rtol=0, atol=1e-15
     )
+
+
+def test_stack_rotates_a_real_subnormal_pivot_silently():
+    # the float64 stack divides the pivot by b once, for e = sign(pivot)
+    block = np.diag([1.0, 2.0, 3.0, 5.0])
+    block[0, 1] = block[1, 0] = -5e-310
+    block[2, 3] = block[3, 2] = 1e-100
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ((diagonal, v, sweeps, off),) = _jacobi_stack([block], [0.0], 100)
+    assert (sweeps, off) == (1, 0.0)
+    assert v.dtype == np.float64
+    np.testing.assert_array_equal(diagonal, [1.0, 2.0, 3.0, 5.0])
+    np.testing.assert_allclose(v, np.diag([1.0, -1.0, 1.0, 1.0]), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "twice, route", [(3, "sectors"), (8, "sectors"), (24, "sectors"), (4, "full")]
+)
+def test_exactly_real_input_runs_real_arithmetic(twice, route, stack_dtypes):
+    # H, its charge factors and its rotation are exactly real, so every stack
+    # is float64; the decomposition keeps its complex128 contract
+    ham = build_heisenberg(HalfInteger(twice))
+    assert not ham.matrix.imag.any() and ham.matrix.dtype == np.complex128
+    charge = ham.charge if route == "sectors" else None
+    dec = hermitian_eig(ham.matrix, charge=charge)
+    assert stack_dtypes and set(stack_dtypes) == {np.dtype(np.float64)}
+    assert dec.vectors.dtype == np.complex128 and not dec.vectors.imag.any()
+    assert dec.values.dtype == np.float64
+    n = ham.dimension
+    scale = max(1.0, frobenius_norm(ham.matrix))
+    np.testing.assert_allclose(
+        dec.values, np.linalg.eigvalsh(ham.matrix), atol=1e-10 * n * scale
+    )
+    # the residual is taken against the complex input, column by column
+    rebuilt = ham.matrix @ dec.vectors - dec.vectors * dec.values
+    measured = np.linalg.norm(rebuilt, axis=0).max()
+    assert dec.residual == pytest.approx(measured, rel=0, abs=1e-13 * scale)
+    assert dec.residual <= 1e-10 * n * scale
+    gram = dec.vectors.conj().T @ dec.vectors
+    assert frobenius_norm(gram - np.eye(n)) <= 1e-10 * n
+    # phases: each column's first largest-magnitude entry is real and positive
+    lead = dec.vectors[np.argmax(np.abs(dec.vectors), axis=0), np.arange(n)]
+    assert (lead.real > 0.0).all() and not lead.imag.any()
+    if twice == 24:
+        assert dec.sweeps <= 8
+
+
+@pytest.mark.parametrize("route", ["sectors", "full"])
+def test_a_tiny_imaginary_part_takes_the_complex_path(route, stack_dtypes):
+    # the real path is chosen by an exact test, not a tolerance: one
+    # Hermitian pair of 1e-300j entries sends H down the complex stack
+    ham = build_heisenberg(HalfInteger(8))
+    charge = ham.charge if route == "sectors" else None
+    real = hermitian_eig(ham.matrix, charge=charge)
+    assert set(stack_dtypes) == {np.dtype(np.float64)}
+    del stack_dtypes[:]
+    m = ham.matrix.copy()
+    m[0, 1] += 1e-300j
+    m[1, 0] -= 1e-300j
+    dec = hermitian_eig(m, charge=charge)
+    assert np.dtype(np.complex128) in stack_dtypes
+    n = ham.dimension
+    scale = max(1.0, frobenius_norm(ham.matrix))
+    np.testing.assert_allclose(dec.values, real.values, rtol=0, atol=1e-10 * n * scale)
+    np.testing.assert_allclose(
+        dec.values, np.linalg.eigvalsh(ham.matrix), atol=1e-10 * n * scale
+    )
+    assert dec.residual <= 1e-10 * n * scale
+
+
+def test_complex_input_keeps_the_complex_stack(stack_dtypes):
+    # K is complex; its charge factors S3 and S1 are real, so only they run
+    # the float64 stack
+    ham = build_cyclic(HalfInteger(4))
+    hermitian_eig(ham.matrix, charge=ham.charge)
+    assert stack_dtypes[0] == np.float64
+    assert set(stack_dtypes[1:]) == {np.dtype(np.complex128)}
 
 
 def test_finish_pins_the_first_largest_component():

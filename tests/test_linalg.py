@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -146,3 +148,60 @@ def test_require_hermitian_rejects_nan():
     # the defect is NaN, which compares False against any bound
     with pytest.raises(HermiticityError):
         require_hermitian([[1.0, np.nan], [2.0, 1.0]])
+
+
+@pytest.mark.parametrize("dtype", [complex, float])
+def test_hermiticity_defect_matches_the_complex_difference(dtype):
+    # the defect is taken from the real and imaginary parts; it must equal
+    # the norm of the complex difference a - a^H up to rounding
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 7, 30):
+        a, _ = _random_pair(rng, n)
+        a = a.astype(dtype) if dtype is complex else a.real.copy()
+        expected = np.linalg.norm(a - a.conj().T)
+        assert hermiticity_defect(a) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "entry, where",
+    [
+        (np.nan, (0, 1)),
+        (complex(0.0, np.nan), (0, 1)),
+        (complex(0.0, np.nan), (1, 1)),
+        (np.inf, (0, 0)),
+        (complex(1.0, np.inf), (1, 0)),
+        (complex(-np.inf, 0.0), (1, 1)),
+    ],
+    ids=["nan-real", "nan-imag", "nan-imag-diagonal", "inf-real", "inf-imag", "-inf-diagonal"],
+)
+def test_require_hermitian_rejects_non_finite_entries(entry, where):
+    # silently: inf - inf is NaN, and the defect then fails every bound
+    m = np.array([[1.0, 2.0 - 1j], [2.0 + 1j, 3.0]])
+    m[where] = entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(HermiticityError):
+            require_hermitian(m)
+        # also when the mirrored entry holds the conjugate
+        m[where[::-1]] = np.conj(entry)
+        with pytest.raises(HermiticityError):
+            require_hermitian(m)
+
+
+@pytest.mark.parametrize("part", [1.0, 1j], ids=["real", "imaginary"])
+def test_require_hermitian_keeps_its_tol_times_dim_bound(part):
+    # an asymmetry of 1e-12 in one entry gives the defect sqrt(2) * 1e-12,
+    # inside the bound 1e-12 * 2; 2e-12 gives 2.83e-12, outside it
+    m = np.array([[1.0, 2.0 - 1j], [2.0 + 1j, 3.0]])
+    near = m.copy()
+    near[0, 1] += 1e-12 * part
+    assert hermiticity_defect(near) == pytest.approx(np.sqrt(2.0) * 1e-12, rel=1e-3)
+    require_hermitian(near)
+    require_hermitian(near.real if part == 1.0 else near, 1e-12)
+    far = m.copy()
+    far[0, 1] += 2e-12 * part
+    with pytest.raises(HermiticityError):
+        require_hermitian(far)
+    # moments checks at 1e-10, so a 1e-11 asymmetry there passes
+    far[0, 1] += 1e-11 * part
+    require_hermitian(far, 1e-10)
