@@ -557,9 +557,12 @@ _PAIR = "[\n        %r,\n        %r\n      ]"
 _ZERO_PAIR = _PAIR % (0.0, 0.0)
 
 
-def _matrix_json(m: np.ndarray) -> str:
+def _matrix_json(m: np.ndarray) -> list[str]:
     """The complex matrix m as json.dumps(indent=2) writes its [re, im] pairs.
 
+    Returns one string per row, each ending in the separator that follows
+    it, so that the pieces written one after another between "[\n    " and
+    "\n  ]" give json's text; they are never joined into one string.
     json.dumps takes its C encoder only without indent, so the report's
     largest field is written here, one %-template per row.  A row's
     template holds the fixed text of its +0.0 entries and a %r pair for
@@ -576,29 +579,36 @@ def _matrix_json(m: np.ndarray) -> str:
         value = float(flat[~finite][0])
         raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
     pairs = flat.reshape(*m.shape, 2)
+    last = m.shape[0] - 1
     dense = "[\n      " + ",\n      ".join([_PAIR] * m.shape[1]) + "\n    ]"
 
     def row(i: int) -> str:
+        end = "" if i == last else ",\n    "
         keep = _kept_entries(m[i])
         if keep.size == m.shape[1]:
-            return dense % tuple(flat[i].tolist())
+            return (dense + end) % tuple(flat[i].tolist())
         cells = [_ZERO_PAIR] * m.shape[1]
         for j in keep.tolist():
             cells[j] = _PAIR
-        template = "[\n      " + ",\n      ".join(cells) + "\n    ]"
+        template = "[\n      " + ",\n      ".join(cells) + "\n    ]" + end
         return template % tuple(pairs[i][keep].ravel().tolist())
 
-    return "[\n    " + ",\n    ".join(row(i) for i in range(m.shape[0])) + "\n  ]"
+    return [row(i) for i in range(m.shape[0])]
 
 
-def _render_json(report: dict) -> str:
+def _render_json(report: dict) -> list[str]:
+    """The report as json.dumps(indent=2) writes it, in pieces.
+
+    A gate report comes as its head, one piece per matrix row and its tail
+    (see ``_matrix_json``); any other report as one piece.
+    """
     if report["command"] != "gate":
-        return json.dumps(report, indent=2, allow_nan=False) + "\n"
+        return [json.dumps(report, indent=2, allow_nan=False) + "\n"]
     text = json.dumps({**report, "matrix": None}, indent=2, allow_nan=False)
     # json escapes line breaks in strings, so no string can hold this text
     head, tail = text.split('\n  "matrix": null')
-    matrix = _matrix_json(report["matrix"])
-    return "".join([head, '\n  "matrix": ', matrix, tail, "\n"])
+    rows = _matrix_json(report["matrix"])
+    return [head + '\n  "matrix": [\n    ', *rows, "\n  ]" + tail + "\n"]
 
 
 def _render_csv(report: dict) -> str:
@@ -653,7 +663,12 @@ def _render_plain(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-_RENDERERS = {"json": _render_json, "csv": _render_csv, "plain": _render_plain}
+# each renderer's output as a list of pieces, for writelines
+_RENDERERS = {
+    "json": _render_json,
+    "csv": lambda report: [_render_csv(report)],
+    "plain": lambda report: [_render_plain(report)],
+}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -665,7 +680,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args.tol = _resolve_tol(args.tol)
         report = args.handler(args)
-        text = _RENDERERS[args.format](report)
+        pieces = _RENDERERS[args.format](report)
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -676,7 +691,8 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    sys.stdout.write(text)
+    # written only once rendering has finished, so an error writes nothing
+    sys.stdout.writelines(pieces)
     return EXIT_OK if report["verdict"] else EXIT_VERDICT
 
 

@@ -29,9 +29,10 @@ which every pair meets once, the circle ordering of Sameh (Math. Comp. 25,
 1971) and Brent & Luk (SIAM J. Sci. Stat. Comput. 6(1), 1985), so a round is
 one batched row update and one batched column update.  One kernel,
 ``_jacobi_stack``, serves every route: it sweeps a zero-padded (count, w, w)
-stack of blocks, each to its own stop.  The full route is a one-block
-stack, the two charge factors a two-block stack, and the sectors are
-stacked by width.
+stack of blocks, each to its own stop.  The full route stacks the
+connected components of the matrix's nonzero pattern (one block when the
+pattern does not split), the two charge factors are a two-block stack, and
+the sectors are stacked by width.
 
 Arithmetic
 ----------
@@ -58,6 +59,8 @@ about the charge is assumed: the commutator ||[M, Q]||_F and the leak, the
 norm of M' outside the sectors, are measured and reported, and a leak above
 the full route's stop threshold tol * ||M||_F is an error.  Both routes end
 in the same sorting, phase pinning and residual check against the original M.
+When the vectors keep to the components of M's pattern, as those of H do on
+either route, the residual M v - lambda v is taken block by block.
 """
 
 from __future__ import annotations
@@ -71,6 +74,8 @@ from .linalg import (
     DEFAULT_TOL,
     NumericalError,
     ShapeError,
+    column_blocks,
+    components,
     frobenius_norm,
     require_hermitian,
     require_square,
@@ -365,6 +370,37 @@ def _sector_jacobi(
     return values, vectors, max(sweeps for _, _, sweeps, _ in solved), leak, commutator
 
 
+def _component_jacobi(
+    m: np.ndarray, component: np.ndarray, tol: float, stop: float, max_sweeps: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Jacobi on the components of ``m``'s pattern at once, as separate blocks.
+
+    Each of several components is swept to tol times its own norm, which
+    keeps the total off-diagonal stop at ``stop`` = tol * ||m||_F, since no
+    nonzero links two components; a single component is swept whole, to
+    ``stop``.  The vectors are zero outside the components' blocks.
+    """
+    n = m.shape[0]
+    symmetric = _symmetrized(m)
+    sizes = np.bincount(component, minlength=1)
+    groups = np.split(np.argsort(component, kind="stable"), np.cumsum(sizes)[:-1])
+    if len(groups) == 1:
+        blocks, stops, names = [symmetric], [stop], [""]
+    else:
+        blocks = [symmetric[np.ix_(idx, idx)] for idx in groups]
+        stops = [tol * frobenius_norm(block) for block in blocks]
+        names = [
+            f"component {label} (width {idx.size}): " for label, idx in enumerate(groups)
+        ]
+    solved = _solved(blocks, stops, max_sweeps, names)
+    values = np.empty(n)
+    vectors = np.zeros((n, n), dtype=np.result_type(*(v for _, v, _, _ in solved)))
+    for idx, (diagonal, rotations, _, _) in zip(groups, solved):
+        values[idx] = diagonal
+        vectors[np.ix_(idx, idx)] = rotations
+    return values, vectors, max(sweeps for _, _, sweeps, _ in solved)
+
+
 def _finish(
     m: np.ndarray,
     values: np.ndarray,
@@ -372,11 +408,15 @@ def _finish(
     sweeps: int,
     leak: float = 0.0,
     commutator: float = 0.0,
+    component: np.ndarray | None = None,
 ) -> EigDecomposition:
     """Sort ascending, pin phases and measure residuals against ``m``.
 
     ``m`` and ``vectors`` may both be real; the vectors are returned as
-    complex128 either way.
+    complex128 either way.  ``component`` labels the components of ``m``'s
+    pattern (taken here when None); when every vector keeps to their
+    blocks, as :func:`linalg.column_blocks` tests exactly, m v - lambda v is
+    taken on their stack.
     """
     n = m.shape[0]
     order = np.argsort(values, kind="stable")
@@ -389,8 +429,16 @@ def _finish(
         vectors = vectors * np.divide(
             lead.conj(), mag, out=np.ones(n, dtype=vectors.dtype), where=mag > 0.0
         )
-    deltas = m @ vectors - vectors * values
-    residual = float(np.max(np.linalg.norm(deltas, axis=0), initial=0.0))
+    if component is None:
+        component = components(m)[0]
+    blocks = column_blocks(vectors, component)
+    if blocks is None:
+        deltas = m @ vectors - vectors * values
+    else:
+        rows, columns = blocks
+        v = rows.stack(vectors, columns)
+        deltas = rows.stack(m) @ v - v * values[columns.members][:, np.newaxis, :]
+    residual = float(np.max(np.linalg.norm(deltas, axis=-2), initial=0.0))
     vectors = vectors.astype(np.complex128, copy=False)
     values.flags.writeable = False
     vectors.flags.writeable = False
@@ -414,8 +462,11 @@ def hermitian_eig(
 
     Stops once the off-diagonal Frobenius norm is <= tol * ||m||_F; raises
     :class:`ConvergenceError` if that does not happen within ``max_sweeps``
-    full sweeps.  Without a charge, ``m`` is swept whole, as a one-block
-    stack of the Jacobi kernel.  Pivots at or below the stop threshold
+    full sweeps.  Without a charge, the connected components of ``m``'s
+    nonzero pattern are swept as separate blocks of the Jacobi kernel, each
+    to tol times its own norm, which keeps the total at tol * ||m||_F; a
+    component that runs out is named by its label and width in the
+    :class:`ConvergenceError`.  Pivots at or below the stop threshold
     scaled by 1/(10 n) are skipped; the convergence check always measures
     the true remaining off-diagonal mass, so skipping never masks a miss.
     Inputs within the hermiticity tolerance are symmetrized once, on entry
@@ -455,12 +506,13 @@ def hermitian_eig(
             "the Frobenius norm of the matrix overflows; rescale its entries"
         )
     stop = tol * norm
+    component = components(m)[0]
     if charge is None:
-        ((values, vectors, sweeps, _),) = _solved(
-            [_symmetrized(m)], [stop], max_sweeps, [""]
-        )
-        return _finish(m, values, vectors, sweeps)
-    return _finish(m, *_sector_jacobi(m, charge, tol, stop, max_sweeps))
+        values, vectors, sweeps = _component_jacobi(m, component, tol, stop, max_sweeps)
+        return _finish(m, values, vectors, sweeps, component=component)
+    return _finish(
+        m, *_sector_jacobi(m, charge, tol, stop, max_sweeps), component=component
+    )
 
 
 def verify_eigenpair(m: np.ndarray, vector: np.ndarray, value: float) -> float:

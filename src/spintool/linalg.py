@@ -4,11 +4,25 @@ Matrices are plain 2-D ``numpy.ndarray`` values of dtype ``complex128`` in
 row-major (C) element order; ``require_square`` is the package's one check
 that a lone matrix argument is square.  Every function here is pure: inputs
 are never mutated, and arrays returned by constructors are marked read-only.
+
+The block helpers at the end, which are not exported, are the package's one
+home for a matrix's nonzero pattern.  :func:`components` labels the
+connected components of the pattern, with no Python loop per link, and
+:class:`Blocks` gathers a matrix's diagonal blocks, one per component, into
+a zero-padded stack of shape (count, width, width) and scatters such a
+stack back into a dense array.  A product over a pattern that splits, such
+as that of H, which conserves total S3, then costs count * width^3 instead
+of n^3: 49 blocks of width at most 25 instead of one of 625 at 2s = 24.
+:func:`column_blocks` decides, exactly, whether the columns of a matrix of
+eigenvectors keep to those blocks, so that products with it may be taken
+blockwise too.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -162,3 +176,147 @@ def require_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> None:
         raise HermiticityError(
             f"matrix is not Hermitian: defect {defect:.3e} exceeds {bound:.3e}"
         )
+
+
+def components(
+    m: np.ndarray, odd: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """A connected-component label and a 0/1 parity per index of square m.
+
+    i and j are linked when m[i, j] or m[j, i] is nonzero; a NaN counts as
+    nonzero.  Components are labelled 0, 1, ... in the order of their lowest
+    index.  ``odd(i, j)`` takes the two index arrays of the links (i != j)
+    and marks some of them; the parity of an index is the number, mod 2, of
+    marked links along some path to it from its component's lowest index.
+    It is 0 everywhere without ``odd``, and the same for every path exactly
+    when no cycle holds an odd number of marked links.
+
+    The walk is label propagation with pointer jumping: in each round every
+    index takes the least (label, parity) that it and its neighbours offer,
+    labels starting as the indices themselves, and then jumps to its
+    label's label.  After r rounds an index's label is at most the lowest
+    index within r links of it, so the walk ends, when no label changes,
+    after at most the widest component's diameter plus one rounds; jumping
+    makes it far fewer (5 for H at 2s = 24, whose sectors are paths of up
+    to 25 indices).  Each round is a few numpy calls over the links.
+    """
+    n = m.shape[0]
+    linked = m != 0
+    # not in place: |= with its own transpose takes numpy's slow overlap path
+    linked = linked | linked.T
+    # every index offers itself, so every row holds a link
+    linked[np.diag_indices(n)] = True
+    if n and linked[0].all():
+        # a dense pattern, such as that of K's gate: one component, and the
+        # link from index 0 is a path to each index; this skips a walk over
+        # all n^2 links that would cost 5 ms at 2s = 24
+        parity = np.zeros(n, dtype=np.intp)
+        if odd is not None:
+            parity[1:] = odd(np.zeros(n - 1, dtype=np.intp), np.arange(1, n))
+        return np.zeros(n, dtype=np.intp), parity
+    rows, cols = np.divmod(np.flatnonzero(linked), n)
+    first = np.searchsorted(rows, np.arange(n))
+    flips = np.zeros(rows.size, dtype=np.intp)
+    if odd is not None:
+        other = rows != cols
+        flips[other] = odd(rows[other], cols[other])
+    # an index holds its (label, parity) as 2 label + parity, so that the
+    # least code offered to it carries the least label
+    code = 2 * np.arange(n)
+    while n:
+        offer = np.minimum.reduceat(code[cols] ^ flips, first)
+        # jump to the label's label, through the label: 2 label[label] +
+        # (parity of the step there ^ parity of the path to the label)
+        jumped = offer[offer >> 1] ^ (offer & 1)
+        done = np.array_equal(jumped >> 1, code >> 1)
+        code = jumped
+        if done:
+            break
+    label, parity = code >> 1, code & 1
+    roots = np.flatnonzero(label == np.arange(n))
+    return np.searchsorted(roots, label), parity
+
+
+@dataclass(frozen=True)
+class Blocks:
+    """Index sets labelled 0, 1, ..., count - 1, zero-padded to one width.
+
+    Row b of ``members`` lists the indices labelled b in ascending order in
+    its first slots, which ``filled`` marks; the other slots hold index 0
+    and contribute only zeros.  Build it with :meth:`of`.
+    """
+
+    members: np.ndarray
+    filled: np.ndarray
+
+    @classmethod
+    def of(cls, label: np.ndarray) -> Blocks | None:
+        """The blocks of a label per index, or None when stacking cannot pay.
+
+        That is when there are fewer than two labels, or when the stack of
+        shape (count, width, width) would hold more entries than the n x n
+        matrix, width being the largest label count.
+        """
+        n = label.size
+        sizes = np.bincount(label)
+        count, width = sizes.size, int(sizes.max(initial=0))
+        if count < 2 or count * width * width > n * n:
+            return None
+        filled = np.arange(width) < sizes[:, None]
+        members = np.zeros((count, width), dtype=np.intp)
+        members[filled] = np.argsort(label, kind="stable")
+        return cls(members, filled)
+
+    def stack(self, a: np.ndarray, columns: Blocks | None = None) -> np.ndarray:
+        """a's blocks, rows from these blocks and columns from ``columns``.
+
+        ``columns`` defaults to these blocks, which gives a's diagonal
+        blocks; it must have the same count and width.  The result is a new
+        array of shape (count, width, width), zero in the padding.
+        """
+        if columns is None:
+            columns = self
+        stack = a[self.members[:, :, None], columns.members[:, None, :]]
+        stack[~(self.filled[:, :, None] & columns.filled[:, None, :])] = 0
+        return stack
+
+    def scatter(self, stack: np.ndarray) -> np.ndarray:
+        """The n x n array holding ``stack``'s diagonal blocks, zero elsewhere.
+
+        The inverse of :meth:`stack` for a matrix with no nonzero outside
+        its blocks; the padding of ``stack`` is not read.
+        """
+        n = int(np.count_nonzero(self.filled))
+        inside = self.filled[:, :, None] & self.filled[:, None, :]
+        rows = np.broadcast_to(self.members[:, :, None], inside.shape)[inside]
+        cols = np.broadcast_to(self.members[:, None, :], inside.shape)[inside]
+        out = np.zeros((n, n), dtype=stack.dtype)
+        out[rows, cols] = stack[inside]
+        return out
+
+
+def column_blocks(v: np.ndarray, label: np.ndarray) -> tuple[Blocks, Blocks] | None:
+    """Blocks of v's rows and of its columns, when v keeps to the row blocks.
+
+    ``label`` labels v's rows.  A column keeps to them when all its nonzeros
+    (a NaN counts as one) lie in rows of one label, which it then takes.
+    Returns the row blocks and the column blocks when every column keeps to
+    them and each label has as many columns as rows, as for the eigenvectors
+    of a matrix whose pattern ``label`` splits; v is then block diagonal
+    over the pairs, and a product with v may be taken on their stack.  None
+    otherwise, or when :meth:`Blocks.of` finds no gain.  The test is exact:
+    one stray nonzero of 1e-300 is enough for None.
+    """
+    rows = Blocks.of(label)
+    if rows is None:
+        return None
+    count = rows.members.shape[0]
+    nonzero = v != 0
+    low = np.where(nonzero, label[:, None], count).min(axis=0)
+    high = np.where(nonzero, label[:, None], -1).max(axis=0)
+    # a zero column has low = count and high = -1, so it fails the test too
+    if np.any(low != high):
+        return None
+    if np.any(np.bincount(low, minlength=count) != rows.filled.sum(axis=1)):
+        return None
+    return rows, Blocks.of(low)

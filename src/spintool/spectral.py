@@ -32,8 +32,10 @@ import numpy as np
 from .eig import DEFAULT_MAX_SWEEPS, hermitian_eig
 from .linalg import (
     DEFAULT_TOL,
+    Blocks,
     NumericalError,
     ShapeError,
+    components,
     frobenius_norm,
     require_hermitian,
     require_square,
@@ -137,11 +139,12 @@ def moments(m: np.ndarray, kmax: int) -> np.ndarray:
     split, so tr(m^k) is the sum of the blocks' traces.  The blocks are
     zero-padded to the widest one and stacked, shape (count, width, width),
     whenever there are at least two and the stack holds no more entries
-    than the matrix (count * width^2 <= dim^2); otherwise the matrix itself
-    is powered.  A product then costs count * width^3 multiply-adds,
-    padding included, instead of dim^3: the exchange operator H, whose
-    pattern splits into the 4s+1 sectors of total S3, costs 49 products of
-    width at most 25 at 2s = 24 instead of one of width 625.
+    than the matrix (count * width^2 <= dim^2, see :class:`linalg.Blocks`);
+    otherwise the matrix itself is powered.  A product then costs
+    count * width^3 multiply-adds, padding included, instead of dim^3: the
+    exchange operator H, whose pattern splits into the 4s+1 sectors of
+    total S3, costs 49 products of width at most 25 at 2s = 24 instead of
+    one of width 625.
 
     The running power is kept as P_j = m^j * 2^(-e_j) with ||P_j||_F near 1,
     so no intermediate overflows and every rescaling is exact.  Each product
@@ -160,7 +163,9 @@ def moments(m: np.ndarray, kmax: int) -> np.ndarray:
         # log2 of the bound 1e-8 * dim * max(1, ||m||_F)^k is drift + k * growth
         drift = math.log2(1e-8 * m.shape[0])
         growth = math.log2(max(1.0, frobenius_norm(m)))
-    a = _stacked(a, component)
+    blocks = Blocks.of(component)
+    if blocks is not None:
+        a = blocks.stack(a)
     top = float(np.max(np.abs(a), initial=0.0))
     g = max(math.frexp(top)[1], -1000)  # 2^-g stays finite for subnormal entries
     a *= math.ldexp(1.0, -g)
@@ -230,57 +235,20 @@ def _real_form(m: np.ndarray, colour: np.ndarray) -> np.ndarray | None:
 def _gauge_colours(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A 0/1 colour and a connected-component label per index of m.
 
-    Breadth-first over the symmetric nonzero pattern of m (i and j are
-    linked when m[i, j] or m[j, i] is nonzero), from the lowest index not
-    yet reached, so components are labelled 0, 1, ... in the order of their
-    lowest index.  A neighbour linked by entries with zero real part takes
-    the opposite colour, any other neighbour the same colour.  The colouring
-    is consistent only when no cycle holds an odd number of imaginary links;
-    :func:`_real_form` checks that.
+    The components are those of m's symmetric nonzero pattern, labelled in
+    the order of their lowest index, which takes colour 0 (see
+    :func:`linalg.components`).  A link whose entries m[i, j] and m[j, i]
+    both have zero real part flips the colour, any other keeps it.  The
+    colouring is consistent only when no cycle holds an odd number of such
+    links; :func:`_real_form` checks that.
     """
-    n = m.shape[0]
-    linked = m != 0
-    linked |= linked.T
-    rows, cols = np.nonzero(linked)
-    flips = (m[rows, cols].real == 0) & (m[cols, rows].real == 0)
-    start = np.searchsorted(rows, np.arange(n + 1)).tolist()
-    cols, flips = cols.tolist(), flips.tolist()
-    colour, component = [-1] * n, [0] * n
-    count = 0
-    for root in range(n):
-        if colour[root] >= 0:
-            continue
-        colour[root], component[root] = 0, count
-        reached = [root]
-        for i in reached:
-            for edge in range(start[i], start[i + 1]):
-                j = cols[edge]
-                if colour[j] < 0:
-                    colour[j] = colour[i] ^ flips[edge]
-                    component[j] = count
-                    reached.append(j)
-        count += 1
-    return np.array(colour, dtype=np.int8), np.array(component, dtype=np.intp)
+    real = m.real
 
+    def imaginary(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        return (real[i, j] == 0) & (real[j, i] == 0)
 
-def _stacked(a: np.ndarray, component: np.ndarray) -> np.ndarray:
-    """a's diagonal blocks, one per component, zero-padded and stacked.
-
-    Entries outside the blocks are zero, since no nonzero links two
-    components.  Returns a itself, uncopied, when there is one component or
-    the stack of shape (count, width, width) would hold more entries than a.
-    """
-    n = a.shape[0]
-    sizes = np.bincount(component)
-    count, width = sizes.size, int(sizes.max(initial=0))
-    if count < 2 or count * width * width > n * n:
-        return a
-    filled = np.arange(width) < sizes[:, None]
-    members = np.zeros((count, width), dtype=np.intp)
-    members[filled] = np.argsort(component, kind="stable")
-    stack = a[members[:, :, None], members[:, None, :]]
-    stack[~(filled[:, :, None] & filled[:, None, :])] = 0
-    return stack
+    component, colour = components(m, imaginary)
+    return colour.astype(np.int8), component
 
 
 def newton_check(values, traces, tol: float = MOMENT_TOL) -> bool:

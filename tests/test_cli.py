@@ -284,7 +284,39 @@ def _assert_same_text(found, expected):
 def test_gate_json_is_byte_exact(spin, hamiltonian):
     argv = ["--spin", spin, "--hamiltonian", hamiltonian, "--theta", "0.7", "--check"]
     report = _gate_report(*argv)
-    _assert_same_text(cli._render_json(report), _dumps_with_pairs(report))
+    _assert_same_text("".join(cli._render_json(report)), _dumps_with_pairs(report))
+
+
+@pytest.mark.parametrize("spin", ["1/2", "2", "6"])
+@pytest.mark.parametrize("hamiltonian", ["H", "K"])
+def test_gate_json_comes_in_row_pieces(spin, hamiltonian):
+    argv = ["--spin", spin, "--hamiltonian", hamiltonian, "--theta", "0.7", "--check"]
+    report = _gate_report(*argv)
+    pieces = cli._render_json(report)
+    # the head, one piece per matrix row and the tail, never joined
+    assert len(pieces) == report["dimension"] + 2
+    _assert_same_text("".join(pieces), _dumps_with_pairs(report))
+    rows = json.loads("".join(pieces))["matrix"]
+    for piece, row in zip(pieces[1:-1], rows):
+        assert json.loads(piece.rstrip().rstrip(",")) == row
+
+
+@pytest.mark.parametrize("check", [[], ["--check"]])
+def test_gate_json_of_a_non_finite_matrix_writes_nothing(run_cli, monkeypatch, check):
+    real = cli.synthesize_gate
+
+    def with_a_nan(ham, theta, **kwargs):
+        gate = real(ham, theta, **kwargs)
+        matrix = gate.matrix.copy()
+        matrix[-1, -1] = complex(1.0, np.nan)
+        return cli.Gate(gate.theta, gate.kind, gate.spin, matrix, gate.source_values)
+
+    monkeypatch.setattr(cli, "synthesize_gate", with_a_nan)
+    code, out, err = run_cli("gate", "--spin", "2", "--theta", "0.7", *check, "--format", "json")
+    # json has no NaN: a usage error, and no half-written report
+    assert code == 2
+    assert out == ""
+    assert "not JSON compliant" in err
 
 
 def _reference_csv(report):
@@ -328,12 +360,12 @@ def test_gate_zero_and_signed_zero_entries_in_every_format():
             [complex(z, 1.0), complex(z, z), complex(-2.5, nz), complex(z, z)],
         ]
     )
-    _assert_same_text(cli._render_json(report), _dumps_with_pairs(report))
+    _assert_same_text("".join(cli._render_json(report)), _dumps_with_pairs(report))
     csv_text = cli._render_csv(report)
     _assert_same_text(csv_text, _reference_csv(report))
     _assert_same_text(cli._render_plain(report), _reference_plain(report))
     assert csv_text.splitlines()[2] == "0.0+0.0i,-0.0+0.0i,-0.0+0.0i,0.0+0.0i"
-    pairs = json.loads(cli._render_json(report))["matrix"]
+    pairs = json.loads("".join(cli._render_json(report)))["matrix"]
     assert [math.copysign(1.0, x) for x in pairs[1][0]] == [1.0, -1.0]
 
 
@@ -345,7 +377,7 @@ def test_gate_json_of_edge_entries_is_byte_exact():
             [complex(-5e-324, 1e16), complex(-2.5, 2.0**-1074), complex(1e-300, -1e300)],
         ]
     )
-    _assert_same_text(cli._render_json(report), _dumps_with_pairs(report))
+    _assert_same_text("".join(cli._render_json(report)), _dumps_with_pairs(report))
     for bad in (np.nan, np.inf):
         report["matrix"] = report["matrix"].copy()
         report["matrix"][1, 1] = complex(1.0, bad)

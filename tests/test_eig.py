@@ -19,6 +19,8 @@ from spintool.linalg import (
     HermiticityError,
     NumericalError,
     ShapeError,
+    column_blocks,
+    components,
     frobenius_norm,
 )
 from spintool.hamiltonians import build_bilinear, build_cyclic, build_heisenberg
@@ -482,8 +484,9 @@ def test_sector_route_matches_full_jacobi(twice, label, spin_cache):
 @pytest.mark.parametrize("label", ["H", "K", "rotated"])
 @pytest.mark.parametrize("twice", [*range(1, 9), 24])
 def test_sector_blocks_are_exactly_hermitian(twice, label):
-    # _jacobi_stack updates rows only and copies their conjugates into the
-    # columns, so a block must equal its conjugate transpose exactly
+    # _jacobi_stack updates rows and columns in separate batches and keeps
+    # no copy of either half, so a block must start exactly Hermitian: the
+    # rotated matrix is symmetrized once, before the split
     s = HalfInteger(twice)
     builds = {"H": build_heisenberg, "K": build_cyclic}
     if label in builds:
@@ -547,3 +550,58 @@ def test_sector_route_at_the_cap(build):
     assert spectra_match(
         spectrum, closed_form_spectrum(s), value_tol=_CLOSED_FORM_TOL
     )
+
+
+def _permuted_block_hermitian(seed, widths):
+    """A random complex Hermitian matrix, block diagonal over ``widths`` up
+    to a permutation of its indices."""
+    rng = np.random.default_rng(seed)
+    n = sum(widths)
+    m = np.zeros((n, n), dtype=complex)
+    start = 0
+    for width in widths:
+        m[start : start + width, start : start + width] = _random_hermitian(rng, width)
+        start += width
+    order = rng.permutation(n)
+    return m[np.ix_(order, order)]
+
+
+@pytest.mark.parametrize(
+    "case", ["H-8", "permuted-blocks"], ids=["H-without-charge", "permuted-blocks"]
+)
+def test_full_route_sweeps_the_components_as_blocks(case, stack_dtypes):
+    if case == "H-8":
+        m = build_heisenberg(HalfInteger(8)).matrix
+        count, width = 17, 9
+    else:
+        m = _permuted_block_hermitian(83, [5, 1, 7, 3, 3, 11])
+        count, width = 6, 11
+    n = m.shape[0]
+    label = components(m)[0]
+    assert label.max() + 1 == count and np.bincount(label).max() == width
+    dec = hermitian_eig(m)
+    # blocks up to 16 wide share one stack, padded to an even width
+    assert len(stack_dtypes) == 1
+    scale = max(1.0, frobenius_norm(m))
+    np.testing.assert_allclose(dec.values, np.linalg.eigvalsh(m), atol=1e-10 * n * scale)
+    # the vectors keep to the blocks, and the residual is taken on them
+    assert column_blocks(dec.vectors, label) is not None
+    dense = np.max(np.linalg.norm(m @ dec.vectors - dec.vectors * dec.values, axis=0))
+    assert dec.residual == pytest.approx(dense, rel=1e-6, abs=1e-14 * scale)
+    assert dec.residual <= 1e-10 * n * scale
+    gram = dec.vectors.conj().T @ dec.vectors
+    assert frobenius_norm(gram - np.eye(n)) <= 1e-10 * n
+    # the total off-diagonal stop is still tol * ||m||_F
+    rotated = dec.vectors.conj().T @ m @ dec.vectors
+    off = rotated - np.diag(np.diagonal(rotated))
+    assert frobenius_norm(off) <= DEFAULT_TOL * frobenius_norm(m)
+
+
+def test_full_route_names_the_component_that_runs_out():
+    m = _permuted_block_hermitian(89, [2, 4, 3])
+    with pytest.raises(
+        ConvergenceError,
+        match=r"^component \d \(width [234]\): off-diagonal norm \S+ still above "
+        r"\S+ after 0 sweeps$",
+    ):
+        hermitian_eig(m, max_sweeps=0)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from spintool.eig import hermitian_eig
+from spintool import gates
+from spintool.eig import EigDecomposition, hermitian_eig
 from spintool.gates import (
     apply_gate,
     gate_eigenphases,
@@ -14,6 +15,8 @@ from spintool.linalg import (
     HermiticityError,
     NumericalError,
     ShapeError,
+    column_blocks,
+    components,
     frobenius_distance,
     frobenius_norm,
 )
@@ -163,8 +166,12 @@ def test_rejects_bad_theta():
 
 def test_overflowing_phases_fail_the_unitarity_bound():
     # theta is finite, but theta * lambda overflows and the gate comes out NaN
+    ham = build_heisenberg(HalfInteger(4))
+    # H's gate is built block by block, and its NaN blocks fail all the same
+    vectors = hermitian_eig(ham.matrix, charge=ham.charge).vectors
+    assert column_blocks(vectors, components(ham.matrix)[0]) is not None
     with pytest.raises(NumericalError, match="unitarity bound: nan"):
-        synthesize_gate(build_heisenberg(HalfInteger(4)), 1e308)
+        synthesize_gate(ham, 1e308)
 
 
 def test_gate_keeps_its_unitarity_residual():
@@ -177,3 +184,88 @@ def test_unitarity_residual_values():
     assert unitarity_residual(2.0 * np.eye(2)) == pytest.approx(np.sqrt(18.0))
     with pytest.raises(ShapeError):
         unitarity_residual(np.ones((2, 3)))
+
+
+def _dense_gate(ham, theta):
+    """V diag(exp(-i theta lambda)) V^H as one dense product."""
+    dec = hermitian_eig(ham.matrix, charge=ham.charge)
+    return (dec.vectors * np.exp(-1j * theta * dec.values)) @ dec.vectors.conj().T
+
+
+@pytest.mark.parametrize("twice", [3, 8, 24])
+def test_blockwise_gate_matches_the_dense_product(twice):
+    ham = build_heisenberg(HalfInteger(twice))
+    n = ham.dimension
+    dec = hermitian_eig(ham.matrix, charge=ham.charge)
+    label = components(ham.matrix)[0]
+    # H conserves total S3: 4s+1 components, and its eigenvectors keep to them
+    assert label.max() + 1 == 2 * twice + 1
+    assert column_blocks(dec.vectors, label) is not None
+    for theta in (0.7, -2.3):
+        gate = synthesize_gate(ham, theta)
+        dense = _dense_gate(ham, theta)
+        assert np.max(np.abs(gate.matrix - dense)) <= 1e-14 * n
+        # outside the blocks every entry is +0.0, bit for bit
+        outside = gate.matrix[label[:, None] != label[None, :]]
+        assert not outside.view(np.uint64).any()
+        assert gate.unitarity_residual <= 1e-10 * n
+
+
+def test_k_takes_the_dense_product():
+    ham = build_cyclic(HalfInteger(8))
+    # K's pattern is one component, so there are no blocks to keep to
+    assert not components(ham.matrix)[0].any()
+    gate = synthesize_gate(ham, 0.7)
+    np.testing.assert_array_equal(gate.matrix, _dense_gate(ham, 0.7))
+
+
+def test_a_stray_nonzero_in_the_eigenvectors_takes_the_dense_product(monkeypatch):
+    ham = build_heisenberg(HalfInteger(4))
+    dec = hermitian_eig(ham.matrix, charge=ham.charge)
+    label = components(ham.matrix)[0]
+    vectors = dec.vectors.copy()
+    column = vectors[:, 3]
+    column[np.flatnonzero(label != label[np.flatnonzero(column)[0]])[0]] = 1e-300
+    stray = EigDecomposition(dec.values, vectors, dec.residual, dec.sweeps)
+    assert column_blocks(vectors, label) is None
+    monkeypatch.setattr(gates, "hermitian_eig", lambda *args, **kwargs: stray)
+    gate = synthesize_gate(ham, 0.7)
+    phases = np.exp(-0.7j * dec.values)
+    np.testing.assert_array_equal(gate.matrix, (vectors * phases) @ vectors.conj().T)
+
+
+def test_blockwise_unitarity_residual_matches_the_dense_formula():
+    rng = np.random.default_rng(91)
+    widths = [4, 1, 3, 5, 2, 5]
+    n = sum(widths)
+    u = np.zeros((n, n), dtype=complex)
+    start = 0
+    for width in widths:
+        r = rng.standard_normal((width, width)) + 1j * rng.standard_normal((width, width))
+        # unitary up to a perturbation, so that the residual is not all rounding
+        u[start : start + width, start : start + width] = np.linalg.qr(r)[0] + 1e-6 * r
+        start += width
+    order = rng.permutation(n)
+    u = u[np.ix_(order, order)]
+    assert components(u)[0].max() + 1 == len(widths)
+    dense = np.linalg.norm(u.conj().T @ u - np.eye(n))
+    assert unitarity_residual(u) == pytest.approx(dense, rel=1e-12)
+    # a NaN entry joins the pattern, and the residual is NaN
+    u[order[0], order[1]] = np.nan
+    assert np.isnan(unitarity_residual(u))
+
+
+@pytest.mark.parametrize("twice", [8, 24])
+def test_blockwise_gates_keep_the_group_law_and_eigenphases(twice):
+    ham = build_heisenberg(HalfInteger(twice))
+    n = ham.dimension
+    g1 = synthesize_gate(ham, 0.4)
+    g2 = synthesize_gate(ham, 1.1)
+    g12 = synthesize_gate(ham, 1.5)
+    assert frobenius_distance(g1.matrix @ g2.matrix, g12.matrix) <= 1e-9 * n
+    # the eigenvalues of the gate are the exponentials of its eigenphases
+    phases = gate_eigenphases(g12)
+    values = np.linalg.eigvals(g12.matrix)
+    found = np.sort(np.mod(np.angle(values), 2.0 * np.pi))
+    gap = np.abs(found - phases)
+    assert np.all(np.minimum(gap, 2.0 * np.pi - gap) <= 1e-9)

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from spintool.linalg import (
+    Blocks,
     HermiticityError,
     ShapeError,
     adjoint,
     as_cmatrix,
+    column_blocks,
     commutator,
+    components,
     frobenius_distance,
     frobenius_norm,
     hermiticity_defect,
@@ -205,3 +208,122 @@ def test_require_hermitian_keeps_its_tol_times_dim_bound(part):
     # moments checks at 1e-10, so a 1e-11 asymmetry there passes
     far[0, 1] += 1e-11 * part
     require_hermitian(far, 1e-10)
+
+
+def _reference_labels(m):
+    """Breadth-first component labels, one link at a time."""
+    n = m.shape[0]
+    linked = (m != 0) | (m != 0).T
+    label = [-1] * n
+    count = 0
+    for root in range(n):
+        if label[root] >= 0:
+            continue
+        label[root] = count
+        reached = [root]
+        for i in reached:
+            for j in np.flatnonzero(linked[i]).tolist():
+                if label[j] < 0:
+                    label[j] = count
+                    reached.append(j)
+        count += 1
+    return np.array(label, dtype=np.intp)
+
+
+@pytest.mark.parametrize("density", [0.0, 0.05, 0.15, 0.4, 1.0])
+def test_components_match_a_breadth_first_walk(density):
+    rng = np.random.default_rng(int(density * 100) + 5)
+    for n in (1, 2, 3, 7, 30, 61):
+        m = rng.standard_normal((n, n)) * (rng.random((n, n)) < density)
+        if n > 2:
+            # a one-sided link and a link through a NaN
+            m[0, n - 1], m[n - 1, 0] = 0.0, 1e-300
+            m[1, 2] = m[2, 1] = np.nan
+        expected = _reference_labels(m)
+        label, parity = components(m)
+        np.testing.assert_array_equal(label, expected)
+        assert not parity.any()
+        # links between indices of unlike colour are odd: every path from a
+        # component's lowest index then has the parity of the colour change
+        colour = rng.integers(0, 2, n)
+        label, parity = components(m, lambda i, j: colour[i] != colour[j])
+        np.testing.assert_array_equal(label, expected)
+        lowest = np.array([np.flatnonzero(expected == b)[0] for b in expected])
+        np.testing.assert_array_equal(parity, colour ^ colour[lowest])
+
+
+def test_components_of_the_empty_and_the_diagonal_matrix():
+    label, parity = components(np.zeros((0, 0)))
+    assert label.shape == parity.shape == (0,)
+    label, parity = components(np.diag([1.0, 0.0, 2.0, 0.0]))
+    np.testing.assert_array_equal(label, [0, 1, 2, 3])
+    assert not parity.any()
+
+
+def _permuted_block_diagonal(rng, widths, unitary=False):
+    """A random complex matrix, block diagonal over ``widths`` up to a
+    permutation of its indices; with ``unitary``, each block is unitary."""
+    n = sum(widths)
+    m = np.zeros((n, n), dtype=complex)
+    start = 0
+    for width in widths:
+        r = rng.standard_normal((width, width)) + 1j * rng.standard_normal((width, width))
+        if unitary:
+            r = np.linalg.qr(r)[0]
+        m[start : start + width, start : start + width] = r
+        start += width
+    order = rng.permutation(n)
+    return m[np.ix_(order, order)]
+
+
+def test_blocks_stack_and_scatter_are_inverse():
+    rng = np.random.default_rng(61)
+    m = _permuted_block_diagonal(rng, [3, 1, 4, 1, 5])
+    label, _ = components(m)
+    blocks = Blocks.of(label)
+    stack = blocks.stack(m)
+    assert stack.shape == (5, 5, 5)
+    # the padding is 0 and the blocks are m's own
+    assert np.count_nonzero(stack) == np.count_nonzero(m)
+    np.testing.assert_array_equal(blocks.scatter(stack), m)
+    for b, members in enumerate(blocks.members):
+        idx = members[blocks.filled[b]]
+        assert np.all(label[idx] == b) and np.all(np.diff(idx) > 0)
+        np.testing.assert_array_equal(stack[b, : idx.size, : idx.size], m[np.ix_(idx, idx)])
+
+
+def test_blocks_decline_what_cannot_pay():
+    assert Blocks.of(np.zeros(5, dtype=np.intp)) is None
+    # widths 4 and 1: a stack of 2 * 16 entries outgrows the 25 of the matrix
+    assert Blocks.of(np.array([0, 0, 0, 0, 1])) is None
+    assert Blocks.of(np.array([0, 1, 0, 2])).members.shape == (3, 2)
+
+
+def test_column_blocks_need_every_column_in_one_block():
+    rng = np.random.default_rng(67)
+    m = _permuted_block_diagonal(rng, [2, 3, 3, 1])
+    label, _ = components(m)
+    # a unitary that keeps to the blocks, its columns in any order
+    v = _permuted_block_diagonal(np.random.default_rng(67), [2, 3, 3, 1], unitary=True)
+    v = v[:, rng.permutation(9)]
+    rows, columns = column_blocks(v, label)
+    np.testing.assert_array_equal(rows.members, Blocks.of(label).members)
+    stack = rows.stack(v, columns)
+    assert np.count_nonzero(stack) == np.count_nonzero(v)
+    product = rows.scatter(stack @ stack.conj().transpose(0, 2, 1))
+    np.testing.assert_allclose(product, v @ v.conj().T, rtol=0.0, atol=1e-14)
+    assert not product[label[:, None] != label[None, :]].any()
+    # one stray nonzero, however small, sends the caller to the dense path
+    first = label[np.flatnonzero(v[:, 0])[0]]
+    stray = v.copy()
+    stray[np.flatnonzero(label != first)[0], 0] = 1e-300
+    assert column_blocks(stray, label) is None
+    # so does a zero column
+    zero = v.copy()
+    zero[:, 4] = 0.0
+    assert column_blocks(zero, label) is None
+    # and a block with more columns than rows
+    moved = v.copy()
+    moved[:, 0] = 0.0
+    moved[np.flatnonzero(label != first)[0], 0] = 1.0
+    assert column_blocks(moved, label) is None
