@@ -60,18 +60,20 @@ norm of M' outside the sectors, are measured and reported, and a leak above
 the full route's stop threshold tol * ||M||_F is an error.  Both routes end
 in the same sorting, phase pinning and residual check against the original M.
 When the vectors keep to the components of M's pattern, as those of H do on
-either route, the residual M v - lambda v is taken block by block.
+either route, the residual M v - lambda v is taken block by block, and the
+decomposition keeps the blocks for later products with its vectors.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
+    Blocks,
     NumericalError,
     ShapeError,
     column_blocks,
@@ -113,7 +115,10 @@ class EigDecomposition:
     against the original input.  ``sweeps`` counts completed Jacobi sweeps
     (on the sector route, the most any one sector needed).  ``leak`` and
     ``commutator`` are the sector route's measured charge certificate (see
-    :func:`hermitian_eig`); both are 0.0 on the full route.
+    :func:`hermitian_eig`); both are 0.0 on the full route.  ``blocks`` are
+    the row and column blocks of M's pattern that ``vectors`` keep to, as
+    :func:`linalg.column_blocks` found them, or None: products with the
+    vectors may then be taken on the blocks' stack.
     """
 
     values: np.ndarray
@@ -122,6 +127,7 @@ class EigDecomposition:
     sweeps: int
     leak: float = 0.0
     commutator: float = 0.0
+    blocks: tuple[Blocks, Blocks] | None = field(default=None, repr=False, compare=False)
 
     @property
     def dimension(self) -> int:
@@ -350,6 +356,36 @@ def _split_sectors(
     return w, sectors, blocks, leak, commutator
 
 
+def _blockwise(
+    groups: list[np.ndarray],
+    blocks: list[np.ndarray],
+    stops: list[float],
+    names: list[str],
+    max_sweeps: int,
+    w: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Solve ``blocks`` with :func:`_solved` and put the pairs in place.
+
+    Block j sits at the indices ``groups[j]``, which together cover
+    0..n-1 once: its eigenvalues go to those indices, and its
+    rotations R_j to vectors[groups[j], groups[j]], zero elsewhere, or, with
+    a basis ``w``, to the columns w[:, groups[j]] R_j.  Returns the values,
+    the vectors and the most sweeps any block took.
+    """
+    solved = _solved(blocks, stops, max_sweeps, names)
+    n = sum(idx.size for idx in groups)
+    dtype = np.result_type(*(r for _, r, _, _ in solved), *([] if w is None else [w]))
+    values = np.empty(n)
+    vectors = np.zeros((n, n), dtype=dtype)
+    for idx, (diagonal, r, _, _) in zip(groups, solved):
+        values[idx] = diagonal
+        if w is None:
+            vectors[np.ix_(idx, idx)] = r
+        else:
+            vectors[:, idx] = w[:, idx] @ r
+    return values, vectors, max(sweeps for _, _, sweeps, _ in solved)
+
+
 def _sector_jacobi(
     m: np.ndarray, charge, tol: float, stop: float, max_sweeps: int
 ) -> tuple[np.ndarray, np.ndarray, int, float, float]:
@@ -360,14 +396,8 @@ def _sector_jacobi(
         f"sector of charge 2(qa+qb) = {label} (width {idx.size}): "
         for label, idx in sectors.items()
     ]
-    solved = _solved(blocks, stops, max_sweeps, names)
-    n = m.shape[0]
-    values = np.empty(n)
-    vectors = np.empty((n, n), dtype=np.result_type(w, *(v for _, v, _, _ in solved)))
-    for idx, (diagonal, rotations, _, _) in zip(sectors.values(), solved):
-        values[idx] = diagonal
-        vectors[:, idx] = w[:, idx] @ rotations
-    return values, vectors, max(sweeps for _, _, sweeps, _ in solved), leak, commutator
+    groups = list(sectors.values())
+    return *_blockwise(groups, blocks, stops, names, max_sweeps, w), leak, commutator
 
 
 def _component_jacobi(
@@ -380,7 +410,6 @@ def _component_jacobi(
     nonzero links two components; a single component is swept whole, to
     ``stop``.  The vectors are zero outside the components' blocks.
     """
-    n = m.shape[0]
     symmetric = _symmetrized(m)
     sizes = np.bincount(component, minlength=1)
     groups = np.split(np.argsort(component, kind="stable"), np.cumsum(sizes)[:-1])
@@ -392,13 +421,7 @@ def _component_jacobi(
         names = [
             f"component {label} (width {idx.size}): " for label, idx in enumerate(groups)
         ]
-    solved = _solved(blocks, stops, max_sweeps, names)
-    values = np.empty(n)
-    vectors = np.zeros((n, n), dtype=np.result_type(*(v for _, v, _, _ in solved)))
-    for idx, (diagonal, rotations, _, _) in zip(groups, solved):
-        values[idx] = diagonal
-        vectors[np.ix_(idx, idx)] = rotations
-    return values, vectors, max(sweeps for _, _, sweeps, _ in solved)
+    return _blockwise(groups, blocks, stops, names, max_sweeps)
 
 
 def _finish(
@@ -406,17 +429,17 @@ def _finish(
     values: np.ndarray,
     vectors: np.ndarray,
     sweeps: int,
+    component: np.ndarray,
     leak: float = 0.0,
     commutator: float = 0.0,
-    component: np.ndarray | None = None,
 ) -> EigDecomposition:
     """Sort ascending, pin phases and measure residuals against ``m``.
 
     ``m`` and ``vectors`` may both be real; the vectors are returned as
     complex128 either way.  ``component`` labels the components of ``m``'s
-    pattern (taken here when None); when every vector keeps to their
-    blocks, as :func:`linalg.column_blocks` tests exactly, m v - lambda v is
-    taken on their stack.
+    pattern; when every vector keeps to their blocks, as
+    :func:`linalg.column_blocks` tests exactly, m v - lambda v is taken on
+    their stack, and the blocks are kept with the decomposition.
     """
     n = m.shape[0]
     order = np.argsort(values, kind="stable")
@@ -429,8 +452,6 @@ def _finish(
         vectors = vectors * np.divide(
             lead.conj(), mag, out=np.ones(n, dtype=vectors.dtype), where=mag > 0.0
         )
-    if component is None:
-        component = components(m)[0]
     blocks = column_blocks(vectors, component)
     if blocks is None:
         deltas = m @ vectors - vectors * values
@@ -449,6 +470,7 @@ def _finish(
         sweeps=sweeps,
         leak=leak,
         commutator=commutator,
+        blocks=blocks,
     )
 
 
@@ -509,10 +531,11 @@ def hermitian_eig(
     component = components(m)[0]
     if charge is None:
         values, vectors, sweeps = _component_jacobi(m, component, tol, stop, max_sweeps)
-        return _finish(m, values, vectors, sweeps, component=component)
-    return _finish(
-        m, *_sector_jacobi(m, charge, tol, stop, max_sweeps), component=component
+        return _finish(m, values, vectors, sweeps, component)
+    values, vectors, sweeps, leak, commutator = _sector_jacobi(
+        m, charge, tol, stop, max_sweeps
     )
+    return _finish(m, values, vectors, sweeps, component, leak, commutator)
 
 
 def verify_eigenpair(m: np.ndarray, vector: np.ndarray, value: float) -> float:

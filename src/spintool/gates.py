@@ -30,7 +30,6 @@ from .linalg import (
     HermiticityError,
     NumericalError,
     ShapeError,
-    column_blocks,
     components,
     frobenius_norm,
     require_square,
@@ -82,8 +81,9 @@ def synthesize_gate(
     Rejects carriers whose computed hermiticity flag is false.  A carrier
     with a conserved charge is diagonalized sector by sector.  When the
     generator's pattern splits and the eigenvectors keep to its blocks, as
-    :func:`linalg.column_blocks` tests exactly, U is the direct sum of the
-    blocks' gates; otherwise it is the dense product.  The result is
+    the decomposition's ``blocks`` record from the exact test of
+    :func:`linalg.column_blocks`, U is the direct sum of the blocks' gates;
+    otherwise it is the dense product.  The result is
     checked against ||U^H U - I|| <= 1e-10 * dim before being returned; a
     NaN gate, from theta * lambda overflowing, fails that check too.
     """
@@ -95,16 +95,17 @@ def synthesize_gate(
             "hermiticity flag is false"
         )
     dec = hermitian_eig(h.matrix, eig_tol, max_sweeps, charge=h.charge)
-    blocks = column_blocks(dec.vectors, components(h.matrix)[0])
     # theta * lambda can overflow; the gate is then NaN and fails the bound below
     with np.errstate(over="ignore", invalid="ignore"):
         phases = np.exp(-1j * float(theta) * dec.values)
-        if blocks is None:
+        if dec.blocks is None:
             u = (dec.vectors * phases[np.newaxis, :]) @ dec.vectors.conj().T
         else:
-            rows, columns = blocks
+            rows, columns = dec.blocks
             v = rows.stack(dec.vectors, columns)
-            # a padding column of v is 0, so its phase does not matter
+            # padding columns of v are 0 and take the phase of index 0; a
+            # NaN phase there makes the blocks NaN, as it makes the dense
+            # product NaN, and either fails the bound below
             u = rows.scatter(
                 (v * phases[columns.members][:, np.newaxis, :]) @ _adjoints(v)
             )

@@ -206,14 +206,6 @@ def components(
     linked = linked | linked.T
     # every index offers itself, so every row holds a link
     linked[np.diag_indices(n)] = True
-    if n and linked[0].all():
-        # a dense pattern, such as that of K's gate: one component, and the
-        # link from index 0 is a path to each index; this skips a walk over
-        # all n^2 links that would cost 5 ms at 2s = 24
-        parity = np.zeros(n, dtype=np.intp)
-        if odd is not None:
-            parity[1:] = odd(np.zeros(n - 1, dtype=np.intp), np.arange(1, n))
-        return np.zeros(n, dtype=np.intp), parity
     rows, cols = np.divmod(np.flatnonzero(linked), n)
     first = np.searchsorted(rows, np.arange(n))
     flips = np.zeros(rows.size, dtype=np.intp)

@@ -358,7 +358,7 @@ def test_complex_input_keeps_the_complex_stack(stack_dtypes):
 def test_finish_pins_the_first_largest_component():
     # column 0 ties between rows 0 and 1, and the first wins; column 2 is zero
     vectors = np.array([[1j, 0.5, 0.0], [-1j, 2j, 0.0], [0.0, 0.0, 0.0]])
-    dec = _finish(np.zeros((3, 3)), np.array([0.0, 1.0, 2.0]), vectors, 0)
+    dec = _finish(np.zeros((3, 3)), np.array([0.0, 1.0, 2.0]), vectors, 0, np.arange(3))
     np.testing.assert_array_equal(
         dec.vectors, [[1.0, -0.5j, 0.0], [-1.0, 2.0, 0.0], [0.0, 0.0, 0.0]]
     )
@@ -366,7 +366,7 @@ def test_finish_pins_the_first_largest_component():
     rng = np.random.default_rng(11)
     vectors = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
     values = rng.standard_normal(7)
-    dec = _finish(np.zeros((7, 7)), values, vectors, 0)
+    dec = _finish(np.zeros((7, 7)), values, vectors, 0, np.arange(7))
     ref = vectors[:, np.argsort(values, kind="stable")]
     for k in range(7):
         col = ref[:, k]
@@ -584,8 +584,12 @@ def test_full_route_sweeps_the_components_as_blocks(case, stack_dtypes):
     assert len(stack_dtypes) == 1
     scale = max(1.0, frobenius_norm(m))
     np.testing.assert_allclose(dec.values, np.linalg.eigvalsh(m), atol=1e-10 * n * scale)
-    # the vectors keep to the blocks, and the residual is taken on them
-    assert column_blocks(dec.vectors, label) is not None
+    # the vectors keep to the blocks, the residual is taken on them, and the
+    # decomposition keeps them
+    found = column_blocks(dec.vectors, label)
+    for kept, tested in zip(dec.blocks, found):
+        np.testing.assert_array_equal(kept.members, tested.members)
+        np.testing.assert_array_equal(kept.filled, tested.filled)
     dense = np.max(np.linalg.norm(m @ dec.vectors - dec.vectors * dec.values, axis=0))
     assert dec.residual == pytest.approx(dense, rel=1e-6, abs=1e-14 * scale)
     assert dec.residual <= 1e-10 * n * scale
@@ -605,3 +609,4 @@ def test_full_route_names_the_component_that_runs_out():
         r"\S+ after 0 sweeps$",
     ):
         hermitian_eig(m, max_sweeps=0)
+

@@ -198,9 +198,13 @@ def test_blockwise_gate_matches_the_dense_product(twice):
     n = ham.dimension
     dec = hermitian_eig(ham.matrix, charge=ham.charge)
     label = components(ham.matrix)[0]
-    # H conserves total S3: 4s+1 components, and its eigenvectors keep to them
+    # H conserves total S3: 4s+1 components, and its eigenvectors keep to
+    # them, as the decomposition records
     assert label.max() + 1 == 2 * twice + 1
-    assert column_blocks(dec.vectors, label) is not None
+    found = column_blocks(dec.vectors, label)
+    for kept, tested in zip(dec.blocks, found):
+        np.testing.assert_array_equal(kept.members, tested.members)
+        np.testing.assert_array_equal(kept.filled, tested.filled)
     for theta in (0.7, -2.3):
         gate = synthesize_gate(ham, theta)
         dense = _dense_gate(ham, theta)
@@ -215,6 +219,7 @@ def test_k_takes_the_dense_product():
     ham = build_cyclic(HalfInteger(8))
     # K's pattern is one component, so there are no blocks to keep to
     assert not components(ham.matrix)[0].any()
+    assert hermitian_eig(ham.matrix, charge=ham.charge).blocks is None
     gate = synthesize_gate(ham, 0.7)
     np.testing.assert_array_equal(gate.matrix, _dense_gate(ham, 0.7))
 
