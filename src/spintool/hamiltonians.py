@@ -78,10 +78,18 @@ def _assemble(s: HalfInteger, label: str, coeffs) -> Hamiltonian:
     ops = triple.operators
     n = triple.dimension
     total = np.zeros((n * n, n * n), dtype=np.complex128)
+    nonzeros = [np.nonzero(op) for op in ops]
     for j in range(3):
         for k in range(3):
             if pattern[j][k] != 0.0:
-                total += pattern[j][k] * np.kron(ops[j], ops[k])
+                # Sj x Sk holds Sj[a, b] * Sk[c, d] at (a n + c, b n + d); its
+                # exact zeros would add nothing, so the sum is np.kron's bit
+                # for bit
+                (a, b), (c, d) = nonzeros[j], nonzeros[k]
+                term = np.multiply.outer(ops[j][a, b], ops[k][c, d])
+                total[np.add.outer(a * n, c), np.add.outer(b * n, d)] += (
+                    pattern[j][k] * term
+                )
     hermitian = hermiticity_defect(total) <= DEFAULT_TOL * total.shape[0]
     total.flags.writeable = False
     return Hamiltonian(

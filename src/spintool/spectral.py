@@ -11,15 +11,17 @@ tolerance would be unsatisfiable at high powers, where double-precision
 rounding alone produces absolute errors far above any fixed bound.
 
 The traces themselves come from powers kept at unit scale by exact
-power-of-two factors, two traces per matrix product.  Operators whose
-entries are each purely real or purely imaginary, H and K among them, are
-first conjugated by a diagonal of ones and i's into an exactly real
-matrix with the same traces, so their powers are real matrix products.
-Every power keeps the split of the matrix's nonzero pattern into connected
-components, so the powers are taken block by block on a stack of the
-components' diagonal blocks and the traces summed over blocks.  H, which
-conserves total S3, splits into 4s+1 blocks; K's pattern is one component
-and is powered whole.  The split reads only the matrix's exact zeros.
+power-of-two factors, each trace one inner product of two of them: the
+first four powers are stored, and one giant power advances four powers
+per matrix product.  Operators whose entries are each purely real or
+purely imaginary, H and K among them, are first conjugated by a diagonal
+of ones and i's into an exactly real matrix with the same traces, so
+their powers are real matrix products.  Every power keeps the split of
+the matrix's nonzero pattern into connected components, so the powers are
+taken block by block on a stack of the components' diagonal blocks and
+the traces summed over blocks.  H, which conserves total S3, splits into
+4s+1 blocks; K's pattern is one component and is powered whole.  The
+split reads only the matrix's exact zeros.
 """
 
 from __future__ import annotations
@@ -56,6 +58,14 @@ __all__ = [
 ]
 
 MOMENT_TOL = 1e-8
+
+# J, the baby steps m^1..m^J that moments keeps; fixed, so that memory stays
+# at J + 1 powers whatever kmax is
+_BABY_STEPS = 4
+# entries per block of rows of a giant step: a third of a 625 x 625 power;
+# the three blocked products cost 5-15% more than one whole product, which
+# would hold a sixth power
+_ROW_ENTRIES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -125,14 +135,15 @@ class IsospectralReport:
 
 
 def moments(m: np.ndarray, kmax: int) -> np.ndarray:
-    """Traces of m^k for k = 1..kmax, from ceil(kmax/2) - 1 matrix products.
+    """Traces of m^k for k = 1..kmax, from ceil(kmax/4) + 1 products (kmax >= 7).
 
     The input must be Hermitian within 1e-10 per dimension.  When a diagonal
     D with entries in {1, i} makes D^H m D exactly real (see
     :func:`_real_form`), the powers are taken of that real matrix, which has
     the same traces; otherwise they are complex, and the imaginary residue
-    of each odd trace is checked against 1e-8 * dim * max(1, ||m||_F)^k, in
-    log space, raising :class:`NumericalError` beyond it.
+    of each trace read from two different powers is checked against
+    1e-8 * dim * max(1, ||m||_F)^k, in log space, raising
+    :class:`NumericalError` beyond it.
 
     The powered matrix is split along the connected components of its
     nonzero pattern (see :func:`_gauge_colours`): every power keeps the
@@ -146,11 +157,18 @@ def moments(m: np.ndarray, kmax: int) -> np.ndarray:
     total S3, costs 49 products of width at most 25 at 2s = 24 instead of
     one of width 625.
 
-    The running power is kept as P_j = m^j * 2^(-e_j) with ||P_j||_F near 1,
-    so no intermediate overflows and every rescaling is exact.  Each product
-    yields two traces: tr(m^2j) = ||P_j||_F^2 * 2^(2 e_j) and
-    tr(m^(2j+1)) = <P_j, P_(j+1)> * 2^(e_j + e_(j+1)).  A trace whose value
-    lies beyond double precision raises :class:`NumericalError`.
+    Every trace is one inner product of two stored powers, by the
+    baby-step/giant-step split of Paterson & Stockmeyer (SIAM J. Comput.
+    2(1), 1973).  The baby steps B_j = m^j for j = 1..J, J = 4, give
+    tr(m^k) = <B_i, B_j> with i + j = k for k <= 2J; beyond that one giant
+    power G = m^(tJ), advanced in place by G <- G B_J, gives
+    tr(m^(tJ + j)) = <G, B_j>.  Up to 2J that is ceil(kmax/2) - 1 products,
+    then one per J powers: 8 for kmax = 25, 44 for 169.  J is fixed, not
+    grown with kmax, so that at most J + 1 powers are held whatever kmax
+    is.  Each power is kept as m^j * 2^(-e) with its Frobenius norm near 1,
+    so no intermediate overflows and every rescaling is exact.  The traces
+    are read in ascending k, and the first whose value lies beyond double
+    precision raises :class:`NumericalError`.
     """
     m = require_square(m, "moments need a square matrix")
     if kmax < 1:
@@ -186,20 +204,51 @@ def moments(m: np.ndarray, kmax: int) -> np.ndarray:
             )
 
     put(1, complex(np.trace(a, axis1=-2, axis2=-1).sum()), g)
-    power, e = a, g  # m^j = power * 2^e, starting at j = 1
-    square = np.vdot(a, a).real
-    for k in range(2, kmax + 1, 2):
-        put(k, square, 2 * e)
-        if k == kmax:
-            break
-        product = power @ a  # m^(j+1) * 2^-(e + g)
-        put(k + 1, np.vdot(product, power), 2 * e + g)
-        square = np.vdot(product, product).real
-        f = math.frexp(square)[1] // 2
-        product *= math.ldexp(1.0, -f)
-        power, e, square = product, e + g + f, math.ldexp(square, -2 * f)
+    babies, exps = [a], [g]  # m^j = babies[j - 1] * 2^exps[j - 1]
+    for k in range(2, min(kmax, 2 * _BABY_STEPS) + 1):
+        i, j = k // 2, k - k // 2
+        if j > len(babies):
+            product = babies[-1] @ a
+            exps.append(exps[-1] + g + _normalize(product))
+            babies.append(product)
+        put(k, _inner(babies[i - 1], babies[j - 1]), exps[i - 1] + exps[j - 1])
+    if kmax > 2 * _BABY_STEPS:
+        giant = babies[-1] @ babies[-1]  # m^t = giant * 2^e
+        t, e = 2 * _BABY_STEPS, 2 * exps[-1] + _normalize(giant)
+        for k in range(2 * _BABY_STEPS + 1, kmax + 1):
+            if k - t > _BABY_STEPS:
+                _times(giant, babies[-1])
+                t, e = t + _BABY_STEPS, e + exps[-1] + _normalize(giant)
+            put(k, _inner(giant, babies[k - t - 1]), e + exps[k - t - 1])
     traces.flags.writeable = False
     return traces
+
+
+def _inner(x: np.ndarray, y: np.ndarray) -> complex:
+    """tr(x y) for Hermitian y, read as the inner product <y, x>; real if x is y."""
+    inner = np.vdot(y, x)
+    return complex(inner.real if x is y else inner)
+
+
+def _normalize(x: np.ndarray) -> int:
+    """Scale x in place by 2^-f, which brings ||x||_F near 1, and return f."""
+    f = math.frexp(np.vdot(x, x).real)[1] // 2
+    x *= math.ldexp(1.0, -f)
+    return f
+
+
+def _times(x: np.ndarray, y: np.ndarray) -> None:
+    """x <- x @ y in place, a block of about _ROW_ENTRIES entries at a time.
+
+    Row i of x @ y reads only row i of x, so each block of rows is
+    overwritten as soon as its product is taken; only the block's product
+    is held besides x and y.  Stacks multiply block by block along the
+    leading axis, so the rows are taken across the whole stack.
+    """
+    rows = max(1, _ROW_ENTRIES * x.shape[-2] // max(x.size, 1))
+    for start in range(0, x.shape[-2], rows):
+        block = x[..., start : start + rows, :]
+        block[...] = block @ y
 
 
 def _power_of_two(mantissa: float, exponent: int) -> float:

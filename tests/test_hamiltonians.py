@@ -86,6 +86,41 @@ def test_bilinear_shift_pattern_matches_cyclic():
     assert general.kind.coeffs == ((0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (1.0, 0.0, 0.0))
 
 
+_FRACTIONAL = ((0.5, -1.25, 0.0), (2.0, 0.0, -0.375), (0.0, -1.0, 3.0))
+
+
+@pytest.mark.parametrize("twice", [*range(1, 9), 24])
+@pytest.mark.parametrize(
+    "build, pattern, charge",
+    [
+        (build_heisenberg, np.eye(3), lambda t: (t.s3, t.s3)),
+        (build_cyclic, [[0, 1, 0], [0, 0, 1], [1, 0, 0]], lambda t: (t.s3, t.s1)),
+        (lambda s: build_bilinear(s, _FRACTIONAL), _FRACTIONAL, lambda t: None),
+    ],
+    ids=["H", "K", "fractional"],
+)
+def test_built_operators_equal_their_kronecker_sums(build, pattern, charge, twice):
+    # the dense reference: sum_jk c_jk Sj x Sk, term by term in row order
+    s = HalfInteger(twice)
+    t = make_spin_triple(s)
+    n = t.dimension
+    ops = t.operators
+    expected = np.zeros((n * n, n * n), dtype=complex)
+    for j in range(3):
+        for k in range(3):
+            if float(pattern[j][k]) != 0.0:
+                expected += float(pattern[j][k]) * np.kron(ops[j], ops[k])
+    h = build(s)
+    assert h.matrix.dtype == expected.dtype
+    assert h.matrix.tobytes() == expected.tobytes()
+    assert h.hermitian == (hermiticity_defect(expected) <= 1e-12 * n * n)
+    if charge(t) is None:
+        assert h.charge is None
+    else:
+        for got, want in zip(h.charge, charge(t), strict=True):
+            assert got.tobytes() == want.tobytes()
+
+
 def test_charge_factors_of_the_named_operators():
     s = HalfInteger(3)
     t = make_spin_triple(s)

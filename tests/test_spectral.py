@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -83,11 +84,15 @@ def test_moments_of_an_empty_matrix_are_zero():
 
 
 def _assert_matches_matrix_powers(m, kmax):
+    # every kmax up to the given one, since where the traces come from (baby
+    # steps, the first giant step, a partly used last giant group) turns on it
     scale = max(1.0, float(np.max(np.abs(np.linalg.eigvalsh(m)))))
-    got = moments(m, kmax)
-    for k in range(1, kmax + 1):
-        expected = np.trace(np.linalg.matrix_power(m, k)).real
-        assert abs(got[k - 1] - expected) <= 1e-12 * m.shape[0] * scale**k
+    powers = range(1, kmax + 1)
+    expected = [np.trace(np.linalg.matrix_power(m, k)).real for k in powers]
+    for top in powers:
+        got = moments(m, top)
+        for k in range(1, top + 1):
+            assert abs(got[k - 1] - expected[k - 1]) <= 1e-12 * m.shape[0] * scale**k
 
 
 _WIDTHS = (5, 3, 2, 1, 1)
@@ -227,13 +232,37 @@ def _generic_rotation_operator():
 
 @pytest.mark.parametrize(
     "make, kmax",
-    [(_frustrated_cycle, 7), (_random_hermitian, 12), (_generic_rotation_operator, 16)],
+    [(_frustrated_cycle, 7), (_random_hermitian, 40), (_generic_rotation_operator, 16)],
     ids=["frustrated-cycle", "random-hermitian", "generic-rotation"],
 )
 def test_complex_path_matches_matrix_powers(make, kmax):
     m = make()
     assert _real_form(m, _gauge_colours(m)[0]) is None
     _assert_matches_matrix_powers(m, kmax)
+
+
+@pytest.mark.parametrize(
+    "build, shape",
+    [(build_heisenberg, (7, 4, 4)), (build_cyclic, (16, 16))],
+    ids=["H-stacked", "K-dense"],
+)
+def test_real_forms_match_matrix_powers(build, shape):
+    m = build(HalfInteger(3)).matrix
+    assert _stacked(m, _gauge_colours(m)[1]).shape == shape
+    _assert_matches_matrix_powers(m, 40)
+
+
+def test_moments_at_the_cap_keep_few_powers_and_name_the_overflow():
+    # J = 4 stored powers plus the giant one, however high kmax reaches
+    m = build_cyclic(HalfInteger(24)).matrix
+    tracemalloc.start()
+    try:
+        with pytest.raises(NumericalError, match="trace of power 141 overflowed"):
+            moments(m, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m.nbytes + 6 * 625 * 625 * 8
 
 
 @pytest.mark.parametrize("build", [build_heisenberg, build_cyclic], ids=["H", "K"])
