@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .eig import DEFAULT_MAX_SWEEPS, hermitian_eig
-from .gates import Gate, gate_eigenphases, synthesize_gate, unitarity_residual
+from .gates import Gate, gate_eigenphases, synthesize_gate
 from .hamiltonians import build_cyclic, build_heisenberg
 from .linalg import DEFAULT_TOL, NumericalError, as_cmatrix
 from .spectral import (
@@ -384,8 +384,6 @@ def cmd_verify(args: argparse.Namespace) -> dict:
 
 def _gate_check(gate: Gate) -> dict:
     residual = gate.unitarity_residual
-    if residual is None:
-        residual = unitarity_residual(gate.matrix)
     phases = gate_eigenphases(gate)
     # The phases lie on a circle: they span 2 pi minus the widest gap between
     # neighbours, where the last gap wraps from the largest phase back to the

@@ -29,10 +29,9 @@ which every pair meets once, the circle ordering of Sameh (Math. Comp. 25,
 1971) and Brent & Luk (SIAM J. Sci. Stat. Comput. 6(1), 1985), so a round is
 one batched row update and one batched column update.  One kernel,
 ``_jacobi_stack``, serves every route: it sweeps a zero-padded (count, w, w)
-stack of blocks, each to its own stop.  The full route stacks the
-connected components of the matrix's nonzero pattern (one block when the
-pattern does not split), the two charge factors are a two-block stack, and
-the sectors are stacked by width.
+stack of blocks, each to its own stop.  The charge factors are a two-block
+stack; the blocks of either route, over the components of the matrix's
+nonzero pattern or over its charge sectors, are stacked by width.
 
 Arithmetic
 ----------
@@ -59,9 +58,9 @@ about the charge is assumed: the commutator ||[M, Q]||_F and the leak, the
 norm of M' outside the sectors, are measured and reported, and a leak above
 the full route's stop threshold tol * ||M||_F is an error.  Both routes end
 in the same sorting, phase pinning and residual check against the original M.
-When the vectors keep to the components of M's pattern, as those of H do on
-either route, the residual M v - lambda v is taken block by block, and the
-decomposition keeps the blocks for later products with its vectors.
+The residual M v - lambda v is taken on the blocks of M's pattern that the
+vectors keep to (see :func:`linalg.column_blocks`), and the decomposition
+keeps them for later products with its vectors.
 """
 
 from __future__ import annotations
@@ -117,8 +116,8 @@ class EigDecomposition:
     ``commutator`` are the sector route's measured charge certificate (see
     :func:`hermitian_eig`); both are 0.0 on the full route.  ``blocks`` are
     the row and column blocks of M's pattern that ``vectors`` keep to, as
-    :func:`linalg.column_blocks` found them, or None: products with the
-    vectors may then be taken on the blocks' stack.
+    :func:`linalg.column_blocks` found them, for products with the vectors
+    on the blocks' stack; None only for a decomposition built by hand.
     """
 
     values: np.ndarray
@@ -299,13 +298,11 @@ def _mode(t: np.ndarray, f: np.ndarray, axis: int) -> np.ndarray:
 
 def _split_sectors(
     m: np.ndarray, charge, tol: float, stop: float
-) -> tuple[np.ndarray, dict[int, np.ndarray], list[np.ndarray], float, float]:
-    """Rotate ``m`` into the eigenbasis W of A x I + I x B and split it.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
+    """Rotate ``m`` into the eigenbasis W of A x I + I x B and measure the split.
 
-    Returns W, the basis indices of each sector keyed by its charge label
-    2(qa + qb) in ascending order, each sector's block of the rotated
-    matrix, which is symmetrized once as a whole, the leak and the
-    commutator norm.
+    Returns W, the rotated matrix, symmetrized once, the charge label
+    2(qa + qb) of each basis index, the leak and the commutator norm.
     """
     a_site, b_site = (require_square(f, "charge factors must be square") for f in charge)
     n = m.shape[0]
@@ -340,41 +337,50 @@ def _split_sectors(
     rotated = _symmetrized(rotated.reshape(n, n))
     w = np.kron(va, vb)
     labels = np.rint(2.0 * (qa[:, np.newaxis] + qb[np.newaxis, :])).ravel()
-    order = np.argsort(labels, kind="stable")
-    sectors = {
-        int(labels[idx[0]]): idx
-        for idx in np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
-    }
-
     leak = float(np.linalg.norm(rotated[labels[:, np.newaxis] != labels]))
     if leak > stop:
         raise NumericalError(
             f"charge does not split the operator: off-sector norm {leak:.3e} "
             f"exceeds {stop:.3e} (commutator norm {commutator:.3e})"
         )
-    blocks = [rotated[np.ix_(idx, idx)] for idx in sectors.values()]
-    return w, sectors, blocks, leak, commutator
+    return w, rotated, labels, leak, commutator
 
 
 def _blockwise(
-    groups: list[np.ndarray],
-    blocks: list[np.ndarray],
-    stops: list[float],
-    names: list[str],
-    max_sweeps: int,
-    w: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Solve ``blocks`` with :func:`_solved` and put the pairs in place.
+    m: np.ndarray, charge, component: np.ndarray, tol: float, stop: float, max_sweeps: int
+) -> tuple[np.ndarray, np.ndarray, int, float, float]:
+    """Jacobi on the blocks of ``m`` over equal labels, all at once.
 
-    Block j sits at the indices ``groups[j]``, which together cover
-    0..n-1 once: its eigenvalues go to those indices, and its
-    rotations R_j to vectors[groups[j], groups[j]], zero elsewhere, or, with
-    a basis ``w``, to the columns w[:, groups[j]] R_j.  Returns the values,
-    the vectors and the most sweeps any block took.
+    The labels are ``component``, for m symmetrized, or with a charge those
+    of m rotated into the basis W by :func:`_split_sectors`.  Each block is
+    swept to tol times its own norm, or named by route, label and width in
+    the :class:`ConvergenceError`; its rotations R go to vectors[idx, idx],
+    or to the columns W[:, idx] R.  Returns the values, the vectors, the
+    most sweeps any block took, the leak and the commutator norm.
     """
-    solved = _solved(blocks, stops, max_sweeps, names)
-    n = sum(idx.size for idx in groups)
-    dtype = np.result_type(*(r for _, r, _, _ in solved), *([] if w is None else [w]))
+    leak = commutator = 0.0
+    if charge is None:
+        w, a, labels, name = None, _symmetrized(m), component, "component"
+    else:
+        w, a, labels, leak, commutator = _split_sectors(m, charge, tol, stop)
+        name = "sector of charge 2(qa+qb) ="
+    order = np.argsort(labels, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+    # for n = 0 the split holds one empty group, which is no block
+    groups = [idx for idx in groups if idx.size]
+    blocks = [a[np.ix_(idx, idx)] for idx in groups]
+    # the rotations take a's dtype, also for n = 0, where there are none
+    dtype = np.result_type(a, *([] if w is None else [w]))
+    # a is n x n: freed before the solve, as W is on return, before _finish,
+    # so that neither sits under their peaks
+    del a
+    solved = _solved(
+        blocks,
+        [tol * frobenius_norm(block) for block in blocks],
+        max_sweeps,
+        [f"{name} {int(labels[idx[0]])} (width {idx.size}): " for idx in groups],
+    )
+    n = m.shape[0]
     values = np.empty(n)
     vectors = np.zeros((n, n), dtype=dtype)
     for idx, (diagonal, r, _, _) in zip(groups, solved):
@@ -383,45 +389,8 @@ def _blockwise(
             vectors[np.ix_(idx, idx)] = r
         else:
             vectors[:, idx] = w[:, idx] @ r
-    return values, vectors, max(sweeps for _, _, sweeps, _ in solved)
-
-
-def _sector_jacobi(
-    m: np.ndarray, charge, tol: float, stop: float, max_sweeps: int
-) -> tuple[np.ndarray, np.ndarray, int, float, float]:
-    """Jacobi on all sectors of ``m`` at once, each to tol times its own norm."""
-    w, sectors, blocks, leak, commutator = _split_sectors(m, charge, tol, stop)
-    stops = [tol * frobenius_norm(block) for block in blocks]
-    names = [
-        f"sector of charge 2(qa+qb) = {label} (width {idx.size}): "
-        for label, idx in sectors.items()
-    ]
-    groups = list(sectors.values())
-    return *_blockwise(groups, blocks, stops, names, max_sweeps, w), leak, commutator
-
-
-def _component_jacobi(
-    m: np.ndarray, component: np.ndarray, tol: float, stop: float, max_sweeps: int
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Jacobi on the components of ``m``'s pattern at once, as separate blocks.
-
-    Each of several components is swept to tol times its own norm, which
-    keeps the total off-diagonal stop at ``stop`` = tol * ||m||_F, since no
-    nonzero links two components; a single component is swept whole, to
-    ``stop``.  The vectors are zero outside the components' blocks.
-    """
-    symmetric = _symmetrized(m)
-    sizes = np.bincount(component, minlength=1)
-    groups = np.split(np.argsort(component, kind="stable"), np.cumsum(sizes)[:-1])
-    if len(groups) == 1:
-        blocks, stops, names = [symmetric], [stop], [""]
-    else:
-        blocks = [symmetric[np.ix_(idx, idx)] for idx in groups]
-        stops = [tol * frobenius_norm(block) for block in blocks]
-        names = [
-            f"component {label} (width {idx.size}): " for label, idx in enumerate(groups)
-        ]
-    return _blockwise(groups, blocks, stops, names, max_sweeps)
+    sweeps = max((sweeps for _, _, sweeps, _ in solved), default=0)
+    return values, vectors, sweeps, leak, commutator
 
 
 def _finish(
@@ -437,9 +406,8 @@ def _finish(
 
     ``m`` and ``vectors`` may both be real; the vectors are returned as
     complex128 either way.  ``component`` labels the components of ``m``'s
-    pattern; when every vector keeps to their blocks, as
-    :func:`linalg.column_blocks` tests exactly, m v - lambda v is taken on
-    their stack, and the blocks are kept with the decomposition.
+    pattern; m v - lambda v is taken on the stack of the blocks that
+    :func:`linalg.column_blocks` finds for the vectors, which are kept.
     """
     n = m.shape[0]
     order = np.argsort(values, kind="stable")
@@ -452,13 +420,9 @@ def _finish(
         vectors = vectors * np.divide(
             lead.conj(), mag, out=np.ones(n, dtype=vectors.dtype), where=mag > 0.0
         )
-    blocks = column_blocks(vectors, component)
-    if blocks is None:
-        deltas = m @ vectors - vectors * values
-    else:
-        rows, columns = blocks
-        v = rows.stack(vectors, columns)
-        deltas = rows.stack(m) @ v - v * values[columns.members][:, np.newaxis, :]
+    blocks = rows, columns = column_blocks(vectors, component)
+    v = rows.stack(vectors, columns)
+    deltas = rows.stack(m) @ v - v * values[columns.members][:, np.newaxis, :]
     residual = float(np.max(np.linalg.norm(deltas, axis=-2), initial=0.0))
     vectors = vectors.astype(np.complex128, copy=False)
     values.flags.writeable = False
@@ -527,13 +491,9 @@ def hermitian_eig(
         raise NumericalError(
             "the Frobenius norm of the matrix overflows; rescale its entries"
         )
-    stop = tol * norm
     component = components(m)[0]
-    if charge is None:
-        values, vectors, sweeps = _component_jacobi(m, component, tol, stop, max_sweeps)
-        return _finish(m, values, vectors, sweeps, component)
-    values, vectors, sweeps, leak, commutator = _sector_jacobi(
-        m, charge, tol, stop, max_sweeps
+    values, vectors, sweeps, leak, commutator = _blockwise(
+        m, charge, component, tol, tol * norm, max_sweeps
     )
     return _finish(m, values, vectors, sweeps, component, leak, commutator)
 

@@ -7,13 +7,14 @@ U(theta1) U(theta2) = U(theta1 + theta2) holds because all factors share
 one eigenbasis.
 
 Both products of a gate follow the blocks of a nonzero pattern (see
-:class:`linalg.Blocks`).  When M's pattern splits into components and every
-column of V keeps to them, U is assembled as the direct sum of the blocks
-V_b diag(exp(-i theta lambda_b)) V_b^H, taken on a zero-padded stack and
-scattered into a zeroed matrix; U^H U - I is likewise taken per component
-of U's own pattern.  H, which conserves total S3, splits into 4s+1 blocks,
-49 of width at most 25 at 2s = 24, where 97% of its gate is exact zeros;
-K's pattern is one component, and its gate takes the dense products.
+:class:`linalg.Blocks`).  U is assembled as the direct sum of the blocks
+V_b diag(exp(-i theta lambda_b)) V_b^H over the blocks that the columns of
+V keep to, taken on a zero-padded stack and scattered into a zeroed
+matrix; U^H U - I is likewise taken per component of U's own pattern.  H,
+which conserves total S3, splits into 4s+1 blocks, 49 of width at most 25
+at 2s = 24, where 97% of its gate is exact zeros; K's pattern is one
+component, one block whose stack is the matrix itself, so its gate costs
+the dense products.
 """
 
 from __future__ import annotations
@@ -79,13 +80,14 @@ def synthesize_gate(
     """Build U(theta) = exp(-i theta M) from a Hermitian generator.
 
     Rejects carriers whose computed hermiticity flag is false.  A carrier
-    with a conserved charge is diagonalized sector by sector.  When the
-    generator's pattern splits and the eigenvectors keep to its blocks, as
-    the decomposition's ``blocks`` record from the exact test of
-    :func:`linalg.column_blocks`, U is the direct sum of the blocks' gates;
-    otherwise it is the dense product.  The result is
-    checked against ||U^H U - I|| <= 1e-10 * dim before being returned; a
-    NaN gate, from theta * lambda overflowing, fails that check too.
+    with a conserved charge is diagonalized sector by sector.  U is the
+    direct sum of the gates of the blocks that the decomposition's
+    ``blocks`` record from the exact test of :func:`linalg.column_blocks`:
+    those of the generator's pattern when the eigenvectors keep to them,
+    else the one block of every index, whose gate is the dense product.
+    The result is checked against ||U^H U - I|| <= 1e-10 * dim before being
+    returned; a NaN gate, from theta * lambda overflowing, fails that check
+    too.
     """
     if not isinstance(theta, (int, float)) or not np.isfinite(theta):
         raise ValueError(f"theta must be a finite real number, got {theta!r}")
@@ -98,17 +100,12 @@ def synthesize_gate(
     # theta * lambda can overflow; the gate is then NaN and fails the bound below
     with np.errstate(over="ignore", invalid="ignore"):
         phases = np.exp(-1j * float(theta) * dec.values)
-        if dec.blocks is None:
-            u = (dec.vectors * phases[np.newaxis, :]) @ dec.vectors.conj().T
-        else:
-            rows, columns = dec.blocks
-            v = rows.stack(dec.vectors, columns)
-            # padding columns of v are 0 and take the phase of index 0; a
-            # NaN phase there makes the blocks NaN, as it makes the dense
-            # product NaN, and either fails the bound below
-            u = rows.scatter(
-                (v * phases[columns.members][:, np.newaxis, :]) @ _adjoints(v)
-            )
+        rows, columns = dec.blocks
+        v = rows.stack(dec.vectors, columns)
+        # padding columns of v are 0 and take the phase of index 0; a NaN
+        # phase there makes the blocks NaN, as it makes the dense product
+        # NaN, and either fails the bound below
+        u = rows.scatter((v * phases[columns.members][:, np.newaxis, :]) @ _adjoints(v))
         residual = unitarity_residual(u)
     if not residual <= UNITARITY_TOL * u.shape[0]:
         raise NumericalError(
@@ -156,14 +153,12 @@ def unitarity_residual(u: np.ndarray) -> float:
     """||u^H u - I|| in the Frobenius norm.
 
     u^H u - I vanishes between two components of u's nonzero pattern, so
-    it is taken per component when the pattern splits (see
-    :class:`linalg.Blocks`).  A NaN entry is part of the pattern, so a NaN
-    gate has a NaN residual either way.
+    it is taken on the stack of their blocks (see :class:`linalg.Blocks`).
+    A NaN entry is part of the pattern, so a NaN gate has a NaN residual
+    either way.
     """
     u = require_square(u, "expected a square matrix")
     blocks = Blocks.of(components(u)[0])
-    if blocks is None:
-        return frobenius_norm(u.conj().T @ u - np.eye(u.shape[0]))
     stack = blocks.stack(u)
     gram = _adjoints(stack) @ stack
     diagonal = np.arange(gram.shape[-1])

@@ -13,9 +13,10 @@ a zero-padded stack of shape (count, width, width) and scatters such a
 stack back into a dense array.  A product over a pattern that splits, such
 as that of H, which conserves total S3, then costs count * width^3 instead
 of n^3: 49 blocks of width at most 25 instead of one of 625 at 2s = 24.
-:func:`column_blocks` decides, exactly, whether the columns of a matrix of
-eigenvectors keep to those blocks, so that products with it may be taken
-blockwise too.
+A pattern that does not split, such as K's, is one block, whose stack is a
+view of the matrix.  :func:`column_blocks` decides, exactly, whether the
+columns of a matrix of eigenvectors keep to the blocks, so that products
+with it may be taken blockwise too.
 """
 
 from __future__ import annotations
@@ -242,18 +243,19 @@ class Blocks:
     filled: np.ndarray
 
     @classmethod
-    def of(cls, label: np.ndarray) -> Blocks | None:
-        """The blocks of a label per index, or None when stacking cannot pay.
+    def of(cls, label: np.ndarray) -> Blocks:
+        """The blocks of a label per index, or one block where stacking cannot pay.
 
         That is when there are fewer than two labels, or when the stack of
         shape (count, width, width) would hold more entries than the n x n
-        matrix, width being the largest label count.
+        matrix, width being the largest label count.  The one block holds
+        every index in order, none for n = 0.
         """
         n = label.size
         sizes = np.bincount(label)
         count, width = sizes.size, int(sizes.max(initial=0))
         if count < 2 or count * width * width > n * n:
-            return None
+            return cls(np.arange(n)[np.newaxis], np.ones((1, n), dtype=bool))
         filled = np.arange(width) < sizes[:, None]
         members = np.zeros((count, width), dtype=np.intp)
         members[filled] = np.argsort(label, kind="stable")
@@ -263,9 +265,13 @@ class Blocks:
         """a's blocks, rows from these blocks and columns from ``columns``.
 
         ``columns`` defaults to these blocks, which gives a's diagonal
-        blocks; it must have the same count and width.  The result is a new
-        array of shape (count, width, width), zero in the padding.
+        blocks; it must have the same count and width.  The result has shape
+        (count, width, width), zero in the padding.  For one block it is the
+        view ``a[np.newaxis]``, so callers must not write into it unless a
+        is their own; otherwise it is a new array.
         """
+        if self.members.shape[0] == 1:
+            return a[np.newaxis]
         if columns is None:
             columns = self
         stack = a[self.members[:, :, None], columns.members[:, None, :]]
@@ -276,8 +282,11 @@ class Blocks:
         """The n x n array holding ``stack``'s diagonal blocks, zero elsewhere.
 
         The inverse of :meth:`stack` for a matrix with no nonzero outside
-        its blocks; the padding of ``stack`` is not read.
+        its blocks; the padding of ``stack`` is not read.  For one block it
+        is the view ``stack[0]``.
         """
+        if self.members.shape[0] == 1:
+            return stack[0]
         n = int(np.count_nonzero(self.filled))
         inside = self.filled[:, :, None] & self.filled[:, None, :]
         rows = np.broadcast_to(self.members[:, :, None], inside.shape)[inside]
@@ -287,28 +296,28 @@ class Blocks:
         return out
 
 
-def column_blocks(v: np.ndarray, label: np.ndarray) -> tuple[Blocks, Blocks] | None:
-    """Blocks of v's rows and of its columns, when v keeps to the row blocks.
+def column_blocks(v: np.ndarray, label: np.ndarray) -> tuple[Blocks, Blocks]:
+    """Blocks of v's rows and of its columns, for products with v.
 
     ``label`` labels v's rows.  A column keeps to them when all its nonzeros
     (a NaN counts as one) lie in rows of one label, which it then takes.
-    Returns the row blocks and the column blocks when every column keeps to
-    them and each label has as many columns as rows, as for the eigenvectors
-    of a matrix whose pattern ``label`` splits; v is then block diagonal
-    over the pairs, and a product with v may be taken on their stack.  None
-    otherwise, or when :meth:`Blocks.of` finds no gain.  The test is exact:
-    one stray nonzero of 1e-300 is enough for None.
+    When every column keeps to the row blocks and each label has as many
+    columns as rows, as for the eigenvectors of a matrix whose pattern
+    ``label`` splits, v is block diagonal over the pairs returned.
+    Otherwise, or when the rows are one block, which skips the O(n^2) test,
+    both are one block.  The test is exact: one stray nonzero of 1e-300 is
+    enough to fail it.
     """
     rows = Blocks.of(label)
-    if rows is None:
-        return None
     count = rows.members.shape[0]
-    nonzero = v != 0
-    low = np.where(nonzero, label[:, None], count).min(axis=0)
-    high = np.where(nonzero, label[:, None], -1).max(axis=0)
-    # a zero column has low = count and high = -1, so it fails the test too
-    if np.any(low != high):
-        return None
-    if np.any(np.bincount(low, minlength=count) != rows.filled.sum(axis=1)):
-        return None
-    return rows, Blocks.of(low)
+    if count > 1:
+        nonzero = v != 0
+        low = np.where(nonzero, label[:, None], count).min(axis=0)
+        high = np.where(nonzero, label[:, None], -1).max(axis=0)
+        # a zero column has low = count and high = -1, so it fails the test too
+        if np.array_equal(low, high) and np.array_equal(
+            np.bincount(low, minlength=count), rows.filled.sum(axis=1)
+        ):
+            return rows, Blocks.of(low)
+        rows = Blocks.of(np.zeros_like(label))
+    return rows, rows

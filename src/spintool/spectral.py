@@ -20,8 +20,9 @@ their powers are real matrix products.  Every power keeps the split of
 the matrix's nonzero pattern into connected components, so the powers are
 taken block by block on a stack of the components' diagonal blocks and
 the traces summed over blocks.  H, which conserves total S3, splits into
-4s+1 blocks; K's pattern is one component and is powered whole.  The
-split reads only the matrix's exact zeros.
+4s+1 blocks; K's pattern is one component, a stack of one block that is
+the matrix itself, so it is powered whole.  The split reads only the
+matrix's exact zeros.
 """
 
 from __future__ import annotations
@@ -151,7 +152,8 @@ def moments(m: np.ndarray, kmax: int) -> np.ndarray:
     zero-padded to the widest one and stacked, shape (count, width, width),
     whenever there are at least two and the stack holds no more entries
     than the matrix (count * width^2 <= dim^2, see :class:`linalg.Blocks`);
-    otherwise the matrix itself is powered.  A product then costs
+    otherwise the stack is one block, a view of the matrix itself, which
+    copies nothing.  A product then costs
     count * width^3 multiply-adds, padding included, instead of dim^3: the
     exchange operator H, whose pattern splits into the 4s+1 sectors of
     total S3, costs 49 products of width at most 25 at 2s = 24 instead of
@@ -181,9 +183,8 @@ def moments(m: np.ndarray, kmax: int) -> np.ndarray:
         # log2 of the bound 1e-8 * dim * max(1, ||m||_F)^k is drift + k * growth
         drift = math.log2(1e-8 * m.shape[0])
         growth = math.log2(max(1.0, frobenius_norm(m)))
-    blocks = Blocks.of(component)
-    if blocks is not None:
-        a = blocks.stack(a)
+    # a is a copy of m, so the stack, which may be a view of a, is scaled in place
+    a = Blocks.of(component).stack(a)
     top = float(np.max(np.abs(a), initial=0.0))
     g = max(math.frexp(top)[1], -1000)  # 2^-g stays finite for subnormal entries
     a *= math.ldexp(1.0, -g)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import spintool.cli as cli
+from spintool.gates import unitarity_residual
 
 SCHEMA = json.loads(
     (Path(cli.__file__).parent / "report_schema.json").read_text(encoding="utf-8")
@@ -213,12 +214,15 @@ def test_gate_check_catches_broken_unitary(run_cli, monkeypatch):
         gate = real(ham, theta, **kwargs)
         damaged = gate.matrix.copy()
         damaged[0, 0] += 1e-3
+        # the check reads the residual that synthesis measured, as it does
+        # for every gate synthesize_gate returns
         return cli.Gate(
             theta=gate.theta,
             kind=gate.kind,
             spin=gate.spin,
             matrix=damaged,
             source_values=gate.source_values,
+            unitarity_residual=unitarity_residual(damaged),
         )
 
     monkeypatch.setattr(cli, "synthesize_gate", broken)
@@ -309,7 +313,14 @@ def test_gate_json_of_a_non_finite_matrix_writes_nothing(run_cli, monkeypatch, c
         gate = real(ham, theta, **kwargs)
         matrix = gate.matrix.copy()
         matrix[-1, -1] = complex(1.0, np.nan)
-        return cli.Gate(gate.theta, gate.kind, gate.spin, matrix, gate.source_values)
+        return cli.Gate(
+            gate.theta,
+            gate.kind,
+            gate.spin,
+            matrix,
+            gate.source_values,
+            unitarity_residual(matrix),
+        )
 
     monkeypatch.setattr(cli, "synthesize_gate", with_a_nan)
     code, out, err = run_cli("gate", "--spin", "2", "--theta", "0.7", *check, "--format", "json")

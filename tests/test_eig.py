@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -60,6 +61,22 @@ def test_diagonal_matrix_sorted_exactly():
     np.testing.assert_array_equal(dec.vectors, np.eye(3)[:, [1, 2, 0]])
     assert dec.sweeps == 0
     assert dec.residual == 0.0
+
+
+@pytest.mark.parametrize(
+    "build, mib", [(build_heisenberg, 16.5), (build_cyclic, 25.5)], ids=["H", "K"]
+)
+def test_sector_route_at_the_cap_frees_its_basis_before_the_residual(build, mib):
+    # measured 15.4 MiB for H and 24.0 for K; keeping W and the rotated
+    # matrix alive through the residual reads 21.4 and 33.0
+    ham = build(HalfInteger(24))
+    tracemalloc.start()
+    try:
+        hermitian_eig(ham.matrix, charge=ham.charge)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < mib * 2**20
 
 
 def test_empty_matrix_gives_an_empty_decomposition():
@@ -609,4 +626,9 @@ def test_full_route_names_the_component_that_runs_out():
         r"\S+ after 0 sweeps$",
     ):
         hermitian_eig(m, max_sweeps=0)
+    # K's pattern is one component, named like any other
+    with pytest.raises(
+        ConvergenceError, match=r"^component 0 \(width 16\): off-diagonal norm "
+    ):
+        hermitian_eig(build_cyclic(HalfInteger(3)).matrix, max_sweeps=0)
 

@@ -169,7 +169,8 @@ def test_overflowing_phases_fail_the_unitarity_bound():
     ham = build_heisenberg(HalfInteger(4))
     # H's gate is built block by block, and its NaN blocks fail all the same
     vectors = hermitian_eig(ham.matrix, charge=ham.charge).vectors
-    assert column_blocks(vectors, components(ham.matrix)[0]) is not None
+    rows, _ = column_blocks(vectors, components(ham.matrix)[0])
+    assert rows.members.shape[0] == 9
     with pytest.raises(NumericalError, match="unitarity bound: nan"):
         synthesize_gate(ham, 1e308)
 
@@ -217,9 +218,11 @@ def test_blockwise_gate_matches_the_dense_product(twice):
 
 def test_k_takes_the_dense_product():
     ham = build_cyclic(HalfInteger(8))
-    # K's pattern is one component, so there are no blocks to keep to
+    # K's pattern is one component: one block of every index, whose gate
+    # is the dense product
     assert not components(ham.matrix)[0].any()
-    assert hermitian_eig(ham.matrix, charge=ham.charge).blocks is None
+    for blocks in hermitian_eig(ham.matrix, charge=ham.charge).blocks:
+        np.testing.assert_array_equal(blocks.members, np.arange(ham.dimension)[np.newaxis])
     gate = synthesize_gate(ham, 0.7)
     np.testing.assert_array_equal(gate.matrix, _dense_gate(ham, 0.7))
 
@@ -231,8 +234,10 @@ def test_a_stray_nonzero_in_the_eigenvectors_takes_the_dense_product(monkeypatch
     vectors = dec.vectors.copy()
     column = vectors[:, 3]
     column[np.flatnonzero(label != label[np.flatnonzero(column)[0]])[0]] = 1e-300
-    stray = EigDecomposition(dec.values, vectors, dec.residual, dec.sweeps)
-    assert column_blocks(vectors, label) is None
+    found = column_blocks(vectors, label)
+    for blocks in found:
+        np.testing.assert_array_equal(blocks.members, np.arange(ham.dimension)[np.newaxis])
+    stray = EigDecomposition(dec.values, vectors, dec.residual, dec.sweeps, blocks=found)
     monkeypatch.setattr(gates, "hermitian_eig", lambda *args, **kwargs: stray)
     gate = synthesize_gate(ham, 0.7)
     phases = np.exp(-0.7j * dec.values)

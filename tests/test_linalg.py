@@ -3,6 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
+from spintool.eig import hermitian_eig
+from spintool.gates import unitarity_residual
 from spintool.linalg import (
     Blocks,
     HermiticityError,
@@ -21,6 +23,7 @@ from spintool.linalg import (
     require_hermitian,
     trace,
 )
+from spintool.spectral import moments
 
 
 def _random_pair(rng, n):
@@ -292,11 +295,43 @@ def test_blocks_stack_and_scatter_are_inverse():
         np.testing.assert_array_equal(stack[b, : idx.size, : idx.size], m[np.ix_(idx, idx)])
 
 
+def _assert_one_block(blocks, n):
+    """``blocks`` is the one block of every index 0..n-1, in order."""
+    np.testing.assert_array_equal(blocks.members, np.arange(n)[np.newaxis])
+    assert blocks.filled.shape == (1, n) and blocks.filled.all()
+
+
 def test_blocks_decline_what_cannot_pay():
-    assert Blocks.of(np.zeros(5, dtype=np.intp)) is None
-    # widths 4 and 1: a stack of 2 * 16 entries outgrows the 25 of the matrix
-    assert Blocks.of(np.array([0, 0, 0, 0, 1])) is None
+    # one label, and widths 4 and 1, whose stack of 2 * 16 entries would
+    # outgrow the 25 of the matrix: one block of every index instead
+    _assert_one_block(Blocks.of(np.zeros(5, dtype=np.intp)), 5)
+    _assert_one_block(Blocks.of(np.array([0, 0, 0, 0, 1])), 5)
+    _assert_one_block(Blocks.of(np.zeros(0, dtype=np.intp)), 0)
     assert Blocks.of(np.array([0, 1, 0, 2])).members.shape == (3, 2)
+    # its stack and scatter are views, which copy nothing
+    m = np.arange(25.0).reshape(5, 5)
+    one = Blocks.of(np.array([0, 0, 0, 0, 1]))
+    stack = one.stack(m)
+    assert stack.shape == (1, 5, 5) and np.shares_memory(stack, m)
+    np.testing.assert_array_equal(stack[0], m)
+    assert np.shares_memory(one.scatter(stack), m)
+    np.testing.assert_array_equal(one.scatter(stack), m)
+    assert one.stack(np.zeros((0, 0))).shape == (1, 0, 0)
+
+
+@pytest.mark.parametrize("widths", [[5], [4, 1]], ids=["one-component", "cannot-pay"])
+def test_the_one_block_view_never_leaks_a_write(widths):
+    # one component, or widths 4 and 1, whose stack would outgrow the
+    # matrix: every stack of these inputs is the one-block view of them
+    r = _permuted_block_diagonal(np.random.default_rng(71), widths)
+    m = (r + r.conj().T) / 2
+    assert m.dtype == np.complex128 and m.flags.writeable
+    _assert_one_block(Blocks.of(components(m)[0]), 5)
+    before = m.copy()
+    moments(m, 9)
+    hermitian_eig(m)
+    unitarity_residual(m)
+    assert m.tobytes() == before.tobytes()
 
 
 def test_column_blocks_need_every_column_in_one_block():
@@ -313,17 +348,20 @@ def test_column_blocks_need_every_column_in_one_block():
     product = rows.scatter(stack @ stack.conj().transpose(0, 2, 1))
     np.testing.assert_allclose(product, v @ v.conj().T, rtol=0.0, atol=1e-14)
     assert not product[label[:, None] != label[None, :]].any()
-    # one stray nonzero, however small, sends the caller to the dense path
+    # one stray nonzero, however small, gives the one block of every index
     first = label[np.flatnonzero(v[:, 0])[0]]
     stray = v.copy()
     stray[np.flatnonzero(label != first)[0], 0] = 1e-300
-    assert column_blocks(stray, label) is None
+    for blocks in column_blocks(stray, label):
+        _assert_one_block(blocks, 9)
     # so does a zero column
     zero = v.copy()
     zero[:, 4] = 0.0
-    assert column_blocks(zero, label) is None
+    for blocks in column_blocks(zero, label):
+        _assert_one_block(blocks, 9)
     # and a block with more columns than rows
     moved = v.copy()
     moved[:, 0] = 0.0
     moved[np.flatnonzero(label != first)[0], 0] = 1.0
-    assert column_blocks(moved, label) is None
+    for blocks in column_blocks(moved, label):
+        _assert_one_block(blocks, 9)

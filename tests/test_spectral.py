@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spintool.eig import hermitian_eig
 from spintool.hamiltonians import build_bilinear, build_cyclic, build_heisenberg
 from spintool.linalg import Blocks, HermiticityError, NumericalError, ShapeError
 from spintool.spectral import (
@@ -25,9 +26,14 @@ from spintool.spin import HalfInteger
 
 
 def _stacked(a, component):
-    """a's block stack, or a itself where Blocks.of declines, as moments takes it."""
-    blocks = Blocks.of(component)
-    return a if blocks is None else blocks.stack(a)
+    """a's block stack, as moments takes it."""
+    return Blocks.of(component).stack(a)
+
+
+def _assert_whole(stack, a):
+    """``stack`` is the one block a[np.newaxis], a view of a."""
+    assert stack.shape == (1, *a.shape) and np.shares_memory(stack, a)
+    np.testing.assert_array_equal(stack[0], a)
 
 
 def test_moments_spin_half_golden():
@@ -155,12 +161,12 @@ def test_stack_layout_holds_no_more_entries_than_the_matrix():
     assert stack.shape == (49, 25, 25)
     assert stack.size <= h.size
     # one block of n - 1 plus a singleton: a stack of 2 (n-1)^2 entries
-    # would outgrow the matrix, so the matrix is powered as it is
+    # would outgrow the matrix, so the matrix is powered as it is, one block
     m = np.eye(6)
     m[:5, :5] += 1.0
     component = _gauge_colours(m)[1]
     np.testing.assert_array_equal(component, [0, 0, 0, 0, 0, 1])
-    assert _stacked(m, component) is m
+    _assert_whole(_stacked(m, component), m)
     # widths 3, 1, 1, 1: the stack holds exactly n^2 entries, and is taken
     m = np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
     m[:3, :3] += 1.0
@@ -170,7 +176,7 @@ def test_stack_layout_holds_no_more_entries_than_the_matrix():
     k = build_cyclic(HalfInteger(4)).matrix
     component = _gauge_colours(k)[1]
     assert not component.any()
-    assert _stacked(k, component) is k
+    _assert_whole(_stacked(k, component), k)
 
 
 def _gauged(m):
@@ -243,7 +249,7 @@ def test_complex_path_matches_matrix_powers(make, kmax):
 
 @pytest.mark.parametrize(
     "build, shape",
-    [(build_heisenberg, (7, 4, 4)), (build_cyclic, (16, 16))],
+    [(build_heisenberg, (7, 4, 4)), (build_cyclic, (1, 16, 16))],
     ids=["H-stacked", "K-dense"],
 )
 def test_real_forms_match_matrix_powers(build, shape):
@@ -431,6 +437,85 @@ def test_certify_detects_different_spectra():
     assert not report.verdict
     assert report.moments.traces_a[0] == 0.0
     assert report.moments.traces_b[0] == 2.0
+
+
+@pytest.mark.parametrize("twice", [3, 8])
+def test_det_minus_one_pattern_is_rejected_against_h(twice):
+    # S2 x S1 + S1 x S2 + S3 x S3: an improper rotation of H's pattern, so
+    # no charge is derived for it, and its spectrum is that of -H
+    s = HalfInteger(twice)
+    h = build_heisenberg(s)
+    impostor = build_bilinear(s, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    assert impostor.charge is None
+    np.testing.assert_allclose(
+        np.linalg.eigvalsh(impostor.matrix),
+        np.sort(-np.linalg.eigvalsh(h.matrix)),
+        rtol=0.0,
+        atol=1e-12,
+    )
+    report = certify_isospectral(h.matrix, impostor.matrix, charges=(h.charge, None))
+    assert not report.spectra_equal
+    assert not report.verdict
+
+
+def _k_impostor(twice, change):
+    """H, and K with its eigenvalues changed in place by ``change``, at 2s = twice.
+
+    The impostor is V diag(values) V^H for the sector route's eigenvectors V
+    of K.  Each lies in one sector of K's charge, so the impostor keeps the
+    charge, which is returned with it, and takes the sector route as well.
+    """
+    s = HalfInteger(twice)
+    k = build_cyclic(s)
+    dec = hermitian_eig(k.matrix, charge=k.charge)
+    values = dec.values.copy()
+    change(values)
+    m = (dec.vectors * values) @ dec.vectors.conj().T
+    return build_heisenberg(s), (m + m.conj().T) / 2, k.charge
+
+
+def test_k_with_one_eigenvalue_shifted_is_rejected_by_the_direct_route():
+    def shift(values):
+        values[1] += 1e-6  # one of the triplet
+
+    h, impostor, charge = _k_impostor(8, shift)
+    report = certify_isospectral(h.matrix, impostor, charges=(h.charge, charge))
+    assert not report.spectra_equal
+    assert report.spectrum_b.multiplicities[:3] == (1, 2, 1)
+    # the raw moments pass it: max_abs_diff 3.77e-7 against the tolerance 8.1e-7
+
+
+def _split_cluster_report(delta):
+    """H against K at 2s = 12 with its middle cluster split by -delta and +delta.
+
+    6 of the 13 eigenvalues at -21 move down and 6 up, so the first moment
+    is kept.
+    """
+
+    def split(values):
+        middle = np.flatnonzero(np.abs(values + 21.0) < 1e-6)
+        assert middle.size == 13
+        values[middle[:6]] -= delta
+        values[middle[7:]] += delta
+
+    h, impostor, charge = _k_impostor(12, split)
+    return certify_isospectral(h.matrix, impostor, charges=(h.charge, charge))
+
+
+def test_a_split_cluster_at_2s_12_is_rejected_by_the_direct_route():
+    report = _split_cluster_report(0.01)
+    assert not report.spectra_equal
+    assert report.spectrum_b.multiplicities[6:9] == (6, 1, 6)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the raw moments over all 169 powers miss a +-0.01 split of K's middle "
+    "cluster at 2s = 12: max_abs_diff 1.02e-6 against the tolerance 1.69e-6",
+)
+def test_raw_moments_reject_a_split_cluster_at_2s_12():
+    assert not _split_cluster_report(0.01).moments.passed
 
 
 def test_certify_reflexive():
