@@ -35,15 +35,16 @@ nonzero pattern or over its charge sectors, are stacked by width.
 
 Arithmetic
 ----------
-The kernel runs in the dtype of its blocks.  A matrix, or a charge factor,
-whose imaginary parts are all exactly 0 is taken as float64 on entry, so
-its blocks, rotations and vectors are real and the rotation's phase e is
-the sign of the pivot; any other input stays complex128.  The test is
-exact, never a tolerance: an imaginary part of 1e-300 keeps the complex
-path.  H, its charge factors (S3, S3) and its rotation W = I are exactly
-real and take the real path throughout, including the residual; K is
-complex, and only its real factors (S3, S1) run in float64.  Either way the
-decomposition holds complex128 vectors, pinned and measured as below.
+The kernel runs in the dtype of its blocks, and the moments' rule picks it:
+where :func:`linalg.gauge` finds a diagonal D of ones and i's that makes
+D^H M D exactly real, that float64 real form is swept, its rotation's
+phase e is the sign of the pivot, and the vectors come back as D V; other
+input stays complex128.  The test is exact, never a tolerance: 1e-300j on
+a nonzero real entry leaves no real form.  H has D = I, and K's D is i on
+the odd indices of the first site, so both run real throughout, as do
+their charge factors, each through its own gauge.  The residual is taken
+against M itself, in real arithmetic when D = I, and the decomposition
+holds complex128 vectors either way, pinned and measured as below.
 
 Sector route
 ------------
@@ -56,11 +57,11 @@ once, is then block diagonal over equal labels, so each sector (size at most
 diagonalized on its own, whose vectors are mapped back through W.  Nothing
 about the charge is assumed: the commutator ||[M, Q]||_F and the leak, the
 norm of M' outside the sectors, are measured and reported, and a leak above
-the full route's stop threshold tol * ||M||_F is an error.  Both routes end
-in the same sorting, phase pinning and residual check against the original M.
-The residual M v - lambda v is taken on the blocks of M's pattern that the
-vectors keep to (see :func:`linalg.column_blocks`), and the decomposition
-keeps them for later products with its vectors.
+the full route's stop threshold tol * ||M||_F is an error.  The real form
+is rotated instead of M only if D commutes with Q exactly, so that it has
+M's sectors; else M is, in complex arithmetic.  Both routes end in the
+same sorting, phase pinning and residual check against the original M,
+taken on the blocks of M's pattern that the vectors keep to.
 """
 
 from __future__ import annotations
@@ -76,8 +77,8 @@ from .linalg import (
     NumericalError,
     ShapeError,
     column_blocks,
-    components,
     frobenius_norm,
+    gauge,
     require_hermitian,
     require_square,
 )
@@ -133,20 +134,6 @@ class EigDecomposition:
         return self.values.shape[0]
 
 
-def _exact_dtype(m: np.ndarray) -> np.ndarray:
-    """``m`` as float64 if every imaginary part is exactly 0, else as complex128.
-
-    The test is exact, never a tolerance, so only exactly real input takes
-    real arithmetic; a complex128 matrix with an imaginary part is returned
-    without a copy.
-    """
-    a = np.asarray(m)
-    if np.iscomplexobj(a) and not a.imag.any():
-        # contiguous, so that products of it go to BLAS
-        return np.ascontiguousarray(a.real, dtype=np.float64)
-    return a.astype(np.complex128 if np.iscomplexobj(a) else np.float64, copy=False)
-
-
 def _symmetrized(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().T) / 2.0
 
@@ -174,8 +161,8 @@ def _jacobi_stack(
     The blocks are zero-padded into one stack of even width w >= 2, each
     beside its accumulated V^H.  The stack takes the dtype of the blocks:
     float64 when every block is a real array, so its rotations and V are
-    real, and complex128 otherwise; exactness is decided by the caller (see
-    ``_exact_dtype``).  A block runs while its off-diagonal norm,
+    real, and complex128 otherwise; the callers pass the real forms that
+    :func:`linalg.gauge` finds.  A block runs while its off-diagonal norm,
     taken at the start of each sweep, is above its stop.  A pivot at or
     below stop / (10 n), n the block's own width, is idle: its rotation is
     the identity.  So is every padding pivot, which is exactly 0.
@@ -296,16 +283,9 @@ def _mode(t: np.ndarray, f: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(np.tensordot(t, f, axes=(axis, 0)), -1, axis)
 
 
-def _split_sectors(
-    m: np.ndarray, charge, tol: float, stop: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
-    """Rotate ``m`` into the eigenbasis W of A x I + I x B and measure the split.
-
-    Returns W, the rotated matrix, symmetrized once, the charge label
-    2(qa + qb) of each basis index, the leak and the commutator norm.
-    """
+def _charge_factors(charge, n: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The factors (A, B) checked square, finite, Hermitian and of product n."""
     a_site, b_site = (require_square(f, "charge factors must be square") for f in charge)
-    n = m.shape[0]
     if a_site.shape[0] * b_site.shape[0] != n:
         raise ShapeError(
             f"charge factors of sizes {a_site.shape[0]} and {b_site.shape[0]} do "
@@ -315,16 +295,51 @@ def _split_sectors(
         if not np.isfinite(f).all():
             raise ValueError("charge factor entries must be finite")
         require_hermitian(f, tol)
-    a_site, b_site = _exact_dtype(a_site), _exact_dtype(b_site)
+    return a_site, b_site
+
+
+def _gauged(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`linalg.gauge` of m, with colour 0 and m as complex128 for no form."""
+    component, colour, form = gauge(m)
+    if form is None:
+        return component, np.zeros_like(colour), m.astype(np.complex128, copy=False)
+    return component, colour, form
+
+
+def _through(colour: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """D v for D = i^colour: the rows of colour 1 times i, v itself for D = I."""
+    if not colour.any():
+        return v
+    return v * np.where(colour, 1j, 1.0)[:, np.newaxis]
+
+
+def _split_sectors(
+    m: np.ndarray, charge, stop: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
+    """Rotate ``m`` into the eigenbasis W of A x I + I x B and measure the split.
+
+    ``charge`` holds factors checked by :func:`_charge_factors`.  Each is
+    swept as :func:`_gauged` gives it, its vectors brought back through its
+    own phase, and taken in the products below as it is, or as its real
+    part if it has no imaginary part.  Returns W, the rotated matrix,
+    symmetrized once, the charge label 2(qa + qb) of each basis index, the
+    leak and the commutator norm.
+    """
+    gauged = [_gauged(f)[1:] for f in charge]
     (qa, va, _, _), (qb, vb, _, _) = _solved(
-        [_symmetrized(f) for f in (a_site, b_site)],
-        [_SITE_TOL * frobenius_norm(f) for f in (a_site, b_site)],
+        [_symmetrized(f) for _, f in gauged],
+        [_SITE_TOL * frobenius_norm(f) for _, f in gauged],
         DEFAULT_MAX_SWEEPS,
         ["", ""],
+    )
+    va, vb = (_through(colour, v) for (colour, _), v in zip(gauged, (va, vb)))
+    a_site, b_site = (
+        f if colour.any() else swept for f, (colour, swept) in zip(charge, gauged)
     )
     # m as a 4-tensor (a, b, c, d), rows (a, b) and columns (c, d): a
     # product with A x I or I x B contracts one index with a single-site
     # factor, at a fraction of the cost of a dense n x n product
+    n = m.shape[0]
     shape = (qa.size, qb.size, qa.size, qb.size)
     t = m.reshape(shape)
     commutator = float(
@@ -362,7 +377,7 @@ def _blockwise(
     if charge is None:
         w, a, labels, name = None, _symmetrized(m), component, "component"
     else:
-        w, a, labels, leak, commutator = _split_sectors(m, charge, tol, stop)
+        w, a, labels, leak, commutator = _split_sectors(m, charge, stop)
         name = "sector of charge 2(qa+qb) ="
     order = np.argsort(labels, kind="stable")
     groups = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
@@ -446,34 +461,28 @@ def hermitian_eig(
 ) -> EigDecomposition:
     """Diagonalize a Hermitian matrix with round-robin Jacobi sweeps.
 
-    Stops once the off-diagonal Frobenius norm is <= tol * ||m||_F; raises
-    :class:`ConvergenceError` if that does not happen within ``max_sweeps``
-    full sweeps.  Without a charge, the connected components of ``m``'s
-    nonzero pattern are swept as separate blocks of the Jacobi kernel, each
-    to tol times its own norm, which keeps the total at tol * ||m||_F; a
-    component that runs out is named by its label and width in the
-    :class:`ConvergenceError`.  Pivots at or below the stop threshold
-    scaled by 1/(10 n) are skipped; the convergence check always measures
-    the true remaining off-diagonal mass, so skipping never masks a miss.
-    Inputs within the hermiticity tolerance are symmetrized once, on entry
-    (full route) or once rotated into the charge basis (sector route); the
-    reported residual is still taken against the original matrix.  A matrix
-    whose imaginary parts are all exactly 0 is swept in real arithmetic,
-    any other in complex; the vectors are complex128 either way.
-
-    ``charge = (A, B)`` selects the sector route: single-site Hermitian
-    factors whose sum A x I + I x B should commute with ``m``.  Both factors
-    are diagonalized first, ``m`` is rotated into the product of their
-    eigenbases and split into sectors of equal rounded charge 2(qa + qb),
-    and each sector is diagonalized on its own, to tol times its own norm
-    and within ``max_sweeps`` sweeps; a sector that runs out is named by
-    its charge label in the :class:`ConvergenceError`.  The rotated mass
-    outside the sectors is reported as ``leak`` and
-    ``||[m, A x I + I x B]||_F`` as ``commutator``; a leak above
-    tol * ||m||_F raises :class:`NumericalError`, so a wrong charge is never
-    trusted.  A matrix whose Frobenius norm overflows raises
-    :class:`NumericalError` on either route, since no stop threshold can be
-    derived from it.
+    Stops once the off-diagonal Frobenius norm is <= tol * ||m||_F.  The
+    blocks are swept each to tol times its own norm, which keeps the total
+    there, within ``max_sweeps`` sweeps, or a :class:`ConvergenceError`
+    names the block that ran out by its label and width.  Without a charge
+    they are the connected components of ``m``'s nonzero pattern;
+    ``charge = (A, B)``, single-site Hermitian factors whose sum
+    A x I + I x B should commute with ``m``, selects the sector route of
+    the module docstring, whose blocks are the sectors of equal rounded
+    charge 2(qa + qb).  Its rotated mass outside the sectors is reported
+    as ``leak`` and ``||[m, A x I + I x B]||_F`` as ``commutator``; a leak
+    above tol * ||m||_F raises :class:`NumericalError`, so a wrong charge is
+    never trusted.  Pivots at or below the stop threshold scaled by
+    1/(10 n) are skipped; the convergence check always measures the true
+    remaining off-diagonal mass, so skipping never masks a miss.  Inputs
+    within the hermiticity tolerance are symmetrized once, on entry (full
+    route) or once rotated into the charge basis (sector route); the
+    reported residual is still taken against the original matrix.  Where
+    :func:`linalg.gauge` finds a real form D^H m D, it is swept in real
+    arithmetic and the vectors are D V (see the module docstring); they
+    are complex128 either way.  A matrix whose Frobenius norm overflows
+    raises :class:`NumericalError`, since no stop threshold can be derived
+    from it.
     """
     m = require_square(m, "eigensolver needs a square matrix")
     if not np.isfinite(m).all():
@@ -482,20 +491,32 @@ def hermitian_eig(
         raise ValueError(f"tol must be positive, got {tol}")
     if max_sweeps < 0:
         raise ValueError(f"max_sweeps must be non-negative, got {max_sweeps}")
-    m = _exact_dtype(m)
-    require_hermitian(m, tol)
+    component, colour, a = _gauged(m)
+    # the real form's defect has m's entries up to sign: checked in its dtype
+    require_hermitian(a, tol)
 
     with np.errstate(over="ignore"):
-        norm = frobenius_norm(m)
+        norm = frobenius_norm(a)
     if not math.isfinite(norm):
         raise NumericalError(
             "the Frobenius norm of the matrix overflows; rescale its entries"
         )
-    component = components(m)[0]
+    if charge is not None:
+        charge = _charge_factors(charge, m.shape[0], tol)
+        # D^H m D has m's sectors only if D commutes with A x I + I x B, that
+        # is if no off-diagonal nonzero of A or B joins two colours
+        grid = colour.reshape(charge[0].shape[0], charge[1].shape[0])
+        (i, j), (k, l) = np.nonzero(charge[0]), np.nonzero(charge[1])
+        if (grid[i] != grid[j]).any() or (grid[:, k] != grid[:, l]).any():
+            colour, a = np.zeros_like(colour), m.astype(np.complex128, copy=False)
     values, vectors, sweeps, leak, commutator = _blockwise(
-        m, charge, component, tol, tol * norm, max_sweeps
+        a, charge, component, tol, tol * norm, max_sweeps
     )
-    return _finish(m, values, vectors, sweeps, component, leak, commutator)
+    if colour.any():
+        # the real form goes before the residual, which is then taken
+        # against m itself; for D = I the real form is m, exactly
+        a, vectors = m, _through(colour, vectors)
+    return _finish(a, values, vectors, sweeps, component, leak, commutator)
 
 
 def verify_eigenpair(m: np.ndarray, vector: np.ndarray, value: float) -> float:

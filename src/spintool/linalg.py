@@ -7,16 +7,20 @@ are never mutated, and arrays returned by constructors are marked read-only.
 
 The block helpers at the end, which are not exported, are the package's one
 home for a matrix's nonzero pattern.  :func:`components` labels the
-connected components of the pattern, with no Python loop per link, and
-:class:`Blocks` gathers a matrix's diagonal blocks, one per component, into
-a zero-padded stack of shape (count, width, width) and scatters such a
-stack back into a dense array.  A product over a pattern that splits, such
-as that of H, which conserves total S3, then costs count * width^3 instead
-of n^3: 49 blocks of width at most 25 instead of one of 625 at 2s = 24.
-A pattern that does not split, such as K's, is one block, whose stack is a
-view of the matrix.  :func:`column_blocks` decides, exactly, whether the
-columns of a matrix of eigenvectors keep to the blocks, so that products
-with it may be taken blockwise too.
+connected components of the pattern, with no Python loop per link.
+:func:`gauge` takes the same walk with a parity per link and so decides,
+for the moments and the eigensolver alike, the arithmetic of a Hermitian
+matrix: its real form D^H m D for a diagonal D of ones and i's where that
+is exact, as for H and K, else complex.  :class:`Blocks` gathers a matrix's
+diagonal blocks, one per component, into a zero-padded stack of shape
+(count, width, width) and scatters such a stack back into a dense array.
+A product over a pattern that splits, such as that of H, which conserves
+total S3, then costs count * width^3 instead of n^3: 49 blocks of width at
+most 25 instead of one of 625 at 2s = 24.  A pattern that does not split,
+such as K's, is one block, whose stack is a view of the matrix.
+:func:`column_blocks` decides, exactly, whether the columns of a matrix of
+eigenvectors keep to the blocks, so that products with it may be taken
+blockwise too.
 """
 
 from __future__ import annotations
@@ -228,6 +232,36 @@ def components(
     label, parity = code >> 1, code & 1
     roots = np.flatnonzero(label == np.arange(n))
     return np.searchsorted(roots, label), parity
+
+
+def gauge(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """A component label and a 0/1 colour per index of m, and its real form.
+
+    The real form is D^H m D for D = i^colour as a new float64 array, or
+    None when that is not exactly real.  A link of :func:`components` whose
+    entries m[i, j] and m[j, i] both have zero real part flips the colour.
+    Conjugating by D only moves signs and swaps parts, so the form is exact
+    when every purely imaginary entry links opposite colours and every
+    purely real one equal colours; an entry with both parts nonzero, or a
+    cycle of an odd number of imaginary links, leaves none.  Input with no
+    imaginary part has colour 0, with no parity test, and its real part.
+    """
+    imaginary = np.iscomplexobj(m) and m.imag.any()
+    real = m.real
+
+    def odd(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        return (real[i, j] == 0) & (real[j, i] == 0)
+
+    label, colour = components(m, odd if imaginary else None)
+    colour = colour.astype(np.int8)  # so that the shifts below are one byte each
+    if not imaginary:
+        return label, colour, np.array(real, dtype=np.float64)
+    shift = colour[:, None] - colour[None, :]
+    if np.any(m.imag, where=shift == 0) or np.any(real, where=shift != 0):
+        return label, colour, None
+    form = shift * m.imag
+    form += real
+    return label, colour, form
 
 
 @dataclass(frozen=True)

@@ -11,18 +11,11 @@ tolerance would be unsatisfiable at high powers, where double-precision
 rounding alone produces absolute errors far above any fixed bound.
 
 The traces themselves come from powers kept at unit scale by exact
-power-of-two factors, each trace one inner product of two of them: the
-first four powers are stored, and one giant power advances four powers
-per matrix product.  Operators whose entries are each purely real or
-purely imaginary, H and K among them, are first conjugated by a diagonal
-of ones and i's into an exactly real matrix with the same traces, so
-their powers are real matrix products.  Every power keeps the split of
-the matrix's nonzero pattern into connected components, so the powers are
-taken block by block on a stack of the components' diagonal blocks and
-the traces summed over blocks.  H, which conserves total S3, splits into
-4s+1 blocks; K's pattern is one component, a stack of one block that is
-the matrix itself, so it is powered whole.  The split reads only the
-matrix's exact zeros.
+power-of-two factors, four stored and one giant power (see :func:`moments`).
+H and K, like any matrix that :func:`linalg.gauge` finds a real form of,
+are powered in that real form, the one the eigensolver sweeps, and every
+power is taken block by block over the components of the nonzero pattern,
+read from the matrix's exact zeros: 4s+1 blocks for H, one for K.
 """
 
 from __future__ import annotations
@@ -38,8 +31,8 @@ from .linalg import (
     Blocks,
     NumericalError,
     ShapeError,
-    components,
     frobenius_norm,
+    gauge,
     require_hermitian,
     require_square,
 )
@@ -138,26 +131,19 @@ class IsospectralReport:
 def moments(m: np.ndarray, kmax: int) -> np.ndarray:
     """Traces of m^k for k = 1..kmax, from ceil(kmax/4) + 1 products (kmax >= 7).
 
-    The input must be Hermitian within 1e-10 per dimension.  When a diagonal
-    D with entries in {1, i} makes D^H m D exactly real (see
-    :func:`_real_form`), the powers are taken of that real matrix, which has
-    the same traces; otherwise they are complex, and the imaginary residue
-    of each trace read from two different powers is checked against
+    The input must be Hermitian within 1e-10 per dimension.  Where
+    :func:`linalg.gauge` finds a real form D^H m D, the matrix that the
+    eigensolver sweeps too, its powers are taken, which have m's traces;
+    otherwise the powers are complex, and the imaginary residue of each
+    trace read from two different powers is checked against
     1e-8 * dim * max(1, ||m||_F)^k, in log space, raising
     :class:`NumericalError` beyond it.
 
-    The powered matrix is split along the connected components of its
-    nonzero pattern (see :func:`_gauge_colours`): every power keeps the
-    split, so tr(m^k) is the sum of the blocks' traces.  The blocks are
-    zero-padded to the widest one and stacked, shape (count, width, width),
-    whenever there are at least two and the stack holds no more entries
-    than the matrix (count * width^2 <= dim^2, see :class:`linalg.Blocks`);
-    otherwise the stack is one block, a view of the matrix itself, which
-    copies nothing.  A product then costs
-    count * width^3 multiply-adds, padding included, instead of dim^3: the
-    exchange operator H, whose pattern splits into the 4s+1 sectors of
-    total S3, costs 49 products of width at most 25 at 2s = 24 instead of
-    one of width 625.
+    Every power keeps the split of m's nonzero pattern into connected
+    components, which the same walk labels, so the powers are taken on the
+    :class:`linalg.Blocks` stack of the components' blocks, 49 of width at
+    most 25 for H at 2s = 24 and one for K, which is then a view of the
+    matrix, and tr(m^k) is the sum of the blocks' traces.
 
     Every trace is one inner product of two stored powers, by the
     baby-step/giant-step split of Paterson & Stockmeyer (SIAM J. Comput.
@@ -176,8 +162,8 @@ def moments(m: np.ndarray, kmax: int) -> np.ndarray:
     if kmax < 1:
         raise ValueError(f"kmax must be at least 1, got {kmax}")
     require_hermitian(m, 1e-10)
-    colour, component = _gauge_colours(m)
-    a, drift = _real_form(m, colour), None
+    component, _, a = gauge(m)
+    drift = None
     if a is None:
         a = m.astype(np.complex128)
         # log2 of the bound 1e-8 * dim * max(1, ||m||_F)^k is drift + k * growth
@@ -258,47 +244,6 @@ def _power_of_two(mantissa: float, exponent: int) -> float:
         return math.ldexp(mantissa, exponent)
     except OverflowError:
         return math.copysign(math.inf, mantissa)
-
-
-def _real_form(m: np.ndarray, colour: np.ndarray) -> np.ndarray | None:
-    """The exactly real matrix D^H m D for D = i^colour, or None.
-
-    The result is a new float64 array.  An input with no imaginary part
-    gives a copy of its real part.  Otherwise, with the colours of
-    :func:`_gauge_colours`, the purely imaginary entries must link indices
-    of opposite colour, the purely real ones indices of equal colour.
-    Conjugating by D then only moves signs and swaps real and imaginary
-    parts, so the result is exact.  None when some entry breaks that rule,
-    for instance an entry with both parts nonzero or a frustrated cycle of
-    imaginary entries.
-    """
-    if not (np.iscomplexobj(m) and m.imag.any()):
-        return np.array(m.real, dtype=np.float64)
-    shift = colour[:, None] - colour[None, :]
-    if np.any(m.imag, where=shift == 0) or np.any(m.real, where=shift != 0):
-        return None
-    real = shift * m.imag
-    real += m.real
-    return real
-
-
-def _gauge_colours(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A 0/1 colour and a connected-component label per index of m.
-
-    The components are those of m's symmetric nonzero pattern, labelled in
-    the order of their lowest index, which takes colour 0 (see
-    :func:`linalg.components`).  A link whose entries m[i, j] and m[j, i]
-    both have zero real part flips the colour, any other keeps it.  The
-    colouring is consistent only when no cycle holds an odd number of such
-    links; :func:`_real_form` checks that.
-    """
-    real = m.real
-
-    def imaginary(i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        return (real[i, j] == 0) & (real[j, i] == 0)
-
-    component, colour = components(m, imaginary)
-    return colour.astype(np.int8), component
 
 
 def newton_check(values, traces, tol: float = MOMENT_TOL) -> bool:

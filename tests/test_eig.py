@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 import warnings
 
@@ -8,6 +9,7 @@ from spintool import eig
 from spintool.cli import _CLOSED_FORM_TOL
 from spintool.eig import (
     ConvergenceError,
+    _charge_factors,
     _finish,
     _jacobi_stack,
     _split_sectors,
@@ -23,6 +25,7 @@ from spintool.linalg import (
     column_blocks,
     components,
     frobenius_norm,
+    gauge,
 )
 from spintool.hamiltonians import build_bilinear, build_cyclic, build_heisenberg
 from spintool.spectral import (
@@ -342,34 +345,65 @@ def test_exactly_real_input_runs_real_arithmetic(twice, route, stack_dtypes):
 
 @pytest.mark.parametrize("route", ["sectors", "full"])
 def test_a_tiny_imaginary_part_takes_the_complex_path(route, stack_dtypes):
-    # the real path is chosen by an exact test, not a tolerance: one
-    # Hermitian pair of 1e-300j entries sends H down the complex stack
+    # the arithmetic is chosen by an exact test, not a tolerance.  A
+    # Hermitian pair of 1e-300j entries on a nonzero real entry of H leaves
+    # no real form and sends H down the complex stack; on an exact zero of
+    # H the same pair is an imaginary link, which an exact gauge D makes
+    # real, so that H still runs the float64 stack and its vectors come
+    # back through D
     ham = build_heisenberg(HalfInteger(8))
     charge = ham.charge if route == "sectors" else None
     real = hermitian_eig(ham.matrix, charge=charge)
     assert set(stack_dtypes) == {np.dtype(np.float64)}
-    del stack_dtypes[:]
-    m = ham.matrix.copy()
-    m[0, 1] += 1e-300j
-    m[1, 0] -= 1e-300j
-    dec = hermitian_eig(m, charge=charge)
-    assert np.dtype(np.complex128) in stack_dtypes
+    i, j = np.argwhere(np.triu(ham.matrix.real, 1))[0]
+    assert ham.matrix[0, 1] == 0.0
     n = ham.dimension
     scale = max(1.0, frobenius_norm(ham.matrix))
-    np.testing.assert_allclose(dec.values, real.values, rtol=0, atol=1e-10 * n * scale)
-    np.testing.assert_allclose(
-        dec.values, np.linalg.eigvalsh(ham.matrix), atol=1e-10 * n * scale
-    )
-    assert dec.residual <= 1e-10 * n * scale
+    for (p, q), form in [((i, j), False), ((0, 1), True)]:
+        del stack_dtypes[:]
+        m = ham.matrix.copy()
+        m[p, q] += 1e-300j
+        m[q, p] -= 1e-300j
+        _, colour, real_form = gauge(m)
+        assert (real_form is not None) == form
+        dec = hermitian_eig(m, charge=charge)
+        if form:
+            assert colour.any()
+            assert set(stack_dtypes) == {np.dtype(np.float64)}
+        else:
+            assert np.dtype(np.complex128) in stack_dtypes
+        np.testing.assert_allclose(
+            dec.values, real.values, rtol=0, atol=1e-10 * n * scale
+        )
+        np.testing.assert_allclose(
+            dec.values, np.linalg.eigvalsh(ham.matrix), atol=1e-10 * n * scale
+        )
+        assert dec.residual <= 1e-10 * n * scale
+        rebuilt = m @ dec.vectors - dec.vectors * dec.values
+        assert np.linalg.norm(rebuilt, axis=0).max() <= 1e-10 * n * scale
 
 
 def test_complex_input_keeps_the_complex_stack(stack_dtypes):
-    # K is complex; its charge factors S3 and S1 are real, so only they run
-    # the float64 stack
+    # K is complex, but a diagonal D of ones and i's that keeps its charge
+    # (S3, S1) makes D^H K D real: both routes run the float64 stack
+    # throughout.  A random Hermitian matrix has no real form and keeps
+    # the complex stack.
     ham = build_cyclic(HalfInteger(4))
-    hermitian_eig(ham.matrix, charge=ham.charge)
-    assert stack_dtypes[0] == np.float64
-    assert set(stack_dtypes[1:]) == {np.dtype(np.complex128)}
+    scale = max(1.0, frobenius_norm(ham.matrix))
+    for charge in (ham.charge, None):
+        dec = hermitian_eig(ham.matrix, charge=charge)
+        # the vectors D V are complex, and the residual is K's own
+        assert dec.vectors.imag.any()
+        rebuilt = ham.matrix @ dec.vectors - dec.vectors * dec.values
+        measured = np.linalg.norm(rebuilt, axis=0).max()
+        assert dec.residual == pytest.approx(measured, rel=0, abs=1e-13 * scale)
+        assert dec.residual <= 1e-10 * ham.dimension * scale
+    assert set(stack_dtypes) == {np.dtype(np.float64)}
+    del stack_dtypes[:]
+    m = _random_hermitian(np.random.default_rng(7), 12)
+    assert gauge(m)[2] is None
+    hermitian_eig(m)
+    assert stack_dtypes == [np.dtype(np.complex128)]
 
 
 def test_finish_pins_the_first_largest_component():
@@ -511,9 +545,55 @@ def test_sector_blocks_are_exactly_hermitian(twice, label):
     else:
         ham = build_bilinear(s, _random_rotation(700 + twice))
     stop = DEFAULT_TOL * frobenius_norm(ham.matrix)
-    _, _, blocks, _, _ = _split_sectors(ham.matrix, ham.charge, DEFAULT_TOL, stop)
-    for block in blocks:
-        assert np.array_equal(block, block.conj().T)
+    charge = _charge_factors(ham.charge, ham.dimension, DEFAULT_TOL)
+    # the matrix as given and, where there is one, its real form, which is
+    # what the solver sweeps
+    form = gauge(ham.matrix)[2]
+    for m in [ham.matrix] + ([] if form is None else [form]):
+        # every sector is a principal block of the rotated matrix
+        rotated = _split_sectors(m, charge, stop)[1]
+        assert np.array_equal(rotated, rotated.conj().T)
+
+
+def _signed_permutations():
+    """The 24 signed permutation matrices with determinant +1."""
+    patterns = []
+    for order in itertools.permutations(range(3)):
+        for signs in itertools.product((1.0, -1.0), repeat=3):
+            q = np.eye(3)[list(order)] * np.array(signs)[:, np.newaxis]
+            if np.linalg.det(q) > 0.0:
+                patterns.append(q)
+    assert len(patterns) == 24
+    return patterns
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    _signed_permutations(),
+    ids=lambda q: ";".join(",".join(f"{int(c):+d}" for c in row) for row in q),
+)
+def test_the_gauge_takes_the_sectors_only_where_it_keeps_the_charge(
+    pattern, stack_dtypes
+):
+    # the charge is (S3, sum_k c_3k Sk).  Every pattern leaves a real form;
+    # where B = +-S2, whose nonzeros link indices of different colour, D does
+    # not commute with the charge, so the sectors of D^H m D are not those
+    # of m and the solve stays complex; gauging anyway leaks
+    ham = build_bilinear(HalfInteger(3), pattern)
+    assert ham.charge is not None and gauge(ham.matrix)[2] is not None
+    dec = hermitian_eig(ham.matrix, charge=ham.charge)
+    if pattern[2, 1] != 0.0:
+        # the factors S3 and +-S2 have real forms; the sectors are complex
+        assert stack_dtypes == [np.dtype(np.float64), np.dtype(np.complex128)]
+    else:
+        assert set(stack_dtypes) == {np.dtype(np.float64)}
+    n = ham.dimension
+    scale = max(1.0, frobenius_norm(ham.matrix))
+    np.testing.assert_allclose(
+        dec.values, np.linalg.eigvalsh(ham.matrix), atol=1e-10 * n * scale
+    )
+    assert dec.residual <= 1e-10 * n * scale
+    assert dec.leak <= DEFAULT_TOL * frobenius_norm(ham.matrix)
 
 
 def test_sector_route_rejects_a_charge_that_does_not_commute():

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from spintool import linalg
 from spintool.eig import hermitian_eig
 from spintool.gates import unitarity_residual
 from spintool.linalg import (
@@ -16,6 +17,7 @@ from spintool.linalg import (
     components,
     frobenius_distance,
     frobenius_norm,
+    gauge,
     hermiticity_defect,
     identity,
     kron,
@@ -261,6 +263,35 @@ def test_components_of_the_empty_and_the_diagonal_matrix():
     label, parity = components(np.diag([1.0, 0.0, 2.0, 0.0]))
     np.testing.assert_array_equal(label, [0, 1, 2, 3])
     assert not parity.any()
+
+
+def test_gauge_of_input_with_no_imaginary_part_is_its_real_part(monkeypatch):
+    # the walk labels the components but is given no parity test, so the
+    # colour is 0; the real form is a new float64 copy, never a view
+    tests = []
+    walk = linalg.components
+
+    def spy(m, odd=None):
+        tests.append(odd)
+        return walk(m, odd)
+
+    monkeypatch.setattr(linalg, "components", spy)
+    rng = np.random.default_rng(67)
+    r = rng.standard_normal((7, 7)) * (rng.random((7, 7)) < 0.3)
+    m = r + r.T
+    for a in (m, m.astype(complex), np.rint(4.0 * m).astype(int)):
+        label, colour, form = gauge(a)
+        np.testing.assert_array_equal(label, walk(a)[0])
+        assert colour.dtype == np.int8 and not colour.any()
+        assert form.dtype == np.float64 and not np.shares_memory(form, a)
+        np.testing.assert_array_equal(form, a.real)
+    assert tests == [None, None, None]
+    # one imaginary entry is enough for the parity test to run
+    a = m.astype(complex)
+    a[0, 1] += 1j
+    a[1, 0] -= 1j
+    gauge(a)
+    assert tests[-1] is not None
 
 
 def _permuted_block_diagonal(rng, widths, unitary=False):

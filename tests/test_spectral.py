@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 
 from spintool.eig import hermitian_eig
 from spintool.hamiltonians import build_bilinear, build_cyclic, build_heisenberg
-from spintool.linalg import Blocks, HermiticityError, NumericalError, ShapeError
+from spintool.linalg import Blocks, HermiticityError, NumericalError, ShapeError, gauge
 from spintool.spectral import (
-    _gauge_colours,
-    _real_form,
     _scaled_differences,
     certify_isospectral,
     closed_form_spectrum,
@@ -125,8 +123,8 @@ def _permuted_blocks(seed, imaginary):
 @pytest.mark.parametrize("imaginary", [False, True], ids=["real-form", "complex"])
 def test_moments_split_permuted_blocks(imaginary):
     m, label = _permuted_blocks(53, imaginary)
-    colour, component = _gauge_colours(m)
-    assert (_real_form(m, colour) is None) == imaginary
+    component, _, form = gauge(m)
+    assert (form is None) == imaginary
     same = component[:, None] == component[None, :]
     np.testing.assert_array_equal(same, label[:, None] == label[None, :])
     # labels count up in the order of each component's lowest index
@@ -142,21 +140,21 @@ def test_components_follow_one_sided_entries():
     # still joins indices 0 and 1, so no nonzero falls outside a block
     m = np.diag([1.0, 2.0, 3.0])
     m[1, 0] = 1e-12
-    np.testing.assert_array_equal(_gauge_colours(m)[1], [0, 0, 1])
-    assert _stacked(m, _gauge_colours(m)[1]).shape == (2, 2, 2)
+    np.testing.assert_array_equal(gauge(m)[0], [0, 0, 1])
+    assert _stacked(m, gauge(m)[0]).shape == (2, 2, 2)
 
 
 def test_moments_of_a_diagonal_matrix():
     values = np.array([0.5, -2.0, 0.0, 1.25, -2.0, 3.0])
     m = np.diag(values)
-    assert _stacked(m, _gauge_colours(m)[1]).shape == (6, 1, 1)
+    assert _stacked(m, gauge(m)[0]).shape == (6, 1, 1)
     expected = [np.sum(values**k) for k in range(1, 13)]
     np.testing.assert_allclose(moments(m, 12), expected, rtol=1e-15, atol=0.0)
 
 
 def test_stack_layout_holds_no_more_entries_than_the_matrix():
     h = build_heisenberg(HalfInteger(24)).matrix
-    component = _gauge_colours(h)[1]
+    component = gauge(h)[0]
     stack = _stacked(h, component)
     assert stack.shape == (49, 25, 25)
     assert stack.size <= h.size
@@ -164,24 +162,24 @@ def test_stack_layout_holds_no_more_entries_than_the_matrix():
     # would outgrow the matrix, so the matrix is powered as it is, one block
     m = np.eye(6)
     m[:5, :5] += 1.0
-    component = _gauge_colours(m)[1]
+    component = gauge(m)[0]
     np.testing.assert_array_equal(component, [0, 0, 0, 0, 0, 1])
     _assert_whole(_stacked(m, component), m)
     # widths 3, 1, 1, 1: the stack holds exactly n^2 entries, and is taken
     m = np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
     m[:3, :3] += 1.0
-    assert _stacked(m, _gauge_colours(m)[1]).shape == (4, 3, 3)
+    assert _stacked(m, gauge(m)[0]).shape == (4, 3, 3)
     _assert_matches_matrix_powers(m, 9)
     # one component, K's case, keeps the matrix itself too
     k = build_cyclic(HalfInteger(4)).matrix
-    component = _gauge_colours(k)[1]
+    component = gauge(k)[0]
     assert not component.any()
     _assert_whole(_stacked(k, component), k)
 
 
 def _gauged(m):
     """D^H m D with D = i^colour, computed in complex arithmetic."""
-    d = np.where(_gauge_colours(m)[0] == 1, 1j, 1.0)
+    d = np.where(gauge(m)[1] == 1, 1j, 1.0)
     return d.conj()[:, None] * m * d[None, :]
 
 
@@ -199,7 +197,7 @@ def _generic_rotation(seed):
 
 
 def _assert_exact_real_form(m):
-    real = _real_form(m, _gauge_colours(m)[0])
+    real = gauge(m)[2]
     assert real is not None and real.dtype == np.float64
     gauged = _gauged(m)
     assert not gauged.imag.any()
@@ -243,7 +241,7 @@ def _generic_rotation_operator():
 )
 def test_complex_path_matches_matrix_powers(make, kmax):
     m = make()
-    assert _real_form(m, _gauge_colours(m)[0]) is None
+    assert gauge(m)[2] is None
     _assert_matches_matrix_powers(m, kmax)
 
 
@@ -254,7 +252,7 @@ def test_complex_path_matches_matrix_powers(make, kmax):
 )
 def test_real_forms_match_matrix_powers(build, shape):
     m = build(HalfInteger(3)).matrix
-    assert _stacked(m, _gauge_colours(m)[1]).shape == shape
+    assert _stacked(m, gauge(m)[0]).shape == shape
     _assert_matches_matrix_powers(m, 40)
 
 
@@ -474,15 +472,30 @@ def _k_impostor(twice, change):
     return build_heisenberg(s), (m + m.conj().T) / 2, k.charge
 
 
-def test_k_with_one_eigenvalue_shifted_is_rejected_by_the_direct_route():
+def _shifted_report():
+    """H against K at 2s = 8 with one eigenvalue of its lowest triplet moved by 1e-6."""
+
     def shift(values):
         values[1] += 1e-6  # one of the triplet
 
     h, impostor, charge = _k_impostor(8, shift)
-    report = certify_isospectral(h.matrix, impostor, charges=(h.charge, charge))
+    return certify_isospectral(h.matrix, impostor, charges=(h.charge, charge))
+
+
+def test_k_with_one_eigenvalue_shifted_is_rejected_by_the_direct_route():
+    report = _shifted_report()
     assert not report.spectra_equal
     assert report.spectrum_b.multiplicities[:3] == (1, 2, 1)
-    # the raw moments pass it: max_abs_diff 3.77e-7 against the tolerance 8.1e-7
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the raw moments over all 81 powers miss a 1e-6 shift of one eigenvalue "
+    "of K at 2s = 8: max_abs_diff 3.77e-7 against the tolerance 8.1e-7",
+)
+def test_raw_moments_reject_one_eigenvalue_shifted_at_2s_8():
+    assert not _shifted_report().moments.passed
 
 
 def _split_cluster_report(delta):
