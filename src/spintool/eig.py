@@ -300,7 +300,7 @@ def _charge_factors(charge, n: int, tol: float) -> tuple[np.ndarray, np.ndarray]
 
 def _gauged(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`linalg.gauge` of m, with colour 0 and m as complex128 for no form."""
-    component, colour, form = gauge(m)
+    component, colour, form, _ = gauge(m)
     if form is None:
         return component, np.zeros_like(colour), m.astype(np.complex128, copy=False)
     return component, colour, form

@@ -7,7 +7,8 @@ are never mutated, and arrays returned by constructors are marked read-only.
 
 The block helpers at the end, which are not exported, are the package's one
 home for a matrix's nonzero pattern.  :func:`components` labels the
-connected components of the pattern, with no Python loop per link.
+connected components of the pattern, with no Python loop per link, and
+measures its half-bandwidth, which bounds the band of a power.
 :func:`gauge` takes the same walk with a parity per link and so decides,
 for the moments and the eigensolver alike, the arithmetic of a Hermitian
 matrix: its real form D^H m D for a diagonal D of ones and i's where that
@@ -185,11 +186,13 @@ def require_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> None:
 
 def components(
     m: np.ndarray, odd: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """A connected-component label and a 0/1 parity per index of square m.
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """A connected-component label and a 0/1 parity per index of square m,
+    and the pattern's half-bandwidth.
 
     i and j are linked when m[i, j] or m[j, i] is nonzero; a NaN counts as
-    nonzero.  Components are labelled 0, 1, ... in the order of their lowest
+    nonzero.  The half-bandwidth is the largest |i - j| of a link, 0 for
+    none.  Components are labelled 0, 1, ... in the order of their lowest
     index.  ``odd(i, j)`` takes the two index arrays of the links (i != j)
     and marks some of them; the parity of an index is the number, mod 2, of
     marked links along some path to it from its component's lowest index.
@@ -212,6 +215,7 @@ def components(
     # every index offers itself, so every row holds a link
     linked[np.diag_indices(n)] = True
     rows, cols = np.divmod(np.flatnonzero(linked), n)
+    reach = int(np.abs(rows - cols).max(initial=0))
     first = np.searchsorted(rows, np.arange(n))
     flips = np.zeros(rows.size, dtype=np.intp)
     if odd is not None:
@@ -231,11 +235,12 @@ def components(
             break
     label, parity = code >> 1, code & 1
     roots = np.flatnonzero(label == np.arange(n))
-    return np.searchsorted(roots, label), parity
+    return np.searchsorted(roots, label), parity, reach
 
 
-def gauge(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """A component label and a 0/1 colour per index of m, and its real form.
+def gauge(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, int]:
+    """A component label and a 0/1 colour per index of m, its real form and
+    the half-bandwidth of its pattern, all from one :func:`components` walk.
 
     The real form is D^H m D for D = i^colour as a new float64 array, or
     None when that is not exactly real.  A link of :func:`components` whose
@@ -252,16 +257,16 @@ def gauge(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     def odd(i: np.ndarray, j: np.ndarray) -> np.ndarray:
         return (real[i, j] == 0) & (real[j, i] == 0)
 
-    label, colour = components(m, odd if imaginary else None)
+    label, colour, reach = components(m, odd if imaginary else None)
     colour = colour.astype(np.int8)  # so that the shifts below are one byte each
     if not imaginary:
-        return label, colour, np.array(real, dtype=np.float64)
+        return label, colour, np.array(real, dtype=np.float64), reach
     shift = colour[:, None] - colour[None, :]
     if np.any(m.imag, where=shift == 0) or np.any(real, where=shift != 0):
-        return label, colour, None
+        return label, colour, None, reach
     form = shift * m.imag
     form += real
-    return label, colour, form
+    return label, colour, form, reach
 
 
 @dataclass(frozen=True)

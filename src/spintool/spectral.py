@@ -15,7 +15,12 @@ power-of-two factors, four stored and one giant power (see :func:`moments`).
 H and K, like any matrix that :func:`linalg.gauge` finds a real form of,
 are powered in that real form, the one the eigensolver sweeps, and every
 power is taken block by block over the components of the nonzero pattern,
-read from the matrix's exact zeros: 4s+1 blocks for H, one for K.
+read from the matrix's exact zeros: 4s+1 blocks for H, one for K.  The
+same walk measures the pattern's half-bandwidth w, 2s + 2 for K, so m^j
+has no nonzero beyond j * w off the diagonal.  Each of the ceil(kmax/4) + 1
+products is of two powers, so it is Hermitian: it is taken only inside its
+band and in the upper block triangle, one block of rows at a time, and its
+lower part is mirrored.
 """
 
 from __future__ import annotations
@@ -56,10 +61,10 @@ MOMENT_TOL = 1e-8
 # J, the baby steps m^1..m^J that moments keeps; fixed, so that memory stays
 # at J + 1 powers whatever kmax is
 _BABY_STEPS = 4
-# entries per block of rows of a giant step: a third of a 625 x 625 power;
-# the three blocked products cost 5-15% more than one whole product, which
-# would hold a sixth power
-_ROW_ENTRIES = 1 << 17
+# rows per block of a product, taken across the whole stack: 5 blocks of a
+# dense 625 x 625 power, which skip 40% of its entries, all below the
+# diagonal, and one block of H's stack, whose width is 2s + 1 <= 25
+_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -133,9 +138,10 @@ def moments(m: np.ndarray, kmax: int) -> np.ndarray:
 
     The input must be Hermitian within 1e-10 per dimension.  Where
     :func:`linalg.gauge` finds a real form D^H m D, the matrix that the
-    eigensolver sweeps too, its powers are taken, which have m's traces;
-    otherwise the powers are complex, and the imaginary residue of each
-    trace read from two different powers is checked against
+    eigensolver sweeps too, that is checked, since D is unitary and it has
+    m's defect, and its powers are taken, which have m's traces; otherwise
+    m is checked and the powers are complex, and the imaginary residue of
+    each trace read from two different powers is checked against
     1e-8 * dim * max(1, ||m||_F)^k, in log space, raising
     :class:`NumericalError` beyond it.
 
@@ -143,7 +149,16 @@ def moments(m: np.ndarray, kmax: int) -> np.ndarray:
     components, which the same walk labels, so the powers are taken on the
     :class:`linalg.Blocks` stack of the components' blocks, 49 of width at
     most 25 for H at 2s = 24 and one for K, which is then a view of the
-    matrix, and tr(m^k) is the sum of the blocks' traces.
+    matrix, and tr(m^k) is the sum of the blocks' traces.  The walk also
+    gives the pattern's half-bandwidth w, the largest |i - j| of a nonzero,
+    26 for K at 2s = 24; a block's members ascend, so w bounds its band in
+    the stack too.  So m^j has no nonzero beyond min(width - 1, j * w) off
+    the diagonal, and every product, of two commuting powers of one
+    Hermitian matrix, is Hermitian: it is taken only inside its band and in
+    the upper block triangle, _ROWS rows at a time, and its lower part is
+    mirrored (see :func:`_product`).  A dense m (w = n - 1) still skips
+    most of the lower triangle; H's stack is one block of rows, taken
+    whole.
 
     Every trace is one inner product of two stored powers, by the
     baby-step/giant-step split of Paterson & Stockmeyer (SIAM J. Comput.
@@ -152,17 +167,19 @@ def moments(m: np.ndarray, kmax: int) -> np.ndarray:
     power G = m^(tJ), advanced in place by G <- G B_J, gives
     tr(m^(tJ + j)) = <G, B_j>.  Up to 2J that is ceil(kmax/2) - 1 products,
     then one per J powers: 8 for kmax = 25, 44 for 169.  J is fixed, not
-    grown with kmax, so that at most J + 1 powers are held whatever kmax
-    is.  Each power is kept as m^j * 2^(-e) with its Frobenius norm near 1,
-    so no intermediate overflows and every rescaling is exact.  The traces
-    are read in ascending k, and the first whose value lies beyond double
-    precision raises :class:`NumericalError`.
+    grown with kmax, so that at most J + 1 powers and one block of rows of
+    a product are held whatever kmax is.  Each power is kept as
+    m^j * 2^(-e) with its Frobenius norm near 1, so no intermediate
+    overflows and every rescaling is exact.  The traces are read in
+    ascending k, and the first whose value lies beyond double precision
+    raises :class:`NumericalError`.
     """
     m = require_square(m, "moments need a square matrix")
     if kmax < 1:
         raise ValueError(f"kmax must be at least 1, got {kmax}")
-    require_hermitian(m, 1e-10)
-    component, _, a = gauge(m)
+    component, _, a, reach = gauge(m)
+    # D is unitary, so a real form has m's defect: it is checked in its dtype
+    require_hermitian(m if a is None else a, 1e-10)
     drift = None
     if a is None:
         a = m.astype(np.complex128)
@@ -195,16 +212,17 @@ def moments(m: np.ndarray, kmax: int) -> np.ndarray:
     for k in range(2, min(kmax, 2 * _BABY_STEPS) + 1):
         i, j = k // 2, k - k // 2
         if j > len(babies):
-            product = babies[-1] @ a
+            product = _product(babies[-1], a, (j - 1) * reach, reach)
             exps.append(exps[-1] + g + _normalize(product))
             babies.append(product)
         put(k, _inner(babies[i - 1], babies[j - 1]), exps[i - 1] + exps[j - 1])
     if kmax > 2 * _BABY_STEPS:
-        giant = babies[-1] @ babies[-1]  # m^t = giant * 2^e
+        band = _BABY_STEPS * reach
+        giant = _product(babies[-1], babies[-1], band, band)  # m^t = giant * 2^e
         t, e = 2 * _BABY_STEPS, 2 * exps[-1] + _normalize(giant)
         for k in range(2 * _BABY_STEPS + 1, kmax + 1):
             if k - t > _BABY_STEPS:
-                _times(giant, babies[-1])
+                _product(giant, babies[-1], t * reach, band, out=giant)
                 t, e = t + _BABY_STEPS, e + exps[-1] + _normalize(giant)
             put(k, _inner(giant, babies[k - t - 1]), e + exps[k - t - 1])
     traces.flags.writeable = False
@@ -224,18 +242,39 @@ def _normalize(x: np.ndarray) -> int:
     return f
 
 
-def _times(x: np.ndarray, y: np.ndarray) -> None:
-    """x <- x @ y in place, a block of about _ROW_ENTRIES entries at a time.
+def _product(
+    x: np.ndarray, y: np.ndarray, bx: int, by: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """x @ y for two powers of one Hermitian matrix, which is Hermitian.
 
-    Row i of x @ y reads only row i of x, so each block of rows is
-    overwritten as soon as its product is taken; only the block's product
-    is held besides x and y.  Stacks multiply block by block along the
-    leading axis, so the rows are taken across the whole stack.
+    x and y are stacks with no nonzero more than bx and by off the
+    diagonal, so x @ y has none more than b = bx + by off it.  The rows are
+    taken _ROWS at a time, across the whole stack.  A block of rows [i0, i1)
+    takes only its columns i0 .. i1 + b, from the columns of x that meet
+    them within both bands, and then fills its columns left of i0 within
+    the band from the rows above it, which are final, transposed and
+    conjugated.  The product lands in ``out``, new zeros by default.  A
+    block of x's rows is read by that block alone, so ``out`` may be x,
+    whose entries beyond b are zero already; it must not be y.  The first
+    block has nothing left of it, so a stack narrower than _ROWS, such as
+    H's, is one plain product.
     """
-    rows = max(1, _ROW_ENTRIES * x.shape[-2] // max(x.size, 1))
-    for start in range(0, x.shape[-2], rows):
-        block = x[..., start : start + rows, :]
-        block[...] = block @ y
+    n = x.shape[-1]
+    band = bx + by
+    if out is None:
+        out = np.zeros(x.shape, x.dtype)
+    for i0 in range(0, n, _ROWS):
+        i1 = min(i0 + _ROWS, n)
+        # y's rows below i0 - by meet no column from i0 on
+        lo, hi, end = max(0, i0 - min(bx, by)), i1 + bx, i1 + band
+        block = out[..., i0:i1, i0:end]
+        # where x is out, numpy multiplies a copy of x's block
+        np.matmul(x[..., i0:i1, lo:hi], y[..., lo:hi, i0:end], out=block)
+        if i0:
+            left = max(0, i0 - band)
+            upper = out[..., left:i0, i0:i1].swapaxes(-1, -2)
+            np.conjugate(upper, out=out[..., i0:i1, left:i0])
+    return out
 
 
 def _power_of_two(mantissa: float, exponent: int) -> float:

@@ -364,7 +364,7 @@ def test_a_tiny_imaginary_part_takes_the_complex_path(route, stack_dtypes):
         m = ham.matrix.copy()
         m[p, q] += 1e-300j
         m[q, p] -= 1e-300j
-        _, colour, real_form = gauge(m)
+        _, colour, real_form, _ = gauge(m)
         assert (real_form is not None) == form
         dec = hermitian_eig(m, charge=charge)
         if form:

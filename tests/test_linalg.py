@@ -245,24 +245,26 @@ def test_components_match_a_breadth_first_walk(density):
             m[0, n - 1], m[n - 1, 0] = 0.0, 1e-300
             m[1, 2] = m[2, 1] = np.nan
         expected = _reference_labels(m)
-        label, parity = components(m)
+        label, parity, reach = components(m)
         np.testing.assert_array_equal(label, expected)
         assert not parity.any()
+        i, j = np.nonzero((m != 0) | (m.T != 0))
+        assert reach == np.abs(i - j).max(initial=0)
         # links between indices of unlike colour are odd: every path from a
         # component's lowest index then has the parity of the colour change
         colour = rng.integers(0, 2, n)
-        label, parity = components(m, lambda i, j: colour[i] != colour[j])
+        label, parity, _ = components(m, lambda i, j: colour[i] != colour[j])
         np.testing.assert_array_equal(label, expected)
         lowest = np.array([np.flatnonzero(expected == b)[0] for b in expected])
         np.testing.assert_array_equal(parity, colour ^ colour[lowest])
 
 
 def test_components_of_the_empty_and_the_diagonal_matrix():
-    label, parity = components(np.zeros((0, 0)))
-    assert label.shape == parity.shape == (0,)
-    label, parity = components(np.diag([1.0, 0.0, 2.0, 0.0]))
+    label, parity, reach = components(np.zeros((0, 0)))
+    assert label.shape == parity.shape == (0,) and reach == 0
+    label, parity, reach = components(np.diag([1.0, 0.0, 2.0, 0.0]))
     np.testing.assert_array_equal(label, [0, 1, 2, 3])
-    assert not parity.any()
+    assert not parity.any() and reach == 0
 
 
 def test_gauge_of_input_with_no_imaginary_part_is_its_real_part(monkeypatch):
@@ -280,7 +282,7 @@ def test_gauge_of_input_with_no_imaginary_part_is_its_real_part(monkeypatch):
     r = rng.standard_normal((7, 7)) * (rng.random((7, 7)) < 0.3)
     m = r + r.T
     for a in (m, m.astype(complex), np.rint(4.0 * m).astype(int)):
-        label, colour, form = gauge(a)
+        label, colour, form, _ = gauge(a)
         np.testing.assert_array_equal(label, walk(a)[0])
         assert colour.dtype == np.int8 and not colour.any()
         assert form.dtype == np.float64 and not np.shares_memory(form, a)
@@ -313,7 +315,7 @@ def _permuted_block_diagonal(rng, widths, unitary=False):
 def test_blocks_stack_and_scatter_are_inverse():
     rng = np.random.default_rng(61)
     m = _permuted_block_diagonal(rng, [3, 1, 4, 1, 5])
-    label, _ = components(m)
+    label = components(m)[0]
     blocks = Blocks.of(label)
     stack = blocks.stack(m)
     assert stack.shape == (5, 5, 5)
@@ -368,7 +370,7 @@ def test_the_one_block_view_never_leaks_a_write(widths):
 def test_column_blocks_need_every_column_in_one_block():
     rng = np.random.default_rng(67)
     m = _permuted_block_diagonal(rng, [2, 3, 3, 1])
-    label, _ = components(m)
+    label = components(m)[0]
     # a unitary that keeps to the blocks, its columns in any order
     v = _permuted_block_diagonal(np.random.default_rng(67), [2, 3, 3, 1], unitary=True)
     v = v[:, rng.permutation(9)]

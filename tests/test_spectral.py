@@ -11,6 +11,7 @@ from spintool.eig import hermitian_eig
 from spintool.hamiltonians import build_bilinear, build_cyclic, build_heisenberg
 from spintool.linalg import Blocks, HermiticityError, NumericalError, ShapeError, gauge
 from spintool.spectral import (
+    _ROWS,
     _scaled_differences,
     certify_isospectral,
     closed_form_spectrum,
@@ -123,7 +124,7 @@ def _permuted_blocks(seed, imaginary):
 @pytest.mark.parametrize("imaginary", [False, True], ids=["real-form", "complex"])
 def test_moments_split_permuted_blocks(imaginary):
     m, label = _permuted_blocks(53, imaginary)
-    component, _, form = gauge(m)
+    component, _, form, _ = gauge(m)
     assert (form is None) == imaginary
     same = component[:, None] == component[None, :]
     np.testing.assert_array_equal(same, label[:, None] == label[None, :])
@@ -254,6 +255,66 @@ def test_real_forms_match_matrix_powers(build, shape):
     m = build(HalfInteger(3)).matrix
     assert _stacked(m, gauge(m)[0]).shape == shape
     _assert_matches_matrix_powers(m, 40)
+
+
+def _k_at_2s_12():
+    return build_cyclic(HalfInteger(12)).matrix
+
+
+def _complex_banded():
+    # entries with both parts nonzero within 7 of the diagonal: no real form
+    rng = np.random.default_rng(71)
+    n, band = 301, 7
+    m = np.zeros((n, n), dtype=complex)
+    for d in range(band + 1):
+        z = rng.standard_normal(n - d) + 1j * rng.standard_normal(n - d)
+        m[np.arange(n - d), np.arange(d, n)] = z
+    return m + m.conj().T
+
+
+def _dense_symmetric():
+    r = np.random.default_rng(73).standard_normal((259, 259))
+    return r + r.T
+
+
+def _interleaved_components():
+    # two components of widths 150 and 140, each banded in its own order,
+    # their indices drawn at random: the band in stack coordinates is at
+    # most the band of the whole matrix, since members ascend
+    rng = np.random.default_rng(79)
+    label = rng.permutation(np.repeat([0, 1], [150, 140]))
+    m = np.zeros((290, 290))
+    for b in (0, 1):
+        members = np.flatnonzero(label == b)
+        for d in range(4):
+            v = rng.standard_normal(members.size - d)
+            m[members[: members.size - d], members[d:]] = v
+            m[members[d:], members[: members.size - d]] = v
+    return m
+
+
+@pytest.mark.parametrize(
+    "make, shape, reach, row_blocks, kmax",
+    [
+        (_k_at_2s_12, (1, 169, 169), 14, 2, 40),
+        (_complex_banded, (1, 301, 301), 7, 3, 20),
+        (_dense_symmetric, (1, 259, 259), 258, 3, 16),
+        (_interleaved_components, (2, 150, 150), None, 2, 16),
+    ],
+    ids=["K-2s-12", "complex-banded", "dense", "interleaved-components"],
+)
+def test_products_inside_the_band_match_matrix_powers(make, shape, reach, row_blocks, kmax):
+    # the products take each row block's upper part within the band and
+    # mirror the rest: these inputs need the band, the conjugate in the
+    # mirror, a partial last row block and blocks of several row blocks
+    m = make()
+    component, _, form, found = gauge(m)
+    assert (form is None) == (make is _complex_banded)
+    stack = _stacked(m, component)
+    assert stack.shape == shape
+    assert reach is None or found == reach
+    assert -(-shape[-1] // _ROWS) == row_blocks
+    _assert_matches_matrix_powers(m, kmax)
 
 
 def test_moments_at_the_cap_keep_few_powers_and_name_the_overflow():
