@@ -146,8 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--max-sweeps",
             type=_positive_int,
             default=DEFAULT_MAX_SWEEPS,
-            help="eigensolver sweep budget, per charge sector for built "
-            f"operators (default: {DEFAULT_MAX_SWEEPS})",
+            help="eigensolver sweep budget, per component of the pattern, or "
+            f"per charge sector for K (default: {DEFAULT_MAX_SWEEPS})",
         )
 
     p_spectrum = sub.add_parser(
@@ -245,11 +245,12 @@ def format_complex(z: complex) -> str:
 def read_matrix_file(path: str) -> np.ndarray:
     """Read a matrix of whitespace-separated a+bi entries, one row per line.
 
-    Blank lines and lines starting with '#' are skipped.  Malformed entries
-    and ragged rows raise ValueError.
+    The file is UTF-8, with or without a byte-order mark.  Blank lines and
+    lines starting with '#' are skipped.  Malformed entries and ragged rows
+    raise ValueError.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ValueError(f"cannot read matrix file {path!r}: {exc}") from None
     rows: list[list[complex]] = []

@@ -48,20 +48,26 @@ holds complex128 vectors either way, pinned and measured as below.
 
 Sector route
 ------------
-When the caller knows single-site Hermitian factors (A, B) of a charge
-Q = A x I + I x B that commutes with M, the solver diagonalizes A and B (size
-at most 2s + 1), rotates M into the product basis W = Va x Vb and labels each
-basis vector by its rounded charge 2(qa + qb).  M' = W^H M W, symmetrized
-once, is then block diagonal over equal labels, so each sector (size at most
-2s + 1 for the exchange operators) is an exactly Hermitian block,
-diagonalized on its own, whose vectors are mapped back through W.  Nothing
-about the charge is assumed: the commutator ||[M, Q]||_F and the leak, the
-norm of M' outside the sectors, are measured and reported, and a leak above
-the full route's stop threshold tol * ||M||_F is an error.  The real form
-is rotated instead of M only if D commutes with Q exactly, so that it has
-M's sectors; else M is, in complex arithmetic.  Both routes end in the
-same sorting, phase pinning and residual check against the original M,
-taken on the blocks of M's pattern that the vectors keep to.
+The blocks are the components of M's nonzero pattern unless it is one
+component.  Then, when the caller knows single-site Hermitian factors (A, B)
+of a charge Q = A x I + I x B that commutes with M, as K's (S3, S1), the
+solver diagonalizes A and B (size at most 2s + 1), rotates M into the
+product basis W = Va x Vb and labels each basis vector by its rounded charge
+2(qa + qb).  M' = W^H M W, symmetrized once, is then block diagonal over
+equal labels, so each sector (size at most 2s + 1 for the exchange
+operators) is an exactly Hermitian block, diagonalized on its own, whose
+vectors are mapped back through W.  Nothing about the charge is assumed: the
+commutator ||[M, Q]||_F and the leak, the norm of M' outside the sectors,
+are measured and reported, and a leak above the component route's stop
+threshold tol * ||M||_F is an error.  The real form is rotated instead of M
+only if D commutes with Q exactly, so that it has M's sectors; else M is, in
+complex arithmetic.  A pattern of several components is split already, as
+H's: its conserved S3 makes the charge (S3, S3) diagonal, and the sectors of
+a diagonal charge hold whole components.  Its charge is checked and then
+goes unused.  Both routes end in the same sorting, phase pinning and
+residual check against the original M, taken on the blocks of M's pattern:
+its components, to which the component route's vectors keep by construction,
+or the one block of a pattern that is one component.
 """
 
 from __future__ import annotations
@@ -76,7 +82,6 @@ from .linalg import (
     Blocks,
     NumericalError,
     ShapeError,
-    column_blocks,
     frobenius_norm,
     gauge,
     require_hermitian,
@@ -112,13 +117,15 @@ class EigDecomposition:
     component made real and positive (first such index on ties), so repeat
     runs return bit-identical output.  ``residual`` is the largest
     euclidean norm of M v - lambda v over all returned pairs, measured
-    against the original input.  ``sweeps`` counts completed Jacobi sweeps
-    (on the sector route, the most any one sector needed).  ``leak`` and
-    ``commutator`` are the sector route's measured charge certificate (see
-    :func:`hermitian_eig`); both are 0.0 on the full route.  ``blocks`` are
-    the row and column blocks of M's pattern that ``vectors`` keep to, as
-    :func:`linalg.column_blocks` found them, for products with the vectors
-    on the blocks' stack; None only for a decomposition built by hand.
+    against the original input.  ``sweeps`` counts completed Jacobi sweeps,
+    the most any one block needed.  ``leak`` and ``commutator`` are the
+    sector route's measured charge certificate (see :func:`hermitian_eig`);
+    both are 0.0 on the component route, also where a charge was given.
+    ``blocks`` are the row and column blocks that ``vectors`` keep to, for
+    products with the vectors on the blocks' stack: the rows' are the
+    components of M's pattern, and the columns' are the same labels taken
+    in the order of ``values``.  Each is one block for a pattern of one
+    component.  None only for a decomposition built by hand.
     """
 
     values: np.ndarray
@@ -421,8 +428,9 @@ def _finish(
 
     ``m`` and ``vectors`` may both be real; the vectors are returned as
     complex128 either way.  ``component`` labels the components of ``m``'s
-    pattern; m v - lambda v is taken on the stack of the blocks that
-    :func:`linalg.column_blocks` finds for the vectors, which are kept.
+    pattern, to which column k keeps with the label of the value that
+    sorts to place k; a pattern of one component takes every column.  m v -
+    lambda v is taken on the stack of those blocks, which are kept.
     """
     n = m.shape[0]
     order = np.argsort(values, kind="stable")
@@ -435,7 +443,7 @@ def _finish(
         vectors = vectors * np.divide(
             lead.conj(), mag, out=np.ones(n, dtype=vectors.dtype), where=mag > 0.0
         )
-    blocks = rows, columns = column_blocks(vectors, component)
+    blocks = rows, columns = Blocks.of(component), Blocks.of(component[order])
     v = rows.stack(vectors, columns)
     deltas = rows.stack(m) @ v - v * values[columns.members][:, np.newaxis, :]
     residual = float(np.max(np.linalg.norm(deltas, axis=-2), initial=0.0))
@@ -464,25 +472,26 @@ def hermitian_eig(
     Stops once the off-diagonal Frobenius norm is <= tol * ||m||_F.  The
     blocks are swept each to tol times its own norm, which keeps the total
     there, within ``max_sweeps`` sweeps, or a :class:`ConvergenceError`
-    names the block that ran out by its label and width.  Without a charge
-    they are the connected components of ``m``'s nonzero pattern;
-    ``charge = (A, B)``, single-site Hermitian factors whose sum
-    A x I + I x B should commute with ``m``, selects the sector route of
-    the module docstring, whose blocks are the sectors of equal rounded
-    charge 2(qa + qb).  Its rotated mass outside the sectors is reported
-    as ``leak`` and ``||[m, A x I + I x B]||_F`` as ``commutator``; a leak
-    above tol * ||m||_F raises :class:`NumericalError`, so a wrong charge is
-    never trusted.  Pivots at or below the stop threshold scaled by
-    1/(10 n) are skipped; the convergence check always measures the true
-    remaining off-diagonal mass, so skipping never masks a miss.  Inputs
-    within the hermiticity tolerance are symmetrized once, on entry (full
-    route) or once rotated into the charge basis (sector route); the
-    reported residual is still taken against the original matrix.  Where
-    :func:`linalg.gauge` finds a real form D^H m D, it is swept in real
-    arithmetic and the vectors are D V (see the module docstring); they
-    are complex128 either way.  A matrix whose Frobenius norm overflows
-    raises :class:`NumericalError`, since no stop threshold can be derived
-    from it.
+    names the block that ran out by its label and width.  They are the
+    connected components of ``m``'s nonzero pattern.  ``charge = (A, B)``,
+    single-site Hermitian factors whose sum A x I + I x B should commute
+    with ``m``, is always checked: square, finite, Hermitian and of product
+    n.  It is used only where the pattern is one component, as K's, and then
+    selects the sector route of the module docstring, whose blocks are the
+    sectors of equal rounded charge 2(qa + qb).  Its rotated mass outside
+    the sectors is reported as ``leak`` and ``||[m, A x I + I x B]||_F`` as
+    ``commutator``; a leak above tol * ||m||_F raises
+    :class:`NumericalError`, so a wrong charge is never trusted.  Pivots at
+    or below the stop threshold scaled by 1/(10 n) are skipped; the
+    convergence check always measures the true remaining off-diagonal mass,
+    so skipping never masks a miss.  Inputs within the hermiticity tolerance
+    are symmetrized once, on entry (component route) or once rotated into
+    the charge basis (sector route); the reported residual is still taken
+    against the original matrix.  Where :func:`linalg.gauge` finds a real
+    form D^H m D, it is swept in real arithmetic and the vectors are D V
+    (see the module docstring); they are complex128 either way.  A matrix
+    whose Frobenius norm overflows raises :class:`NumericalError`, since no
+    stop threshold can be derived from it.
     """
     m = require_square(m, "eigensolver needs a square matrix")
     if not np.isfinite(m).all():
@@ -503,6 +512,11 @@ def hermitian_eig(
         )
     if charge is not None:
         charge = _charge_factors(charge, m.shape[0], tol)
+    if component.any():
+        # the walk has split the pattern already, as H's by its conserved
+        # S3: a checked charge goes unused
+        charge = None
+    elif charge is not None:
         # D^H m D has m's sectors only if D commutes with A x I + I x B, that
         # is if no off-diagonal nonzero of A or B joins two colours
         grid = colour.reshape(charge[0].shape[0], charge[1].shape[0])

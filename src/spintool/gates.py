@@ -6,15 +6,16 @@ U exactly unitary up to rounding, and the group law
 U(theta1) U(theta2) = U(theta1 + theta2) holds because all factors share
 one eigenbasis.
 
-Both products of a gate follow the blocks of a nonzero pattern (see
-:class:`linalg.Blocks`).  U is assembled as the direct sum of the blocks
-V_b diag(exp(-i theta lambda_b)) V_b^H over the blocks that the columns of
-V keep to, taken on a zero-padded stack and scattered into a zeroed
-matrix; U^H U - I is likewise taken per component of U's own pattern.  H,
-which conserves total S3, splits into 4s+1 blocks, 49 of width at most 25
-at 2s = 24, where 97% of its gate is exact zeros; K's pattern is one
-component, one block whose stack is the matrix itself, so its gate costs
-the dense products.
+Both products of a gate follow the blocks of the generator's nonzero
+pattern (see :class:`linalg.Blocks`), which the eigendecomposition records.
+U is the direct sum of the blocks V_b diag(exp(-i theta lambda_b)) V_b^H,
+taken on a zero-padded stack, and U^H U - I is taken on that same stack
+before it is scattered into a zeroed matrix.  H, which conserves total S3,
+splits into 4s+1 blocks, 49 of width at most 25 at 2s = 24, where 97% of
+its gate is exact zeros; K's pattern is one component, one block whose
+stack is the matrix itself, so its gate costs the dense products.
+:func:`unitarity_residual`, for a matrix built by hand, walks its pattern
+for the blocks.
 """
 
 from __future__ import annotations
@@ -79,15 +80,14 @@ def synthesize_gate(
 ) -> Gate:
     """Build U(theta) = exp(-i theta M) from a Hermitian generator.
 
-    Rejects carriers whose computed hermiticity flag is false.  A carrier
-    with a conserved charge is diagonalized sector by sector.  U is the
-    direct sum of the gates of the blocks that the decomposition's
-    ``blocks`` record from the exact test of :func:`linalg.column_blocks`:
-    those of the generator's pattern when the eigenvectors keep to them,
-    else the one block of every index, whose gate is the dense product.
-    The result is checked against ||U^H U - I|| <= 1e-10 * dim before being
-    returned; a NaN gate, from theta * lambda overflowing, fails that check
-    too.
+    Rejects carriers whose computed hermiticity flag is false.  The
+    carrier's charge goes to :func:`eig.hermitian_eig`, which uses it only
+    where the pattern is one component.  U is the direct sum of the gates of
+    the blocks that the decomposition's ``blocks`` record: the components
+    of the generator's pattern, or the one block of every index, whose gate
+    is the dense product.  ||U^H U - I||, taken on the same blocks, is
+    checked against 1e-10 * dim before U is returned; a NaN gate, from
+    theta * lambda overflowing, fails that check too.
     """
     if not isinstance(theta, (int, float)) or not np.isfinite(theta):
         raise ValueError(f"theta must be a finite real number, got {theta!r}")
@@ -105,12 +105,13 @@ def synthesize_gate(
         # padding columns of v are 0 and take the phase of index 0; a NaN
         # phase there makes the blocks NaN, as it makes the dense product
         # NaN, and either fails the bound below
-        u = rows.scatter((v * phases[columns.members][:, np.newaxis, :]) @ _adjoints(v))
-        residual = unitarity_residual(u)
-    if not residual <= UNITARITY_TOL * u.shape[0]:
+        stack = (v * phases[columns.members][:, np.newaxis, :]) @ _adjoints(v)
+        residual = _gram_residual(stack, rows)
+    if not residual <= UNITARITY_TOL * dec.dimension:
         raise NumericalError(
             f"synthesized gate failed the unitarity bound: {residual:.3e}"
         )
+    u = rows.scatter(stack)
     u.flags.writeable = False
     return Gate(
         theta=float(theta),
@@ -153,13 +154,19 @@ def unitarity_residual(u: np.ndarray) -> float:
     """||u^H u - I|| in the Frobenius norm.
 
     u^H u - I vanishes between two components of u's nonzero pattern, so
-    it is taken on the stack of their blocks (see :class:`linalg.Blocks`).
+    it is taken on the stack of their blocks (see :class:`linalg.Blocks`),
+    as :func:`synthesize_gate` takes it on the stack that built the gate.
     A NaN entry is part of the pattern, so a NaN gate has a NaN residual
     either way.
     """
     u = require_square(u, "expected a square matrix")
     blocks = Blocks.of(components(u)[0])
-    stack = blocks.stack(u)
+    return _gram_residual(blocks.stack(u), blocks)
+
+
+def _gram_residual(stack: np.ndarray, blocks: Blocks) -> float:
+    """||U^H U - I||_F for U the direct sum of ``stack``, the diagonal
+    blocks of U over ``blocks``, zero in their padding."""
     gram = _adjoints(stack) @ stack
     diagonal = np.arange(gram.shape[-1])
     # the identity of each block, not of its padding

@@ -19,9 +19,8 @@ A product over a pattern that splits, such as that of H, which conserves
 total S3, then costs count * width^3 instead of n^3: 49 blocks of width at
 most 25 instead of one of 625 at 2s = 24.  A pattern that does not split,
 such as K's, is one block, whose stack is a view of the matrix.
-:func:`column_blocks` decides, exactly, whether the columns of a matrix of
-eigenvectors keep to the blocks, so that products with it may be taken
-blockwise too.
+The eigensolver's vectors keep to the blocks of the pattern it splits by
+construction, so products with them are taken blockwise too.
 """
 
 from __future__ import annotations
@@ -333,30 +332,3 @@ class Blocks:
         out = np.zeros((n, n), dtype=stack.dtype)
         out[rows, cols] = stack[inside]
         return out
-
-
-def column_blocks(v: np.ndarray, label: np.ndarray) -> tuple[Blocks, Blocks]:
-    """Blocks of v's rows and of its columns, for products with v.
-
-    ``label`` labels v's rows.  A column keeps to them when all its nonzeros
-    (a NaN counts as one) lie in rows of one label, which it then takes.
-    When every column keeps to the row blocks and each label has as many
-    columns as rows, as for the eigenvectors of a matrix whose pattern
-    ``label`` splits, v is block diagonal over the pairs returned.
-    Otherwise, or when the rows are one block, which skips the O(n^2) test,
-    both are one block.  The test is exact: one stray nonzero of 1e-300 is
-    enough to fail it.
-    """
-    rows = Blocks.of(label)
-    count = rows.members.shape[0]
-    if count > 1:
-        nonzero = v != 0
-        low = np.where(nonzero, label[:, None], count).min(axis=0)
-        high = np.where(nonzero, label[:, None], -1).max(axis=0)
-        # a zero column has low = count and high = -1, so it fails the test too
-        if np.array_equal(low, high) and np.array_equal(
-            np.bincount(low, minlength=count), rows.filled.sum(axis=1)
-        ):
-            return rows, Blocks.of(low)
-        rows = Blocks.of(np.zeros_like(label))
-    return rows, rows

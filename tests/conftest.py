@@ -1,5 +1,6 @@
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from spintool.cli import main
@@ -51,3 +52,24 @@ def run_cli(capsys):
         return code, captured.out, captured.err
 
     return run
+
+
+@pytest.fixture(scope="session")
+def assert_kept_blocks():
+    """Check that a decomposition's vectors keep to its blocks: each row
+    block pairs with a column block of as many indices, and every entry
+    outside the pairs is exactly zero."""
+
+    def check(dec) -> None:
+        rows, columns = dec.blocks
+        np.testing.assert_array_equal(
+            rows.filled.sum(axis=1), columns.filled.sum(axis=1)
+        )
+        inside = np.zeros(dec.vectors.shape, dtype=bool)
+        for r, kept_r, c, kept_c in zip(
+            rows.members, rows.filled, columns.members, columns.filled
+        ):
+            inside[np.ix_(r[kept_r], c[kept_c])] = True
+        assert not dec.vectors[~inside].any()
+
+    return check

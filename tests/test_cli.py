@@ -440,6 +440,19 @@ def test_matrix_file_spectrum(run_cli, tmp_path):
     )
 
 
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+def test_matrix_file_with_a_byte_order_mark_reads_the_same(run_cli, tmp_path, fmt):
+    # a BOM once stuck to the first entry: cannot parse matrix entry '\ufeff1'
+    path = tmp_path / "herm.txt"
+    runs = []
+    for bom in (b"", b"\xef\xbb\xbf"):
+        path.write_bytes(bom + b"1 1-1i\n1+1i 3\n")
+        argv = ["spectrum", "--hamiltonian", "file", "--file", str(path), "--format", fmt]
+        runs.append(run_cli(*argv))
+    assert runs[0][0] == 0
+    assert runs[1] == runs[0]
+
+
 def test_matrix_file_round_trip_format():
     token = cli.format_complex(complex(0.1, -2.5))
     assert token == "0.1-2.5i"

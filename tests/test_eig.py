@@ -22,7 +22,6 @@ from spintool.linalg import (
     HermiticityError,
     NumericalError,
     ShapeError,
-    column_blocks,
     components,
     frobenius_norm,
     gauge,
@@ -53,6 +52,12 @@ K_EIGENVECTORS = [
 ]
 
 
+# S1 x S3 - S2 x S2 + S3 x S1, a proper rotation of H whose charge (S3, S1)
+# is not diagonal: its pattern is one component, which the charge splits.
+# The operator, its charge factors and their eigenvectors are exactly real.
+_REAL_ROTATION = ((0.0, 0.0, 1.0), (0.0, -1.0, 0.0), (1.0, 0.0, 0.0))
+
+
 def _random_hermitian(rng, n):
     r = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return (r + r.conj().T) / 2.0
@@ -67,11 +72,19 @@ def test_diagonal_matrix_sorted_exactly():
 
 
 @pytest.mark.parametrize(
-    "build, mib", [(build_heisenberg, 16.5), (build_cyclic, 25.5)], ids=["H", "K"]
+    "build, mib",
+    [
+        (build_heisenberg, 16.5),
+        (build_cyclic, 25.5),
+        (lambda s: build_bilinear(s, _REAL_ROTATION), 19.5),
+    ],
+    ids=["H", "K", "rotated"],
 )
 def test_sector_route_at_the_cap_frees_its_basis_before_the_residual(build, mib):
-    # measured 15.4 MiB for H and 24.0 for K; keeping W and the rotated
-    # matrix alive through the residual reads 21.4 and 33.0
+    # H's split pattern leaves its charge unused: measured 15.4 MiB on the
+    # component route.  K and the rotation take the sector route: measured
+    # 24.0 and 17.9 MiB; keeping W and the rotated matrix alive to the end
+    # of the solve reads 30.0 and 23.9
     ham = build(HalfInteger(24))
     tracemalloc.start()
     try:
@@ -133,9 +146,13 @@ def test_sweep_budget_exhaustion():
     h = build_heisenberg(HalfInteger(1))
     with pytest.raises(ConvergenceError):
         hermitian_eig(h.matrix, max_sweeps=0)
-    # on the sector route the budget applies to each sector
-    with pytest.raises(ConvergenceError):
+    # H's pattern splits, so its charge goes unused and the budget applies
+    # to each component; on the sector route it applies to each sector
+    with pytest.raises(ConvergenceError, match=r"^component "):
         hermitian_eig(h.matrix, max_sweeps=0, charge=h.charge)
+    r = build_bilinear(HalfInteger(1), _REAL_ROTATION)
+    with pytest.raises(ConvergenceError, match=r"^sector of charge "):
+        hermitian_eig(r.matrix, max_sweeps=0, charge=r.charge)
     k = build_cyclic(HalfInteger(4))
     with pytest.raises(
         ConvergenceError,
@@ -247,6 +264,21 @@ def test_stack_reports_blocks_that_run_out_of_sweeps():
     assert solved[0][3] > stops[0] and solved[1][3] <= stops[1]
 
 
+def _routed(route, twice):
+    """The operator and the charge of a route case.
+
+    "sectors" is H with its charge, which its split pattern leaves unused;
+    "rotated-sectors" is the exactly real rotation with its charge, which
+    splits its one-component pattern on the sector route; "full" is H alone.
+    """
+    if route == "rotated-sectors":
+        ham = build_bilinear(HalfInteger(twice), _REAL_ROTATION)
+        assert not components(ham.matrix)[0].any()
+    else:
+        ham = build_heisenberg(HalfInteger(twice))
+    return ham, None if route == "full" else ham.charge
+
+
 @pytest.fixture
 def stack_dtypes(monkeypatch):
     """The dtype of every stack the Jacobi kernel runs, in call order."""
@@ -261,13 +293,20 @@ def stack_dtypes(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("route", ["sectors", "full"])
+@pytest.mark.parametrize("route", ["sectors", "full", "scalar-sectors"])
 def test_subnormal_tol_stays_finite_and_silent(route, stack_dtypes):
     # stop near 1e-308 leaves subnormal pivots above the skip threshold;
-    # tau = d / (2 b) and pivot / b once overflowed there.  H is exactly
-    # real, so this runs the float64 stack.
-    ham = build_heisenberg(HalfInteger(6))
-    charge = ham.charge if route == "sectors" else None
+    # tau = d / (2 b) and pivot / b once overflowed there.  H and the
+    # rotation are exactly real, so this runs the float64 stack.  The
+    # sector route's leak bound tol ||M||_F lies below the rounding of any
+    # basis but an exact one, so it runs here with the scalar charge I x I,
+    # whose basis is I and whose one sector is the whole matrix (at 2s = 4,
+    # 25 wide: at 2s = 2 its 9 x 9 block stalls near 1e-37, above that stop)
+    if route == "scalar-sectors":
+        ham, _ = _routed("rotated-sectors", 4)
+        charge = (np.eye(5), np.eye(5))
+    else:
+        ham, charge = _routed(route, 6)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         dec = hermitian_eig(ham.matrix, tol=1e-310, charge=charge)
@@ -312,14 +351,23 @@ def test_stack_rotates_a_real_subnormal_pivot_silently():
 
 
 @pytest.mark.parametrize(
-    "twice, route", [(3, "sectors"), (8, "sectors"), (24, "sectors"), (4, "full")]
+    "twice, route",
+    [
+        (3, "sectors"),
+        (8, "sectors"),
+        (24, "sectors"),
+        (4, "full"),
+        (3, "rotated-sectors"),
+        (8, "rotated-sectors"),
+        (24, "rotated-sectors"),
+    ],
 )
 def test_exactly_real_input_runs_real_arithmetic(twice, route, stack_dtypes):
-    # H, its charge factors and its rotation are exactly real, so every stack
-    # is float64; the decomposition keeps its complex128 contract
-    ham = build_heisenberg(HalfInteger(twice))
+    # H and the rotation, their charge factors and the sector route's basis
+    # are exactly real, so every stack is float64; the decomposition keeps
+    # its complex128 contract
+    ham, charge = _routed(route, twice)
     assert not ham.matrix.imag.any() and ham.matrix.dtype == np.complex128
-    charge = ham.charge if route == "sectors" else None
     dec = hermitian_eig(ham.matrix, charge=charge)
     assert stack_dtypes and set(stack_dtypes) == {np.dtype(np.float64)}
     assert dec.vectors.dtype == np.complex128 and not dec.vectors.imag.any()
@@ -343,23 +391,30 @@ def test_exactly_real_input_runs_real_arithmetic(twice, route, stack_dtypes):
         assert dec.sweeps <= 8
 
 
-@pytest.mark.parametrize("route", ["sectors", "full"])
+@pytest.mark.parametrize("route", ["sectors", "full", "K-sectors"])
 def test_a_tiny_imaginary_part_takes_the_complex_path(route, stack_dtypes):
     # the arithmetic is chosen by an exact test, not a tolerance.  A
-    # Hermitian pair of 1e-300j entries on a nonzero real entry of H leaves
-    # no real form and sends H down the complex stack; on an exact zero of
-    # H the same pair is an imaginary link, which an exact gauge D makes
-    # real, so that H still runs the float64 stack and its vectors come
-    # back through D
-    ham = build_heisenberg(HalfInteger(8))
-    charge = ham.charge if route == "sectors" else None
+    # Hermitian pair of 1e-300j entries on a nonzero real entry leaves no
+    # real form and sends the solve down the complex stack.  On an exact
+    # zero between two components of H, or two colours of K, the same pair
+    # is an imaginary link, which an exact gauge D makes real, so that the
+    # solve still runs the float64 stack and its vectors come back through
+    # D.  K's pattern is one component, so its charge takes the sector route
+    if route == "K-sectors":
+        ham = build_cyclic(HalfInteger(8))
+        assert not components(ham.matrix)[0].any()
+    else:
+        ham = build_heisenberg(HalfInteger(8))
+    charge = None if route == "full" else ham.charge
     real = hermitian_eig(ham.matrix, charge=charge)
     assert set(stack_dtypes) == {np.dtype(np.float64)}
     i, j = np.argwhere(np.triu(ham.matrix.real, 1))[0]
-    assert ham.matrix[0, 1] == 0.0
+    label, colour = gauge(ham.matrix)[:2]
+    apart = (label[:, None] != label) | (colour[:, None] != colour)
+    zero = np.argwhere(np.triu((ham.matrix == 0) & apart, 1))[0]
     n = ham.dimension
     scale = max(1.0, frobenius_norm(ham.matrix))
-    for (p, q), form in [((i, j), False), ((0, 1), True)]:
+    for (p, q), form in [((i, j), False), (zero, True)]:
         del stack_dtypes[:]
         m = ham.matrix.copy()
         m[p, q] += 1e-300j
@@ -409,7 +464,8 @@ def test_complex_input_keeps_the_complex_stack(stack_dtypes):
 def test_finish_pins_the_first_largest_component():
     # column 0 ties between rows 0 and 1, and the first wins; column 2 is zero
     vectors = np.array([[1j, 0.5, 0.0], [-1j, 2j, 0.0], [0.0, 0.0, 0.0]])
-    dec = _finish(np.zeros((3, 3)), np.array([0.0, 1.0, 2.0]), vectors, 0, np.arange(3))
+    one = np.zeros(3, dtype=np.intp)
+    dec = _finish(np.zeros((3, 3)), np.array([0.0, 1.0, 2.0]), vectors, 0, one)
     np.testing.assert_array_equal(
         dec.vectors, [[1.0, -0.5j, 0.0], [-1.0, 2.0, 0.0], [0.0, 0.0, 0.0]]
     )
@@ -417,7 +473,7 @@ def test_finish_pins_the_first_largest_component():
     rng = np.random.default_rng(11)
     vectors = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
     values = rng.standard_normal(7)
-    dec = _finish(np.zeros((7, 7)), values, vectors, 0, np.arange(7))
+    dec = _finish(np.zeros((7, 7)), values, vectors, 0, np.zeros(7, dtype=np.intp))
     ref = vectors[:, np.argsort(values, kind="stable")]
     for k in range(7):
         col = ref[:, k]
@@ -596,6 +652,67 @@ def test_the_gauge_takes_the_sectors_only_where_it_keeps_the_charge(
     assert dec.leak <= DEFAULT_TOL * frobenius_norm(ham.matrix)
 
 
+def _assert_same_bits(a, b):
+    """Two decompositions agree bit for bit, their blocks included."""
+    assert a.values.tobytes() == b.values.tobytes()
+    assert a.vectors.tobytes() == b.vectors.tobytes()
+    for name in ("residual", "sweeps", "leak", "commutator"):
+        assert getattr(a, name) == getattr(b, name), name
+    for kept, plain in zip(a.blocks, b.blocks, strict=True):
+        np.testing.assert_array_equal(kept.members, plain.members)
+        np.testing.assert_array_equal(kept.filled, plain.filled)
+
+
+@pytest.mark.parametrize("twice", range(1, 25))
+def test_h_takes_the_component_route_with_its_charge(twice):
+    # H conserves total S3, so its pattern is already split into the
+    # sectors of its charge (S3, S3): the charge is checked, then unused
+    ham = build_heisenberg(HalfInteger(twice))
+    assert components(ham.matrix)[0].max() == 2 * twice
+    given = hermitian_eig(ham.matrix, charge=ham.charge)
+    _assert_same_bits(given, hermitian_eig(ham.matrix))
+    assert given.leak == 0.0 and given.commutator == 0.0
+
+
+def test_a_charge_splits_only_a_pattern_that_is_one_component():
+    # the charge of a proper signed permutation is (S3, +-Sk).  At 2s = 3 a
+    # diagonal factor, k = 3, goes with a pattern of 7 components, its
+    # sectors, and any other with a pattern of one component, which alone
+    # takes the sector route: with no sweeps, it names a sector
+    counts, routed = [], []
+    for pattern in _signed_permutations():
+        ham = build_bilinear(HalfInteger(3), pattern)
+        factor = ham.charge[1]
+        diagonal = not (factor - np.diag(np.diagonal(factor))).any()
+        counts.append(components(ham.matrix)[0].max() + 1)
+        assert counts[-1] == (7 if diagonal else 1)
+        with pytest.raises(ConvergenceError, match="^(sector|component) ") as error:
+            hermitian_eig(ham.matrix, max_sweeps=0, charge=ham.charge)
+        if str(error.value).startswith("sector"):
+            routed.append(counts[-1])
+    assert counts.count(1) == 16
+    assert routed == [1] * 16
+
+
+def test_a_charge_given_with_h_is_checked_but_not_used():
+    s = HalfInteger(4)
+    t = make_spin_triple(s)
+    ham = build_heisenberg(s)
+    for charge in [(np.zeros((5, 4)), t.s3), (t.s3, np.eye(4))]:
+        with pytest.raises(ShapeError, match="charge factors"):
+            hermitian_eig(ham.matrix, charge=charge)
+    blank = t.s3.copy()
+    blank[0, 0] = np.nan
+    with pytest.raises(ValueError, match="charge factor entries must be finite"):
+        hermitian_eig(ham.matrix, charge=(t.s3, blank))
+    with pytest.raises(HermiticityError):
+        hermitian_eig(ham.matrix, charge=(t.s3 + np.triu(np.ones((5, 5)), 1), t.s3))
+    # a well-formed charge, right or wrong, leaves the solve as it is
+    plain = hermitian_eig(ham.matrix)
+    for charge in [ham.charge, (t.s1, t.s1), (t.s3, np.eye(5))]:
+        _assert_same_bits(hermitian_eig(ham.matrix, charge=charge), plain)
+
+
 def test_sector_route_rejects_a_charge_that_does_not_commute():
     s = HalfInteger(2)
     t = make_spin_triple(s)
@@ -666,7 +783,9 @@ def _permuted_block_hermitian(seed, widths):
 @pytest.mark.parametrize(
     "case", ["H-8", "permuted-blocks"], ids=["H-without-charge", "permuted-blocks"]
 )
-def test_full_route_sweeps_the_components_as_blocks(case, stack_dtypes):
+def test_full_route_sweeps_the_components_as_blocks(
+    case, stack_dtypes, assert_kept_blocks
+):
     if case == "H-8":
         m = build_heisenberg(HalfInteger(8)).matrix
         count, width = 17, 9
@@ -683,10 +802,9 @@ def test_full_route_sweeps_the_components_as_blocks(case, stack_dtypes):
     np.testing.assert_allclose(dec.values, np.linalg.eigvalsh(m), atol=1e-10 * n * scale)
     # the vectors keep to the blocks, the residual is taken on them, and the
     # decomposition keeps them
-    found = column_blocks(dec.vectors, label)
-    for kept, tested in zip(dec.blocks, found):
-        np.testing.assert_array_equal(kept.members, tested.members)
-        np.testing.assert_array_equal(kept.filled, tested.filled)
+    for blocks in dec.blocks:
+        assert blocks.members.shape == (count, width)
+    assert_kept_blocks(dec)
     dense = np.max(np.linalg.norm(m @ dec.vectors - dec.vectors * dec.values, axis=0))
     assert dec.residual == pytest.approx(dense, rel=1e-6, abs=1e-14 * scale)
     assert dec.residual <= 1e-10 * n * scale

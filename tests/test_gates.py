@@ -12,10 +12,10 @@ from spintool.gates import (
 )
 from spintool.hamiltonians import Hamiltonian, HamiltonianKind, build_cyclic, build_heisenberg
 from spintool.linalg import (
+    Blocks,
     HermiticityError,
     NumericalError,
     ShapeError,
-    column_blocks,
     components,
     frobenius_distance,
     frobenius_norm,
@@ -168,16 +168,31 @@ def test_overflowing_phases_fail_the_unitarity_bound():
     # theta is finite, but theta * lambda overflows and the gate comes out NaN
     ham = build_heisenberg(HalfInteger(4))
     # H's gate is built block by block, and its NaN blocks fail all the same
-    vectors = hermitian_eig(ham.matrix, charge=ham.charge).vectors
-    rows, _ = column_blocks(vectors, components(ham.matrix)[0])
+    rows, _ = hermitian_eig(ham.matrix, charge=ham.charge).blocks
     assert rows.members.shape[0] == 9
     with pytest.raises(NumericalError, match="unitarity bound: nan"):
         synthesize_gate(ham, 1e308)
 
 
 def test_gate_keeps_its_unitarity_residual():
+    # taken on the stack that built the gate, it is the residual of the
+    # gate's own pattern, bit for bit
+    for twice in [*range(1, 9), 24]:
+        for build in (build_heisenberg, build_cyclic):
+            gate = synthesize_gate(build(HalfInteger(twice)), 0.7)
+            assert gate.unitarity_residual == unitarity_residual(gate.matrix)
     gate = synthesize_gate(build_cyclic(HalfInteger(3)), 0.8)
     assert gate.unitarity_residual == unitarity_residual(gate.matrix)
+
+
+@pytest.mark.parametrize("build", [build_heisenberg, build_cyclic], ids=["H", "K"])
+def test_synthesis_never_walks_the_gate_pattern(build, monkeypatch):
+    def walk(*args, **kwargs):
+        raise AssertionError("synthesize_gate walked the pattern of U")
+
+    monkeypatch.setattr(gates, "components", walk)
+    gate = synthesize_gate(build(HalfInteger(8)), 0.7)
+    assert gate.unitarity_residual <= 1e-10 * gate.dimension
 
 
 def test_unitarity_residual_values():
@@ -194,7 +209,7 @@ def _dense_gate(ham, theta):
 
 
 @pytest.mark.parametrize("twice", [3, 8, 24])
-def test_blockwise_gate_matches_the_dense_product(twice):
+def test_blockwise_gate_matches_the_dense_product(twice, assert_kept_blocks):
     ham = build_heisenberg(HalfInteger(twice))
     n = ham.dimension
     dec = hermitian_eig(ham.matrix, charge=ham.charge)
@@ -202,10 +217,9 @@ def test_blockwise_gate_matches_the_dense_product(twice):
     # H conserves total S3: 4s+1 components, and its eigenvectors keep to
     # them, as the decomposition records
     assert label.max() + 1 == 2 * twice + 1
-    found = column_blocks(dec.vectors, label)
-    for kept, tested in zip(dec.blocks, found):
-        np.testing.assert_array_equal(kept.members, tested.members)
-        np.testing.assert_array_equal(kept.filled, tested.filled)
+    for blocks in dec.blocks:
+        assert blocks.members.shape[0] == 2 * twice + 1
+    assert_kept_blocks(dec)
     for theta in (0.7, -2.3):
         gate = synthesize_gate(ham, theta)
         dense = _dense_gate(ham, theta)
@@ -228,16 +242,20 @@ def test_k_takes_the_dense_product():
 
 
 def test_a_stray_nonzero_in_the_eigenvectors_takes_the_dense_product(monkeypatch):
+    # the gate follows the blocks that the decomposition records: vectors
+    # with a stray nonzero outside H's blocks, recorded as the one block of
+    # every index, give the dense product
     ham = build_heisenberg(HalfInteger(4))
     dec = hermitian_eig(ham.matrix, charge=ham.charge)
     label = components(ham.matrix)[0]
     vectors = dec.vectors.copy()
     column = vectors[:, 3]
     column[np.flatnonzero(label != label[np.flatnonzero(column)[0]])[0]] = 1e-300
-    found = column_blocks(vectors, label)
-    for blocks in found:
-        np.testing.assert_array_equal(blocks.members, np.arange(ham.dimension)[np.newaxis])
-    stray = EigDecomposition(dec.values, vectors, dec.residual, dec.sweeps, blocks=found)
+    one = Blocks.of(np.zeros(ham.dimension, dtype=np.intp))
+    np.testing.assert_array_equal(one.members, np.arange(ham.dimension)[np.newaxis])
+    stray = EigDecomposition(
+        dec.values, vectors, dec.residual, dec.sweeps, blocks=(one, one)
+    )
     monkeypatch.setattr(gates, "hermitian_eig", lambda *args, **kwargs: stray)
     gate = synthesize_gate(ham, 0.7)
     phases = np.exp(-0.7j * dec.values)

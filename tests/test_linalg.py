@@ -12,7 +12,6 @@ from spintool.linalg import (
     ShapeError,
     adjoint,
     as_cmatrix,
-    column_blocks,
     commutator,
     components,
     frobenius_distance,
@@ -296,16 +295,14 @@ def test_gauge_of_input_with_no_imaginary_part_is_its_real_part(monkeypatch):
     assert tests[-1] is not None
 
 
-def _permuted_block_diagonal(rng, widths, unitary=False):
+def _permuted_block_diagonal(rng, widths):
     """A random complex matrix, block diagonal over ``widths`` up to a
-    permutation of its indices; with ``unitary``, each block is unitary."""
+    permutation of its indices."""
     n = sum(widths)
     m = np.zeros((n, n), dtype=complex)
     start = 0
     for width in widths:
         r = rng.standard_normal((width, width)) + 1j * rng.standard_normal((width, width))
-        if unitary:
-            r = np.linalg.qr(r)[0]
         m[start : start + width, start : start + width] = r
         start += width
     order = rng.permutation(n)
@@ -365,36 +362,3 @@ def test_the_one_block_view_never_leaks_a_write(widths):
     hermitian_eig(m)
     unitarity_residual(m)
     assert m.tobytes() == before.tobytes()
-
-
-def test_column_blocks_need_every_column_in_one_block():
-    rng = np.random.default_rng(67)
-    m = _permuted_block_diagonal(rng, [2, 3, 3, 1])
-    label = components(m)[0]
-    # a unitary that keeps to the blocks, its columns in any order
-    v = _permuted_block_diagonal(np.random.default_rng(67), [2, 3, 3, 1], unitary=True)
-    v = v[:, rng.permutation(9)]
-    rows, columns = column_blocks(v, label)
-    np.testing.assert_array_equal(rows.members, Blocks.of(label).members)
-    stack = rows.stack(v, columns)
-    assert np.count_nonzero(stack) == np.count_nonzero(v)
-    product = rows.scatter(stack @ stack.conj().transpose(0, 2, 1))
-    np.testing.assert_allclose(product, v @ v.conj().T, rtol=0.0, atol=1e-14)
-    assert not product[label[:, None] != label[None, :]].any()
-    # one stray nonzero, however small, gives the one block of every index
-    first = label[np.flatnonzero(v[:, 0])[0]]
-    stray = v.copy()
-    stray[np.flatnonzero(label != first)[0], 0] = 1e-300
-    for blocks in column_blocks(stray, label):
-        _assert_one_block(blocks, 9)
-    # so does a zero column
-    zero = v.copy()
-    zero[:, 4] = 0.0
-    for blocks in column_blocks(zero, label):
-        _assert_one_block(blocks, 9)
-    # and a block with more columns than rows
-    moved = v.copy()
-    moved[:, 0] = 0.0
-    moved[np.flatnonzero(label != first)[0], 0] = 1.0
-    for blocks in column_blocks(moved, label):
-        _assert_one_block(blocks, 9)
