@@ -32,7 +32,7 @@ import math
 import os
 import re
 import sys
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable
 from pathlib import Path
 
 import numpy as np
@@ -457,7 +457,6 @@ def cmd_table(args: argparse.Namespace) -> dict:
 
 # -- rendering: plain and csv are views of the JSON report -------------------
 
-_CLUSTER_HEADER = ["value", "multiplicity"]
 _ZERO_CELL = format_complex(0j)
 
 
@@ -497,49 +496,47 @@ _HEAD_FIELDS = {
 }
 
 
-def _cluster_rows(clusters: list[dict]) -> Iterable[list]:
-    return ([c["value"], c["multiplicity"]] for c in clusters)
-
-
-def _main_table(report: dict) -> tuple[list[str], Iterable[Sequence]]:
+def _main_table(report: dict) -> tuple[list[str], Iterable[list[str]]]:
     """Header and rows of the command's main table, read from the report.
 
     The rows are the csv output; the repeated lines of the plain output show
-    the same cells.  Cells are report values, which str() renders as repr()
-    does for floats, or strings.
+    the same cells.  Cells are strings: report values as str() writes them,
+    which is repr() for floats.
     """
     command = report["command"]
-    if command == "spectrum":
-        return _CLUSTER_HEADER, _cluster_rows(report["clusters"])
-    if command == "verify":
-        m = report["moments"]
-        return ["power", "trace_a", "trace_b"], zip(
-            m["powers"], m["traces_a"], m["traces_b"]
-        )
     if command == "gate":
         header = [f"col{j}" for j in range(report["dimension"])]
         return header, _gate_cells(report["matrix"])
-    header = [
-        "spin",
-        "dimension",
-        "num_clusters",
-        "spectra_equal",
-        "closed_form_match",
-        "moments_passed",
-        "verdict",
-    ]
-    return header, (
-        [
-            row["spin"],
-            row["dimension"],
-            len(row["clusters"]),
-            row["spectra_equal"],
-            row["closed_form_match"],
-            row["moments"]["passed"],
-            row["verdict"],
+    if command == "spectrum":
+        header = ["value", "multiplicity"]
+        rows = ([c[k] for k in header] for c in report["clusters"])
+    elif command == "verify":
+        m = report["moments"]
+        header = ["power", "trace_a", "trace_b"]
+        rows = zip(m["powers"], m["traces_a"], m["traces_b"])
+    else:
+        header = [
+            "spin",
+            "dimension",
+            "num_clusters",
+            "spectra_equal",
+            "closed_form_match",
+            "moments_passed",
+            "verdict",
         ]
-        for row in report["rows"]
-    )
+        rows = (
+            [
+                row["spin"],
+                row["dimension"],
+                len(row["clusters"]),
+                row["spectra_equal"],
+                row["closed_form_match"],
+                row["moments"]["passed"],
+                row["verdict"],
+            ]
+            for row in report["rows"]
+        )
+    return header, (list(map(str, row)) for row in rows)
 
 
 def _kv(pairs: Iterable[tuple[str, object]]) -> str:
@@ -614,7 +611,7 @@ def _render_csv(report: dict) -> str:
     header, rows = _main_table(report)
     # no cell holds a comma, a quote or a line break, so none needs quoting
     lines = [",".join(header)]
-    lines += [",".join(map(str, row)) for row in rows]
+    lines += [",".join(row) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -630,10 +627,7 @@ def _render_plain(report: dict) -> str:
         lines.append(
             f"algebra passed={algebra['passed']} max_residual={algebra['max_residual']}"
         )
-        lines += [
-            f"cluster {_kv(zip(_CLUSTER_HEADER, row))}"
-            for row in _cluster_rows(report["clusters"])
-        ]
+        lines += [f"cluster {_kv(c.items())}" for c in report["clusters"]]
         lines.append(f"spectra_equal={report['spectra_equal']}")
         lines.append(f"closed_form_match={report['closed_form_match']}")
         fields = ("passed", "max_abs_diff", "prefix_len", "prefix_passed")

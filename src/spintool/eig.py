@@ -35,16 +35,16 @@ nonzero pattern or over its charge sectors, are stacked by width.
 
 Arithmetic
 ----------
-The kernel runs in the dtype of its blocks, and the moments' rule picks it:
-where :func:`linalg.gauge` finds a diagonal D of ones and i's that makes
-D^H M D exactly real, that float64 real form is swept, its rotation's
-phase e is the sign of the pivot, and the vectors come back as D V; other
-input stays complex128.  The test is exact, never a tolerance: 1e-300j on
-a nonzero real entry leaves no real form.  H has D = I, and K's D is i on
-the odd indices of the first site, so both run real throughout, as do
-their charge factors, each through its own gauge.  The residual is taken
-against M itself, in real arithmetic when D = I, and the decomposition
-holds complex128 vectors either way, pinned and measured as below.
+The kernel runs in the dtype of the matrix that :func:`linalg.gauge`, the
+moments' rule, hands back: where a diagonal D of ones and i's makes D^H M D
+exactly real, that float64 real form, its rotation's phase e the sign of
+the pivot and its vectors D V; else a complex128 copy of M, with D = I.
+The test is exact, never a tolerance: 1e-300j on a nonzero real entry
+leaves no real form.  H has D = I, and K's D is i on the odd indices of
+the first site, so both run real throughout, as do their charge factors,
+each through its own gauge.  The residual is taken against M itself, in
+real arithmetic when D = I, and the vectors are complex128 either way,
+pinned and measured as below.
 
 Sector route
 ------------
@@ -305,14 +305,6 @@ def _charge_factors(charge, n: int, tol: float) -> tuple[np.ndarray, np.ndarray]
     return a_site, b_site
 
 
-def _gauged(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`linalg.gauge` of m, with colour 0 and m as complex128 for no form."""
-    component, colour, form, _ = gauge(m)
-    if form is None:
-        return component, np.zeros_like(colour), m.astype(np.complex128, copy=False)
-    return component, colour, form
-
-
 def _through(colour: np.ndarray, v: np.ndarray) -> np.ndarray:
     """D v for D = i^colour: the rows of colour 1 times i, v itself for D = I."""
     if not colour.any():
@@ -326,13 +318,13 @@ def _split_sectors(
     """Rotate ``m`` into the eigenbasis W of A x I + I x B and measure the split.
 
     ``charge`` holds factors checked by :func:`_charge_factors`.  Each is
-    swept as :func:`_gauged` gives it, its vectors brought back through its
-    own phase, and taken in the products below as it is, or as its real
-    part if it has no imaginary part.  Returns W, the rotated matrix,
+    swept as :func:`linalg.gauge` gives it, its vectors brought back
+    through its own phase, and taken in the products below as it is, or as
+    its real part if it has no imaginary part.  Returns W, the rotated matrix,
     symmetrized once, the charge label 2(qa + qb) of each basis index, the
     leak and the commutator norm.
     """
-    gauged = [_gauged(f)[1:] for f in charge]
+    gauged = [gauge(f)[1:3] for f in charge]
     (qa, va, _, _), (qb, vb, _, _) = _solved(
         [_symmetrized(f) for _, f in gauged],
         [_SITE_TOL * frobenius_norm(f) for _, f in gauged],
@@ -361,9 +353,14 @@ def _split_sectors(
     labels = np.rint(2.0 * (qa[:, np.newaxis] + qb[np.newaxis, :])).ravel()
     leak = float(np.linalg.norm(rotated[labels[:, np.newaxis] != labels]))
     if leak > stop:
+        # W is solved to _SITE_TOL: below n * eps * ||m||_F, a leak may be rounding
+        rounding = n * _SITE_TOL * frobenius_norm(m)
+        cause = "charge does not split the operator"
+        if leak <= rounding:
+            cause = f"tol is below the rounding of the sector basis, {rounding:.3e}"
         raise NumericalError(
-            f"charge does not split the operator: off-sector norm {leak:.3e} "
-            f"exceeds {stop:.3e} (commutator norm {commutator:.3e})"
+            f"{cause}: off-sector norm {leak:.3e} exceeds {stop:.3e} "
+            f"(commutator norm {commutator:.3e})"
         )
     return w, rotated, labels, leak, commutator
 
@@ -481,17 +478,18 @@ def hermitian_eig(
     sectors of equal rounded charge 2(qa + qb).  Its rotated mass outside
     the sectors is reported as ``leak`` and ``||[m, A x I + I x B]||_F`` as
     ``commutator``; a leak above tol * ||m||_F raises
-    :class:`NumericalError`, so a wrong charge is never trusted.  Pivots at
-    or below the stop threshold scaled by 1/(10 n) are skipped; the
-    convergence check always measures the true remaining off-diagonal mass,
-    so skipping never masks a miss.  Inputs within the hermiticity tolerance
-    are symmetrized once, on entry (component route) or once rotated into
-    the charge basis (sector route); the reported residual is still taken
-    against the original matrix.  Where :func:`linalg.gauge` finds a real
-    form D^H m D, it is swept in real arithmetic and the vectors are D V
-    (see the module docstring); they are complex128 either way.  A matrix
-    whose Frobenius norm overflows raises :class:`NumericalError`, since no
-    stop threshold can be derived from it.
+    :class:`NumericalError`, so a wrong charge is never trusted; within
+    n * eps * ||m||_F, the error names a tol below the basis's rounding
+    instead.  Pivots at or below the stop threshold scaled by 1/(10 n) are
+    skipped; the convergence check always measures the true remaining
+    off-diagonal mass, so skipping never masks a miss.  Inputs within the
+    hermiticity tolerance are symmetrized once, on entry (component route)
+    or once rotated into the charge basis (sector route); the reported
+    residual is still taken against the original matrix.  Where
+    :func:`linalg.gauge` finds a real form D^H m D, it is swept in real
+    arithmetic and the vectors are D V (see the module docstring); they are
+    complex128 either way.  A matrix whose Frobenius norm overflows raises
+    :class:`NumericalError`, since no stop threshold can be derived from it.
     """
     m = require_square(m, "eigensolver needs a square matrix")
     if not np.isfinite(m).all():
@@ -500,8 +498,8 @@ def hermitian_eig(
         raise ValueError(f"tol must be positive, got {tol}")
     if max_sweeps < 0:
         raise ValueError(f"max_sweeps must be non-negative, got {max_sweeps}")
-    component, colour, a = _gauged(m)
-    # the real form's defect has m's entries up to sign: checked in its dtype
+    component, colour, a, _ = gauge(m)
+    # a real form's defect has m's entries up to sign: checked in its dtype
     require_hermitian(a, tol)
 
     with np.errstate(over="ignore"):

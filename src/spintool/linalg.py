@@ -11,10 +11,11 @@ connected components of the pattern, with no Python loop per link, and
 measures its half-bandwidth, which bounds the band of a power.
 :func:`gauge` takes the same walk with a parity per link and so decides,
 for the moments and the eigensolver alike, the arithmetic of a Hermitian
-matrix: its real form D^H m D for a diagonal D of ones and i's where that
-is exact, as for H and K, else complex.  :class:`Blocks` gathers a matrix's
-diagonal blocks, one per component, into a zero-padded stack of shape
-(count, width, width) and scatters such a stack back into a dense array.
+matrix, and hands back the array that they power or sweep: its real form
+D^H m D for a diagonal D of ones and i's where that is exact, as for H and
+K, else a complex128 copy.  :class:`Blocks` gathers a matrix's diagonal
+blocks, one per component, into a zero-padded stack of shape (count, width,
+width) and scatters such a stack back into a dense array.
 A product over a pattern that splits, such as that of H, which conserves
 total S3, then costs count * width^3 instead of n^3: 49 blocks of width at
 most 25 instead of one of 625 at 2s = 24.  A pattern that does not split,
@@ -156,18 +157,25 @@ def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def hermiticity_defect(a: np.ndarray) -> float:
-    """Frobenius norm of a - adjoint(a).
+    """Frobenius norm of a - adjoint(a), with no n x n temporary.
 
-    Taken from the parts, sqrt(||Re a - Re a^T||^2 + ||Im a + Im a^T||^2),
-    so no complex temporary is built; a real matrix has no second term.  A
-    NaN or an infinity in ``a`` gives a NaN or infinite defect, silently.
+    It is summed over the upper block triangle, rows of about 2^14 entries
+    at a time: a diagonal block holds both entries of each mirrored pair,
+    and the rest of its rows one, counted twice.  A NaN or an infinity in
+    ``a`` gives a NaN or infinite defect, silently.
     """
     a = require_square(a, "hermiticity is defined for square matrices")
+    a = a.astype(np.result_type(a, np.float64), copy=False)  # no integer squares
+    step = max(1, (1 << 14) // max(a.shape[0], 1))
+    total = 0.0
     with np.errstate(invalid="ignore", over="ignore"):
-        defect = float(np.linalg.norm(a.real - a.real.T))
-        if np.iscomplexobj(a):
-            defect = math.hypot(defect, float(np.linalg.norm(a.imag + a.imag.T)))
-    return defect
+        for i in range(0, a.shape[0], step):
+            j = i + step
+            # as real pairs, whose squares keep an infinite part infinite
+            inside = (a[i:j, i:j] - a[i:j, i:j].T.conj()).view(np.float64)
+            right = (a[i:j, j:] - a[j:, i:j].T.conj()).view(np.float64)
+            total += float(np.vdot(inside, inside) + 2 * np.vdot(right, right))
+    return math.sqrt(total)
 
 
 def require_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> None:
@@ -237,18 +245,19 @@ def components(
     return np.searchsorted(roots, label), parity, reach
 
 
-def gauge(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, int]:
-    """A component label and a 0/1 colour per index of m, its real form and
-    the half-bandwidth of its pattern, all from one :func:`components` walk.
+def gauge(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """A component label and a 0/1 colour per index of m, the matrix to
+    sweep or power and the half-bandwidth of its pattern, from one walk.
 
-    The real form is D^H m D for D = i^colour as a new float64 array, or
-    None when that is not exactly real.  A link of :func:`components` whose
-    entries m[i, j] and m[j, i] both have zero real part flips the colour.
-    Conjugating by D only moves signs and swaps parts, so the form is exact
-    when every purely imaginary entry links opposite colours and every
-    purely real one equal colours; an entry with both parts nonzero, or a
-    cycle of an odd number of imaginary links, leaves none.  Input with no
-    imaginary part has colour 0, with no parity test, and its real part.
+    The matrix is the real form D^H m D for D = i^colour as a new float64
+    array where that is exact, else a new complex128 copy of m, with every
+    colour 0.  A link of :func:`components` whose entries m[i, j] and
+    m[j, i] both have zero real part flips the colour.  Conjugating by D
+    only moves signs and swaps parts, so the form is exact when every purely
+    imaginary entry links opposite colours and every purely real one equal
+    colours; an entry with both parts nonzero, or a cycle of an odd number
+    of imaginary links, leaves none.  Input with no imaginary part has
+    colour 0, with no parity test, and its real part.
     """
     imaginary = np.iscomplexobj(m) and m.imag.any()
     real = m.real
@@ -262,7 +271,7 @@ def gauge(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, int
         return label, colour, np.array(real, dtype=np.float64), reach
     shift = colour[:, None] - colour[None, :]
     if np.any(m.imag, where=shift == 0) or np.any(real, where=shift != 0):
-        return label, colour, None, reach
+        return label, np.zeros_like(colour), np.array(m, dtype=np.complex128), reach
     form = shift * m.imag
     form += real
     return label, colour, form, reach

@@ -136,13 +136,12 @@ class IsospectralReport:
 def moments(m: np.ndarray, kmax: int) -> np.ndarray:
     """Traces of m^k for k = 1..kmax, from ceil(kmax/4) + 1 products (kmax >= 7).
 
-    The input must be Hermitian within 1e-10 per dimension.  Where
-    :func:`linalg.gauge` finds a real form D^H m D, the matrix that the
-    eigensolver sweeps too, that is checked, since D is unitary and it has
-    m's defect, and its powers are taken, which have m's traces; otherwise
-    m is checked and the powers are complex, and the imaginary residue of
-    each trace read from two different powers is checked against
-    1e-8 * dim * max(1, ||m||_F)^k, in log space, raising
+    The input must be Hermitian within 1e-10 per dimension, checked on the
+    matrix that :func:`linalg.gauge` hands back, the one the eigensolver
+    sweeps too, whose powers are taken: a real form D^H m D, which has m's
+    defect and traces since D is unitary, or else a complex128 copy of m,
+    whose imaginary residue of each trace read from two different powers is
+    checked against 1e-8 * dim * max(1, ||m||_F)^k, in log space, raising
     :class:`NumericalError` beyond it.
 
     Every power keeps the split of m's nonzero pattern into connected
@@ -179,13 +178,12 @@ def moments(m: np.ndarray, kmax: int) -> np.ndarray:
         raise ValueError(f"kmax must be at least 1, got {kmax}")
     component, _, a, reach = gauge(m)
     # D is unitary, so a real form has m's defect: it is checked in its dtype
-    require_hermitian(m if a is None else a, 1e-10)
+    require_hermitian(a, 1e-10)
     drift = None
-    if a is None:
-        a = m.astype(np.complex128)
+    if np.iscomplexobj(a):
         # log2 of the bound 1e-8 * dim * max(1, ||m||_F)^k is drift + k * growth
         drift = math.log2(1e-8 * m.shape[0])
-        growth = math.log2(max(1.0, frobenius_norm(m)))
+        growth = math.log2(max(1.0, frobenius_norm(a)))
     # a is a copy of m, so the stack, which may be a view of a, is scaled in place
     a = Blocks.of(component).stack(a)
     top = float(np.max(np.abs(a), initial=0.0))

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -357,6 +358,27 @@ def test_gate_csv_and_plain_are_byte_exact(spin, hamiltonian):
     _assert_same_text(cli._render_plain(report), _reference_plain(report))
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--spin", "3/2", "--hamiltonian", "K"],
+        ["verify", "--spin", "1"],
+        ["gate", "--spin", "1", "--theta", "0.7", "--check"],
+        ["table", "--max-spin", "1"],
+    ],
+    ids=["spectrum", "verify", "gate", "table"],
+)
+def test_main_table_cells_are_strings_that_csv_joins_as_they_are(argv):
+    args = cli.build_parser().parse_args(argv)
+    args.tol = cli.DEFAULT_TOL
+    report = args.handler(args)
+    header, rows = cli._main_table(report)
+    rows = list(rows)
+    assert rows and all(type(cell) is str for row in rows for cell in row)
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    assert cli._render_csv(report) == "\n".join(lines) + "\n"
+
+
 def test_gate_zero_and_signed_zero_entries_in_every_format():
     # only an entry whose parts are both +0.0, bit for bit, may take the
     # shared zero text: (+0.0, -0.0) keeps its -0.0 in json, and (-0.0, +0.0)
@@ -518,6 +540,27 @@ def test_sector_sweep_budget_names_the_sector(run_cli):
     assert out == ""
     assert err.startswith("error: sector of charge 2(qa+qb) = ")
     assert "(width " in err and "after 2 sweeps" in err
+
+
+@pytest.mark.parametrize(
+    "argv, rounding, bound",
+    [
+        ("spectrum --spin 1 --hamiltonian K --tol 1e-100", "6.923e-15", "3.464e-100"),
+        ("verify --spin 1 --tol 1e-100", "6.923e-15", "3.464e-100"),
+        ("spectrum --spin 12 --hamiltonian K --tol 1e-17", "3.125e-10", "2.252e-14"),
+    ],
+    ids=["spectrum-1", "verify-1", "spectrum-12"],
+)
+def test_a_tol_below_rounding_is_named_not_the_charge(run_cli, argv, rounding, bound):
+    # (S3, S1) commutes with K; the leak bound tol * ||K||_F stands, but the
+    # error says that it lies below the rounding n * eps * ||K||_F of the basis
+    code, out, err = run_cli(*argv.split())
+    assert (code, out) == (3, "")
+    assert re.fullmatch(
+        rf"error: tol is below the rounding of the sector basis, {rounding}: "
+        rf"off-sector norm \S+ exceeds {bound} \(commutator norm \S+\)\n",
+        err,
+    ), err
 
 
 @pytest.mark.parametrize("theta", ["-1.5e-10", "-1e-05", "-.5", "-1.5"])

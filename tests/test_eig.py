@@ -1,6 +1,10 @@
+import hashlib
 import itertools
+import json
+import platform
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +35,7 @@ from spintool.spectral import (
     closed_form_spectrum,
     cluster_spectrum,
     default_cluster_tol,
+    moments,
     spectra_match,
 )
 from spintool.spin import HalfInteger, make_spin_triple
@@ -419,8 +424,8 @@ def test_a_tiny_imaginary_part_takes_the_complex_path(route, stack_dtypes):
         m = ham.matrix.copy()
         m[p, q] += 1e-300j
         m[q, p] -= 1e-300j
-        _, colour, real_form, _ = gauge(m)
-        assert (real_form is not None) == form
+        _, colour, swept, _ = gauge(m)
+        assert swept.dtype == (np.float64 if form else np.complex128)
         dec = hermitian_eig(m, charge=charge)
         if form:
             assert colour.any()
@@ -456,7 +461,7 @@ def test_complex_input_keeps_the_complex_stack(stack_dtypes):
     assert set(stack_dtypes) == {np.dtype(np.float64)}
     del stack_dtypes[:]
     m = _random_hermitian(np.random.default_rng(7), 12)
-    assert gauge(m)[2] is None
+    assert gauge(m)[2].dtype == np.complex128
     hermitian_eig(m)
     assert stack_dtypes == [np.dtype(np.complex128)]
 
@@ -605,7 +610,7 @@ def test_sector_blocks_are_exactly_hermitian(twice, label):
     # the matrix as given and, where there is one, its real form, which is
     # what the solver sweeps
     form = gauge(ham.matrix)[2]
-    for m in [ham.matrix] + ([] if form is None else [form]):
+    for m in [ham.matrix] + ([form] if form.dtype == np.float64 else []):
         # every sector is a principal block of the rotated matrix
         rotated = _split_sectors(m, charge, stop)[1]
         assert np.array_equal(rotated, rotated.conj().T)
@@ -636,7 +641,7 @@ def test_the_gauge_takes_the_sectors_only_where_it_keeps_the_charge(
     # not commute with the charge, so the sectors of D^H m D are not those
     # of m and the solve stays complex; gauging anyway leaks
     ham = build_bilinear(HalfInteger(3), pattern)
-    assert ham.charge is not None and gauge(ham.matrix)[2] is not None
+    assert ham.charge is not None and gauge(ham.matrix)[2].dtype == np.float64
     dec = hermitian_eig(ham.matrix, charge=ham.charge)
     if pattern[2, 1] != 0.0:
         # the factors S3 and +-S2 have real forms; the sectors are complex
@@ -719,6 +724,8 @@ def test_sector_route_rejects_a_charge_that_does_not_commute():
     k = build_cyclic(s)
     with pytest.raises(NumericalError, match="off-sector norm"):
         hermitian_eig(k.matrix, charge=(t.s1, t.s1))
+    with pytest.raises(NumericalError, match="^charge does not split the operator: "):
+        hermitian_eig(k.matrix, charge=(t.s1, t.s1), tol=1e-100)
     with pytest.raises(ShapeError):
         hermitian_eig(k.matrix, charge=(t.s3, np.eye(2)))
 
@@ -830,3 +837,143 @@ def test_full_route_names_the_component_that_runs_out():
     ):
         hermitian_eig(build_cyclic(HalfInteger(3)).matrix, max_sweeps=0)
 
+
+
+@pytest.mark.parametrize("twice, tol", [(2, 1e-100), (4, 1e-30), (24, 1e-17)])
+def test_a_tol_below_rounding_is_named_not_the_charge(twice, tol):
+    # (S3, S1) commutes with K, but no rounded basis W keeps K's mass in the
+    # sectors to tol * ||K||_F below about eps * ||K||_F: the bound stands,
+    # and the error names the tol, with the same off-sector norm
+    k = build_cyclic(HalfInteger(twice))
+    rounding = k.dimension * np.finfo(np.float64).eps * frobenius_norm(k.matrix)
+    with pytest.raises(NumericalError) as error:
+        hermitian_eig(k.matrix, tol=tol, charge=k.charge)
+    assert str(error.value).startswith(
+        f"tol is below the rounding of the sector basis, {rounding:.3e}: "
+        "off-sector norm "
+    )
+    assert hermitian_eig(k.matrix, charge=k.charge).leak <= 0.1 * rounding
+
+
+_NOT_FINITE = ValueError, "matrix entries must be finite"
+
+
+def _defect(value: str, bound: str) -> tuple:
+    return HermiticityError, f"matrix is not Hermitian: defect {value} exceeds {bound}"
+
+
+# an input, and the error class and message of hermitian_eig and of moments
+_BAD_INPUT = {
+    "non-square": (
+        np.zeros((2, 3)),
+        (ShapeError, "eigensolver needs a square matrix, got shape (2, 3)"),
+        (ShapeError, "moments need a square matrix, got shape (2, 3)"),
+    ),
+    "nan": (np.array([[1.0, np.nan], [np.nan, 1.0]]), _NOT_FINITE, _defect("nan", "2.000e-10")),
+    "nan-imaginary": (
+        np.array([[1.0, complex(0.0, np.nan)], [1j, 1.0]]),
+        _NOT_FINITE,
+        _defect("nan", "2.000e-10"),
+    ),
+    "inf-diagonal": (
+        np.array([[np.inf, 1j], [-1j, 1.0]]),
+        _NOT_FINITE,
+        _defect("nan", "2.000e-10"),
+    ),
+    "inf": (np.array([[1.0, np.inf], [1.0, 1.0]]), _NOT_FINITE, _defect("inf", "2.000e-10")),
+    "inf-no-real-form": (
+        np.array([[1.0, complex(1.0, np.inf)], [1 + 1j, 1.0]]),
+        _NOT_FINITE,
+        _defect("inf", "2.000e-10"),
+    ),
+    **{
+        name: (m, _defect("2.828e+00", "2.000e-12"), _defect("2.828e+00", "2.000e-10"))
+        for name, m in [
+            ("real", np.array([[1.0, 2.0], [0.0, 1.0]])),
+            ("real-form", np.array([[1.0, 2j], [0.0, 1.0]])),
+            ("no-real-form", np.array([[1.0, 1 + 1j], [1 + 1j, 1.0]])),
+        ]
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(_BAD_INPUT))
+def test_input_errors_keep_their_class_and_message(name):
+    # the solver and the moments check what linalg.gauge hands back: a real
+    # form, or a copy of input that has none
+    m, *errors = _BAD_INPUT[name]
+    for call, (error, message) in zip([hermitian_eig, lambda m: moments(m, 3)], errors):
+        with pytest.raises(error) as raised:
+            call(m)
+        assert type(raised.value) is error and str(raised.value) == message
+
+
+_BITS = Path(__file__).parent / "golden" / "eig-bits.json"
+
+
+def _platform() -> dict:
+    """What the bits of a decomposition rest on besides the source: numpy,
+    its BLAS and the CPU features that both dispatch on."""
+    core = getattr(np, "_core", None)
+    if core is None:  # numpy 1, on which no bits were pinned
+        return {"numpy": np.__version__}
+    features = core._multiarray_umath.__cpu_features__
+    enabled = ",".join(sorted(name for name, on in features.items() if on))
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        "machine": platform.machine(),
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "cpu": hashlib.sha256(enabled.encode()).hexdigest()[:16],
+    }
+
+
+def _bits(dec) -> dict:
+    """A decomposition's arrays as digests of their bytes, its floats in hex."""
+    return {
+        "values": hashlib.sha256(dec.values.tobytes()).hexdigest(),
+        "vectors": hashlib.sha256(dec.vectors.tobytes()).hexdigest(),
+        "residual": dec.residual.hex(),
+        "sweeps": dec.sweeps,
+        "leak": dec.leak.hex(),
+        "commutator": dec.commutator.hex(),
+    }
+
+
+def _pinned_operators() -> dict:
+    """H and K at every 2s = 1..24 and the proper signed permutations of H at
+    2s = 3, each with its charge."""
+    operators = {
+        f"{name}-2s{twice}": lambda twice=twice, build=build: build(HalfInteger(twice))
+        for name, build in (("H", build_heisenberg), ("K", build_cyclic))
+        for twice in range(1, 25)
+    }
+    for pattern in _signed_permutations():
+        name = ";".join(",".join(f"{int(c):+d}" for c in row) for row in pattern)
+        operators[name] = lambda q=pattern: build_bilinear(HalfInteger(3), q)
+    return operators
+
+
+_PINNED = _pinned_operators()
+
+
+@pytest.mark.parametrize("name", list(_PINNED))
+def test_decompositions_keep_their_pinned_bits(name):
+    # a change that keeps the solver's arithmetic keeps these bits; they hold
+    # only on the platform that they were pinned on, since a BLAS product on
+    # another may round differently
+    pinned = json.loads(_BITS.read_text(encoding="utf-8"))
+    if pinned["platform"] != _platform():
+        pytest.skip(f"bits pinned on {pinned['platform']}")
+    ham = _PINNED[name]()
+    assert _bits(hermitian_eig(ham.matrix, charge=ham.charge)) == pinned["bits"][name]
+
+
+if __name__ == "__main__":
+    # regenerate the pinned bits: PYTHONPATH=src python tests/test_eig.py
+    bits = {}
+    for name, make in _PINNED.items():
+        ham = make()
+        bits[name] = _bits(hermitian_eig(ham.matrix, charge=ham.charge))
+    text = json.dumps({"platform": _platform(), "bits": bits}, indent=1)
+    _BITS.write_text(text + "\n", encoding="utf-8")

@@ -1,3 +1,5 @@
+import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from spintool import linalg
 from spintool.eig import hermitian_eig
 from spintool.gates import unitarity_residual
+from spintool.hamiltonians import build_cyclic
 from spintool.linalg import (
     Blocks,
     HermiticityError,
@@ -25,6 +28,7 @@ from spintool.linalg import (
     trace,
 )
 from spintool.spectral import moments
+from spintool.spin import HalfInteger
 
 
 def _random_pair(rng, n):
@@ -162,7 +166,8 @@ def test_hermiticity_defect_matches_the_complex_difference(dtype):
     # the defect is taken from the real and imaginary parts; it must equal
     # the norm of the complex difference a - a^H up to rounding
     rng = np.random.default_rng(5)
-    for n in (1, 2, 7, 30):
+    # from n = 200 the sum runs over several blocks of rows, the last partial
+    for n in (1, 2, 7, 30, 200, 625):
         a, _ = _random_pair(rng, n)
         a = a.astype(dtype) if dtype is complex else a.real.copy()
         expected = np.linalg.norm(a - a.conj().T)
@@ -193,6 +198,34 @@ def test_require_hermitian_rejects_non_finite_entries(entry, where):
         m[where[::-1]] = np.conj(entry)
         with pytest.raises(HermiticityError):
             require_hermitian(m)
+
+
+@pytest.mark.parametrize("dtype", [complex, float])
+def test_hermiticity_defect_builds_no_square_temporary(dtype):
+    # rows are taken in blocks of about 2^14 entries, so at n = 625 the
+    # peak stays below half of one 625 x 625 float64 array of 3.1 MB; a NaN or
+    # an infinity in any block, inside it or right of its diagonal part,
+    # still gives a NaN or infinite defect
+    m = build_cyclic(HalfInteger(24)).matrix
+    m = m if dtype is complex else m.real.copy()
+    tracemalloc.start()
+    try:
+        hermiticity_defect(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 625 * 625 * 8 / 2
+    for (i, j), entry, expected in [
+        ((0, 624), np.nan, math.isnan),
+        ((300, 310), np.inf, math.isinf),
+        ((624, 3), -np.inf, math.isinf),
+        ((400, 400), np.inf, math.isnan),
+    ]:
+        bad = m.copy()
+        bad[i, j] = entry
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert expected(hermiticity_defect(bad)), (i, j, entry)
 
 
 @pytest.mark.parametrize("part", [1.0, 1j], ids=["real", "imaginary"])
@@ -293,6 +326,28 @@ def test_gauge_of_input_with_no_imaginary_part_is_its_real_part(monkeypatch):
     a[1, 0] -= 1j
     gauge(a)
     assert tests[-1] is not None
+
+
+def test_gauge_of_input_with_no_real_form_is_a_complex_copy():
+    # the imaginary link 0-1 gives index 1 the walk's parity 1, but the link
+    # 1-2 has both parts nonzero, so there is no real form; i on every edge
+    # of a triangle leaves none either.  The matrix handed back is then a
+    # complex128 copy of m with colour 0, even where m is complex128 and
+    # read-only
+    both = np.array([[0.0, 1j, 0.0], [-1j, 0.0, 1 + 1j], [0.0, 1 - 1j, 0.0]])
+
+    def odd(i, j):
+        return (both.real[i, j] == 0) & (both.real[j, i] == 0)
+
+    np.testing.assert_array_equal(components(both, odd)[1], [0, 1, 1])
+    cycle = 1j * np.array([[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 0.0]])
+    for m in (both, as_cmatrix(both), both.astype(np.complex64), cycle):
+        label, colour, form, reach = gauge(m)
+        np.testing.assert_array_equal(label, components(m)[0])
+        assert colour.dtype == np.int8 and not colour.any()
+        assert form.dtype == np.complex128 and not np.shares_memory(form, m)
+        np.testing.assert_array_equal(form, m)
+        assert reach == components(m)[2]
 
 
 def _permuted_block_diagonal(rng, widths):
