@@ -272,7 +272,7 @@ def gauge(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     shift = colour[:, None] - colour[None, :]
     if np.any(m.imag, where=shift == 0) or np.any(real, where=shift != 0):
         return label, np.zeros_like(colour), np.array(m, dtype=np.complex128), reach
-    form = shift * m.imag
+    form = np.multiply(shift, m.imag, dtype=np.float64)
     form += real
     return label, colour, form, reach
 

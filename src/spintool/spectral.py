@@ -20,7 +20,8 @@ same walk measures the pattern's half-bandwidth w, 2s + 2 for K, so m^j
 has no nonzero beyond j * w off the diagonal.  Each of the ceil(kmax/4) + 1
 products is of two powers, so it is Hermitian: it is taken only inside its
 band and in the upper block triangle, one block of rows at a time, and its
-lower part is mirrored.
+lower part is mirrored.  A giant power is taken only within the band that
+later traces read of it.
 """
 
 from __future__ import annotations
@@ -61,10 +62,12 @@ MOMENT_TOL = 1e-8
 # J, the baby steps m^1..m^J that moments keeps; fixed, so that memory stays
 # at J + 1 powers whatever kmax is
 _BABY_STEPS = 4
-# rows per block of a product, taken across the whole stack: 5 blocks of a
-# dense 625 x 625 power, which skip 40% of its entries, all below the
-# diagonal, and one block of H's stack, whose width is 2s + 1 <= 25
-_ROWS = 128
+# rows per block of a product, taken across the whole stack.  A block takes a
+# rectangle _ROWS + b columns wide for a product of band b, so the rows are
+# few against K's bands at 2s = 24, 26 to 312: 20 blocks of a 625 x 625
+# power, which skip 47% of a dense one, all below the diagonal, and one
+# block of H's stack, whose width is 2s + 1 <= 25
+_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -153,21 +156,28 @@ def moments(m: np.ndarray, kmax: int) -> np.ndarray:
     26 for K at 2s = 24; a block's members ascend, so w bounds its band in
     the stack too.  So m^j has no nonzero beyond min(width - 1, j * w) off
     the diagonal, and every product, of two commuting powers of one
-    Hermitian matrix, is Hermitian: it is taken only inside its band and in
-    the upper block triangle, _ROWS rows at a time, and its lower part is
-    mirrored (see :func:`_product`).  A dense m (w = n - 1) still skips
-    most of the lower triangle; H's stack is one block of rows, taken
-    whole.
+    Hermitian matrix, is Hermitian: it is taken only inside its band, or
+    the narrower band that later traces read, and in the upper block
+    triangle, _ROWS rows at a time, and its lower part is mirrored (see
+    :func:`_product`).  A dense m (w = n - 1) still skips most of the lower
+    triangle; H's stack is one block of rows, taken whole.
 
     Every trace is one inner product of two stored powers, by the
     baby-step/giant-step split of Paterson & Stockmeyer (SIAM J. Comput.
     2(1), 1973).  The baby steps B_j = m^j for j = 1..J, J = 4, give
     tr(m^k) = <B_i, B_j> with i + j = k for k <= 2J; beyond that one giant
-    power G = m^(tJ), advanced in place by G <- G B_J, gives
-    tr(m^(tJ + j)) = <G, B_j>.  Up to 2J that is ceil(kmax/2) - 1 products,
-    then one per J powers: 8 for kmax = 25, 44 for 169.  J is fixed, not
-    grown with kmax, so that at most J + 1 powers and one block of rows of
-    a product are held whatever kmax is.  Each power is kept as
+    power G = m^t, t = 2J, 3J, ..., advanced in place by G <- G B_J, gives
+    tr(m^(t + j)) = <G, B_j>.  That trace reads G only within j * w of the
+    diagonal, where B_j has its nonzeros, and the next giant reads G within
+    J * w beyond where it is read itself, so no trace reads G beyond
+    min(t, kmax - t) * w, and G is built only that wide: 208, 312, 234, 130
+    and 26 for K at 2s = 24 and kmax = 25, whose full bands reach 624.  Up
+    to 2J that is ceil(kmax/2) - 1 products, then one per J powers: 8 for
+    kmax = 25, 44 for 169.  For K at the cap and kmax = 25 the 8 take 0.38
+    GFLOP in real arithmetic, of which the entries on and above the
+    diagonal within each band need 0.16.  J is fixed, not grown with kmax,
+    so that at most J + 1 powers and one block of rows of a product are
+    held whatever kmax is.  Each power is kept as
     m^j * 2^(-e) with its Frobenius norm near 1, so no intermediate
     overflows and every rescaling is exact.  The traces are read in
     ascending k, and the first whose value lies beyond double precision
@@ -216,11 +226,17 @@ def moments(m: np.ndarray, kmax: int) -> np.ndarray:
         put(k, _inner(babies[i - 1], babies[j - 1]), exps[i - 1] + exps[j - 1])
     if kmax > 2 * _BABY_STEPS:
         band = _BABY_STEPS * reach
-        giant = _product(babies[-1], babies[-1], band, band)  # m^t = giant * 2^e
-        t, e = 2 * _BABY_STEPS, 2 * exps[-1] + _normalize(giant)
-        for k in range(2 * _BABY_STEPS + 1, kmax + 1):
+
+        def read(t: int) -> int:
+            """The band of m^t that the traces of powers t + 1 .. kmax read."""
+            return min(t, kmax - t) * reach
+
+        t = 2 * _BABY_STEPS
+        giant = _product(babies[-1], babies[-1], band, band, read(t))  # m^t = giant * 2^e
+        e = 2 * exps[-1] + _normalize(giant)
+        for k in range(t + 1, kmax + 1):
             if k - t > _BABY_STEPS:
-                _product(giant, babies[-1], t * reach, band, out=giant)
+                _product(giant, babies[-1], read(t), band, read(t + _BABY_STEPS), out=giant)
                 t, e = t + _BABY_STEPS, e + exps[-1] + _normalize(giant)
             put(k, _inner(giant, babies[k - t - 1]), e + exps[k - t - 1])
     traces.flags.writeable = False
@@ -241,26 +257,40 @@ def _normalize(x: np.ndarray) -> int:
 
 
 def _product(
-    x: np.ndarray, y: np.ndarray, bx: int, by: int, out: np.ndarray | None = None
+    x: np.ndarray,
+    y: np.ndarray,
+    bx: int,
+    by: int,
+    band: int | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """x @ y for two powers of one Hermitian matrix, which is Hermitian.
+    """x @ y within ``band`` of the diagonal, for two powers of one Hermitian matrix.
 
     x and y are stacks with no nonzero more than bx and by off the
-    diagonal, so x @ y has none more than b = bx + by off it.  The rows are
-    taken _ROWS at a time, across the whole stack.  A block of rows [i0, i1)
-    takes only its columns i0 .. i1 + b, from the columns of x that meet
-    them within both bands, and then fills its columns left of i0 within
-    the band from the rows above it, which are final, transposed and
-    conjugated.  The product lands in ``out``, new zeros by default.  A
-    block of x's rows is read by that block alone, so ``out`` may be x,
-    whose entries beyond b are zero already; it must not be y.  The first
+    diagonal, so x @ y, which is Hermitian, has none more than bx + by off
+    it, the default band; a narrower band leaves out entries that no later
+    trace reads.  The rows are taken _ROWS at a time, across the whole
+    stack.  A block of rows [i0, i1) takes only its columns i0 .. i1 + band,
+    from the columns of x that meet them within both bands, clears the two
+    corners of that rectangle that lie beyond the band, and then fills its
+    columns left of i0 within the band from the rows above it, which are
+    final, transposed and conjugated.  The product lands in ``out``, new
+    zeros by default, with exact zeros beyond the band.  A block of x's
+    rows is read by that block alone, so ``out`` may be x; it must not be
+    y.  The block then also clears what x held beyond the band, a
+    rectangle on either side, so a giant power narrows in place.  The first
     block has nothing left of it, so a stack narrower than _ROWS, such as
     H's, is one plain product.
     """
     n = x.shape[-1]
-    band = bx + by
+    full = min(bx + by, n - 1)  # x @ y has no nonzero beyond it
+    band = full if band is None else min(band, full)
     if out is None:
         out = np.zeros(x.shape, x.dtype)
+    if band < full:
+        # the entries of a block's rectangle that lie beyond the band
+        offsets = np.arange(_ROWS + band) - np.arange(_ROWS)[:, np.newaxis]
+        beyond = np.abs(offsets) > band
     for i0 in range(0, n, _ROWS):
         i1 = min(i0 + _ROWS, n)
         # y's rows below i0 - by meet no column from i0 on
@@ -268,8 +298,13 @@ def _product(
         block = out[..., i0:i1, i0:end]
         # where x is out, numpy multiplies a copy of x's block
         np.matmul(x[..., i0:i1, lo:hi], y[..., lo:hi, i0:end], out=block)
+        if band < full:
+            np.copyto(block, 0.0, where=beyond[: i1 - i0, : block.shape[-1]])
+        left = max(0, i0 - band)
+        if out is x:
+            out[..., i0:i1, end : i1 + bx] = 0.0
+            out[..., i0:i1, max(0, i0 - bx) : left] = 0.0
         if i0:
-            left = max(0, i0 - band)
             upper = out[..., left:i0, i0:i1].swapaxes(-1, -2)
             np.conjugate(upper, out=out[..., i0:i1, left:i0])
     return out

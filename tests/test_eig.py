@@ -1,3 +1,5 @@
+import contextlib
+import ctypes
 import hashlib
 import itertools
 import json
@@ -464,6 +466,19 @@ def test_complex_input_keeps_the_complex_stack(stack_dtypes):
     assert gauge(m)[2].dtype == np.complex128
     hermitian_eig(m)
     assert stack_dtypes == [np.dtype(np.complex128)]
+
+
+@pytest.mark.parametrize("build", [build_heisenberg, build_cyclic], ids=["H", "K"])
+@pytest.mark.parametrize("twice", [2, 3, 5])
+def test_single_precision_input_is_swept_in_double_precision(build, twice):
+    # the real form of complex64 input is float64, as for complex128 input,
+    # so the decomposition is that of the same entries widened, bit for bit
+    single = build(HalfInteger(twice)).matrix.astype(np.complex64)
+    wide = single.astype(np.complex128)
+    assert gauge(single)[2].dtype == np.float64
+    dec = hermitian_eig(single)
+    assert _bits(dec) == _bits(hermitian_eig(wide))
+    assert dec.residual <= 1e-12 * max(1.0, frobenius_norm(wide))
 
 
 def test_finish_pins_the_first_largest_component():
@@ -957,16 +972,58 @@ def _pinned_operators() -> dict:
 _PINNED = _pinned_operators()
 
 
+def _openblas_threads():
+    """The get and set functions of the thread count of the OpenBLAS that
+    numpy loaded, by the symbols of numpy's own build and of a system one,
+    or None where no loaded library exports them."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = {line.split()[-1] for line in maps if "openblas" in line.lower()}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                       "openblas_{}_num_threads"):
+            get = getattr(lib, symbol.format("get"), None)
+            put = getattr(lib, symbol.format("set"), None)
+            if get is not None and put is not None:
+                get.restype, put.argtypes, put.restype = ctypes.c_int, [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _blas_threads(count: int):
+    """Run the body with OpenBLAS on ``count`` threads, and restore the count."""
+    functions = _openblas_threads()
+    if functions is None:
+        pytest.skip("no OpenBLAS thread-count symbol, so the pinned count cannot be set")
+    get, put = functions
+    before = get()
+    put(count)
+    try:
+        yield
+    finally:
+        put(before)
+
+
 @pytest.mark.parametrize("name", list(_PINNED))
 def test_decompositions_keep_their_pinned_bits(name):
     # a change that keeps the solver's arithmetic keeps these bits; they hold
     # only on the platform that they were pinned on, since a BLAS product on
-    # another may round differently
+    # another may round differently, and at the BLAS thread count they were
+    # pinned at, since a product split over more threads may round
+    # differently too
     pinned = json.loads(_BITS.read_text(encoding="utf-8"))
-    if pinned["platform"] != _platform():
+    where = dict(pinned["platform"])
+    threads = where.pop("blas_threads")
+    if where != _platform():
         pytest.skip(f"bits pinned on {pinned['platform']}")
     ham = _PINNED[name]()
-    assert _bits(hermitian_eig(ham.matrix, charge=ham.charge)) == pinned["bits"][name]
+    with _blas_threads(threads):
+        dec = hermitian_eig(ham.matrix, charge=ham.charge)
+    assert _bits(dec) == pinned["bits"][name]
 
 
 if __name__ == "__main__":
@@ -975,5 +1032,7 @@ if __name__ == "__main__":
     for name, make in _PINNED.items():
         ham = make()
         bits[name] = _bits(hermitian_eig(ham.matrix, charge=ham.charge))
-    text = json.dumps({"platform": _platform(), "bits": bits}, indent=1)
+    threads = _openblas_threads()
+    pinned = {**_platform(), "blas_threads": None if threads is None else threads[0]()}
+    text = json.dumps({"platform": pinned, "bits": bits}, indent=1)
     _BITS.write_text(text + "\n", encoding="utf-8")

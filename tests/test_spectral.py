@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from spintool.eig import hermitian_eig
 from spintool.hamiltonians import build_bilinear, build_cyclic, build_heisenberg
+from spintool import spectral
 from spintool.linalg import Blocks, HermiticityError, NumericalError, ShapeError, gauge
 from spintool.spectral import (
     _ROWS,
@@ -296,10 +297,10 @@ def _interleaved_components():
 @pytest.mark.parametrize(
     "make, shape, reach, row_blocks, kmax",
     [
-        (_k_at_2s_12, (1, 169, 169), 14, 2, 40),
-        (_complex_banded, (1, 301, 301), 7, 3, 20),
-        (_dense_symmetric, (1, 259, 259), 258, 3, 16),
-        (_interleaved_components, (2, 150, 150), None, 2, 16),
+        (_k_at_2s_12, (1, 169, 169), 14, 6, 40),
+        (_complex_banded, (1, 301, 301), 7, 10, 20),
+        (_dense_symmetric, (1, 259, 259), 258, 9, 16),
+        (_interleaved_components, (2, 150, 150), None, 5, 16),
     ],
     ids=["K-2s-12", "complex-banded", "dense", "interleaved-components"],
 )
@@ -313,8 +314,78 @@ def test_products_inside_the_band_match_matrix_powers(make, shape, reach, row_bl
     stack = _stacked(m, component)
     assert stack.shape == shape
     assert reach is None or found == reach
-    assert -(-shape[-1] // _ROWS) == row_blocks
+    assert -(-shape[-1] // _ROWS) == row_blocks and shape[-1] % _ROWS
     _assert_matches_matrix_powers(m, kmax)
+
+
+def _spy_products(monkeypatch):
+    """The (bx, by, band) of every product that moments takes, each checked
+    to hold exact zeros beyond its band when it returns."""
+    products = []
+    product = spectral._product
+
+    def spy(x, y, bx, by, band=None, out=None):
+        result = product(x, y, bx, by, band, out)
+        band = bx + by if band is None else band
+        i = np.arange(result.shape[-1])
+        assert not result[..., np.abs(i[:, None] - i[None, :]) > band].any()
+        products.append((bx, by, band))
+        return result
+
+    monkeypatch.setattr(spectral, "_product", spy)
+    return products
+
+
+def test_giant_powers_are_built_only_within_the_band_that_traces_read(monkeypatch):
+    # tr(m^(t + j)) reads m^t within j * w of the diagonal and the next giant
+    # m^(t + 4) within 4 * w more, so m^t is needed within min(t, kmax - t) * w;
+    # the first three products build m^2, m^3 and m^4, then come the giants
+    m = build_cyclic(HalfInteger(24)).matrix
+    w = gauge(m)[3]
+    assert w == 26
+    products = _spy_products(monkeypatch)
+    moments(m, 25)
+    assert [band for _, _, band in products[3:]] == [208, 312, 234, 130, 26]
+    for kmax in [*range(9, 18), *range(24, 31)]:
+        products.clear()
+        moments(m, kmax)
+        giants = products[3:]
+        assert len(giants) == -(-(kmax - 8) // 4)
+        for g, (bx, by, band) in enumerate(giants):
+            t = 8 + 4 * g
+            assert by == 4 * w and band <= min(t, kmax - t) * w
+            # an in-place step reads the giant within the band it was built to
+            assert g == 0 or bx == giants[g - 1][2]
+
+
+def _dense_traces(m, kmax):
+    """tr(a^k) for k = 1..kmax from a chain of dense float64 products on m's
+    real form a, and a scale per power: sum |lambda|^k, which is tr(a^k) for
+    even k, and its bound sqrt(tr(a^(k - 1)) tr(a^(k + 1))) for odd k."""
+    a = gauge(m)[2]
+    assert a.dtype == np.float64
+    power, traces = np.eye(a.shape[0]), [float(a.shape[0])]
+    for _ in range(kmax + 1):
+        power = power @ a
+        traces.append(float(np.trace(power)))
+    traces = np.array(traces)
+    assert np.isfinite(traces).all()
+    odd = np.sqrt(np.abs(traces[:-2])) * np.sqrt(np.abs(traces[2:]))
+    scale = np.where(np.arange(1, kmax + 1) % 2 == 0, traces[1:-1], odd)
+    return traces[1:-1], scale
+
+
+@pytest.mark.parametrize("build", [build_heisenberg, build_cyclic], ids=["H", "K"])
+@pytest.mark.parametrize("twice", [*range(1, 9), *range(20, 25)])
+def test_traces_at_the_giant_boundaries_match_a_dense_chain(build, twice):
+    # kmax = 9, 13, 17 and 25, 29 open a giant that one trace reads, 12, 16
+    # and 26 end a group of four; below 2s = 9 every power up to n is read
+    m = build(HalfInteger(twice)).matrix
+    tops = (m.shape[0],) if twice <= 8 else (9, 12, 13, 16, 17, 25, 26, 29)
+    expected, scale = _dense_traces(m, max(tops))
+    for kmax in tops:
+        error = np.abs(moments(m, kmax) - expected[:kmax])
+        assert np.all(error <= 1e-13 * scale[:kmax]), kmax
 
 
 def test_moments_at_the_cap_keep_few_powers_and_name_the_overflow():
