@@ -29,9 +29,17 @@ which every pair meets once, the circle ordering of Sameh (Math. Comp. 25,
 1971) and Brent & Luk (SIAM J. Sci. Stat. Comput. 6(1), 1985), so a round is
 one batched row update and one batched column update.  One kernel,
 ``_jacobi_stack``, serves every route: it sweeps a zero-padded (count, w, w)
-stack of blocks, each to its own stop.  The charge factors are a two-block
-stack; the blocks of either route, over the components of the matrix's
-nonzero pattern or over its charge sectors, are stacked by width.
+stack of blocks, each to its own stop, and a round costs about the same
+numpy calls whatever the count.  So the operators of a certificate are
+solved together, in two stages: first the charge factors of every operator
+that uses its charge, then the blocks of every operator, over the
+components of its nonzero pattern or over its charge sectors.  A block is
+padded to the width that its own route gives it, the widest of its width
+class there made even, and the blocks of every operator that share that
+width and a dtype share a stack.  So each block keeps its rounds and its
+arithmetic, and every decomposition is bit for bit the one that its
+operator gets alone.  H and K together take two kernel calls up to 2s = 15
+and three beyond, where blocks wider than 16 form a class of their own.
 
 Arithmetic
 ----------
@@ -41,10 +49,11 @@ exactly real, that float64 real form, its rotation's phase e the sign of
 the pivot and its vectors D V; else a complex128 copy of M, with D = I.
 The test is exact, never a tolerance: 1e-300j on a nonzero real entry
 leaves no real form.  H has D = I, and K's D is i on the odd indices of
-the first site, so both run real throughout, as do their charge factors,
-each through its own gauge.  The residual is taken against M itself, in
-real arithmetic when D = I, and the vectors are complex128 either way,
-pinned and measured as below.
+the first site, so both run real throughout, as do their charge factors: a
+factor with an imaginary part takes its own gauge, and a real one, as both
+of K's, is swept as its float64 real part.  The residual is taken against
+M itself, in real arithmetic when D = I, and the vectors are complex128
+either way, pinned and measured as below.
 
 Sector route
 ------------
@@ -97,11 +106,13 @@ __all__ = [
 
 DEFAULT_MAX_SWEEPS = 100
 
+_EPS = float(np.finfo(np.float64).eps)
+
 # Charge factors are solved to rounding level, within the default sweep
 # budget, whatever the caller's tol and max_sweeps: an eigenvector error d
 # in them shows up as off-sector mass of about d * ||m||, which would
 # otherwise compete with the leak bound itself.
-_SITE_TOL = float(np.finfo(np.float64).eps)
+_SITE_TOL = _EPS
 
 
 class ConvergenceError(NumericalError):
@@ -260,29 +271,62 @@ def _jacobi_stack(
 
 
 def _solved(
-    blocks: list[np.ndarray], stops: list[float], max_sweeps: int, names: list[str]
-) -> list[tuple[np.ndarray, np.ndarray, int, float]]:
-    """Run the kernel on ``blocks``; raise, by name, for the first that ran out.
+    routes: list[tuple[list[np.ndarray], list[float]]], max_sweeps: int
+) -> list[list[tuple[np.ndarray, np.ndarray, int, float]]]:
+    """Run the kernel on the blocks of every route, one stack per width and dtype.
 
-    Blocks up to 16 wide share one stack, as do blocks whose widths share an
-    interval (2^(k-1), 2^k], so padding never doubles a wide block.
+    A route is one operator's blocks and their stops.  Within a route,
+    blocks up to 16 wide form one class, as do blocks whose widths share an
+    interval (2^(k-1), 2^k], so padding never doubles a wide block; a class
+    is padded to its widest block, made even, in float64 if all its blocks
+    are real.  Blocks of every route that are padded to the same width in
+    the same dtype share one stack, so each keeps the rounds, the padding
+    and the arithmetic that its own route alone would give it, bit for bit.
+    Returns the kernel's results per route, in block order.
     """
-    classes = [max((block.shape[0] - 1).bit_length(), 4) for block in blocks]
-    solved: list = [None] * len(blocks)
-    for k in dict.fromkeys(classes):
-        members = [j for j, c in enumerate(classes) if c == k]
+    stacks: dict[tuple[int, np.dtype], list[tuple[int, int]]] = {}
+    for r, (blocks, _) in enumerate(routes):
+        classes = [max((block.shape[0] - 1).bit_length(), 4) for block in blocks]
+        for k in dict.fromkeys(classes):
+            members = [j for j, c in enumerate(classes) if c == k]
+            widest = max(blocks[j].shape[0] for j in members)
+            dtype = np.result_type(np.float64, *(blocks[j] for j in members))
+            key = max(widest + widest % 2, 2), dtype
+            stacks.setdefault(key, []).extend((r, j) for j in members)
+    solved: list[list] = [[None] * len(blocks) for blocks, _ in routes]
+    for members in stacks.values():
         stacked = _jacobi_stack(
-            [blocks[j] for j in members], [stops[j] for j in members], max_sweeps
+            [routes[r][0][j] for r, j in members],
+            [routes[r][1][j] for r, j in members],
+            max_sweeps,
         )
-        for j, result in zip(members, stacked):
-            solved[j] = result
-    for name, stop, (_, _, _, off) in zip(names, stops, solved):
+        for (r, j), result in zip(members, stacked):
+            solved[r][j] = result
+    return solved
+
+
+def _converged(
+    solved: list,
+    stops: list[float],
+    names: list[str],
+    max_sweeps: int,
+    floors: list[float] | None = None,
+) -> None:
+    """Raise, by name, a :class:`ConvergenceError` for the first block that
+    ran out; where its stop lies below its rounding floor, from ``floors``,
+    the error says that tol is below it too."""
+    for j, (name, stop, (_, _, _, off)) in enumerate(zip(names, stops, solved)):
         if off > stop:
+            below = ""
+            if floors is not None and stop < floors[j]:
+                below = (
+                    "; tol is below the block's rounding floor, "
+                    f"width * eps * norm = {floors[j]:.3e}"
+                )
             raise ConvergenceError(
                 f"{name}off-diagonal norm {off:.3e} still above {stop:.3e} "
-                f"after {max_sweeps} sweeps"
+                f"after {max_sweeps} sweeps{below}"
             )
-    return solved
 
 
 def _mode(t: np.ndarray, f: np.ndarray, axis: int) -> np.ndarray:
@@ -305,6 +349,29 @@ def _charge_factors(charge, n: int, tol: float) -> tuple[np.ndarray, np.ndarray]
     return a_site, b_site
 
 
+def _site(f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A charge factor's colour, the matrix to sweep and the one that the
+    commutator is taken with.
+
+    A factor with an imaginary part is swept as :func:`linalg.gauge` gives
+    it, and taken in the commutator as it is, or as that copy where it has
+    no real form.  Any other, as both of K's, is swept and taken as its
+    float64 real part, with colour 0, and needs no walk.
+    """
+    if np.iscomplexobj(f) and f.imag.any():
+        _, colour, swept, _ = gauge(f)
+        return colour, swept, f if colour.any() else swept
+    real = np.array(f.real, dtype=np.float64)
+    return np.zeros(f.shape[0], dtype=np.int8), real, real
+
+
+def _site_route(sites: list) -> tuple[list[np.ndarray], list[float]]:
+    """The blocks of :func:`_site` factors to sweep, and their stops."""
+    swept = [f for _, f, _ in sites]
+    stops = [_SITE_TOL * frobenius_norm(f) for f in swept]
+    return [_symmetrized(f) for f in swept], stops
+
+
 def _through(colour: np.ndarray, v: np.ndarray) -> np.ndarray:
     """D v for D = i^colour: the rows of colour 1 times i, v itself for D = I."""
     if not colour.any():
@@ -313,28 +380,20 @@ def _through(colour: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _split_sectors(
-    m: np.ndarray, charge, stop: float
+    m: np.ndarray, sites: list, solved: list, stop: float, precision: np.dtype
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
     """Rotate ``m`` into the eigenbasis W of A x I + I x B and measure the split.
 
-    ``charge`` holds factors checked by :func:`_charge_factors`.  Each is
-    swept as :func:`linalg.gauge` gives it, its vectors brought back
-    through its own phase, and taken in the products below as it is, or as
-    its real part if it has no imaginary part.  Returns W, the rotated matrix,
-    symmetrized once, the charge label 2(qa + qb) of each basis index, the
-    leak and the commutator norm.
+    ``sites`` are A and B as :func:`_site` gives them, and ``solved`` their
+    blocks of :func:`_site_route` swept; the vectors are brought back through
+    each factor's colour.  Returns W, the rotated matrix, symmetrized once,
+    the charge label 2(qa + qb) of each basis index, the leak and the
+    commutator norm.  A leak above ``stop`` is an error; ``precision``, the
+    input's dtype, tells what rounding it may be.
     """
-    gauged = [gauge(f)[1:3] for f in charge]
-    (qa, va, _, _), (qb, vb, _, _) = _solved(
-        [_symmetrized(f) for _, f in gauged],
-        [_SITE_TOL * frobenius_norm(f) for _, f in gauged],
-        DEFAULT_MAX_SWEEPS,
-        ["", ""],
-    )
-    va, vb = (_through(colour, v) for (colour, _), v in zip(gauged, (va, vb)))
-    a_site, b_site = (
-        f if colour.any() else swept for f, (colour, swept) in zip(charge, gauged)
-    )
+    (qa, va, _, _), (qb, vb, _, _) = solved
+    va, vb = (_through(colour, v) for (colour, _, _), v in zip(sites, (va, vb)))
+    a_site, b_site = (f for _, _, f in sites)
     # m as a 4-tensor (a, b, c, d), rows (a, b) and columns (c, d): a
     # product with A x I or I x B contracts one index with a single-site
     # factor, at a fraction of the cost of a dense n x n product
@@ -353,63 +412,21 @@ def _split_sectors(
     labels = np.rint(2.0 * (qa[:, np.newaxis] + qb[np.newaxis, :])).ravel()
     leak = float(np.linalg.norm(rotated[labels[:, np.newaxis] != labels]))
     if leak > stop:
-        # W is solved to _SITE_TOL: below n * eps * ||m||_F, a leak may be rounding
-        rounding = n * _SITE_TOL * frobenius_norm(m)
+        # W is solved to _SITE_TOL and the input rounded to its own
+        # precision: below n * eps * ||m||_F, eps the coarser of the two, a
+        # leak may be rounding
+        eps, source = _SITE_TOL, "the sector basis"
+        if np.issubdtype(precision, np.inexact) and np.finfo(precision).eps > eps:
+            eps, source = float(np.finfo(precision).eps), f"the {precision} input"
+        rounding = n * eps * frobenius_norm(m)
         cause = "charge does not split the operator"
         if leak <= rounding:
-            cause = f"tol is below the rounding of the sector basis, {rounding:.3e}"
+            cause = f"tol is below the rounding of {source}, {rounding:.3e}"
         raise NumericalError(
             f"{cause}: off-sector norm {leak:.3e} exceeds {stop:.3e} "
             f"(commutator norm {commutator:.3e})"
         )
     return w, rotated, labels, leak, commutator
-
-
-def _blockwise(
-    m: np.ndarray, charge, component: np.ndarray, tol: float, stop: float, max_sweeps: int
-) -> tuple[np.ndarray, np.ndarray, int, float, float]:
-    """Jacobi on the blocks of ``m`` over equal labels, all at once.
-
-    The labels are ``component``, for m symmetrized, or with a charge those
-    of m rotated into the basis W by :func:`_split_sectors`.  Each block is
-    swept to tol times its own norm, or named by route, label and width in
-    the :class:`ConvergenceError`; its rotations R go to vectors[idx, idx],
-    or to the columns W[:, idx] R.  Returns the values, the vectors, the
-    most sweeps any block took, the leak and the commutator norm.
-    """
-    leak = commutator = 0.0
-    if charge is None:
-        w, a, labels, name = None, _symmetrized(m), component, "component"
-    else:
-        w, a, labels, leak, commutator = _split_sectors(m, charge, stop)
-        name = "sector of charge 2(qa+qb) ="
-    order = np.argsort(labels, kind="stable")
-    groups = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
-    # for n = 0 the split holds one empty group, which is no block
-    groups = [idx for idx in groups if idx.size]
-    blocks = [a[np.ix_(idx, idx)] for idx in groups]
-    # the rotations take a's dtype, also for n = 0, where there are none
-    dtype = np.result_type(a, *([] if w is None else [w]))
-    # a is n x n: freed before the solve, as W is on return, before _finish,
-    # so that neither sits under their peaks
-    del a
-    solved = _solved(
-        blocks,
-        [tol * frobenius_norm(block) for block in blocks],
-        max_sweeps,
-        [f"{name} {int(labels[idx[0]])} (width {idx.size}): " for idx in groups],
-    )
-    n = m.shape[0]
-    values = np.empty(n)
-    vectors = np.zeros((n, n), dtype=dtype)
-    for idx, (diagonal, r, _, _) in zip(groups, solved):
-        values[idx] = diagonal
-        if w is None:
-            vectors[np.ix_(idx, idx)] = r
-        else:
-            vectors[:, idx] = w[:, idx] @ r
-    sweeps = max((sweeps for _, _, sweeps, _ in solved), default=0)
-    return values, vectors, sweeps, leak, commutator
 
 
 def _finish(
@@ -458,6 +475,164 @@ def _finish(
     )
 
 
+class _Eigensolve:
+    """One operator's eigensolve, taken a stage at a time by :func:`_eigensolves`.
+
+    Built, it has checked its input, as :func:`hermitian_eig` documents, and
+    chosen its route: ``site_route`` holds the charge factors to sweep, none
+    on the component route.  :meth:`split` takes them solved and leaves
+    ``route``, the blocks to sweep and their stops; :meth:`gather` takes
+    those solved, and :meth:`finish` returns the decomposition.
+    """
+
+    def __init__(self, m, charge, tol: float, max_sweeps: int) -> None:
+        m = require_square(m, "eigensolver needs a square matrix")
+        if not np.isfinite(m).all():
+            raise ValueError("matrix entries must be finite")
+        if not tol > 0.0:
+            raise ValueError(f"tol must be positive, got {tol}")
+        if max_sweeps < 0:
+            raise ValueError(f"max_sweeps must be non-negative, got {max_sweeps}")
+        self.gauged = component, colour, a, _ = gauge(m)
+        # a real form's defect has m's entries up to sign: checked in its dtype
+        require_hermitian(a, tol)
+
+        with np.errstate(over="ignore"):
+            norm = frobenius_norm(a)
+        if not math.isfinite(norm):
+            raise NumericalError(
+                "the Frobenius norm of the matrix overflows; rescale its entries"
+            )
+        if charge is not None:
+            charge = _charge_factors(charge, m.shape[0], tol)
+        if component.any():
+            # the walk has split the pattern already, as H's by its conserved
+            # S3: a checked charge goes unused
+            charge = None
+        elif charge is not None:
+            # D^H m D has m's sectors only if D commutes with A x I + I x B, that
+            # is if no off-diagonal nonzero of A or B joins two colours
+            grid = colour.reshape(charge[0].shape[0], charge[1].shape[0])
+            (i, j), (k, l) = np.nonzero(charge[0]), np.nonzero(charge[1])
+            if (grid[i] != grid[j]).any() or (grid[:, k] != grid[:, l]).any():
+                colour, a = np.zeros_like(colour), m.astype(np.complex128, copy=False)
+        self.m, self.a, self.colour, self.component = m, a, colour, component
+        self.tol, self.stop, self.max_sweeps = tol, tol * norm, max_sweeps
+        self.sites = [] if charge is None else [_site(f) for f in charge]
+        self.site_route = _site_route(self.sites)
+        self.leak = self.commutator = 0.0
+
+    def split(self, solved: list) -> _Eigensolve:
+        """Check the factors, then cut the blocks over equal labels.
+
+        The labels are the components, for m symmetrized, or with a charge
+        those of m rotated into the basis W by :func:`_split_sectors`.  Each
+        block is swept to tol times its own norm, or named by route, label
+        and width in the :class:`ConvergenceError`.
+        """
+        _converged(solved, self.site_route[1], ["", ""], DEFAULT_MAX_SWEEPS)
+        self.site_route = None
+        if not self.sites:
+            w, a, labels, name = None, _symmetrized(self.a), self.component, "component"
+        else:
+            w, a, labels, self.leak, self.commutator = _split_sectors(
+                self.a, self.sites, solved, self.stop, self.m.dtype
+            )
+            name = "sector of charge 2(qa+qb) ="
+        order = np.argsort(labels, kind="stable")
+        groups = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+        # for n = 0 the split holds one empty group, which is no block
+        self.groups = [idx for idx in groups if idx.size]
+        blocks = [a[np.ix_(idx, idx)] for idx in self.groups]
+        norms = [frobenius_norm(block) for block in blocks]
+        self.route = blocks, [self.tol * norm for norm in norms]
+        self.names = [
+            f"{name} {int(labels[idx[0]])} (width {idx.size}): " for idx in self.groups
+        ]
+        # a stop below about width * eps * ||block||_F may lie under rounding
+        self.floors = [idx.size * _EPS * norm for idx, norm in zip(self.groups, norms)]
+        # the rotations take a's dtype, also for n = 0, where there are none
+        self.dtype = np.result_type(a, *([] if w is None else [w]))
+        self.w = w
+        return self
+
+    def gather(self, solved: list) -> _Eigensolve:
+        """Check the blocks, then put their rotations R in ``vectors[idx, idx]``,
+        or in the columns W[:, idx] R; W and the blocks go."""
+        _converged(solved, self.route[1], self.names, self.max_sweeps, self.floors)
+        n = self.m.shape[0]
+        self.values = np.empty(n)
+        self.vectors = np.zeros((n, n), dtype=self.dtype)
+        for idx, (diagonal, r, _, _) in zip(self.groups, solved):
+            self.values[idx] = diagonal
+            if self.w is None:
+                self.vectors[np.ix_(idx, idx)] = r
+            else:
+                self.vectors[:, idx] = self.w[:, idx] @ r
+        self.sweeps = max((sweeps for _, _, sweeps, _ in solved), default=0)
+        # freed before _finish, so that neither sits under its peak
+        self.w = self.route = None
+        return self
+
+    def finish(self) -> EigDecomposition:
+        a, vectors = self.a, self.vectors
+        self.a = self.vectors = None
+        if self.colour.any():
+            # the real form goes before the residual, which is then taken
+            # against m itself; for D = I the real form is m, exactly
+            a, vectors = self.m, _through(self.colour, vectors)
+        return _finish(
+            a, self.values, vectors, self.sweeps, self.component, self.leak, self.commutator
+        )
+
+
+def _eigensolves(
+    operators: list[tuple[np.ndarray, tuple | None]],
+    tol: float,
+    max_sweeps: int,
+    keep_gauges: bool = False,
+) -> list[tuple[EigDecomposition, tuple | None]]:
+    """:func:`hermitian_eig` of each (m, charge), with one kernel call per stack
+    for all of them: every charge factor first, then every block.
+
+    A block is stacked by the width its own route pads it to and its dtype
+    (see :func:`_solved`), so each decomposition is bit for bit the one that
+    hermitian_eig gives alone.  Each stage takes the operators in order, and
+    the first to fail drops out with every operator after it, so that the
+    error raised in the end is the first that calling hermitian_eig on each
+    in turn raises.  Returns each decomposition with :func:`linalg.gauge` of
+    its operator, or None unless ``keep_gauges``: then the form that it
+    holds stays alive through every stage.
+    """
+    failure: Exception | None = None
+
+    def in_order(step, *columns) -> list:
+        nonlocal failure
+        done = []
+        for args in zip(*columns):
+            try:
+                done.append(step(*args))
+            except Exception as exc:  # held, never dropped: raised below
+                failure = exc
+                break
+        return done
+
+    solves = in_order(lambda op: _Eigensolve(*op, tol, max_sweeps), operators)
+    if not keep_gauges:
+        for solve in solves:
+            solve.gauged = None
+    sites = _solved([solve.site_route for solve in solves], DEFAULT_MAX_SWEEPS)
+    solves = in_order(_Eigensolve.split, solves, sites)
+    blocks = _solved([solve.route for solve in solves], max_sweeps)
+    solves = in_order(_Eigensolve.gather, solves, blocks)
+    # the kernel's stacks, which the results view, go before the residuals
+    del blocks
+    decompositions = in_order(_Eigensolve.finish, solves)
+    if failure is not None:
+        raise failure
+    return [(dec, solve.gauged) for dec, solve in zip(decompositions, solves)]
+
+
 def hermitian_eig(
     m: np.ndarray,
     tol: float = DEFAULT_TOL,
@@ -479,10 +654,13 @@ def hermitian_eig(
     the sectors is reported as ``leak`` and ``||[m, A x I + I x B]||_F`` as
     ``commutator``; a leak above tol * ||m||_F raises
     :class:`NumericalError`, so a wrong charge is never trusted; within
-    n * eps * ||m||_F, the error names a tol below the basis's rounding
-    instead.  Pivots at or below the stop threshold scaled by 1/(10 n) are
-    skipped; the convergence check always measures the true remaining
-    off-diagonal mass, so skipping never masks a miss.  Inputs within the
+    n * eps * ||m||_F, eps the coarser of float64's and the input's own
+    precision, the error names a tol below the rounding of the basis or of
+    the input instead.  Where tol lies below a block's rounding floor,
+    width * eps * its norm, a ConvergenceError says so too.  Pivots at or
+    below the stop threshold scaled by 1/(10 n) are skipped; the
+    convergence check always measures the true remaining off-diagonal
+    mass, so skipping never masks a miss.  Inputs within the
     hermiticity tolerance are symmetrized once, on entry (component route)
     or once rotated into the charge basis (sector route); the reported
     residual is still taken against the original matrix.  Where
@@ -491,44 +669,8 @@ def hermitian_eig(
     complex128 either way.  A matrix whose Frobenius norm overflows raises
     :class:`NumericalError`, since no stop threshold can be derived from it.
     """
-    m = require_square(m, "eigensolver needs a square matrix")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix entries must be finite")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if max_sweeps < 0:
-        raise ValueError(f"max_sweeps must be non-negative, got {max_sweeps}")
-    component, colour, a, _ = gauge(m)
-    # a real form's defect has m's entries up to sign: checked in its dtype
-    require_hermitian(a, tol)
-
-    with np.errstate(over="ignore"):
-        norm = frobenius_norm(a)
-    if not math.isfinite(norm):
-        raise NumericalError(
-            "the Frobenius norm of the matrix overflows; rescale its entries"
-        )
-    if charge is not None:
-        charge = _charge_factors(charge, m.shape[0], tol)
-    if component.any():
-        # the walk has split the pattern already, as H's by its conserved
-        # S3: a checked charge goes unused
-        charge = None
-    elif charge is not None:
-        # D^H m D has m's sectors only if D commutes with A x I + I x B, that
-        # is if no off-diagonal nonzero of A or B joins two colours
-        grid = colour.reshape(charge[0].shape[0], charge[1].shape[0])
-        (i, j), (k, l) = np.nonzero(charge[0]), np.nonzero(charge[1])
-        if (grid[i] != grid[j]).any() or (grid[:, k] != grid[:, l]).any():
-            colour, a = np.zeros_like(colour), m.astype(np.complex128, copy=False)
-    values, vectors, sweeps, leak, commutator = _blockwise(
-        a, charge, component, tol, tol * norm, max_sweeps
-    )
-    if colour.any():
-        # the real form goes before the residual, which is then taken
-        # against m itself; for D = I the real form is m, exactly
-        a, vectors = m, _through(colour, vectors)
-    return _finish(a, values, vectors, sweeps, component, leak, commutator)
+    ((dec, _),) = _eigensolves([(m, charge)], tol, max_sweeps)
+    return dec
 
 
 def verify_eigenpair(m: np.ndarray, vector: np.ndarray, value: float) -> float:

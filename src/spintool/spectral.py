@@ -4,6 +4,9 @@ Two independent routes feed the isospectrality certificate.  The direct
 route diagonalizes both operators and compares clustered spectra; that
 comparison is the verdict of record.  The moment route compares traces of
 matrix powers, which corroborates the verdict without any diagonalization.
+:func:`certify_isospectral` gauges each operator once, by
+:func:`linalg.gauge`, and hands the matrix it gives to both routes; the two
+eigensolves share their Jacobi stacks, bit for bit as each alone.
 
 Trace magnitudes grow like ||M||^k, so every moment comparison is scaled
 per power by max(1, r)^k with r the spectral radius; a fixed absolute
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eig import DEFAULT_MAX_SWEEPS, hermitian_eig
+from .eig import DEFAULT_MAX_SWEEPS, _eigensolves
 from .linalg import (
     DEFAULT_TOL,
     Blocks,
@@ -186,13 +189,22 @@ def moments(m: np.ndarray, kmax: int) -> np.ndarray:
     m = require_square(m, "moments need a square matrix")
     if kmax < 1:
         raise ValueError(f"kmax must be at least 1, got {kmax}")
-    component, _, a, reach = gauge(m)
+    return _traces(gauge(m), kmax)
+
+
+def _traces(gauged: tuple, kmax: int) -> np.ndarray:
+    """:func:`moments` of the matrix that ``gauged``, its :func:`linalg.gauge`,
+    holds; the form in it is scaled in place, so it is read no more."""
+    component, _, a, reach = gauged
+    # a form split into blocks, as H's, is then freed once stacked, unless
+    # the caller holds it too
+    del gauged
     # D is unitary, so a real form has m's defect: it is checked in its dtype
     require_hermitian(a, 1e-10)
     drift = None
     if np.iscomplexobj(a):
         # log2 of the bound 1e-8 * dim * max(1, ||m||_F)^k is drift + k * growth
-        drift = math.log2(1e-8 * m.shape[0])
+        drift = math.log2(1e-8 * a.shape[0])
         growth = math.log2(max(1.0, frobenius_norm(a)))
     # a is a copy of m, so the stack, which may be a view of a, is scaled in place
     a = Blocks.of(component).stack(a)
@@ -461,7 +473,17 @@ def certify_isospectral(
     ``prefix`` additionally reports the comparison restricted to the first
     so-many powers; the verdict never rests on the prefix alone.
     ``charges`` passes each operator's conserved-charge factors (or None)
-    to :func:`hermitian_eig`, which then diagonalizes sector by sector.
+    to the eigensolver, which then diagonalizes sector by sector.
+
+    Both eigensolves are one batched solve: the charge factors of both
+    operators are swept in one stack, and then their blocks in stacks keyed
+    by the width that each operator's own route pads a block to and by
+    dtype, so each decomposition is bit for bit that of
+    :func:`hermitian_eig` alone.  That is two Jacobi kernel calls for H and
+    K up to 2s = 15 and three beyond.  An error is the one that
+    hermitian_eig on a and then on b raises first.  Each operator is gauged
+    once, and the matrix that :func:`linalg.gauge` gives is swept and then
+    powered for the moments.
     """
     a = require_square(a, "expected square matrices")
     b = np.asarray(b)
@@ -475,16 +497,17 @@ def certify_isospectral(
     if prefix is not None and not 1 <= prefix <= kmax:
         raise ValueError(f"prefix must lie in 1..kmax, got {prefix}")
 
-    dec_a = hermitian_eig(a, eig_tol, max_sweeps, charge=charges[0])
-    dec_b = hermitian_eig(b, eig_tol, max_sweeps, charge=charges[1])
+    (dec_a, gauged_a), (dec_b, gauged_b) = _eigensolves(
+        [(a, charges[0]), (b, charges[1])], eig_tol, max_sweeps, keep_gauges=True
+    )
     if cluster_tol is None:
         cluster_tol = max(default_cluster_tol(a), default_cluster_tol(b))
     spectrum_a = cluster_spectrum(dec_a.values, cluster_tol)
     spectrum_b = cluster_spectrum(dec_b.values, cluster_tol)
     equal = spectra_match(spectrum_a, spectrum_b, value_tol=cluster_tol)
 
-    traces_a = moments(a, kmax)
-    traces_b = moments(b, kmax)
+    traces_a = _traces(gauged_a, kmax)
+    traces_b = _traces(gauged_b, kmax)
     radius = max(
         1.0,
         float(np.max(np.abs(dec_a.values))),

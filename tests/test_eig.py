@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import platform
+import re
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -11,13 +12,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spintool import eig
+from spintool import eig, spectral
 from spintool.cli import _CLOSED_FORM_TOL
 from spintool.eig import (
+    DEFAULT_MAX_SWEEPS,
     ConvergenceError,
     _charge_factors,
     _finish,
     _jacobi_stack,
+    _site,
+    _site_route,
+    _solved,
     _split_sectors,
     _symmetrized,
     hermitian_eig,
@@ -34,6 +39,7 @@ from spintool.linalg import (
 )
 from spintool.hamiltonians import build_bilinear, build_cyclic, build_heisenberg
 from spintool.spectral import (
+    certify_isospectral,
     closed_form_spectrum,
     cluster_spectrum,
     default_cluster_tol,
@@ -621,13 +627,14 @@ def test_sector_blocks_are_exactly_hermitian(twice, label):
     else:
         ham = build_bilinear(s, _random_rotation(700 + twice))
     stop = DEFAULT_TOL * frobenius_norm(ham.matrix)
-    charge = _charge_factors(ham.charge, ham.dimension, DEFAULT_TOL)
+    sites = [_site(f) for f in _charge_factors(ham.charge, ham.dimension, DEFAULT_TOL)]
+    (solved,) = _solved([_site_route(sites)], DEFAULT_MAX_SWEEPS)
     # the matrix as given and, where there is one, its real form, which is
     # what the solver sweeps
     form = gauge(ham.matrix)[2]
     for m in [ham.matrix] + ([form] if form.dtype == np.float64 else []):
         # every sector is a principal block of the rotated matrix
-        rotated = _split_sectors(m, charge, stop)[1]
+        rotated = _split_sectors(m, sites, solved, stop, m.dtype)[1]
         assert np.array_equal(rotated, rotated.conj().T)
 
 
@@ -868,6 +875,245 @@ def test_a_tol_below_rounding_is_named_not_the_charge(twice, tol):
         "off-sector norm "
     )
     assert hermitian_eig(k.matrix, charge=k.charge).leak <= 0.1 * rounding
+
+
+def test_single_precision_rounding_is_named_not_the_charge():
+    # (S3, S1) commutes with K, but not with K rounded to complex64: the leak
+    # lies within the input's own rounding, n * eps(float32) * ||K||_F, and
+    # the error says so instead of blaming the charge
+    k = build_cyclic(HalfInteger(2))
+    single = k.matrix.astype(np.complex64)
+    eps = np.finfo(np.float32).eps
+    rounding = k.dimension * eps * frobenius_norm(gauge(single)[2])
+    with pytest.raises(NumericalError) as error:
+        hermitian_eig(single, charge=k.charge)
+    assert type(error.value) is NumericalError
+    assert str(error.value).startswith(
+        f"tol is below the rounding of the complex64 input, {rounding:.3e}: "
+        "off-sector norm "
+    )
+    # a tol above that rounding passes, and a wrong charge is still blamed
+    assert hermitian_eig(single, tol=10 * rounding, charge=k.charge).leak <= rounding
+    t = make_spin_triple(HalfInteger(2))
+    with pytest.raises(NumericalError, match="^charge does not split the operator: "):
+        hermitian_eig(single, charge=(t.s1, t.s1))
+
+
+def test_a_tol_below_a_blocks_rounding_floor_is_said(run_cli, tmp_path):
+    # without its charge K at 2s = 2 is one block, 9 wide, whose sweeps stall
+    # far above a stop of 1e-100 * ||K||_F: the error says that tol is below
+    # the block's rounding floor, width * eps * its norm, and names no cause
+    k = build_cyclic(HalfInteger(2))
+    norm = frobenius_norm(gauge(k.matrix)[2])
+    floor = 9 * np.finfo(np.float64).eps * norm
+    with pytest.raises(ConvergenceError) as error:
+        hermitian_eig(k.matrix, tol=1e-100)
+    message = str(error.value)
+    assert re.fullmatch(
+        rf"component 0 \(width 9\): off-diagonal norm \S+ still above "
+        rf"{1e-100 * norm:.3e} after 100 sweeps; tol is below the block's "
+        rf"rounding floor, width \* eps \* norm = {floor:.3e}",
+        message,
+    ), message
+    # a stop above the floor keeps the plain message
+    with pytest.raises(ConvergenceError) as error:
+        hermitian_eig(k.matrix, max_sweeps=1)
+    assert str(error.value).endswith("after 1 sweeps")
+    # the CLI still exits 3 with the error, and no traceback
+    path = tmp_path / "k.txt"
+    path.write_text(
+        "\n".join(" ".join(f"{z.real:.17g}{z.imag:+.17g}i" for z in row) for row in k.matrix),
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(
+        "spectrum", "--hamiltonian", "file", "--file", str(path), "--tol", "1e-100"
+    )
+    assert (code, out) == (3, "")
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("twice", [2, 3, 24])
+def test_only_a_factor_with_an_imaginary_part_takes_a_gauge(twice, monkeypatch):
+    # K's factors S3 and S1 are real: swept as their real parts, with colour
+    # 0, they take no walk, and the operator is gauged once.  With B = +-S2
+    # the factor with an imaginary part takes its own gauge, and its real
+    # form.  The bits are pinned in tests/golden/eig-bits.json.
+    walked = []
+    walk = eig.gauge
+
+    def spy(m):
+        walked.append(m.shape[0])
+        return walk(m)
+
+    monkeypatch.setattr(eig, "gauge", spy)
+    k = build_cyclic(HalfInteger(twice))
+    hermitian_eig(k.matrix, charge=k.charge)
+    assert walked == [k.dimension]
+    del walked[:]
+    pattern = next(q for q in _signed_permutations() if q[2, 1] != 0.0)
+    p = build_bilinear(HalfInteger(twice), pattern)
+    hermitian_eig(p.matrix, charge=p.charge)
+    assert walked == [p.dimension, twice + 1]
+
+
+def _kernel_spy(monkeypatch):
+    """The blocks of every stack that the Jacobi kernel runs, in call order."""
+    stacks = []
+    kernel = eig._jacobi_stack
+
+    def spy(blocks, stops, max_sweeps):
+        stacks.append(list(blocks))
+        return kernel(blocks, stops, max_sweeps)
+
+    monkeypatch.setattr(eig, "_jacobi_stack", spy)
+    return stacks
+
+
+def _certified(monkeypatch, a, b, **kwargs):
+    """The decompositions that certify_isospectral takes of a and b."""
+    taken = []
+    batched = spectral._eigensolves
+
+    def spy(*args, **kw):
+        solved = batched(*args, **kw)
+        taken.extend(dec for dec, _ in solved)
+        return solved
+
+    monkeypatch.setattr(spectral, "_eigensolves", spy)
+    spectral.certify_isospectral(a, b, **kwargs)
+    return taken
+
+
+def _one_dtype(stacks) -> set:
+    """The dtypes of the stacks, each of whose blocks must share one."""
+    dtypes = [{block.dtype for block in blocks} for blocks in stacks]
+    assert all(len(d) == 1 for d in dtypes), dtypes
+    return set().union(*dtypes)
+
+
+@pytest.mark.parametrize("twice", [*range(1, 9), 12, 16, 24])
+def test_a_certificate_decomposes_each_operator_as_alone(twice, monkeypatch):
+    # H's blocks and K's sectors share the kernel's stacks, each block padded
+    # to the width that its own route gives it: the decompositions are bit
+    # for bit those of separate solves, in two kernel calls up to 2s = 15
+    # (K's factors, then every block) and three beyond, where the blocks
+    # wider than 16 take a stack of their own
+    s = HalfInteger(twice)
+    h, k = build_heisenberg(s), build_cyclic(s)
+    stacks = _kernel_spy(monkeypatch)
+    taken = _certified(
+        monkeypatch, h.matrix, k.matrix, kmax=2 * twice + 1, charges=(h.charge, k.charge)
+    )
+    classes = 1 if twice <= 15 else 2
+    assert len(stacks) == 1 + classes
+    assert _one_dtype(stacks) == {np.dtype(np.float64)}
+    del stacks[:]
+    for dec, ham in zip(taken, (h, k), strict=True):
+        _assert_same_bits(dec, hermitian_eig(ham.matrix, charge=ham.charge))
+    # alone, H takes a call per width class and K one more for its factors
+    assert len(stacks) == 2 * classes + 1
+
+
+def test_a_complex_sector_route_keeps_its_own_stack_beside_h(monkeypatch):
+    # with B = +-S2 the charge keeps the sectors only in complex arithmetic,
+    # while H and both factors run real: the sectors take a stack of their
+    # own, of H's padded width, and each decomposition keeps its bits
+    s = HalfInteger(3)
+    pattern = next(q for q in _signed_permutations() if q[2, 1] != 0.0)
+    h, p = build_heisenberg(s), build_bilinear(s, pattern)
+    stacks = _kernel_spy(monkeypatch)
+    taken = _certified(
+        monkeypatch, h.matrix, p.matrix, kmax=s.dimension**2, charges=(h.charge, p.charge)
+    )
+    assert len(stacks) == 3
+    assert [b.shape[0] for b in stacks[0]] == [4, 4]
+    assert _one_dtype(stacks) == {np.dtype(np.float64), np.dtype(np.complex128)}
+    for dec, ham in zip(taken, (h, p), strict=True):
+        _assert_same_bits(dec, hermitian_eig(ham.matrix, charge=ham.charge))
+
+
+def test_blocks_padded_apart_are_stacked_apart(monkeypatch):
+    # the routes of these operators pad their blocks to 4, 6, 8 and 10
+    # within the class of blocks up to 16 wide, real and complex: every
+    # decomposition is bit for bit its own, so no block is padded wider
+    # than its own route pads it, and no stack mixes a real and a complex
+    # block
+    pattern = next(q for q in _signed_permutations() if q[2, 1] != 0.0)
+    operators = [
+        build_heisenberg(HalfInteger(3)),
+        build_bilinear(HalfInteger(3), pattern),
+        build_cyclic(HalfInteger(5)),
+        build_heisenberg(HalfInteger(7)),
+    ]
+    pairs = [(ham.matrix, ham.charge) for ham in operators]
+    pairs += [
+        (build_cyclic(HalfInteger(2)).matrix, None),
+        (_permuted_block_hermitian(97, [5, 1, 7, 3]), None),
+    ]
+    stacks = _kernel_spy(monkeypatch)
+    batched = eig._eigensolves(pairs, DEFAULT_TOL, DEFAULT_MAX_SWEEPS)
+    assert _one_dtype(stacks) == {np.dtype(np.float64), np.dtype(np.complex128)}
+    padded = [
+        (2 * -(-max(b.shape[0] for b in blocks) // 2), blocks[0].dtype.name)
+        for blocks in stacks
+    ]
+    # the factors of the rotation and of K at 2s = 5, then the blocks
+    assert padded[:2] == [(4, "float64"), (6, "float64")]
+    assert sorted(padded[2:]) == [
+        (4, "complex128"), (4, "float64"), (6, "float64"),
+        (8, "complex128"), (8, "float64"), (10, "float64"),
+    ]
+    for (dec, gauged), (m, charge) in zip(batched, pairs, strict=True):
+        assert gauged is None
+        _assert_same_bits(dec, hermitian_eig(m, charge=charge))
+
+
+def test_a_certificate_raises_what_separate_solves_raise_first():
+    # the first operator's first error wins, of any kind and at any stage,
+    # then the second's
+    s = HalfInteger(3)
+    h, k = build_heisenberg(s), build_cyclic(s)
+    charges = h.charge, k.charge
+
+    def raised(a, b, charges=charges, **kwargs):
+        with pytest.raises(Exception) as error:
+            certify_isospectral(a, b, kmax=8, charges=charges, **kwargs)
+        return type(error.value), str(error.value)
+
+    def alone(m, charge, **kwargs):
+        with pytest.raises(Exception) as error:
+            hermitian_eig(m, charge=charge, **kwargs)
+        return type(error.value), str(error.value)
+
+    # both run out of one sweep: H's component is named, before K's sectors
+    first = raised(h.matrix, k.matrix, max_sweeps=1)
+    assert first == alone(h.matrix, h.charge, max_sweeps=1)
+    assert first[1].startswith("component 2 (width 3): ")
+    assert alone(k.matrix, k.charge, max_sweeps=1)[1].startswith("sector of charge ")
+    # a wrong charge on K, with H fine, gives K's leak
+    t = make_spin_triple(s)
+    wrong = raised(h.matrix, k.matrix, charges=(h.charge, (t.s1, t.s1)))
+    assert wrong == alone(k.matrix, (t.s1, t.s1))
+    assert wrong[1].startswith("charge does not split the operator: ")
+    # a non-finite operator second loses to a first that runs out of sweeps,
+    # and first wins over a second that does
+    bad = k.matrix.copy()
+    bad[0, 1] = np.nan
+    assert raised(h.matrix, bad, max_sweeps=1) == first
+    assert raised(h.matrix, bad) == (ValueError, "matrix entries must be finite")
+    assert raised(bad, h.matrix, max_sweeps=1) == (ValueError, "matrix entries must be finite")
+    # a second K whose sectors run out loses to a first whose factors leak
+    assert raised(k.matrix, k.matrix, charges=((t.s1, t.s1), k.charge), max_sweeps=1) == wrong
+
+
+def test_table_raises_the_first_failing_spins_error(run_cli):
+    # one sweep solves every block at 2s = 1, none wider than 2, and runs out
+    # at 2s = 2 on H's component 2, before any sector of K
+    assert run_cli("table", "--max-spin", "1/2", "--max-sweeps", "1")[0] == 0
+    code, out, err = run_cli("table", "--max-spin", "3", "--max-sweeps", "1")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: component 2 (width 3): ")
+    assert run_cli("verify", "--spin", "1", "--max-sweeps", "1") == (3, "", err)
 
 
 _NOT_FINITE = ValueError, "matrix entries must be finite"
