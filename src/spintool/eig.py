@@ -30,16 +30,17 @@ which every pair meets once, the circle ordering of Sameh (Math. Comp. 25,
 one batched row update and one batched column update.  One kernel,
 ``_jacobi_stack``, serves every route: it sweeps a zero-padded (count, w, w)
 stack of blocks, each to its own stop, and a round costs about the same
-numpy calls whatever the count.  So the operators of a certificate are
-solved together, in two stages: first the charge factors of every operator
-that uses its charge, then the blocks of every operator, over the
-components of its nonzero pattern or over its charge sectors.  A block is
-padded to the width that its own route gives it, the widest of its width
-class there made even, and the blocks of every operator that share that
-width and a dtype share a stack.  So each block keeps its rounds and its
-arithmetic, and every decomposition is bit for bit the one that its
-operator gets alone.  H and K together take two kernel calls up to 2s = 15
-and three beyond, where blocks wider than 16 form a class of their own.
+numpy calls whatever the count.  So the blocks of every operator of a
+certificate, over the components of its nonzero pattern or over its charge
+sectors, are solved together.  A block is padded to the width that its own
+route gives it, the widest of its width class there made even, and the
+blocks of every operator that share that width and a dtype share a stack.
+So each block keeps its rounds and its arithmetic, and every decomposition
+is bit for bit the one that its operator gets alone.  An operator on the
+sector route first sweeps its two charge factors in a call of their own;
+H's pattern splits at every spin, so only K's do.  H and K together take
+two kernel calls up to 2s = 15 and three beyond, where blocks wider than 16
+form a class of their own.
 
 Arithmetic
 ----------
@@ -365,13 +366,6 @@ def _site(f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.zeros(f.shape[0], dtype=np.int8), real, real
 
 
-def _site_route(sites: list) -> tuple[list[np.ndarray], list[float]]:
-    """The blocks of :func:`_site` factors to sweep, and their stops."""
-    swept = [f for _, f, _ in sites]
-    stops = [_SITE_TOL * frobenius_norm(f) for f in swept]
-    return [_symmetrized(f) for f in swept], stops
-
-
 def _through(colour: np.ndarray, v: np.ndarray) -> np.ndarray:
     """D v for D = i^colour: the rows of colour 1 times i, v itself for D = I."""
     if not colour.any():
@@ -380,17 +374,21 @@ def _through(colour: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _split_sectors(
-    m: np.ndarray, sites: list, solved: list, stop: float, precision: np.dtype
+    m: np.ndarray, sites: list, stop: float, precision: np.dtype
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
     """Rotate ``m`` into the eigenbasis W of A x I + I x B and measure the split.
 
-    ``sites`` are A and B as :func:`_site` gives them, and ``solved`` their
-    blocks of :func:`_site_route` swept; the vectors are brought back through
-    each factor's colour.  Returns W, the rotated matrix, symmetrized once,
-    the charge label 2(qa + qb) of each basis index, the leak and the
-    commutator norm.  A leak above ``stop`` is an error; ``precision``, the
-    input's dtype, tells what rounding it may be.
+    ``sites`` are A and B as :func:`_site` gives them, swept together in one
+    kernel call to ``_SITE_TOL`` within the default sweep budget; the
+    vectors are brought back through each factor's colour.  Returns W, the
+    rotated matrix, symmetrized once, the charge label 2(qa + qb) of each
+    basis index, the leak and the commutator norm.  A leak above ``stop`` is
+    an error; ``precision``, the input's dtype, tells what rounding it may be.
     """
+    swept = [f for _, f, _ in sites]
+    stops = [_SITE_TOL * frobenius_norm(f) for f in swept]
+    (solved,) = _solved([([_symmetrized(f) for f in swept], stops)], DEFAULT_MAX_SWEEPS)
+    _converged(solved, stops, ["", ""], DEFAULT_MAX_SWEEPS)
     (qa, va, _, _), (qb, vb, _, _) = solved
     va, vb = (_through(colour, v) for (colour, _, _), v in zip(sites, (va, vb)))
     a_site, b_site = (f for _, _, f in sites)
@@ -476,13 +474,15 @@ def _finish(
 
 
 class _Eigensolve:
-    """One operator's eigensolve, taken a stage at a time by :func:`_eigensolves`.
+    """One operator's eigensolve, in the two steps around the kernel.
 
-    Built, it has checked its input, as :func:`hermitian_eig` documents, and
-    chosen its route: ``site_route`` holds the charge factors to sweep, none
-    on the component route.  :meth:`split` takes them solved and leaves
-    ``route``, the blocks to sweep and their stops; :meth:`gather` takes
-    those solved, and :meth:`finish` returns the decomposition.
+    Built, it has checked its input, as :func:`hermitian_eig` documents,
+    chosen its route and cut ``route``, the blocks to sweep and their stops,
+    over equal labels: the components, for m symmetrized, or with a charge
+    those of m rotated into the basis W by :func:`_split_sectors`.  Each
+    block is swept to tol times its own norm, or named by route, label and
+    width in the :class:`ConvergenceError`.  :meth:`gather` takes the blocks
+    solved, and :meth:`finish` returns the decomposition.
     """
 
     def __init__(self, m, charge, tol: float, max_sweeps: int) -> None:
@@ -505,56 +505,38 @@ class _Eigensolve:
             )
         if charge is not None:
             charge = _charge_factors(charge, m.shape[0], tol)
-        if component.any():
+        self.leak = self.commutator = 0.0
+        if component.any() or charge is None:
             # the walk has split the pattern already, as H's by its conserved
             # S3: a checked charge goes unused
-            charge = None
-        elif charge is not None:
+            w, swept, labels, name = None, _symmetrized(a), component, "component"
+        else:
             # D^H m D has m's sectors only if D commutes with A x I + I x B, that
             # is if no off-diagonal nonzero of A or B joins two colours
             grid = colour.reshape(charge[0].shape[0], charge[1].shape[0])
             (i, j), (k, l) = np.nonzero(charge[0]), np.nonzero(charge[1])
             if (grid[i] != grid[j]).any() or (grid[:, k] != grid[:, l]).any():
                 colour, a = np.zeros_like(colour), m.astype(np.complex128, copy=False)
-        self.m, self.a, self.colour, self.component = m, a, colour, component
-        self.tol, self.stop, self.max_sweeps = tol, tol * norm, max_sweeps
-        self.sites = [] if charge is None else [_site(f) for f in charge]
-        self.site_route = _site_route(self.sites)
-        self.leak = self.commutator = 0.0
-
-    def split(self, solved: list) -> _Eigensolve:
-        """Check the factors, then cut the blocks over equal labels.
-
-        The labels are the components, for m symmetrized, or with a charge
-        those of m rotated into the basis W by :func:`_split_sectors`.  Each
-        block is swept to tol times its own norm, or named by route, label
-        and width in the :class:`ConvergenceError`.
-        """
-        _converged(solved, self.site_route[1], ["", ""], DEFAULT_MAX_SWEEPS)
-        self.site_route = None
-        if not self.sites:
-            w, a, labels, name = None, _symmetrized(self.a), self.component, "component"
-        else:
-            w, a, labels, self.leak, self.commutator = _split_sectors(
-                self.a, self.sites, solved, self.stop, self.m.dtype
+            w, swept, labels, self.leak, self.commutator = _split_sectors(
+                a, [_site(f) for f in charge], tol * norm, m.dtype
             )
             name = "sector of charge 2(qa+qb) ="
         order = np.argsort(labels, kind="stable")
         groups = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
         # for n = 0 the split holds one empty group, which is no block
         self.groups = [idx for idx in groups if idx.size]
-        blocks = [a[np.ix_(idx, idx)] for idx in self.groups]
+        blocks = [swept[np.ix_(idx, idx)] for idx in self.groups]
         norms = [frobenius_norm(block) for block in blocks]
-        self.route = blocks, [self.tol * norm for norm in norms]
+        self.route = blocks, [tol * norm for norm in norms]
         self.names = [
             f"{name} {int(labels[idx[0]])} (width {idx.size}): " for idx in self.groups
         ]
         # a stop below about width * eps * ||block||_F may lie under rounding
         self.floors = [idx.size * _EPS * norm for idx, norm in zip(self.groups, norms)]
-        # the rotations take a's dtype, also for n = 0, where there are none
-        self.dtype = np.result_type(a, *([] if w is None else [w]))
-        self.w = w
-        return self
+        # the rotations take swept's dtype, also for n = 0, where there are none
+        self.dtype = np.result_type(swept, *([] if w is None else [w]))
+        self.m, self.a, self.colour, self.component = m, a, colour, component
+        self.w, self.max_sweeps = w, max_sweeps
 
     def gather(self, solved: list) -> _Eigensolve:
         """Check the blocks, then put their rotations R in ``vectors[idx, idx]``,
@@ -593,44 +575,36 @@ def _eigensolves(
     keep_gauges: bool = False,
 ) -> list[tuple[EigDecomposition, tuple | None]]:
     """:func:`hermitian_eig` of each (m, charge), with one kernel call per stack
-    for all of them: every charge factor first, then every block.
+    for the blocks of all of them.
 
-    A block is stacked by the width its own route pads it to and its dtype
-    (see :func:`_solved`), so each decomposition is bit for bit the one that
-    hermitian_eig gives alone.  Each stage takes the operators in order, and
-    the first to fail drops out with every operator after it, so that the
-    error raised in the end is the first that calling hermitian_eig on each
-    in turn raises.  Returns each decomposition with :func:`linalg.gauge` of
-    its operator, or None unless ``keep_gauges``: then the form that it
-    holds stays alive through every stage.
+    Each operator is admitted in turn, its charge factors swept on its own
+    (see :func:`_split_sectors`), until the first that fails, whose error is
+    held.  A block is stacked by the width its own route pads it to and its
+    dtype (see :func:`_solved`), so each decomposition is bit for bit the
+    one that hermitian_eig gives alone.  The blocks' errors are raised in
+    operator order, and all before the held one, whose operator comes after
+    every admitted one: so the error raised is the first that calling
+    hermitian_eig on each in turn raises.  Returns each decomposition with
+    :func:`linalg.gauge` of its operator, or None unless ``keep_gauges``:
+    then the form that it holds stays alive through the solve.
     """
-    failure: Exception | None = None
-
-    def in_order(step, *columns) -> list:
-        nonlocal failure
-        done = []
-        for args in zip(*columns):
-            try:
-                done.append(step(*args))
-            except Exception as exc:  # held, never dropped: raised below
-                failure = exc
-                break
-        return done
-
-    solves = in_order(lambda op: _Eigensolve(*op, tol, max_sweeps), operators)
-    if not keep_gauges:
-        for solve in solves:
-            solve.gauged = None
-    sites = _solved([solve.site_route for solve in solves], DEFAULT_MAX_SWEEPS)
-    solves = in_order(_Eigensolve.split, solves, sites)
+    solves, failure = [], None
+    for m, charge in operators:
+        try:
+            solves.append(_Eigensolve(m, charge, tol, max_sweeps))
+        except Exception as exc:  # held, never dropped: raised below
+            failure = exc
+            break
+        if not keep_gauges:
+            solves[-1].gauged = None
     blocks = _solved([solve.route for solve in solves], max_sweeps)
-    solves = in_order(_Eigensolve.gather, solves, blocks)
-    # the kernel's stacks, which the results view, go before the residuals
-    del blocks
-    decompositions = in_order(_Eigensolve.finish, solves)
+    # a comprehension, so that no name is left on the last kernel stack
+    solves = [solve.gather(solved) for solve, solved in zip(solves, blocks)]
     if failure is not None:
         raise failure
-    return [(dec, solve.gauged) for dec, solve in zip(decompositions, solves)]
+    # the kernel's stacks, which the results view, go before the residuals
+    del blocks
+    return [(solve.finish(), solve.gauged) for solve in solves]
 
 
 def hermitian_eig(

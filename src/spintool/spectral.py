@@ -475,10 +475,10 @@ def certify_isospectral(
     ``charges`` passes each operator's conserved-charge factors (or None)
     to the eigensolver, which then diagonalizes sector by sector.
 
-    Both eigensolves are one batched solve: the charge factors of both
-    operators are swept in one stack, and then their blocks in stacks keyed
-    by the width that each operator's own route pads a block to and by
-    dtype, so each decomposition is bit for bit that of
+    Both eigensolves are one batched solve: an operator on the sector route
+    sweeps its own charge factors, and then the blocks of both operators
+    share stacks keyed by the width that each operator's own route pads a
+    block to and by dtype, so each decomposition is bit for bit that of
     :func:`hermitian_eig` alone.  That is two Jacobi kernel calls for H and
     K up to 2s = 15 and three beyond.  An error is the one that
     hermitian_eig on a and then on b raises first.  Each operator is gauged

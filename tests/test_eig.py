@@ -21,8 +21,6 @@ from spintool.eig import (
     _finish,
     _jacobi_stack,
     _site,
-    _site_route,
-    _solved,
     _split_sectors,
     _symmetrized,
     hermitian_eig,
@@ -628,13 +626,12 @@ def test_sector_blocks_are_exactly_hermitian(twice, label):
         ham = build_bilinear(s, _random_rotation(700 + twice))
     stop = DEFAULT_TOL * frobenius_norm(ham.matrix)
     sites = [_site(f) for f in _charge_factors(ham.charge, ham.dimension, DEFAULT_TOL)]
-    (solved,) = _solved([_site_route(sites)], DEFAULT_MAX_SWEEPS)
     # the matrix as given and, where there is one, its real form, which is
     # what the solver sweeps
     form = gauge(ham.matrix)[2]
     for m in [ham.matrix] + ([form] if form.dtype == np.float64 else []):
         # every sector is a principal block of the rotated matrix
-        rotated = _split_sectors(m, sites, solved, stop, m.dtype)[1]
+        rotated = _split_sectors(m, sites, stop, m.dtype)[1]
         assert np.array_equal(rotated, rotated.conj().T)
 
 
@@ -1068,6 +1065,29 @@ def test_blocks_padded_apart_are_stacked_apart(monkeypatch):
         _assert_same_bits(dec, hermitian_eig(m, charge=charge))
 
 
+def test_sector_routes_sweep_their_own_factors_then_batch_their_blocks(monkeypatch):
+    # K and a rotation whose B is +-S2 both take the sector route at 2s = 3,
+    # with real factors 4 wide: each operator sweeps its own two factors in
+    # a call of its own, in operator order, before one stage of blocks
+    s = HalfInteger(3)
+    pattern = next(q for q in _signed_permutations() if q[2, 1] != 0.0)
+    operators = [build_cyclic(s), build_bilinear(s, pattern)]
+    assert not any(components(ham.matrix)[0].any() for ham in operators)
+    pairs = [(ham.matrix, ham.charge) for ham in operators]
+    stacks = _kernel_spy(monkeypatch)
+    batched = eig._eigensolves(pairs, DEFAULT_TOL, DEFAULT_MAX_SWEEPS)
+    for factors, ham in zip(stacks[:2], operators, strict=True):
+        swept = [_symmetrized(_site(f)[1]) for f in ham.charge]
+        assert [b.dtype.name for b in factors] == ["float64", "float64"]
+        assert all(np.array_equal(b, f) for b, f in zip(factors, swept, strict=True))
+    # the sectors: K's real and the rotation's complex, in a stack each
+    assert _one_dtype(stacks[2:]) == {np.dtype(np.float64), np.dtype(np.complex128)}
+    assert len(stacks) == 4
+    for (dec, gauged), (m, charge) in zip(batched, pairs, strict=True):
+        assert gauged is None
+        _assert_same_bits(dec, hermitian_eig(m, charge=charge))
+
+
 def test_a_certificate_raises_what_separate_solves_raise_first():
     # the first operator's first error wins, of any kind and at any stage,
     # then the second's
@@ -1095,6 +1115,8 @@ def test_a_certificate_raises_what_separate_solves_raise_first():
     wrong = raised(h.matrix, k.matrix, charges=(h.charge, (t.s1, t.s1)))
     assert wrong == alone(k.matrix, (t.s1, t.s1))
     assert wrong[1].startswith("charge does not split the operator: ")
+    # one held error, K's leak at admission, loses to H's blocks running out
+    assert raised(h.matrix, k.matrix, charges=(h.charge, (t.s1, t.s1)), max_sweeps=1) == first
     # a non-finite operator second loses to a first that runs out of sweeps,
     # and first wins over a second that does
     bad = k.matrix.copy()
@@ -1114,6 +1136,11 @@ def test_table_raises_the_first_failing_spins_error(run_cli):
     assert (code, out) == (3, "")
     assert err.startswith("error: component 2 (width 3): ")
     assert run_cli("verify", "--spin", "1", "--max-sweeps", "1") == (3, "", err)
+    # K fails at admission, its tol below the rounding of the sector basis,
+    # and H's component that runs out is still the error
+    code, out, err = run_cli("verify", "--spin", "3", "--max-sweeps", "1", "--tol", "1e-100")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: component 2 (width 3): ")
 
 
 _NOT_FINITE = ValueError, "matrix entries must be finite"
