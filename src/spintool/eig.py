@@ -186,10 +186,11 @@ def _jacobi_stack(
     below stop / (10 n), n the block's own width, is idle: its rotation is
     the identity.  So is every padding pivot, which is exactly 0.
 
-    Returns, per block and in input order, its unsorted diagonal, its
-    accumulated rotations, its completed sweeps and its off-diagonal norm on
-    exit; a norm still above its stop means that block ran out of
-    ``max_sweeps``.  The blocks are not modified.
+    Returns, per block and in input order, copies of its unsorted diagonal
+    and of its accumulated rotations, so that no result keeps the stack
+    alive, its completed sweeps and its off-diagonal norm on exit; a norm
+    still above its stop means that block ran out of ``max_sweeps``.  The
+    blocks are not modified.
     """
     sizes = np.array([block.shape[0] for block in blocks], dtype=np.intp)
     stops = np.asarray(stops, dtype=np.float64)
@@ -264,9 +265,13 @@ def _jacobi_stack(
         sweeps[running] += 1
 
     diagonals = np.diagonal(a, axis1=1, axis2=2).real
-    vectors = aug[:, :, width:].conj().transpose(0, 2, 1)
     return [
-        (diagonals[j, :n], vectors[j, :n, :n], int(sweeps[j]), float(off[j]))
+        (
+            diagonals[j, :n].copy(),
+            np.conjugate(aug[j, :n, width : width + n]).T,
+            int(sweeps[j]),
+            float(off[j]),
+        )
         for j, n in enumerate(sizes)
     ]
 
@@ -427,62 +432,26 @@ def _split_sectors(
     return w, rotated, labels, leak, commutator
 
 
-def _finish(
-    m: np.ndarray,
-    values: np.ndarray,
-    vectors: np.ndarray,
-    sweeps: int,
-    component: np.ndarray,
-    leak: float = 0.0,
-    commutator: float = 0.0,
-) -> EigDecomposition:
-    """Sort ascending, pin phases and measure residuals against ``m``.
-
-    ``m`` and ``vectors`` may both be real; the vectors are returned as
-    complex128 either way.  ``component`` labels the components of ``m``'s
-    pattern, to which column k keeps with the label of the value that
-    sorts to place k; a pattern of one component takes every column.  m v -
-    lambda v is taken on the stack of those blocks, which are kept.
-    """
-    n = m.shape[0]
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    vectors = vectors[:, order]
-    if n:
-        # each column's first largest-magnitude entry becomes real and positive
-        lead = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(n)]
-        mag = np.abs(lead)
-        vectors = vectors * np.divide(
-            lead.conj(), mag, out=np.ones(n, dtype=vectors.dtype), where=mag > 0.0
-        )
-    blocks = rows, columns = Blocks.of(component), Blocks.of(component[order])
-    v = rows.stack(vectors, columns)
-    deltas = rows.stack(m) @ v - v * values[columns.members][:, np.newaxis, :]
-    residual = float(np.max(np.linalg.norm(deltas, axis=-2), initial=0.0))
-    vectors = vectors.astype(np.complex128, copy=False)
-    values.flags.writeable = False
-    vectors.flags.writeable = False
-    return EigDecomposition(
-        values=values,
-        vectors=vectors,
-        residual=residual,
-        sweeps=sweeps,
-        leak=leak,
-        commutator=commutator,
-        blocks=blocks,
-    )
+def _pinned(vectors: np.ndarray) -> np.ndarray:
+    """``vectors`` with each column's first largest-magnitude entry made real
+    and positive; a zero column is kept as it is."""
+    if not vectors.size:
+        return vectors
+    lead = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    mag = np.abs(lead)
+    return vectors * np.divide(lead.conj(), mag, out=np.ones_like(lead), where=mag > 0.0)
 
 
 class _Eigensolve:
-    """One operator's eigensolve, in the two steps around the kernel.
+    """One operator's eigensolve, admitted before the kernel and finished after.
 
     Built, it has checked its input, as :func:`hermitian_eig` documents,
     chosen its route and cut ``route``, the blocks to sweep and their stops,
     over equal labels: the components, for m symmetrized, or with a charge
     those of m rotated into the basis W by :func:`_split_sectors`.  Each
     block is swept to tol times its own norm, or named by route, label and
-    width in the :class:`ConvergenceError`.  :meth:`gather` takes the blocks
-    solved, and :meth:`finish` returns the decomposition.
+    width in the :class:`ConvergenceError`.  :meth:`finish` takes the blocks
+    solved and returns the decomposition.
     """
 
     def __init__(self, m, charge, tol: float, max_sweeps: int) -> None:
@@ -538,33 +507,50 @@ class _Eigensolve:
         self.m, self.a, self.colour, self.component = m, a, colour, component
         self.w, self.max_sweeps = w, max_sweeps
 
-    def gather(self, solved: list) -> _Eigensolve:
-        """Check the blocks, then put their rotations R in ``vectors[idx, idx]``,
-        or in the columns W[:, idx] R; W and the blocks go."""
-        _converged(solved, self.route[1], self.names, self.max_sweeps, self.floors)
-        n = self.m.shape[0]
-        self.values = np.empty(n)
-        self.vectors = np.zeros((n, n), dtype=self.dtype)
-        for idx, (diagonal, r, _, _) in zip(self.groups, solved):
-            self.values[idx] = diagonal
-            if self.w is None:
-                self.vectors[np.ix_(idx, idx)] = r
-            else:
-                self.vectors[:, idx] = self.w[:, idx] @ r
-        self.sweeps = max((sweeps for _, _, sweeps, _ in solved), default=0)
-        # freed before _finish, so that neither sits under its peak
-        self.w = self.route = None
-        return self
+    def finish(self, solved: list) -> EigDecomposition:
+        """Check the blocks solved and return the decomposition.
 
-    def finish(self) -> EigDecomposition:
-        a, vectors = self.a, self.vectors
-        self.a = self.vectors = None
-        if self.colour.any():
-            # the real form goes before the residual, which is then taken
-            # against m itself; for D = I the real form is m, exactly
-            a, vectors = self.m, _through(self.colour, vectors)
-        return _finish(
-            a, self.values, vectors, self.sweeps, self.component, self.leak, self.commutator
+        The rotations R go in ``vectors[idx, idx]``, or in the columns
+        W[:, idx] R.  Sorted while real, mapped through D and pinned, each
+        copy replaces the one before.  m v - lambda v is taken against m (the
+        real form for D = I is m) on the stack of m's components, to which
+        column k keeps with the label of the value that sorts to place k.
+        """
+        _converged(solved, self.route[1], self.names, self.max_sweeps, self.floors)
+        n, colour, component = self.m.shape[0], self.colour, self.component
+        a = self.m if colour.any() else self.a
+        # the blocks and a real form not measured against go before any copy
+        self.route = self.a = None
+        values = np.empty(n)
+        vectors = np.zeros((n, n), dtype=self.dtype)
+        for idx, (diagonal, r, _, _) in zip(self.groups, solved):
+            values[idx] = diagonal
+            if self.w is None:
+                vectors[np.ix_(idx, idx)] = r
+            else:
+                vectors[:, idx] = self.w[:, idx] @ r
+        self.w = None
+        order = np.argsort(values, kind="stable")
+        values = values[order]
+        vectors = vectors[:, order]
+        vectors = _through(colour, vectors)
+        vectors = _pinned(vectors)
+        blocks = rows, columns = Blocks.of(component), Blocks.of(component[order])
+        v = rows.stack(vectors, columns)
+        deltas = rows.stack(a) @ v - v * values[columns.members][:, np.newaxis, :]
+        residual = float(np.max(np.linalg.norm(deltas, axis=-2), initial=0.0))
+        del a, v, deltas
+        vectors = vectors.astype(np.complex128, copy=False)
+        values.flags.writeable = False
+        vectors.flags.writeable = False
+        return EigDecomposition(
+            values=values,
+            vectors=vectors,
+            residual=residual,
+            sweeps=max((sweeps for _, _, sweeps, _ in solved), default=0),
+            leak=self.leak,
+            commutator=self.commutator,
+            blocks=blocks,
         )
 
 
@@ -581,12 +567,12 @@ def _eigensolves(
     (see :func:`_split_sectors`), until the first that fails, whose error is
     held.  A block is stacked by the width its own route pads it to and its
     dtype (see :func:`_solved`), so each decomposition is bit for bit the
-    one that hermitian_eig gives alone.  The blocks' errors are raised in
-    operator order, and all before the held one, whose operator comes after
-    every admitted one: so the error raised is the first that calling
-    hermitian_eig on each in turn raises.  Returns each decomposition with
-    :func:`linalg.gauge` of its operator, or None unless ``keep_gauges``:
-    then the form that it holds stays alive through the solve.
+    one that hermitian_eig gives alone.  The admitted operators are finished
+    in order, each raising its blocks' errors, and the held error is raised
+    last: so the error raised is the first that calling hermitian_eig on
+    each in turn raises.  Returns each decomposition with :func:`linalg.gauge`
+    of its operator, or None unless ``keep_gauges``: then the form that it
+    holds stays alive through the solve.
     """
     solves, failure = [], None
     for m, charge in operators:
@@ -597,14 +583,11 @@ def _eigensolves(
             break
         if not keep_gauges:
             solves[-1].gauged = None
-    blocks = _solved([solve.route for solve in solves], max_sweeps)
-    # a comprehension, so that no name is left on the last kernel stack
-    solves = [solve.gather(solved) for solve, solved in zip(solves, blocks)]
+    solved = _solved([solve.route for solve in solves], max_sweeps)
+    finished = [(solve.finish(s), solve.gauged) for solve, s in zip(solves, solved)]
     if failure is not None:
         raise failure
-    # the kernel's stacks, which the results view, go before the residuals
-    del blocks
-    return [(solve.finish(), solve.gauged) for solve in solves]
+    return finished
 
 
 def hermitian_eig(

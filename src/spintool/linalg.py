@@ -91,10 +91,12 @@ def require_square(a, what: str) -> np.ndarray:
 
 
 def identity(n: int) -> np.ndarray:
-    """n-by-n complex identity matrix."""
+    """Read-only n-by-n complex identity matrix."""
     if n < 1:
         raise ShapeError(f"identity size must be positive, got {n}")
-    return np.eye(n, dtype=np.complex128)
+    m = np.eye(n, dtype=np.complex128)
+    m.flags.writeable = False
+    return m
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

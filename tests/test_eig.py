@@ -18,8 +18,8 @@ from spintool.eig import (
     DEFAULT_MAX_SWEEPS,
     ConvergenceError,
     _charge_factors,
-    _finish,
     _jacobi_stack,
+    _pinned,
     _site,
     _split_sectors,
     _symmetrized,
@@ -85,17 +85,20 @@ def test_diagonal_matrix_sorted_exactly():
 @pytest.mark.parametrize(
     "build, mib",
     [
-        (build_heisenberg, 16.5),
-        (build_cyclic, 25.5),
-        (lambda s: build_bilinear(s, _REAL_ROTATION), 19.5),
+        (build_heisenberg, 10.5),
+        (build_cyclic, 19.5),
+        (lambda s: build_bilinear(s, _REAL_ROTATION), 16.5),
     ],
     ids=["H", "K", "rotated"],
 )
 def test_sector_route_at_the_cap_frees_its_basis_before_the_residual(build, mib):
-    # H's split pattern leaves its charge unused: measured 15.4 MiB on the
-    # component route.  K and the rotation take the sector route: measured
-    # 24.0 and 17.9 MiB; keeping W and the rotated matrix alive to the end
-    # of the solve reads 30.0 and 23.9
+    # H's split pattern leaves its charge unused: measured 9.2 MiB on the
+    # component route, the real vectors beside their complex copy once its
+    # real form has gone.  K and the rotation take the sector route:
+    # measured 18.2 and 15.0 MiB, the complex vectors, M V and V Lambda for
+    # the residual; with W and the rotated matrix kept alive to the end of
+    # the solve they read 30.0 and 23.9, and with each superseded copy of
+    # the vectors kept until the residual, 24.0 and 17.9
     ham = build(HalfInteger(24))
     tracemalloc.start()
     try:
@@ -104,6 +107,22 @@ def test_sector_route_at_the_cap_frees_its_basis_before_the_residual(build, mib)
     finally:
         tracemalloc.stop()
     assert peak < mib * 2**20
+
+
+def test_certificate_at_the_cap_holds_one_copy_of_the_vectors_at_a_time():
+    # measured 30.2 MiB: both real forms, kept for the moments, H's
+    # decomposition and K's residual; with each superseded copy of the
+    # vectors kept until the residual it read 36.0
+    h, k = build_heisenberg(HalfInteger(24)), build_cyclic(HalfInteger(24))
+    tracemalloc.start()
+    try:
+        certify_isospectral(
+            h.matrix, k.matrix, kmax=49, prefix=25, charges=(h.charge, k.charge)
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_empty_matrix_gives_an_empty_decomposition():
@@ -218,6 +237,13 @@ def _stack_cases(case):
     return blocks, [0.5, 0.5, 0.5]
 
 
+def _owner(x):
+    """The array that owns the memory ``x`` views."""
+    while x.base is not None:
+        x = x.base
+    return x
+
+
 @pytest.mark.parametrize("case", ["random", "thresholds", "real"])
 def test_stack_solves_each_block(case):
     blocks, stops = _stack_cases(case)
@@ -225,6 +251,10 @@ def test_stack_solves_each_block(case):
     before = [block.copy() for block in blocks]
     solved = _jacobi_stack(blocks, stops, 100)
     assert len(solved) == len(blocks)
+    # every diagonal and rotation is a copy of its own, so none keeps a stack
+    # alive: no two lie in the memory of one array
+    owners = [_owner(x) for diagonal, v, _, _ in solved for x in (diagonal, v)]
+    assert not any(np.shares_memory(x, y) for x, y in itertools.combinations(owners, 2))
     for block, kept, stop, (diagonal, v, sweeps, off) in zip(
         blocks, before, stops, solved
     ):
@@ -488,24 +518,20 @@ def test_single_precision_input_is_swept_in_double_precision(build, twice):
 def test_finish_pins_the_first_largest_component():
     # column 0 ties between rows 0 and 1, and the first wins; column 2 is zero
     vectors = np.array([[1j, 0.5, 0.0], [-1j, 2j, 0.0], [0.0, 0.0, 0.0]])
-    one = np.zeros(3, dtype=np.intp)
-    dec = _finish(np.zeros((3, 3)), np.array([0.0, 1.0, 2.0]), vectors, 0, one)
     np.testing.assert_array_equal(
-        dec.vectors, [[1.0, -0.5j, 0.0], [-1.0, 2.0, 0.0], [0.0, 0.0, 0.0]]
+        _pinned(vectors), [[1.0, -0.5j, 0.0], [-1.0, 2.0, 0.0], [0.0, 0.0, 0.0]]
     )
     # the array expression against the per-column loop it replaced
     rng = np.random.default_rng(11)
     vectors = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
-    values = rng.standard_normal(7)
-    dec = _finish(np.zeros((7, 7)), values, vectors, 0, np.zeros(7, dtype=np.intp))
-    ref = vectors[:, np.argsort(values, kind="stable")]
+    ref = vectors.copy()
     for k in range(7):
         col = ref[:, k]
         lead = col[int(np.argmax(np.abs(col)))]
         ref[:, k] = col * (lead.conjugate() / abs(lead))
     eps = np.finfo(np.float64).eps
     np.testing.assert_allclose(
-        dec.vectors, ref, rtol=0, atol=8 * eps * np.abs(vectors).max()
+        _pinned(vectors), ref, rtol=0, atol=8 * eps * np.abs(vectors).max()
     )
 
 

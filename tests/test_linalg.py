@@ -72,6 +72,8 @@ def test_matmul_rejects_mismatched_inner_dims():
 def test_identity_size_check():
     with pytest.raises(ShapeError):
         identity(0)
+    # a constructor's result is read-only, as as_cmatrix's is
+    assert not identity(3).flags.writeable
 
 
 def test_kron_block_order():
