@@ -20,7 +20,8 @@ error, 3 numerical failure (non-Hermitian input, no convergence, overflow,
 including a gate whose phases theta * lambda overflow).  ``gate --check``
 reports a global phase whenever all eigenphases coincide on the circle, also
 when they straddle the 0 / 2 pi wrap.  The base tolerance comes from --tol,
-else the SPIN_TOOL_TOL environment variable, else 1e-12.
+else the SPIN_TOOL_TOL environment variable, else 1e-12; from either, a
+value outside (0, 1) is a usage error.
 """
 
 from __future__ import annotations
@@ -100,6 +101,9 @@ def _number(convert: Callable, need: str, test: Callable) -> Callable[[str], flo
 
 
 _positive_float = _number(float, "a positive finite number", lambda v: 0 < v < math.inf)
+# a block's off-diagonal norm never exceeds its Frobenius norm, so a tol of 1
+# or more meets every stop tol * ||block||_F before the first sweep
+_tol = _number(float, "a positive number below 1", lambda v: 0 < v < 1)
 _finite_float = _number(float, "finite", math.isfinite)
 _positive_int = _number(int, "at least 1", lambda v: v >= 1)
 _kmax = _number(_positive_int, f"at most {_MAX_KMAX}", lambda v: v <= _MAX_KMAX)
@@ -137,10 +141,10 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--tol",
-            type=_positive_float,
+            type=_tol,
             default=None,
-            help="base tolerance for the eigensolver and algebra checks "
-            "(default: SPIN_TOOL_TOL env var, else 1e-12)",
+            help="base tolerance for the eigensolver and algebra checks, "
+            "above 0 and below 1 (default: SPIN_TOOL_TOL env var, else 1e-12)",
         )
         p.add_argument(
             "--max-sweeps",
@@ -222,7 +226,7 @@ def _resolve_tol(flag: float | None) -> float:
     if env is None:
         return DEFAULT_TOL
     try:
-        return _positive_float(env)
+        return _tol(env)
     except argparse.ArgumentTypeError as exc:
         raise ValueError(f"SPIN_TOOL_TOL: {exc}") from None
 

@@ -36,11 +36,16 @@ sectors, are solved together.  A block is padded to the width that its own
 route gives it, the widest of its width class there made even, and the
 blocks of every operator that share that width and a dtype share a stack.
 So each block keeps its rounds and its arithmetic, and every decomposition
-is bit for bit the one that its operator gets alone.  An operator on the
-sector route first sweeps its two charge factors in a call of their own;
-H's pattern splits at every spin, so only K's do.  H and K together take
-two kernel calls up to 2s = 15 and three beyond, where blocks wider than 16
-form a class of their own.
+is bit for bit the one that its operator gets alone.  A stack sweeps each
+distinct block once: members of the same width, stop and bytes share one
+result, found by an exact test, never by an assumed symmetry.  H's
+components at total M and -M are the same matrix, since (m1, m2) ->
+(-m2, -m1) keeps their index order, so H sends 2s + 1 of its 4s + 1
+blocks to the kernel.  An operator on the sector route first sweeps its
+two charge factors in a call of their own; H's pattern splits at every
+spin, so only K's do.  H and K together take two kernel calls up to
+2s = 15 and three beyond, where blocks wider than 16 form a class of their
+own.
 
 Arithmetic
 ----------
@@ -83,6 +88,7 @@ or the one block of a pattern that is one component.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -288,7 +294,12 @@ def _solved(
     are real.  Blocks of every route that are padded to the same width in
     the same dtype share one stack, so each keeps the rounds, the padding
     and the arithmetic that its own route alone would give it, bit for bit.
-    Returns the kernel's results per route, in block order.
+    The kernel's arithmetic is per block, so a stack sweeps each block once:
+    a member of the same width and stop as one before it, and the same
+    bytes, signed zeros included, takes that member's result.  H's
+    components at total M and -M are such twins.  Only a (width, stop) that
+    repeats in its stack has its blocks' bytes read.  Returns the kernel's
+    results per route, in block order; twins share theirs.
     """
     stacks: dict[tuple[int, np.dtype], list[tuple[int, int]]] = {}
     for r, (blocks, _) in enumerate(routes):
@@ -301,13 +312,23 @@ def _solved(
             stacks.setdefault(key, []).extend((r, j) for j in members)
     solved: list[list] = [[None] * len(blocks) for blocks, _ in routes]
     for members in stacks.values():
+        keys = [(routes[r][0][j].shape[0], routes[r][1][j]) for r, j in members]
+        repeats = Counter(keys)
+        keys = [
+            key + (routes[r][0][j].tobytes(),) if repeats[key] > 1 else key
+            for (r, j), key in zip(members, keys)
+        ]
+        firsts: dict[tuple, tuple[int, int]] = {}
+        for key, member in zip(keys, members):
+            firsts.setdefault(key, member)
         stacked = _jacobi_stack(
-            [routes[r][0][j] for r, j in members],
-            [routes[r][1][j] for r, j in members],
+            [routes[r][0][j] for r, j in firsts.values()],
+            [routes[r][1][j] for r, j in firsts.values()],
             max_sweeps,
         )
-        for (r, j), result in zip(members, stacked):
-            solved[r][j] = result
+        results = dict(zip(firsts, stacked))
+        for (r, j), key in zip(members, keys):
+            solved[r][j] = results[key]
     return solved
 
 

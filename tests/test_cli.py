@@ -658,6 +658,31 @@ def test_bad_env_var_is_usage_error(run_cli, monkeypatch):
     assert "SPIN_TOOL_TOL" in err
 
 
+@pytest.mark.parametrize("tol", ["1", "1e308"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--spin", "1"],
+        ["verify", "--spin", "1"],
+        ["gate", "--spin", "1", "--theta", "0.3", "--check"],
+        ["table", "--max-spin", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_tol_of_one_or_more_is_usage_error(run_cli, monkeypatch, argv, tol):
+    # a block's off-diagonal norm never exceeds its Frobenius norm, so such a
+    # tol meets every stop before the first sweep: gate --check once passed
+    # with wrong eigenphases, and verify and table ended in exit 1
+    need = f"must be a positive number below 1: '{tol}'"
+    code, out, err = run_cli(*argv, "--tol", tol)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].endswith(f"error: argument --tol: {need}")
+    monkeypatch.setenv("SPIN_TOOL_TOL", tol)
+    assert run_cli(*argv) == (2, "", f"error: SPIN_TOOL_TOL: {need}\n")
+    # the flag still beats the environment
+    assert run_cli(*argv, "--tol", "1e-12")[0] == 0
+
+
 def test_module_entry_point_subprocess():
     result = subprocess.run(
         [sys.executable, "-m", "spintool.cli", "table", "--max-spin", "1", "--format", "csv"],

@@ -1114,6 +1114,149 @@ def test_sector_routes_sweep_their_own_factors_then_batch_their_blocks(monkeypat
         _assert_same_bits(dec, hermitian_eig(m, charge=charge))
 
 
+def _every_member_solved(routes, max_sweeps):
+    """``eig._solved`` with every member of a stack given to the kernel, twins
+    too: the reference that a shared solve must match bit for bit."""
+    stacks = {}
+    for r, (blocks, _) in enumerate(routes):
+        classes = [max((block.shape[0] - 1).bit_length(), 4) for block in blocks]
+        for k in dict.fromkeys(classes):
+            members = [j for j, c in enumerate(classes) if c == k]
+            widest = max(blocks[j].shape[0] for j in members)
+            dtype = np.result_type(np.float64, *(blocks[j] for j in members))
+            key = max(widest + widest % 2, 2), dtype
+            stacks.setdefault(key, []).extend((r, j) for j in members)
+    solved = [[None] * len(blocks) for blocks, _ in routes]
+    for members in stacks.values():
+        stacked = _jacobi_stack(
+            [routes[r][0][j] for r, j in members],
+            [routes[r][1][j] for r, j in members],
+            max_sweeps,
+        )
+        for (r, j), result in zip(members, stacked):
+            solved[r][j] = result
+    return solved
+
+
+def _assert_same_results(a, b):
+    """Two lists of kernel results per route agree bit for bit."""
+    for route_a, route_b in zip(a, b, strict=True):
+        for (da, va, sa, oa), (db, vb, sb, ob) in zip(route_a, route_b, strict=True):
+            assert da.tobytes() == db.tobytes() and va.tobytes() == vb.tobytes()
+            assert (sa, oa) == (sb, ob)
+
+
+def _kernel_keys(monkeypatch):
+    """The (width, stop, bytes) of every block that the Jacobi kernel
+    sweeps, one list per call, in call order."""
+    calls = []
+    kernel = eig._jacobi_stack
+
+    def spy(blocks, stops, max_sweeps):
+        calls.append([(b.shape[0], s, b.tobytes()) for b, s in zip(blocks, stops)])
+        return kernel(blocks, stops, max_sweeps)
+
+    monkeypatch.setattr(eig, "_jacobi_stack", spy)
+    return calls
+
+
+@pytest.mark.parametrize("twice", range(1, 25))
+def test_h_sweeps_each_pair_of_twin_components_once(twice, monkeypatch):
+    # (m1, m2) -> (-m2, -m1) takes H's component at total M onto the one at
+    # -M in index order, so they are bit for bit one block: of the 4s + 1
+    # components, 2s + 1 reach the kernel, 25 of 49 at the cap
+    h = build_heisenberg(HalfInteger(twice))
+    calls = _kernel_keys(monkeypatch)
+    dec = hermitian_eig(h.matrix, charge=h.charge)
+    assert sum(len(keys) for keys in calls) == twice + 1
+    assert len(calls) == (1 if twice <= 15 else 2)
+    assert len(set().union(*calls)) == twice + 1
+    monkeypatch.setattr(eig, "_solved", _every_member_solved)
+    _assert_same_bits(dec, hermitian_eig(h.matrix, charge=h.charge))
+
+
+def test_certificates_send_no_twin_to_the_kernel(monkeypatch, run_cli):
+    # the 2s = 12 certificate sweeps K's factors, then 13 of H's 25
+    # components and K's 25 sectors; a table to the cap keeps its 57 calls,
+    # two per spin up to 2s = 15 and three beyond, and no call holds a twin
+    calls = _kernel_keys(monkeypatch)
+    assert run_cli("verify", "--spin", "6", "--format", "json")[0] == 0
+    assert [len(keys) for keys in calls] == [2, 38]
+    del calls[:]
+    assert run_cli("table", "--max-spin", "12", "--format", "csv")[0] == 0
+    assert len(calls) == 57
+    assert all(len(set(keys)) == len(keys) for keys in calls)
+
+
+def test_twins_take_the_results_of_sweeping_every_member(monkeypatch):
+    # operators whose blocks repeat, within one operator and across them:
+    # every decomposition, charge factors included, is bit for bit the one
+    # that sweeping every member of every stack gives
+    pairs = [
+        (ham.matrix, ham.charge)
+        for twice in (1, 2, 3, 6, 24)
+        for ham in (build_heisenberg(HalfInteger(twice)), build_cyclic(HalfInteger(twice)))
+    ]
+    rotations = [build_bilinear(HalfInteger(3), q) for q in _signed_permutations()]
+    pairs += [(ham.matrix, ham.charge) for ham in rotations]
+    twin = _permuted_block_hermitian(101, [3])
+    pairs += [(np.kron(np.eye(3), twin), None), (np.kron(np.eye(2), twin.real), None)]
+    batched = eig._eigensolves(pairs, DEFAULT_TOL, DEFAULT_MAX_SWEEPS)
+    monkeypatch.setattr(eig, "_solved", _every_member_solved)
+    reference = eig._eigensolves(pairs, DEFAULT_TOL, DEFAULT_MAX_SWEEPS)
+    for (dec, _), (ref, _) in zip(batched, reference, strict=True):
+        _assert_same_bits(dec, ref)
+
+
+def test_blocks_equal_but_for_a_signed_zero_or_a_stop_are_swept_apart(monkeypatch):
+    # the kernel's rotation takes the sign of a[q, q] - a[p, p], so a -0.0
+    # on the diagonal turns it the other way: equal values are not one block.
+    # Nor are equal bytes under different stops.  Only the true twin, the
+    # third block's copy in the second route, shares a solve
+    a = np.array([[0.0, 1.0], [1.0, 0.0]])
+    b = a.copy()
+    b[1, 1] = -0.0
+    assert np.array_equal(a, b) and a.tobytes() != b.tobytes()
+    c = _symmetrized(np.random.default_rng(7).standard_normal((3, 3)))
+    stop = DEFAULT_TOL * frobenius_norm(c)
+    loose = 1e-3 * frobenius_norm(c)
+    routes = [([a, b, c, c], [DEFAULT_TOL, DEFAULT_TOL, stop, loose]), ([c], [stop])]
+    calls = _kernel_keys(monkeypatch)
+    solved = eig._solved(routes, DEFAULT_MAX_SWEEPS)
+    assert [key[:2] for key in calls[0]] == [
+        (2, DEFAULT_TOL), (2, DEFAULT_TOL), (3, stop), (3, loose)
+    ]
+    assert len(calls) == 1
+    _assert_same_results(solved, _every_member_solved(routes, DEFAULT_MAX_SWEEPS))
+    # the signed zero and the looser stop each change the result's bits
+    assert solved[0][0][1].tobytes() != solved[0][1][1].tobytes()
+    assert solved[0][2][2] > solved[0][3][2]
+    assert solved[1][0] is solved[0][2]
+
+
+def test_one_operator_given_twice_shares_one_solve(monkeypatch):
+    h = build_heisenberg(HalfInteger(6))
+    calls = _kernel_keys(monkeypatch)
+    batched = eig._eigensolves([(h.matrix, h.charge)] * 2, DEFAULT_TOL, DEFAULT_MAX_SWEEPS)
+    assert [len(keys) for keys in calls] == [7]
+    alone = hermitian_eig(h.matrix, charge=h.charge)
+    for dec, _ in batched:
+        _assert_same_bits(dec, alone)
+
+
+def test_a_twin_that_runs_out_is_named_by_the_first(run_cli):
+    # at 2s = 3, H's components 2 and 4 are both 3 wide and one block; one
+    # sweep leaves it off-diagonal mass, and the error names component 2
+    h = build_heisenberg(HalfInteger(3))
+    blocks, _ = eig._Eigensolve(h.matrix, None, DEFAULT_TOL, 1).route
+    assert blocks[2].shape == (3, 3) and blocks[2].tobytes() == blocks[4].tobytes()
+    with pytest.raises(ConvergenceError, match=r"^component 2 \(width 3\): "):
+        hermitian_eig(h.matrix, max_sweeps=1)
+    code, out, err = run_cli("verify", "--spin", "3/2", "--max-sweeps", "1")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: component 2 (width 3): ")
+
+
 def test_a_certificate_raises_what_separate_solves_raise_first():
     # the first operator's first error wins, of any kind and at any stage,
     # then the second's
