@@ -18,10 +18,12 @@ that ``json.dumps(indent=2)`` gives for a list of such pairs.
 Exit codes: 0 success, 1 a verification verdict failed, 2 usage or input
 error, 3 numerical failure (non-Hermitian input, no convergence, overflow,
 including a gate whose phases theta * lambda overflow).  ``gate --check``
-reports a global phase whenever all eigenphases coincide on the circle, also
-when they straddle the 0 / 2 pi wrap.  The base tolerance comes from --tol,
-else the SPIN_TOOL_TOL environment variable, else 1e-12; from either, a
-value outside (0, 1) is a usage error.
+fails a gate whose unitarity residual exceeds 1e-8 or whose generator's
+eigenpair residual exceeds 1e-8 * max(1, max |lambda|), so a loose --tol
+fails it, and reports a global phase whenever all eigenphases coincide on
+the circle, also when they straddle the 0 / 2 pi wrap.  The base tolerance
+comes from --tol, else the SPIN_TOOL_TOL environment variable, else 1e-12;
+from either, a value outside (0, 1) is a usage error.
 """
 
 from __future__ import annotations
@@ -68,6 +70,9 @@ _FULL_MOMENT_TWICE = 12
 # past k = 2600 every trace of an operator the CLI builds overflows or is 0
 _MAX_KMAX = 100000
 _GATE_RESIDUAL_LIMIT = 1e-8
+# per unit of max(1, max |lambda|): a gate can be unitary to rounding while
+# its generator's eigenpairs, solved to a loose --tol, are far off
+_EIGENPAIR_RESIDUAL_LIMIT = 1e-8
 _CLOSED_FORM_TOL = 1e-9
 _UNIFORM_PHASE_TOL = 1e-9
 
@@ -202,8 +207,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_gate.add_argument(
         "--check",
         action="store_true",
-        help="also print the unitarity residual and eigenphase table; "
-        "exit 1 if the residual exceeds 1e-8",
+        help="also print the unitarity and eigenpair residuals and the "
+        "eigenphase table; exit 1 if the unitarity residual exceeds 1e-8 or "
+        "the eigenpair residual exceeds 1e-8 * max(1, max |lambda|)",
     )
     add_common(p_gate)
     p_gate.set_defaults(handler=cmd_gate)
@@ -389,6 +395,8 @@ def cmd_verify(args: argparse.Namespace) -> dict:
 
 def _gate_check(gate: Gate) -> dict:
     residual = gate.unitarity_residual
+    eigenpair = gate.source_residual
+    radius = max(1.0, float(np.max(np.abs(gate.source_values))))
     phases = gate_eigenphases(gate)
     # The phases lie on a circle: they span 2 pi minus the widest gap between
     # neighbours, where the last gap wraps from the largest phase back to the
@@ -404,9 +412,11 @@ def _gate_check(gate: Gate) -> dict:
         global_phase = principal
     return {
         "unitarity_residual": residual,
+        "eigenpair_residual": eigenpair,
         "eigenphases": [float(p) for p in phases],
         "global_phase": global_phase,
-        "passed": residual <= _GATE_RESIDUAL_LIMIT,
+        "passed": residual <= _GATE_RESIDUAL_LIMIT
+        and eigenpair <= _EIGENPAIR_RESIDUAL_LIMIT * radius,
     }
 
 
@@ -641,6 +651,7 @@ def _render_plain(report: dict) -> str:
         check = report["check"]
         if check is not None:
             lines.append(f"unitarity_residual={check['unitarity_residual']}")
+            lines.append(f"eigenpair_residual={check['eigenpair_residual']}")
             lines += [f"eigenphase {p}" for p in check["eigenphases"]]
             if check["global_phase"] is not None:
                 lines.append(f"global_phase={check['global_phase']}")

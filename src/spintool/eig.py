@@ -483,7 +483,7 @@ class _Eigensolve:
             raise ValueError(f"tol must be positive, got {tol}")
         if max_sweeps < 0:
             raise ValueError(f"max_sweeps must be non-negative, got {max_sweeps}")
-        self.gauged = component, colour, a, _ = gauge(m)
+        component, colour, a, _ = gauge(m)
         # a real form's defect has m's entries up to sign: checked in its dtype
         require_hermitian(a, tol)
 
@@ -576,11 +576,8 @@ class _Eigensolve:
 
 
 def _eigensolves(
-    operators: list[tuple[np.ndarray, tuple | None]],
-    tol: float,
-    max_sweeps: int,
-    keep_gauges: bool = False,
-) -> list[tuple[EigDecomposition, tuple | None]]:
+    operators: list[tuple[np.ndarray, tuple | None]], tol: float, max_sweeps: int
+) -> list[EigDecomposition]:
     """:func:`hermitian_eig` of each (m, charge), with one kernel call per stack
     for the blocks of all of them.
 
@@ -591,9 +588,7 @@ def _eigensolves(
     one that hermitian_eig gives alone.  The admitted operators are finished
     in order, each raising its blocks' errors, and the held error is raised
     last: so the error raised is the first that calling hermitian_eig on
-    each in turn raises.  Returns each decomposition with :func:`linalg.gauge`
-    of its operator, or None unless ``keep_gauges``: then the form that it
-    holds stays alive through the solve.
+    each in turn raises.
     """
     solves, failure = [], None
     for m, charge in operators:
@@ -602,10 +597,8 @@ def _eigensolves(
         except Exception as exc:  # held, never dropped: raised below
             failure = exc
             break
-        if not keep_gauges:
-            solves[-1].gauged = None
     solved = _solved([solve.route for solve in solves], max_sweeps)
-    finished = [(solve.finish(s), solve.gauged) for solve, s in zip(solves, solved)]
+    finished = [solve.finish(s) for solve, s in zip(solves, solved)]
     if failure is not None:
         raise failure
     return finished
@@ -647,7 +640,7 @@ def hermitian_eig(
     complex128 either way.  A matrix whose Frobenius norm overflows raises
     :class:`NumericalError`, since no stop threshold can be derived from it.
     """
-    ((dec, _),) = _eigensolves([(m, charge)], tol, max_sweeps)
+    (dec,) = _eigensolves([(m, charge)], tol, max_sweeps)
     return dec
 
 

@@ -56,8 +56,9 @@ class Gate:
 
     ``source_values`` are the generator's eigenvalues (ascending); they
     determine the gate's eigenphases -theta * lambda modulo 2 pi.
-    ``unitarity_residual`` is ||U^H U - I||_F as measured at synthesis, or
-    None for a gate assembled by hand.
+    ``unitarity_residual`` is ||U^H U - I||_F as measured at synthesis, and
+    ``source_residual`` the generator's eigenpair residual, the decomposition's
+    largest ||M v - lambda v||; each is None for a gate assembled by hand.
     """
 
     theta: float
@@ -66,6 +67,7 @@ class Gate:
     matrix: np.ndarray
     source_values: np.ndarray
     unitarity_residual: float | None = None
+    source_residual: float | None = None
 
     @property
     def dimension(self) -> int:
@@ -120,6 +122,7 @@ def synthesize_gate(
         matrix=u,
         source_values=dec.values,
         unitarity_residual=residual,
+        source_residual=dec.residual,
     )
 
 

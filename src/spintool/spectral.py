@@ -4,9 +4,9 @@ Two independent routes feed the isospectrality certificate.  The direct
 route diagonalizes both operators and compares clustered spectra; that
 comparison is the verdict of record.  The moment route compares traces of
 matrix powers, which corroborates the verdict without any diagonalization.
-:func:`certify_isospectral` gauges each operator once, by
-:func:`linalg.gauge`, and hands the matrix it gives to both routes; the two
-eigensolves share their Jacobi stacks, bit for bit as each alone.
+Each route gauges the operator it is given, by :func:`linalg.gauge`, so
+neither reads an array that the other made; in :func:`certify_isospectral`
+the two eigensolves share their Jacobi stacks, bit for bit as each alone.
 
 Trace magnitudes grow like ||M||^k, so every moment comparison is scaled
 per power by max(1, r)^k with r the spectral radius; a fixed absolute
@@ -143,12 +143,12 @@ def moments(m: np.ndarray, kmax: int) -> np.ndarray:
     """Traces of m^k for k = 1..kmax, from ceil(kmax/4) + 1 products (kmax >= 7).
 
     The input must be Hermitian within 1e-10 per dimension, checked on the
-    matrix that :func:`linalg.gauge` hands back, the one the eigensolver
-    sweeps too, whose powers are taken: a real form D^H m D, which has m's
-    defect and traces since D is unitary, or else a complex128 copy of m,
-    whose imaginary residue of each trace read from two different powers is
-    checked against 1e-8 * dim * max(1, ||m||_F)^k, in log space, raising
-    :class:`NumericalError` beyond it.
+    matrix that :func:`linalg.gauge` hands back here, the form that the
+    eigensolver sweeps too, whose powers are taken: a real form D^H m D,
+    which has m's defect and traces since D is unitary, or else a complex128
+    copy of m, whose imaginary residue of each trace read from two different
+    powers is checked against 1e-8 * dim * max(1, ||m||_F)^k, in log space,
+    raising :class:`NumericalError` beyond it.
 
     Every power keeps the split of m's nonzero pattern into connected
     components, which the same walk labels, so the powers are taken on the
@@ -189,16 +189,7 @@ def moments(m: np.ndarray, kmax: int) -> np.ndarray:
     m = require_square(m, "moments need a square matrix")
     if kmax < 1:
         raise ValueError(f"kmax must be at least 1, got {kmax}")
-    return _traces(gauge(m), kmax)
-
-
-def _traces(gauged: tuple, kmax: int) -> np.ndarray:
-    """:func:`moments` of the matrix that ``gauged``, its :func:`linalg.gauge`,
-    holds; the form in it is scaled in place, so it is read no more."""
-    component, _, a, reach = gauged
-    # a form split into blocks, as H's, is then freed once stacked, unless
-    # the caller holds it too
-    del gauged
+    component, _, a, reach = gauge(m)
     # D is unitary, so a real form has m's defect: it is checked in its dtype
     require_hermitian(a, 1e-10)
     drift = None
@@ -206,7 +197,8 @@ def _traces(gauged: tuple, kmax: int) -> np.ndarray:
         # log2 of the bound 1e-8 * dim * max(1, ||m||_F)^k is drift + k * growth
         drift = math.log2(1e-8 * a.shape[0])
         growth = math.log2(max(1.0, frobenius_norm(a)))
-    # a is a copy of m, so the stack, which may be a view of a, is scaled in place
+    # a is a copy of m, so the stack, which may be a view of a, is scaled in
+    # place; a form split into blocks, as H's, is freed once stacked
     a = Blocks.of(component).stack(a)
     top = float(np.max(np.abs(a), initial=0.0))
     g = max(math.frexp(top)[1], -1000)  # 2^-g stays finite for subnormal entries
@@ -481,9 +473,10 @@ def certify_isospectral(
     block to and by dtype, so each decomposition is bit for bit that of
     :func:`hermitian_eig` alone.  That is two Jacobi kernel calls for H and
     K up to 2s = 15 and three beyond.  An error is the one that
-    hermitian_eig on a and then on b raises first.  Each operator is gauged
-    once, and the matrix that :func:`linalg.gauge` gives is swept and then
-    powered for the moments.
+    hermitian_eig on a and then on b raises first.  The traces are
+    :func:`moments` of a and of b themselves, taken after the eigensolve has
+    freed its own forms: each route gauges the operator it is given, so the
+    moments read nothing that the eigensolve made.
     """
     a = require_square(a, "expected square matrices")
     b = np.asarray(b)
@@ -497,17 +490,15 @@ def certify_isospectral(
     if prefix is not None and not 1 <= prefix <= kmax:
         raise ValueError(f"prefix must lie in 1..kmax, got {prefix}")
 
-    (dec_a, gauged_a), (dec_b, gauged_b) = _eigensolves(
-        [(a, charges[0]), (b, charges[1])], eig_tol, max_sweeps, keep_gauges=True
-    )
+    dec_a, dec_b = _eigensolves([(a, charges[0]), (b, charges[1])], eig_tol, max_sweeps)
     if cluster_tol is None:
         cluster_tol = max(default_cluster_tol(a), default_cluster_tol(b))
     spectrum_a = cluster_spectrum(dec_a.values, cluster_tol)
     spectrum_b = cluster_spectrum(dec_b.values, cluster_tol)
     equal = spectra_match(spectrum_a, spectrum_b, value_tol=cluster_tol)
 
-    traces_a = _traces(gauged_a, kmax)
-    traces_b = _traces(gauged_b, kmax)
+    traces_a = moments(a, kmax)
+    traces_b = moments(b, kmax)
     radius = max(
         1.0,
         float(np.max(np.abs(dec_a.values))),

@@ -224,12 +224,31 @@ def test_gate_check_catches_broken_unitary(run_cli, monkeypatch):
             matrix=damaged,
             source_values=gate.source_values,
             unitarity_residual=unitarity_residual(damaged),
+            source_residual=gate.source_residual,
         )
 
     monkeypatch.setattr(cli, "synthesize_gate", broken)
     code, out, _ = run_cli("gate", "--spin", "1/2", "--theta", "1.0", "--check")
     assert code == 1
     assert "verdict=FAIL" in out
+
+
+@pytest.mark.parametrize("tol, passed", [("1e-12", True), ("1e-3", False), ("0.5", False)])
+def test_gate_check_fails_loose_eigenpairs(run_cli, tol, passed):
+    # at a loose tol the gate is still unitary to rounding, but built from
+    # eigenpairs 4.4e-4 off at 1e-3 against a bound of 1e-8 * max |lambda|,
+    # 2e-8 for H at spin 1
+    argv = ["gate", "--spin", "1", "--theta", "0.3", "--check", "--tol", tol]
+    code, out, err = run_cli(*argv, "--format", "json")
+    assert (code, err) == (0 if passed else 1, "")
+    check = _valid_json(out)["check"]
+    assert check["unitarity_residual"] <= 1e-10
+    assert check["passed"] is passed
+    assert (check["eigenpair_residual"] <= 2e-8) is passed
+    code, out, _ = run_cli(*argv)
+    lines = out.splitlines()
+    assert lines[2] == f"eigenpair_residual={check['eigenpair_residual']!r}"
+    assert lines[-1] == ("verdict=PASS" if passed else "verdict=FAIL")
 
 
 def test_gate_cells_are_format_complex_of_the_json_pairs(run_cli, monkeypatch):
@@ -321,6 +340,7 @@ def test_gate_json_of_a_non_finite_matrix_writes_nothing(run_cli, monkeypatch, c
             matrix,
             gate.source_values,
             unitarity_residual(matrix),
+            gate.source_residual,
         )
 
     monkeypatch.setattr(cli, "synthesize_gate", with_a_nan)

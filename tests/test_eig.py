@@ -17,6 +17,7 @@ from spintool.cli import _CLOSED_FORM_TOL
 from spintool.eig import (
     DEFAULT_MAX_SWEEPS,
     ConvergenceError,
+    EigDecomposition,
     _charge_factors,
     _jacobi_stack,
     _pinned,
@@ -110,9 +111,11 @@ def test_sector_route_at_the_cap_frees_its_basis_before_the_residual(build, mib)
 
 
 def test_certificate_at_the_cap_holds_one_copy_of_the_vectors_at_a_time():
-    # measured 30.2 MiB: both real forms, kept for the moments, H's
-    # decomposition and K's residual; with each superseded copy of the
-    # vectors kept until the residual it read 36.0
+    # measured 27.2 MiB: both decompositions, 12.0, and K's powers for the
+    # moments; the eigensolve itself peaks at 24.2, H's decomposition and
+    # K's residual.  With both real forms kept from the eigensolve for the
+    # moments it read 30.2, and with each superseded copy of the vectors
+    # also kept until the residual, 36.0
     h, k = build_heisenberg(HalfInteger(24)), build_cyclic(HalfInteger(24))
     tracemalloc.start()
     try:
@@ -122,7 +125,7 @@ def test_certificate_at_the_cap_holds_one_copy_of_the_vectors_at_a_time():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2**20
+    assert peak < 28.5 * 2**20
 
 
 def test_empty_matrix_gives_an_empty_decomposition():
@@ -999,7 +1002,7 @@ def _certified(monkeypatch, a, b, **kwargs):
 
     def spy(*args, **kw):
         solved = batched(*args, **kw)
-        taken.extend(dec for dec, _ in solved)
+        taken.extend(solved)
         return solved
 
     monkeypatch.setattr(spectral, "_eigensolves", spy)
@@ -1086,8 +1089,8 @@ def test_blocks_padded_apart_are_stacked_apart(monkeypatch):
         (4, "complex128"), (4, "float64"), (6, "float64"),
         (8, "complex128"), (8, "float64"), (10, "float64"),
     ]
-    for (dec, gauged), (m, charge) in zip(batched, pairs, strict=True):
-        assert gauged is None
+    for dec, (m, charge) in zip(batched, pairs, strict=True):
+        assert isinstance(dec, EigDecomposition)
         _assert_same_bits(dec, hermitian_eig(m, charge=charge))
 
 
@@ -1109,8 +1112,8 @@ def test_sector_routes_sweep_their_own_factors_then_batch_their_blocks(monkeypat
     # the sectors: K's real and the rotation's complex, in a stack each
     assert _one_dtype(stacks[2:]) == {np.dtype(np.float64), np.dtype(np.complex128)}
     assert len(stacks) == 4
-    for (dec, gauged), (m, charge) in zip(batched, pairs, strict=True):
-        assert gauged is None
+    for dec, (m, charge) in zip(batched, pairs, strict=True):
+        assert isinstance(dec, EigDecomposition)
         _assert_same_bits(dec, hermitian_eig(m, charge=charge))
 
 
@@ -1204,7 +1207,7 @@ def test_twins_take_the_results_of_sweeping_every_member(monkeypatch):
     batched = eig._eigensolves(pairs, DEFAULT_TOL, DEFAULT_MAX_SWEEPS)
     monkeypatch.setattr(eig, "_solved", _every_member_solved)
     reference = eig._eigensolves(pairs, DEFAULT_TOL, DEFAULT_MAX_SWEEPS)
-    for (dec, _), (ref, _) in zip(batched, reference, strict=True):
+    for dec, ref in zip(batched, reference, strict=True):
         _assert_same_bits(dec, ref)
 
 
@@ -1240,7 +1243,7 @@ def test_one_operator_given_twice_shares_one_solve(monkeypatch):
     batched = eig._eigensolves([(h.matrix, h.charge)] * 2, DEFAULT_TOL, DEFAULT_MAX_SWEEPS)
     assert [len(keys) for keys in calls] == [7]
     alone = hermitian_eig(h.matrix, charge=h.charge)
-    for dec, _ in batched:
+    for dec in batched:
         _assert_same_bits(dec, alone)
 
 

@@ -185,6 +185,18 @@ def test_gate_keeps_its_unitarity_residual():
     assert gate.unitarity_residual == unitarity_residual(gate.matrix)
 
 
+@pytest.mark.parametrize("tol", [1e-12, 1e-3])
+def test_gate_keeps_its_generators_eigenpair_residual(tol):
+    # the residual of the decomposition that built the gate, bit for bit,
+    # also where a loose tol leaves the gate unitary but its pairs far off
+    ham = build_heisenberg(HalfInteger(2))
+    gate = synthesize_gate(ham, 0.3, eig_tol=tol)
+    dec = hermitian_eig(ham.matrix, tol, charge=ham.charge)
+    assert gate.source_residual == dec.residual
+    assert gate.unitarity_residual <= 1e-10 * gate.dimension
+    assert (gate.source_residual > 1e-8 * 2.0) == (tol == 1e-3)
+
+
 @pytest.mark.parametrize("build", [build_heisenberg, build_cyclic], ids=["H", "K"])
 def test_synthesis_never_walks_the_gate_pattern(build, monkeypatch):
     def walk(*args, **kwargs):

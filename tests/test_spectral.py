@@ -569,6 +569,38 @@ def test_certify_detects_different_spectra():
     assert report.moments.traces_b[0] == 2.0
 
 
+@pytest.mark.parametrize("twice", [*range(1, 9), 12, 24])
+def test_certificate_traces_are_the_moments_of_each_operator(twice):
+    # the moment route gauges each operator itself: its traces are bit for
+    # bit those that moments takes of H and K alone, over the CLI's default
+    # range: the full dimension up to 2s = 12, else the 2s + 1 prefix
+    s = HalfInteger(twice)
+    h, k = build_heisenberg(s), build_cyclic(s)
+    kmax = s.dimension**2 if twice <= 12 else s.dimension
+    report = certify_isospectral(h.matrix, k.matrix, kmax=kmax, charges=(h.charge, k.charge))
+    for traces, ham in zip((report.moments.traces_a, report.moments.traces_b), (h, k)):
+        assert np.array(traces).tobytes() == moments(ham.matrix, kmax).tobytes()
+
+
+def test_certificate_powers_the_operators_it_was_given(monkeypatch):
+    # no form passes from the eigensolve to the moments: the moment route is
+    # handed a and b themselves, after both decompositions are done
+    s = HalfInteger(3)
+    h, k = build_heisenberg(s), build_cyclic(s)
+    seen = []
+    real = spectral.moments
+
+    def spy(m, kmax):
+        seen.append((m, kmax))
+        return real(m, kmax)
+
+    monkeypatch.setattr(spectral, "moments", spy)
+    certify_isospectral(h.matrix, k.matrix, kmax=7, charges=(h.charge, k.charge))
+    assert len(seen) == 2
+    assert seen[0][0] is h.matrix and seen[1][0] is k.matrix
+    assert [kmax for _, kmax in seen] == [7, 7]
+
+
 @pytest.mark.parametrize("twice", [3, 8])
 def test_det_minus_one_pattern_is_rejected_against_h(twice):
     # S2 x S1 + S1 x S2 + S3 x S3: an improper rotation of H's pattern, so
