@@ -13,11 +13,17 @@ command's main table (spectrum clusters, verify moments, gate matrix, table
 rows) and the repeated plain lines show the same cells.  The gate report
 holds its matrix as the complex array, and every format writes it straight
 from that array; in json each entry is an [re, im] pair, in the same bytes
-that ``json.dumps(indent=2)`` gives for a list of such pairs.
+that ``json.dumps(indent=2)`` gives for a list of such pairs.  A renderer
+runs every check when it is called, before the first write, and then hands
+out its text in pieces, a line or a matrix row each, which ``main`` writes
+as they are drawn: an error writes nothing, and no more than one row of a
+gate's text is held at a time.
 
 Exit codes: 0 success, 1 a verification verdict failed, 2 usage or input
 error, 3 numerical failure (non-Hermitian input, no convergence, overflow,
-including a gate whose phases theta * lambda overflow).  ``gate --check``
+including a gate whose phases theta * lambda overflow).  A reader that
+closes stdout early stops the writing, not the verdict: the code is the
+verdict's, with no traceback.  ``gate --check``
 fails a gate whose unitarity residual exceeds 1e-8 or whose generator's
 eigenpair residual exceeds 1e-8 * max(1, max |lambda|), so a loose --tol
 fails it, and reports a global phase whenever all eigenphases coincide on
@@ -30,12 +36,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import os
 import re
 import sys
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -567,12 +574,14 @@ _PAIR = "[\n        %r,\n        %r\n      ]"
 _ZERO_PAIR = _PAIR % (0.0, 0.0)
 
 
-def _matrix_json(m: np.ndarray) -> list[str]:
+def _matrix_json(m: np.ndarray) -> Iterator[str]:
     """The complex matrix m as json.dumps(indent=2) writes its [re, im] pairs.
 
-    Returns one string per row, each ending in the separator that follows
-    it, so that the pieces written one after another between "[\n    " and
-    "\n  ]" give json's text; they are never joined into one string.
+    Returns the rows' text, drawn one at a time, each ending in the
+    separator that follows it, so that the pieces written one after another
+    between "[\n    " and "\n  ]" give json's text; they are never joined
+    into one string.  Non-finite entries raise ValueError, as allow_nan=False
+    does, on the call, before any row is drawn.
     json.dumps takes its C encoder only without indent, so the report's
     largest field is written here, one %-template per row.  A row's
     template holds the fixed text of its +0.0 entries and a %r pair for
@@ -580,8 +589,7 @@ def _matrix_json(m: np.ndarray) -> list[str]:
     takes the all-%r template, built once.  Nothing else is kept from one
     row to the next: a cache of templates shared by the rows raised the
     peak resident memory of ``gate`` at the cap by 15-25 MB, although its
-    traced peak was no higher.  Non-finite entries raise ValueError, as
-    allow_nan=False does.
+    traced peak was no higher.
     """
     flat = m.view(np.float64)  # each row as re, im, re, im, ...
     finite = np.isfinite(flat)
@@ -603,59 +611,64 @@ def _matrix_json(m: np.ndarray) -> list[str]:
         template = "[\n      " + ",\n      ".join(cells) + "\n    ]" + end
         return template % tuple(pairs[i][keep].ravel().tolist())
 
-    return [row(i) for i in range(m.shape[0])]
+    return (row(i) for i in range(m.shape[0]))
 
 
-def _render_json(report: dict) -> list[str]:
+def _render_json(report: dict) -> Iterable[str]:
     """The report as json.dumps(indent=2) writes it, in pieces.
 
     A gate report comes as its head, one piece per matrix row and its tail
-    (see ``_matrix_json``); any other report as one piece.
+    (see ``_matrix_json``); any other report as one piece.  Both checks,
+    the head's allow_nan=False and the matrix's finiteness, run on the
+    call, so a report that json cannot write raises before any piece.
     """
     if report["command"] != "gate":
         return [json.dumps(report, indent=2, allow_nan=False) + "\n"]
     text = json.dumps({**report, "matrix": None}, indent=2, allow_nan=False)
     # json escapes line breaks in strings, so no string can hold this text
     head, tail = text.split('\n  "matrix": null')
+    head += '\n  "matrix": [\n    '
     rows = _matrix_json(report["matrix"])
-    return [head + '\n  "matrix": [\n    ', *rows, "\n  ]" + tail + "\n"]
+    return itertools.chain([head], rows, ["\n  ]" + tail + "\n"])
 
 
-def _render_csv(report: dict) -> str:
+def _render_csv(report: dict) -> Iterator[str]:
+    """The command's main table as csv, one line per piece."""
     header, rows = _main_table(report)
     # no cell holds a comma, a quote or a line break, so none needs quoting
-    lines = [",".join(header)]
-    lines += [",".join(row) for row in rows]
-    return "\n".join(lines) + "\n"
+    return (",".join(row) + "\n" for row in itertools.chain([header], rows))
 
 
-def _render_plain(report: dict) -> str:
+def _render_plain(report: dict) -> Iterator[str]:
+    """The report as key=value lines, one line per piece."""
+    return (line + "\n" for line in _plain_lines(report))
+
+
+def _plain_lines(report: dict) -> Iterator[str]:
     command = report["command"]
     header, rows = _main_table(report)
-    lines = [f"{command} " + _kv((k, report[k]) for k in _HEAD_FIELDS[command])]
+    yield f"{command} " + _kv((k, report[k]) for k in _HEAD_FIELDS[command])
     if command == "spectrum":
-        lines += [f"cluster {_kv(zip(header, row))}" for row in rows]
-        lines.append(f"closed_form_match={report['closed_form_match']}")
+        yield from (f"cluster {_kv(zip(header, row))}" for row in rows)
+        yield f"closed_form_match={report['closed_form_match']}"
     elif command == "verify":
         algebra, m = report["algebra"], report["moments"]
-        lines.append(
-            f"algebra passed={algebra['passed']} max_residual={algebra['max_residual']}"
-        )
-        lines += [f"cluster {_kv(c.items())}" for c in report["clusters"]]
-        lines.append(f"spectra_equal={report['spectra_equal']}")
-        lines.append(f"closed_form_match={report['closed_form_match']}")
+        yield f"algebra passed={algebra['passed']} max_residual={algebra['max_residual']}"
+        yield from (f"cluster {_kv(c.items())}" for c in report["clusters"])
+        yield f"spectra_equal={report['spectra_equal']}"
+        yield f"closed_form_match={report['closed_form_match']}"
         fields = ("passed", "max_abs_diff", "prefix_len", "prefix_passed")
-        lines.append("moments " + _kv((k, m[k]) for k in fields))
-        lines += [f"moment {_kv(zip(header, row))}" for row in rows]
+        yield "moments " + _kv((k, m[k]) for k in fields)
+        yield from (f"moment {_kv(zip(header, row))}" for row in rows)
     elif command == "gate":
         check = report["check"]
         if check is not None:
-            lines.append(f"unitarity_residual={check['unitarity_residual']}")
-            lines.append(f"eigenpair_residual={check['eigenpair_residual']}")
-            lines += [f"eigenphase {p}" for p in check["eigenphases"]]
+            yield f"unitarity_residual={check['unitarity_residual']}"
+            yield f"eigenpair_residual={check['eigenpair_residual']}"
+            yield from (f"eigenphase {p}" for p in check["eigenphases"])
             if check["global_phase"] is not None:
-                lines.append(f"global_phase={check['global_phase']}")
-        lines += [" ".join(row) for row in rows]
+                yield f"global_phase={check['global_phase']}"
+        yield from (" ".join(row) for row in rows)
     else:
         for row, cells in zip(report["rows"], rows):
             fields = dict(zip(header, cells))
@@ -664,19 +677,14 @@ def _render_plain(report: dict) -> str:
             clusters = " ".join(
                 f"{c['value']}x{c['multiplicity']}" for c in row["clusters"]
             )
-            lines.append(f"row {_kv(fields.items())} clusters: {clusters}")
-            lines += [f"note spin={row['spin']} {note}" for note in row["notes"]]
-    lines += [f"note={note}" for note in report.get("notes", ())]
-    lines.append(f"verdict={_pass(report['verdict'])}")
-    return "\n".join(lines) + "\n"
+            yield f"row {_kv(fields.items())} clusters: {clusters}"
+            yield from (f"note spin={row['spin']} {note}" for note in row["notes"])
+    yield from (f"note={note}" for note in report.get("notes", ()))
+    yield f"verdict={_pass(report['verdict'])}"
 
 
-# each renderer's output as a list of pieces, for writelines
-_RENDERERS = {
-    "json": _render_json,
-    "csv": lambda report: [_render_csv(report)],
-    "plain": lambda report: [_render_plain(report)],
-}
+# each renderer's output as lazy pieces, for writelines
+_RENDERERS = {"json": _render_json, "csv": _render_csv, "plain": _render_plain}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -699,8 +707,17 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    # written only once rendering has finished, so an error writes nothing
-    sys.stdout.writelines(pieces)
+    # every check has run before the first write, so an error writes nothing;
+    # the pieces are written as they are drawn
+    try:
+        sys.stdout.writelines(pieces)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: stdout now points at devnull, so that the
+        # flush at exit cannot raise again, and the verdict still sets the code
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return EXIT_OK if report["verdict"] else EXIT_VERDICT
 
 

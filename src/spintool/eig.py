@@ -80,9 +80,10 @@ complex arithmetic.  A pattern of several components is split already, as
 H's: its conserved S3 makes the charge (S3, S3) diagonal, and the sectors of
 a diagonal charge hold whole components.  Its charge is checked and then
 goes unused.  Both routes end in the same sorting, phase pinning and
-residual check against the original M, taken on the blocks of M's pattern:
-its components, to which the component route's vectors keep by construction,
-or the one block of a pattern that is one component.
+residual check against the original M, taken on the stack of the blocks of
+M's pattern: its components, to which the component route's vectors keep by
+construction, or the one block of a pattern that is one component.  The
+complex128 vectors are written once, from that stack, at the end.
 """
 
 from __future__ import annotations
@@ -393,10 +394,13 @@ def _site(f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _through(colour: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """D v for D = i^colour: the rows of colour 1 times i, v itself for D = I."""
+    """D v for D = i^colour: the rows of colour 1 times i, v itself for D = I.
+
+    For a stack of matrices, ``colour`` holds the colour of each row of each.
+    """
     if not colour.any():
         return v
-    return v * np.where(colour, 1j, 1.0)[:, np.newaxis]
+    return v * np.where(colour, 1j, 1.0)[..., np.newaxis]
 
 
 def _split_sectors(
@@ -453,14 +457,16 @@ def _split_sectors(
     return w, rotated, labels, leak, commutator
 
 
-def _pinned(vectors: np.ndarray) -> np.ndarray:
-    """``vectors`` with each column's first largest-magnitude entry made real
-    and positive; a zero column is kept as it is."""
+def _pins(vectors: np.ndarray) -> np.ndarray:
+    """The factors, one per column of each matrix of a stack, that make the
+    column's first largest-magnitude entry real and positive; 1 for a zero
+    column.  ``vectors * _pins(vectors)`` is the pinned stack."""
     if not vectors.size:
-        return vectors
-    lead = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+        return np.ones_like(vectors[..., :1, :])
+    top = np.argmax(np.abs(vectors), axis=-2)[..., np.newaxis, :]
+    lead = np.take_along_axis(vectors, top, axis=-2)
     mag = np.abs(lead)
-    return vectors * np.divide(lead.conj(), mag, out=np.ones_like(lead), where=mag > 0.0)
+    return np.divide(lead.conj(), mag, out=np.ones_like(lead), where=mag > 0.0)
 
 
 class _Eigensolve:
@@ -531,11 +537,18 @@ class _Eigensolve:
     def finish(self, solved: list) -> EigDecomposition:
         """Check the blocks solved and return the decomposition.
 
-        The rotations R go in ``vectors[idx, idx]``, or in the columns
-        W[:, idx] R.  Sorted while real, mapped through D and pinned, each
-        copy replaces the one before.  m v - lambda v is taken against m (the
-        real form for D = I is m) on the stack of m's components, to which
-        column k keeps with the label of the value that sorts to place k.
+        The work is done on the stack of m's blocks, :class:`linalg.Blocks`
+        of its components, with column k in the block of the label of the
+        value that sorts to place k; a pattern of one component, or one
+        whose stack cannot pay, is one block, the whole matrix.  The
+        rotations R go straight to their sorted columns, in the slots of
+        their component, or as W[:, idx] R.  The stack is mapped through D
+        and pinned, and m v - lambda v is taken against m (the real form for
+        D = I is m) on it.  Only then, with m's real form gone, are the
+        complex128 vectors written, once: the one block, cast if it is real,
+        or the blocks scattered into columns that hold, off them, zero times
+        the column's pin, the signed zeros that pinning dense columns gives,
+        so the bits do not depend on the layout.
         """
         _converged(solved, self.route[1], self.names, self.max_sweeps, self.floors)
         n, colour, component = self.m.shape[0], self.colour, self.component
@@ -543,25 +556,33 @@ class _Eigensolve:
         # the blocks and a real form not measured against go before any copy
         self.route = self.a = None
         values = np.empty(n)
-        vectors = np.zeros((n, n), dtype=self.dtype)
-        for idx, (diagonal, r, _, _) in zip(self.groups, solved):
+        for idx, (diagonal, _, _, _) in zip(self.groups, solved):
             values[idx] = diagonal
-            if self.w is None:
-                vectors[np.ix_(idx, idx)] = r
-            else:
-                vectors[:, idx] = self.w[:, idx] @ r
-        self.w = None
         order = np.argsort(values, kind="stable")
         values = values[order]
-        vectors = vectors[:, order]
-        vectors = _through(colour, vectors)
-        vectors = _pinned(vectors)
         blocks = rows, columns = Blocks.of(component), Blocks.of(component[order])
-        v = rows.stack(vectors, columns)
+        (block, row), places = rows.places(), columns.places()
+        # the slot of each index's column, once sorted, in its block
+        column = places[1, np.argsort(order)]
+        v = np.zeros((*rows.members.shape, rows.members.shape[1]), dtype=self.dtype)
+        for idx, (_, r, _, _) in zip(self.groups, solved):
+            if self.w is None:
+                v[block[idx[0]]][np.ix_(row[idx], column[idx])] = r
+            else:
+                v[0][:, column[idx]] = self.w[:, idx] @ r
+        self.w = None
+        v = _through(colour[rows.members], v)
+        pins = _pins(v)
+        v = v * pins
         deltas = rows.stack(a) @ v - v * values[columns.members][:, np.newaxis, :]
         residual = float(np.max(np.linalg.norm(deltas, axis=-2), initial=0.0))
-        del a, v, deltas
-        vectors = vectors.astype(np.complex128, copy=False)
+        del a, deltas
+        if rows.members.shape[0] == 1:
+            vectors = v[0].astype(np.complex128, copy=False)
+        else:
+            vectors = np.empty((n, n), dtype=np.complex128)
+            vectors[...] = (np.zeros((), dtype=v.dtype) * pins)[places[0], 0, places[1]]
+            rows.scatter(v, columns, out=vectors)
         values.flags.writeable = False
         vectors.flags.writeable = False
         return EigDecomposition(

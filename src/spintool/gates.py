@@ -9,11 +9,14 @@ one eigenbasis.
 Both products of a gate follow the blocks of the generator's nonzero
 pattern (see :class:`linalg.Blocks`), which the eigendecomposition records.
 U is the direct sum of the blocks V_b diag(exp(-i theta lambda_b)) V_b^H,
-taken on a zero-padded stack, and U^H U - I is taken on that same stack
-before it is scattered into a zeroed matrix.  H, which conserves total S3,
-splits into 4s+1 blocks, 49 of width at most 25 at 2s = 24, where 97% of
-its gate is exact zeros; K's pattern is one component, one block whose
-stack is the matrix itself, so its gate costs the dense products.
+taken on a zero-padded stack of the vectors' blocks, and U^H U - I is taken
+on that same stack before it is scattered into a zeroed matrix.  H, which
+conserves total S3, splits into 4s+1 blocks, 49 of width at most 25 at
+2s = 24, where 97% of its gate is exact zeros; K's pattern is one
+component, one block whose stack is the matrix itself, so its gate costs
+the dense products.  The decomposition is dropped once the stack is taken,
+so for a pattern that splits, as H's, U is the one dense copy held beside
+the generator.
 :func:`unitarity_residual`, for a matrix built by hand, walks its pattern
 for the blocks.
 """
@@ -99,17 +102,20 @@ def synthesize_gate(
             "hermiticity flag is false"
         )
     dec = hermitian_eig(h.matrix, eig_tol, max_sweeps, charge=h.charge)
+    values, source_residual, (rows, columns) = dec.values, dec.residual, dec.blocks
+    # the vectors' blocks are all the gate needs: the decomposition's dense
+    # vectors go before the gate is scattered (for one block, v views them)
+    v = rows.stack(dec.vectors, columns)
+    del dec
     # theta * lambda can overflow; the gate is then NaN and fails the bound below
     with np.errstate(over="ignore", invalid="ignore"):
-        phases = np.exp(-1j * float(theta) * dec.values)
-        rows, columns = dec.blocks
-        v = rows.stack(dec.vectors, columns)
+        phases = np.exp(-1j * float(theta) * values)
         # padding columns of v are 0 and take the phase of index 0; a NaN
         # phase there makes the blocks NaN, as it makes the dense product
         # NaN, and either fails the bound below
         stack = (v * phases[columns.members][:, np.newaxis, :]) @ _adjoints(v)
         residual = _gram_residual(stack, rows)
-    if not residual <= UNITARITY_TOL * dec.dimension:
+    if not residual <= UNITARITY_TOL * values.size:
         raise NumericalError(
             f"synthesized gate failed the unitarity bound: {residual:.3e}"
         )
@@ -120,9 +126,9 @@ def synthesize_gate(
         kind=h.kind,
         spin=h.s,
         matrix=u,
-        source_values=dec.values,
+        source_values=values,
         unitarity_residual=residual,
-        source_residual=dec.residual,
+        source_residual=source_residual,
     )
 
 

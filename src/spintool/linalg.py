@@ -327,19 +327,36 @@ class Blocks:
         stack[~(self.filled[:, :, None] & columns.filled[:, None, :])] = 0
         return stack
 
-    def scatter(self, stack: np.ndarray) -> np.ndarray:
-        """The n x n array holding ``stack``'s diagonal blocks, zero elsewhere.
+    def places(self) -> np.ndarray:
+        """Rows 0 and 1: the block of every index and its slot there."""
+        block, slot = np.nonzero(self.filled)
+        at = np.empty((2, block.size), dtype=np.intp)
+        at[:, self.members[block, slot]] = block, slot
+        return at
 
-        The inverse of :meth:`stack` for a matrix with no nonzero outside
-        its blocks; the padding of ``stack`` is not read.  For one block it
-        is the view ``stack[0]``.
+    def scatter(
+        self,
+        stack: np.ndarray,
+        columns: Blocks | None = None,
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """The n x n array holding ``stack``'s blocks, zero elsewhere.
+
+        Rows come from these blocks and columns from ``columns``, as
+        :meth:`stack` takes them, so this is its inverse for a matrix with
+        no nonzero outside the blocks; the padding of ``stack`` is not read.
+        Given ``out``, the blocks are written into it and its other entries
+        kept.  Else, for one block, it is the view ``stack[0]``.
         """
-        if self.members.shape[0] == 1:
+        if columns is None:
+            columns = self
+        if self.members.shape[0] == 1 and out is None:
             return stack[0]
-        n = int(np.count_nonzero(self.filled))
-        inside = self.filled[:, :, None] & self.filled[:, None, :]
+        inside = self.filled[:, :, None] & columns.filled[:, None, :]
         rows = np.broadcast_to(self.members[:, :, None], inside.shape)[inside]
-        cols = np.broadcast_to(self.members[:, None, :], inside.shape)[inside]
-        out = np.zeros((n, n), dtype=stack.dtype)
+        cols = np.broadcast_to(columns.members[:, None, :], inside.shape)[inside]
+        if out is None:
+            n = int(np.count_nonzero(self.filled))
+            out = np.zeros((n, n), dtype=stack.dtype)
         out[rows, cols] = stack[inside]
         return out

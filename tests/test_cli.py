@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -6,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -316,7 +318,7 @@ def test_gate_json_is_byte_exact(spin, hamiltonian):
 def test_gate_json_comes_in_row_pieces(spin, hamiltonian):
     argv = ["--spin", spin, "--hamiltonian", hamiltonian, "--theta", "0.7", "--check"]
     report = _gate_report(*argv)
-    pieces = cli._render_json(report)
+    pieces = list(cli._render_json(report))
     # the head, one piece per matrix row and the tail, never joined
     assert len(pieces) == report["dimension"] + 2
     _assert_same_text("".join(pieces), _dumps_with_pairs(report))
@@ -351,6 +353,57 @@ def test_gate_json_of_a_non_finite_matrix_writes_nothing(run_cli, monkeypatch, c
     assert "not JSON compliant" in err
 
 
+@pytest.mark.parametrize("where", ["matrix", "head"])
+def test_gate_json_of_a_nan_report_raises_before_any_piece(where):
+    # both checks run on the call itself, not as the pieces are drawn, so
+    # main has written nothing when the error reaches it
+    report = _gate_report("--spin", "1", "--theta", "0.7", "--check")
+    if where == "matrix":
+        report["matrix"] = report["matrix"].copy()
+        report["matrix"][0, 0] = complex(np.nan, 0.0)
+    else:
+        report["check"] = {**report["check"], "unitarity_residual": math.nan}
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli._render_json(report)
+
+
+_CAP_GATE = ["gate", "--spin", "12", "--hamiltonian", "H", "--theta", "0.7", "--check"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+def test_gate_at_the_cap_holds_one_dense_copy_at_a_time(fmt):
+    # measured 13.5 / 13.3 / 13.3 MiB (json / csv / plain): H itself, 6.0,
+    # beside the eigensolve's one complex copy of the vectors, and then the
+    # gate beside one row of text.  With the whole text rendered before the
+    # first write, the decomposition held while the gate was scattered and
+    # the vectors finished through dense float64 copies, it read 23.0 / 19.3
+    # / 19.3
+    with open(os.devnull, "w", encoding="utf-8") as out, contextlib.redirect_stdout(out):
+        tracemalloc.start()
+        try:
+            code = cli.main([*_CAP_GATE, "--format", fmt])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 14.0 * 2**20
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+def test_a_closed_pipe_ends_in_the_verdicts_exit_code(fmt):
+    # the reader takes 20 bytes and goes while the gate is still being
+    # written: no traceback, and not exit 1, the code of a failed verdict
+    argv = [sys.executable, "-m", "spintool.cli", *_CAP_GATE, "--format", fmt]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        head = proc.stdout.read(20)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait()
+    assert len(head) == 20
+    assert "Traceback" not in err and err == ""
+    assert code == 0
+
+
 def _reference_csv(report):
     """The csv of a gate report, one format_complex call per cell."""
     m = report["matrix"]
@@ -365,7 +418,7 @@ def _reference_plain(report):
     The lines around the matrix are those of the same report with no rows.
     """
     m = report["matrix"]
-    around = cli._render_plain({**report, "matrix": m[:0]}).splitlines()
+    around = "".join(cli._render_plain({**report, "matrix": m[:0]})).splitlines()
     rows = [" ".join(cli.format_complex(z) for z in row) for row in m.tolist()]
     return "\n".join(around[:-1] + rows + around[-1:]) + "\n"
 
@@ -374,8 +427,8 @@ def _reference_plain(report):
 def test_gate_csv_and_plain_are_byte_exact(spin, hamiltonian):
     argv = ["--spin", spin, "--hamiltonian", hamiltonian, "--theta", "0.7", "--check"]
     report = _gate_report(*argv)
-    _assert_same_text(cli._render_csv(report), _reference_csv(report))
-    _assert_same_text(cli._render_plain(report), _reference_plain(report))
+    _assert_same_text("".join(cli._render_csv(report)), _reference_csv(report))
+    _assert_same_text("".join(cli._render_plain(report)), _reference_plain(report))
 
 
 @pytest.mark.parametrize(
@@ -396,7 +449,10 @@ def test_main_table_cells_are_strings_that_csv_joins_as_they_are(argv):
     rows = list(rows)
     assert rows and all(type(cell) is str for row in rows for cell in row)
     lines = [",".join(header)] + [",".join(row) for row in rows]
-    assert cli._render_csv(report) == "\n".join(lines) + "\n"
+    pieces = list(cli._render_csv(report))
+    assert "".join(pieces) == "\n".join(lines) + "\n"
+    # one line per piece, drawn as it is written
+    assert pieces == [line + "\n" for line in lines]
 
 
 def test_gate_zero_and_signed_zero_entries_in_every_format():
@@ -414,9 +470,9 @@ def test_gate_zero_and_signed_zero_entries_in_every_format():
         ]
     )
     _assert_same_text("".join(cli._render_json(report)), _dumps_with_pairs(report))
-    csv_text = cli._render_csv(report)
+    csv_text = "".join(cli._render_csv(report))
     _assert_same_text(csv_text, _reference_csv(report))
-    _assert_same_text(cli._render_plain(report), _reference_plain(report))
+    _assert_same_text("".join(cli._render_plain(report)), _reference_plain(report))
     assert csv_text.splitlines()[2] == "0.0+0.0i,-0.0+0.0i,-0.0+0.0i,0.0+0.0i"
     pairs = json.loads("".join(cli._render_json(report)))["matrix"]
     assert [math.copysign(1.0, x) for x in pairs[1][0]] == [1.0, -1.0]

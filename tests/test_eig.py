@@ -20,7 +20,7 @@ from spintool.eig import (
     EigDecomposition,
     _charge_factors,
     _jacobi_stack,
-    _pinned,
+    _pins,
     _site,
     _split_sectors,
     _symmetrized,
@@ -86,20 +86,22 @@ def test_diagonal_matrix_sorted_exactly():
 @pytest.mark.parametrize(
     "build, mib",
     [
-        (build_heisenberg, 10.5),
+        (build_heisenberg, 7.25),
         (build_cyclic, 19.5),
         (lambda s: build_bilinear(s, _REAL_ROTATION), 16.5),
     ],
     ids=["H", "K", "rotated"],
 )
 def test_sector_route_at_the_cap_frees_its_basis_before_the_residual(build, mib):
-    # H's split pattern leaves its charge unused: measured 9.2 MiB on the
-    # component route, the real vectors beside their complex copy once its
-    # real form has gone.  K and the rotation take the sector route:
-    # measured 18.2 and 15.0 MiB, the complex vectors, M V and V Lambda for
-    # the residual; with W and the rotated matrix kept alive to the end of
-    # the solve they read 30.0 and 23.9, and with each superseded copy of
-    # the vectors kept until the residual, 24.0 and 17.9
+    # H's split pattern leaves its charge unused: measured 6.7 MiB on the
+    # component route, its complex vectors written once, after the residual
+    # on the blocks' stack and with its real form gone; finished through
+    # dense float64 copies that ended in a complex cast, it read 9.1.  K and
+    # the rotation take the sector route: measured 18.2 and 15.0 MiB, the
+    # complex vectors, M V and V Lambda for the residual; with W and the
+    # rotated matrix kept alive to the end of the solve they read 30.0 and
+    # 23.9, and with each superseded copy of the vectors kept until the
+    # residual, 24.0 and 17.9
     ham = build(HalfInteger(24))
     tracemalloc.start()
     try:
@@ -522,7 +524,7 @@ def test_finish_pins_the_first_largest_component():
     # column 0 ties between rows 0 and 1, and the first wins; column 2 is zero
     vectors = np.array([[1j, 0.5, 0.0], [-1j, 2j, 0.0], [0.0, 0.0, 0.0]])
     np.testing.assert_array_equal(
-        _pinned(vectors), [[1.0, -0.5j, 0.0], [-1.0, 2.0, 0.0], [0.0, 0.0, 0.0]]
+        vectors * _pins(vectors), [[1.0, -0.5j, 0.0], [-1.0, 2.0, 0.0], [0.0, 0.0, 0.0]]
     )
     # the array expression against the per-column loop it replaced
     rng = np.random.default_rng(11)
@@ -534,7 +536,7 @@ def test_finish_pins_the_first_largest_component():
         ref[:, k] = col * (lead.conjugate() / abs(lead))
     eps = np.finfo(np.float64).eps
     np.testing.assert_allclose(
-        _pinned(vectors), ref, rtol=0, atol=8 * eps * np.abs(vectors).max()
+        vectors * _pins(vectors), ref, rtol=0, atol=8 * eps * np.abs(vectors).max()
     )
 
 

@@ -380,6 +380,19 @@ def test_blocks_stack_and_scatter_are_inverse():
         idx = members[blocks.filled[b]]
         assert np.all(label[idx] == b) and np.all(np.diff(idx) > 0)
         np.testing.assert_array_equal(stack[b, : idx.size, : idx.size], m[np.ix_(idx, idx)])
+    block, slot = blocks.places()
+    np.testing.assert_array_equal(block, label)
+    np.testing.assert_array_equal(blocks.members[block, slot], np.arange(label.size))
+    # columns from the blocks of the same labels in another order, as an
+    # eigenbasis sorted by value takes them, scattered into an array that
+    # keeps its entries off the blocks
+    order = rng.permutation(label.size)
+    columns = Blocks.of(label[order])
+    stack = blocks.stack(m[:, order], columns)
+    out = np.full(m.shape, -1.0 + 0j)
+    assert blocks.scatter(stack, columns, out=out) is out
+    on = label[:, np.newaxis] == label[order]
+    np.testing.assert_array_equal(out, np.where(on, m[:, order], -1.0))
 
 
 def _assert_one_block(blocks, n):
