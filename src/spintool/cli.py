@@ -42,6 +42,7 @@ import math
 import os
 import re
 import sys
+from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
 
@@ -479,33 +480,109 @@ def cmd_table(args: argparse.Namespace) -> dict:
 # -- rendering: plain and csv are views of the JSON report -------------------
 
 _ZERO_CELL = format_complex(0j)
+# entries per numpy pass that finds a matrix's kept entries
+_KEPT_BLOCK = 1 << 16
 
 
-def _kept_entries(row: np.ndarray) -> np.ndarray:
-    """Indices of the entries of a complex row that are not both +0.0.
+def _complex_cells(values: np.ndarray) -> list[str]:
+    """format_complex's text of each entry, with its code written inline:
+    a call per entry adds about 0.1 s on a dense 625 x 625 gate such as K's."""
+    return [
+        f"{re!r}{'-' if im < 0 else '+'}{abs(im)!r}i"
+        for re, im in zip(values.real.tolist(), values.imag.tolist())
+    ]
 
-    The test is on the bit patterns, so an entry holding a -0.0 is kept
-    and written with its own text.
+
+def _kept_rows(m: np.ndarray) -> Iterator[tuple[list[int] | None, np.ndarray]]:
+    """Each row of m as its kept columns and their values, or as None and
+    the whole row when every entry is kept.
+
+    An entry is kept unless both its parts are +0.0; the test is on the bit
+    patterns, so an entry holding a -0.0 is kept and written with its own
+    text.  The kept entries are found a block of rows per numpy pass.
     """
-    bits = np.ascontiguousarray(row, dtype=np.complex128).view(np.uint64)
-    return np.flatnonzero(bits[0::2] | bits[1::2])
+    n = m.shape[1]
+    step = max(1, _KEPT_BLOCK // max(n, 1))
+    for start in range(0, m.shape[0], step):
+        block = m[start : start + step]
+        bits = block.view(np.uint64)
+        kept = (bits[:, 0::2] | bits[:, 1::2]) != 0
+        counts = kept.sum(axis=1)
+        full = counts == n
+        kept[full] = False
+        counts[full] = 0
+        columns = np.nonzero(kept)[1].tolist()
+        values = block[kept]
+        ends = np.cumsum(counts).tolist()
+        begin = 0
+        for row, is_full, end in zip(block, full.tolist(), ends):
+            if is_full:
+                yield None, row
+            else:
+                yield columns[begin:end], values[begin:end]
+            begin = end
 
 
-def _gate_cells(m: np.ndarray) -> Iterable[list[str]]:
-    """The rows of the gate matrix as format_complex cells.
+def _matrix_rows(
+    m: np.ndarray,
+    zero: str,
+    cells: Callable[[np.ndarray], list[str]],
+    sep: str,
+    full: Callable[[np.ndarray], str] | None = None,
+) -> Iterator[str]:
+    """The text of each row of the complex matrix m, its entries joined by sep.
 
-    A row starts as the shared text of a +0.0 entry (97% of H's gate at the
-    cap) and only its kept entries are formatted, with format_complex's
-    text written inline: a call per entry adds about 0.1 s on a dense
-    625 x 625 gate such as K's.
+    Only the kept entries (see ``_kept_rows``) are formatted, by ``cells``;
+    the +0.0 entries between them are written as runs of the fixed text
+    ``zero``.  A row with every entry kept is written by ``full``, by
+    default one join of its cells.  Each distinct row is formatted once: a
+    first pass counts the rows that are not full by a hash of their kept
+    values' bytes, and a row whose count says that a row with the same hash
+    is still to come keeps its cells until the last such row is written.  A
+    hit is taken only when the bytes themselves are equal.  So this memo is
+    bounded, unlike a cache of row templates shared by all the rows, which
+    raised the peak resident memory of ``gate`` at the cap by 15-25 MB: it
+    holds the cells of kept entries, never zero text, and only while a row
+    that uses them is still to come; full rows never enter it.  At the cap,
+    the rows of H's gate at total M and -M hold the same kept values, so it
+    formats 325 of its 625 rows and holds about half a MiB at most; K's
+    rows are all full, and nothing is held from one row to the next.
     """
-    for row in m:
-        keep = _kept_entries(row)
-        cells = [_ZERO_CELL] * row.size
-        values = row[keep]
-        for j, re, im in zip(keep.tolist(), values.real.tolist(), values.imag.tolist()):
-            cells[j] = f"{re!r}{'-' if im < 0 else '+'}{abs(im)!r}i"
-        yield cells
+    n = m.shape[1]
+    m = np.ascontiguousarray(m, dtype=np.complex128)
+    # the rows that are not full, counted by the hash of their kept bytes
+    counts = Counter(
+        hash(values.tobytes()) for columns, values in _kept_rows(m) if columns is not None
+    )
+    sep_zero = sep + zero
+    memo: dict[int, tuple[bytes, list[str]]] = {}
+    for columns, values in _kept_rows(m):
+        if columns is None:
+            yield sep.join(cells(values)) if full is None else full(values)
+            continue
+        data = values.tobytes()
+        key = hash(data)
+        held = memo.get(key)
+        if held is not None and held[0] == data:
+            texts = held[1]
+        else:
+            texts = cells(values)
+            if held is None and counts[key] > 1:
+                memo[key] = (data, texts)
+        counts[key] -= 1
+        if not counts[key]:
+            memo.pop(key, None)
+        # the cells, and a run of zero text for each gap between them
+        items = []
+        last = -1
+        for j, text in zip(columns, texts):
+            if j > last + 1:
+                items.append(zero + sep_zero * (j - last - 2))
+            items.append(text)
+            last = j
+        if last < n - 1:
+            items.append(zero + sep_zero * (n - last - 2))
+        yield sep.join(items)
 
 
 # fields of the first plain line, after the command name
@@ -518,16 +595,15 @@ _HEAD_FIELDS = {
 
 
 def _main_table(report: dict) -> tuple[list[str], Iterable[list[str]]]:
-    """Header and rows of the command's main table, read from the report.
+    """Header and rows of the main table of a spectrum, verify or table
+    report.
 
     The rows are the csv output; the repeated lines of the plain output show
     the same cells.  Cells are strings: report values as str() writes them,
-    which is repr() for floats.
+    which is repr() for floats.  A gate's table is its matrix, whose rows
+    both formats write whole (see ``_matrix_rows``).
     """
     command = report["command"]
-    if command == "gate":
-        header = [f"col{j}" for j in range(report["dimension"])]
-        return header, _gate_cells(report["matrix"])
     if command == "spectrum":
         header = ["value", "multiplicity"]
         rows = ([c[k] for k in header] for c in report["clusters"])
@@ -574,53 +650,21 @@ _PAIR = "[\n        %r,\n        %r\n      ]"
 _ZERO_PAIR = _PAIR % (0.0, 0.0)
 
 
-def _matrix_json(m: np.ndarray) -> Iterator[str]:
-    """The complex matrix m as json.dumps(indent=2) writes its [re, im] pairs.
-
-    Returns the rows' text, drawn one at a time, each ending in the
-    separator that follows it, so that the pieces written one after another
-    between "[\n    " and "\n  ]" give json's text; they are never joined
-    into one string.  Non-finite entries raise ValueError, as allow_nan=False
-    does, on the call, before any row is drawn.
-    json.dumps takes its C encoder only without indent, so the report's
-    largest field is written here, one %-template per row.  A row's
-    template holds the fixed text of its +0.0 entries and a %r pair for
-    each kept entry (see ``_kept_entries``); a row with every entry kept
-    takes the all-%r template, built once.  Nothing else is kept from one
-    row to the next: a cache of templates shared by the rows raised the
-    peak resident memory of ``gate`` at the cap by 15-25 MB, although its
-    traced peak was no higher.
-    """
-    flat = m.view(np.float64)  # each row as re, im, re, im, ...
-    finite = np.isfinite(flat)
-    if not finite.all():
-        value = float(flat[~finite][0])
-        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-    pairs = flat.reshape(*m.shape, 2)
-    last = m.shape[0] - 1
-    dense = "[\n      " + ",\n      ".join([_PAIR] * m.shape[1]) + "\n    ]"
-
-    def row(i: int) -> str:
-        end = "" if i == last else ",\n    "
-        keep = _kept_entries(m[i])
-        if keep.size == m.shape[1]:
-            return (dense + end) % tuple(flat[i].tolist())
-        cells = [_ZERO_PAIR] * m.shape[1]
-        for j in keep.tolist():
-            cells[j] = _PAIR
-        template = "[\n      " + ",\n      ".join(cells) + "\n    ]" + end
-        return template % tuple(pairs[i][keep].ravel().tolist())
-
-    return (row(i) for i in range(m.shape[0]))
+def _pair_cells(values: np.ndarray) -> list[str]:
+    """json's [re, im] pair of each entry."""
+    return [_PAIR % p for p in zip(values.real.tolist(), values.imag.tolist())]
 
 
 def _render_json(report: dict) -> Iterable[str]:
     """The report as json.dumps(indent=2) writes it, in pieces.
 
-    A gate report comes as its head, one piece per matrix row and its tail
-    (see ``_matrix_json``); any other report as one piece.  Both checks,
-    the head's allow_nan=False and the matrix's finiteness, run on the
-    call, so a report that json cannot write raises before any piece.
+    A gate report comes as its head, one piece per matrix row and its tail;
+    any other report as one piece.  json.dumps takes its C encoder only
+    without indent, so the report's largest field is written here, each
+    entry as its [re, im] pair (see ``_matrix_rows``), and a row with every
+    entry kept through one %-template of the whole row, built once.  Both
+    checks, the head's allow_nan=False and the matrix's finiteness, run on
+    the call, so a report that json cannot write raises before any piece.
     """
     if report["command"] != "gate":
         return [json.dumps(report, indent=2, allow_nan=False) + "\n"]
@@ -628,15 +672,41 @@ def _render_json(report: dict) -> Iterable[str]:
     # json escapes line breaks in strings, so no string can hold this text
     head, tail = text.split('\n  "matrix": null')
     head += '\n  "matrix": [\n    '
-    rows = _matrix_json(report["matrix"])
-    return itertools.chain([head], rows, ["\n  ]" + tail + "\n"])
+    m = report["matrix"]
+    flat = m.view(np.float64)  # each row as re, im, re, im, ...
+    finite = np.isfinite(flat)
+    if not finite.all():
+        value = float(flat[~finite][0])
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    sep = ",\n      "
+    dense = sep.join([_PAIR] * m.shape[1])
+    rows = _matrix_rows(
+        m,
+        _ZERO_PAIR,
+        _pair_cells,
+        sep,
+        full=lambda values: dense % tuple(values.view(np.float64).tolist()),
+    )
+    # each row ends in the separator that follows it, so that the pieces
+    # written one after another give json's text
+    between, last = ",\n    ", m.shape[0] - 1
+    pieces = (
+        f"[\n      {row}\n    ]{'' if i == last else between}"
+        for i, row in enumerate(rows)
+    )
+    return itertools.chain([head], pieces, ["\n  ]" + tail + "\n"])
 
 
 def _render_csv(report: dict) -> Iterator[str]:
     """The command's main table as csv, one line per piece."""
-    header, rows = _main_table(report)
+    if report["command"] == "gate":
+        header = [f"col{j}" for j in range(report["dimension"])]
+        rows = _matrix_rows(report["matrix"], _ZERO_CELL, _complex_cells, ",")
+    else:
+        header, cells = _main_table(report)
+        rows = map(",".join, cells)
     # no cell holds a comma, a quote or a line break, so none needs quoting
-    return (",".join(row) + "\n" for row in itertools.chain([header], rows))
+    return (line + "\n" for line in itertools.chain([",".join(header)], rows))
 
 
 def _render_plain(report: dict) -> Iterator[str]:
@@ -646,7 +716,8 @@ def _render_plain(report: dict) -> Iterator[str]:
 
 def _plain_lines(report: dict) -> Iterator[str]:
     command = report["command"]
-    header, rows = _main_table(report)
+    if command != "gate":
+        header, rows = _main_table(report)
     yield f"{command} " + _kv((k, report[k]) for k in _HEAD_FIELDS[command])
     if command == "spectrum":
         yield from (f"cluster {_kv(zip(header, row))}" for row in rows)
@@ -668,7 +739,7 @@ def _plain_lines(report: dict) -> Iterator[str]:
             yield from (f"eigenphase {p}" for p in check["eigenphases"])
             if check["global_phase"] is not None:
                 yield f"global_phase={check['global_phase']}"
-        yield from (" ".join(row) for row in rows)
+        yield from _matrix_rows(report["matrix"], _ZERO_CELL, _complex_cells, " ")
     else:
         for row, cells in zip(report["rows"], rows):
             fields = dict(zip(header, cells))

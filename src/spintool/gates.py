@@ -16,7 +16,8 @@ conserves total S3, splits into 4s+1 blocks, 49 of width at most 25 at
 component, one block whose stack is the matrix itself, so its gate costs
 the dense products.  The decomposition is dropped once the stack is taken,
 so for a pattern that splits, as H's, U is the one dense copy held beside
-the generator.
+the generator.  Each operand of the products is dropped once it is used, so
+K's gate at the cap peaks no higher than its eigensolve.
 :func:`unitarity_residual`, for a matrix built by hand, walks its pattern
 for the blocks.
 """
@@ -112,8 +113,13 @@ def synthesize_gate(
         phases = np.exp(-1j * float(theta) * values)
         # padding columns of v are 0 and take the phase of index 0; a NaN
         # phase there makes the blocks NaN, as it makes the dense product
-        # NaN, and either fails the bound below
-        stack = (v * phases[columns.members][:, np.newaxis, :]) @ _adjoints(v)
+        # NaN, and either fails the bound below.  Each operand goes as soon
+        # as it is used, so that at most three stacks are alive at a time
+        adjoints = _adjoints(v)
+        scaled = v * phases[columns.members][:, np.newaxis, :]
+        del v
+        stack = scaled @ adjoints
+        del scaled, adjoints
         residual = _gram_residual(stack, rows)
     if not residual <= UNITARITY_TOL * values.size:
         raise NumericalError(

@@ -372,9 +372,10 @@ _CAP_GATE = ["gate", "--spin", "12", "--hamiltonian", "H", "--theta", "0.7", "--
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
 def test_gate_at_the_cap_holds_one_dense_copy_at_a_time(fmt):
-    # measured 13.5 / 13.3 / 13.3 MiB (json / csv / plain): H itself, 6.0,
+    # measured 13.0 / 12.8 / 12.8 MiB (json / csv / plain): H itself, 6.0,
     # beside the eigensolve's one complex copy of the vectors, and then the
-    # gate beside one row of text.  With the whole text rendered before the
+    # gate beside one row of text and the cells of the twin rows still to
+    # come.  With the whole text rendered before the
     # first write, the decomposition held while the gate was scattered and
     # the vectors finished through dense float64 copies, it read 23.0 / 19.3
     # / 19.3
@@ -423,12 +424,58 @@ def _reference_plain(report):
     return "\n".join(around[:-1] + rows + around[-1:]) + "\n"
 
 
-@pytest.mark.parametrize("spin, hamiltonian", [("2", "K"), ("12", "H")])
+@pytest.mark.parametrize("spin, hamiltonian", [("2", "K"), ("6", "K"), ("12", "H")])
 def test_gate_csv_and_plain_are_byte_exact(spin, hamiltonian):
     argv = ["--spin", spin, "--hamiltonian", hamiltonian, "--theta", "0.7", "--check"]
     report = _gate_report(*argv)
     _assert_same_text("".join(cli._render_csv(report)), _reference_csv(report))
     _assert_same_text("".join(cli._render_plain(report)), _reference_plain(report))
+
+
+def _formatted_rows_and_held_bytes(monkeypatch, report, fmt):
+    """How many rows the cell formatters format while the report is written
+    in fmt, and the most traced memory held past the first piece."""
+    calls = []
+    for name in ("_complex_cells", "_pair_cells"):
+        real = getattr(cli, name)
+
+        def spy(values, real=real):
+            calls.append(None)
+            return real(values)
+
+        monkeypatch.setattr(cli, name, spy)
+    tracemalloc.start()
+    try:
+        pieces = iter(cli._RENDERERS[fmt](report))
+        next(pieces)
+        base = held = tracemalloc.get_traced_memory()[0]
+        for piece in pieces:
+            del piece
+            held = max(held, tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    return len(calls), held - base
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+def test_h_gate_at_the_cap_formats_each_distinct_row_once(monkeypatch, fmt):
+    # H's rows at total M and -M hold the same kept values, so 300 of its
+    # 625 rows take the cells of their twin: measured 0.55 / 0.46 / 0.46 MiB
+    # held (json / csv / plain), the cells of the twins still to come
+    report = _gate_report("--spin", "12", "--hamiltonian", "H", "--theta", "0.7")
+    formatted, held = _formatted_rows_and_held_bytes(monkeypatch, report, fmt)
+    assert formatted == 325
+    assert held < 1.0 * 2**20
+
+
+def test_k_gate_at_the_cap_formats_every_row_and_holds_none(monkeypatch):
+    # every entry of K's gate is kept: each row is formatted whole, and
+    # nothing is kept from one row to the next (measured 0.1 MiB held, the
+    # numpy pass over a block of rows, against 0.06 MiB of cells per row)
+    report = _gate_report("--spin", "12", "--hamiltonian", "K", "--theta", "0.7")
+    formatted, held = _formatted_rows_and_held_bytes(monkeypatch, report, "csv")
+    assert formatted == 625
+    assert held < 0.5 * 2**20
 
 
 @pytest.mark.parametrize(
@@ -445,10 +492,14 @@ def test_main_table_cells_are_strings_that_csv_joins_as_they_are(argv):
     args = cli.build_parser().parse_args(argv)
     args.tol = cli.DEFAULT_TOL
     report = args.handler(args)
-    header, rows = cli._main_table(report)
-    rows = list(rows)
-    assert rows and all(type(cell) is str for row in rows for cell in row)
-    lines = [",".join(header)] + [",".join(row) for row in rows]
+    if report["command"] == "gate":
+        # a gate's table is its matrix, whose rows csv writes whole
+        lines = _reference_csv(report).splitlines()
+    else:
+        header, rows = cli._main_table(report)
+        rows = list(rows)
+        assert rows and all(type(cell) is str for row in rows for cell in row)
+        lines = [",".join(header)] + [",".join(row) for row in rows]
     pieces = list(cli._render_csv(report))
     assert "".join(pieces) == "\n".join(lines) + "\n"
     # one line per piece, drawn as it is written
