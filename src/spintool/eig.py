@@ -28,9 +28,14 @@ A sweep over an even width w is w - 1 rounds of w / 2 disjoint pivots in
 which every pair meets once, the circle ordering of Sameh (Math. Comp. 25,
 1971) and Brent & Luk (SIAM J. Sci. Stat. Comput. 6(1), 1985), so a round is
 one batched row update and one batched column update.  One kernel,
-``_jacobi_stack``, serves every route: it sweeps a zero-padded (count, w, w)
-stack of blocks, each to its own stop, and a round costs about the same
-numpy calls whatever the count.  So the blocks of every operator of a
+``_jacobi_stack``, serves every route: it sweeps a zero-padded stack of
+blocks, each to its own stop, as two planes, the blocks and their
+accumulated V^H, and a round costs about the same numpy calls whatever the
+count.  A sweep seats each round's pivots in halves, the p's first and
+their q's second, so that the partner of every row and column is a
+reversed view and each update is a pass over whole arrays; its products
+and sums are those of pairs seated side by side, in the same order, so
+the layout changes no bit.  So the blocks of every operator of a
 certificate, over the components of its nonzero pattern or over its charge
 sectors, are solved together.  A block is padded to the width that its own
 route gives it, the widest of its width class there made even, and the
@@ -88,6 +93,7 @@ complex128 vectors are written once, from that stack, at the end.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -164,19 +170,55 @@ def _symmetrized(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().T) / 2.0
 
 
-def _round_robin(width: int) -> np.ndarray:
-    """The gather from one round's layout to the next, starting at identity.
+@functools.lru_cache(maxsize=16)
+def _round_robin(width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The moves of a sweep of even width w, as gathers of the 2 w^2 entries
+    of a block and its V^H, and where the entries of a round's pivots lie.
 
-    A round pairs positions 2k and 2k + 1, seats k and w - 1 - k of the
+    A round pairs position k with half + k, seats k and w - 1 - k of the
     circle method: seat 0 keeps its index and the other seats pass theirs
-    on, so every pair meets once in w - 1 rounds, which end at identity.
+    on, so every pair meets once in w - 1 rounds.  The first round seats
+    index 2k at k and 2k + 1 at half + k, so that every round pairs the
+    indices that seating each pair side by side, at 2k and 2k + 1, would.
+    A round holds each plane as its four quarters, rows p | q by columns
+    p | q, each half x half and contiguous: entry (i, j) lies in quarter
+    (i // half, j // half), at row i % half and column j % half of it.
+
+    Returns the gathers into the first round from natural order, from each
+    round to the next and from the last round back to natural order, and
+    the places of the entries (p, p), (q, q), (p, q) and (q, p) of the
+    pivots, p = 0 .. half - 1 and q = half + p.  The last widths' gathers
+    are kept, 48 w^2 bytes each, so read-only.
     """
-    half = width // 2
-    seat = np.empty(width, dtype=np.intp)
-    seat[0::2] = np.arange(half)
-    seat[1::2] = width - 1 - np.arange(half)
+    half, area = width // 2, width * width
+    seat = np.concatenate((np.arange(half), width - 1 - np.arange(half)))
     previous = np.concatenate(([0, width - 1], np.arange(1, width - 1)))
-    return np.argsort(seat)[previous[seat]]
+    step = np.argsort(seat)[previous[seat]]
+    into = np.concatenate((np.arange(0, width, 2), np.arange(1, width, 2)))
+    out = step[np.argsort(into)]
+    quarter, offset = np.divmod(np.arange(width), half)
+    rows, cols = quarter * 2 * half**2 + offset * half, quarter * half**2 + offset
+    place = rows[:, np.newaxis] + cols
+    first, then = np.empty((2, area), dtype=np.intp)
+    first[place] = into[:, np.newaxis] * width + into
+    then[place] = place[np.ix_(step, step)]
+    last = place[np.ix_(out, out)].ravel()
+    p, q = np.arange(half), np.arange(half, width)
+    pivots = np.concatenate((place[p, p], place[q, q], place[p, q], place[q, p]))
+    first, then, last = (np.concatenate((g, area + g)) for g in (first, then, last))
+    for gather in (first, then, last, pivots):
+        gather.flags.writeable = False
+    return first, then, last, pivots
+
+
+def _quarters(x: np.ndarray) -> tuple[tuple, tuple]:
+    """The views of a (count, 2, 2, 2, half, half) state that a round takes:
+    the state, its rows' partners, p half and q half, and A's plane, its
+    columns' partners, p half and q half."""
+    a = x[:, 0]
+    rows = x, x[:, :, ::-1], x[:, :, 0], x[:, :, 1]
+    cols = a, a[:, :, ::-1], a[:, :, 0], a[:, :, 1]
+    return rows, cols
 
 
 def _jacobi_stack(
@@ -184,14 +226,31 @@ def _jacobi_stack(
 ) -> list[tuple[np.ndarray, np.ndarray, int, float]]:
     """Round-robin Jacobi sweeps on a list of exactly Hermitian blocks at once.
 
-    The blocks are zero-padded into one stack of even width w >= 2, each
-    beside its accumulated V^H.  The stack takes the dtype of the blocks:
-    float64 when every block is a real array, so its rotations and V are
-    real, and complex128 otherwise; the callers pass the real forms that
-    :func:`linalg.gauge` finds.  A block runs while its off-diagonal norm,
-    taken at the start of each sweep, is above its stop.  A pivot at or
-    below stop / (10 n), n the block's own width, is idle: its rotation is
-    the identity.  So is every padding pivot, which is exactly 0.
+    The blocks are zero-padded to an even width w >= 2, each as a plane of
+    A beside a plane of its accumulated V^H.  The stack takes the dtype of
+    the blocks: float64 when every block is a real array, so its rotations
+    and V are real, and complex128 otherwise; the callers pass the real
+    forms that :func:`linalg.gauge` finds.  A block runs while its
+    off-diagonal norm, taken in natural order at the start of each sweep, is
+    above its stop.  A pivot at or below stop / (10 n), n the block's own
+    width, is idle: its rotation is the identity.  So is every padding
+    pivot, which is exactly 0.
+
+    A sweep gathers the running blocks into the split layout of
+    :func:`_round_robin`: each round's p's in the first half of the rows
+    and of the columns, their q's in the second, each quarter contiguous.
+    The partner of a half is then a reversed view, and every update is a
+    pass over whole arrays.  The rows of both planes take one product with
+    their partners' coefficients and one with their own, then a subtraction
+    on the p half and an addition on the q half:
+    p <- p c - q conj(s e) and q <- q conj(c e) + p s.  A's columns take the
+    same with c | s e and c e | s.  Each product and sum is the one that
+    rows and columns paired side by side would take, in the same order, so
+    the bits do not depend on the layout.  A move between rounds is one
+    gather of both planes, rows and columns alike, into the buffer that
+    held the partners' products; the last goes back to natural order.
+    Running blocks only ever stop, so the buffers are made once, and the
+    blocks still running take their leading entries.
 
     Returns, per block and in input order, copies of its unsorted diagonal
     and of its accumulated rotations, so that no result keeps the stack
@@ -204,78 +263,134 @@ def _jacobi_stack(
     skip = stops / (10.0 * np.maximum(sizes, 1))
     widest = int(sizes.max(initial=0))
     width = max(widest + widest % 2, 2)
-    half = width // 2
-    # [A | V^H]: the row update A <- J^H A also gives V^H <- J^H V^H
+    half, area = width // 2, width * width
+    # [A, V^H]: the row update A <- J^H A also gives V^H <- J^H V^H
     dtype = np.result_type(np.float64, *blocks)
-    aug = np.zeros((sizes.size, width, 2 * width), dtype=dtype)
+    planes = np.zeros((sizes.size, 2, width, width), dtype=dtype)
     for j, block in enumerate(blocks):
-        aug[j, : sizes[j], : sizes[j]] = block
-    aug[:, np.arange(width), width + np.arange(width)] = 1.0
-    a = aug[:, :, :width]
+        planes[j, 0, : sizes[j], : sizes[j]] = block
+    planes[:, 1, np.arange(width), np.arange(width)] = 1.0
+    a = planes[:, 0]
     off_mask = ~np.eye(width, dtype=bool)
     sweeps = np.zeros(sizes.size, dtype=int)
-    move = _round_robin(width)
-    # the move gathers the rows of [A | V^H] and the columns of A only
-    gather = move[:, np.newaxis], np.concatenate((move, np.arange(width, 2 * width)))
-    p, q = np.arange(0, width, 2), np.arange(1, width, 2)
-    # entries (p, p), (q, q), (p, q) and (q, p) of every pivot of a round
-    fix = np.concatenate((p, q, p, q)), np.concatenate((p, q, q, p))
+    first, then, last, pivots = _round_robin(width)
+    moves = [then] * (width - 2) + [last]
+    complex_stack = np.issubdtype(dtype, np.complexfloating)
+    conjugated = np.array([[False, True], [True, False]])[:, :, np.newaxis]
+    count = 0
 
     for done in range(max_sweeps + 1):
         off = np.linalg.norm(a * off_mask, axis=(1, 2))
         running = np.flatnonzero(off > stops)
         if done == max_sweeps or running.size == 0:
             break
-        x, floor = aug[running], skip[running, np.newaxis]
-        for _ in range(width - 1):
-            pivot = x[:, p, q]
-            b = np.abs(pivot)
-            idle = b <= floor
-            b[idle] = 1.0
-            app = x[:, p, p].real
-            aqq = x[:, q, q].real
-            # t = sign(tau) / (|tau| + hypot(1, tau)) with tau = d / (2 b),
-            # and e = conj(pivot) / b by real quotients, one per real part
-            d = aqq - app
-            t = np.copysign(2.0 * b, d) / (np.abs(d) + np.hypot(2.0 * b, d))
-            e = np.conjugate(pivot)
-            e.real /= b
-            if np.iscomplexobj(e):
-                e.imag /= b
-            # idle pivots get the identity rotation c = 1, s = 0, e = 1
-            t[idle] = 0.0
-            e[idle] = 1.0
-            # c and s in the stack's dtype keep the updates below free of casts
-            c = (1.0 / np.hypot(1.0, t)).astype(dtype)
-            s = t * c
-            se, ce = s * e, c * e
-            rows = x.reshape(-1, half, 2, 2 * width)
-            row_p, row_q = rows[:, :, 0], rows[:, :, 1]
-            new_p = row_p * c[..., None] - row_q * se.conj()[..., None]
-            row_q *= ce.conj()[..., None]
-            row_q += row_p * s[..., None]
-            row_p[...] = new_p
-            cols = x[:, :, :width].reshape(-1, width, half, 2)
-            col_p, col_q = cols[..., 0], cols[..., 1]
-            new_p = col_p * c[:, None] - col_q * se[:, None]
-            col_q *= ce[:, None]
-            col_q += col_p * s[:, None]
-            col_p[...] = new_p
-            # (J^H A J)[p, p] and [q, q] in closed form; a rotated pivot is
-            # exactly 0 and an idle one keeps its value
-            kept = pivot * idle
-            x[:, fix[0], fix[1]] = np.concatenate(
-                (app - t * b, aqq + t * b, kept, kept.conj()), axis=1
-            )
-            x = x[:, gather[0], gather[1]]
-        aug[running] = x
+        if running.size != count:
+            if not count:
+                # per block of the first sweep: two states, the round's and
+                # one for its partners' products and then its next layout;
+                # [c | c e, s e | s] per pivot for the columns, and for the
+                # rows, which differ only in conj(c e) and conj(s e); the
+                # coefficients of a quarter, the same as the quarter's
+                # beside it; A's pivot entries as read and as written
+                buffers = np.empty((2, running.size, 2, 2, 2, half, half), dtype=dtype)
+                stores = [
+                    np.empty((running.size, 2, 2, 2, half), dtype=dtype),
+                    np.empty((running.size, 2, 2, half, half), dtype=dtype),
+                    np.empty((running.size, 3 * half), dtype=dtype),
+                    np.empty((running.size, 4 * half), dtype=dtype),
+                ]
+            count = running.size
+            states = buffers[:, :count]
+            flats = states.reshape(2, count, 2 * area)
+            views = [_quarters(state) for state in states]
+            cs, coefs, entries, fixed = (store[:count] for store in stores)
+            cols_cs = cs[:, 0]
+            rows_cs = cs[:, 1] if complex_stack else cols_cs
+            c, ce = cols_cs[:, 0, 0], cols_cs[:, 0, 1]
+            se, s = cols_cs[:, 1, 0], cols_cs[:, 1, 1]
+            by_row, by_col = rows_cs[..., np.newaxis], cols_cs[:, :, :, np.newaxis]
+            own_rows = coefs[:, 0, np.newaxis, :, np.newaxis]
+            other_rows = coefs[:, 1, np.newaxis, :, np.newaxis]
+            own_cols, other_cols = coefs[:, 0, np.newaxis], coefs[:, 1, np.newaxis]
+            app, aqq = entries[:, :half].real, entries[:, half : 2 * half].real
+            pivot = entries[:, 2 * half :]
+            places = np.arange(count)[:, np.newaxis] * (2 * area) + pivots
+        floor = skip[running, np.newaxis]
+        # the running blocks into the first round's layout, by way of the
+        # other state; mode "wrap", as every gather is in range, writes to
+        # out directly
+        np.take(planes.reshape(-1, 2 * area), running, axis=0, out=flats[1], mode="wrap")
+        np.take(flats[1], first, axis=1, out=flats[0], mode="wrap")
+        # numpy (2.4) copies operands whose contiguous runs are short next to
+        # its ufunc buffer, 8192 entries by default, as the halves and
+        # quarters are, through that buffer; read in place they take about a
+        # third of the time.  The rounds hold no reduction, so no sum's
+        # order, nor a bit, depends on the buffer's size
+        bufsize = np.setbufsize(256)
+        try:
+            for r, move in enumerate(moves):
+                flat = flats[r % 2]
+                (x, rows_partner, rows_p, rows_q), (a_x, cols_partner, cols_p, cols_q) = (
+                    views[r % 2]
+                )
+                (other, _, other_p, other_q), (other_a, _, other_cp, other_cq) = (
+                    views[1 - r % 2]
+                )
+                np.take(flat, pivots[: 3 * half], axis=1, out=entries, mode="wrap")
+                b = np.abs(pivot)
+                idle = b <= floor
+                b[idle] = 1.0
+                # t = sign(tau) / (|tau| + hypot(1, tau)) with tau = d / (2 b),
+                # and e = conj(pivot) / b by real quotients, one per real part
+                d = aqq - app
+                twice_b = 2.0 * b
+                t = np.copysign(twice_b, d) / (np.abs(d) + np.hypot(twice_b, d))
+                e = np.conjugate(pivot)
+                e.real /= b
+                if complex_stack:
+                    e.imag /= b
+                # idle pivots get the identity rotation c = 1, s = 0, e = 1
+                t[idle] = 0.0
+                e[idle] = 1.0
+                # c and s in the stack's dtype keep the updates free of casts
+                np.divide(1.0, np.hypot(1.0, t), out=c)
+                np.multiply(t, c, out=s)
+                np.multiply(c, e, out=ce)
+                np.multiply(s, e, out=se)
+                if complex_stack:
+                    rows_cs[...] = cols_cs
+                    np.conjugate(cols_cs, out=rows_cs, where=conjugated)
+                # p <- p c - q conj(s e) and q <- q conj(c e) + p s, both planes
+                coefs[...] = by_row
+                np.multiply(rows_partner, other_rows, out=other)
+                np.multiply(x, own_rows, out=x)
+                np.subtract(rows_p, other_p, out=rows_p)
+                np.add(rows_q, other_q, out=rows_q)
+                # p <- p c - q s e and q <- q c e + p s, on A's columns
+                coefs[...] = by_col
+                np.multiply(cols_partner, other_cols, out=other_a)
+                np.multiply(a_x, own_cols, out=a_x)
+                np.subtract(cols_p, other_cp, out=cols_p)
+                np.add(cols_q, other_cq, out=cols_q)
+                # (J^H A J)[p, p] and [q, q] in closed form; a rotated pivot
+                # is exactly 0 and an idle one keeps its value
+                t *= b
+                np.subtract(app, t, out=fixed[:, :half])
+                np.add(aqq, t, out=fixed[:, half : 2 * half])
+                np.multiply(pivot, idle, out=fixed[:, 2 * half : 3 * half])
+                np.conjugate(fixed[:, 2 * half : 3 * half], out=fixed[:, 3 * half :])
+                np.put(flat, places, fixed, mode="wrap")
+                np.take(flat, move, axis=1, out=flats[1 - r % 2], mode="wrap")
+        finally:
+            np.setbufsize(bufsize)
+        planes.reshape(-1, 2 * area)[running] = flats[(width - 1) % 2]
         sweeps[running] += 1
 
     diagonals = np.diagonal(a, axis1=1, axis2=2).real
     return [
         (
             diagonals[j, :n].copy(),
-            np.conjugate(aug[j, :n, width : width + n]).T,
+            np.conjugate(planes[j, 1, :n, :n]).T,
             int(sweeps[j]),
             float(off[j]),
         )
@@ -474,8 +589,9 @@ class _Eigensolve:
 
     Built, it has checked its input, as :func:`hermitian_eig` documents,
     chosen its route and cut ``route``, the blocks to sweep and their stops,
-    over equal labels: the components, for m symmetrized, or with a charge
-    those of m rotated into the basis W by :func:`_split_sectors`.  Each
+    over equal labels: the components of m, each symmetrized once cut, or
+    with a charge those of m rotated into the basis W by
+    :func:`_split_sectors`, which symmetrizes the whole.  Each
     block is swept to tol times its own norm, or named by route, label and
     width in the :class:`ConvergenceError`.  :meth:`finish` takes the blocks
     solved and returns the decomposition.
@@ -504,8 +620,9 @@ class _Eigensolve:
         self.leak = self.commutator = 0.0
         if component.any() or charge is None:
             # the walk has split the pattern already, as H's by its conserved
-            # S3: a checked charge goes unused
-            w, swept, labels, name = None, _symmetrized(a), component, "component"
+            # S3: a checked charge goes unused.  Each block is symmetrized
+            # once cut, entry by entry as the whole of a would be
+            w, swept, labels, name = None, a, component, "component"
         else:
             # D^H m D has m's sectors only if D commutes with A x I + I x B, that
             # is if no off-diagonal nonzero of A or B joins two colours
@@ -522,6 +639,8 @@ class _Eigensolve:
         # for n = 0 the split holds one empty group, which is no block
         self.groups = [idx for idx in groups if idx.size]
         blocks = [swept[np.ix_(idx, idx)] for idx in self.groups]
+        if w is None:
+            blocks = [_symmetrized(block) for block in blocks]
         norms = [frobenius_norm(block) for block in blocks]
         self.route = blocks, [tol * norm for norm in norms]
         self.names = [
@@ -653,8 +772,9 @@ def hermitian_eig(
     below the stop threshold scaled by 1/(10 n) are skipped; the
     convergence check always measures the true remaining off-diagonal
     mass, so skipping never masks a miss.  Inputs within the
-    hermiticity tolerance are symmetrized once, on entry (component route)
-    or once rotated into the charge basis (sector route); the reported
+    hermiticity tolerance are symmetrized once, each block as it is cut
+    (component route) or the whole matrix once rotated into the charge
+    basis, where the leak is measured (sector route); the reported
     residual is still taken against the original matrix.  Where
     :func:`linalg.gauge` finds a real form D^H m D, it is swept in real
     arithmetic and the vectors are D V (see the module docstring); they are
