@@ -115,7 +115,6 @@ __all__ = [
     "ConvergenceError",
     "EigDecomposition",
     "hermitian_eig",
-    "verify_eigenpair",
 ]
 
 DEFAULT_MAX_SWEEPS = 100
@@ -783,17 +782,3 @@ def hermitian_eig(
     """
     (dec,) = _eigensolves([(m, charge)], tol, max_sweeps)
     return dec
-
-
-def verify_eigenpair(m: np.ndarray, vector: np.ndarray, value: float) -> float:
-    """Scale-free residual ||M v - value * v|| / ||v|| of a claimed pair."""
-    m = require_square(m, "expected a square matrix")
-    vector = np.asarray(vector, dtype=np.complex128)
-    if vector.ndim != 1 or vector.shape[0] != m.shape[0]:
-        raise ShapeError(
-            f"vector shape {vector.shape} does not match matrix {m.shape}"
-        )
-    norm = float(np.linalg.norm(vector))
-    if norm == 0.0:
-        raise ValueError("eigenvector must be non-zero")
-    return float(np.linalg.norm(m @ vector - value * vector)) / norm

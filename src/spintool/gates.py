@@ -35,7 +35,6 @@ from .linalg import (
     Blocks,
     HermiticityError,
     NumericalError,
-    ShapeError,
     components,
     frobenius_norm,
     require_square,
@@ -45,8 +44,6 @@ from .spin import HalfInteger
 __all__ = [
     "Gate",
     "synthesize_gate",
-    "apply_gate",
-    "gate_fidelity",
     "gate_eigenphases",
     "unitarity_residual",
 ]
@@ -136,25 +133,6 @@ def synthesize_gate(
         unitarity_residual=residual,
         source_residual=source_residual,
     )
-
-
-def apply_gate(gate: Gate, state: np.ndarray) -> np.ndarray:
-    """Apply the gate to a state vector; preserves the euclidean norm."""
-    state = np.asarray(state, dtype=np.complex128)
-    if state.ndim != 1 or state.shape[0] != gate.dimension:
-        raise ShapeError(
-            f"state shape {state.shape} does not match gate dimension {gate.dimension}"
-        )
-    return gate.matrix @ state
-
-
-def gate_fidelity(a: np.ndarray, b: np.ndarray) -> float:
-    """|tr(a^H b)| / dim; equals 1 exactly for unitaries equal up to phase."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"expected equal square shapes, got {a.shape} and {b.shape}")
-    return float(abs(np.trace(a.conj().T @ b))) / a.shape[0]
 
 
 def gate_eigenphases(gate: Gate) -> np.ndarray:

@@ -1,9 +1,10 @@
-"""Dense complex matrix helpers shared by every other module.
+"""Matrix checks, error types and block helpers shared by every other module.
 
-Matrices are plain 2-D ``numpy.ndarray`` values of dtype ``complex128`` in
-row-major (C) element order; ``require_square`` is the package's one check
-that a lone matrix argument is square.  Every function here is pure: inputs
-are never mutated, and arrays returned by constructors are marked read-only.
+Matrices are plain 2-D ``numpy.ndarray`` values; :func:`as_cmatrix`
+validates one and returns it as a read-only ``complex128`` array in
+row-major (C) element order, and ``require_square`` is the package's one
+check that a lone matrix argument is square.  No function here writes
+into its arguments, but for the ``out`` of :meth:`Blocks.scatter`.
 
 The block helpers at the end, which are not exported, are the package's one
 home for a matrix's nonzero pattern.  :func:`components` labels the
@@ -39,14 +40,7 @@ __all__ = [
     "HermiticityError",
     "as_cmatrix",
     "require_square",
-    "identity",
-    "matmul",
-    "kron",
-    "adjoint",
-    "trace",
-    "commutator",
     "frobenius_norm",
-    "frobenius_distance",
     "hermiticity_defect",
     "require_hermitian",
 ]
@@ -90,76 +84,13 @@ def require_square(a, what: str) -> np.ndarray:
     return a
 
 
-def identity(n: int) -> np.ndarray:
-    """Read-only n-by-n complex identity matrix."""
-    if n < 1:
-        raise ShapeError(f"identity size must be positive, got {n}")
-    m = np.eye(n, dtype=np.complex128)
-    m.flags.writeable = False
-    return m
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product a @ b with an explicit inner-dimension check."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError("matmul operands must be 2-D")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dimensions differ: {a.shape} x {b.shape}")
-    return a @ b
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; row blocks follow the first operand's indices.
-
-    Entry ((i*p)+k, (j*q)+l) equals a[i, j] * b[k, l] for b of shape (p, q).
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError("kron operands must be 2-D")
-    return np.kron(a, b)
-
-
-def adjoint(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    a = np.asarray(a)
-    if a.ndim != 2:
-        raise ShapeError("adjoint operand must be 2-D")
-    return a.conj().T
-
-
-def trace(a: np.ndarray) -> complex:
-    """Sum of the diagonal; defined for square matrices only."""
-    return complex(np.trace(require_square(a, "trace needs a square matrix")))
-
-
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b - b @ a for equal square shapes."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"commutator needs equal square shapes, got {a.shape} and {b.shape}")
-    return a @ b - b @ a
-
-
 def frobenius_norm(a: np.ndarray) -> float:
     """Frobenius norm, sqrt(sum |a_ij|^2)."""
     return float(np.linalg.norm(np.asarray(a)))
 
 
-def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Frobenius norm of a - b for equal shapes."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
-
-
 def hermiticity_defect(a: np.ndarray) -> float:
-    """Frobenius norm of a - adjoint(a), with no n x n temporary.
+    """Frobenius norm of a - a^H, with no n x n temporary.
 
     It is summed over the upper block triangle, rows of about 2^14 entries
     at a time: a diagonal block holds both entries of each mirrored pair,

@@ -322,13 +322,13 @@ def _power_of_two(mantissa: float, exponent: int) -> float:
         return math.copysign(math.inf, mantissa)
 
 
-def newton_check(values, traces, tol: float = MOMENT_TOL) -> bool:
+def newton_check(values, traces) -> bool:
     """Check sum_i values_i^k == traces[k-1] for every provided power.
 
     With r = max(1, max |value|), both sides are divided by r^k, the traces
     through the overflow-safe quotient of the moment certificate, and must
-    agree within tol * len(values), matching how trace magnitudes grow.  A
-    NaN on either side fails the comparison.
+    agree within MOMENT_TOL * len(values), matching how trace magnitudes
+    grow.  A NaN on either side fails the comparison.
     """
     values = np.asarray(values, dtype=np.float64)
     traces = np.asarray(traces, dtype=np.float64)
@@ -340,7 +340,7 @@ def newton_check(values, traces, tol: float = MOMENT_TOL) -> bool:
     powers = np.arange(1, traces.size + 1)[:, None]
     sums = np.sum((values / radius) ** powers, axis=1)
     scaled = np.abs(sums - _over_powers(traces, radius))
-    return bool(np.all(scaled <= tol * values.size))
+    return bool(np.all(scaled <= MOMENT_TOL * values.size))
 
 
 def cluster_spectrum(values, cluster_tol: float) -> Spectrum:
@@ -450,8 +450,6 @@ def certify_isospectral(
     a: np.ndarray,
     b: np.ndarray,
     kmax: int | None = None,
-    tol: float = MOMENT_TOL,
-    cluster_tol: float | None = None,
     prefix: int | None = None,
     eig_tol: float = DEFAULT_TOL,
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
@@ -460,8 +458,9 @@ def certify_isospectral(
     """Certify that two Hermitian operators share a spectrum.
 
     Diagonalizes both operators, compares clustered spectra (values within
-    the cluster tolerance, multiplicities exactly), and independently
-    compares trace moments for k = 1..kmax (default: the full dimension).
+    the larger :func:`default_cluster_tol` of the two, multiplicities
+    exactly), and independently compares trace moments for k = 1..kmax
+    (default: the full dimension) within MOMENT_TOL * n.
     ``prefix`` additionally reports the comparison restricted to the first
     so-many powers; the verdict never rests on the prefix alone.
     ``charges`` passes each operator's conserved-charge factors (or None)
@@ -491,8 +490,7 @@ def certify_isospectral(
         raise ValueError(f"prefix must lie in 1..kmax, got {prefix}")
 
     dec_a, dec_b = _eigensolves([(a, charges[0]), (b, charges[1])], eig_tol, max_sweeps)
-    if cluster_tol is None:
-        cluster_tol = max(default_cluster_tol(a), default_cluster_tol(b))
+    cluster_tol = max(default_cluster_tol(a), default_cluster_tol(b))
     spectrum_a = cluster_spectrum(dec_a.values, cluster_tol)
     spectrum_b = cluster_spectrum(dec_b.values, cluster_tol)
     equal = spectra_match(spectrum_a, spectrum_b, value_tol=cluster_tol)
@@ -506,7 +504,7 @@ def certify_isospectral(
     )
     scaled = _scaled_differences(traces_a, traces_b, radius)
     max_abs_diff = float(np.max(scaled))
-    threshold = tol * n
+    threshold = MOMENT_TOL * n
     prefix_diff = float(np.max(scaled[:prefix])) if prefix is not None else None
     report = MomentReport(
         powers=tuple(range(1, kmax + 1)),

@@ -10,6 +10,11 @@ The gate matrix writer gives the bytes of one format_complex call or one
 json pair per entry: hypothesis draws matrices of empty, sparse and full
 rows, rows repeated byte for byte or at other columns, and near-repeats
 that differ only by a -0.0 for a +0.0 or by one ulp.
+
+Every matrix file that ``spectrum --hamiltonian file`` reads ends in a
+documented exit code too: hypothesis draws real, purely imaginary, sparse
+and nearly Hermitian matrices of sizes 1..12, with subnormal, huge and
+negative-zero entries, at tolerances from the smallest subnormal up past 1.
 """
 
 import contextlib
@@ -26,6 +31,7 @@ from hypothesis import strategies as st
 from test_cli import _assert_same_text, _dumps_with_pairs, _reference_csv, _reference_plain
 
 import spintool.cli as cli
+from spintool.spectral import default_cluster_tol
 
 SCHEMA = json.loads(
     (Path(cli.__file__).parent / "report_schema.json").read_text(encoding="utf-8")
@@ -173,3 +179,106 @@ def test_gate_writer_gives_the_bytes_of_one_call_per_entry(colliding):
         if colliding:
             patch.setattr(cli, "hash", len, raising=False)
         check()
+
+
+# entries of a matrix file: any moderate float, and a few at the edges of
+# double precision
+ENTRIES = st.floats(min_value=-1e3, max_value=1e3)
+EDGES = st.sampled_from([5e-324, -5e-324, 1e308, -0.0])
+PATTERNS = ("real", "imaginary", "sparse", "nearly Hermitian")
+# --tol, or none for the default 1e-12; 1 and beyond are usage errors
+FILE_TOLS = st.one_of(
+    st.none(),
+    st.sampled_from([5e-324, 1e-300, 1e-12, 1e-6, 0.5, 1.0, 1e308]),
+    st.floats(min_value=5e-324, max_value=1.0),
+)
+
+
+@st.composite
+def _matrix_files(draw) -> tuple[np.ndarray, float | None, float | None]:
+    """A matrix, the --tol to read it at, and for a nearly Hermitian one its
+    defect ||M - M^H||_F, drawn just inside or just outside tol * n."""
+    n = draw(st.integers(1, 12))
+    pattern = draw(st.sampled_from(PATTERNS))
+    tol = draw(FILE_TOLS)
+    upper = np.triu_indices(n, 1)
+    m = np.zeros((n, n), dtype=complex)
+    diagonal = draw(st.lists(ENTRIES, min_size=n, max_size=n))
+    if pattern != "imaginary":
+        m[np.diag_indices(n)] = diagonal
+    k = upper[0].size
+    links = draw(st.lists(ENTRIES, min_size=k, max_size=k))
+    if pattern == "imaginary":
+        m[upper] = 1j * np.array(links)
+    elif pattern == "real":
+        m[upper] = links
+    else:
+        imag = draw(st.lists(ENTRIES, min_size=k, max_size=k))
+        m[upper] = np.array(links) + 1j * np.array(imag)
+    if pattern == "sparse":
+        keep = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+        m[upper] *= np.array(keep, dtype=bool)
+    # up to three entries at the edges, each in a part that keeps the pattern
+    spots = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.booleans(), EDGES)
+    for i, j, imaginary, edge in draw(st.lists(spots, max_size=3)):
+        i, j = min(i, j), max(i, j)
+        if i == j or pattern in ("real", "imaginary"):
+            imaginary = pattern == "imaginary"
+        if imaginary and i == j:
+            continue  # an imaginary Hermitian matrix has a zero diagonal
+        m[i, j] = complex(m[i, j].real, edge) if imaginary else complex(edge, m[i, j].imag)
+    m.T[upper] = m[upper].conj()
+    defect = None
+    if pattern == "nearly Hermitian":
+        # an imaginary part t on the real diagonal is exact, and its defect 2|t|
+        bound = (1e-12 if tol is None else min(tol, 0.5)) * n
+        defect = bound * draw(st.sampled_from([1 - 2**-10, 1 + 2**-10]))
+        m[-1, -1] += 0.5j * defect
+    return m, tol, defect
+
+
+def test_every_drawn_matrix_file_ends_in_an_exit_code(tmp_path):
+    path = tmp_path / "m.txt"
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(drawn=_matrix_files())
+    def check(drawn):
+        m, tol, defect = drawn
+        path.write_text(
+            "\n".join(" ".join(cli.format_complex(complex(z)) for z in row) for row in m) + "\n",
+            encoding="utf-8",
+        )
+        n = m.shape[0]
+        for fmt in ("json", "csv", "plain"):
+            argv = ["spectrum", "--hamiltonian", "file", "--file", str(path), "--format", fmt]
+            argv += [] if tol is None else ["--tol", repr(tol)]
+            code, out = _run(argv)
+            assert code in (0, 1, 2, 3), argv
+            if tol is not None and tol >= 1:
+                assert code == 2, argv
+            # 2|t| is exact, and so is its square for t far above underflow
+            if defect is not None and defect > (tol or 1e-12) * n and defect > 1e-150:
+                assert code == 3, argv
+            if code not in (0, 1):
+                continue
+            if fmt != "json":
+                assert not NON_FINITE.search(out), argv
+                continue
+            report = json.loads(out)
+            jsonschema.validate(report, SCHEMA)
+            if code or tol is not None:
+                continue
+            # Each value joins its cluster within cluster_tol of the running
+            # mean, which never exceeds the values joined so far, so a
+            # cluster spans at most (n - 1) cluster_tol and each value lies
+            # that close to its mean.  The Jacobi values are within 1e-12
+            # ||M||_F and eigvalsh's within a few n eps ||M||_2, both below
+            # one more cluster_tol = 1e-9 max(1, ||M||_F): n cluster_tol.
+            values = [c["value"] for c in report["clusters"] for _ in range(c["multiplicity"])]
+            # halves first, so that a 1e308 entry and its mirror do not overflow
+            oracle = np.linalg.eigvalsh(m / 2 + m.conj().T / 2)
+            bound = n * default_cluster_tol(m)
+            assert report["cluster_tol"] == default_cluster_tol(m)
+            assert np.max(np.abs(np.array(values) - oracle)) <= bound, (argv, values, oracle)
+
+    check()

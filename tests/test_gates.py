@@ -5,13 +5,7 @@ import pytest
 
 from spintool import gates
 from spintool.eig import EigDecomposition, hermitian_eig
-from spintool.gates import (
-    apply_gate,
-    gate_eigenphases,
-    gate_fidelity,
-    synthesize_gate,
-    unitarity_residual,
-)
+from spintool.gates import gate_eigenphases, synthesize_gate, unitarity_residual
 from spintool.hamiltonians import Hamiltonian, HamiltonianKind, build_cyclic, build_heisenberg
 from spintool.linalg import (
     Blocks,
@@ -19,7 +13,6 @@ from spintool.linalg import (
     NumericalError,
     ShapeError,
     components,
-    frobenius_distance,
     frobenius_norm,
 )
 from spintool.spin import HalfInteger
@@ -46,32 +39,27 @@ def _taylor_exp(m, terms=60):
 
 def test_theta_zero_is_identity():
     gate = synthesize_gate(build_heisenberg(HalfInteger(1)), 0.0)
-    assert frobenius_distance(gate.matrix, np.eye(4)) <= 1e-12
+    assert np.linalg.norm(gate.matrix - np.eye(4)) <= 1e-12
 
 
 def test_full_turn_is_global_phase():
     # exp(-2 pi i H) acts as exp(-i pi / 2) on every total-spin sector
     gate = synthesize_gate(build_heisenberg(HalfInteger(1)), 2.0 * np.pi)
-    assert gate_fidelity(gate.matrix, np.eye(4)) >= 1.0 - 1e-9
-    assert frobenius_distance(gate.matrix, -1j * np.eye(4)) <= 1e-9
+    # the fidelity |tr(U^H I)| / 4 is 1 for a gate equal to I up to phase
+    assert abs(np.trace(gate.matrix.conj().T @ np.eye(4))) / 4 >= 1.0 - 1e-9
+    assert np.linalg.norm(gate.matrix + 1j * np.eye(4)) <= 1e-9
     phases = gate_eigenphases(gate)
     np.testing.assert_allclose(phases, 1.5 * np.pi, atol=1e-9)
 
 
 def test_swap_identity_and_eigenbasis_map():
     h = build_heisenberg(HalfInteger(1))
-    assert frobenius_distance(2.0 * h.matrix + np.eye(4) / 2.0, SWAP) <= 1e-12
+    assert np.linalg.norm(2.0 * h.matrix + np.eye(4) / 2.0 - SWAP) <= 1e-12
     # mapping eigenvalues through f(x) = 2x + 1/2 sends the singlet to -1
     # and the triplet to +1, which is exactly the swap operator
     dec = hermitian_eig(h.matrix)
     mapped = (dec.vectors * (2.0 * dec.values + 0.5)[np.newaxis, :]) @ dec.vectors.conj().T
-    assert frobenius_distance(mapped, SWAP) <= 1e-10
-
-
-def test_identity_swap_fidelity():
-    assert gate_fidelity(np.eye(4), SWAP) == pytest.approx(0.5)
-    assert gate_fidelity(SWAP, SWAP) == pytest.approx(1.0)
-    assert gate_fidelity(SWAP, np.exp(1j * 0.7) * SWAP) == pytest.approx(1.0)
+    assert np.linalg.norm(mapped - SWAP) <= 1e-10
 
 
 @pytest.mark.parametrize("twice", [1, 2, 3])
@@ -85,14 +73,14 @@ def test_unitarity_and_group_law(build, twice):
     g2 = synthesize_gate(ham, theta2)
     g12 = synthesize_gate(ham, theta1 + theta2)
     assert unitarity_residual(g1.matrix) <= 1e-10 * n
-    assert frobenius_distance(g1.matrix @ g2.matrix, g12.matrix) <= 1e-9 * n
+    assert np.linalg.norm(g1.matrix @ g2.matrix - g12.matrix) <= 1e-9 * n
 
 
 def test_inverse_via_negative_angle():
     ham = build_cyclic(HalfInteger(2))
     g = synthesize_gate(ham, 0.9)
     ginv = synthesize_gate(ham, -0.9)
-    assert frobenius_distance(g.matrix @ ginv.matrix, np.eye(ham.dimension)) <= 1e-10
+    assert np.linalg.norm(g.matrix @ ginv.matrix - np.eye(ham.dimension)) <= 1e-10
 
 
 @pytest.mark.parametrize(
@@ -104,14 +92,14 @@ def test_matches_taylor_series_oracle(twice, build, theta):
     assert theta * frobenius_norm(ham.matrix) <= 2.0
     gate = synthesize_gate(ham, theta)
     oracle = _taylor_exp(-1j * theta * ham.matrix)
-    assert frobenius_distance(gate.matrix, oracle) <= 1e-9
+    assert np.linalg.norm(gate.matrix - oracle) <= 1e-9
 
 
 def test_singlet_picks_up_pure_phase():
     theta = 0.7
     gate = synthesize_gate(build_heisenberg(HalfInteger(1)), theta)
     singlet = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2.0)
-    out = apply_gate(gate, singlet)
+    out = gate.matrix @ singlet
     np.testing.assert_allclose(out, np.exp(0.75j * theta) * singlet, atol=1e-12)
 
 
@@ -119,10 +107,8 @@ def test_apply_gate_preserves_norm():
     rng = np.random.default_rng(77)
     gate = synthesize_gate(build_cyclic(HalfInteger(3)), 1.3)
     state = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    out = apply_gate(gate, state)
+    out = gate.matrix @ state
     assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(state))
-    with pytest.raises(ShapeError):
-        apply_gate(gate, np.ones(5))
 
 
 def test_eigenphases_of_a_tiny_angle_stay_below_two_pi():
@@ -319,7 +305,7 @@ def test_blockwise_gates_keep_the_group_law_and_eigenphases(twice):
     g1 = synthesize_gate(ham, 0.4)
     g2 = synthesize_gate(ham, 1.1)
     g12 = synthesize_gate(ham, 1.5)
-    assert frobenius_distance(g1.matrix @ g2.matrix, g12.matrix) <= 1e-9 * n
+    assert np.linalg.norm(g1.matrix @ g2.matrix - g12.matrix) <= 1e-9 * n
     # the eigenvalues of the gate are the exponentials of its eigenphases
     phases = gate_eigenphases(g12)
     values = np.linalg.eigvals(g12.matrix)

@@ -13,19 +13,12 @@ from spintool.linalg import (
     Blocks,
     HermiticityError,
     ShapeError,
-    adjoint,
     as_cmatrix,
-    commutator,
     components,
-    frobenius_distance,
     frobenius_norm,
     gauge,
     hermiticity_defect,
-    identity,
-    kron,
-    matmul,
     require_hermitian,
-    trace,
 )
 from spintool.spectral import moments
 from spintool.spin import HalfInteger
@@ -56,91 +49,6 @@ def test_as_cmatrix_rejects_non_finite():
         as_cmatrix([[np.inf, 0], [0, 1]])
     with pytest.raises(ValueError):
         as_cmatrix([[0, complex(0, np.nan)], [0, 1]])
-
-
-def test_matmul_pauli_product():
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    np.testing.assert_allclose(matmul(x, y), [[1j, 0], [0, -1j]], atol=0)
-
-
-def test_matmul_rejects_mismatched_inner_dims():
-    with pytest.raises(ShapeError):
-        matmul(identity(2), identity(3))
-
-
-def test_identity_size_check():
-    with pytest.raises(ShapeError):
-        identity(0)
-    # a constructor's result is read-only, as as_cmatrix's is
-    assert not identity(3).flags.writeable
-
-
-def test_kron_block_order():
-    a = np.array([[1, 2], [3, 4]], dtype=complex)
-    b = np.array([[0, 5], [6, 7]], dtype=complex)
-    out = kron(a, b)
-    assert out.shape == (4, 4)
-    np.testing.assert_allclose(out[:2, 2:], 2 * b, atol=0)
-    np.testing.assert_allclose(out[2:, :2], 3 * b, atol=0)
-
-
-def test_kron_spin_half_cross_entry():
-    s1 = np.array([[0, 0.5], [0.5, 0]], dtype=complex)
-    s2 = np.array([[0, -0.5j], [0.5j, 0]], dtype=complex)
-    assert kron(s1, s2)[0, 3] == -0.25j
-
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_kron_mixed_product(n):
-    rng = np.random.default_rng(100 + n)
-    a, b = _random_pair(rng, n)
-    c, d = _random_pair(rng, n)
-    left = matmul(kron(a, b), kron(c, d))
-    right = kron(matmul(a, c), matmul(b, d))
-    assert frobenius_distance(left, right) <= 1e-12 * n * n
-
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_kron_trace_multiplicative(n):
-    rng = np.random.default_rng(200 + n)
-    a, b = _random_pair(rng, n)
-    assert abs(trace(kron(a, b)) - trace(a) * trace(b)) <= 1e-12 * n * n
-
-
-def test_adjoint_involution_and_product_reversal():
-    rng = np.random.default_rng(17)
-    a, b = _random_pair(rng, 3)
-    np.testing.assert_allclose(adjoint(adjoint(a)), a, atol=0)
-    np.testing.assert_allclose(adjoint(matmul(a, b)), matmul(adjoint(b), adjoint(a)), atol=1e-15)
-
-
-def test_trace_and_shape_guard():
-    assert trace(identity(4)) == 4
-    assert trace(np.diag([2.0, -5.0]).astype(complex)) == -3
-    with pytest.raises(ShapeError):
-        trace(np.ones((2, 3)))
-
-
-def test_trace_cyclic():
-    rng = np.random.default_rng(23)
-    a, b = _random_pair(rng, 4)
-    assert abs(trace(matmul(a, b)) - trace(matmul(b, a))) <= 1e-12
-
-
-def test_commutator_antisymmetric():
-    rng = np.random.default_rng(29)
-    a, b = _random_pair(rng, 3)
-    np.testing.assert_allclose(commutator(a, b), -commutator(b, a), atol=1e-15)
-    with pytest.raises(ShapeError):
-        commutator(a, np.ones((2, 2)))
-
-
-def test_frobenius_distance_cases():
-    assert frobenius_distance(identity(2), identity(2)) == 0.0
-    assert frobenius_distance(identity(2), np.zeros((2, 2))) == pytest.approx(np.sqrt(2.0))
-    with pytest.raises(ShapeError):
-        frobenius_distance(identity(2), identity(3))
 
 
 def test_frobenius_norm_value():

@@ -1,6 +1,7 @@
 """The package namespace and the README's library example."""
 
 import ast
+import inspect
 import re
 from pathlib import Path
 
@@ -20,6 +21,29 @@ def test_exports_are_the_module_lists():
     for module in MODULES:
         for name in module.__all__:
             assert getattr(spintool, name) is getattr(module, name), name
+
+
+# the whole public surface: adding a name back means editing this list
+PUBLIC = [
+    "AlgebraReport", "ConvergenceError", "DEFAULT_TOL", "EigDecomposition", "Gate",
+    "HalfInteger", "Hamiltonian", "HamiltonianKind", "HermiticityError",
+    "IsospectralReport", "MAX_TWICE_SPIN", "MomentReport", "NumericalError", "ShapeError",
+    "Spectrum", "SpinTriple", "__version__", "as_cmatrix", "build_bilinear", "build_cyclic",
+    "build_heisenberg", "certify_isospectral", "closed_form_spectrum", "cluster_spectrum",
+    "default_cluster_tol", "frobenius_norm", "gate_eigenphases", "hermitian_eig",
+    "hermiticity_defect", "make_spin_triple", "moments", "newton_check",
+    "require_hermitian", "require_square", "spectra_match", "synthesize_gate",
+    "unitarity_residual", "verify_su2",
+]
+
+
+def test_the_public_surface_is_pinned():
+    assert len(PUBLIC) == 38
+    assert sorted(spintool.__all__) == PUBLIC
+    # the certificate's tolerances are constants, not knobs
+    certify = inspect.signature(spintool.certify_isospectral).parameters
+    assert list(certify) == ["a", "b", "kmax", "prefix", "eig_tol", "max_sweeps", "charges"]
+    assert list(inspect.signature(spintool.newton_check).parameters) == ["values", "traces"]
 
 
 def test_readme_quick_start_runs(capsys):

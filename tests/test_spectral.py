@@ -695,6 +695,28 @@ def test_raw_moments_reject_a_split_cluster_at_2s_12():
     assert not _split_cluster_report(0.01).moments.passed
 
 
+@pytest.mark.parametrize("twice", [3, 8, 12])
+def test_a_multiplicity_moved_between_neighbouring_clusters_is_rejected(twice):
+    # one eigenvalue of K's second-highest cluster, j = 2s - 1, moved onto the
+    # highest, j = 2s: the values stay those of the closed form, only two
+    # multiplicities change
+    (second, _), (top, _) = closed_form_spectrum(HalfInteger(twice)).clusters[-2:]
+
+    def move(values):
+        values[np.flatnonzero(np.abs(values - second) < 1e-6)[-1]] = top
+
+    h, impostor, charge = _k_impostor(twice, move)
+    assert hermitian_eig(impostor, charge=charge).leak <= 1e-12
+    report = certify_isospectral(h.matrix, impostor, charges=(h.charge, charge))
+    assert not report.spectra_equal
+    assert report.spectrum_b.multiplicities[-2:] == (2 * twice - 2, 2 * twice + 2)
+    # the raw moments over all n powers miss it by far more than their
+    # tolerance: 0.80, 0.48 and 0.44 against 1.6e-7, 8.1e-7 and 1.69e-6
+    assert not report.moments.passed
+    assert report.moments.max_abs_diff > 1e5 * report.moments.tol
+    assert not report.verdict
+
+
 def test_certify_reflexive():
     m = build_cyclic(HalfInteger(2)).matrix
     report = certify_isospectral(m, m)
