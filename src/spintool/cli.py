@@ -246,11 +246,14 @@ def _resolve_tol(flag: float | None) -> float:
 
 
 def parse_complex_token(token: str) -> complex:
-    """Parse one a+bi entry; accepts bare reals and bare [+-]i terms."""
+    """Parse one finite a+bi entry; accepts bare reals and bare [+-]i terms."""
     try:
-        return complex(token.replace("I", "i").replace("i", "j"))
+        z = complex(token.replace("I", "i").replace("i", "j"))
     except ValueError:
         raise ValueError(f"cannot parse matrix entry {token!r}") from None
+    if not np.isfinite(z):
+        raise ValueError(f"matrix entry {token!r} is not finite")
+    return z
 
 
 def format_complex(z: complex) -> str:
@@ -264,12 +267,12 @@ def read_matrix_file(path: str) -> np.ndarray:
     """Read a matrix of whitespace-separated a+bi entries, one row per line.
 
     The file is UTF-8, with or without a byte-order mark.  Blank lines and
-    lines starting with '#' are skipped.  Malformed entries and ragged rows
-    raise ValueError.
+    lines starting with '#' are skipped.  Every read, decode or parse error
+    is a ValueError that names the file.
     """
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read matrix file {path!r}: {exc}") from None
     rows: list[list[complex]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):

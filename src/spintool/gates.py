@@ -4,7 +4,8 @@ A generator M with eigendecomposition M = V diag(lambda) V^H yields the
 gate U(theta) = V diag(exp(-i theta lambda)) V^H.  Real eigenvalues make
 U exactly unitary up to rounding, and the group law
 U(theta1) U(theta2) = U(theta1 + theta2) holds because all factors share
-one eigenbasis.
+one eigenbasis.  The generator's hermiticity is checked once, by
+:func:`eig.hermitian_eig`.
 
 Both products of a gate follow the blocks of the generator's nonzero
 pattern (see :class:`linalg.Blocks`), which the eigendecomposition records.
@@ -33,7 +34,6 @@ from .hamiltonians import Hamiltonian, HamiltonianKind
 from .linalg import (
     DEFAULT_TOL,
     Blocks,
-    HermiticityError,
     NumericalError,
     components,
     frobenius_norm,
@@ -83,22 +83,18 @@ def synthesize_gate(
 ) -> Gate:
     """Build U(theta) = exp(-i theta M) from a Hermitian generator.
 
-    Rejects carriers whose computed hermiticity flag is false.  The
-    carrier's charge goes to :func:`eig.hermitian_eig`, which uses it only
-    where the pattern is one component.  U is the direct sum of the gates of
-    the blocks that the decomposition's ``blocks`` record: the components
-    of the generator's pattern, or the one block of every index, whose gate
-    is the dense product.  ||U^H U - I||, taken on the same blocks, is
-    checked against 1e-10 * dim before U is returned; a NaN gate, from
-    theta * lambda overflowing, fails that check too.
+    :func:`eig.hermitian_eig`, given the carrier's charge, is the one check
+    of the generator: a matrix that is not Hermitian raises
+    :class:`HermiticityError` and a non-finite one ValueError.  U is the
+    direct sum of the gates of the blocks that the decomposition's
+    ``blocks`` record: the components of the generator's pattern, or the
+    one block of every index, whose gate is the dense product.
+    ||U^H U - I||, taken on the same blocks, is checked against
+    1e-10 * dim before U is returned; a NaN gate, from theta * lambda
+    overflowing, fails that check too.
     """
     if not isinstance(theta, (int, float)) or not np.isfinite(theta):
         raise ValueError(f"theta must be a finite real number, got {theta!r}")
-    if not h.hermitian:
-        raise HermiticityError(
-            "gate synthesis needs a Hermitian generator; this carrier's "
-            "hermiticity flag is false"
-        )
     dec = hermitian_eig(h.matrix, eig_tol, max_sweeps, charge=h.charge)
     values, source_residual, (rows, columns) = dec.values, dec.residual, dec.blocks
     # the vectors' blocks are all the gate needs: the decomposition's dense

@@ -6,7 +6,8 @@ Both named operators act on the (2s+1)^2 dimensional product space:
     K = S1 x S2 + S2 x S3 + S3 x S1      (cyclically shifted exchange)
 
 where x is the Kronecker product.  The general bilinear form
-sum_jk c_jk Sj x Sk covers both as special cases.
+sum_jk c_jk Sj x Sk covers both as special cases, and is exactly
+Hermitian for any real pattern c (see :class:`Hamiltonian`).
 
 When the pattern c is a proper rotation (orthogonal, det +1), the operator
 is H conjugated by a rotation of the second site that maps each Sj to
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, hermiticity_defect
 from .spin import HalfInteger, make_spin_triple
 
 __all__ = [
@@ -47,11 +47,12 @@ class HamiltonianKind:
 
 @dataclass(frozen=True)
 class Hamiltonian:
-    """A built two-site operator and its computed hermiticity flag.
+    """A built two-site operator, Hermitian by construction.
 
-    ``hermitian`` is measured, not assumed: it records whether the assembled
-    matrix came out Hermitian within 1e-12 per dimension.  Real coefficient
-    patterns always satisfy it; downstream consumers must still check.
+    A finite ``matrix`` is Hermitian bit for bit: S1 is real symmetric, S3
+    real diagonal and S2's mirrored entries exact conjugates; a complex
+    product, or a real scaling, of conjugate pairs is a conjugate pair; and
+    both mirrored entries sum their terms in the same (j, k) order.
     ``charge`` holds the single-site factors (A, B) of a conserved charge
     A x I + I x B when the pattern is a proper rotation within 1e-12, and
     is None otherwise.
@@ -60,7 +61,6 @@ class Hamiltonian:
     kind: HamiltonianKind
     s: HalfInteger
     matrix: np.ndarray
-    hermitian: bool
     charge: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
@@ -90,13 +90,11 @@ def _assemble(s: HalfInteger, label: str, coeffs) -> Hamiltonian:
                 total[np.add.outer(a * n, c), np.add.outer(b * n, d)] += (
                     pattern[j][k] * term
                 )
-    hermitian = hermiticity_defect(total) <= DEFAULT_TOL * total.shape[0]
     total.flags.writeable = False
     return Hamiltonian(
         kind=HamiltonianKind(label=label, coeffs=pattern),
         s=s,
         matrix=total,
-        hermitian=hermitian,
         charge=_rotation_charge(pattern, ops),
     )
 

@@ -610,6 +610,10 @@ def test_matrix_file_round_trip_format():
     assert cli.parse_complex_token("-2") == -2.0
     with pytest.raises(ValueError):
         cli.parse_complex_token("oops")
+    assert cli.parse_complex_token("1.7976931348623157e308") == 1.7976931348623157e308
+    for token in ("nan", "-nan", "1e400", "-1e309", "nani", "1e400i", "nan+1i"):
+        with pytest.raises(ValueError, match="is not finite"):
+            cli.parse_complex_token(token)
 
 
 def test_corrupted_matrix_file_is_usage_error(run_cli, tmp_path):
@@ -618,6 +622,42 @@ def test_corrupted_matrix_file_is_usage_error(run_cli, tmp_path):
     code, _, err = run_cli("spectrum", "--hamiltonian", "file", "--file", str(path))
     assert code == 2
     assert "cannot parse" in err
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+def test_a_matrix_file_that_is_not_utf8_is_a_usage_error_naming_it(
+    run_cli, tmp_path, fmt
+):
+    # UnicodeDecodeError is a ValueError: it once skipped the read wrapper
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("# r\xe9el\n1 0\n0 1\n".encode("latin-1"))
+    argv = ["spectrum", "--hamiltonian", "file", "--file", str(path), "--format", fmt]
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read matrix file {str(path)!r}: 'utf-8' codec")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+@pytest.mark.parametrize(
+    "token, message",
+    [
+        ("nan", "matrix entry 'nan' is not finite"),
+        ("1e400", "matrix entry '1e400' is not finite"),
+        ("1-1e400i", "matrix entry '1-1e400i' is not finite"),
+        # 'i' is read as the imaginary unit, so this spelling never parses
+        ("inf", "cannot parse matrix entry 'inf'"),
+    ],
+)
+def test_a_non_finite_matrix_entry_names_its_file_and_line(
+    run_cli, tmp_path, token, message, fmt
+):
+    path = tmp_path / "entries.txt"
+    path.write_text(f"# 2x2\n1 0\n0 {token}\n")
+    argv = ["spectrum", "--hamiltonian", "file", "--file", str(path), "--format", fmt]
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}:3: {message}\n"
 
 
 def test_ragged_matrix_file_is_usage_error(run_cli, tmp_path):

@@ -6,7 +6,13 @@ import pytest
 from spintool import gates
 from spintool.eig import EigDecomposition, hermitian_eig
 from spintool.gates import gate_eigenphases, synthesize_gate, unitarity_residual
-from spintool.hamiltonians import Hamiltonian, HamiltonianKind, build_cyclic, build_heisenberg
+from spintool.hamiltonians import (
+    Hamiltonian,
+    HamiltonianKind,
+    build_bilinear,
+    build_cyclic,
+    build_heisenberg,
+)
 from spintool.linalg import (
     Blocks,
     HermiticityError,
@@ -15,6 +21,7 @@ from spintool.linalg import (
     components,
     frobenius_norm,
 )
+from spintool.spectral import moments
 from spintool.spin import HalfInteger
 
 SWAP = np.array(
@@ -138,10 +145,23 @@ def test_rejects_non_hermitian_generator():
         kind=HamiltonianKind(label="bilinear", coeffs=((0.0,) * 3,) * 3),
         s=HalfInteger(1),
         matrix=np.array([[0, 1], [0, 0]], dtype=complex),
-        hermitian=False,
     )
-    with pytest.raises(HermiticityError):
+    # the eigensolver's check, the one check of a generator, gives the defect
+    with pytest.raises(HermiticityError, match="defect 1.414e"):
         synthesize_gate(bad, 1.0)
+
+
+def test_an_overflowing_pattern_is_a_non_finite_generator():
+    # 1e308 * 6 * 6 overflows at 2s = 12: the matrix is not finite, which the
+    # eigensolver rejects before its hermiticity check, and moments reject
+    # its NaN defect
+    with np.errstate(over="ignore", invalid="ignore"):
+        ham = build_bilinear(HalfInteger(12), 1e308 * np.eye(3))
+    assert not np.isfinite(ham.matrix).all()
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        synthesize_gate(ham, 1.0)
+    with pytest.raises(HermiticityError):
+        moments(ham.matrix, 3)
 
 
 def test_rejects_bad_theta():

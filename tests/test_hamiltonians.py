@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -32,26 +34,68 @@ def test_spin_half_heisenberg_matrix_exact():
     h = build_heisenberg(HalfInteger(1))
     assert h.kind.label == "H"
     assert h.dimension == 4
-    assert h.hermitian
+    assert hermiticity_defect(h.matrix) == 0.0
     np.testing.assert_allclose(h.matrix, H_HALF, atol=1e-14)
 
 
 def test_spin_half_cyclic_matrix_exact():
     k = build_cyclic(HalfInteger(1))
     assert k.kind.label == "K"
-    assert k.hermitian
+    assert hermiticity_defect(k.matrix) == 0.0
     np.testing.assert_allclose(k.matrix, K_HALF, atol=1e-14)
 
 
-@pytest.mark.parametrize("twice", range(1, 13))
+def _assert_exactly_hermitian(m):
+    # the defect squares its entries, so one below 1e-154 would read 0.0:
+    # each entry is compared with its mirror as well
+    assert hermiticity_defect(m) == 0.0
+    assert np.array_equal(m, m.conj().T)
+
+
+@pytest.mark.parametrize("twice", range(1, 25))
 @pytest.mark.parametrize("build", [build_heisenberg, build_cyclic])
 def test_built_operators_traceless_and_hermitian(build, twice):
     h = build(HalfInteger(twice))
     n = h.dimension
     assert n == (twice + 1) ** 2
     assert abs(np.trace(h.matrix)) <= 1e-12 * n
-    assert hermiticity_defect(h.matrix) <= 1e-12 * n
-    assert h.hermitian
+    _assert_exactly_hermitian(h.matrix)
+
+
+# the 48 signed permutation patterns: every row and column holds one +-1
+_SIGNED_PERMUTATIONS = [
+    np.diag(signs)[list(order)]
+    for order in itertools.permutations(range(3))
+    for signs in itertools.product((1.0, -1.0), repeat=3)
+]
+
+
+def _random_patterns():
+    rng = np.random.default_rng(2015)
+    for scale in (1.0, 1.0, 1e-3, 1e150):
+        yield scale * rng.standard_normal((3, 3))
+    # sparse, with exact zeros, and integer-valued
+    yield np.where(rng.random((3, 3)) < 0.5, 0.0, rng.standard_normal((3, 3)))
+    yield rng.integers(-3, 4, (3, 3)).astype(float)
+
+
+@pytest.mark.parametrize(
+    "twice, patterns",
+    [
+        *(pytest.param(t, _SIGNED_PERMUTATIONS, id=f"signed-{t}") for t in (3, 12)),
+        *(
+            pytest.param(t, list(_random_patterns()), id=f"random-{t}")
+            for t in (1, 2, 5, 8, 12, 17, 24)
+        ),
+    ],
+)
+def test_built_operators_are_exactly_hermitian(twice, patterns):
+    # Hermitian bit for bit by construction, so no build measures it
+    s = HalfInteger(twice)
+    for pattern in patterns:
+        h = build_bilinear(s, pattern)
+        assert np.isfinite(h.matrix).all()
+        _assert_exactly_hermitian(h.matrix)
 
 
 def test_spin_one_heisenberg_spectrum():
@@ -74,7 +118,7 @@ def test_bilinear_identity_pattern_matches_heisenberg():
     s = HalfInteger(3)
     general = build_bilinear(s, np.eye(3))
     assert general.kind.label == "bilinear"
-    assert general.hermitian
+    assert hermiticity_defect(general.matrix) == 0.0
     assert np.linalg.norm(general.matrix - build_heisenberg(s).matrix) == 0.0
 
 
@@ -113,7 +157,7 @@ def test_built_operators_equal_their_kronecker_sums(build, pattern, charge, twic
     h = build(s)
     assert h.matrix.dtype == expected.dtype
     assert h.matrix.tobytes() == expected.tobytes()
-    assert h.hermitian == (hermiticity_defect(expected) <= 1e-12 * n * n)
+    assert hermiticity_defect(h.matrix) == 0.0
     if charge(t) is None:
         assert h.charge is None
     else:
@@ -150,7 +194,7 @@ def test_charge_is_none_unless_pattern_is_a_rotation(pattern):
 def test_bilinear_zero_pattern():
     out = build_bilinear(HalfInteger(1), np.zeros((3, 3)))
     assert frobenius_norm(out.matrix) == 0.0
-    assert out.hermitian
+    assert hermiticity_defect(out.matrix) == 0.0
 
 
 def test_bilinear_rejects_bad_patterns():

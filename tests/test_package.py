@@ -1,6 +1,7 @@
 """The package namespace and the README's library example."""
 
 import ast
+import dataclasses
 import inspect
 import re
 from pathlib import Path
@@ -44,6 +45,9 @@ def test_the_public_surface_is_pinned():
     certify = inspect.signature(spintool.certify_isospectral).parameters
     assert list(certify) == ["a", "b", "kmax", "prefix", "eig_tol", "max_sweeps", "charges"]
     assert list(inspect.signature(spintool.newton_check).parameters) == ["values", "traces"]
+    # built operators are Hermitian by construction: no field records it
+    fields = [f.name for f in dataclasses.fields(spintool.Hamiltonian)]
+    assert fields == ["kind", "s", "matrix", "charge"]
 
 
 def test_readme_quick_start_runs(capsys):
