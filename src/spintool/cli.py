@@ -83,6 +83,9 @@ _GATE_RESIDUAL_LIMIT = 1e-8
 _EIGENPAIR_RESIDUAL_LIMIT = 1e-8
 _CLOSED_FORM_TOL = 1e-9
 _UNIFORM_PHASE_TOL = 1e-9
+# a matrix file is at most as wide as the product space at the cap; a dense
+# one of that width takes about a minute, and the cost grows like n^3.3
+_MAX_FILE_DIMENSION = (MAX_TWICE_SPIN + 1) ** 2
 
 
 def _parse_spin_arg(text: str) -> HalfInteger:
@@ -180,8 +183,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_spectrum.add_argument(
         "--file",
         default=None,
-        help="path of a whitespace-separated matrix of a+bi entries "
-        "(required with --hamiltonian file, and rejected otherwise)",
+        help="path of a whitespace-separated matrix of a+bi entries, at most "
+        f"{_MAX_FILE_DIMENSION} x {_MAX_FILE_DIMENSION}, where a dense matrix takes "
+        "about a minute (required with --hamiltonian file, and rejected otherwise)",
     )
     p_spectrum.add_argument(
         "--cluster-tol",
@@ -246,9 +250,18 @@ def _resolve_tol(flag: float | None) -> float:
 
 
 def parse_complex_token(token: str) -> complex:
-    """Parse one finite a+bi entry; accepts bare reals and bare [+-]i terms."""
+    """Parse one finite a+bi entry; accepts bare reals and bare [+-]i terms.
+
+    Only the i or I that ends the token, or that comes before the ")" of
+    "(a+bi)", is read as the unit, so inf and Infinity are numbers, and not
+    finite.
+    """
+    text = token
+    body = token.removesuffix(")")
+    if body.endswith(("i", "I")):
+        text = body[:-1] + "j" + token[len(body) :]
     try:
-        z = complex(token.replace("I", "i").replace("i", "j"))
+        z = complex(text)
     except ValueError:
         raise ValueError(f"cannot parse matrix entry {token!r}") from None
     if not np.isfinite(z):
@@ -267,8 +280,9 @@ def read_matrix_file(path: str) -> np.ndarray:
     """Read a matrix of whitespace-separated a+bi entries, one row per line.
 
     The file is UTF-8, with or without a byte-order mark.  Blank lines and
-    lines starting with '#' are skipped.  Every read, decode or parse error
-    is a ValueError that names the file.
+    lines starting with '#' are skipped.  A first row wider than the limit
+    is rejected before any entry is parsed.  Every read, decode or parse
+    error is a ValueError that names the file.
     """
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
@@ -279,8 +293,14 @@ def read_matrix_file(path: str) -> np.ndarray:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
+        tokens = line.split()
+        if not rows and len(tokens) > _MAX_FILE_DIMENSION:
+            raise ValueError(
+                f"{path}:{lineno}: row has {len(tokens)} entries; a matrix file "
+                f"holds at most {_MAX_FILE_DIMENSION} x {_MAX_FILE_DIMENSION}"
+            )
         try:
-            rows.append([parse_complex_token(tok) for tok in line.split()])
+            rows.append([parse_complex_token(tok) for tok in tokens])
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
         if len(rows) > 1 and len(rows[-1]) != len(rows[0]):

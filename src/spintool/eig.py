@@ -95,7 +95,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -412,8 +411,7 @@ def _solved(
     The kernel's arithmetic is per block, so a stack sweeps each block once:
     a member of the same width and stop as one before it, and the same
     bytes, signed zeros included, takes that member's result.  H's
-    components at total M and -M are such twins.  Only a (width, stop) that
-    repeats in its stack has its blocks' bytes read.  Returns the kernel's
+    components at total M and -M are such twins.  Returns the kernel's
     results per route, in block order; twins share theirs.
     """
     stacks: dict[tuple[int, np.dtype], list[tuple[int, int]]] = {}
@@ -427,11 +425,9 @@ def _solved(
             stacks.setdefault(key, []).extend((r, j) for j in members)
     solved: list[list] = [[None] * len(blocks) for blocks, _ in routes]
     for members in stacks.values():
-        keys = [(routes[r][0][j].shape[0], routes[r][1][j]) for r, j in members]
-        repeats = Counter(keys)
         keys = [
-            key + (routes[r][0][j].tobytes(),) if repeats[key] > 1 else key
-            for (r, j), key in zip(members, keys)
+            (routes[r][0][j].shape[0], routes[r][1][j], routes[r][0][j].tobytes())
+            for r, j in members
         ]
         firsts: dict[tuple, tuple[int, int]] = {}
         for key, member in zip(keys, members):

@@ -28,7 +28,7 @@ construction, so products with them are taken blockwise too.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,26 +89,82 @@ def frobenius_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(a)))
 
 
+# a sum of squares below this may have lost its leading bits to underflow
+_SQUARES_FLOOR = 2.0**-900
+
+
+def _difference_blocks(a: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """a - a^H over the upper block triangle of a, as float64 views.
+
+    Rows are taken in blocks of about 2^14 entries.  Each block gives the
+    differences on its rows right of the diagonal, in one view, and that
+    view's two parts: the block's diagonal part, which holds both entries of
+    each mirrored pair, and the rest of its rows, whose entries stand for
+    two.  All three are views of one buffer, which the next block overwrites.
+    """
+    n = a.shape[0]
+    step = max(1, (1 << 14) // max(n, 1))
+    buffer = np.empty(step * n, dtype=a.dtype)
+    for i in range(0, n, step):
+        j = min(i + step, n)
+        whole = buffer[: (j - i) * (n - i)]
+        inside = whole[: (j - i) ** 2].reshape(j - i, j - i)
+        right = whole[(j - i) ** 2 :].reshape(j - i, n - j)
+        np.subtract(a[i:j, i:j], a[i:j, i:j].T.conj(), out=inside)
+        np.subtract(a[i:j, j:], a[j:, i:j].T.conj(), out=right)
+        yield whole.view(np.float64), inside.view(np.float64), right.view(np.float64)
+
+
 def hermiticity_defect(a: np.ndarray) -> float:
     """Frobenius norm of a - a^H, with no n x n temporary.
 
-    It is summed over the upper block triangle, rows of about 2^14 entries
-    at a time: a diagonal block holds both entries of each mirrored pair,
-    and the rest of its rows one, counted twice.  A NaN or an infinity in
-    ``a`` gives a NaN or infinite defect, silently.
+    The squares are summed blockwise (see ``_difference_blocks``), as real
+    pairs, whose squares keep an infinite part infinite.  A block whose
+    differences are all +0.0, as every block of a Hermitian matrix built
+    exactly is, is found by one reduction over its bits and adds nothing.
+    A sum that underflows while a difference is nonzero, or that overflows,
+    is taken again by ``_scaled_defect``, so a defect in the range of a
+    double never reads 0 or inf.  A NaN or an infinity in ``a`` gives a NaN
+    or infinite defect, silently.
     """
     a = require_square(a, "hermiticity is defined for square matrices")
     a = a.astype(np.result_type(a, np.float64), copy=False)  # no integer squares
-    step = max(1, (1 << 14) // max(a.shape[0], 1))
     total = 0.0
+    tiny = False  # a nonzero difference whose square may have underflowed
     with np.errstate(invalid="ignore", over="ignore"):
-        for i in range(0, a.shape[0], step):
-            j = i + step
-            # as real pairs, whose squares keep an infinite part infinite
-            inside = (a[i:j, i:j] - a[i:j, i:j].T.conj()).view(np.float64)
-            right = (a[i:j, j:] - a[j:, i:j].T.conj()).view(np.float64)
-            total += float(np.vdot(inside, inside) + 2 * np.vdot(right, right))
+        for whole, inside, right in _difference_blocks(a):
+            if not whole.view(np.uint64).max():
+                continue
+            part = float(np.vdot(inside, inside) + 2 * np.vdot(right, right))
+            if part < _SQUARES_FLOOR and not tiny:
+                tiny = bool(whole.max() > 0 or whole.min() < 0)
+            total += part
+    if (tiny and total < _SQUARES_FLOOR) or total == math.inf:
+        return _scaled_defect(a)
     return math.sqrt(total)
+
+
+def _scaled_defect(a: np.ndarray) -> float:
+    """The defect of a with no NaN difference, each difference multiplied by
+    the power of two that takes the largest into [0.5, 1), or as near as a
+    double allows.
+
+    A power of two scales exactly, but for the differences so far below the
+    largest that they cannot move the sum.  An infinite difference, from an
+    infinite entry or one that overflows, makes the defect infinite.
+    """
+    with np.errstate(over="ignore"):
+        peak = max(np.abs(whole).max() for whole, _, _ in _difference_blocks(a))
+    if peak == math.inf:
+        return math.inf
+    shift = min(-math.frexp(peak)[1], 1023)
+    scale = math.ldexp(1.0, shift)
+    total = 0.0
+    for _, inside, right in _difference_blocks(a):
+        inside, right = inside * scale, right * scale
+        total += float(np.vdot(inside, inside) + 2 * np.vdot(right, right))
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(math.sqrt(total), -shift))
 
 
 def require_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> None:

@@ -1,6 +1,8 @@
 import contextlib
+import csv
 import ctypes
 import hashlib
+import io
 import itertools
 import json
 import platform
@@ -1181,9 +1183,14 @@ def test_certificates_send_no_twin_to_the_kernel(monkeypatch, run_cli):
     assert run_cli("verify", "--spin", "6", "--format", "json")[0] == 0
     assert [len(keys) for keys in calls] == [2, 38]
     del calls[:]
-    assert run_cli("table", "--max-spin", "12", "--format", "csv")[0] == 0
+    code, out, err = run_cli("table", "--max-spin", "12", "--format", "csv")
     assert len(calls) == 57
     assert all(len(set(keys)) == len(keys) for keys in calls)
+    # and every spin up to the cap passes, its moments too
+    assert (code, err) == (0, "")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [row["spin"] for row in rows] == [str(HalfInteger(t)) for t in range(1, 25)]
+    assert all(row["moments_passed"] == row["verdict"] == "True" for row in rows)
 
 
 def test_twins_take_the_results_of_sweeping_every_member(monkeypatch):
@@ -1308,6 +1315,11 @@ def test_table_raises_the_first_failing_spins_error(run_cli):
     code, out, err = run_cli("verify", "--spin", "3", "--max-sweeps", "1", "--tol", "1e-100")
     assert (code, out) == (3, "")
     assert err.startswith("error: component 2 (width 3): ")
+    # so too at the cap, where K's sectors are 25 wide
+    for tol in ([], ["--tol", "1e-100"]):
+        code, out, err = run_cli("verify", "--spin", "12", "--max-sweeps", "1", *tol)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: component 2 (width 3): ")
 
 
 _NOT_FINITE = ValueError, "matrix entries must be finite"

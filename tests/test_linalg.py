@@ -85,6 +85,31 @@ def test_hermiticity_defect_matches_the_complex_difference(dtype):
 
 
 @pytest.mark.parametrize(
+    "m, expected",
+    [
+        # the squares underflow: the sum once read 0, and sqrt(2) * 1e-300 passed
+        # a subnormal tol
+        ([[0.0, 1e-300], [0.0, 0.0]], math.sqrt(2.0) * 1e-300),
+        ([[1.0, 1j * 1e-300], [0.0, 1.0]], math.sqrt(2.0) * 1e-300),
+        ([[0.0, 5e-324], [0.0, 0.0]], 5e-324),
+        ([[0.0, 1e-200], [1e-300, 0.0]], math.sqrt(2.0) * 1e-200),
+        # the squares overflow: the sum is inf, but not the defect
+        ([[0.0, 1e308], [0.0, 0.0]], math.sqrt(2.0) * 1e308),
+        ([[1e200, 1e200], [-1e200, 1e200]], math.sqrt(8.0) * 1e200),
+        # the defect itself overflows
+        ([[0.0, 1.5e308], [0.0, 0.0]], math.inf),
+        ([[0.0, 1e308], [-1e308, 0.0]], math.inf),
+        # signed zeros leave it 0
+        ([[-0.0, 0.0], [-0.0, complex(0.0, -0.0)]], 0.0),
+    ],
+)
+def test_hermiticity_defect_outside_the_range_of_its_squares(m, expected):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert hermiticity_defect(np.array(m)) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize(
     "entry, where",
     [
         (np.nan, (0, 1)),
