@@ -44,14 +44,13 @@ import re
 import sys
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
-from pathlib import Path
 
 import numpy as np
 
 from .eig import DEFAULT_MAX_SWEEPS, hermitian_eig
 from .gates import Gate, gate_eigenphases, synthesize_gate
 from .hamiltonians import build_cyclic, build_heisenberg
-from .linalg import DEFAULT_TOL, NumericalError, as_cmatrix
+from .linalg import DEFAULT_TOL, NumericalError
 from .spectral import (
     IsospectralReport,
     Spectrum,
@@ -276,29 +275,45 @@ def format_complex(z: complex) -> str:
     return f"{re!r}{sign}{abs(im)!r}i"
 
 
+def _file_lines(path: str) -> Iterator[str]:
+    """The lines of a UTF-8 file, read and decoded one at a time.
+
+    A byte-order mark at the start is dropped.  Each line read is split
+    again by ``str.splitlines``, so that every line break it knows, \\x0c or
+    U+2028 say, ends a line.  A read or decode error is a ValueError that
+    names the file, raised when the line that holds it is reached.
+    """
+    try:
+        with open(path, "rb") as file:
+            encoding = "utf-8-sig"
+            for raw in file:
+                yield from raw.decode(encoding).splitlines()
+                encoding = "utf-8"
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read matrix file {path!r}: {exc}") from None
+
+
 def read_matrix_file(path: str) -> np.ndarray:
     """Read a matrix of whitespace-separated a+bi entries, one row per line.
 
-    The file is UTF-8, with or without a byte-order mark.  Blank lines and
-    lines starting with '#' are skipped.  A first row wider than the limit
-    is rejected before any entry is parsed.  Every read, decode or parse
-    error is a ValueError that names the file.
+    The file is UTF-8, with or without a byte-order mark, and is read a line
+    at a time (see ``_file_lines``).  Blank lines and lines starting with
+    '#' are skipped.  A first row wider than the limit, or a row past it, is
+    refused before its entries are parsed and before a later line is decoded.
+    Every read, decode or parse error is a ValueError that names the file.
+    Returns a read-only complex128 array.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8-sig")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ValueError(f"cannot read matrix file {path!r}: {exc}") from None
+    limit = f"a matrix file holds at most {_MAX_FILE_DIMENSION} x {_MAX_FILE_DIMENSION}"
     rows: list[list[complex]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_file_lines(path), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
+        if len(rows) == _MAX_FILE_DIMENSION:
+            raise ValueError(f"{path}:{lineno}: more than {_MAX_FILE_DIMENSION} rows; {limit}")
         tokens = line.split()
         if not rows and len(tokens) > _MAX_FILE_DIMENSION:
-            raise ValueError(
-                f"{path}:{lineno}: row has {len(tokens)} entries; a matrix file "
-                f"holds at most {_MAX_FILE_DIMENSION} x {_MAX_FILE_DIMENSION}"
-            )
+            raise ValueError(f"{path}:{lineno}: row has {len(tokens)} entries; {limit}")
         try:
             rows.append([parse_complex_token(tok) for tok in tokens])
         except ValueError as exc:
@@ -310,7 +325,10 @@ def read_matrix_file(path: str) -> np.ndarray:
             )
     if not rows:
         raise ValueError(f"{path}: no matrix rows found")
-    return as_cmatrix(rows)
+    # every row is as long as the first and every entry finite
+    matrix = np.array(rows, dtype=np.complex128)
+    matrix.flags.writeable = False
+    return matrix
 
 
 def _cluster_dicts(spectrum: Spectrum) -> list[dict]:

@@ -608,7 +608,8 @@ class _Eigensolve:
             norm = frobenius_norm(a)
         if not math.isfinite(norm):
             raise NumericalError(
-                "the Frobenius norm of the matrix overflows; rescale its entries"
+                "the squares of the matrix's entries sum beyond double precision; "
+                "rescale its entries"
             )
         if charge is not None:
             charge = _charge_factors(charge, m.shape[0], tol)
@@ -773,8 +774,10 @@ def hermitian_eig(
     residual is still taken against the original matrix.  Where
     :func:`linalg.gauge` finds a real form D^H m D, it is swept in real
     arithmetic and the vectors are D V (see the module docstring); they are
-    complex128 either way.  A matrix whose Frobenius norm overflows raises
-    :class:`NumericalError`, since no stop threshold can be derived from it.
+    complex128 either way.  A matrix the squares of whose entries sum
+    beyond double precision, as 1e308 on a diagonal do, raises
+    :class:`NumericalError`: the stop threshold and the sweeps' off-diagonal
+    norms are taken from that sum, unscaled.
     """
     (dec,) = _eigensolves([(m, charge)], tol, max_sweeps)
     return dec

@@ -1,10 +1,12 @@
 """Matrix checks, error types and block helpers shared by every other module.
 
-Matrices are plain 2-D ``numpy.ndarray`` values; :func:`as_cmatrix`
-validates one and returns it as a read-only ``complex128`` array in
-row-major (C) element order, and ``require_square`` is the package's one
-check that a lone matrix argument is square.  No function here writes
-into its arguments, but for the ``out`` of :meth:`Blocks.scatter`.
+Matrices are plain 2-D ``numpy.ndarray`` values.  ``require_square`` is
+the package's one check that a lone matrix argument is square, and
+:func:`hermiticity_defect` measures ||a - a^H||_F in one walk over blocks
+of rows, each scaled by its own power of two, so that neither the squares
+of tiny differences nor those of huge ones leave the range of a double.
+No function here writes into its arguments, but for the ``out`` of
+:meth:`Blocks.scatter`.
 
 The block helpers at the end, which are not exported, are the package's one
 home for a matrix's nonzero pattern.  :func:`components` labels the
@@ -38,7 +40,6 @@ __all__ = [
     "ShapeError",
     "NumericalError",
     "HermiticityError",
-    "as_cmatrix",
     "require_square",
     "frobenius_norm",
     "hermiticity_defect",
@@ -60,22 +61,6 @@ class HermiticityError(NumericalError):
     """A matrix required to be Hermitian is not, beyond tolerance."""
 
 
-def as_cmatrix(entries) -> np.ndarray:
-    """Validate *entries* as a finite 2-D complex matrix.
-
-    Returns a fresh read-only ``complex128`` array in C order.  Raises
-    :class:`ShapeError` for non-2-D input and :class:`ValueError` for
-    non-finite entries.
-    """
-    m = np.array(entries, dtype=np.complex128, order="C")
-    if m.ndim != 2 or 0 in m.shape:
-        raise ShapeError(f"expected a non-empty 2-D matrix, got shape {m.shape}")
-    if not (np.isfinite(m.real).all() and np.isfinite(m.imag).all()):
-        raise ValueError("matrix entries must be finite")
-    m.flags.writeable = False
-    return m
-
-
 def require_square(a, what: str) -> np.ndarray:
     """``np.asarray(a)``, or :class:`ShapeError` "<what>, got shape <shape>"."""
     a = np.asarray(a)
@@ -87,10 +72,6 @@ def require_square(a, what: str) -> np.ndarray:
 def frobenius_norm(a: np.ndarray) -> float:
     """Frobenius norm, sqrt(sum |a_ij|^2)."""
     return float(np.linalg.norm(np.asarray(a)))
-
-
-# a sum of squares below this may have lost its leading bits to underflow
-_SQUARES_FLOOR = 2.0**-900
 
 
 def _difference_blocks(a: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -118,53 +99,30 @@ def _difference_blocks(a: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, 
 def hermiticity_defect(a: np.ndarray) -> float:
     """Frobenius norm of a - a^H, with no n x n temporary.
 
-    The squares are summed blockwise (see ``_difference_blocks``), as real
-    pairs, whose squares keep an infinite part infinite.  A block whose
-    differences are all +0.0, as every block of a Hermitian matrix built
-    exactly is, is found by one reduction over its bits and adds nothing.
-    A sum that underflows while a difference is nonzero, or that overflows,
-    is taken again by ``_scaled_defect``, so a defect in the range of a
-    double never reads 0 or inf.  A NaN or an infinity in ``a`` gives a NaN
-    or infinite defect, silently.
+    The differences are taken blockwise (see ``_difference_blocks``), as
+    real pairs.  A block whose differences are all +0.0, as every block of a
+    Hermitian matrix built exactly is, is found by one reduction over its
+    bits and adds nothing.  Any other block is scaled in its buffer by the
+    power of two that takes its largest difference into [0.5, 1), which is
+    exact but for differences too far below it to move the sum; its norm is
+    taken at that scale and scaled back, and the blocks' norms are combined
+    by ``math.hypot``.  So the squares neither underflow nor overflow, and a
+    defect in the range of a double never reads 0 or inf.  A NaN or an
+    infinity in ``a`` gives a NaN or infinite defect, silently.
     """
     a = require_square(a, "hermiticity is defined for square matrices")
     a = a.astype(np.result_type(a, np.float64), copy=False)  # no integer squares
-    total = 0.0
-    tiny = False  # a nonzero difference whose square may have underflowed
+    defect = 0.0
     with np.errstate(invalid="ignore", over="ignore"):
         for whole, inside, right in _difference_blocks(a):
             if not whole.view(np.uint64).max():
                 continue
-            part = float(np.vdot(inside, inside) + 2 * np.vdot(right, right))
-            if part < _SQUARES_FLOOR and not tiny:
-                tiny = bool(whole.max() > 0 or whole.min() < 0)
-            total += part
-    if (tiny and total < _SQUARES_FLOOR) or total == math.inf:
-        return _scaled_defect(a)
-    return math.sqrt(total)
-
-
-def _scaled_defect(a: np.ndarray) -> float:
-    """The defect of a with no NaN difference, each difference multiplied by
-    the power of two that takes the largest into [0.5, 1), or as near as a
-    double allows.
-
-    A power of two scales exactly, but for the differences so far below the
-    largest that they cannot move the sum.  An infinite difference, from an
-    infinite entry or one that overflows, makes the defect infinite.
-    """
-    with np.errstate(over="ignore"):
-        peak = max(np.abs(whole).max() for whole, _, _ in _difference_blocks(a))
-    if peak == math.inf:
-        return math.inf
-    shift = min(-math.frexp(peak)[1], 1023)
-    scale = math.ldexp(1.0, shift)
-    total = 0.0
-    for _, inside, right in _difference_blocks(a):
-        inside, right = inside * scale, right * scale
-        total += float(np.vdot(inside, inside) + 2 * np.vdot(right, right))
-    with np.errstate(over="ignore"):
-        return float(np.ldexp(math.sqrt(total), -shift))
+            # the peak is NaN in a block that holds one: max and min both return it
+            shift = math.frexp(max(whole.max(), -whole.min()))[1]
+            np.ldexp(whole, -shift, out=whole)
+            part = math.sqrt(np.vdot(inside, inside) + 2 * np.vdot(right, right))
+            defect = math.hypot(defect, np.ldexp(part, shift))
+    return defect
 
 
 def require_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> None:

@@ -486,6 +486,17 @@ def test_k_gate_at_the_cap_formats_every_row_and_holds_none(monkeypatch):
     assert held < 0.5 * 2**20
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+def test_k_gate_at_theta_zero_holds_no_row_that_has_no_twin(monkeypatch, fmt):
+    # at theta = 0, 160 of the 169 rows of K's gate at 2s = 12 are not full,
+    # and no two are alike: no row's cells may be kept once it is written
+    # (measured 0.70 / 0.68 / 0.68 MiB held; a memo of every such row held
+    # 3.9 / 3.2 / 3.2 MiB)
+    report = _gate_report("--spin", "6", "--hamiltonian", "K", "--theta", "0")
+    held = _formatted_rows_and_held_bytes(monkeypatch, report, fmt)[1]
+    assert held < 1.5 * 2**20
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -716,6 +727,35 @@ def test_a_matrix_file_wider_than_the_cap_is_a_usage_error(run_cli, tmp_path, fm
     # the width is read off the first row, before any entry is parsed
     path.write_text(" ".join(["oops"] * 626) + "\n")
     assert run_cli(*argv) == (2, "", err)
+    # and before a later line is decoded
+    path.write_bytes(b" ".join([b"0"] * 626) + b"\n\xff\xfe\n")
+    assert run_cli(*argv) == (2, "", err)
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+def test_a_matrix_file_longer_than_the_cap_is_a_usage_error(run_cli, tmp_path, fmt):
+    # a file 625 entries wide once had no limit on its rows
+    path = tmp_path / "long.txt"
+    path.write_text("1\n" * 626)
+    argv = ["spectrum", "--hamiltonian", "file", "--file", str(path), "--format", fmt]
+    assert run_cli(*argv) == (
+        2, "", f"error: {path}:626: more than 625 rows; a matrix file holds at most 625 x 625\n"
+    )
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+def test_every_line_break_of_splitlines_ends_a_matrix_row(run_cli, tmp_path, fmt):
+    # the file is read a line at a time, and each line split again, so these
+    # breaks end rows as they did when the whole text was split at once
+    path = tmp_path / "breaks.txt"
+    argv = ["spectrum", "--hamiltonian", "file", "--file", str(path), "--format", fmt]
+    path.write_text("2 1-1i\n1+1i 3\n")
+    expected = run_cli(*argv)
+    assert expected[0] == 0
+    path.write_bytes("2 1-1i\x0c1+1i 3\x0b\x1d\x1e\u2029".encode())
+    assert run_cli(*argv) == expected
+    path.write_bytes("# a\x1c\x852 1-1i\u2028\r1+1i oops\r\n".encode())
+    assert run_cli(*argv) == (2, "", f"error: {path}:5: cannot parse matrix entry 'oops'\n")
 
 
 @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
@@ -798,15 +838,18 @@ def test_non_hermitian_matrix_file_is_numerical_error(run_cli, tmp_path):
 
 
 def test_overflowing_matrix_file_is_numerical_error(run_cli, tmp_path):
-    # every entry is finite, but the norm that sets the stop threshold is not
+    # every entry is finite, and the norm of the second file is too, but not
+    # the sum of squares that sets the stop threshold
     path = tmp_path / "big.txt"
-    path.write_text("1e308 0\n0 1e308\n")
-    code, out, err = run_cli("spectrum", "--hamiltonian", "file", "--file", str(path))
-    assert code == 3
-    assert out == ""
-    assert err == (
-        "error: the Frobenius norm of the matrix overflows; rescale its entries\n"
-    )
+    argv = ["spectrum", "--hamiltonian", "file", "--file", str(path)]
+    for text in ("1e308 0\n0 1e308\n", "1e308 0\n0 1\n"):
+        path.write_text(text)
+        assert run_cli(*argv) == (
+            3,
+            "",
+            "error: the squares of the matrix's entries sum beyond double precision; "
+            "rescale its entries\n",
+        )
 
 
 def test_sector_sweep_budget_names_the_sector(run_cli):

@@ -193,10 +193,15 @@ def test_sweep_budget_exhaustion():
 
 
 def test_overflowing_norm_is_a_numerical_error():
-    with pytest.raises(NumericalError, match="norm of the matrix overflows"):
+    # the norm 1e308 of diag(1e308, 1) is finite, but the sum of squares
+    # behind the stop threshold and the sweeps' off-diagonal norms is not
+    message = "the squares of the matrix's entries sum beyond double precision"
+    with pytest.raises(NumericalError, match=message):
+        hermitian_eig(np.diag([1e308, 1.0]).astype(complex))
+    with pytest.raises(NumericalError, match=message):
         hermitian_eig(np.diag([1e308, 1e308]).astype(complex))
     # entries near 1e200 are finite, but their squares are not
-    with pytest.raises(NumericalError, match="norm of the matrix overflows"):
+    with pytest.raises(NumericalError, match=message):
         hermitian_eig(np.full((2, 2), 1e200, dtype=complex))
 
 

@@ -12,8 +12,6 @@ from spintool.hamiltonians import build_cyclic
 from spintool.linalg import (
     Blocks,
     HermiticityError,
-    ShapeError,
-    as_cmatrix,
     components,
     frobenius_norm,
     gauge,
@@ -28,27 +26,6 @@ def _random_pair(rng, n):
     a = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
     b = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
     return a, b
-
-
-def test_as_cmatrix_basic():
-    m = as_cmatrix([[1, 2], [3, 4]])
-    assert m.dtype == np.complex128
-    assert m.flags.c_contiguous
-    assert not m.flags.writeable
-
-
-def test_as_cmatrix_rejects_non_2d():
-    with pytest.raises(ShapeError):
-        as_cmatrix([1, 2, 3])
-    with pytest.raises(ShapeError):
-        as_cmatrix([[[1]]])
-
-
-def test_as_cmatrix_rejects_non_finite():
-    with pytest.raises(ValueError):
-        as_cmatrix([[np.inf, 0], [0, 1]])
-    with pytest.raises(ValueError):
-        as_cmatrix([[0, complex(0, np.nan)], [0, 1]])
 
 
 def test_frobenius_norm_value():
@@ -107,6 +84,23 @@ def test_hermiticity_defect_outside_the_range_of_its_squares(m, expected):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert hermiticity_defect(np.array(m)) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("entry", [1e-300, 1e308])
+def test_hermiticity_defect_outside_the_range_of_its_squares_walks_once(monkeypatch, entry):
+    # each block is scaled as it is walked, so a defect whose squares
+    # underflow or overflow takes no second walk over the matrix
+    walks = []
+    real = linalg._difference_blocks
+
+    def spy(a):
+        walks.append(None)
+        return real(a)
+
+    monkeypatch.setattr(linalg, "_difference_blocks", spy)
+    defect = hermiticity_defect(np.array([[0.0, entry], [0.0, 0.0]]))
+    assert defect == pytest.approx(math.sqrt(2.0) * entry, rel=1e-15, abs=0.0)
+    assert len(walks) == 1
 
 
 @pytest.mark.parametrize(
@@ -276,7 +270,9 @@ def test_gauge_of_input_with_no_real_form_is_a_complex_copy():
 
     np.testing.assert_array_equal(components(both, odd)[1], [0, 1, 1])
     cycle = 1j * np.array([[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 0.0]])
-    for m in (both, as_cmatrix(both), both.astype(np.complex64), cycle):
+    frozen = np.array(both, dtype=complex)
+    frozen.flags.writeable = False
+    for m in (both, frozen, both.astype(np.complex64), cycle):
         label, colour, form, reach = gauge(m)
         np.testing.assert_array_equal(label, components(m)[0])
         assert colour.dtype == np.int8 and not colour.any()
