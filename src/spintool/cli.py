@@ -280,16 +280,35 @@ def _file_lines(path: str) -> Iterator[str]:
 
     A byte-order mark at the start is dropped.  Each line read is split
     again by ``str.splitlines``, so that every line break it knows, \\x0c or
-    U+2028 say, ends a line.  A read or decode error is a ValueError that
-    names the file, raised when the line that holds it is reached.
+    U+2028 say, ends a line.  A decode error is a ValueError
+    "<path>:<line>: <message>", whose line is the one that holds the bad
+    byte and whose position counts from that line's start; a read error is
+    a ValueError that names the file.  Either is raised when the line that
+    holds it is reached.
     """
+    lineno = 0
     try:
         with open(path, "rb") as file:
             encoding = "utf-8-sig"
             for raw in file:
-                yield from raw.decode(encoding).splitlines()
+                try:
+                    lines = raw.decode(encoding).splitlines()
+                except UnicodeDecodeError as exc:
+                    # the lines before the bad byte, and its own up to it
+                    *before, start = (exc.object[: exc.start].decode() + "x").splitlines()
+                    offset = exc.start - len(start[:-1].encode())
+                    line = UnicodeDecodeError(
+                        exc.encoding,
+                        exc.object[offset:],
+                        exc.start - offset,
+                        exc.end - offset,
+                        exc.reason,
+                    )
+                    raise ValueError(f"{path}:{lineno + len(before) + 1}: {line}") from None
+                lineno += len(lines)
+                yield from lines
                 encoding = "utf-8"
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         raise ValueError(f"cannot read matrix file {path!r}: {exc}") from None
 
 
@@ -298,8 +317,10 @@ def read_matrix_file(path: str) -> np.ndarray:
 
     The file is UTF-8, with or without a byte-order mark, and is read a line
     at a time (see ``_file_lines``).  Blank lines and lines starting with
-    '#' are skipped.  A first row wider than the limit, or a row past it, is
-    refused before its entries are parsed and before a later line is decoded.
+    '#' are skipped.  A first row wider than the limit, a later row wider
+    than the first, or a row past the limit, is refused before its entries
+    are parsed and before a later line is decoded; a row's entries are split
+    off only up to its limit, and the rest are counted for the message.
     Every read, decode or parse error is a ValueError that names the file.
     Returns a read-only complex128 array.
     """
@@ -311,14 +332,19 @@ def read_matrix_file(path: str) -> np.ndarray:
             continue
         if len(rows) == _MAX_FILE_DIMENSION:
             raise ValueError(f"{path}:{lineno}: more than {_MAX_FILE_DIMENSION} rows; {limit}")
-        tokens = line.split()
-        if not rows and len(tokens) > _MAX_FILE_DIMENSION:
-            raise ValueError(f"{path}:{lineno}: row has {len(tokens)} entries; {limit}")
+        width = len(rows[0]) if rows else _MAX_FILE_DIMENSION
+        # at most width + 1 tokens, the last the rest of the line, whose
+        # entries are counted without a list of them
+        tokens = line.split(maxsplit=width)
+        if len(tokens) > width:
+            count = width + sum(1 for _ in re.finditer(r"\S+", tokens[-1]))
+            expected = f", expected {width}" if rows else f"; {limit}"
+            raise ValueError(f"{path}:{lineno}: row has {count} entries{expected}")
         try:
             rows.append([parse_complex_token(tok) for tok in tokens])
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
-        if len(rows) > 1 and len(rows[-1]) != len(rows[0]):
+        if len(rows[-1]) != len(rows[0]):
             raise ValueError(
                 f"{path}:{lineno}: row has {len(rows[-1])} entries, "
                 f"expected {len(rows[0])}"

@@ -19,8 +19,8 @@ the dense products.  The decomposition is dropped once the stack is taken,
 so for a pattern that splits, as H's, U is the one dense copy held beside
 the generator.  Each operand of the products is dropped once it is used, so
 K's gate at the cap peaks no higher than its eigensolve.
-:func:`unitarity_residual`, for a matrix built by hand, walks its pattern
-for the blocks.
+:func:`unitarity_residual`, for a matrix built by hand, takes the dense
+product, with no walk of its pattern.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .linalg import (
     DEFAULT_TOL,
     Blocks,
     NumericalError,
-    components,
     frobenius_norm,
     require_square,
 )
@@ -140,17 +139,12 @@ def gate_eigenphases(gate: Gate) -> np.ndarray:
 
 
 def unitarity_residual(u: np.ndarray) -> float:
-    """||u^H u - I|| in the Frobenius norm.
+    """||u^H u - I|| in the Frobenius norm, from the dense product.
 
-    u^H u - I vanishes between two components of u's nonzero pattern, so
-    it is taken on the stack of their blocks (see :class:`linalg.Blocks`),
-    as :func:`synthesize_gate` takes it on the stack that built the gate.
-    A NaN entry is part of the pattern, so a NaN gate has a NaN residual
-    either way.
+    A NaN entry makes the residual NaN.
     """
     u = require_square(u, "expected a square matrix")
-    blocks = Blocks.of(components(u)[0])
-    return _gram_residual(blocks.stack(u), blocks)
+    return frobenius_norm(u.conj().T @ u - np.eye(u.shape[0]))
 
 
 def _gram_residual(stack: np.ndarray, blocks: Blocks) -> float:

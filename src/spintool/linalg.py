@@ -9,16 +9,16 @@ No function here writes into its arguments, but for the ``out`` of
 :meth:`Blocks.scatter`.
 
 The block helpers at the end, which are not exported, are the package's one
-home for a matrix's nonzero pattern.  :func:`components` labels the
-connected components of the pattern, with no Python loop per link, and
-measures its half-bandwidth, which bounds the band of a power.
-:func:`gauge` takes the same walk with a parity per link and so decides,
-for the moments and the eigensolver alike, the arithmetic of a Hermitian
-matrix, and hands back the array that they power or sweep: its real form
-D^H m D for a diagonal D of ones and i's where that is exact, as for H and
-K, else a complex128 copy.  :class:`Blocks` gathers a matrix's diagonal
-blocks, one per component, into a zero-padded stack of shape (count, width,
-width) and scatters such a stack back into a dense array.
+home for a matrix's nonzero pattern.  :func:`gauge` walks the pattern once,
+with no Python loop per link: it labels the connected components, measures
+the half-bandwidth, which bounds the band of a power, and keeps a parity
+per link, and so decides, for the moments and the eigensolver alike, the
+arithmetic of a Hermitian matrix.  It hands back the array that they power
+or sweep: its real form D^H m D for a diagonal D of ones and i's where that
+is exact, as for H and K, else a complex128 copy, and it tests and builds
+that form on the links it walked.  :class:`Blocks` gathers a matrix's
+diagonal blocks, one per component, into a zero-padded stack of shape
+(count, width, width) and scatters such a stack back into a dense array.
 A product over a pattern that splits, such as that of H, which conserves
 total S3, then costs count * width^3 instead of n^3: 49 blocks of width at
 most 25 instead of one of 625 at 2s = 24.  A pattern that does not split,
@@ -30,7 +30,7 @@ construction, so products with them are taken blockwise too.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,23 +138,29 @@ def require_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> None:
         )
 
 
-def components(
-    m: np.ndarray, odd: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """A connected-component label and a 0/1 parity per index of square m,
-    and the pattern's half-bandwidth.
+def gauge(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """A component label and a 0/1 colour per index of square m, the matrix
+    to sweep or power and the half-bandwidth of its pattern, from one walk.
 
     i and j are linked when m[i, j] or m[j, i] is nonzero; a NaN counts as
     nonzero.  The half-bandwidth is the largest |i - j| of a link, 0 for
     none.  Components are labelled 0, 1, ... in the order of their lowest
-    index.  ``odd(i, j)`` takes the two index arrays of the links (i != j)
-    and marks some of them; the parity of an index is the number, mod 2, of
-    marked links along some path to it from its component's lowest index.
-    It is 0 everywhere without ``odd``, and the same for every path exactly
-    when no cycle holds an odd number of marked links.
+    index.  A link whose entries m[i, j] and m[j, i] both have zero real
+    part flips the colour, which is the number, mod 2, of flips along some
+    path to an index from its component's lowest index.
+
+    The matrix is the real form D^H m D for D = i^colour as a new float64
+    array where that is exact, else a new complex128 copy of m, with every
+    colour 0.  Conjugating by D only moves signs and swaps parts, so the
+    form is exact when every purely imaginary entry links opposite colours
+    and every purely real one equal colours; an entry with both parts
+    nonzero, or a cycle of an odd number of imaginary links, leaves none.
+    Every entry that can fail that test lies on a link, so it is taken on
+    the links alone, and the form is zero off them.  Input with no
+    imaginary part has colour 0, with no flips, and its real part.
 
     The walk is label propagation with pointer jumping: in each round every
-    index takes the least (label, parity) that it and its neighbours offer,
+    index takes the least (label, colour) that it and its neighbours offer,
     labels starting as the indices themselves, and then jumps to its
     label's label.  After r rounds an index's label is at most the lowest
     index within r links of it, so the walk ends, when no label changes,
@@ -169,58 +175,36 @@ def components(
     # every index offers itself, so every row holds a link
     linked[np.diag_indices(n)] = True
     rows, cols = np.divmod(np.flatnonzero(linked), n)
+    del linked  # before the form, which is as large
     reach = int(np.abs(rows - cols).max(initial=0))
     first = np.searchsorted(rows, np.arange(n))
-    flips = np.zeros(rows.size, dtype=np.intp)
-    if odd is not None:
-        other = rows != cols
-        flips[other] = odd(rows[other], cols[other])
-    # an index holds its (label, parity) as 2 label + parity, so that the
+    imaginary = np.iscomplexobj(m) and m.imag.any()
+    real = m.real
+    flips = 0
+    if imaginary:
+        re, im = real[rows, cols], m.imag[rows, cols]
+        flips = (re == 0) & (real[cols, rows] == 0) & (rows != cols)
+    # an index holds its (label, colour) as 2 label + colour, so that the
     # least code offered to it carries the least label
     code = 2 * np.arange(n)
     while n:
         offer = np.minimum.reduceat(code[cols] ^ flips, first)
         # jump to the label's label, through the label: 2 label[label] +
-        # (parity of the step there ^ parity of the path to the label)
+        # (colour of the step there ^ colour of the path to the label)
         jumped = offer[offer >> 1] ^ (offer & 1)
         done = np.array_equal(jumped >> 1, code >> 1)
         code = jumped
         if done:
             break
-    label, parity = code >> 1, code & 1
-    roots = np.flatnonzero(label == np.arange(n))
-    return np.searchsorted(roots, label), parity, reach
-
-
-def gauge(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """A component label and a 0/1 colour per index of m, the matrix to
-    sweep or power and the half-bandwidth of its pattern, from one walk.
-
-    The matrix is the real form D^H m D for D = i^colour as a new float64
-    array where that is exact, else a new complex128 copy of m, with every
-    colour 0.  A link of :func:`components` whose entries m[i, j] and
-    m[j, i] both have zero real part flips the colour.  Conjugating by D
-    only moves signs and swaps parts, so the form is exact when every purely
-    imaginary entry links opposite colours and every purely real one equal
-    colours; an entry with both parts nonzero, or a cycle of an odd number
-    of imaginary links, leaves none.  Input with no imaginary part has
-    colour 0, with no parity test, and its real part.
-    """
-    imaginary = np.iscomplexobj(m) and m.imag.any()
-    real = m.real
-
-    def odd(i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        return (real[i, j] == 0) & (real[j, i] == 0)
-
-    label, colour, reach = components(m, odd if imaginary else None)
-    colour = colour.astype(np.int8)  # so that the shifts below are one byte each
+    roots = np.flatnonzero(code >> 1 == np.arange(n))
+    label, colour = np.searchsorted(roots, code >> 1), (code & 1).astype(np.int8)
     if not imaginary:
         return label, colour, np.array(real, dtype=np.float64), reach
-    shift = colour[:, None] - colour[None, :]
-    if np.any(m.imag, where=shift == 0) or np.any(real, where=shift != 0):
+    shift = colour[rows] - colour[cols]
+    if im[shift == 0].any() or re[shift != 0].any():
         return label, np.zeros_like(colour), np.array(m, dtype=np.complex128), reach
-    form = np.multiply(shift, m.imag, dtype=np.float64)
-    form += real
+    form = np.zeros((n, n))
+    form[rows, cols] = shift * im + re
     return label, colour, form, reach
 
 

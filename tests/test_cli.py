@@ -652,14 +652,75 @@ def test_corrupted_matrix_file_is_usage_error(run_cli, tmp_path):
 def test_a_matrix_file_that_is_not_utf8_is_a_usage_error_naming_it(
     run_cli, tmp_path, fmt
 ):
-    # UnicodeDecodeError is a ValueError: it once skipped the read wrapper
+    # UnicodeDecodeError is a ValueError: it once skipped the read wrapper.
+    # The message names the line of the bad byte, and its position counts
+    # from that line's start, also where \x0c splits the line read
     path = tmp_path / "latin1.txt"
-    path.write_bytes("# r\xe9el\n1 0\n0 1\n".encode("latin-1"))
     argv = ["spectrum", "--hamiltonian", "file", "--file", str(path), "--format", fmt]
+    decode = "'utf-8' codec can't decode byte 0xe9 in position 3: invalid continuation byte"
+    for text, line in [
+        ("# r\xe9el\n1 0\n0 1\n", 1),
+        ("1 0\n0 1\n# r\xe9el\n", 3),
+        ("1 0\x0c0 1\n# r\xe9el\n", 3),
+        ("1 0\n0 1\x0c# r\xe9el\n", 3),
+        ("1 0\r\n\x0c\n# r\xe9el\x0c1\n", 4),
+    ]:
+        path.write_bytes(text.encode("latin-1"))
+        assert run_cli(*argv) == (2, "", f"error: {path}:{line}: {decode}\n")
+    # a read error names the file, as it did
+    argv[4] = str(tmp_path)
     code, out, err = run_cli(*argv)
     assert (code, out) == (2, "")
-    assert err.startswith(f"error: cannot read matrix file {str(path)!r}: 'utf-8' codec")
+    assert err.startswith(f"error: cannot read matrix file {str(tmp_path)!r}: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+def test_a_matrix_file_of_no_rows_is_a_usage_error(run_cli, tmp_path, fmt):
+    path = tmp_path / "empty.txt"
+    path.write_text("# a matrix\n\n   \n# of no rows\n")
+    argv = ["spectrum", "--hamiltonian", "file", "--file", str(path), "--format", fmt]
+    assert run_cli(*argv) == (2, "", f"error: {path}: no matrix rows found\n")
+
+
+def test_a_later_row_wider_than_the_first_is_refused_before_it_is_parsed(
+    run_cli, tmp_path, monkeypatch
+):
+    parsed = []
+    parse = cli.parse_complex_token
+
+    def spy(token):
+        parsed.append(token)
+        return parse(token)
+
+    monkeypatch.setattr(cli, "parse_complex_token", spy)
+    path = tmp_path / "wide.txt"
+    path.write_text("1 0\n" + " ".join(["oops"] * 10**5) + "\n")
+    argv = ["spectrum", "--hamiltonian", "file", "--file", str(path)]
+    assert run_cli(*argv) == (2, "", f"error: {path}:2: row has 100000 entries, expected 2\n")
+    assert parsed == ["1", "0"]
+    # a narrower row is parsed first, as before
+    path.write_text("1 0\noops\n")
+    assert run_cli(*argv) == (2, "", f"error: {path}:2: cannot parse matrix entry 'oops'\n")
+
+
+def test_one_huge_line_is_held_a_few_times_at_most(tmp_path):
+    # 2 MB of one line: its entries past the limit are counted, not listed.
+    # Measured 6.4 MB: the line read, its decoded copy and the rest after
+    # the 625th entry; a list of its 524288 entries held 36 MB
+    path = tmp_path / "huge.txt"
+    path.write_text(" ".join(["1.5"] * 2**19) + "\n")
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as info:
+            cli.read_matrix_file(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    message = f"{path}:1: row has {2**19} entries; a matrix file holds at most 625 x 625"
+    assert str(info.value) == message
+    assert peak <= 4 * size
 
 
 @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
@@ -1016,6 +1077,17 @@ def test_arithmetic_failures_end_in_an_exit_code(argv, capsys):
     assert code in (0, 1, 3)
     if code == 3:
         assert err.startswith("error:")
+
+
+def test_any_arithmetic_error_of_a_command_exits_3(monkeypatch, capsys):
+    # float overflow, division by zero and the like end in exit 3 with the
+    # exception's type, and write nothing to stdout
+    def divide(args):
+        raise ZeroDivisionError("x")
+
+    monkeypatch.setattr(cli, "cmd_spectrum", divide)
+    assert cli.main(["spectrum", "--spin", "1"]) == 3
+    assert capsys.readouterr() == ("", "error: ZeroDivisionError: x\n")
 
 
 def test_file_and_built_operator_routes_agree(run_cli, tmp_path):

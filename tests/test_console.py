@@ -4,9 +4,10 @@
 ``python -m spintool.cli``.  Either inherits the environment, and so the
 package, of these tests, and every warning is an error in it.  These are
 the checks that need a process of their own: a pipe that its reader
-closes, the exit code and stderr of the whole program, and the entry point
-itself.  Every other check of the command line runs in process, in
-``test_cli.py`` and beside the code that it checks.
+closes, the exit code and stderr of the whole program, the entry point
+itself, and the byte sweep of ``tests/cli_sweep.py``.  Every other check
+of the command line runs in process, in ``test_cli.py`` and beside the
+code that it checks.
 """
 
 import json
@@ -15,9 +16,11 @@ import shutil
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
+from cli_sweep import sweep
 
 _SCRIPT = shutil.which("spintool")
 _COMMAND = [_SCRIPT] if _SCRIPT else [sys.executable, "-m", "spintool.cli"]
@@ -97,3 +100,26 @@ def test_subnormal_tol_ends_silently_in_an_exit_code():
     assert "Warning" not in err and "Traceback" not in err
     if code == 0:
         assert out.splitlines()[-1].startswith("verdict=")
+
+
+def test_the_cli_sweep_tells_a_tree_from_a_changed_copy(tmp_path):
+    # tests/cli_sweep.py compares two trees' command lines byte for byte:
+    # one tree against itself gives no difference, and a copy whose one
+    # message changed gives that command alone
+    root = Path(__file__).resolve().parents[1]
+    argv = [
+        ("spectrum", "--spin", "1", "--hamiltonian", "K", "--format", "json"),
+        ("spectrum", "--hamiltonian", "file", "--file", "{dir}/latin1-line3.txt"),
+        ("spectrum", "--hamiltonian", "file", "--file", "{dir}/comments-only.txt"),
+    ]
+    assert sweep(argv, root, root) == []
+    shutil.copytree(
+        root / "src" / "spintool",
+        tmp_path / "src" / "spintool",
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    cli = tmp_path / "src" / "spintool" / "cli.py"
+    text = cli.read_text(encoding="utf-8")
+    assert text.count("no matrix rows found") == 1
+    cli.write_text(text.replace("no matrix rows found", "no rows"), encoding="utf-8")
+    assert sweep(argv, root, tmp_path) == [argv[2]]

@@ -33,7 +33,6 @@ from spintool.linalg import (
     HermiticityError,
     NumericalError,
     ShapeError,
-    components,
     frobenius_norm,
     gauge,
 )
@@ -319,7 +318,7 @@ def _routed(route, twice):
     """
     if route == "rotated-sectors":
         ham = build_bilinear(HalfInteger(twice), _REAL_ROTATION)
-        assert not components(ham.matrix)[0].any()
+        assert not gauge(ham.matrix)[0].any()
     else:
         ham = build_heisenberg(HalfInteger(twice))
     return ham, None if route == "full" else ham.charge
@@ -448,7 +447,7 @@ def test_a_tiny_imaginary_part_takes_the_complex_path(route, stack_dtypes):
     # D.  K's pattern is one component, so its charge takes the sector route
     if route == "K-sectors":
         ham = build_cyclic(HalfInteger(8))
-        assert not components(ham.matrix)[0].any()
+        assert not gauge(ham.matrix)[0].any()
     else:
         ham = build_heisenberg(HalfInteger(8))
     charge = None if route == "full" else ham.charge
@@ -723,7 +722,7 @@ def test_h_takes_the_component_route_with_its_charge(twice):
     # H conserves total S3, so its pattern is already split into the
     # sectors of its charge (S3, S3): the charge is checked, then unused
     ham = build_heisenberg(HalfInteger(twice))
-    assert components(ham.matrix)[0].max() == 2 * twice
+    assert gauge(ham.matrix)[0].max() == 2 * twice
     given = hermitian_eig(ham.matrix, charge=ham.charge)
     _assert_same_bits(given, hermitian_eig(ham.matrix))
     assert given.leak == 0.0 and given.commutator == 0.0
@@ -739,7 +738,7 @@ def test_a_charge_splits_only_a_pattern_that_is_one_component():
         ham = build_bilinear(HalfInteger(3), pattern)
         factor = ham.charge[1]
         diagonal = not (factor - np.diag(np.diagonal(factor))).any()
-        counts.append(components(ham.matrix)[0].max() + 1)
+        counts.append(gauge(ham.matrix)[0].max() + 1)
         assert counts[-1] == (7 if diagonal else 1)
         with pytest.raises(ConvergenceError, match="^(sector|component) ") as error:
             hermitian_eig(ham.matrix, max_sweeps=0, charge=ham.charge)
@@ -850,7 +849,7 @@ def test_full_route_sweeps_the_components_as_blocks(
         m = _permuted_block_hermitian(83, [5, 1, 7, 3, 3, 11])
         count, width = 6, 11
     n = m.shape[0]
-    label = components(m)[0]
+    label = gauge(m)[0]
     assert label.max() + 1 == count and np.bincount(label).max() == width
     dec = hermitian_eig(m)
     # blocks up to 16 wide share one stack, padded to an even width
@@ -1103,7 +1102,7 @@ def test_sector_routes_sweep_their_own_factors_then_batch_their_blocks(monkeypat
     s = HalfInteger(3)
     pattern = next(q for q in _signed_permutations() if q[2, 1] != 0.0)
     operators = [build_cyclic(s), build_bilinear(s, pattern)]
-    assert not any(components(ham.matrix)[0].any() for ham in operators)
+    assert not any(gauge(ham.matrix)[0].any() for ham in operators)
     pairs = [(ham.matrix, ham.charge) for ham in operators]
     stacks = _kernel_spy(monkeypatch)
     batched = eig._eigensolves(pairs, DEFAULT_TOL, DEFAULT_MAX_SWEEPS)

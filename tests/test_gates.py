@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spintool import gates
+from spintool import eig, gates
 from spintool.eig import EigDecomposition, hermitian_eig
 from spintool.gates import gate_eigenphases, synthesize_gate, unitarity_residual
 from spintool.hamiltonians import (
@@ -18,8 +18,8 @@ from spintool.linalg import (
     HermiticityError,
     NumericalError,
     ShapeError,
-    components,
     frobenius_norm,
+    gauge,
 )
 from spintool.spectral import moments
 from spintool.spin import HalfInteger
@@ -184,11 +184,19 @@ def test_overflowing_phases_fail_the_unitarity_bound():
 
 def test_gate_keeps_its_unitarity_residual():
     # taken on the stack that built the gate, it is the residual of the
-    # gate's own pattern, bit for bit
+    # gate's own blocks, bit for bit; the dense residual of a hand-built
+    # matrix is the same product for K's one block, and within rounding of
+    # it for H's blocks
     for twice in [*range(1, 9), 24]:
         for build in (build_heisenberg, build_cyclic):
-            gate = synthesize_gate(build(HalfInteger(twice)), 0.7)
-            assert gate.unitarity_residual == unitarity_residual(gate.matrix)
+            ham = build(HalfInteger(twice))
+            gate = synthesize_gate(ham, 0.7)
+            rows = hermitian_eig(ham.matrix, charge=ham.charge).blocks[0]
+            assert gate.unitarity_residual == gates._gram_residual(rows.stack(gate.matrix), rows)
+            dense = unitarity_residual(gate.matrix)
+            if build is build_cyclic:
+                assert gate.unitarity_residual == dense
+            assert abs(gate.unitarity_residual - dense) <= gate.dimension * np.finfo(float).eps
     gate = synthesize_gate(build_cyclic(HalfInteger(3)), 0.8)
     assert gate.unitarity_residual == unitarity_residual(gate.matrix)
 
@@ -207,12 +215,21 @@ def test_gate_keeps_its_generators_eigenpair_residual(tol):
 
 @pytest.mark.parametrize("build", [build_heisenberg, build_cyclic], ids=["H", "K"])
 def test_synthesis_never_walks_the_gate_pattern(build, monkeypatch):
-    def walk(*args, **kwargs):
-        raise AssertionError("synthesize_gate walked the pattern of U")
+    # the one walk is the eigensolver's, of the generator; neither the
+    # gate's products nor the residual of a hand-built matrix walk U
+    walked = []
+    walk = eig.gauge
 
-    monkeypatch.setattr(gates, "components", walk)
-    gate = synthesize_gate(build(HalfInteger(8)), 0.7)
+    def spy(m):
+        walked.append(m)
+        return walk(m)
+
+    monkeypatch.setattr(eig, "gauge", spy)
+    ham = build(HalfInteger(8))
+    gate = synthesize_gate(ham, 0.7)
     assert gate.unitarity_residual <= 1e-10 * gate.dimension
+    assert unitarity_residual(gate.matrix) <= 1e-10 * gate.dimension
+    assert len(walked) == 1 and walked[0] is ham.matrix
 
 
 def test_unitarity_residual_values():
@@ -233,7 +250,7 @@ def test_blockwise_gate_matches_the_dense_product(twice, assert_kept_blocks):
     ham = build_heisenberg(HalfInteger(twice))
     n = ham.dimension
     dec = hermitian_eig(ham.matrix, charge=ham.charge)
-    label = components(ham.matrix)[0]
+    label = gauge(ham.matrix)[0]
     # H conserves total S3: 4s+1 components, and its eigenvectors keep to
     # them, as the decomposition records
     assert label.max() + 1 == 2 * twice + 1
@@ -254,7 +271,7 @@ def test_k_takes_the_dense_product():
     ham = build_cyclic(HalfInteger(8))
     # K's pattern is one component: one block of every index, whose gate
     # is the dense product
-    assert not components(ham.matrix)[0].any()
+    assert not gauge(ham.matrix)[0].any()
     for blocks in hermitian_eig(ham.matrix, charge=ham.charge).blocks:
         np.testing.assert_array_equal(blocks.members, np.arange(ham.dimension)[np.newaxis])
     gate = synthesize_gate(ham, 0.7)
@@ -282,7 +299,7 @@ def test_a_stray_nonzero_in_the_eigenvectors_takes_the_dense_product(monkeypatch
     # every index, give the dense product
     ham = build_heisenberg(HalfInteger(4))
     dec = hermitian_eig(ham.matrix, charge=ham.charge)
-    label = components(ham.matrix)[0]
+    label = gauge(ham.matrix)[0]
     vectors = dec.vectors.copy()
     column = vectors[:, 3]
     column[np.flatnonzero(label != label[np.flatnonzero(column)[0]])[0]] = 1e-300
@@ -297,7 +314,7 @@ def test_a_stray_nonzero_in_the_eigenvectors_takes_the_dense_product(monkeypatch
     np.testing.assert_array_equal(gate.matrix, (vectors * phases) @ vectors.conj().T)
 
 
-def test_blockwise_unitarity_residual_matches_the_dense_formula():
+def test_unitarity_residual_matches_the_dense_formula():
     rng = np.random.default_rng(91)
     widths = [4, 1, 3, 5, 2, 5]
     n = sum(widths)
@@ -310,7 +327,7 @@ def test_blockwise_unitarity_residual_matches_the_dense_formula():
         start += width
     order = rng.permutation(n)
     u = u[np.ix_(order, order)]
-    assert components(u)[0].max() + 1 == len(widths)
+    assert gauge(u)[0].max() + 1 == len(widths)
     dense = np.linalg.norm(u.conj().T @ u - np.eye(n))
     assert unitarity_residual(u) == pytest.approx(dense, rel=1e-12)
     # a NaN entry joins the pattern, and the residual is NaN

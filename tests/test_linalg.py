@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -8,11 +9,10 @@ import pytest
 from spintool import linalg
 from spintool.eig import hermitian_eig
 from spintool.gates import unitarity_residual
-from spintool.hamiltonians import build_cyclic
+from spintool.hamiltonians import build_bilinear, build_cyclic, build_heisenberg
 from spintool.linalg import (
     Blocks,
     HermiticityError,
-    components,
     frobenius_norm,
     gauge,
     hermiticity_defect,
@@ -196,6 +196,14 @@ def _reference_labels(m):
     return np.array(label, dtype=np.intp)
 
 
+def _colour_links(m, colour):
+    """m with every entry that links unlike colours made purely imaginary."""
+    unlike = colour[:, None] != colour[None, :]
+    c = np.where(unlike, 0.0, m).astype(complex)
+    c.imag = np.where(unlike, m, 0.0)  # not 1j * m, which makes 1j * NaN NaN + NaN i
+    return c
+
+
 @pytest.mark.parametrize("density", [0.0, 0.05, 0.15, 0.4, 1.0])
 def test_components_match_a_breadth_first_walk(density):
     rng = np.random.default_rng(int(density * 100) + 5)
@@ -206,79 +214,212 @@ def test_components_match_a_breadth_first_walk(density):
             m[0, n - 1], m[n - 1, 0] = 0.0, 1e-300
             m[1, 2] = m[2, 1] = np.nan
         expected = _reference_labels(m)
-        label, parity, reach = components(m)
+        label, colour, _, reach = gauge(m)
         np.testing.assert_array_equal(label, expected)
-        assert not parity.any()
+        assert not colour.any()
         i, j = np.nonzero((m != 0) | (m.T != 0))
         assert reach == np.abs(i - j).max(initial=0)
-        # links between indices of unlike colour are odd: every path from a
-        # component's lowest index then has the parity of the colour change
-        colour = rng.integers(0, 2, n)
-        label, parity, _ = components(m, lambda i, j: colour[i] != colour[j])
+        # links between indices of unlike colour are purely imaginary, and
+        # flip the colour: every path from a component's lowest index then
+        # has the parity of the colour change, and the form is exact
+        marks = rng.integers(0, 2, n)
+        label, colour, form, reach = gauge(_colour_links(m, marks))
         np.testing.assert_array_equal(label, expected)
         lowest = np.array([np.flatnonzero(expected == b)[0] for b in expected])
-        np.testing.assert_array_equal(parity, colour ^ colour[lowest])
+        np.testing.assert_array_equal(colour, marks ^ marks[lowest])
+        assert form.dtype == np.float64 and reach == np.abs(i - j).max(initial=0)
 
 
 def test_components_of_the_empty_and_the_diagonal_matrix():
-    label, parity, reach = components(np.zeros((0, 0)))
-    assert label.shape == parity.shape == (0,) and reach == 0
-    label, parity, reach = components(np.diag([1.0, 0.0, 2.0, 0.0]))
+    label, colour, form, reach = gauge(np.zeros((0, 0)))
+    assert label.shape == colour.shape == (0,) and form.shape == (0, 0) and reach == 0
+    label, colour, _, reach = gauge(np.diag([1.0, 0.0, 2.0, 0.0]))
     np.testing.assert_array_equal(label, [0, 1, 2, 3])
-    assert not parity.any() and reach == 0
+    assert not colour.any() and reach == 0
 
 
-def test_gauge_of_input_with_no_imaginary_part_is_its_real_part(monkeypatch):
-    # the walk labels the components but is given no parity test, so the
-    # colour is 0; the real form is a new float64 copy, never a view
-    tests = []
-    walk = linalg.components
-
-    def spy(m, odd=None):
-        tests.append(odd)
-        return walk(m, odd)
-
-    monkeypatch.setattr(linalg, "components", spy)
+def test_gauge_of_input_with_no_imaginary_part_is_its_real_part():
+    # no link flips the colour, which is 0; the real form is a new float64
+    # copy of the real part, never a view, with its signed zeros: -0.0 off
+    # the pattern too
     rng = np.random.default_rng(67)
     r = rng.standard_normal((7, 7)) * (rng.random((7, 7)) < 0.3)
     m = r + r.T
+    m[m == 0] = -0.0
+    assert np.signbit(m[m == 0]).all() and (m == 0).any()
     for a in (m, m.astype(complex), np.rint(4.0 * m).astype(int)):
         label, colour, form, _ = gauge(a)
-        np.testing.assert_array_equal(label, walk(a)[0])
+        np.testing.assert_array_equal(label, _reference_labels(a))
         assert colour.dtype == np.int8 and not colour.any()
         assert form.dtype == np.float64 and not np.shares_memory(form, a)
-        np.testing.assert_array_equal(form, a.real)
-    assert tests == [None, None, None]
-    # one imaginary entry is enough for the parity test to run
-    a = m.astype(complex)
-    a[0, 1] += 1j
-    a[1, 0] -= 1j
-    gauge(a)
-    assert tests[-1] is not None
+        assert form.tobytes() == np.array(a.real, dtype=np.float64).tobytes()
+    # one imaginary link is enough to flip the colour
+    a = np.diag([1.0, 2.0]).astype(complex)
+    a[0, 1], a[1, 0] = 1j, -1j
+    label, colour, form, _ = gauge(a)
+    np.testing.assert_array_equal(colour, [0, 1])
+    np.testing.assert_array_equal(form, [[1.0, -1.0], [-1.0, 2.0]])
 
 
 def test_gauge_of_input_with_no_real_form_is_a_complex_copy():
-    # the imaginary link 0-1 gives index 1 the walk's parity 1, but the link
-    # 1-2 has both parts nonzero, so there is no real form; i on every edge
-    # of a triangle leaves none either.  The matrix handed back is then a
-    # complex128 copy of m with colour 0, even where m is complex128 and
-    # read-only
+    # the imaginary link 0-1 gives index 1 colour 1, and so would a real
+    # link 1-2 to index 2, but the link 1-2 has both parts nonzero, so there
+    # is no real form; i on every edge of a triangle leaves none either.
+    # The matrix handed back is then a complex128 copy of m with colour 0,
+    # even where m is complex128 and read-only
     both = np.array([[0.0, 1j, 0.0], [-1j, 0.0, 1 + 1j], [0.0, 1 - 1j, 0.0]])
-
-    def odd(i, j):
-        return (both.real[i, j] == 0) & (both.real[j, i] == 0)
-
-    np.testing.assert_array_equal(components(both, odd)[1], [0, 1, 1])
+    real_link = both.real + 1j * np.array([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
+    np.testing.assert_array_equal(gauge(real_link)[1], [0, 1, 1])
     cycle = 1j * np.array([[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 0.0]])
     frozen = np.array(both, dtype=complex)
     frozen.flags.writeable = False
     for m in (both, frozen, both.astype(np.complex64), cycle):
         label, colour, form, reach = gauge(m)
-        np.testing.assert_array_equal(label, components(m)[0])
+        np.testing.assert_array_equal(label, _reference_labels(m))
         assert colour.dtype == np.int8 and not colour.any()
         assert form.dtype == np.complex128 and not np.shares_memory(form, m)
         np.testing.assert_array_equal(form, m)
-        assert reach == components(m)[2]
+        assert reach == 1 + (m is cycle)
+
+
+def _dense_gauge(m):
+    """The gauge of m by the n x n formula that the walk's links replaced.
+
+    Labels and colours are taken breadth first, one link at a time, a link
+    flipping the colour when both its entries have zero real part.  Where a
+    cycle flips it an odd number of times some link fails the test below,
+    whatever the colours, so they need not agree with the walk's there.
+    Exactness is tested over every entry, through an n x n shift, and the
+    form is shift * imag + real over every entry.
+    """
+    n = m.shape[0]
+    linked = (m != 0) | (m != 0).T
+    label, colour = np.full(n, -1), np.zeros(n, dtype=np.int8)
+    count = 0
+    for root in range(n):
+        if label[root] >= 0:
+            continue
+        label[root] = count
+        reached = [root]
+        for i in reached:
+            for j in np.flatnonzero(linked[i]).tolist():
+                if label[j] < 0:
+                    label[j] = count
+                    flip = m.real[i, j] == 0 and m.real[j, i] == 0
+                    colour[j] = colour[i] ^ flip
+                    reached.append(j)
+        count += 1
+    i, j = np.nonzero(linked)
+    reach = int(np.abs(i - j).max(initial=0))
+    if not (np.iscomplexobj(m) and m.imag.any()):
+        return label, np.zeros_like(colour), np.array(m.real, dtype=np.float64), reach
+    shift = colour[:, None] - colour[None, :]
+    if np.any(m.imag, where=shift == 0) or np.any(m.real, where=shift != 0):
+        return label, np.zeros_like(colour), np.array(m, dtype=np.complex128), reach
+    form = np.multiply(shift, m.imag, dtype=np.float64)
+    form += m.real
+    return label, colour, form, reach
+
+
+def _gauged(rng, n, density):
+    """D r D^H for a random real symmetric r of this density and a random
+    D of ones and i's: purely imaginary entries link unlike colours."""
+    r = rng.standard_normal((n, n)) * (rng.random((n, n)) < density)
+    return _colour_links(r + r.T, rng.integers(0, 2, n))
+
+
+def _gauge_cases():
+    """Every matrix that the walk's gauge must take as the dense formula
+    did, each with whether it has a real form."""
+    rng = np.random.default_rng(83)
+    for twice in range(1, 25):
+        yield f"H-{twice}", build_heisenberg(HalfInteger(twice)).matrix, True
+        yield f"K-{twice}", build_cyclic(HalfInteger(twice)).matrix, True
+    # the 24 signed permutations with determinant +1, as bilinear patterns
+    for order in itertools.permutations(range(3)):
+        for signs in itertools.product((1.0, -1.0), repeat=3):
+            q = np.eye(3)[list(order)] * np.array(signs)[:, np.newaxis]
+            if np.linalg.det(q) > 0.0:
+                name = ";".join(",".join(f"{int(c):+d}" for c in row) for row in q)
+                yield f"bilinear-{name}", build_bilinear(HalfInteger(3), q).matrix, True
+    for density in (0.05, 0.3, 1.0):
+        r = rng.standard_normal((40, 40)) * (rng.random((40, 40)) < density)
+        c = r + 1j * rng.standard_normal((40, 40)) * (rng.random((40, 40)) < density)
+        yield f"real-{density}", r + r.T, True
+        yield f"complex-{density}", c + c.conj().T, False
+        yield f"gauged-{density}", _gauged(rng, 40, density), True
+    yield "odd-cycle", 1j * np.array([[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 0.0]]), False
+    # each link purely real or purely imaginary at random: where a cycle
+    # holds an odd number of imaginary links, the walk may leave the odd
+    # colour on a real link, whose real part is then what leaves no form
+    for k in range(8):
+        r = np.triu(rng.integers(-2, 3, (6, 6)) * (rng.random((6, 6)) < 0.5), 1)
+        imaginary = rng.random((6, 6)) < 0.5
+        links = np.where(imaginary, 0, r) + 1j * np.where(imaginary, r, 0)
+        links += links.conj().T
+        yield f"random-links-{k}", links, None
+    yield "mixed", np.array([[0.0, 1j, 0.0], [-1j, 0.0, 1 + 1j], [0.0, 1 - 1j, 0.0]]), False
+    nan = _gauged(rng, 9, 0.4)
+    nan[0, 0] = np.nan
+    yield "nan-diagonal", nan, True
+    nan = _gauged(rng, 9, 0.4)
+    i, j = np.argwhere(nan.imag != 0)[0]
+    nan[i, j] = complex(0.0, np.nan)
+    yield "nan-imaginary", nan, True
+    yield "nan-mixed", nan + np.eye(9) * complex(0.0, np.nan), False
+    # -0.0 on the diagonal and where its mirror is nonzero, which are links
+    zeros = _gauged(rng, 9, 0.5)
+    zeros[np.diag_indices(9)] = complex(-0.0, -0.0)
+    for i, j in np.argwhere(zeros != 0)[:4]:
+        zeros[i, j] = complex(-0.0, -0.0) if (i + j) % 2 else -0.0
+    yield "signed-zeros-on-links", zeros, True
+    real = _gauged(rng, 9, 0.5).real
+    real[real == 0] = -0.0
+    yield "signed-zeros-real", real, True
+    yield "signed-zeros-complex-real", real + complex(-0.0, -0.0), True
+
+
+@pytest.mark.parametrize(
+    "m, real_form", [pytest.param(m, real, id=name) for name, m, real in _gauge_cases()]
+)
+def test_gauge_matches_the_dense_formula_bit_for_bit(m, real_form):
+    expected = _dense_gauge(m)
+    found = gauge(m)
+    for mine, theirs in zip(found[:3], expected[:3]):
+        assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+    assert found[3] == expected[3]
+    assert real_form is None or (found[2].dtype == np.float64) == real_form
+
+
+def test_gauge_form_is_plus_zero_off_the_links():
+    # off the pattern both entries are zero and the form is +0.0; the dense
+    # formula gave -0.0 where the real part was -0.0 and the shifted
+    # imaginary part -0.0 too.  Everything else is bit for bit the same
+    m = np.array([[0.0, 1j, -0.0], [-1j, 0.0, 1.0], [-0.0, 1.0, 0.0]])
+    label, colour, form, reach = gauge(m)
+    expected = _dense_gauge(m)
+    np.testing.assert_array_equal(colour, expected[1])
+    np.testing.assert_array_equal(colour, [0, 1, 1])
+    assert np.signbit(expected[2][0, 2]) and not np.signbit(form[form == 0]).any()
+    np.testing.assert_array_equal(form, expected[2])
+
+
+@pytest.mark.parametrize(
+    "build, bound", [(build_heisenberg, 3.1), (build_cyclic, 3.4)], ids=["H", "K"]
+)
+def test_gauge_at_the_cap_holds_little_beside_its_form(build, bound):
+    # the form is 2.98 MiB at 2s = 24; the pattern's mask goes before it is
+    # made.  Measured 3.03 MiB for H and 3.25 for K; the dense formula's
+    # n x n shift and masks read 2.99 and 3.42, and keeping the mask beside
+    # the form 3.43 and 3.66
+    m = build(HalfInteger(24)).matrix
+    tracemalloc.start()
+    try:
+        gauge(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * 2**20
 
 
 def _permuted_block_diagonal(rng, widths):
@@ -298,7 +439,7 @@ def _permuted_block_diagonal(rng, widths):
 def test_blocks_stack_and_scatter_are_inverse():
     rng = np.random.default_rng(61)
     m = _permuted_block_diagonal(rng, [3, 1, 4, 1, 5])
-    label = components(m)[0]
+    label = gauge(m)[0]
     blocks = Blocks.of(label)
     stack = blocks.stack(m)
     assert stack.shape == (5, 5, 5)
@@ -355,7 +496,7 @@ def test_the_one_block_view_never_leaks_a_write(widths):
     r = _permuted_block_diagonal(np.random.default_rng(71), widths)
     m = (r + r.conj().T) / 2
     assert m.dtype == np.complex128 and m.flags.writeable
-    _assert_one_block(Blocks.of(components(m)[0]), 5)
+    _assert_one_block(Blocks.of(gauge(m)[0]), 5)
     before = m.copy()
     moments(m, 9)
     hermitian_eig(m)

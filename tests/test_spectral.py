@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -10,7 +11,14 @@ from hypothesis import strategies as st
 from spintool.eig import hermitian_eig
 from spintool.hamiltonians import build_bilinear, build_cyclic, build_heisenberg
 from spintool import spectral
-from spintool.linalg import Blocks, HermiticityError, NumericalError, ShapeError, gauge
+from spintool.linalg import (
+    Blocks,
+    HermiticityError,
+    NumericalError,
+    ShapeError,
+    gauge,
+    hermiticity_defect,
+)
 from spintool.spectral import (
     _ROWS,
     _scaled_differences,
@@ -468,6 +476,9 @@ def test_cluster_spectrum_singleton_and_guards():
         cluster_spectrum([1.0], 0.0)
     with pytest.raises(ShapeError):
         cluster_spectrum([], 1e-9)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="^values must be finite$"):
+            cluster_spectrum([0.0, bad, 1.0], 1e-9)
 
 
 def test_cluster_separation_invariant():
@@ -792,3 +803,22 @@ def test_moment_report_pass_iff_bound():
     assert report.passed == (report.max_abs_diff <= report.tol)
     assert report.scale >= 1.0
     assert len(report.traces_a) == len(report.traces_b) == len(report.powers)
+
+
+def test_moments_raise_on_imaginary_drift_of_a_matrix_within_the_defect_bound():
+    # 1.4e-10 of asymmetry is inside the bound of 2e-10 (1e-10 per
+    # dimension) and leaves no real form, so the traces are complex, and
+    # their imaginary part outgrows 1e-8 * dim * ||m||_F^k at a high power:
+    # 1593 on one host and one BLAS thread, which passes at 1592
+    m = np.array([[1.0, 0.1], [0.1 + 1.4e-10j, 0.0]])
+    assert 1.9e-10 < hermiticity_defect(m) <= 2e-10
+    assert gauge(m)[2].dtype == np.complex128
+    assert np.isfinite(moments(m, 1000)).all()
+    with pytest.raises(NumericalError) as info:
+        moments(m, 2500)
+    found = re.fullmatch(
+        r"trace of power (\d+) has imaginary part \d\.\d{3}e[-+]\d\d "
+        r"beyond the hermiticity drift bound",
+        str(info.value),
+    )
+    assert found and 1000 < int(found[1]) <= 2500
