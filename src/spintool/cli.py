@@ -35,7 +35,6 @@ from either, a value outside (0, 1) is a usage error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import itertools
 import json
 import math
@@ -462,7 +461,7 @@ def cmd_verify(args: argparse.Namespace) -> dict:
         "clusters_b": _cluster_dicts(cert.spectrum_b),
         "spectra_equal": cert.spectra_equal,
         "closed_form_match": closed_form_match,
-        "moments": dataclasses.asdict(cert.moments),
+        "moments": dict(vars(cert.moments)),
         "verdict": algebra.passed and cert.verdict and closed_form_match,
         "notes": _spin_notes(s),
     }
@@ -530,7 +529,7 @@ def cmd_table(args: argparse.Namespace) -> dict:
                 "clusters": _cluster_dicts(cert.spectrum_a),
                 "spectra_equal": cert.spectra_equal,
                 "closed_form_match": closed_form_match,
-                "moments": dataclasses.asdict(cert.moments),
+                "moments": dict(vars(cert.moments)),
                 "verdict": cert.verdict and closed_form_match,
                 "notes": _spin_notes(s),
             }

@@ -60,11 +60,12 @@ exactly real, that float64 real form, its rotation's phase e the sign of
 the pivot and its vectors D V; else a complex128 copy of M, with D = I.
 The test is exact, never a tolerance: 1e-300j on a nonzero real entry
 leaves no real form.  H has D = I, and K's D is i on the odd indices of
-the first site, so both run real throughout, as do their charge factors: a
-factor with an imaginary part takes its own gauge, and a real one, as both
-of K's, is swept as its float64 real part.  The residual is taken against
-M itself, in real arithmetic when D = I, and the vectors are complex128
-either way, pinned and measured as below.
+the first site, so both run real throughout.  The charge factors are swept
+as given, never walked: as float64 copies of their real parts where
+neither has an imaginary part, as both of K's, else as complex128 copies
+of both.  The residual is taken against M itself, in real arithmetic when
+D = I, and the vectors are complex128 either way, pinned and measured as
+below.
 
 Sector route
 ------------
@@ -473,7 +474,10 @@ def _mode(t: np.ndarray, f: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _charge_factors(charge, n: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The factors (A, B) checked square, finite, Hermitian and of product n."""
+    """The factors (A, B) checked square, finite, Hermitian and of product n,
+    as the arrays to sweep: float64 copies of their real parts where neither
+    has an imaginary part, as K's, else complex128 copies of both, so that
+    the two share one kernel call.  No factor is walked."""
     a_site, b_site = (require_square(f, "charge factors must be square") for f in charge)
     if a_site.shape[0] * b_site.shape[0] != n:
         raise ShapeError(
@@ -484,54 +488,28 @@ def _charge_factors(charge, n: int, tol: float) -> tuple[np.ndarray, np.ndarray]
         if not np.isfinite(f).all():
             raise ValueError("charge factor entries must be finite")
         require_hermitian(f, tol)
-    return a_site, b_site
-
-
-def _site(f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A charge factor's colour, the matrix to sweep and the one that the
-    commutator is taken with.
-
-    A factor with an imaginary part is swept as :func:`linalg.gauge` gives
-    it, and taken in the commutator as it is, or as that copy where it has
-    no real form.  Any other, as both of K's, is swept and taken as its
-    float64 real part, with colour 0, and needs no walk.
-    """
-    if np.iscomplexobj(f) and f.imag.any():
-        _, colour, swept, _ = gauge(f)
-        return colour, swept, f if colour.any() else swept
-    real = np.array(f.real, dtype=np.float64)
-    return np.zeros(f.shape[0], dtype=np.int8), real, real
-
-
-def _through(colour: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """D v for D = i^colour: the rows of colour 1 times i, v itself for D = I.
-
-    For a stack of matrices, ``colour`` holds the colour of each row of each.
-    """
-    if not colour.any():
-        return v
-    return v * np.where(colour, 1j, 1.0)[..., np.newaxis]
+    if any(np.iscomplexobj(f) and f.imag.any() for f in (a_site, b_site)):
+        return a_site.astype(np.complex128), b_site.astype(np.complex128)
+    return np.array(a_site.real, dtype=np.float64), np.array(b_site.real, dtype=np.float64)
 
 
 def _split_sectors(
-    m: np.ndarray, sites: list, stop: float, precision: np.dtype
+    m: np.ndarray, factors: tuple, stop: float, precision: np.dtype
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
     """Rotate ``m`` into the eigenbasis W of A x I + I x B and measure the split.
 
-    ``sites`` are A and B as :func:`_site` gives them, swept together in one
-    kernel call to ``_SITE_TOL`` within the default sweep budget; the
-    vectors are brought back through each factor's colour.  Returns W, the
+    ``factors`` are A and B as :func:`_charge_factors` gives them, swept as
+    given, together in one kernel call, to ``_SITE_TOL`` within the default
+    sweep budget, and taken as given in the commutator.  Returns W, the
     rotated matrix, symmetrized once, the charge label 2(qa + qb) of each
     basis index, the leak and the commutator norm.  A leak above ``stop`` is
     an error; ``precision``, the input's dtype, tells what rounding it may be.
     """
-    swept = [f for _, f, _ in sites]
-    stops = [_SITE_TOL * frobenius_norm(f) for f in swept]
-    (solved,) = _solved([([_symmetrized(f) for f in swept], stops)], DEFAULT_MAX_SWEEPS)
+    stops = [_SITE_TOL * frobenius_norm(f) for f in factors]
+    (solved,) = _solved([([_symmetrized(f) for f in factors], stops)], DEFAULT_MAX_SWEEPS)
     _converged(solved, stops, ["", ""], DEFAULT_MAX_SWEEPS)
     (qa, va, _, _), (qb, vb, _, _) = solved
-    va, vb = (_through(colour, v) for (colour, _, _), v in zip(sites, (va, vb)))
-    a_site, b_site = (f for _, _, f in sites)
+    a_site, b_site = factors
     # m as a 4-tensor (a, b, c, d), rows (a, b) and columns (c, d): a
     # product with A x I or I x B contracts one index with a single-site
     # factor, at a fraction of the cost of a dense n x n product
@@ -627,7 +605,7 @@ class _Eigensolve:
             if (grid[i] != grid[j]).any() or (grid[:, k] != grid[:, l]).any():
                 colour, a = np.zeros_like(colour), m.astype(np.complex128, copy=False)
             w, swept, labels, self.leak, self.commutator = _split_sectors(
-                a, [_site(f) for f in charge], tol * norm, m.dtype
+                a, charge, tol * norm, m.dtype
             )
             name = "sector of charge 2(qa+qb) ="
         order = np.argsort(labels, kind="stable")
@@ -686,7 +664,8 @@ class _Eigensolve:
             else:
                 v[0][:, column[idx]] = self.w[:, idx] @ r
         self.w = None
-        v = _through(colour[rows.members], v)
+        if colour.any():
+            v = v * np.where(colour[rows.members], 1j, 1.0)[..., np.newaxis]
         pins = _pins(v)
         v = v * pins
         deltas = rows.stack(a) @ v - v * values[columns.members][:, np.newaxis, :]

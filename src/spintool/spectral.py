@@ -464,7 +464,8 @@ def certify_isospectral(
     ``prefix`` additionally reports the comparison restricted to the first
     so-many powers; the verdict never rests on the prefix alone.
     ``charges`` passes each operator's conserved-charge factors (or None)
-    to the eigensolver, which then diagonalizes sector by sector.
+    to the eigensolver, which then diagonalizes sector by sector.  Empty
+    operators have no spectrum and raise :class:`ShapeError`.
 
     Both eigensolves are one batched solve: an operator on the sector route
     sweeps its own charge factors, and then the blocks of both operators
@@ -482,6 +483,8 @@ def certify_isospectral(
     if a.shape != b.shape:
         raise ShapeError(f"dimension mismatch: {a.shape} vs {b.shape}")
     n = a.shape[0]
+    if n == 0:
+        raise ShapeError(f"operators of shape {a.shape} have no spectrum to certify")
     if kmax is None:
         kmax = n
     if kmax < 1:

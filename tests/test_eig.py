@@ -23,7 +23,6 @@ from spintool.eig import (
     _charge_factors,
     _jacobi_stack,
     _pins,
-    _site,
     _split_sectors,
     _symmetrized,
     hermitian_eig,
@@ -655,13 +654,13 @@ def test_sector_blocks_are_exactly_hermitian(twice, label):
     else:
         ham = build_bilinear(s, _random_rotation(700 + twice))
     stop = DEFAULT_TOL * frobenius_norm(ham.matrix)
-    sites = [_site(f) for f in _charge_factors(ham.charge, ham.dimension, DEFAULT_TOL)]
+    factors = _charge_factors(ham.charge, ham.dimension, DEFAULT_TOL)
     # the matrix as given and, where there is one, its real form, which is
     # what the solver sweeps
     form = gauge(ham.matrix)[2]
     for m in [ham.matrix] + ([form] if form.dtype == np.float64 else []):
         # every sector is a principal block of the rotated matrix
-        rotated = _split_sectors(m, sites, stop, m.dtype)[1]
+        rotated = _split_sectors(m, factors, stop, m.dtype)[1]
         assert np.array_equal(rotated, rotated.conj().T)
 
 
@@ -688,13 +687,13 @@ def test_the_gauge_takes_the_sectors_only_where_it_keeps_the_charge(
     # the charge is (S3, sum_k c_3k Sk).  Every pattern leaves a real form;
     # where B = +-S2, whose nonzeros link indices of different colour, D does
     # not commute with the charge, so the sectors of D^H m D are not those
-    # of m and the solve stays complex; gauging anyway leaks
+    # of m and the solve stays complex; gauging anyway leaks.  The factors
+    # are swept as given: complex128 where B = +-S2 has an imaginary part
     ham = build_bilinear(HalfInteger(3), pattern)
     assert ham.charge is not None and gauge(ham.matrix)[2].dtype == np.float64
     dec = hermitian_eig(ham.matrix, charge=ham.charge)
     if pattern[2, 1] != 0.0:
-        # the factors S3 and +-S2 have real forms; the sectors are complex
-        assert stack_dtypes == [np.dtype(np.float64), np.dtype(np.complex128)]
+        assert stack_dtypes == [np.dtype(np.complex128), np.dtype(np.complex128)]
     else:
         assert set(stack_dtypes) == {np.dtype(np.float64)}
     n = ham.dimension
@@ -960,27 +959,39 @@ def test_a_tol_below_a_blocks_rounding_floor_is_said(run_cli, tmp_path):
 
 
 @pytest.mark.parametrize("twice", [2, 3, 24])
-def test_only_a_factor_with_an_imaginary_part_takes_a_gauge(twice, monkeypatch):
-    # K's factors S3 and S1 are real: swept as their real parts, with colour
-    # 0, they take no walk, and the operator is gauged once.  With B = +-S2
-    # the factor with an imaginary part takes its own gauge, and its real
-    # form.  The bits are pinned in tests/golden/eig-bits.json.
+def test_no_charge_factor_is_walked(twice, monkeypatch):
+    # the charge factors are swept as given, real as K's S3 and S1 or with
+    # an imaginary part as B = +S2: only the operator takes a walk.  A
+    # certificate walks each operator twice, once to admit it and once for
+    # its moments.  The bits are pinned in tests/golden/eig-bits.json.
     walked = []
-    walk = eig.gauge
 
-    def spy(m):
-        walked.append(m.shape[0])
-        return walk(m)
+    def spy_on(module):
+        walk = module.gauge
 
-    monkeypatch.setattr(eig, "gauge", spy)
-    k = build_cyclic(HalfInteger(twice))
+        def spy(m):
+            walked.append(m.shape[0])
+            return walk(m)
+
+        monkeypatch.setattr(module, "gauge", spy)
+
+    spy_on(eig)
+    s = HalfInteger(twice)
+    k = build_cyclic(s)
     hermitian_eig(k.matrix, charge=k.charge)
     assert walked == [k.dimension]
     del walked[:]
-    pattern = next(q for q in _signed_permutations() if q[2, 1] != 0.0)
-    p = build_bilinear(HalfInteger(twice), pattern)
+    pattern = next(q for q in _signed_permutations() if q[2, 1] == 1.0)
+    p = build_bilinear(s, pattern)
     hermitian_eig(p.matrix, charge=p.charge)
-    assert walked == [p.dimension, twice + 1]
+    assert walked == [p.dimension]
+    del walked[:]
+    spy_on(spectral)
+    h = build_heisenberg(s)
+    spectral.certify_isospectral(
+        h.matrix, k.matrix, kmax=2 * twice + 1, charges=(h.charge, k.charge)
+    )
+    assert walked == [k.dimension] * 4
 
 
 def _kernel_spy(monkeypatch):
@@ -1043,8 +1054,8 @@ def test_a_certificate_decomposes_each_operator_as_alone(twice, monkeypatch):
 
 def test_a_complex_sector_route_keeps_its_own_stack_beside_h(monkeypatch):
     # with B = +-S2 the charge keeps the sectors only in complex arithmetic,
-    # while H and both factors run real: the sectors take a stack of their
-    # own, of H's padded width, and each decomposition keeps its bits
+    # as its factors run, while H runs real: the sectors take a stack of
+    # their own, of H's padded width, and each decomposition keeps its bits
     s = HalfInteger(3)
     pattern = next(q for q in _signed_permutations() if q[2, 1] != 0.0)
     h, p = build_heisenberg(s), build_bilinear(s, pattern)
@@ -1084,8 +1095,9 @@ def test_blocks_padded_apart_are_stacked_apart(monkeypatch):
         (2 * -(-max(b.shape[0] for b in blocks) // 2), blocks[0].dtype.name)
         for blocks in stacks
     ]
-    # the factors of the rotation and of K at 2s = 5, then the blocks
-    assert padded[:2] == [(4, "float64"), (6, "float64")]
+    # the factors of the rotation, complex as B = +-S2 is, and of K at
+    # 2s = 5, then the blocks
+    assert padded[:2] == [(4, "complex128"), (6, "float64")]
     assert sorted(padded[2:]) == [
         (4, "complex128"), (4, "float64"), (6, "float64"),
         (8, "complex128"), (8, "float64"), (10, "float64"),
@@ -1097,8 +1109,9 @@ def test_blocks_padded_apart_are_stacked_apart(monkeypatch):
 
 def test_sector_routes_sweep_their_own_factors_then_batch_their_blocks(monkeypatch):
     # K and a rotation whose B is +-S2 both take the sector route at 2s = 3,
-    # with real factors 4 wide: each operator sweeps its own two factors in
-    # a call of its own, in operator order, before one stage of blocks
+    # with factors 4 wide, K's real and the rotation's complex: each
+    # operator sweeps its own two factors in a call of its own, in operator
+    # order, before one stage of blocks
     s = HalfInteger(3)
     pattern = next(q for q in _signed_permutations() if q[2, 1] != 0.0)
     operators = [build_cyclic(s), build_bilinear(s, pattern)]
@@ -1106,9 +1119,11 @@ def test_sector_routes_sweep_their_own_factors_then_batch_their_blocks(monkeypat
     pairs = [(ham.matrix, ham.charge) for ham in operators]
     stacks = _kernel_spy(monkeypatch)
     batched = eig._eigensolves(pairs, DEFAULT_TOL, DEFAULT_MAX_SWEEPS)
-    for factors, ham in zip(stacks[:2], operators, strict=True):
-        swept = [_symmetrized(_site(f)[1]) for f in ham.charge]
-        assert [b.dtype.name for b in factors] == ["float64", "float64"]
+    dtypes = ("float64", "complex128")
+    for factors, ham, dtype in zip(stacks[:2], operators, dtypes, strict=True):
+        given = _charge_factors(ham.charge, ham.dimension, DEFAULT_TOL)
+        swept = [_symmetrized(f) for f in given]
+        assert [b.dtype.name for b in factors] == [dtype, dtype]
         assert all(np.array_equal(b, f) for b, f in zip(factors, swept, strict=True))
     # the sectors: K's real and the rotation's complex, in a stack each
     assert _one_dtype(stacks[2:]) == {np.dtype(np.float64), np.dtype(np.complex128)}
@@ -1483,7 +1498,9 @@ def test_decompositions_keep_their_pinned_bits(name):
 
 
 if __name__ == "__main__":
-    # regenerate the pinned bits: PYTHONPATH=src python tests/test_eig.py
+    # regenerate the pinned bits: PYTHONPATH=src python tests/test_eig.py,
+    # which prints the name of each entry whose bits it changed
+    before = json.loads(_BITS.read_text(encoding="utf-8"))["bits"]
     bits = {}
     for name, make in _PINNED.items():
         ham = make()
@@ -1492,3 +1509,6 @@ if __name__ == "__main__":
     pinned = {**_platform(), "blas_threads": None if threads is None else threads[0]()}
     text = json.dumps({"platform": pinned, "bits": bits}, indent=1)
     _BITS.write_text(text + "\n", encoding="utf-8")
+    for name, entry in bits.items():
+        if before.get(name) != entry:
+            print(name)

@@ -768,6 +768,12 @@ def test_certify_guards():
         certify_isospectral(eye2, eye2, kmax=0)
     with pytest.raises(ValueError):
         certify_isospectral(eye2, eye2, kmax=2, prefix=3)
+    # empty operators are refused by their shape, not by a kmax the caller
+    # never gave nor by the clustering of no values
+    empty = np.zeros((0, 0))
+    for kwargs in ({}, {"kmax": 3}):
+        with pytest.raises(ShapeError, match=r"^operators of shape \(0, 0\) have no"):
+            certify_isospectral(empty, empty, **kwargs)
 
 
 @pytest.mark.parametrize("twice", [1, 2, 3, 5])
