@@ -50,7 +50,10 @@ blocks to the kernel.  An operator on the sector route first sweeps its
 two charge factors in a call of their own; H's pattern splits at every
 spin, so only K's do.  H and K together take two kernel calls up to
 2s = 15 and three beyond, where blocks wider than 16 form a class of their
-own.
+own.  Convergence is checked in one place, after the kernel calls, on the
+results of every route: the first block still above its stop raises a
+:class:`ConvergenceError` named by its route, label and width, so only
+converged blocks go on to be sorted, pinned and measured.
 
 Arithmetic
 ----------
@@ -398,25 +401,32 @@ def _jacobi_stack(
 
 
 def _solved(
-    routes: list[tuple[list[np.ndarray], list[float]]], max_sweeps: int
+    routes: list[tuple[list[np.ndarray], list[float], list[str], list[float]]],
+    max_sweeps: int,
 ) -> list[list[tuple[np.ndarray, np.ndarray, int, float]]]:
-    """Run the kernel on the blocks of every route, one stack per width and dtype.
+    """Run the kernel on the blocks of every route, one stack per width and
+    dtype, and check that each block converged.
 
-    A route is one operator's blocks and their stops.  Within a route,
-    blocks up to 16 wide form one class, as do blocks whose widths share an
-    interval (2^(k-1), 2^k], so padding never doubles a wide block; a class
-    is padded to its widest block, made even, in float64 if all its blocks
-    are real.  Blocks of every route that are padded to the same width in
-    the same dtype share one stack, so each keeps the rounds, the padding
-    and the arithmetic that its own route alone would give it, bit for bit.
-    The kernel's arithmetic is per block, so a stack sweeps each block once:
-    a member of the same width and stop as one before it, and the same
-    bytes, signed zeros included, takes that member's result.  H's
-    components at total M and -M are such twins.  Returns the kernel's
-    results per route, in block order; twins share theirs.
+    A route is one operator's blocks with their stops, names and rounding
+    floors.  Within a route, blocks up to 16 wide form one class, as do
+    blocks whose widths share an interval (2^(k-1), 2^k], so padding never
+    doubles a wide block; a class is padded to its widest block, made even,
+    in float64 if all its blocks are real.  Blocks of every route that are
+    padded to the same width in the same dtype share one stack, so each
+    keeps the rounds, the padding and the arithmetic that its own route
+    alone would give it, bit for bit.  The kernel's arithmetic is per block,
+    so a stack sweeps each block once: a member of the same width and stop
+    as one before it, and the same bytes, signed zeros included, takes that
+    member's result.  H's components at total M and -M are such twins.
+    This is the one place where a solved block is checked: once every stack
+    is swept, the first block still above its stop, in route order and then
+    in block order, raises a :class:`ConvergenceError` that starts with its
+    name; where the stop lies below the block's floor, the error says that
+    tol is below it too.  Returns the kernel's results per route, in block
+    order, every block converged; twins share theirs.
     """
     stacks: dict[tuple[int, np.dtype], list[tuple[int, int]]] = {}
-    for r, (blocks, _) in enumerate(routes):
+    for r, (blocks, *_) in enumerate(routes):
         classes = [max((block.shape[0] - 1).bit_length(), 4) for block in blocks]
         for k in dict.fromkeys(classes):
             members = [j for j, c in enumerate(classes) if c == k]
@@ -424,7 +434,7 @@ def _solved(
             dtype = np.result_type(np.float64, *(blocks[j] for j in members))
             key = max(widest + widest % 2, 2), dtype
             stacks.setdefault(key, []).extend((r, j) for j in members)
-    solved: list[list] = [[None] * len(blocks) for blocks, _ in routes]
+    solved: list[list] = [[None] * len(blocks) for blocks, *_ in routes]
     for members in stacks.values():
         keys = [
             (routes[r][0][j].shape[0], routes[r][1][j], routes[r][0][j].tobytes())
@@ -441,31 +451,20 @@ def _solved(
         results = dict(zip(firsts, stacked))
         for (r, j), key in zip(members, keys):
             solved[r][j] = results[key]
-    return solved
-
-
-def _converged(
-    solved: list,
-    stops: list[float],
-    names: list[str],
-    max_sweeps: int,
-    floors: list[float] | None = None,
-) -> None:
-    """Raise, by name, a :class:`ConvergenceError` for the first block that
-    ran out; where its stop lies below its rounding floor, from ``floors``,
-    the error says that tol is below it too."""
-    for j, (name, stop, (_, _, _, off)) in enumerate(zip(names, stops, solved)):
-        if off > stop:
-            below = ""
-            if floors is not None and stop < floors[j]:
-                below = (
-                    "; tol is below the block's rounding floor, "
-                    f"width * eps * norm = {floors[j]:.3e}"
+    for (_, stops, names, floors), results in zip(routes, solved):
+        for stop, name, floor, (_, _, _, off) in zip(stops, names, floors, results):
+            if off > stop:
+                below = ""
+                if stop < floor:
+                    below = (
+                        "; tol is below the block's rounding floor, "
+                        f"width * eps * norm = {floor:.3e}"
+                    )
+                raise ConvergenceError(
+                    f"{name}off-diagonal norm {off:.3e} still above {stop:.3e} "
+                    f"after {max_sweeps} sweeps{below}"
                 )
-            raise ConvergenceError(
-                f"{name}off-diagonal norm {off:.3e} still above {stop:.3e} "
-                f"after {max_sweeps} sweeps{below}"
-            )
+    return solved
 
 
 def _mode(t: np.ndarray, f: np.ndarray, axis: int) -> np.ndarray:
@@ -506,8 +505,8 @@ def _split_sectors(
     an error; ``precision``, the input's dtype, tells what rounding it may be.
     """
     stops = [_SITE_TOL * frobenius_norm(f) for f in factors]
-    (solved,) = _solved([([_symmetrized(f) for f in factors], stops)], DEFAULT_MAX_SWEEPS)
-    _converged(solved, stops, ["", ""], DEFAULT_MAX_SWEEPS)
+    route = [_symmetrized(f) for f in factors], stops, ["", ""], [0.0, 0.0]
+    (solved,) = _solved([route], DEFAULT_MAX_SWEEPS)
     (qa, va, _, _), (qb, vb, _, _) = solved
     a_site, b_site = factors
     # m as a 4-tensor (a, b, c, d), rows (a, b) and columns (c, d): a
@@ -561,13 +560,14 @@ class _Eigensolve:
     """One operator's eigensolve, admitted before the kernel and finished after.
 
     Built, it has checked its input, as :func:`hermitian_eig` documents,
-    chosen its route and cut ``route``, the blocks to sweep and their stops,
-    over equal labels: the components of m, each symmetrized once cut, or
-    with a charge those of m rotated into the basis W by
-    :func:`_split_sectors`, which symmetrizes the whole.  Each
-    block is swept to tol times its own norm, or named by route, label and
-    width in the :class:`ConvergenceError`.  :meth:`finish` takes the blocks
-    solved and returns the decomposition.
+    chosen its route and cut ``route``, the blocks to sweep over equal
+    labels with their stops, names and rounding floors: the components of
+    m, each symmetrized once cut, or with a charge those of m rotated into
+    the basis W by :func:`_split_sectors`, which symmetrizes the whole.
+    Each block is swept to tol times its own norm, or :func:`_solved` names
+    it by route, label and width in the :class:`ConvergenceError`.
+    :meth:`finish` takes the blocks solved, every one converged, and returns
+    the decomposition.
     """
 
     def __init__(self, m, charge, tol: float, max_sweeps: int) -> None:
@@ -616,19 +616,20 @@ class _Eigensolve:
         if w is None:
             blocks = [_symmetrized(block) for block in blocks]
         norms = [frobenius_norm(block) for block in blocks]
-        self.route = blocks, [tol * norm for norm in norms]
-        self.names = [
+        names = [
             f"{name} {int(labels[idx[0]])} (width {idx.size}): " for idx in self.groups
         ]
         # a stop below about width * eps * ||block||_F may lie under rounding
-        self.floors = [idx.size * _EPS * norm for idx, norm in zip(self.groups, norms)]
+        floors = [idx.size * _EPS * norm for idx, norm in zip(self.groups, norms)]
+        self.route = blocks, [tol * norm for norm in norms], names, floors
         # the rotations take swept's dtype, also for n = 0, where there are none
         self.dtype = np.result_type(swept, *([] if w is None else [w]))
         self.m, self.a, self.colour, self.component = m, a, colour, component
-        self.w, self.max_sweeps = w, max_sweeps
+        self.w = w
 
     def finish(self, solved: list) -> EigDecomposition:
-        """Check the blocks solved and return the decomposition.
+        """Return the decomposition of the blocks solved, which
+        :func:`_solved` has checked converged.
 
         The work is done on the stack of m's blocks, :class:`linalg.Blocks`
         of its components, with column k in the block of the label of the
@@ -643,7 +644,6 @@ class _Eigensolve:
         the column's pin, the signed zeros that pinning dense columns gives,
         so the bits do not depend on the layout.
         """
-        _converged(solved, self.route[1], self.names, self.max_sweeps, self.floors)
         n, colour, component = self.m.shape[0], self.colour, self.component
         a = self.m if colour.any() else self.a
         # the blocks and a real form not measured against go before any copy
@@ -700,10 +700,11 @@ def _eigensolves(
     (see :func:`_split_sectors`), until the first that fails, whose error is
     held.  A block is stacked by the width its own route pads it to and its
     dtype (see :func:`_solved`), so each decomposition is bit for bit the
-    one that hermitian_eig gives alone.  The admitted operators are finished
-    in order, each raising its blocks' errors, and the held error is raised
-    last: so the error raised is the first that calling hermitian_eig on
-    each in turn raises.
+    one that hermitian_eig gives alone.  :func:`_solved` raises the first
+    block of the admitted operators that ran out, in their order; else the
+    held error is raised, before any operator is finished, so a certificate
+    that fails computes no residual.  So the error raised is the first that
+    calling hermitian_eig on each in turn raises.
     """
     solves, failure = [], None
     for m, charge in operators:
@@ -713,10 +714,9 @@ def _eigensolves(
             failure = exc
             break
     solved = _solved([solve.route for solve in solves], max_sweeps)
-    finished = [solve.finish(s) for solve, s in zip(solves, solved)]
     if failure is not None:
         raise failure
-    return finished
+    return [solve.finish(s) for solve, s in zip(solves, solved)]
 
 
 def hermitian_eig(

@@ -25,6 +25,8 @@ product, with no walk of its pattern.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,9 +92,11 @@ def synthesize_gate(
     one block of every index, whose gate is the dense product.
     ||U^H U - I||, taken on the same blocks, is checked against
     1e-10 * dim before U is returned; a NaN gate, from theta * lambda
-    overflowing, fails that check too.
+    overflowing, fails that check too.  ``theta`` may be any finite
+    :class:`numbers.Real`, NumPy's real scalars and ``Fraction`` included;
+    the gate is that of ``float(theta)``, and ``Gate.theta`` that float.
     """
-    if not isinstance(theta, (int, float)) or not np.isfinite(theta):
+    if not isinstance(theta, numbers.Real) or not math.isfinite(theta):
         raise ValueError(f"theta must be a finite real number, got {theta!r}")
     dec = hermitian_eig(h.matrix, eig_tol, max_sweeps, charge=h.charge)
     values, source_residual, (rows, columns) = dec.values, dec.residual, dec.blocks

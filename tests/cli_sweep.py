@@ -135,6 +135,15 @@ ARGV = (
     *((*_FILE, "{dir}/" + name, "--format", fmt) for name in FILES for fmt in FORMATS),
     *((*_FILE, "{dir}/tiny-asymmetry.txt", "--tol", "5e-324", "--format", fmt) for fmt in FORMATS),
     *((*_FILE, "{dir}/missing.txt", "--format", fmt) for fmt in FORMATS),
+    # blocks that run out of sweeps, and a tol below the rounding of the basis
+    ("verify", "--spin", "3/2", "--max-sweeps", "1"),
+    ("verify", "--spin", "12", "--max-sweeps", "1"),
+    ("table", "--max-spin", "3", "--max-sweeps", "1"),
+    ("gate", "--spin", "12", "--hamiltonian", "K", "--theta", "0.7", "--max-sweeps", "1"),
+    ("verify", "--spin", "1", "--tol", "1e-100"),
+    ("spectrum", "--spin", "4", "--hamiltonian", "K", "--max-sweeps", "1"),
+    # its error ends in the note that tol is below the block's rounding floor
+    (*_FILE, "{dir}/complex-5.txt", "--tol", "1e-17", "--max-sweeps", "1"),
     ("--help",),
     ("spectrum", "--help"),
     ("verify", "--help"),

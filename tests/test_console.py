@@ -24,7 +24,6 @@ from cli_sweep import sweep
 
 _SCRIPT = shutil.which("spintool")
 _COMMAND = [_SCRIPT] if _SCRIPT else [sys.executable, "-m", "spintool.cli"]
-_ENV = {**os.environ, "PYTHONWARNINGS": "error"}
 
 _CAP_GATE = ["gate", "--spin", "12", "--theta", "0.7", "--check"]
 
@@ -35,8 +34,10 @@ def run(*args: str, head: int | None = None) -> tuple[int, str, str]:
     With ``head``, only that many bytes of stdout are read before the pipe
     is closed, as ``| head -c`` does.
     """
+    # the environment as the test has it, not as it was at import
+    env = {**os.environ, "PYTHONWARNINGS": "error"}
     with subprocess.Popen(
-        [*_COMMAND, *args], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_ENV
+        [*_COMMAND, *args], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
     ) as proc:
         if head is None:
             out, err = proc.communicate()

@@ -1135,9 +1135,11 @@ def test_sector_routes_sweep_their_own_factors_then_batch_their_blocks(monkeypat
 
 def _every_member_solved(routes, max_sweeps):
     """``eig._solved`` with every member of a stack given to the kernel, twins
-    too: the reference that a shared solve must match bit for bit."""
+    too: the reference that a shared solve must match bit for bit.  It
+    checks no convergence of its own: every case it serves converges, as
+    the checked solve that it is compared with shows."""
     stacks = {}
-    for r, (blocks, _) in enumerate(routes):
+    for r, (blocks, *_) in enumerate(routes):
         classes = [max((block.shape[0] - 1).bit_length(), 4) for block in blocks]
         for k in dict.fromkeys(classes):
             members = [j for j, c in enumerate(classes) if c == k]
@@ -1145,7 +1147,7 @@ def _every_member_solved(routes, max_sweeps):
             dtype = np.result_type(np.float64, *(blocks[j] for j in members))
             key = max(widest + widest % 2, 2), dtype
             stacks.setdefault(key, []).extend((r, j) for j in members)
-    solved = [[None] * len(blocks) for blocks, _ in routes]
+    solved = [[None] * len(blocks) for blocks, *_ in routes]
     for members in stacks.values():
         stacked = _jacobi_stack(
             [routes[r][0][j] for r, j in members],
@@ -1244,7 +1246,10 @@ def test_blocks_equal_but_for_a_signed_zero_or_a_stop_are_swept_apart(monkeypatc
     c = _symmetrized(np.random.default_rng(7).standard_normal((3, 3)))
     stop = DEFAULT_TOL * frobenius_norm(c)
     loose = 1e-3 * frobenius_norm(c)
-    routes = [([a, b, c, c], [DEFAULT_TOL, DEFAULT_TOL, stop, loose]), ([c], [stop])]
+    routes = [
+        ([a, b, c, c], [DEFAULT_TOL, DEFAULT_TOL, stop, loose], [""] * 4, [0.0] * 4),
+        ([c], [stop], [""], [0.0]),
+    ]
     calls = _kernel_keys(monkeypatch)
     solved = eig._solved(routes, DEFAULT_MAX_SWEEPS)
     assert [key[:2] for key in calls[0]] == [
@@ -1272,7 +1277,7 @@ def test_a_twin_that_runs_out_is_named_by_the_first(run_cli):
     # at 2s = 3, H's components 2 and 4 are both 3 wide and one block; one
     # sweep leaves it off-diagonal mass, and the error names component 2
     h = build_heisenberg(HalfInteger(3))
-    blocks, _ = eig._Eigensolve(h.matrix, None, DEFAULT_TOL, 1).route
+    blocks, *_ = eig._Eigensolve(h.matrix, None, DEFAULT_TOL, 1).route
     assert blocks[2].shape == (3, 3) and blocks[2].tobytes() == blocks[4].tobytes()
     with pytest.raises(ConvergenceError, match=r"^component 2 \(width 3\): "):
         hermitian_eig(h.matrix, max_sweeps=1)
@@ -1319,6 +1324,47 @@ def test_a_certificate_raises_what_separate_solves_raise_first():
     assert raised(bad, h.matrix, max_sweeps=1) == (ValueError, "matrix entries must be finite")
     # a second K whose sectors run out loses to a first whose factors leak
     assert raised(k.matrix, k.matrix, charges=((t.s1, t.s1), k.charge), max_sweeps=1) == wrong
+
+
+def _finish_calls(monkeypatch):
+    """The operators' dimensions, one per call of ``_Eigensolve.finish``."""
+    calls = []
+    finish = eig._Eigensolve.finish
+
+    def spy(solve, solved):
+        calls.append(solve.m.shape[0])
+        return finish(solve, solved)
+
+    monkeypatch.setattr(eig._Eigensolve, "finish", spy)
+    return calls
+
+
+def test_a_block_that_runs_out_fails_the_certificate_before_any_finish(monkeypatch):
+    # H's component 2 runs out of one sweep: no operator is finished, so no
+    # residual is taken for a certificate that fails
+    s = HalfInteger(3)
+    h, k = build_heisenberg(s), build_cyclic(s)
+    calls = _finish_calls(monkeypatch)
+    with pytest.raises(ConvergenceError, match=r"^component 2 \(width 3\): "):
+        certify_isospectral(
+            h.matrix, k.matrix, kmax=8, max_sweeps=1, charges=(h.charge, k.charge)
+        )
+    assert calls == []
+
+
+def test_a_held_admission_error_is_raised_before_any_finish(monkeypatch):
+    # H converges, K's wrong charge leaks at admission: the held leak is
+    # raised, and H, whose blocks were solved, is not finished
+    s = HalfInteger(3)
+    h, k = build_heisenberg(s), build_cyclic(s)
+    t = make_spin_triple(s)
+    calls = _finish_calls(monkeypatch)
+    with pytest.raises(NumericalError, match="^charge does not split the operator: "):
+        certify_isospectral(h.matrix, k.matrix, kmax=8, charges=(h.charge, (t.s1, t.s1)))
+    assert calls == []
+    # the spy passes a finish through: a certificate that passes finishes both
+    certify_isospectral(h.matrix, k.matrix, kmax=8, charges=(h.charge, k.charge))
+    assert calls == [s.dimension**2] * 2
 
 
 def test_table_raises_the_first_failing_spins_error(run_cli):

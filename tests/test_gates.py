@@ -1,4 +1,7 @@
+import re
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -165,11 +168,27 @@ def test_an_overflowing_pattern_is_a_non_finite_generator():
 
 
 def test_rejects_bad_theta():
+    # NaN and +-inf, and complex, text and Decimal, which are no numbers.Real
     ham = build_heisenberg(HalfInteger(1))
-    with pytest.raises(ValueError):
-        synthesize_gate(ham, np.nan)
-    with pytest.raises(ValueError):
-        synthesize_gate(ham, np.inf)
+    bad = (np.nan, np.inf, -np.inf, np.float32("inf"), 1 + 0j, np.complex128(1), "1",
+           Decimal("0.5"))
+    for theta in bad:
+        message = f"^theta must be a finite real number, got {re.escape(repr(theta))}$"
+        with pytest.raises(ValueError, match=message):
+            synthesize_gate(ham, theta)
+
+
+@pytest.mark.parametrize("build", [build_heisenberg, build_cyclic])
+def test_any_finite_real_theta_gives_the_gate_of_its_float(build):
+    # NumPy's real scalars and a Fraction are real numbers: each gives the
+    # gate of float(theta) bit for bit, with theta kept as that float, as
+    # does a bool
+    ham = build(HalfInteger(3))
+    for theta in (np.float32(0.5), np.int64(1), Fraction(1, 3), np.float64(0.7), True):
+        gate, alone = synthesize_gate(ham, theta), synthesize_gate(ham, float(theta))
+        assert type(gate.theta) is float and gate.theta == alone.theta
+        assert gate.matrix.tobytes() == alone.matrix.tobytes()
+        assert gate.unitarity_residual == alone.unitarity_residual
 
 
 def test_overflowing_phases_fail_the_unitarity_bound():
