@@ -80,19 +80,26 @@ product basis W = Va x Vb and labels each basis vector by its rounded charge
 2(qa + qb).  M' = W^H M W, symmetrized once, is then block diagonal over
 equal labels, so each sector (size at most 2s + 1 for the exchange
 operators) is an exactly Hermitian block, diagonalized on its own, whose
-vectors are mapped back through W.  Nothing about the charge is assumed: the
-commutator ||[M, Q]||_F and the leak, the norm of M' outside the sectors,
-are measured and reported, and a leak above the component route's stop
-threshold tol * ||M||_F is an error.  The real form is rotated instead of M
-only if D commutes with Q exactly, so that it has M's sectors; else M is, in
-complex arithmetic.  A pattern of several components is split already, as
-H's: its conserved S3 makes the charge (S3, S3) diagonal, and the sectors of
-a diagonal charge hold whole components.  Its charge is checked and then
-goes unused.  Both routes end in the same sorting, phase pinning and
-residual check against the original M, taken on the stack of the blocks of
-M's pattern: its components, to which the component route's vectors keep by
-construction, or the one block of a pattern that is one component.  The
-complex128 vectors are written once, from that stack, at the end.
+vectors are mapped back through W.  A factor with no off-diagonal nonzero,
+as K's S3, is its own eigenbasis, exactly I: its rotation is skipped, and
+it is taken elementwise in the commutator, which gives the values of the
+mode products, all but the sign of a zero.  Nothing about the charge is
+assumed: the commutator ||[M, Q]||_F and the leak, the norm of M' outside
+the sectors, are measured and reported, and a leak above the component
+route's stop threshold tol * ||M||_F is an error.  The real form is rotated
+instead of M only if D commutes with Q exactly, so that it has M's sectors;
+else M is, in complex arithmetic.  A pattern of several components is split
+already, as H's: its conserved S3 makes the charge (S3, S3) diagonal, and
+the sectors of a diagonal charge hold whole components.  Its charge is
+checked and then goes unused.  Both routes end in the same sorting, phase
+pinning and residual check against the original M, taken on the stack of the
+blocks of M's pattern: its components, to which the component route's
+vectors keep by construction, or the one block of a pattern that is one
+component.  M v is taken there only within the half-bandwidth w of M's
+pattern, which bounds the band of every block of the stack, _ROWS rows at a
+time: w = 2s + 2 for K, each of whose blocks of rows then reads about
+2w + _ROWS of its n columns.  The complex128 vectors are written once, from
+that stack, at the end.
 """
 
 from __future__ import annotations
@@ -104,6 +111,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
+    _ROWS,
     DEFAULT_TOL,
     Blocks,
     NumericalError,
@@ -468,8 +476,19 @@ def _solved(
 
 
 def _mode(t: np.ndarray, f: np.ndarray, axis: int) -> np.ndarray:
-    """Contract index ``axis`` of ``t`` with the rows of ``f``, in place of it."""
-    return np.moveaxis(np.tensordot(t, f, axes=(axis, 0)), -1, axis)
+    """Contract index ``axis`` of ``t`` with the rows of ``f``, in place of it.
+
+    An f with no off-diagonal nonzero, as K's S3, scales that index by its
+    diagonal instead, which gives the contraction's values, all but the sign
+    of a zero; the identity, the exact eigenbasis of such a factor, leaves
+    t as it is, in the dtype that the contraction would give.
+    """
+    diagonal = np.diagonal(f)
+    if np.count_nonzero(f) > np.count_nonzero(diagonal):
+        return np.moveaxis(np.tensordot(t, f, axes=(axis, 0)), -1, axis)
+    if (diagonal == 1).all():
+        return t.astype(np.result_type(t, f), copy=False)
+    return t * np.expand_dims(diagonal, [i for i in range(t.ndim) if i != axis])
 
 
 def _charge_factors(charge, n: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -578,7 +597,7 @@ class _Eigensolve:
             raise ValueError(f"tol must be positive, got {tol}")
         if max_sweeps < 0:
             raise ValueError(f"max_sweeps must be non-negative, got {max_sweeps}")
-        component, colour, a, _ = gauge(m)
+        component, colour, a, self.reach = gauge(m)
         # a real form's defect has m's entries up to sign: checked in its dtype
         require_hermitian(a, tol)
 
@@ -638,11 +657,12 @@ class _Eigensolve:
         rotations R go straight to their sorted columns, in the slots of
         their component, or as W[:, idx] R.  The stack is mapped through D
         and pinned, and m v - lambda v is taken against m (the real form for
-        D = I is m) on it.  Only then, with m's real form gone, are the
-        complex128 vectors written, once: the one block, cast if it is real,
-        or the blocks scattered into columns that hold, off them, zero times
-        the column's pin, the signed zeros that pinning dense columns gives,
-        so the bits do not depend on the layout.
+        D = I is m) on it, within m's half-bandwidth, _ROWS rows at a time.
+        Only then, with m's real form gone, are the complex128 vectors
+        written, once: the one block, cast if it is real, or the blocks
+        scattered into columns that hold, off them, zero times the column's
+        pin, the signed zeros that pinning dense columns gives, so the bits
+        do not depend on the layout.
         """
         n, colour, component = self.m.shape[0], self.colour, self.component
         a = self.m if colour.any() else self.a
@@ -668,9 +688,20 @@ class _Eigensolve:
             v = v * np.where(colour[rows.members], 1j, 1.0)[..., np.newaxis]
         pins = _pins(v)
         v = v * pins
-        deltas = rows.stack(a) @ v - v * values[columns.members][:, np.newaxis, :]
+        # m has no nonzero beyond reach off the diagonal, in the stack too,
+        # so rows [i0, i1) of m v read v's rows only within reach of them
+        stack, lam = rows.stack(a), values[columns.members][:, np.newaxis, :]
+        deltas = np.empty(v.shape, np.result_type(stack, v))
+        width = v.shape[-1]
+        for i0 in range(0, width, _ROWS):
+            i1 = min(i0 + _ROWS, width)
+            lo, hi = max(0, i0 - self.reach), i1 + self.reach
+            np.matmul(
+                stack[..., i0:i1, lo:hi], v[..., lo:hi, :], out=deltas[..., i0:i1, :]
+            )
+            deltas[..., i0:i1, :] -= v[..., i0:i1, :] * lam
         residual = float(np.max(np.linalg.norm(deltas, axis=-2), initial=0.0))
-        del a, deltas
+        del a, stack, deltas
         if rows.members.shape[0] == 1:
             vectors = v[0].astype(np.complex128, copy=False)
         else:

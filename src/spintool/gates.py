@@ -93,10 +93,15 @@ def synthesize_gate(
     ||U^H U - I||, taken on the same blocks, is checked against
     1e-10 * dim before U is returned; a NaN gate, from theta * lambda
     overflowing, fails that check too.  ``theta`` may be any finite
-    :class:`numbers.Real`, NumPy's real scalars and ``Fraction`` included;
-    the gate is that of ``float(theta)``, and ``Gate.theta`` that float.
+    :class:`numbers.Real`, NumPy's real scalars and ``Fraction`` included,
+    whose float is finite too; the gate is that of ``float(theta)``, and
+    ``Gate.theta`` that float.
     """
-    if not isinstance(theta, numbers.Real) or not math.isfinite(theta):
+    try:
+        finite = isinstance(theta, numbers.Real) and math.isfinite(theta)
+    except OverflowError:  # an int or a Fraction beyond double precision
+        finite = False
+    if not finite:
         raise ValueError(f"theta must be a finite real number, got {theta!r}")
     dec = hermitian_eig(h.matrix, eig_tol, max_sweeps, charge=h.charge)
     values, source_residual, (rows, columns) = dec.values, dec.residual, dec.blocks

@@ -48,6 +48,13 @@ __all__ = [
 
 DEFAULT_TOL = 1e-12
 
+# rows per block of a banded product, taken across the whole stack: of a
+# power in the moments and of m v in the eigensolver's residual.  A block
+# takes a rectangle _ROWS + b columns wide for a product of band b, so the
+# rows are few against K's bands at 2s = 24, 26 to 312: 20 blocks of a
+# 625 x 625 matrix, and one block of H's stack, whose width is 2s + 1 <= 25
+_ROWS = 32
+
 
 class ShapeError(ValueError):
     """Operands have missing, non-2-D, or incompatible dimensions."""

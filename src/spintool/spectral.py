@@ -14,17 +14,18 @@ tolerance would be unsatisfiable at high powers, where double-precision
 rounding alone produces absolute errors far above any fixed bound.
 
 The traces themselves come from powers kept at unit scale by exact
-power-of-two factors, four stored and one giant power (see :func:`moments`).
+power-of-two factors: J stored and one giant power, J sized by kmax within
+a fixed byte budget (see :func:`moments`).
 H and K, like any matrix that :func:`linalg.gauge` finds a real form of,
 are powered in that real form, the one the eigensolver sweeps, and every
 power is taken block by block over the components of the nonzero pattern,
 read from the matrix's exact zeros: 4s+1 blocks for H, one for K.  The
 same walk measures the pattern's half-bandwidth w, 2s + 2 for K, so m^j
-has no nonzero beyond j * w off the diagonal.  Each of the ceil(kmax/4) + 1
-products is of two powers, so it is Hermitian: it is taken only inside its
-band and in the upper block triangle, one block of rows at a time, and its
-lower part is mirrored.  A giant power is taken only within the band that
-later traces read of it.
+has no nonzero beyond j * w off the diagonal.  Each product is of two
+powers, so it is Hermitian: it is taken only inside its band and in the
+upper block triangle, one block of rows at a time, and its lower part is
+mirrored.  A giant power is taken only within the band that later traces
+read of it.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import numpy as np
 
 from .eig import DEFAULT_MAX_SWEEPS, _eigensolves
 from .linalg import (
+    _ROWS,
     DEFAULT_TOL,
     Blocks,
     NumericalError,
@@ -62,15 +64,11 @@ __all__ = [
 
 MOMENT_TOL = 1e-8
 
-# J, the baby steps m^1..m^J that moments keeps; fixed, so that memory stays
-# at J + 1 powers whatever kmax is
+# the fewest baby steps m^1..m^J that moments keeps
 _BABY_STEPS = 4
-# rows per block of a product, taken across the whole stack.  A block takes a
-# rectangle _ROWS + b columns wide for a product of band b, so the rows are
-# few against K's bands at 2s = 24, 26 to 312: 20 blocks of a 625 x 625
-# power, which skip 47% of a dense one, all below the diagonal, and one
-# block of H's stack, whose width is 2s + 1 <= 25
-_ROWS = 32
+# the bytes that its J + 1 stored powers may take: five 625 x 625 float64
+# arrays, which K's real form at 2s = 24 fills with J = 4
+_POWER_BYTES = 5 * 625 * 625 * 8
 
 
 @dataclass(frozen=True)
@@ -140,7 +138,7 @@ class IsospectralReport:
 
 
 def moments(m: np.ndarray, kmax: int) -> np.ndarray:
-    """Traces of m^k for k = 1..kmax, from ceil(kmax/4) + 1 products (kmax >= 7).
+    """Traces of m^k for k = 1..kmax, from about 2 sqrt(kmax) products.
 
     The input must be Hermitian within 1e-10 per dimension, checked on the
     matrix that :func:`linalg.gauge` hands back here, the form that the
@@ -167,20 +165,27 @@ def moments(m: np.ndarray, kmax: int) -> np.ndarray:
 
     Every trace is one inner product of two stored powers, by the
     baby-step/giant-step split of Paterson & Stockmeyer (SIAM J. Comput.
-    2(1), 1973).  The baby steps B_j = m^j for j = 1..J, J = 4, give
+    2(1), 1973).  The baby steps B_j = m^j for j = 1..J give
     tr(m^k) = <B_i, B_j> with i + j = k for k <= 2J; beyond that one giant
     power G = m^t, t = 2J, 3J, ..., advanced in place by G <- G B_J, gives
     tr(m^(t + j)) = <G, B_j>.  That trace reads G only within j * w of the
     diagonal, where B_j has its nonzeros, and the next giant reads G within
     J * w beyond where it is read itself, so no trace reads G beyond
     min(t, kmax - t) * w, and G is built only that wide: 208, 312, 234, 130
-    and 26 for K at 2s = 24 and kmax = 25, whose full bands reach 624.  Up
-    to 2J that is ceil(kmax/2) - 1 products, then one per J powers: 8 for
-    kmax = 25, 44 for 169.  For K at the cap and kmax = 25 the 8 take 0.38
-    GFLOP in real arithmetic, of which the entries on and above the
-    diagonal within each band need 0.16.  J is fixed, not grown with kmax,
-    so that at most J + 1 powers and one block of rows of a product are
-    held whatever kmax is.  Each power is kept as
+    and 26 for K at 2s = 24 and kmax = 25, whose full bands reach 624.
+
+    For kmax <= 2J that is ceil(kmax/2) - 1 products, else one per J powers
+    more, J - 1 + ceil((kmax - 2J)/J) in all.  J is the smallest J >= 4 of
+    the fewest products whose J + 1 stored powers, each of the stack's
+    bytes, fit in those of five 625 x 625 float64 arrays, or 4 where none
+    does.  So kmax = n at 2s = 6, 7, 8 and 12 takes J = 7, 8, 9 and 13 and
+    11, 13, 15 and 23 products, where J = 4 would take 14, 17, 22 and 44;
+    H at 2s = 24 and kmax = 25 takes J = 5 and 7 products; K there, whose
+    real form fills the budget at J = 4, takes 8, which are 0.38 GFLOP in
+    real arithmetic, of which the entries on and above the diagonal within
+    each band need 0.16.  So at most J + 1 powers within the budget, or
+    five for a stack too large for it, and one block of rows of a product
+    are held whatever kmax is.  Each power is kept as
     m^j * 2^(-e) with its Frobenius norm near 1, so no intermediate
     overflows and every rescaling is exact.  The traces are read in
     ascending k, and the first whose value lies beyond double precision
@@ -220,31 +225,52 @@ def moments(m: np.ndarray, kmax: int) -> np.ndarray:
             )
 
     put(1, complex(np.trace(a, axis1=-2, axis2=-1).sum()), g)
+    steps = _baby_steps(kmax, a.nbytes)
     babies, exps = [a], [g]  # m^j = babies[j - 1] * 2^exps[j - 1]
-    for k in range(2, min(kmax, 2 * _BABY_STEPS) + 1):
+    for k in range(2, min(kmax, 2 * steps) + 1):
         i, j = k // 2, k - k // 2
         if j > len(babies):
             product = _product(babies[-1], a, (j - 1) * reach, reach)
             exps.append(exps[-1] + g + _normalize(product))
             babies.append(product)
         put(k, _inner(babies[i - 1], babies[j - 1]), exps[i - 1] + exps[j - 1])
-    if kmax > 2 * _BABY_STEPS:
-        band = _BABY_STEPS * reach
+    if kmax > 2 * steps:
+        band = steps * reach
 
         def read(t: int) -> int:
             """The band of m^t that the traces of powers t + 1 .. kmax read."""
             return min(t, kmax - t) * reach
 
-        t = 2 * _BABY_STEPS
+        t = 2 * steps
         giant = _product(babies[-1], babies[-1], band, band, read(t))  # m^t = giant * 2^e
         e = 2 * exps[-1] + _normalize(giant)
         for k in range(t + 1, kmax + 1):
-            if k - t > _BABY_STEPS:
-                _product(giant, babies[-1], read(t), band, read(t + _BABY_STEPS), out=giant)
-                t, e = t + _BABY_STEPS, e + exps[-1] + _normalize(giant)
+            if k - t > steps:
+                _product(giant, babies[-1], read(t), band, read(t + steps), out=giant)
+                t, e = t + steps, e + exps[-1] + _normalize(giant)
             put(k, _inner(giant, babies[k - t - 1]), e + exps[k - t - 1])
     traces.flags.writeable = False
     return traces
+
+
+def _products(kmax: int, steps: int) -> int:
+    """The products that :func:`moments` takes for kmax with J = ``steps``."""
+    if kmax <= 2 * steps:
+        return (kmax + 1) // 2 - 1
+    return steps - 1 + -(-(kmax - 2 * steps) // steps)
+
+
+def _baby_steps(kmax: int, nbytes: int) -> int:
+    """The smallest J >= 4 of the fewest products for kmax whose J + 1
+    powers of ``nbytes`` each fit in _POWER_BYTES, or 4 where none does.
+
+    No J above ceil(kmax/2) takes fewer products than that one, nor does any
+    J >= 2 isqrt(kmax): for kmax > 2J, J takes at least J products, and
+    J = isqrt(kmax) + 1 fewer than 2 isqrt(kmax).  So the search stops there.
+    """
+    most = min(_POWER_BYTES // max(nbytes, 1) - 1, (kmax + 1) // 2, 2 * math.isqrt(kmax))
+    steps = range(_BABY_STEPS, max(most, _BABY_STEPS) + 1)
+    return min(steps, key=lambda j: _products(kmax, j))
 
 
 def _inner(x: np.ndarray, y: np.ndarray) -> complex:

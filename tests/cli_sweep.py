@@ -144,6 +144,14 @@ ARGV = (
     ("spectrum", "--spin", "4", "--hamiltonian", "K", "--max-sweeps", "1"),
     # its error ends in the note that tol is below the block's rounding floor
     (*_FILE, "{dir}/complex-5.txt", "--tol", "1e-17", "--max-sweeps", "1"),
+    # the edges of the moments' rule for J: J = 5 and 6 with kmax = n, J from
+    # the product count with exit 3 on overflow, J capped by the byte budget;
+    # and K at its first n above the rows of one block of its residual
+    ("verify", "--spin", "2"),
+    ("verify", "--spin", "5/2"),
+    ("verify", "--spin", "2", "--kmax", "10000"),
+    ("verify", "--spin", "6", "--kmax", "100000"),
+    ("gate", "--spin", "5/2", "--hamiltonian", "K", "--theta", "0.7", "--check"),
     ("--help",),
     ("spectrum", "--help"),
     ("verify", "--help"),

@@ -28,6 +28,7 @@ from spintool.eig import (
     hermitian_eig,
 )
 from spintool.linalg import (
+    _ROWS,
     DEFAULT_TOL,
     HermiticityError,
     NumericalError,
@@ -819,6 +820,79 @@ def test_sector_route_at_the_cap(build):
     assert spectra_match(
         spectrum, closed_form_spectrum(s), value_tol=_CLOSED_FORM_TOL
     )
+
+
+def _banded_with_charge():
+    """A complex Hermitian matrix of half-bandwidth 3 and one component, 42
+    wide, with the charge (I, 0), whose one sector is the whole matrix."""
+    rng = np.random.default_rng(97)
+    n = 42
+    m = np.diag(rng.standard_normal(n)).astype(complex)
+    for d in (1, 2, 3):
+        z = rng.standard_normal(n - d) + 1j * rng.standard_normal(n - d)
+        m += np.diag(z, d) + np.diag(z.conj(), -d)
+    return m, (np.eye(6), np.zeros((7, 7)))
+
+
+_RESIDUAL_SPINS = (*range(1, 9), 12, 24)
+
+
+@pytest.mark.parametrize("twice", [*_RESIDUAL_SPINS, None],
+                         ids=[*(f"K-2s{twice}" for twice in _RESIDUAL_SPINS), "banded"])
+def test_the_banded_residual_matches_a_dense_one(twice):
+    # finish takes m v within the half-bandwidth of m, _ROWS rows at a time:
+    # one block of rows up to 2s = 4 and several beyond, here and for the
+    # banded matrix, whose complex copy is its own sector
+    if twice is None:
+        m, charge = _banded_with_charge()
+        assert gauge(m)[3] == 3 and m.shape[0] > _ROWS
+    else:
+        k = build_cyclic(HalfInteger(twice))
+        m, charge = k.matrix, k.charge
+    dec = hermitian_eig(m, charge=charge)
+    assert dec.blocks[0].members.shape[0] == 1
+    deltas = m @ dec.vectors - dec.vectors * dec.values
+    dense = float(np.max(np.linalg.norm(deltas, axis=0)))
+    assert abs(dec.residual - dense) <= 1e-12 * frobenius_norm(m)
+
+
+@pytest.mark.parametrize("twice", [1, 2, 3, 8, 12, 24])
+def test_leak_and_commutator_keep_the_bits_of_the_mode_products(twice, monkeypatch):
+    # K's S3 has no off-diagonal nonzero, so it is taken elementwise in the
+    # commutator, and its basis, exactly I, is skipped in the rotation; both
+    # keep the bits of the mode products with every factor, taken here
+    sites = []
+    solved = eig._solved
+
+    def spy(routes, max_sweeps):
+        results = solved(routes, max_sweeps)
+        sites.append(results[0])
+        return results
+
+    monkeypatch.setattr(eig, "_solved", spy)
+    k = build_cyclic(HalfInteger(twice))
+    dec = hermitian_eig(k.matrix, charge=k.charge)
+    (qa, va, _, _), (qb, vb, _, _) = sites[0]
+    assert np.array_equal(va, np.eye(twice + 1))
+    a_site, b_site = (np.array(f.real, dtype=np.float64) for f in k.charge)
+    form = gauge(k.matrix)[2]
+    assert form.dtype == np.float64
+
+    def mode(t, f, axis):
+        return np.moveaxis(np.tensordot(t, f, axes=(axis, 0)), -1, axis)
+
+    t = form.reshape((twice + 1,) * 4)
+    commutator = np.linalg.norm(
+        (mode(t, a_site, 2) - mode(t, a_site.T, 0))
+        + (mode(t, b_site, 3) - mode(t, b_site.T, 1))
+    )
+    rotated = mode(mode(mode(mode(t, va, 2), vb, 3), va.conj(), 0), vb.conj(), 1)
+    rotated = _symmetrized(rotated.reshape(form.shape))
+    labels = np.rint(2.0 * (qa[:, np.newaxis] + qb[np.newaxis, :])).ravel()
+    leak = np.linalg.norm(rotated[labels[:, np.newaxis] != labels])
+    assert dec.leak.hex() == float(leak).hex()
+    assert dec.commutator.hex() == float(commutator).hex()
+    assert twice == 1 or dec.leak > 0.0
 
 
 def _permuted_block_hermitian(seed, widths):

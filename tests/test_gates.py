@@ -172,6 +172,8 @@ def test_rejects_bad_theta():
     ham = build_heisenberg(HalfInteger(1))
     bad = (np.nan, np.inf, -np.inf, np.float32("inf"), 1 + 0j, np.complex128(1), "1",
            Decimal("0.5"))
+    # and real numbers whose float overflows
+    bad += (10**400, -(10**400), Fraction(10**400))
     for theta in bad:
         message = f"^theta must be a finite real number, got {re.escape(repr(theta))}$"
         with pytest.raises(ValueError, match=message):

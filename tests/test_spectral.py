@@ -20,7 +20,10 @@ from spintool.linalg import (
     hermiticity_defect,
 )
 from spintool.spectral import (
+    _POWER_BYTES,
     _ROWS,
+    _baby_steps,
+    _products,
     _scaled_differences,
     certify_isospectral,
     closed_form_spectrum,
@@ -407,6 +410,70 @@ def test_moments_at_the_cap_keep_few_powers_and_name_the_overflow():
     finally:
         tracemalloc.stop()
     assert peak < m.nbytes + 6 * 625 * 625 * 8
+
+
+def test_baby_steps_are_the_fewest_products_within_the_byte_budget():
+    # against every J that the budget allows, up to kmax, beyond which none
+    # takes fewer products; the search itself stops at 2 isqrt(kmax)
+    for nbytes in (8, 5000, 169 * 169 * 8, 529 * 529 * 8, 625 * 625 * 8, 625 * 625 * 16):
+        most = max(4, _POWER_BYTES // nbytes - 1)
+        for kmax in [*range(1, 80), 169, 625, 1000, 10000]:
+            allowed = range(4, max(4, min(most, kmax)) + 1)
+            fewest = min(allowed, key=lambda j: _products(kmax, j))
+            assert _baby_steps(kmax, nbytes) == fewest, (nbytes, kmax)
+    # K's real form at 2s = 22, 23 and 24 keeps J = 4: at 2s = 22 J = 5
+    # fits, but ties at 7 products, and the tie goes to the smaller J
+    for twice in (22, 23, 24):
+        n = (twice + 1) ** 2
+        assert _baby_steps(twice + 1, n * n * 8) == 4
+    assert _products(23, 4) == _products(23, 5) == 7
+    # at the cap only J = 4 fits, whatever kmax
+    assert _baby_steps(1000, 625 * 625 * 8) == 4
+    # a wide kmax: J from the count at 2s = 4, J capped by the budget at 2s = 12
+    assert _baby_steps(10000, 25 * 25 * 8) == 100
+    assert _baby_steps(100000, 169 * 169 * 8) == _POWER_BYTES // (169 * 169 * 8) - 1 == 67
+
+
+@pytest.mark.parametrize(
+    "build, twice, kmax, steps, count",
+    [
+        (build_cyclic, 6, 49, 7, 11),
+        (build_cyclic, 7, 64, 8, 13),
+        (build_cyclic, 8, 81, 9, 15),
+        (build_cyclic, 12, 169, 13, 23),
+        (build_heisenberg, 24, 25, 5, 7),
+    ],
+    ids=["K-2s6", "K-2s7", "K-2s8", "K-2s12", "H-2s24"],
+)
+def test_baby_steps_are_sized_by_kmax(build, twice, kmax, steps, count, monkeypatch):
+    # J = 4 took 14, 17, 22, 44 and 8 products.  Products 2 .. J build the
+    # baby steps m^2 .. m^J and the next one the giant m^2J from m^J m^J;
+    # the traces at 2J, 2J + 1 and over the first and last giant groups
+    # match a dense chain
+    m = build(HalfInteger(twice)).matrix
+    w = gauge(m)[3]
+    products = _spy_products(monkeypatch)
+    traces = moments(m, kmax)
+    assert len(products) == count == _products(kmax, steps)
+    assert [bx for bx, _, _ in products[: steps - 1]] == [j * w for j in range(1, steps)]
+    assert products[steps - 1][:2] == (steps * w, steps * w)
+    last = kmax - 1 - (kmax - 2 * steps - 1) % steps
+    read = {2 * steps, *range(2 * steps + 1, 3 * steps + 1), *range(last, kmax + 1)}
+    k = np.array(sorted(read))
+    expected, scale = _dense_traces(m, kmax)
+    assert np.all(np.abs(traces[k - 1] - expected[k - 1]) <= 1e-13 * scale[k - 1])
+
+
+def test_moments_at_2s_12_keep_their_powers_within_the_byte_budget():
+    # J = 13 baby steps and the giant, 14 powers of 169 x 169 float64
+    m = build_cyclic(HalfInteger(12)).matrix
+    tracemalloc.start()
+    try:
+        moments(m, 169)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _POWER_BYTES
 
 
 @pytest.mark.parametrize("build", [build_heisenberg, build_cyclic], ids=["H", "K"])
