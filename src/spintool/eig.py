@@ -116,6 +116,7 @@ from .linalg import (
     Blocks,
     NumericalError,
     ShapeError,
+    _require_hermitian,
     frobenius_norm,
     gauge,
     require_hermitian,
@@ -598,8 +599,9 @@ class _Eigensolve:
         if max_sweeps < 0:
             raise ValueError(f"max_sweeps must be non-negative, got {max_sweeps}")
         component, colour, a, self.reach = gauge(m)
-        # a real form's defect has m's entries up to sign: checked in its dtype
-        require_hermitian(a, tol)
+        # a real form's defect has m's entries up to sign: checked in its
+        # dtype, within the reach beyond which the form is zero
+        _require_hermitian(a, tol, self.reach)
 
         with np.errstate(over="ignore"):
             norm = frobenius_norm(a)

@@ -25,7 +25,10 @@ has no nonzero beyond j * w off the diagonal.  Each product is of two
 powers, so it is Hermitian: it is taken only inside its band and in the
 upper block triangle, one block of rows at a time, and its lower part is
 mirrored.  A giant power is taken only within the band that later traces
-read of it.
+read of it.  Around the products the moments read bands too: the
+Hermitian check reads the form within w, and on a large real stack, K's
+from 2s = 19, each trace reads the narrower power's band and each
+rescaling its power's own band, so they cost O(n w), not O(n^2).
 """
 
 from __future__ import annotations
@@ -42,9 +45,9 @@ from .linalg import (
     Blocks,
     NumericalError,
     ShapeError,
+    _require_hermitian,
     frobenius_norm,
     gauge,
-    require_hermitian,
     require_square,
 )
 from .spin import HalfInteger
@@ -69,6 +72,10 @@ _BABY_STEPS = 4
 # the bytes that its J + 1 stored powers may take: five 625 x 625 float64
 # arrays, which K's real form at 2s = 24 fills with J = 4
 _POWER_BYTES = 5 * 625 * 625 * 8
+# a real stack of at least this many entries is read only within the band
+# where a power can be nonzero: K's from 2s = 19, whose n = 400.  Below
+# it, a read of the whole stack costs too little to pay for the views
+_BAND_READS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -141,12 +148,14 @@ def moments(m: np.ndarray, kmax: int) -> np.ndarray:
     """Traces of m^k for k = 1..kmax, from about 2 sqrt(kmax) products.
 
     The input must be Hermitian within 1e-10 per dimension, checked on the
-    matrix that :func:`linalg.gauge` hands back here, the form that the
-    eigensolver sweeps too, whose powers are taken: a real form D^H m D,
-    which has m's defect and traces since D is unitary, or else a complex128
-    copy of m, whose imaginary residue of each trace read from two different
-    powers is checked against 1e-8 * dim * max(1, ||m||_F)^k, in log space,
-    raising :class:`NumericalError` beyond it.
+    matrix that :func:`linalg.gauge` hands back here, within the
+    half-bandwidth w below, beyond which that matrix is zero.  It is the
+    form that the eigensolver sweeps too, whose powers are taken: a real
+    form D^H m D, which has m's defect and traces since D is unitary, or
+    else a complex128 copy of m, whose imaginary residue of each trace read
+    from two different powers is checked against
+    1e-8 * dim * max(1, ||m||_F)^k, in log space, raising
+    :class:`NumericalError` beyond it.
 
     Every power keeps the split of m's nonzero pattern into connected
     components, which the same walk labels, so the powers are taken on the
@@ -189,14 +198,27 @@ def moments(m: np.ndarray, kmax: int) -> np.ndarray:
     m^j * 2^(-e) with its Frobenius norm near 1, so no intermediate
     overflows and every rescaling is exact.  The traces are read in
     ascending k, and the first whose value lies beyond double precision
-    raises :class:`NumericalError`.
+    raises :class:`NumericalError`.  So J is sized for min(kmax, 2k), not
+    kmax, where k is the first power at which (||m||_F^2 / n)^k, a lower
+    bound of tr(m^2k), reaches 2^1025: no trace past 2k is finite.  K at
+    2s = 12 and kmax = 100000 takes J = 14, sized for 224, and raises at
+    power 190.
+
+    Where :func:`_band` gives views, for a real stack of at least 2^17
+    entries, K's from 2s = 19, each trace <B_i, B_j> or <G, B_j> is read
+    only within i * w or j * w of the diagonal, where the narrower power
+    can be nonzero, and each power's norm is read and its rescaling applied
+    within its own band; so are the first power's peak and scaling.  Bands
+    of a quarter of n or more, and smaller or complex stacks, are read
+    whole, with the bits that a whole read gives.
     """
     m = require_square(m, "moments need a square matrix")
     if kmax < 1:
         raise ValueError(f"kmax must be at least 1, got {kmax}")
     component, _, a, reach = gauge(m)
-    # D is unitary, so a real form has m's defect: it is checked in its dtype
-    require_hermitian(a, 1e-10)
+    # D is unitary, so a real form has m's defect: it is checked in its
+    # dtype, within the reach beyond which the form is zero
+    _require_hermitian(a, 1e-10, reach)
     drift = None
     if np.iscomplexobj(a):
         # log2 of the bound 1e-8 * dim * max(1, ||m||_F)^k is drift + k * growth
@@ -205,9 +227,11 @@ def moments(m: np.ndarray, kmax: int) -> np.ndarray:
     # a is a copy of m, so the stack, which may be a view of a, is scaled in
     # place; a form split into blocks, as H's, is freed once stacked
     a = Blocks.of(component).stack(a)
-    top = float(np.max(np.abs(a), initial=0.0))
+    parts = _band(a, reach) or (a,)
+    top = max(float(np.max(np.abs(part), initial=0.0)) for part in parts)
     g = max(math.frexp(top)[1], -1000)  # 2^-g stays finite for subnormal entries
-    a *= math.ldexp(1.0, -g)
+    for part in parts:
+        part *= math.ldexp(1.0, -g)
     traces = np.empty(kmax, dtype=np.float64)
 
     def put(k: int, mantissa: complex, exponent: int) -> None:
@@ -225,15 +249,24 @@ def moments(m: np.ndarray, kmax: int) -> np.ndarray:
             )
 
     put(1, complex(np.trace(a, axis1=-2, axis2=-1).sum()), g)
-    steps = _baby_steps(kmax, a.nbytes)
+    # tr(m^2k) = ||m^k||_F^2 >= rho^2k >= (||m||_F^2 / n)^k, whose log2,
+    # k * rise, is read from the scaled stack's mantissa and exponents,
+    # finite where ||m||_F^2 is not: no trace past power 2k is finite once
+    # k * rise >= 1025, a factor 2 beyond double precision
+    square, exponent = math.frexp(_inner(a, a, reach).real)
+    # a zero or empty m has square 0 and no bound: rise is then at most 0
+    rise = math.log2(square or 1.0) + exponent + 2 * g - math.log2(m.shape[0] or 1)
+    reached = kmax if rise <= 0.0 else 2 * math.ceil(1025 / rise)
+    steps = _baby_steps(min(kmax, reached), a.nbytes)
     babies, exps = [a], [g]  # m^j = babies[j - 1] * 2^exps[j - 1]
     for k in range(2, min(kmax, 2 * steps) + 1):
         i, j = k // 2, k - k // 2
         if j > len(babies):
             product = _product(babies[-1], a, (j - 1) * reach, reach)
-            exps.append(exps[-1] + g + _normalize(product))
+            exps.append(exps[-1] + g + _normalize(product, j * reach))
             babies.append(product)
-        put(k, _inner(babies[i - 1], babies[j - 1]), exps[i - 1] + exps[j - 1])
+        # the narrower power, m^i, has no nonzero beyond i * reach
+        put(k, _inner(babies[i - 1], babies[j - 1], i * reach), exps[i - 1] + exps[j - 1])
     if kmax > 2 * steps:
         band = steps * reach
 
@@ -243,12 +276,12 @@ def moments(m: np.ndarray, kmax: int) -> np.ndarray:
 
         t = 2 * steps
         giant = _product(babies[-1], babies[-1], band, band, read(t))  # m^t = giant * 2^e
-        e = 2 * exps[-1] + _normalize(giant)
+        e = 2 * exps[-1] + _normalize(giant, read(t))
         for k in range(t + 1, kmax + 1):
             if k - t > steps:
                 _product(giant, babies[-1], read(t), band, read(t + steps), out=giant)
-                t, e = t + steps, e + exps[-1] + _normalize(giant)
-            put(k, _inner(giant, babies[k - t - 1]), e + exps[k - t - 1])
+                t, e = t + steps, e + exps[-1] + _normalize(giant, read(t + steps))
+            put(k, _inner(giant, babies[k - t - 1], (k - t) * reach), e + exps[k - t - 1])
     traces.flags.writeable = False
     return traces
 
@@ -273,16 +306,50 @@ def _baby_steps(kmax: int, nbytes: int) -> int:
     return min(steps, key=lambda j: _products(kmax, j))
 
 
-def _inner(x: np.ndarray, y: np.ndarray) -> complex:
-    """tr(x y) for Hermitian y, read as the inner product <y, x>; real if x is y."""
-    inner = np.vdot(y, x)
-    return complex(inner.real if x is y else inner)
+def _band(x: np.ndarray, band: int) -> tuple[np.ndarray, ...] | None:
+    """Disjoint views of the stack x that hold every entry within ``band``
+    of the diagonal, or None where a read of the whole stack costs less.
+
+    Rows band .. n - band - 1 are one sheared view, each of whose rows holds
+    the 2 band + 1 entries about the diagonal; the first and the last
+    ``band`` rows are their corners, 2 band columns wide.  The views are
+    taken only of a real stack of at least _BAND_READS entries whose band is
+    narrower than a quarter of its width, where the sum over them, which
+    numpy takes in place, beats BLAS over the whole: for K at 2s = 24,
+    whose bands there reach 26 to 104 of 625 columns.
+    """
+    n = x.shape[-1]
+    if np.iscomplexobj(x) or x.size < _BAND_READS or 4 * band >= n:
+        return None
+    s0, s1, s2 = x.strides
+    middle = np.lib.stride_tricks.as_strided(
+        x[..., band:, :], (x.shape[0], n - 2 * band, 2 * band + 1), (s0, s1 + s2, s2)
+    )
+    return x[..., :band, : 2 * band], middle, x[..., n - band :, n - 2 * band :]
 
 
-def _normalize(x: np.ndarray) -> int:
-    """Scale x in place by 2^-f, which brings ||x||_F near 1, and return f."""
-    f = math.frexp(np.vdot(x, x).real)[1] // 2
-    x *= math.ldexp(1.0, -f)
+def _inner(x: np.ndarray, y: np.ndarray, band: int) -> complex:
+    """tr(x y) for Hermitian y, read as the inner product <y, x>; real if x is y.
+
+    One of x and y has no nonzero beyond ``band``, so the sum is read there
+    alone where :func:`_band` gives views.
+    """
+    parts = _band(x, band)
+    if parts is None:
+        inner = np.vdot(y, x)
+        return complex(inner.real if x is y else inner)
+    return complex(sum(float(np.einsum("hij,hij->", u, v)) for u, v in zip(parts, _band(y, band))))
+
+
+def _normalize(x: np.ndarray, band: int) -> int:
+    """Scale x in place by 2^-f, which brings ||x||_F near 1, and return f.
+
+    x has no nonzero beyond ``band``, so only its band is read and scaled
+    where :func:`_band` gives views.
+    """
+    f = math.frexp(_inner(x, x, band).real)[1] // 2
+    for part in _band(x, band) or (x,):
+        part *= math.ldexp(1.0, -f)
     return f
 
 
@@ -354,7 +421,9 @@ def newton_check(values, traces) -> bool:
     With r = max(1, max |value|), both sides are divided by r^k, the traces
     through the overflow-safe quotient of the moment certificate, and must
     agree within MOMENT_TOL * len(values), matching how trace magnitudes
-    grow.  A NaN on either side fails the comparison.
+    grow.  The sums of (values_i / r)^k are taken as a running product over
+    k, each power within k ulps of its ``pow``, and every term lies in
+    [-1, 1], so none overflows.  A NaN on either side fails the comparison.
     """
     values = np.asarray(values, dtype=np.float64)
     traces = np.asarray(traces, dtype=np.float64)
@@ -363,10 +432,13 @@ def newton_check(values, traces) -> bool:
     if values.size == 0 or traces.size == 0:
         raise ValueError("values and traces must be non-empty")
     radius = max(1.0, float(np.max(np.abs(values))))
-    powers = np.arange(1, traces.size + 1)[:, None]
-    sums = np.sum((values / radius) ** powers, axis=1)
-    scaled = np.abs(sums - _over_powers(traces, radius))
+    scaled = np.abs(_power_sums(values / radius, traces.size) - _over_powers(traces, radius))
     return bool(np.all(scaled <= MOMENT_TOL * values.size))
+
+
+def _power_sums(x: np.ndarray, kmax: int) -> np.ndarray:
+    """sum_i x_i^k for k = 1..kmax, the powers as a running product over k."""
+    return np.cumprod(np.broadcast_to(x, (kmax, x.size)), axis=0).sum(axis=1)
 
 
 def cluster_spectrum(values, cluster_tol: float) -> Spectrum:

@@ -152,6 +152,10 @@ ARGV = (
     ("verify", "--spin", "2", "--kmax", "10000"),
     ("verify", "--spin", "6", "--kmax", "100000"),
     ("gate", "--spin", "5/2", "--hamiltonian", "K", "--theta", "0.7", "--check"),
+    # K's moments at the last spin that reads every trace over the whole
+    # stack, and at the first that reads them on the band
+    ("verify", "--spin", "9"),
+    ("verify", "--spin", "19/2"),
     ("--help",),
     ("spectrum", "--help"),
     ("verify", "--help"),

@@ -86,21 +86,27 @@ def test_hermiticity_defect_outside_the_range_of_its_squares(m, expected):
         assert hermiticity_defect(np.array(m)) == pytest.approx(expected, rel=1e-15, abs=0.0)
 
 
+def _walked_reaches(monkeypatch):
+    """The (n, reach) of every defect walk, as a list that the walks fill."""
+    walks = []
+    real = linalg._difference_blocks
+
+    def spy(a, reach):
+        walks.append((a.shape[0], reach))
+        return real(a, reach)
+
+    monkeypatch.setattr(linalg, "_difference_blocks", spy)
+    return walks
+
+
 @pytest.mark.parametrize("entry", [1e-300, 1e308])
 def test_hermiticity_defect_outside_the_range_of_its_squares_walks_once(monkeypatch, entry):
     # each block is scaled as it is walked, so a defect whose squares
     # underflow or overflow takes no second walk over the matrix
-    walks = []
-    real = linalg._difference_blocks
-
-    def spy(a):
-        walks.append(None)
-        return real(a)
-
-    monkeypatch.setattr(linalg, "_difference_blocks", spy)
+    walks = _walked_reaches(monkeypatch)
     defect = hermiticity_defect(np.array([[0.0, entry], [0.0, 0.0]]))
     assert defect == pytest.approx(math.sqrt(2.0) * entry, rel=1e-15, abs=0.0)
-    assert len(walks) == 1
+    assert walks == [(2, 1)]
 
 
 @pytest.mark.parametrize(
@@ -174,6 +180,106 @@ def test_require_hermitian_keeps_its_tol_times_dim_bound(part):
     # moments checks at 1e-10, so a 1e-11 asymmetry there passes
     far[0, 1] += 1e-11 * part
     require_hermitian(far, 1e-10)
+
+
+def _banded(rng, n, w, dtype):
+    """A random matrix of half-bandwidth at most w, not Hermitian."""
+    a = rng.uniform(-1, 1, (n, n))
+    if dtype is complex:
+        a = a + 1j * rng.uniform(-1, 1, (n, n))
+    offsets = np.arange(n) - np.arange(n)[:, np.newaxis]
+    a[np.abs(offsets) > w] = 0.0
+    return a
+
+
+@pytest.mark.parametrize("dtype", [complex, float])
+def test_the_band_walk_gives_the_full_walks_defect(dtype):
+    # the walk within w reads only the band, in blocks of rows sized by it,
+    # and sums what the walk over every entry sums, up to rounding
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 7, 40, 200, 625):
+        for w in sorted({0, 1, 3, 26, n // 3, n - 1}):
+            if w >= n:
+                continue
+            a = _banded(rng, n, w, dtype)
+            full = hermiticity_defect(a)
+            assert full == pytest.approx(np.linalg.norm(a - a.conj().T), rel=1e-14, abs=0.0)
+            band = linalg._defect(a, w)
+            assert band == pytest.approx(full, rel=1e-14, abs=0.0), (n, w)
+            h = a + a.conj().T
+            assert linalg._defect(h, w) == hermiticity_defect(h) == 0.0
+
+
+@pytest.mark.parametrize("w", [0, 3])
+@pytest.mark.parametrize(
+    "entry, offset, expected",
+    [
+        (1e-300, 3, math.sqrt(2.0) * 1e-300),
+        (1j * 1e-300, 2, math.sqrt(2.0) * 1e-300),
+        (1e308, 1, math.sqrt(2.0) * 1e308),
+        (1.5e308, 3, math.inf),
+        (np.nan, 2, math.nan),
+        (np.inf, 1, math.inf),
+        (-np.inf, 0, math.nan),
+        (complex(0.0, np.nan), 0, math.nan),
+        (complex(-0.0, -0.0), 3, 0.0),
+        (-0.0, 0, 0.0),
+    ],
+)
+def test_the_band_walk_keeps_the_scaling_and_the_non_finite_cases(w, entry, offset, expected):
+    # one entry offset columns right of the diagonal of a 300 x 300 matrix
+    # that is Hermitian but for it and its mirror, which is 0, of
+    # half-bandwidth max(w, offset): its
+    # squares underflow or overflow, it is NaN or infinite, or it is a
+    # signed zero.  The band walk gives what the full walk gives
+    rng = np.random.default_rng(13)
+    band = max(w, offset)
+    h = _banded(rng, 300, w, complex)
+    h = h + h.conj().T
+    h[np.diag_indices(300)] = h.diagonal().real
+    h[150 + offset, 150] = 0.0
+    h[150, 150 + offset] = entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        full, walked = hermiticity_defect(h), linalg._defect(h, band)
+    if math.isnan(expected):
+        assert math.isnan(full) and math.isnan(walked)
+    elif expected == 0.0:
+        assert full == walked == 0.0
+    else:
+        assert full == pytest.approx(expected, rel=1e-14, abs=0.0)
+        assert walked == pytest.approx(full, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "build, reach", [(build_heisenberg, 24), (build_cyclic, 26)], ids=["H", "K"]
+)
+def test_moments_and_the_eigensolver_walk_the_defect_within_the_reach(monkeypatch, build, reach):
+    # the form that gauge hands back is zero beyond its reach, so both
+    # check it there alone; K's charge factors are checked whole, 25 x 25
+    operator = build(HalfInteger(24))
+    assert gauge(operator.matrix)[3] == reach
+    walks = _walked_reaches(monkeypatch)
+    moments(operator.matrix, 2)
+    assert walks == [(625, reach)]
+    walks.clear()
+    hermitian_eig(operator.matrix, charge=operator.charge)
+    factors = [] if operator.charge is None else [(25, 24), (25, 24)]
+    assert walks == [(625, reach)] + factors
+
+
+def test_a_dense_matrix_file_is_walked_whole(monkeypatch, run_cli, tmp_path):
+    # a dense pattern has reach n - 1, which is the full walk
+    rng = np.random.default_rng(17)
+    a = rng.uniform(-1, 1, (6, 6)) + 1j * rng.uniform(-1, 1, (6, 6))
+    a = a + a.conj().T
+    path = tmp_path / "dense.txt"
+    rows = (" ".join(f"{z.real:.17g}{z.imag:+.17g}i" for z in row) for row in a)
+    path.write_text("".join(row + "\n" for row in rows))
+    walks = _walked_reaches(monkeypatch)
+    code, _, _ = run_cli("spectrum", "--hamiltonian", "file", "--file", str(path))
+    assert code == 0
+    assert walks == [(6, 5)]
 
 
 def _reference_labels(m):

@@ -1,3 +1,4 @@
+import itertools
 import re
 import tracemalloc
 import warnings
@@ -474,6 +475,163 @@ def test_moments_at_2s_12_keep_their_powers_within_the_byte_budget():
     finally:
         tracemalloc.stop()
     assert peak <= _POWER_BYTES
+
+
+def _spy_band_reads(monkeypatch):
+    """The band of every read that moments takes within its band, as a list
+    that the reads fill; a read of the whole stack adds nothing."""
+    reads = []
+    band = spectral._band
+
+    def spy(x, width):
+        parts = band(x, width)
+        if parts is not None:
+            reads.append(width)
+        return parts
+
+    monkeypatch.setattr(spectral, "_band", spy)
+    return reads
+
+
+@pytest.mark.parametrize(
+    "build, twice, kmax",
+    [
+        (build_cyclic, 6, 49),
+        (build_cyclic, 12, 169),
+        (build_cyclic, 18, 19),
+        (build_heisenberg, 24, 25),
+        (build_heisenberg, 12, 169),
+    ],
+    ids=["K-2s6", "K-2s12", "K-2s18", "H-2s24", "H-2s12"],
+)
+def test_below_the_band_read_boundary_traces_keep_the_full_reads(build, twice, kmax, monkeypatch):
+    # K's stack at 2s = 18 holds 361^2 = 130,321 entries, just under
+    # _BAND_READS, and H's is 49 blocks of width at most 25: every trace and
+    # norm reads the whole stack, with the full vdot, as before band reads
+    m = build(HalfInteger(twice)).matrix
+    reads = _spy_band_reads(monkeypatch)
+    traces = moments(m, kmax)
+    assert reads == []
+    monkeypatch.setattr(spectral, "_band", lambda x, width: None)
+    assert [t.hex() for t in traces] == [t.hex() for t in moments(m, kmax)]
+
+
+@pytest.mark.parametrize("twice", [19, 22, 24])
+def test_band_reads_from_2s_19_match_a_dense_chain(twice, monkeypatch):
+    # K's stack at 2s = 19 holds 400^2 = 160,000 entries: every trace from
+    # power 2 on reads the narrower power's band, j * w for j = 1..4, and so
+    # do the baby steps' norms; a giant's norm reads its band where that is
+    # under a quarter of n, as the last but one at 2s = 24 (130 of 625)
+    m = build_cyclic(HalfInteger(twice)).matrix
+    w, kmax = gauge(m)[3], twice + 1
+    reads = _spy_band_reads(monkeypatch)
+    traces = moments(m, kmax)
+    assert {j * w for j in range(1, 5)} <= set(reads)
+    assert all(band % w == 0 and 4 * band < m.shape[0] for band in reads)
+    assert len(reads) >= kmax - 1
+    expected, scale = _dense_traces(m, kmax)
+    assert np.all(np.abs(traces - expected) <= 1e-13 * scale)
+    monkeypatch.setattr(spectral, "_band", lambda x, width: None)
+    whole = moments(m, kmax)
+    assert np.all(np.abs(traces - whole) <= 1e-14 * scale)
+
+
+def test_band_views_hold_each_entry_of_the_band_once():
+    # the corners and the sheared middle are disjoint and cover the band,
+    # for bands from 0 to just under a quarter of n; the corners hold some
+    # entries beyond it too, which are zero in the narrower power.  Wider
+    # bands, complex stacks and small ones are read whole
+    n = 400
+    x = np.zeros((1, n, n))
+    offsets = np.abs(np.arange(n)[:, None] - np.arange(n))
+    for band in (0, 1, 21, 99):
+        x[...] = 0.0
+        for part in spectral._band(x, band):
+            part += 1.0
+        assert x.max() == 1.0 and (x[0][offsets <= band] == 1.0).all(), band
+        assert not x[0][offsets > 2 * band].any(), band
+    assert spectral._band(x, 100) is None
+    assert spectral._band(x.astype(complex), 21) is None
+    assert spectral._band(x[:, :361, :361].copy(), 21) is None
+
+
+def _imaginary_cases():
+    for twice in (1, 2, 3, 12, 24):
+        yield f"H-{twice}", build_heisenberg(HalfInteger(twice)).matrix
+        yield f"K-{twice}", build_cyclic(HalfInteger(twice)).matrix
+    # the 24 signed permutations with determinant +1, as bilinear patterns
+    for order in itertools.permutations(range(3)):
+        for signs in itertools.product((1.0, -1.0), repeat=3):
+            q = np.eye(3)[list(order)] * np.array(signs)[:, np.newaxis]
+            if np.linalg.det(q) > 0.0:
+                name = ";".join(",".join(f"{int(c):+d}" for c in row) for row in q)
+                yield f"bilinear-{name}", build_bilinear(HalfInteger(3), q).matrix
+    r = np.random.default_rng(31).standard_normal((6, 6))
+    r = np.where(np.abs(r) < 0.5, 0.0, r + r.T)
+    zeros = r.astype(complex)
+    zeros[0, 1] = complex(zeros[0, 1].real, -0.0)
+    i, j = np.argwhere(r == 0)[0]
+    zeros[i, j] = complex(-0.0, -0.0)
+    yield "minus-zero-only", zeros
+    diagonal = r.astype(complex)
+    diagonal[2, 2] += 1j
+    yield "diagonal-only", diagonal
+    yield "real-diagonal-zero-imaginary", np.diag([1.0, complex(0.0, -0.0), 0.0])
+
+
+@pytest.mark.parametrize("m", [pytest.param(m, id=name) for name, m in _imaginary_cases()])
+def test_the_imaginary_test_on_the_links_agrees_with_a_full_scan(m):
+    # gauge reads imaginary parts on its links alone, the diagonal among
+    # them; an entry off them is zero in both parts.  An imaginary part
+    # shows as a complex copy or as a colour: on a link it needs unlike
+    # colours for a real form, and on the diagonal it leaves none
+    _, colour, form, _ = gauge(m)
+    found = form.dtype == np.complex128 or bool(colour.any())
+    assert found == bool(np.iscomplexobj(m) and m.imag.any())
+
+
+def test_baby_steps_are_sized_for_the_powers_that_can_be_reached(monkeypatch):
+    # ||K||_F^2 / n is 588 at 2s = 12, and tr(K^2k) >= 588^k passes 2^1025
+    # at k = 112: no trace past power 224 is finite, so J is sized for
+    # kmax = 224, 14 baby steps, not for 100000, which took 67.  The
+    # overflow is named where it was
+    m = build_cyclic(HalfInteger(12)).matrix
+    sized = []
+    steps = spectral._baby_steps
+    monkeypatch.setattr(
+        spectral, "_baby_steps", lambda kmax, nbytes: sized.append(kmax) or steps(kmax, nbytes)
+    )
+    message = "trace of power 190 overflowed double precision; lower kmax"
+    with pytest.raises(NumericalError, match=message):
+        moments(m, 100000)
+    assert sized == [224] and steps(224, m.size * 8) == 14
+    # a kmax within reach keeps its own J
+    sized.clear()
+    moments(m, 169)
+    assert sized == [169]
+    # the bound holds at every scale, also where ||m||_F^2 overflows
+    small = build_cyclic(HalfInteger(4)).matrix
+    for factor in (1.0, 1e10, 1e100, 1e300):
+        sized.clear()
+        with pytest.raises(NumericalError, match=r"trace of power (\d+) overflowed") as info:
+            moments(small * factor, 100000)
+        power = int(re.search(r"power (\d+)", str(info.value)).group(1))
+        assert power <= sized[0] < 100000, factor
+
+
+def test_newton_power_sums_are_a_running_product_within_k_ulps():
+    # each power x^k is the running product over k, not one pow per entry
+    # and power; the sums agree with the pow sums within k ulps of the sum
+    # of |x|^k, for values of both signs and at the cap's closed form
+    rng = np.random.default_rng(29)
+    closed = closed_form_spectrum(HalfInteger(24))
+    cap = np.repeat(closed.values, closed.multiplicities)
+    k = np.arange(1, 626)
+    for x in (rng.uniform(-1, 1, 625), cap / np.max(np.abs(cap)), rng.uniform(0.9, 1, 50)):
+        sums = spectral._power_sums(x, k.size)
+        exact = np.sum(x ** k[:, None], axis=1)
+        bound = k * np.finfo(float).eps * np.sum(np.abs(x) ** k[:, None], axis=1)
+        assert np.all(np.abs(sums - exact) <= bound)
 
 
 @pytest.mark.parametrize("build", [build_heisenberg, build_cyclic], ids=["H", "K"])
