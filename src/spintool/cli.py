@@ -28,8 +28,7 @@ fails a gate whose unitarity residual exceeds 1e-8 or whose generator's
 eigenpair residual exceeds 1e-8 * max(1, max |lambda|), so a loose --tol
 fails it, and reports a global phase whenever all eigenphases coincide on
 the circle, also when they straddle the 0 / 2 pi wrap.  The base tolerance
-comes from --tol, else the SPIN_TOOL_TOL environment variable, else 1e-12;
-from either, a value outside (0, 1) is a usage error.
+comes from --tol, else 1e-12; a value outside (0, 1) is a usage error.
 """
 
 from __future__ import annotations
@@ -156,9 +155,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--tol",
             type=_tol,
-            default=None,
+            default=DEFAULT_TOL,
             help="base tolerance for the eigensolver and algebra checks, "
-            "above 0 and below 1 (default: SPIN_TOOL_TOL env var, else 1e-12)",
+            "above 0 and below 1 (default: 1e-12)",
         )
         p.add_argument(
             "--max-sweeps",
@@ -232,19 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.set_defaults(handler=cmd_table)
 
     return parser
-
-
-def _resolve_tol(flag: float | None) -> float:
-    """--tol if given, else SPIN_TOOL_TOL if set, else the default."""
-    if flag is not None:
-        return flag
-    env = os.environ.get("SPIN_TOOL_TOL")
-    if env is None:
-        return DEFAULT_TOL
-    try:
-        return _tol(env)
-    except argparse.ArgumentTypeError as exc:
-        raise ValueError(f"SPIN_TOOL_TOL: {exc}") from None
 
 
 def parse_complex_token(token: str) -> complex:
@@ -831,7 +817,6 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        args.tol = _resolve_tol(args.tol)
         report = args.handler(args)
         pieces = _RENDERERS[args.format](report)
     except NumericalError as exc:

@@ -34,6 +34,7 @@ rescaling its power's own band, so they cost O(n w), not O(n^2).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,6 +145,14 @@ class IsospectralReport:
         return self.spectra_equal and self.moments.passed
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int, NumPy integers included; else a TypeError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 def moments(m: np.ndarray, kmax: int) -> np.ndarray:
     """Traces of m^k for k = 1..kmax, from about 2 sqrt(kmax) products.
 
@@ -213,6 +222,7 @@ def moments(m: np.ndarray, kmax: int) -> np.ndarray:
     whole, with the bits that a whole read gives.
     """
     m = require_square(m, "moments need a square matrix")
+    kmax = _integer(kmax, "kmax")
     if kmax < 1:
         raise ValueError(f"kmax must be at least 1, got {kmax}")
     component, _, a, reach = gauge(m)
@@ -563,7 +573,8 @@ def certify_isospectral(
     so-many powers; the verdict never rests on the prefix alone.
     ``charges`` passes each operator's conserved-charge factors (or None)
     to the eigensolver, which then diagonalizes sector by sector.  Empty
-    operators have no spectrum and raise :class:`ShapeError`.
+    operators have no spectrum and raise :class:`ShapeError`; a ``kmax`` or
+    ``prefix`` that is not an integer raises TypeError before any work.
 
     Both eigensolves are one batched solve: an operator on the sector route
     sweeps its own charge factors, and then the blocks of both operators
@@ -583,12 +594,13 @@ def certify_isospectral(
     n = a.shape[0]
     if n == 0:
         raise ShapeError(f"operators of shape {a.shape} have no spectrum to certify")
-    if kmax is None:
-        kmax = n
+    kmax = n if kmax is None else _integer(kmax, "kmax")
     if kmax < 1:
         raise ValueError(f"kmax must be at least 1, got {kmax}")
-    if prefix is not None and not 1 <= prefix <= kmax:
-        raise ValueError(f"prefix must lie in 1..kmax, got {prefix}")
+    if prefix is not None:
+        prefix = _integer(prefix, "prefix")
+        if not 1 <= prefix <= kmax:
+            raise ValueError(f"prefix must lie in 1..kmax, got {prefix}")
 
     dec_a, dec_b = _eigensolves([(a, charges[0]), (b, charges[1])], eig_tol, max_sweeps)
     cluster_tol = max(default_cluster_tol(a), default_cluster_tol(b))

@@ -179,6 +179,7 @@ def _run(root: Path, argv: tuple[str, ...]) -> tuple[int, str, str]:
         "PYTHONWARNINGS": "error",
         "OPENBLAS_NUM_THREADS": "1",
     }
+    # an older tree may still read its tolerance from this variable
     env.pop("SPIN_TOOL_TOL", None)
     done = subprocess.run(
         [sys.executable, "-m", "spintool.cli", *argv], capture_output=True, env=env

@@ -10,14 +10,6 @@ from spintool.spectral import certify_isospectral
 from spintool.spin import HalfInteger
 
 
-@pytest.fixture(autouse=True)
-def _no_ambient_tol(monkeypatch):
-    """Run every test without a SPIN_TOOL_TOL from the environment, which
-    the CLI would read in place of its default tol; a test that wants the
-    variable sets it itself."""
-    monkeypatch.delenv("SPIN_TOOL_TOL", raising=False)
-
-
 @pytest.fixture(scope="session")
 def spin_cache():
     """Lazily built Hamiltonians, decompositions, and certificates per 2s.

@@ -1016,41 +1016,33 @@ def test_kmax_above_the_bound_is_usage_error(run_cli, kmax, fmt):
     assert args.kmax == 100000
 
 
-def test_env_var_sets_tolerance(run_cli, monkeypatch):
-    monkeypatch.setenv("SPIN_TOOL_TOL", "1e-10")
-    code, out, _ = run_cli("verify", "--spin", "1/2", "--format", "json")
-    assert code == 0
-    assert json.loads(out)["tol"] == 1e-10
+_TOL_ARGVS = [
+    ["spectrum", "--spin", "1"],
+    ["verify", "--spin", "1"],
+    ["gate", "--spin", "1", "--theta", "0.3", "--check"],
+    ["table", "--max-spin", "1"],
+]
 
 
-def test_flag_overrides_env(run_cli, monkeypatch):
-    monkeypatch.setenv("SPIN_TOOL_TOL", "1e-10")
-    code, out, _ = run_cli(
-        "verify", "--spin", "1/2", "--tol", "1e-13", "--format", "json"
-    )
-    assert code == 0
-    assert json.loads(out)["tol"] == 1e-13
-
-
-def test_bad_env_var_is_usage_error(run_cli, monkeypatch):
-    monkeypatch.setenv("SPIN_TOOL_TOL", "banana")
-    code, _, err = run_cli("verify", "--spin", "1/2")
-    assert code == 2
-    assert "SPIN_TOOL_TOL" in err
+@pytest.mark.parametrize("argv", _TOL_ARGVS, ids=lambda argv: argv[0])
+def test_an_ambient_spin_tool_tol_changes_nothing(run_cli, monkeypatch, argv):
+    # the tolerance comes from --tol alone: a SPIN_TOOL_TOL once replaced the
+    # default, and banana or 1 then exited 2 and 1e-3 loosened every check
+    argv = [*argv, "--format", "json"]
+    monkeypatch.delenv("SPIN_TOOL_TOL", raising=False)
+    unset = run_cli(*argv)
+    assert unset[0] == 0 and json.loads(unset[1])["tol"] == 1e-12
+    for value in ["banana", "1e-3", "1"]:
+        monkeypatch.setenv("SPIN_TOOL_TOL", value)
+        assert run_cli(*argv) == unset
+        code, out, _ = run_cli(*argv, "--tol", "1e-13")
+        assert code == 0
+        assert json.loads(out)["tol"] == 1e-13
 
 
 @pytest.mark.parametrize("tol", ["1", "1e308"])
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["spectrum", "--spin", "1"],
-        ["verify", "--spin", "1"],
-        ["gate", "--spin", "1", "--theta", "0.3", "--check"],
-        ["table", "--max-spin", "1"],
-    ],
-    ids=lambda argv: argv[0],
-)
-def test_a_tol_of_one_or_more_is_usage_error(run_cli, monkeypatch, argv, tol):
+@pytest.mark.parametrize("argv", _TOL_ARGVS, ids=lambda argv: argv[0])
+def test_a_tol_of_one_or_more_is_usage_error(run_cli, argv, tol):
     # a block's off-diagonal norm never exceeds its Frobenius norm, so such a
     # tol meets every stop before the first sweep: gate --check once passed
     # with wrong eigenphases, and verify and table ended in exit 1
@@ -1058,9 +1050,6 @@ def test_a_tol_of_one_or_more_is_usage_error(run_cli, monkeypatch, argv, tol):
     code, out, err = run_cli(*argv, "--tol", tol)
     assert (code, out) == (2, "")
     assert err.splitlines()[-1].endswith(f"error: argument --tol: {need}")
-    monkeypatch.setenv("SPIN_TOOL_TOL", tol)
-    assert run_cli(*argv) == (2, "", f"error: SPIN_TOOL_TOL: {need}\n")
-    # the flag still beats the environment
     assert run_cli(*argv, "--tol", "1e-12")[0] == 0
 
 

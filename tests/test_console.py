@@ -93,6 +93,15 @@ def test_k_gate_at_the_cap_is_one_matrix_in_every_format():
     assert lines[-626:-1] == [row.replace(",", " ") for row in rows]
 
 
+def test_an_ambient_spin_tool_tol_is_not_read(monkeypatch):
+    # the process inherits the variable, and the tolerance is still --tol's
+    # default
+    monkeypatch.setenv("SPIN_TOOL_TOL", "1e-3")
+    code, out, err = run("verify", "--spin", "1", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["tol"] == 1e-12
+
+
 def test_subnormal_tol_ends_silently_in_an_exit_code():
     # a subnormal pivot once overflowed the Jacobi step: with warnings as
     # errors that was a RuntimeWarning traceback and exit 1

@@ -1001,6 +1001,30 @@ def test_certify_guards():
             certify_isospectral(empty, empty, **kwargs)
 
 
+def test_a_non_integer_kmax_or_prefix_fails_before_any_work(monkeypatch):
+    # numpy once raised its own TypeError for a float kmax, and a float
+    # prefix failed only after both eigensolves and both moment runs
+    eye2 = np.eye(2)
+    with pytest.raises(TypeError, match=r"^kmax must be an integer, got 2\.5$"):
+        moments(eye2, 2.5)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no work before the arguments are checked")
+
+    monkeypatch.setattr(spectral, "_eigensolves", refuse)
+    monkeypatch.setattr(spectral, "moments", refuse)
+    with pytest.raises(TypeError, match=r"^kmax must be an integer, got 2\.5$"):
+        certify_isospectral(eye2, eye2, kmax=2.5)
+    with pytest.raises(TypeError, match=r"^prefix must be an integer, got 1\.0$"):
+        certify_isospectral(eye2, eye2, kmax=2, prefix=1.0)
+    monkeypatch.undo()
+    # NumPy integers are integers
+    np.testing.assert_array_equal(moments(eye2, np.int64(3)), [2.0, 2.0, 2.0])
+    report = certify_isospectral(eye2, eye2, kmax=np.int64(2), prefix=np.int32(1))
+    assert report.moments.powers == (1, 2)
+    assert report.moments.prefix_len == 1 and report.moments.passed
+
+
 @pytest.mark.parametrize("twice", [1, 2, 3, 5])
 def test_exchange_pair_certificates(twice, spin_cache):
     entry = spin_cache(twice)
