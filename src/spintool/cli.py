@@ -28,7 +28,10 @@ fails a gate whose unitarity residual exceeds 1e-8 or whose generator's
 eigenpair residual exceeds 1e-8 * max(1, max |lambda|), so a loose --tol
 fails it, and reports a global phase whenever all eigenphases coincide on
 the circle, also when they straddle the 0 / 2 pi wrap.  The base tolerance
-comes from --tol, else 1e-12; a value outside (0, 1) is a usage error.
+comes from --tol, else 1e-12; a value outside (0, 1) is a usage error.  The
+eigensolver's sweep budget is no option: every block may take
+``eig.MAX_SWEEPS`` sweeps.  A spin whose decimal exponent lies beyond +-308
+is refused before it is read, and one above the cap is named as given.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from collections.abc import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .eig import DEFAULT_MAX_SWEEPS, hermitian_eig
+from .eig import hermitian_eig
 from .gates import Gate, gate_eigenphases, synthesize_gate
 from .hamiltonians import build_cyclic, build_heisenberg
 from .linalg import DEFAULT_TOL, NumericalError
@@ -92,7 +95,7 @@ def _parse_spin_arg(text: str) -> HalfInteger:
         raise argparse.ArgumentTypeError(str(exc)) from None
     if s.twice > MAX_TWICE_SPIN:
         raise argparse.ArgumentTypeError(
-            f"spin {s} exceeds the supported cap 2s <= {MAX_TWICE_SPIN}"
+            f"spin {text.strip()} exceeds the supported cap 2s <= {MAX_TWICE_SPIN}"
         )
     return s
 
@@ -158,13 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=DEFAULT_TOL,
             help="base tolerance for the eigensolver and algebra checks, "
             "above 0 and below 1 (default: 1e-12)",
-        )
-        p.add_argument(
-            "--max-sweeps",
-            type=_positive_int,
-            default=DEFAULT_MAX_SWEEPS,
-            help="eigensolver sweep budget, per component of the pattern, or "
-            f"per charge sector for K (default: {DEFAULT_MAX_SWEEPS})",
         )
 
     p_spectrum = sub.add_parser(
@@ -380,7 +376,7 @@ def cmd_spectrum(args: argparse.Namespace) -> dict:
         spin = args.spin
         source = None
 
-    dec = hermitian_eig(matrix, args.tol, args.max_sweeps, charge=charge)
+    dec = hermitian_eig(matrix, args.tol, charge=charge)
     cluster_tol = args.cluster_tol or default_cluster_tol(matrix)
     spectrum = cluster_spectrum(dec.values, cluster_tol)
     closed_form_match = None
@@ -404,7 +400,7 @@ def cmd_spectrum(args: argparse.Namespace) -> dict:
 
 
 def _certify_spin(
-    s: HalfInteger, kmax: int | None, tol: float, max_sweeps: int
+    s: HalfInteger, kmax: int | None, tol: float
 ) -> tuple[IsospectralReport, bool]:
     h = build_heisenberg(s)
     k = build_cyclic(s)
@@ -417,7 +413,6 @@ def _certify_spin(
         kmax=kmax,
         prefix=prefix,
         eig_tol=tol,
-        max_sweeps=max_sweeps,
         charges=(h.charge, k.charge),
     )
     closed_form_match = spectra_match(
@@ -429,7 +424,7 @@ def _certify_spin(
 def cmd_verify(args: argparse.Namespace) -> dict:
     s = args.spin
     algebra = verify_su2(make_spin_triple(s), args.tol)
-    cert, closed_form_match = _certify_spin(s, args.kmax, args.tol, args.max_sweeps)
+    cert, closed_form_match = _certify_spin(s, args.kmax, args.tol)
     return {
         "command": "verify",
         "spin": str(s),
@@ -483,7 +478,7 @@ def _gate_check(gate: Gate) -> dict:
 def cmd_gate(args: argparse.Namespace) -> dict:
     build = build_heisenberg if args.hamiltonian == "H" else build_cyclic
     h = build(args.spin)
-    gate = synthesize_gate(h, args.theta, eig_tol=args.tol, max_sweeps=args.max_sweeps)
+    gate = synthesize_gate(h, args.theta, eig_tol=args.tol)
     check = _gate_check(gate) if args.check else None
     return {
         "command": "gate",
@@ -503,9 +498,7 @@ def cmd_table(args: argparse.Namespace) -> dict:
     rows = []
     for twice in range(1, args.max_spin.twice + 1):
         s = HalfInteger(twice)
-        cert, closed_form_match = _certify_spin(
-            s, s.dimension, args.tol, args.max_sweeps
-        )
+        cert, closed_form_match = _certify_spin(s, s.dimension, args.tol)
         rows.append(
             {
                 "spin": str(s),

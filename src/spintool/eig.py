@@ -50,8 +50,9 @@ blocks to the kernel.  An operator on the sector route first sweeps its
 two charge factors in a call of their own; H's pattern splits at every
 spin, so only K's do.  H and K together take two kernel calls up to
 2s = 15 and three beyond, where blocks wider than 16 form a class of their
-own.  Convergence is checked in one place, after the kernel calls, on the
-results of every route: the first block still above its stop raises a
+own.  Every block may take MAX_SWEEPS sweeps, a constant.  Convergence is
+checked in one place, after the kernel calls, on the results of every
+route: the first block still above its stop raises a
 :class:`ConvergenceError` named by its route, label and width, so only
 converged blocks go on to be sorted, pinned and measured.
 
@@ -129,14 +130,19 @@ __all__ = [
     "hermitian_eig",
 ]
 
-DEFAULT_MAX_SWEEPS = 100
+# the sweeps a block may take.  Cyclic Jacobi converges quadratically once
+# its pivots are small (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13(4),
+# 1992): at every spin, H and K by sectors stop within 6 sweeps at tol
+# 1e-12, and H within 10 at tol 5e-324, so a block runs out only at a stop
+# far below its rounding floor, which the ConvergenceError then names
+MAX_SWEEPS = 100
 
 _EPS = float(np.finfo(np.float64).eps)
 
-# Charge factors are solved to rounding level, within the default sweep
-# budget, whatever the caller's tol and max_sweeps: an eigenvector error d
-# in them shows up as off-sector mass of about d * ||m||, which would
-# otherwise compete with the leak bound itself.
+# Charge factors are solved to rounding level, within MAX_SWEEPS, whatever
+# the caller's tol: an eigenvector error d in them shows up as off-sector
+# mass of about d * ||m||, which would otherwise compete with the leak bound
+# itself.
 _SITE_TOL = _EPS
 
 
@@ -414,7 +420,9 @@ def _solved(
     max_sweeps: int,
 ) -> list[list[tuple[np.ndarray, np.ndarray, int, float]]]:
     """Run the kernel on the blocks of every route, one stack per width and
-    dtype, and check that each block converged.
+    dtype, each block for at most ``max_sweeps`` sweeps, and check that
+    each converged.  The callers pass MAX_SWEEPS; tests pass less, to make
+    a block run out.
 
     A route is one operator's blocks with their stops, names and rounding
     floors.  Within a route, blocks up to 16 wide form one class, as do
@@ -518,15 +526,15 @@ def _split_sectors(
     """Rotate ``m`` into the eigenbasis W of A x I + I x B and measure the split.
 
     ``factors`` are A and B as :func:`_charge_factors` gives them, swept as
-    given, together in one kernel call, to ``_SITE_TOL`` within the default
-    sweep budget, and taken as given in the commutator.  Returns W, the
-    rotated matrix, symmetrized once, the charge label 2(qa + qb) of each
-    basis index, the leak and the commutator norm.  A leak above ``stop`` is
+    given, together in one kernel call, to ``_SITE_TOL`` within MAX_SWEEPS
+    sweeps whatever budget the blocks are given, and taken as given in the
+    commutator.  Returns W, the rotated matrix, symmetrized once, the charge
+    label 2(qa + qb) of each basis index, the leak and the commutator norm.  A leak above ``stop`` is
     an error; ``precision``, the input's dtype, tells what rounding it may be.
     """
     stops = [_SITE_TOL * frobenius_norm(f) for f in factors]
     route = [_symmetrized(f) for f in factors], stops, ["", ""], [0.0, 0.0]
-    (solved,) = _solved([route], DEFAULT_MAX_SWEEPS)
+    (solved,) = _solved([route], MAX_SWEEPS)
     (qa, va, _, _), (qb, vb, _, _) = solved
     a_site, b_site = factors
     # m as a 4-tensor (a, b, c, d), rows (a, b) and columns (c, d): a
@@ -590,14 +598,12 @@ class _Eigensolve:
     the decomposition.
     """
 
-    def __init__(self, m, charge, tol: float, max_sweeps: int) -> None:
+    def __init__(self, m, charge, tol: float) -> None:
         m = require_square(m, "eigensolver needs a square matrix")
         if not np.isfinite(m).all():
             raise ValueError("matrix entries must be finite")
         if not tol > 0.0:
             raise ValueError(f"tol must be positive, got {tol}")
-        if max_sweeps < 0:
-            raise ValueError(f"max_sweeps must be non-negative, got {max_sweeps}")
         component, colour, a, self.reach = gauge(m)
         # a real form's defect has m's entries up to sign: checked in its
         # dtype, within the reach beyond which the form is zero
@@ -724,7 +730,9 @@ class _Eigensolve:
 
 
 def _eigensolves(
-    operators: list[tuple[np.ndarray, tuple | None]], tol: float, max_sweeps: int
+    operators: list[tuple[np.ndarray, tuple | None]],
+    tol: float,
+    max_sweeps: int = MAX_SWEEPS,
 ) -> list[EigDecomposition]:
     """:func:`hermitian_eig` of each (m, charge), with one kernel call per stack
     for the blocks of all of them.
@@ -737,12 +745,13 @@ def _eigensolves(
     block of the admitted operators that ran out, in their order; else the
     held error is raised, before any operator is finished, so a certificate
     that fails computes no residual.  So the error raised is the first that
-    calling hermitian_eig on each in turn raises.
+    calling hermitian_eig on each in turn raises.  ``max_sweeps`` bounds
+    the blocks, never the charge factors; only tests lower it.
     """
     solves, failure = [], None
     for m, charge in operators:
         try:
-            solves.append(_Eigensolve(m, charge, tol, max_sweeps))
+            solves.append(_Eigensolve(m, charge, tol))
         except Exception as exc:  # held, never dropped: raised below
             failure = exc
             break
@@ -755,14 +764,14 @@ def _eigensolves(
 def hermitian_eig(
     m: np.ndarray,
     tol: float = DEFAULT_TOL,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
+    *,
     charge: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> EigDecomposition:
     """Diagonalize a Hermitian matrix with round-robin Jacobi sweeps.
 
     Stops once the off-diagonal Frobenius norm is <= tol * ||m||_F.  The
     blocks are swept each to tol times its own norm, which keeps the total
-    there, within ``max_sweeps`` sweeps, or a :class:`ConvergenceError`
+    there, within MAX_SWEEPS = 100 sweeps, or a :class:`ConvergenceError`
     names the block that ran out by its label and width.  They are the
     connected components of ``m``'s nonzero pattern.  ``charge = (A, B)``,
     single-site Hermitian factors whose sum A x I + I x B should commute
@@ -791,5 +800,5 @@ def hermitian_eig(
     :class:`NumericalError`: the stop threshold and the sweeps' off-diagonal
     norms are taken from that sum, unscaled.
     """
-    (dec,) = _eigensolves([(m, charge)], tol, max_sweeps)
+    (dec,) = _eigensolves([(m, charge)], tol)
     return dec

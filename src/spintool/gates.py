@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eig import DEFAULT_MAX_SWEEPS, hermitian_eig
+from .eig import hermitian_eig
 from .hamiltonians import Hamiltonian, HamiltonianKind
 from .linalg import (
     DEFAULT_TOL,
@@ -76,12 +76,7 @@ class Gate:
         return self.matrix.shape[0]
 
 
-def synthesize_gate(
-    h: Hamiltonian,
-    theta: float,
-    eig_tol: float = DEFAULT_TOL,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
-) -> Gate:
+def synthesize_gate(h: Hamiltonian, theta: float, eig_tol: float = DEFAULT_TOL) -> Gate:
     """Build U(theta) = exp(-i theta M) from a Hermitian generator.
 
     :func:`eig.hermitian_eig`, given the carrier's charge, is the one check
@@ -103,7 +98,7 @@ def synthesize_gate(
         finite = False
     if not finite:
         raise ValueError(f"theta must be a finite real number, got {theta!r}")
-    dec = hermitian_eig(h.matrix, eig_tol, max_sweeps, charge=h.charge)
+    dec = hermitian_eig(h.matrix, eig_tol, charge=h.charge)
     values, source_residual, (rows, columns) = dec.values, dec.residual, dec.blocks
     # the vectors' blocks are all the gate needs: the decomposition's dense
     # vectors go before the gate is scattered (for one block, v views them)

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eig import DEFAULT_MAX_SWEEPS, _eigensolves
+from .eig import _eigensolves
 from .linalg import (
     _ROWS,
     DEFAULT_TOL,
@@ -560,7 +560,7 @@ def certify_isospectral(
     kmax: int | None = None,
     prefix: int | None = None,
     eig_tol: float = DEFAULT_TOL,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
+    *,
     charges: tuple = (None, None),
 ) -> IsospectralReport:
     """Certify that two Hermitian operators share a spectrum.
@@ -602,7 +602,7 @@ def certify_isospectral(
         if not 1 <= prefix <= kmax:
             raise ValueError(f"prefix must lie in 1..kmax, got {prefix}")
 
-    dec_a, dec_b = _eigensolves([(a, charges[0]), (b, charges[1])], eig_tol, max_sweeps)
+    dec_a, dec_b = _eigensolves([(a, charges[0]), (b, charges[1])], eig_tol)
     cluster_tol = max(default_cluster_tol(a), default_cluster_tol(b))
     spectrum_a = cluster_spectrum(dec_a.values, cluster_tol)
     spectrum_b = cluster_spectrum(dec_b.values, cluster_tol)

@@ -29,6 +29,10 @@ __all__ = [
 # caps the two-site problem at 625 x 625, desk scale for the O(n^3) solver
 MAX_TWICE_SPIN = 24
 
+# the decimal exponents that a float64 can hold; a Fraction of "1e100000000"
+# builds 10^100000000 before it can be refused
+_MAX_EXPONENT = 308
+
 
 @dataclass(frozen=True)
 class HalfInteger:
@@ -53,11 +57,20 @@ class HalfInteger:
 
     @classmethod
     def parse(cls, text: str) -> "HalfInteger":
-        """Parse "1/2", "3/2", "2", "1.5" and friends exactly."""
+        """Parse "1/2", "3/2", "2", "1.5" and friends exactly.
+
+        A decimal exponent beyond +-308, as in "1e400", is refused before
+        the text is read as a fraction.
+        """
+        stripped = str(text).strip()
+        exponent = stripped.lower().partition("e")[2]
         try:
-            f = Fraction(str(text).strip())
+            too_far = bool(exponent) and abs(int(exponent)) > _MAX_EXPONENT
+            f = None if too_far else Fraction(stripped)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot parse spin value {text!r}") from exc
+        if too_far:
+            raise ValueError(f"spin exponent beyond +-{_MAX_EXPONENT} in {text!r}")
         if f <= 0 or f.denominator not in (1, 2):
             raise ValueError(
                 f"spin must be a positive integer or half-integer, got {text!r}"

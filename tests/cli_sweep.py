@@ -14,6 +14,7 @@ standard library is used, so that any tree can be run.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import random
 import subprocess
@@ -56,6 +57,24 @@ def _hermitian(seed: int, n: int, density: float, kind: str) -> bytes:
     return _text(m)
 
 
+def _cyclic(twice: int) -> bytes:
+    """K = S1xS2 + S2xS3 + S3xS1 at spin twice / 2: its pattern is one
+    component, so a file of it takes the component route."""
+    n = twice + 1
+    m = [(twice - 2 * i) / 2 for i in range(n)]
+    casimir = twice * (twice + 2) / 4
+    plus = [[0j] * n for _ in range(n)]
+    for i in range(n - 1):
+        plus[i][i + 1] = complex(math.sqrt(casimir - m[i + 1] * (m[i + 1] + 1)))
+    s1 = [[(plus[i][j] + plus[j][i]) / 2 for j in range(n)] for i in range(n)]
+    s2 = [[(plus[i][j] - plus[j][i]) / 2j for j in range(n)] for i in range(n)]
+    s3 = [[complex(m[i]) if i == j else 0j for j in range(n)] for i in range(n)]
+    pairs = ((s1, s2), (s2, s3), (s3, s1))
+    # the entry of row (a, b) and column (c, d) of each Kronecker product
+    rows = [(a, b) for a in range(n) for b in range(n)]
+    return _text([[sum(x[a][c] * y[b][d] for x, y in pairs) for c, d in rows] for a, b in rows])
+
+
 def _identity(n: int) -> bytes:
     return b"".join(b" ".join([b"0"] * i + [b"1"] + [b"0"] * (n - 1 - i)) + b"\n" for i in range(n))
 
@@ -88,6 +107,7 @@ FILES = {
     "overflow.txt": b"1e308 0\n0 1\n",
     "nan.txt": b"1 0\n0 nan\n",
     "inf.txt": b"1 0\n0 inf\n",
+    "cyclic-2s2.txt": _cyclic(2),
     "identity-625.txt": _identity(625),
     "identity-626.txt": _identity(626),
     "rows-626.txt": b"1\n" * 626,
@@ -127,23 +147,22 @@ ARGV = (
         for kmax in ("120", "1000")
         for fmt in FORMATS
     ),
-    *(
-        ("spectrum", "--spin", "4", "--hamiltonian", "K", "--max-sweeps", "1", "--format", fmt)
-        for fmt in FORMATS
-    ),
+    # a block that runs out of sweeps, its tol below the rounding floor
+    *((*_FILE, "{dir}/cyclic-2s2.txt", "--tol", "1e-100", "--format", fmt) for fmt in FORMATS),
     *(("table", "--max-spin", spin, "--format", fmt) for spin in ("2", "12") for fmt in FORMATS),
     *((*_FILE, "{dir}/" + name, "--format", fmt) for name in FILES for fmt in FORMATS),
     *((*_FILE, "{dir}/tiny-asymmetry.txt", "--tol", "5e-324", "--format", fmt) for fmt in FORMATS),
     *((*_FILE, "{dir}/missing.txt", "--format", fmt) for fmt in FORMATS),
-    # blocks that run out of sweeps, and a tol below the rounding of the basis
-    ("verify", "--spin", "3/2", "--max-sweeps", "1"),
-    ("verify", "--spin", "12", "--max-sweeps", "1"),
-    ("table", "--max-spin", "3", "--max-sweeps", "1"),
-    ("gate", "--spin", "12", "--hamiltonian", "K", "--theta", "0.7", "--max-sweeps", "1"),
+    # a tol below the rounding of the sector basis, and one that K's one
+    # block reaches, 96 sweeps at 1e-70, and one that it does not
+    ("verify", "--spin", "3/2", "--tol", "1e-100"),
+    ("verify", "--spin", "12", "--tol", "1e-100"),
+    ("table", "--max-spin", "3", "--tol", "1e-100"),
+    ("gate", "--spin", "12", "--hamiltonian", "K", "--theta", "0.7", "--tol", "1e-100"),
     ("verify", "--spin", "1", "--tol", "1e-100"),
-    ("spectrum", "--spin", "4", "--hamiltonian", "K", "--max-sweeps", "1"),
-    # its error ends in the note that tol is below the block's rounding floor
-    (*_FILE, "{dir}/complex-5.txt", "--tol", "1e-17", "--max-sweeps", "1"),
+    ("spectrum", "--spin", "4", "--hamiltonian", "K", "--tol", "1e-100"),
+    (*_FILE, "{dir}/cyclic-2s2.txt", "--tol", "1e-70"),
+    (*_FILE, "{dir}/cyclic-2s2.txt", "--tol", "1e-80"),
     # the edges of the moments' rule for J: J = 5 and 6 with kmax = n, J from
     # the product count with exit 3 on overflow, J capped by the byte budget;
     # and K at its first n above the rows of one block of its residual
@@ -164,6 +183,11 @@ ARGV = (
     (),
     ("bogus",),
     ("spectrum", "--spin", "1/3"),
+    # spins whose exponent is refused, or whose text the cap error names
+    ("spectrum", "--spin", "1e100000"),
+    ("table", "--max-spin", "1e400"),
+    ("verify", "--spin", "1e-400"),
+    ("gate", "--spin", "1e300", "--theta", "1"),
     ("spectrum", "--hamiltonian", "file"),
     ("gate", "--spin", "1", "--theta", "inf"),
     ("table", "--max-spin", "30"),

@@ -1,8 +1,10 @@
+import functools
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from spintool import eig, spectral
 from spintool.cli import main
 from spintool.eig import hermitian_eig
 from spintool.hamiltonians import build_cyclic, build_heisenberg
@@ -52,6 +54,22 @@ def run_cli(capsys):
         return code, captured.out, captured.err
 
     return run
+
+
+@pytest.fixture()
+def sweep_budget(monkeypatch):
+    """``sweep_budget(n)`` gives each block of every later eigensolve of the
+    test, by :func:`hermitian_eig`, :func:`certify_isospectral` or the
+    command line, at most n sweeps, where the program takes MAX_SWEEPS;
+    the charge factors keep MAX_SWEEPS, as they always do."""
+    solves = eig._eigensolves
+
+    def lower(n: int) -> None:
+        for module in (eig, spectral):
+            budget = functools.partial(solves, max_sweeps=n)
+            monkeypatch.setattr(module, "_eigensolves", budget)
+
+    return lower
 
 
 @pytest.fixture(scope="session")

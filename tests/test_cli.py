@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -913,10 +914,9 @@ def test_overflowing_matrix_file_is_numerical_error(run_cli, tmp_path):
         )
 
 
-def test_sector_sweep_budget_names_the_sector(run_cli):
-    code, out, err = run_cli(
-        "spectrum", "--hamiltonian", "K", "--spin", "3", "--max-sweeps", "2"
-    )
+def test_sector_sweep_budget_names_the_sector(run_cli, sweep_budget):
+    sweep_budget(2)
+    code, out, err = run_cli("spectrum", "--hamiltonian", "K", "--spin", "3")
     assert code == 3
     assert out == ""
     assert err.startswith("error: sector of charge 2(qa+qb) = ")
@@ -1051,6 +1051,87 @@ def test_a_tol_of_one_or_more_is_usage_error(run_cli, argv, tol):
     assert (code, out) == (2, "")
     assert err.splitlines()[-1].endswith(f"error: argument --tol: {need}")
     assert run_cli(*argv, "--tol", "1e-12")[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv, flag, need",
+    [
+        (["verify", "--spin", "1", "--tol", "abc"], "--tol", "not a number: 'abc'"),
+        (["gate", "--spin", "1", "--theta", "0x10"], "--theta", "not a number: '0x10'"),
+        (["verify", "--spin", "1", "--kmax", "1.5"], "--kmax", "not an integer: '1.5'"),
+        (["spectrum", "--spin", "1", "--cluster-tol", "x"], "--cluster-tol", "not a number: 'x'"),
+    ],
+)
+def test_a_value_that_is_not_a_number_is_usage_error(run_cli, argv, flag, need):
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].endswith(f"error: argument {flag}: {need}")
+
+
+@pytest.mark.parametrize(
+    "text, need",
+    [
+        *(
+            (text, f"spin exponent beyond +-308 in '{text}'")
+            for text in ("1e100000000", "1e100000", "1e400", "1e-100000000", "1e-400")
+        ),
+        ("1e300", "spin 1e300 exceeds the supported cap 2s <= 24"),
+        ("6" + "0" * 4299, f"spin 6{'0' * 4299} exceeds the supported cap 2s <= 24"),
+        ("60/2", "spin 60/2 exceeds the supported cap 2s <= 24"),
+    ],
+    ids=lambda x: x[:12],
+)
+@pytest.mark.parametrize("command", [["spectrum", "--spin"], ["table", "--max-spin"]])
+def test_an_overlong_spin_is_usage_error_at_once(run_cli, command, text, need):
+    # "1e100000000" once ran for minutes, "1e100000" gave argparse's "invalid
+    # _parse_spin_arg value" (its twice has more digits than str() writes)
+    # and "1e400" a spin of 401 digits: each now names the text as given
+    start = time.perf_counter()
+    code, out, err = run_cli(*command, text)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    lines = [line for line in err.splitlines() if "error:" in line]
+    assert lines == [f"spintool {command[0]}: error: argument {command[1]}: {need}"]
+
+
+def test_the_sweep_budget_is_no_option(run_cli):
+    # every block may take 100 sweeps, a constant: the flag that set it is gone
+    for command in (["spectrum", "--spin", "1"], ["table", "--max-spin", "1"]):
+        code, out, err = run_cli(*command, "--max-sweeps", "1")
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1].endswith("unrecognized arguments: --max-sweeps 1")
+        assert "--max-sweeps" not in cli.build_parser().parse_args(command).__dict__
+
+
+_CLOSE_PAIR = "1 0 0\n0 1.0000001 0\n0 0 3\n"
+
+
+def test_cluster_tol_merges_close_eigenvalues(run_cli, tmp_path):
+    # 1 and 1 + 1e-7 lie apart at the default 1e-9 * ||M||_F and together
+    # at --cluster-tol 1e-6, which the report echoes
+    path = tmp_path / "close.txt"
+    path.write_text(_CLOSE_PAIR)
+    argv = ["spectrum", "--hamiltonian", "file", "--file", str(path), "--format", "json"]
+    code, out, err = run_cli(*argv)
+    assert (code, err) == (0, "")
+    split = _valid_json(out)
+    assert split["cluster_tol"] == 1e-9 * math.sqrt(1 + 1.0000001**2 + 9)
+    assert [c["multiplicity"] for c in split["clusters"]] == [1, 1, 1]
+    code, out, err = run_cli(*argv, "--cluster-tol", "1e-6")
+    assert (code, err) == (0, "")
+    merged = _valid_json(out)
+    assert merged["cluster_tol"] == 1e-6
+    assert [c["multiplicity"] for c in merged["clusters"]] == [2, 1]
+    assert merged["clusters"][1]["value"] == pytest.approx(3.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("value", ["0", "inf", "nan", "-1e-6", "-inf"])
+def test_a_cluster_tol_that_is_not_positive_and_finite_is_usage_error(run_cli, value):
+    # "--cluster-tol=-inf" keeps argparse from reading -inf as an option
+    code, out, err = run_cli("spectrum", "--spin", "1", f"--cluster-tol={value}")
+    assert (code, out) == (2, "")
+    need = f"must be a positive finite number: '{value}'"
+    assert err.splitlines()[-1].endswith(f"error: argument --cluster-tol: {need}")
 
 
 @pytest.mark.parametrize(

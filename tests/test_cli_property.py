@@ -65,7 +65,6 @@ def _common() -> st.SearchStrategy:
     return st.tuples(
         st.sampled_from(["plain", "json", "csv"]).map(lambda f: ["--format", f]),
         _option("--tol", TOLS.map(repr)),
-        _option("--max-sweeps", st.integers(1, 60)),
     ).map(lambda parts: sum(parts, []))
 
 

@@ -17,7 +17,7 @@ import pytest
 from spintool import eig, spectral
 from spintool.cli import _CLOSED_FORM_TOL
 from spintool.eig import (
-    DEFAULT_MAX_SWEEPS,
+    MAX_SWEEPS,
     ConvergenceError,
     EigDecomposition,
     _charge_factors,
@@ -70,6 +70,13 @@ K_EIGENVECTORS = [
 _REAL_ROTATION = ((0.0, 0.0, 1.0), (0.0, -1.0, 0.0), (1.0, 0.0, 0.0))
 
 
+def _within(sweeps, m, charge=None):
+    """hermitian_eig with ``sweeps`` for each block, by the private seam
+    that alone takes a budget; the charge factors keep MAX_SWEEPS."""
+    (dec,) = eig._eigensolves([(m, charge)], DEFAULT_TOL, sweeps)
+    return dec
+
+
 def _random_hermitian(rng, n):
     r = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return (r + r.conj().T) / 2.0
@@ -81,6 +88,7 @@ def test_diagonal_matrix_sorted_exactly():
     np.testing.assert_array_equal(dec.vectors, np.eye(3)[:, [1, 2, 0]])
     assert dec.sweeps == 0
     assert dec.residual == 0.0
+    assert dec.dimension == 3
 
 
 @pytest.mark.parametrize(
@@ -136,6 +144,7 @@ def test_empty_matrix_gives_an_empty_decomposition():
     assert dec.vectors.shape == (0, 0)
     assert dec.residual == 0.0
     assert dec.sweeps == 0
+    assert dec.dimension == 0
 
 
 def test_spin_half_exchange_values():
@@ -167,28 +176,42 @@ def test_rejects_bad_arguments():
         hermitian_eig(np.eye(2) * np.nan)
     with pytest.raises(ValueError):
         hermitian_eig(np.eye(2, dtype=complex), tol=0.0)
-    with pytest.raises(ValueError):
-        hermitian_eig(np.eye(2, dtype=complex), max_sweeps=-1)
+
+
+def test_a_sweep_budget_is_no_argument():
+    # the budget is the constant MAX_SWEEPS, and the charge is keyword-only,
+    # so a call that passed a budget before the charge fails at once
+    m, charge = np.eye(4), (np.eye(2), np.eye(2))
+    with pytest.raises(TypeError):
+        hermitian_eig(m, DEFAULT_TOL, 100)
+    with pytest.raises(TypeError):
+        hermitian_eig(m, DEFAULT_TOL, charge)
+    with pytest.raises(TypeError):
+        hermitian_eig(m, max_sweeps=100)
+    with pytest.raises(TypeError):
+        certify_isospectral(m, m, 4, 2, DEFAULT_TOL, 100)
+    with pytest.raises(TypeError):
+        certify_isospectral(m, m, 4, 2, DEFAULT_TOL, (charge, charge))
 
 
 def test_sweep_budget_exhaustion():
     h = build_heisenberg(HalfInteger(1))
     with pytest.raises(ConvergenceError):
-        hermitian_eig(h.matrix, max_sweeps=0)
+        _within(0, h.matrix)
     # H's pattern splits, so its charge goes unused and the budget applies
     # to each component; on the sector route it applies to each sector
     with pytest.raises(ConvergenceError, match=r"^component "):
-        hermitian_eig(h.matrix, max_sweeps=0, charge=h.charge)
+        _within(0, h.matrix, h.charge)
     r = build_bilinear(HalfInteger(1), _REAL_ROTATION)
     with pytest.raises(ConvergenceError, match=r"^sector of charge "):
-        hermitian_eig(r.matrix, max_sweeps=0, charge=r.charge)
+        _within(0, r.matrix, r.charge)
     k = build_cyclic(HalfInteger(4))
     with pytest.raises(
         ConvergenceError,
         match=r"^sector of charge 2\(qa\+qb\) = -?\d+ \(width \d+\): "
         r"off-diagonal norm \S+ still above \S+ after 0 sweeps$",
     ):
-        hermitian_eig(k.matrix, max_sweeps=0, charge=k.charge)
+        _within(0, k.matrix, k.charge)
 
 
 def test_overflowing_norm_is_a_numerical_error():
@@ -741,7 +764,7 @@ def test_a_charge_splits_only_a_pattern_that_is_one_component():
         counts.append(gauge(ham.matrix)[0].max() + 1)
         assert counts[-1] == (7 if diagonal else 1)
         with pytest.raises(ConvergenceError, match="^(sector|component) ") as error:
-            hermitian_eig(ham.matrix, max_sweeps=0, charge=ham.charge)
+            _within(0, ham.matrix, ham.charge)
         if str(error.value).startswith("sector"):
             routed.append(counts[-1])
     assert counts.count(1) == 16
@@ -952,12 +975,12 @@ def test_full_route_names_the_component_that_runs_out():
         match=r"^component \d \(width [234]\): off-diagonal norm \S+ still above "
         r"\S+ after 0 sweeps$",
     ):
-        hermitian_eig(m, max_sweeps=0)
+        _within(0, m)
     # K's pattern is one component, named like any other
     with pytest.raises(
         ConvergenceError, match=r"^component 0 \(width 16\): off-diagonal norm "
     ):
-        hermitian_eig(build_cyclic(HalfInteger(3)).matrix, max_sweeps=0)
+        _within(0, build_cyclic(HalfInteger(3)).matrix)
 
 
 
@@ -1017,7 +1040,7 @@ def test_a_tol_below_a_blocks_rounding_floor_is_said(run_cli, tmp_path):
     ), message
     # a stop above the floor keeps the plain message
     with pytest.raises(ConvergenceError) as error:
-        hermitian_eig(k.matrix, max_sweeps=1)
+        _within(1, k.matrix)
     assert str(error.value).endswith("after 1 sweeps")
     # the CLI still exits 3 with the error, and no traceback
     path = tmp_path / "k.txt"
@@ -1163,7 +1186,7 @@ def test_blocks_padded_apart_are_stacked_apart(monkeypatch):
         (_permuted_block_hermitian(97, [5, 1, 7, 3]), None),
     ]
     stacks = _kernel_spy(monkeypatch)
-    batched = eig._eigensolves(pairs, DEFAULT_TOL, DEFAULT_MAX_SWEEPS)
+    batched = eig._eigensolves(pairs, DEFAULT_TOL)
     assert _one_dtype(stacks) == {np.dtype(np.float64), np.dtype(np.complex128)}
     padded = [
         (2 * -(-max(b.shape[0] for b in blocks) // 2), blocks[0].dtype.name)
@@ -1192,7 +1215,7 @@ def test_sector_routes_sweep_their_own_factors_then_batch_their_blocks(monkeypat
     assert not any(gauge(ham.matrix)[0].any() for ham in operators)
     pairs = [(ham.matrix, ham.charge) for ham in operators]
     stacks = _kernel_spy(monkeypatch)
-    batched = eig._eigensolves(pairs, DEFAULT_TOL, DEFAULT_MAX_SWEEPS)
+    batched = eig._eigensolves(pairs, DEFAULT_TOL)
     dtypes = ("float64", "complex128")
     for factors, ham, dtype in zip(stacks[:2], operators, dtypes, strict=True):
         given = _charge_factors(ham.charge, ham.dimension, DEFAULT_TOL)
@@ -1301,9 +1324,9 @@ def test_twins_take_the_results_of_sweeping_every_member(monkeypatch):
     pairs += [(ham.matrix, ham.charge) for ham in rotations]
     twin = _permuted_block_hermitian(101, [3])
     pairs += [(np.kron(np.eye(3), twin), None), (np.kron(np.eye(2), twin.real), None)]
-    batched = eig._eigensolves(pairs, DEFAULT_TOL, DEFAULT_MAX_SWEEPS)
+    batched = eig._eigensolves(pairs, DEFAULT_TOL)
     monkeypatch.setattr(eig, "_solved", _every_member_solved)
-    reference = eig._eigensolves(pairs, DEFAULT_TOL, DEFAULT_MAX_SWEEPS)
+    reference = eig._eigensolves(pairs, DEFAULT_TOL)
     for dec, ref in zip(batched, reference, strict=True):
         _assert_same_bits(dec, ref)
 
@@ -1325,12 +1348,12 @@ def test_blocks_equal_but_for_a_signed_zero_or_a_stop_are_swept_apart(monkeypatc
         ([c], [stop], [""], [0.0]),
     ]
     calls = _kernel_keys(monkeypatch)
-    solved = eig._solved(routes, DEFAULT_MAX_SWEEPS)
+    solved = eig._solved(routes, MAX_SWEEPS)
     assert [key[:2] for key in calls[0]] == [
         (2, DEFAULT_TOL), (2, DEFAULT_TOL), (3, stop), (3, loose)
     ]
     assert len(calls) == 1
-    _assert_same_results(solved, _every_member_solved(routes, DEFAULT_MAX_SWEEPS))
+    _assert_same_results(solved, _every_member_solved(routes, MAX_SWEEPS))
     # the signed zero and the looser stop each change the result's bits
     assert solved[0][0][1].tobytes() != solved[0][1][1].tobytes()
     assert solved[0][2][2] > solved[0][3][2]
@@ -1340,41 +1363,44 @@ def test_blocks_equal_but_for_a_signed_zero_or_a_stop_are_swept_apart(monkeypatc
 def test_one_operator_given_twice_shares_one_solve(monkeypatch):
     h = build_heisenberg(HalfInteger(6))
     calls = _kernel_keys(monkeypatch)
-    batched = eig._eigensolves([(h.matrix, h.charge)] * 2, DEFAULT_TOL, DEFAULT_MAX_SWEEPS)
+    batched = eig._eigensolves([(h.matrix, h.charge)] * 2, DEFAULT_TOL)
     assert [len(keys) for keys in calls] == [7]
     alone = hermitian_eig(h.matrix, charge=h.charge)
     for dec in batched:
         _assert_same_bits(dec, alone)
 
 
-def test_a_twin_that_runs_out_is_named_by_the_first(run_cli):
+def test_a_twin_that_runs_out_is_named_by_the_first(run_cli, sweep_budget):
     # at 2s = 3, H's components 2 and 4 are both 3 wide and one block; one
     # sweep leaves it off-diagonal mass, and the error names component 2
     h = build_heisenberg(HalfInteger(3))
-    blocks, *_ = eig._Eigensolve(h.matrix, None, DEFAULT_TOL, 1).route
+    blocks, *_ = eig._Eigensolve(h.matrix, None, DEFAULT_TOL).route
     assert blocks[2].shape == (3, 3) and blocks[2].tobytes() == blocks[4].tobytes()
     with pytest.raises(ConvergenceError, match=r"^component 2 \(width 3\): "):
-        hermitian_eig(h.matrix, max_sweeps=1)
-    code, out, err = run_cli("verify", "--spin", "3/2", "--max-sweeps", "1")
+        _within(1, h.matrix)
+    sweep_budget(1)
+    code, out, err = run_cli("verify", "--spin", "3/2")
     assert (code, out) == (3, "")
     assert err.startswith("error: component 2 (width 3): ")
 
 
-def test_a_certificate_raises_what_separate_solves_raise_first():
+def test_a_certificate_raises_what_separate_solves_raise_first(sweep_budget):
     # the first operator's first error wins, of any kind and at any stage,
     # then the second's
     s = HalfInteger(3)
     h, k = build_heisenberg(s), build_cyclic(s)
     charges = h.charge, k.charge
 
-    def raised(a, b, charges=charges, **kwargs):
+    def raised(a, b, charges=charges, max_sweeps=MAX_SWEEPS):
+        sweep_budget(max_sweeps)
         with pytest.raises(Exception) as error:
-            certify_isospectral(a, b, kmax=8, charges=charges, **kwargs)
+            certify_isospectral(a, b, kmax=8, charges=charges)
         return type(error.value), str(error.value)
 
-    def alone(m, charge, **kwargs):
+    def alone(m, charge, max_sweeps=MAX_SWEEPS):
+        sweep_budget(max_sweeps)
         with pytest.raises(Exception) as error:
-            hermitian_eig(m, charge=charge, **kwargs)
+            hermitian_eig(m, charge=charge)
         return type(error.value), str(error.value)
 
     # both run out of one sweep: H's component is named, before K's sectors
@@ -1413,16 +1439,17 @@ def _finish_calls(monkeypatch):
     return calls
 
 
-def test_a_block_that_runs_out_fails_the_certificate_before_any_finish(monkeypatch):
+def test_a_block_that_runs_out_fails_the_certificate_before_any_finish(
+    monkeypatch, sweep_budget
+):
     # H's component 2 runs out of one sweep: no operator is finished, so no
     # residual is taken for a certificate that fails
     s = HalfInteger(3)
     h, k = build_heisenberg(s), build_cyclic(s)
     calls = _finish_calls(monkeypatch)
+    sweep_budget(1)
     with pytest.raises(ConvergenceError, match=r"^component 2 \(width 3\): "):
-        certify_isospectral(
-            h.matrix, k.matrix, kmax=8, max_sweeps=1, charges=(h.charge, k.charge)
-        )
+        certify_isospectral(h.matrix, k.matrix, kmax=8, charges=(h.charge, k.charge))
     assert calls == []
 
 
@@ -1441,22 +1468,23 @@ def test_a_held_admission_error_is_raised_before_any_finish(monkeypatch):
     assert calls == [s.dimension**2] * 2
 
 
-def test_table_raises_the_first_failing_spins_error(run_cli):
+def test_table_raises_the_first_failing_spins_error(run_cli, sweep_budget):
     # one sweep solves every block at 2s = 1, none wider than 2, and runs out
     # at 2s = 2 on H's component 2, before any sector of K
-    assert run_cli("table", "--max-spin", "1/2", "--max-sweeps", "1")[0] == 0
-    code, out, err = run_cli("table", "--max-spin", "3", "--max-sweeps", "1")
+    sweep_budget(1)
+    assert run_cli("table", "--max-spin", "1/2")[0] == 0
+    code, out, err = run_cli("table", "--max-spin", "3")
     assert (code, out) == (3, "")
     assert err.startswith("error: component 2 (width 3): ")
-    assert run_cli("verify", "--spin", "1", "--max-sweeps", "1") == (3, "", err)
+    assert run_cli("verify", "--spin", "1") == (3, "", err)
     # K fails at admission, its tol below the rounding of the sector basis,
     # and H's component that runs out is still the error
-    code, out, err = run_cli("verify", "--spin", "3", "--max-sweeps", "1", "--tol", "1e-100")
+    code, out, err = run_cli("verify", "--spin", "3", "--tol", "1e-100")
     assert (code, out) == (3, "")
     assert err.startswith("error: component 2 (width 3): ")
     # so too at the cap, where K's sectors are 25 wide
     for tol in ([], ["--tol", "1e-100"]):
-        code, out, err = run_cli("verify", "--spin", "12", "--max-sweeps", "1", *tol)
+        code, out, err = run_cli("verify", "--spin", "12", *tol)
         assert (code, out) == (3, "")
         assert err.startswith("error: component 2 (width 3): ")
 

@@ -43,7 +43,17 @@ def test_the_public_surface_is_pinned():
     assert sorted(spintool.__all__) == PUBLIC
     # the certificate's tolerances are constants, not knobs
     certify = inspect.signature(spintool.certify_isospectral).parameters
-    assert list(certify) == ["a", "b", "kmax", "prefix", "eig_tol", "max_sweeps", "charges"]
+    assert list(certify) == ["a", "b", "kmax", "prefix", "eig_tol", "charges"]
+    # and so is the sweep budget: no public function takes one
+    functions = [getattr(spintool, name) for name in PUBLIC]
+    for function in filter(inspect.isfunction, functions):
+        assert not any("sweep" in p for p in inspect.signature(function).parameters)
+    eig_params = inspect.signature(spintool.hermitian_eig).parameters
+    assert list(eig_params) == ["m", "tol", "charge"]
+    keyword = inspect.Parameter.KEYWORD_ONLY
+    assert eig_params["charge"].kind is certify["charges"].kind is keyword
+    gate = inspect.signature(spintool.synthesize_gate).parameters
+    assert list(gate) == ["h", "theta", "eig_tol"]
     assert list(inspect.signature(spintool.newton_check).parameters) == ["values", "traces"]
     # built operators are Hermitian by construction: no field records it
     fields = [f.name for f in dataclasses.fields(spintool.Hamiltonian)]
@@ -62,3 +72,29 @@ def test_readme_quick_start_runs(capsys):
     computed = ast.literal_eval(lines[2])
     assert [m for _, m in computed] == [m for _, m in closed]
     assert [v for v, _ in computed] == pytest.approx([v for v, _ in closed], abs=1e-12)
+
+
+def test_code_lines_leave_out_docstrings_comments_and_blank_lines():
+    from code_lines import code_lines
+
+    source = '''"""A module docstring,
+over two lines."""
+
+import os  # a comment
+
+
+class A:
+    """A class docstring."""
+
+    x = """a string over two lines,
+not a docstring"""
+
+    def f(self):
+        """A function docstring.
+        """
+        # a comment
+        return (1,
+                2)
+'''
+    # import, class, the two lines of x, def and the two of the return
+    assert code_lines(source) == 7

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,10 @@ SQ3 = np.sqrt(3.0)
         ("4/2", 4, "2"),
         (" 5/2 ", 5, "5/2"),
         ("12", 24, "12"),
+        ("6/4", 3, "3/2"),
+        ("0.5e1", 10, "5"),
+        (" 2 ", 4, "2"),
+        ("25e-1", 5, "5/2"),
     ],
 )
 def test_parse_accepts_half_integers(text, twice, rendered):
@@ -40,6 +46,21 @@ def test_parse_accepts_half_integers(text, twice, rendered):
 def test_parse_rejects_bad_spins(text):
     with pytest.raises(ValueError):
         HalfInteger.parse(text)
+
+
+@pytest.mark.parametrize(
+    "text", ["1e100000000", "1e10000000", "1e100000", "1e400", "1e309", "1e-309",
+             "1e-100000000", "1E+400", " 1e1_000 "]
+)
+def test_parse_refuses_an_exponent_beyond_a_floats_before_reading_it(text):
+    # Fraction("1e10000000") alone builds 10^10000000, about 10 s
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as error:
+        HalfInteger.parse(text)
+    assert time.perf_counter() - start < 1.0
+    assert str(error.value) == f"spin exponent beyond +-308 in {text!r}"
+    # the edge itself is read
+    assert HalfInteger.parse("5E+308").twice == 10**309
 
 
 def test_half_integer_validation():
