@@ -75,6 +75,9 @@ EXIT_NUMERICAL = 3
 # traces of the full range pass 1e308 (48.75^196 is about 1e331).
 _FULL_MOMENT_TWICE = 12
 
+# the builder that each --hamiltonian name stands for
+_OPERATORS = {"H": build_heisenberg, "K": build_cyclic}
+
 # past k = 2600 every trace of an operator the CLI builds overflows or is 0
 _MAX_KMAX = 100000
 _GATE_RESIDUAL_LIMIT = 1e-8
@@ -126,15 +129,17 @@ _kmax = _number(_positive_int, f"at most {_MAX_KMAX}", lambda v: v <= _MAX_KMAX)
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reads -1.5e-10 and -.5 as negative numbers, not as options.
+    """Reads -1.5e-10, -.5, -inf and -nan as negative numbers, not as options,
+    so that a bad value gets its own message, not "expected one argument".
 
-    argparse in Python 3.10-3.12 takes only plain decimals such as -1.5 for
-    negative numbers; subparsers are built from this class as well.
+    argparse's own matcher, ``^-\\d+$|^-\\d*\\.\\d+$`` from Python 3.10 to 3.13,
+    takes only plain decimals such as -1.5; subparsers are built from this
+    class as well.
     """
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -169,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_spectrum.add_argument("--spin", type=_parse_spin_arg, default=None)
     p_spectrum.add_argument(
         "--hamiltonian",
-        choices=("H", "K", "file"),
+        choices=(*_OPERATORS, "file"),
         default="H",
         help="operator to diagonalize (default: H)",
     )
@@ -206,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gate = sub.add_parser("gate", help="synthesize the gate exp(-i theta M)")
     p_gate.add_argument("--spin", type=_parse_spin_arg, required=True)
     p_gate.add_argument(
-        "--hamiltonian", choices=("H", "K"), default="H", help="generator (default: H)"
+        "--hamiltonian", choices=tuple(_OPERATORS), default="H", help="generator (default: H)"
     )
     p_gate.add_argument("--theta", type=_finite_float, required=True)
     p_gate.add_argument(
@@ -355,7 +360,15 @@ def _spin_notes(s: HalfInteger | None) -> list[str]:
     return []
 
 
+def _closed_form_match(spectrum: Spectrum, s: HalfInteger) -> bool:
+    """Whether spectrum is spin s's closed form, value by value within
+    ``_CLOSED_FORM_TOL`` and multiplicity by multiplicity."""
+    return spectra_match(spectrum, closed_form_spectrum(s), value_tol=_CLOSED_FORM_TOL)
+
+
 def cmd_spectrum(args: argparse.Namespace) -> dict:
+    """The report keeps --spin and --file as given: a matrix file has no
+    spin and no closed form, and a built operator has no source."""
     if args.hamiltonian == "file":
         if args.file is None:
             raise ValueError("--hamiltonian file requires --file PATH")
@@ -363,39 +376,32 @@ def cmd_spectrum(args: argparse.Namespace) -> dict:
             raise ValueError("--spin does not apply to --hamiltonian file")
         matrix = read_matrix_file(args.file)
         charge = None
-        spin = None
-        source = args.file
     else:
         if args.spin is None:
             raise ValueError(f"--hamiltonian {args.hamiltonian} requires --spin")
         if args.file is not None:
             raise ValueError("--file applies only to --hamiltonian file")
-        build = build_heisenberg if args.hamiltonian == "H" else build_cyclic
-        h = build(args.spin)
+        h = _OPERATORS[args.hamiltonian](args.spin)
         matrix, charge = h.matrix, h.charge
-        spin = args.spin
-        source = None
 
     dec = hermitian_eig(matrix, args.tol, charge=charge)
     cluster_tol = args.cluster_tol or default_cluster_tol(matrix)
     spectrum = cluster_spectrum(dec.values, cluster_tol)
     closed_form_match = None
-    if spin is not None:
-        closed_form_match = spectra_match(
-            spectrum, closed_form_spectrum(spin), value_tol=_CLOSED_FORM_TOL
-        )
+    if args.spin is not None:
+        closed_form_match = _closed_form_match(spectrum, args.spin)
     return {
         "command": "spectrum",
-        "spin": None if spin is None else str(spin),
+        "spin": None if args.spin is None else str(args.spin),
         "hamiltonian": args.hamiltonian,
-        "source": source,
+        "source": args.file,
         "dimension": spectrum.dimension,
         "tol": args.tol,
         "cluster_tol": cluster_tol,
         "clusters": _cluster_dicts(spectrum),
         "closed_form_match": closed_form_match,
         "verdict": closed_form_match is not False,
-        "notes": _spin_notes(spin),
+        "notes": _spin_notes(args.spin),
     }
 
 
@@ -415,10 +421,7 @@ def _certify_spin(
         eig_tol=tol,
         charges=(h.charge, k.charge),
     )
-    closed_form_match = spectra_match(
-        cert.spectrum_a, closed_form_spectrum(s), value_tol=_CLOSED_FORM_TOL
-    )
-    return cert, closed_form_match
+    return cert, _closed_form_match(cert.spectrum_a, s)
 
 
 def cmd_verify(args: argparse.Namespace) -> dict:
@@ -476,8 +479,7 @@ def _gate_check(gate: Gate) -> dict:
 
 
 def cmd_gate(args: argparse.Namespace) -> dict:
-    build = build_heisenberg if args.hamiltonian == "H" else build_cyclic
-    h = build(args.spin)
+    h = _OPERATORS[args.hamiltonian](args.spin)
     gate = synthesize_gate(h, args.theta, eig_tol=args.tol)
     check = _gate_check(gate) if args.check else None
     return {
@@ -584,14 +586,13 @@ def _matrix_rows(
     first pass counts the rows that are not full by a hash of their kept
     values' bytes, and a row whose count says that a row with the same hash
     is still to come keeps its cells until the last such row is written.  A
-    hit is taken only when the bytes themselves are equal.  So this memo is
-    bounded, unlike a cache of row templates shared by all the rows, which
-    raised the peak resident memory of ``gate`` at the cap by 15-25 MB: it
-    holds the cells of kept entries, never zero text, and only while a row
-    that uses them is still to come; full rows never enter it.  At the cap,
-    the rows of H's gate at total M and -M hold the same kept values, so it
-    formats 325 of its 625 rows and holds about half a MiB at most; K's
-    rows are all full, and nothing is held from one row to the next.
+    hit is taken only when the bytes themselves are equal.  So the memo holds
+    the cells of kept entries, never zero text, and only while a row that
+    uses them is still to come; full rows never enter it.  At the cap, the
+    rows of H's gate at total M and -M hold the same kept values, so it
+    formats 325 of its 625 rows.  The count pass is there for rows with no
+    twin: in K's gate at theta = 0 and spin 6, 160 of the 169 rows are not
+    full and no two are alike, so none of them is held once it is written.
     """
     n = m.shape[1]
     m = np.ascontiguousarray(m, dtype=np.complex128)

@@ -138,6 +138,13 @@ ARGV = (
         ("gate", "--spin", "3", "--hamiltonian", "K", "--theta", "0", "--format", fmt)
         for fmt in FORMATS
     ),
+    # K's gate at theta = 0: 160 of its 169 rows are not full, and no two
+    # are alike
+    *(
+        ("gate", "--spin", "6", "--hamiltonian", "K", "--theta", "0", "--check",
+         "--format", fmt)
+        for fmt in FORMATS
+    ),
     *(
         ("gate", "--spin", "1", "--theta", "0.3", "--check", "--tol", "1e-3", "--format", fmt)
         for fmt in FORMATS
@@ -190,6 +197,10 @@ ARGV = (
     ("gate", "--spin", "1e300", "--theta", "1"),
     ("spectrum", "--hamiltonian", "file"),
     ("gate", "--spin", "1", "--theta", "inf"),
+    # negative non-finite values, each named in its own message
+    *(("gate", "--spin", "1", "--theta", theta) for theta in ("-inf", "-nan", "-Infinity")),
+    ("spectrum", "--spin", "1", "--cluster-tol", "-inf"),
+    ("verify", "--spin", "1", "--tol", "-nan"),
     ("table", "--max-spin", "30"),
     ("verify", "--spin", "1", "--tol", "1"),
 )

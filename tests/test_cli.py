@@ -952,6 +952,16 @@ def test_negative_theta_is_a_value_in_both_forms(run_cli, theta):
     assert run_cli("gate", "--spin", "1/2", "--theta", theta, "--check") == joined
 
 
+@pytest.mark.parametrize("theta", ["-inf", "-Infinity", "-nan"])
+def test_negative_non_finite_theta_is_named_as_a_value(run_cli, theta):
+    # these once read as an option, and the error said "expected one argument"
+    code, out, err = run_cli("gate", "--spin", "1", "--theta", theta)
+    assert (code, out) == (2, "")
+    lines = [line for line in err.splitlines() if "argument --theta:" in line]
+    assert len(lines) == 1
+    assert lines[0].endswith(f"argument --theta: must be finite: '{theta}'")
+
+
 @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
 @pytest.mark.parametrize(
     "argv",
