@@ -70,16 +70,14 @@ EXIT_VERDICT = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
-# largest 2s whose default moment range is the full dimension (2s+1)^2;
-# beyond it the default is the 2s+1 prefix, because from 2s = 13 the raw
-# traces of the full range pass 1e308 (48.75^196 is about 1e331).
+# largest 2s whose moment range is the full dimension (2s+1)^2; beyond it
+# the range is the 2s+1 prefix, because from 2s = 13 the raw traces of the
+# full range pass 1e308 (48.75^196 is about 1e331).
 _FULL_MOMENT_TWICE = 12
 
 # the builder that each --hamiltonian name stands for
 _OPERATORS = {"H": build_heisenberg, "K": build_cyclic}
 
-# past k = 2600 every trace of an operator the CLI builds overflows or is 0
-_MAX_KMAX = 100000
 _GATE_RESIDUAL_LIMIT = 1e-8
 # per unit of max(1, max |lambda|): a gate can be unitary to rounding while
 # its generator's eigenpairs, solved to a loose --tol, are far off
@@ -103,15 +101,14 @@ def _parse_spin_arg(text: str) -> HalfInteger:
     return s
 
 
-def _number(convert: Callable, need: str, test: Callable) -> Callable[[str], float]:
-    """An argparse type: ``convert(text)``, which must pass ``test``."""
+def _number(need: str, test: Callable) -> Callable[[str], float]:
+    """An argparse type: ``float(text)``, which must pass ``test``."""
 
-    def parse(text: str):
+    def parse(text: str) -> float:
         try:
-            value = convert(text)
+            value = float(text)
         except ValueError:
-            noun = "an integer" if convert is int else "a number"
-            raise argparse.ArgumentTypeError(f"not {noun}: {text!r}") from None
+            raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
         if not test(value):
             raise argparse.ArgumentTypeError(f"must be {need}: {text!r}")
         return value
@@ -119,13 +116,11 @@ def _number(convert: Callable, need: str, test: Callable) -> Callable[[str], flo
     return parse
 
 
-_positive_float = _number(float, "a positive finite number", lambda v: 0 < v < math.inf)
+_positive_float = _number("a positive finite number", lambda v: 0 < v < math.inf)
 # a block's off-diagonal norm never exceeds its Frobenius norm, so a tol of 1
 # or more meets every stop tol * ||block||_F before the first sweep
-_tol = _number(float, "a positive number below 1", lambda v: 0 < v < 1)
-_finite_float = _number(float, "finite", math.isfinite)
-_positive_int = _number(int, "at least 1", lambda v: v >= 1)
-_kmax = _number(_positive_int, f"at most {_MAX_KMAX}", lambda v: v <= _MAX_KMAX)
+_tol = _number("a positive number below 1", lambda v: 0 < v < 1)
+_finite_float = _number("finite", math.isfinite)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -198,13 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="algebra suite plus isospectrality certificate for one spin"
     )
     p_verify.add_argument("--spin", type=_parse_spin_arg, required=True)
-    p_verify.add_argument(
-        "--kmax",
-        type=_kmax,
-        default=None,
-        help=f"highest moment power, at most {_MAX_KMAX} (default: full dimension up "
-        "to spin 6, the 2s+1 prefix beyond, where the full range exceeds doubles)",
-    )
     add_common(p_verify)
     p_verify.set_defaults(handler=cmd_verify)
 
@@ -405,19 +393,14 @@ def cmd_spectrum(args: argparse.Namespace) -> dict:
     }
 
 
-def _certify_spin(
-    s: HalfInteger, kmax: int | None, tol: float
-) -> tuple[IsospectralReport, bool]:
+def _certify_spin(s: HalfInteger, kmax: int, tol: float) -> tuple[IsospectralReport, bool]:
     h = build_heisenberg(s)
     k = build_cyclic(s)
-    if kmax is None:
-        kmax = s.dimension**2 if s.twice <= _FULL_MOMENT_TWICE else s.dimension
-    prefix = min(s.dimension, kmax)
     cert = certify_isospectral(
         h.matrix,
         k.matrix,
         kmax=kmax,
-        prefix=prefix,
+        prefix=s.dimension,
         eig_tol=tol,
         charges=(h.charge, k.charge),
     )
@@ -427,7 +410,8 @@ def _certify_spin(
 def cmd_verify(args: argparse.Namespace) -> dict:
     s = args.spin
     algebra = verify_su2(make_spin_triple(s), args.tol)
-    cert, closed_form_match = _certify_spin(s, args.kmax, args.tol)
+    kmax = s.dimension**2 if s.twice <= _FULL_MOMENT_TWICE else s.dimension
+    cert, closed_form_match = _certify_spin(s, kmax, args.tol)
     return {
         "command": "verify",
         "spin": str(s),

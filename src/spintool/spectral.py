@@ -196,22 +196,12 @@ def moments(m: np.ndarray, kmax: int) -> np.ndarray:
     more, J - 1 + ceil((kmax - 2J)/J) in all.  J is the smallest J >= 4 of
     the fewest products whose J + 1 stored powers, each of the stack's
     bytes, fit in those of five 625 x 625 float64 arrays, or 4 where none
-    does.  So kmax = n at 2s = 6, 7, 8 and 12 takes J = 7, 8, 9 and 13 and
-    11, 13, 15 and 23 products, where J = 4 would take 14, 17, 22 and 44;
-    H at 2s = 24 and kmax = 25 takes J = 5 and 7 products; K there, whose
-    real form fills the budget at J = 4, takes 8, which are 0.38 GFLOP in
-    real arithmetic, of which the entries on and above the diagonal within
-    each band need 0.16.  So at most J + 1 powers within the budget, or
-    five for a stack too large for it, and one block of rows of a product
-    are held whatever kmax is.  Each power is kept as
-    m^j * 2^(-e) with its Frobenius norm near 1, so no intermediate
-    overflows and every rescaling is exact.  The traces are read in
-    ascending k, and the first whose value lies beyond double precision
-    raises :class:`NumericalError`.  So J is sized for min(kmax, 2k), not
-    kmax, where k is the first power at which (||m||_F^2 / n)^k, a lower
-    bound of tr(m^2k), reaches 2^1025: no trace past 2k is finite.  K at
-    2s = 12 and kmax = 100000 takes J = 14, sized for 224, and raises at
-    power 190.
+    does.  So at most J + 1 powers within the budget, or five for a stack
+    too large for it, and one block of rows of a product are held whatever
+    kmax is.  Each power is kept as m^j * 2^(-e) with its Frobenius norm
+    near 1, so no intermediate overflows and every rescaling is exact.  The
+    traces are read in ascending k, and the first whose value lies beyond
+    double precision raises :class:`NumericalError`.
 
     Where :func:`_band` gives views, for a real stack of at least 2^17
     entries, K's from 2s = 19, each trace <B_i, B_j> or <G, B_j> is read
@@ -259,15 +249,7 @@ def moments(m: np.ndarray, kmax: int) -> np.ndarray:
             )
 
     put(1, complex(np.trace(a, axis1=-2, axis2=-1).sum()), g)
-    # tr(m^2k) = ||m^k||_F^2 >= rho^2k >= (||m||_F^2 / n)^k, whose log2,
-    # k * rise, is read from the scaled stack's mantissa and exponents,
-    # finite where ||m||_F^2 is not: no trace past power 2k is finite once
-    # k * rise >= 1025, a factor 2 beyond double precision
-    square, exponent = math.frexp(_inner(a, a, reach).real)
-    # a zero or empty m has square 0 and no bound: rise is then at most 0
-    rise = math.log2(square or 1.0) + exponent + 2 * g - math.log2(m.shape[0] or 1)
-    reached = kmax if rise <= 0.0 else 2 * math.ceil(1025 / rise)
-    steps = _baby_steps(min(kmax, reached), a.nbytes)
+    steps = _baby_steps(kmax, a.nbytes)
     babies, exps = [a], [g]  # m^j = babies[j - 1] * 2^exps[j - 1]
     for k in range(2, min(kmax, 2 * steps) + 1):
         i, j = k // 2, k - k // 2

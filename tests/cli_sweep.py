@@ -149,6 +149,9 @@ ARGV = (
         ("gate", "--spin", "1", "--theta", "0.3", "--check", "--tol", "1e-3", "--format", fmt)
         for fmt in FORMATS
     ),
+    # the moment range is a rule of the spin: 2s = 13 is the first on the
+    # 2s+1 prefix, and a --kmax, which older trees took, is a usage error
+    *(("verify", "--spin", "13/2", "--format", fmt) for fmt in FORMATS),
     *(
         ("verify", "--spin", "12", "--kmax", kmax, "--format", fmt)
         for kmax in ("120", "1000")
@@ -170,9 +173,10 @@ ARGV = (
     ("spectrum", "--spin", "4", "--hamiltonian", "K", "--tol", "1e-100"),
     (*_FILE, "{dir}/cyclic-2s2.txt", "--tol", "1e-70"),
     (*_FILE, "{dir}/cyclic-2s2.txt", "--tol", "1e-80"),
-    # the edges of the moments' rule for J: J = 5 and 6 with kmax = n, J from
-    # the product count with exit 3 on overflow, J capped by the byte budget;
-    # and K at its first n above the rows of one block of its residual
+    # the edges of the moments' rule for J: J = 5 and 6 with kmax = n; two
+    # ranges past the overflow point, which only the library reaches now,
+    # so that here they are usage errors; and K at its first n above the
+    # rows of one block of its residual
     ("verify", "--spin", "2"),
     ("verify", "--spin", "5/2"),
     ("verify", "--spin", "2", "--kmax", "10000"),

@@ -82,9 +82,8 @@ def test_verify_json_spin_three_half(run_cli):
 
 
 def test_verify_moment_prefix_spin_half(run_cli):
-    code, out, _ = run_cli(
-        "verify", "--spin", "1/2", "--kmax", "4", "--format", "json"
-    )
+    # at 2s = 1 the range is the full dimension 4, and the prefix is 2
+    code, out, _ = run_cli("verify", "--spin", "1/2", "--format", "json")
     assert code == 0
     doc = _valid_json(out)
     assert doc["kmax"] == 4
@@ -125,17 +124,9 @@ _FORMATS = ("plain", "json", "csv")
         for name, argv, kmax, formats in [
             ("11/2", ("--spin", "11/2"), 144, _FORMATS),
             ("6", ("--spin", "6"), 169, _FORMATS),
-            ("1-kmax600", ("--spin", "1", "--kmax", "600"), 600, _FORMATS),
-            # at the cap, in json: the default kmax 25 ends on a giant power
-            # that one trace reads; 26 reads two traces of its last giant, 29
-            # takes a sixth giant, and 120 takes giant steps far past them
+            # at the cap, in json: kmax 25 ends on a giant power that one
+            # trace reads
             ("12", ("--spin", "12"), 25, ["json"]),
-            ("12-kmax26", ("--spin", "12", "--kmax", "26"), 26, ["json"]),
-            ("12-kmax29", ("--spin", "12", "--kmax", "29"), 29, ["json"]),
-            ("12-kmax120", ("--spin", "12", "--kmax", "120"), 120, ["json"]),
-            # n = 576 fills 18 blocks of a product's 32 rows, where n = 625
-            # leaves a partial last one; the trace of power 143 overflows here
-            ("23/2-kmax120", ("--spin", "23/2", "--kmax", "120"), 120, ["json"]),
         ]
         for fmt in formats
     ],
@@ -156,15 +147,6 @@ def test_verify_full_moment_range_passes(run_cli, argv, kmax, fmt):
         rows = list(csv.DictReader(io.StringIO(out)))
         assert [int(r["power"]) for r in rows] == list(range(1, kmax + 1))
         assert all(np.isfinite(float(r["trace_b"])) for r in rows)
-
-
-@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
-def test_traces_beyond_doubles_are_a_numerical_error(run_cli, fmt):
-    # at the cap, K's trace of power 141 is the first beyond double precision
-    for spin, kmax, power in [("2", "10000", 397), ("12", "1000", 141)]:
-        code, out, err = run_cli("verify", "--spin", spin, "--kmax", kmax, "--format", fmt)
-        assert (code, out) == (3, "")
-        assert err == f"error: trace of power {power} overflowed double precision; lower kmax\n"
 
 
 def test_gate_json_identity_at_zero(run_cli):
@@ -1012,20 +994,6 @@ def test_usage_errors_exit_two(argv, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
-@pytest.mark.parametrize("kmax", ["100001", "1000000000000"])
-def test_kmax_above_the_bound_is_usage_error(run_cli, kmax, fmt):
-    # 1e12 once died allocating the trace array, exiting 1 with a traceback
-    code, out, err = run_cli("verify", "--spin", "1/2", "--kmax", kmax, "--format", fmt)
-    assert (code, out) == (2, "")
-    assert "Traceback" not in err
-    lines = [line for line in err.splitlines() if "argument --kmax" in line]
-    assert len(lines) == 1
-    assert lines[0].endswith(f"argument --kmax: must be at most 100000: '{kmax}'")
-    args = cli.build_parser().parse_args(["verify", "--spin", "1/2", "--kmax", "100000"])
-    assert args.kmax == 100000
-
-
 _TOL_ARGVS = [
     ["spectrum", "--spin", "1"],
     ["verify", "--spin", "1"],
@@ -1068,7 +1036,6 @@ def test_a_tol_of_one_or_more_is_usage_error(run_cli, argv, tol):
     [
         (["verify", "--spin", "1", "--tol", "abc"], "--tol", "not a number: 'abc'"),
         (["gate", "--spin", "1", "--theta", "0x10"], "--theta", "not a number: '0x10'"),
-        (["verify", "--spin", "1", "--kmax", "1.5"], "--kmax", "not an integer: '1.5'"),
         (["spectrum", "--spin", "1", "--cluster-tol", "x"], "--cluster-tol", "not a number: 'x'"),
     ],
 )
@@ -1113,6 +1080,14 @@ def test_the_sweep_budget_is_no_option(run_cli):
         assert "--max-sweeps" not in cli.build_parser().parse_args(command).__dict__
 
 
+def test_the_moment_range_is_no_option(run_cli):
+    # the range is a rule of the spin: (2s+1)^2 up to 2s = 12, 2s+1 beyond
+    code, out, err = run_cli("verify", "--spin", "1", "--kmax", "4")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].endswith("unrecognized arguments: --kmax 4")
+    assert "kmax" not in vars(cli.build_parser().parse_args(["verify", "--spin", "1"]))
+
+
 _CLOSE_PAIR = "1 0 0\n0 1.0000001 0\n0 0 3\n"
 
 
@@ -1147,7 +1122,6 @@ def test_a_cluster_tol_that_is_not_positive_and_finite_is_usage_error(run_cli, v
 @pytest.mark.parametrize(
     "argv",
     [
-        ["verify", "--spin", "1", "--kmax", "600"],
         ["verify", "--spin", "6"],
     ],
 )

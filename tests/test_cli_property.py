@@ -73,10 +73,7 @@ COMMANDS = {
         SPINS.map(lambda s: ["spectrum", "--spin", s]),
         st.sampled_from([["--hamiltonian", "H"], ["--hamiltonian", "K"]]),
     ),
-    "verify": st.tuples(
-        SPINS.map(lambda s: ["verify", "--spin", s]),
-        _option("--kmax", st.integers(1, 700)),
-    ),
+    "verify": st.tuples(SPINS.map(lambda s: ["verify", "--spin", s])),
     "gate": st.tuples(
         SPINS.map(lambda s: ["gate", "--spin", s]),
         st.sampled_from([["--hamiltonian", "H"], ["--hamiltonian", "K"]]),

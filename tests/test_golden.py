@@ -35,7 +35,6 @@ def _commands() -> dict[str, list[str]]:
             f"spectrum-H-2s{twice}": ["spectrum", "--spin", spin, "--hamiltonian", "H"],
             f"spectrum-K-2s{twice}": ["spectrum", "--spin", spin, "--hamiltonian", "K"],
             f"verify-2s{twice}": ["verify", "--spin", spin],
-            f"verify-kmax3-2s{twice}": ["verify", "--spin", spin, "--kmax", "3"],
             f"gate-check-2s{twice}": [
                 "gate", "--spin", spin, "--hamiltonian", "K", "--theta", "0.7", "--check",
             ],

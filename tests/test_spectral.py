@@ -590,33 +590,16 @@ def test_the_imaginary_test_on_the_links_agrees_with_a_full_scan(m):
     assert found == bool(np.iscomplexobj(m) and m.imag.any())
 
 
-def test_baby_steps_are_sized_for_the_powers_that_can_be_reached(monkeypatch):
-    # ||K||_F^2 / n is 588 at 2s = 12, and tr(K^2k) >= 588^k passes 2^1025
-    # at k = 112: no trace past power 224 is finite, so J is sized for
-    # kmax = 224, 14 baby steps, not for 100000, which took 67.  The
-    # overflow is named where it was
-    m = build_cyclic(HalfInteger(12)).matrix
-    sized = []
-    steps = spectral._baby_steps
-    monkeypatch.setattr(
-        spectral, "_baby_steps", lambda kmax, nbytes: sized.append(kmax) or steps(kmax, nbytes)
-    )
-    message = "trace of power 190 overflowed double precision; lower kmax"
-    with pytest.raises(NumericalError, match=message):
-        moments(m, 100000)
-    assert sized == [224] and steps(224, m.size * 8) == 14
-    # a kmax within reach keeps its own J
-    sized.clear()
-    moments(m, 169)
-    assert sized == [169]
-    # the bound holds at every scale, also where ||m||_F^2 overflows
+def test_the_first_trace_beyond_doubles_is_named():
+    # a range past the overflow point raises at its first infinite trace,
+    # at every scale, also where ||m||_F^2 overflows
+    message = "trace of power {} overflowed double precision; lower kmax"
+    with pytest.raises(NumericalError, match=message.format(190)):
+        moments(build_cyclic(HalfInteger(12)).matrix, 100000)
     small = build_cyclic(HalfInteger(4)).matrix
-    for factor in (1.0, 1e10, 1e100, 1e300):
-        sized.clear()
-        with pytest.raises(NumericalError, match=r"trace of power (\d+) overflowed") as info:
+    for factor, power in [(1.0, 397), (1e10, 29), (1e100, 4), (1e300, 2)]:
+        with pytest.raises(NumericalError, match=message.format(power)):
             moments(small * factor, 100000)
-        power = int(re.search(r"power (\d+)", str(info.value)).group(1))
-        assert power <= sized[0] < 100000, factor
 
 
 def test_newton_power_sums_are_a_running_product_within_k_ulps():
@@ -808,8 +791,8 @@ def test_certify_detects_different_spectra():
 @pytest.mark.parametrize("twice", [*range(1, 9), 12, 24])
 def test_certificate_traces_are_the_moments_of_each_operator(twice):
     # the moment route gauges each operator itself: its traces are bit for
-    # bit those that moments takes of H and K alone, over the CLI's default
-    # range: the full dimension up to 2s = 12, else the 2s + 1 prefix
+    # bit those that moments takes of H and K alone, over the CLI's range:
+    # the full dimension up to 2s = 12, else the 2s + 1 prefix
     s = HalfInteger(twice)
     h, k = build_heisenberg(s), build_cyclic(s)
     kmax = s.dimension**2 if twice <= 12 else s.dimension
@@ -988,6 +971,44 @@ def test_certify_survives_radius_powers_beyond_doubles():
         report = certify_isospectral(m, m, kmax=103).moments
     assert report.passed
     assert report.max_abs_diff == 0.0
+
+
+@pytest.mark.parametrize(
+    "twice, kmax",
+    [
+        (2, 600),
+        # at the cap 26 reads two traces of its last giant power, 29 takes a
+        # sixth giant, and 120 takes giant steps far past them
+        (24, 26),
+        (24, 29),
+        (24, 120),
+        # n = 576 fills 18 blocks of a product's 32 rows, where n = 625
+        # leaves a partial last one; the trace of power 143 overflows here
+        (23, 120),
+    ],
+)
+def test_ranges_past_the_cli_range_pass(twice, kmax):
+    s = HalfInteger(twice)
+    h, k = build_heisenberg(s), build_cyclic(s)
+    report = certify_isospectral(
+        h.matrix, k.matrix, kmax=kmax, prefix=s.dimension, charges=(h.charge, k.charge)
+    )
+    assert report.verdict and report.moments.prefix_passed
+    assert report.moments.powers == tuple(range(1, kmax + 1))
+    assert np.isfinite(report.moments.traces_a).all() and np.isfinite(report.moments.traces_b).all()
+
+
+def test_traces_beyond_doubles_are_a_numerical_error():
+    # H's and K's traces pass double precision at the same power: 397 at
+    # 2s = 4, 141 at the cap
+    for twice, kmax, power in [(4, 10000, 397), (24, 1000, 141)]:
+        s = HalfInteger(twice)
+        h, k = build_heisenberg(s), build_cyclic(s)
+        message = f"^trace of power {power} overflowed double precision; lower kmax$"
+        with pytest.raises(NumericalError, match=message):
+            certify_isospectral(
+                h.matrix, k.matrix, kmax=kmax, prefix=s.dimension, charges=(h.charge, k.charge)
+            )
 
 
 def test_scaled_differences_stay_finite():
