@@ -61,7 +61,7 @@ Arithmetic
 The kernel runs in the dtype of the matrix that :func:`linalg.gauge`, the
 moments' rule, hands back: where a diagonal D of ones and i's makes D^H M D
 exactly real, that float64 real form, its rotation's phase e the sign of
-the pivot and its vectors D V; else a complex128 copy of M, with D = I.
+the pivot and its vectors D V; else M as complex128, with D = I.
 The test is exact, never a tolerance: 1e-300j on a nonzero real entry
 leaves no real form.  H has D = I, and K's D is i on the odd indices of
 the first site, so both run real throughout.  The charge factors are swept

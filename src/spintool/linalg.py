@@ -9,7 +9,8 @@ The same walk, kept within a half-bandwidth w and its blocks of rows
 sized by w, checks the form that :func:`gauge` hands back, which is zero
 beyond w, for the moments and the eigensolver.
 No function here writes into its arguments, but for the ``out`` of
-:meth:`Blocks.scatter`.
+:meth:`Blocks.scatter`; what :func:`gauge` and :meth:`Blocks.stack` hand
+back may be the argument's own memory, which callers must not write into.
 
 The block helpers at the end, which are not exported, are the package's one
 home for a matrix's nonzero pattern.  :func:`gauge` walks the pattern once,
@@ -18,10 +19,12 @@ the half-bandwidth, which bounds the band of a power, and keeps a parity
 per link, and so decides, for the moments and the eigensolver alike, the
 arithmetic of a Hermitian matrix.  It hands back the array that they power
 or sweep: its real form D^H m D for a diagonal D of ones and i's where that
-is exact, as for H and K, else a complex128 copy, and it tests and builds
-that form on the links it walked.  :class:`Blocks` gathers a matrix's
-diagonal blocks, one per component, into a zero-padded stack of shape
-(count, width, width) and scatters such a stack back into a dense array.
+is exact, as for H and K, else m as complex128, and it tests and builds
+that form on the links it walked.  Where that array holds m's own values,
+as H's real part does, it is m's own memory, not a copy.  :class:`Blocks`
+gathers a matrix's diagonal blocks, one per component, into a zero-padded
+stack of shape (count, width, width) and scatters such a stack back into a
+dense array.
 A product over a pattern that splits, such as that of H, which conserves
 total S3, then costs count * width^3 instead of n^3: 49 blocks of width at
 most 25 instead of one of 625 at 2s = 24.  A pattern that does not split,
@@ -184,17 +187,21 @@ def gauge(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     part flips the colour, which is the number, mod 2, of flips along some
     path to an index from its component's lowest index.
 
-    The matrix is the real form D^H m D for D = i^colour as a new float64
-    array where that is exact, else a new complex128 copy of m, with every
-    colour 0.  Conjugating by D only moves signs and swaps parts, so the
-    form is exact when every purely imaginary entry links opposite colours
-    and every purely real one equal colours; an entry with both parts
-    nonzero, or a cycle of an odd number of imaginary links, leaves none.
-    Every entry that can fail that test lies on a link, so it is taken on
-    the links alone, and the form is zero off them.  Input with no
-    imaginary part has colour 0, with no flips, and its real part; that,
-    too, is read on the links alone, the diagonal among them, since an
-    entry off them is zero in both parts.
+    The matrix is the real form D^H m D for D = i^colour, float64, where
+    that is exact, else m as complex128, with every colour 0.  Conjugating
+    by D only moves signs and swaps parts, so the form is exact when every
+    purely imaginary entry links opposite colours and every purely real one
+    equal colours; an entry with both parts nonzero, or a cycle of an odd
+    number of imaginary links, leaves none.  Every entry that can fail that
+    test lies on a link, so it is taken on the links alone, and the form is
+    zero off them.  Input with no imaginary part has colour 0, with no
+    flips, and its real part; that, too, is read on the links alone, the
+    diagonal among them, since an entry off them is zero in both parts.
+
+    Where the matrix holds m's own values it is m's own memory, not a copy,
+    so callers must not write into it: the real part of float64 or
+    complex128 input with no imaginary part, and complex128 input with no
+    real form.  Other dtypes give a new array, as does a form that D moves.
 
     The walk is label propagation with pointer jumping: in each round every
     index takes the least (label, colour) that it and its neighbours offer,
@@ -206,9 +213,12 @@ def gauge(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     to 25 indices).  Each round is a few numpy calls over the links.
     """
     n = m.shape[0]
-    linked = m != 0
-    # not in place: |= with its own transpose takes numpy's slow overlap path
-    linked = linked | linked.T
+    # the cast tests both parts of a complex entry, in one read, as m != 0
+    # does in two; NaN is nonzero to both
+    linked = m.astype(bool)
+    # the symmetric closure, in place: each nonzero links its transpose too
+    rows, cols = np.divmod(np.flatnonzero(linked), n)
+    linked[cols, rows] = True
     # every index offers itself, so every row holds a link
     linked[np.diag_indices(n)] = True
     rows, cols = np.divmod(np.flatnonzero(linked), n)
@@ -241,10 +251,10 @@ def gauge(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     roots = np.flatnonzero(code >> 1 == np.arange(n))
     label, colour = np.searchsorted(roots, code >> 1), (code & 1).astype(np.int8)
     if not imaginary:
-        return label, colour, np.array(real, dtype=np.float64), reach
+        return label, colour, np.asarray(real, dtype=np.float64), reach
     shift = colour[rows] - colour[cols]
     if im[shift == 0].any() or re[shift != 0].any():
-        return label, np.zeros_like(colour), np.array(m, dtype=np.complex128), reach
+        return label, np.zeros_like(colour), np.asarray(m, dtype=np.complex128), reach
     form = np.zeros((n, n))
     form[rows, cols] = shift * im + re
     return label, colour, form, reach

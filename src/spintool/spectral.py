@@ -161,7 +161,7 @@ def moments(m: np.ndarray, kmax: int) -> np.ndarray:
     half-bandwidth w below, beyond which that matrix is zero.  It is the
     form that the eigensolver sweeps too, whose powers are taken: a real
     form D^H m D, which has m's defect and traces since D is unitary, or
-    else a complex128 copy of m, whose imaginary residue of each trace read
+    else m as complex128, whose imaginary residue of each trace read
     from two different powers is checked against
     1e-8 * dim * max(1, ||m||_F)^k, in log space, raising
     :class:`NumericalError` beyond it.
@@ -224,9 +224,13 @@ def moments(m: np.ndarray, kmax: int) -> np.ndarray:
         # log2 of the bound 1e-8 * dim * max(1, ||m||_F)^k is drift + k * growth
         drift = math.log2(1e-8 * a.shape[0])
         growth = math.log2(max(1.0, frobenius_norm(a)))
-    # a is a copy of m, so the stack, which may be a view of a, is scaled in
-    # place; a form split into blocks, as H's, is freed once stacked
+    # the stack is scaled in place.  Of blocks, as H's, it is a new array;
+    # of one block, as K's, a view of the form, copied once, C-ordered,
+    # where that is m's own memory or not C-ordered: so m is never written,
+    # and the traces' bits do not depend on m's layout
     a = Blocks.of(component).stack(a)
+    if np.may_share_memory(a, m) or not a.flags.c_contiguous:
+        a = a.copy()
     parts = _band(a, reach) or (a,)
     top = max(float(np.max(np.abs(part), initial=0.0)) for part in parts)
     g = max(math.frexp(top)[1], -1000)  # 2^-g stays finite for subnormal entries

@@ -1627,6 +1627,17 @@ def _blas_threads(count: int):
         put(before)
 
 
+def _pinned(table: str, name: str) -> tuple[dict | str, int | None]:
+    """The entry ``name`` of the pinned ``table`` and the BLAS thread count
+    it was pinned at; skips off the platform that it was pinned on."""
+    pinned = json.loads(_BITS.read_text(encoding="utf-8"))
+    where = dict(pinned["platform"])
+    threads = where.pop("blas_threads")
+    if where != _platform():
+        pytest.skip(f"bits pinned on {pinned['platform']}")
+    return pinned[table][name], threads
+
+
 @pytest.mark.parametrize("name", list(_PINNED))
 def test_decompositions_keep_their_pinned_bits(name):
     # a change that keeps the solver's arithmetic keeps these bits; they hold
@@ -1634,29 +1645,59 @@ def test_decompositions_keep_their_pinned_bits(name):
     # another may round differently, and at the BLAS thread count they were
     # pinned at, since a product split over more threads may round
     # differently too
-    pinned = json.loads(_BITS.read_text(encoding="utf-8"))
-    where = dict(pinned["platform"])
-    threads = where.pop("blas_threads")
-    if where != _platform():
-        pytest.skip(f"bits pinned on {pinned['platform']}")
+    bits, threads = _pinned("bits", name)
     ham = _PINNED[name]()
     with _blas_threads(threads):
         dec = hermitian_eig(ham.matrix, charge=ham.charge)
-    assert _bits(dec) == pinned["bits"][name]
+    assert _bits(dec) == bits
+
+
+def _digest(traces: np.ndarray) -> str:
+    return hashlib.sha256(traces.tobytes()).hexdigest()
+
+
+def _pinned_moments() -> dict:
+    """moments(M, 2s + 1) of H and K at every 2s = 1..24, the range that
+    verify takes beyond 2s = 12, and moments(M, (2s + 1)^2), the range it
+    takes up to there, at every 2s <= 12."""
+    return {
+        f"{name}-2s{twice}-k{kmax}": lambda twice=twice, build=build, kmax=kmax: moments(
+            build(HalfInteger(twice)).matrix, kmax
+        )
+        for name, build in (("H", build_heisenberg), ("K", build_cyclic))
+        for twice in range(1, 25)
+        for kmax in [twice + 1] + ([(twice + 1) ** 2] if twice <= 12 else [])
+    }
+
+
+_PINNED_MOMENTS = _pinned_moments()
+
+
+@pytest.mark.parametrize("name", list(_PINNED_MOMENTS))
+def test_moments_keep_their_pinned_bits(name):
+    # the moment route's traces, pinned as the decompositions are, on one
+    # platform at one BLAS thread count
+    digest, threads = _pinned("moments", name)
+    with _blas_threads(threads):
+        traces = _PINNED_MOMENTS[name]()
+    assert _digest(traces) == digest
 
 
 if __name__ == "__main__":
     # regenerate the pinned bits: PYTHONPATH=src python tests/test_eig.py,
     # which prints the name of each entry whose bits it changed
-    before = json.loads(_BITS.read_text(encoding="utf-8"))["bits"]
+    before = json.loads(_BITS.read_text(encoding="utf-8"))
     bits = {}
     for name, make in _PINNED.items():
         ham = make()
         bits[name] = _bits(hermitian_eig(ham.matrix, charge=ham.charge))
+    traces = {name: _digest(call()) for name, call in _PINNED_MOMENTS.items()}
+    tables = {"bits": bits, "moments": traces}
     threads = _openblas_threads()
     pinned = {**_platform(), "blas_threads": None if threads is None else threads[0]()}
-    text = json.dumps({"platform": pinned, "bits": bits}, indent=1)
+    text = json.dumps({"platform": pinned, **tables}, indent=1)
     _BITS.write_text(text + "\n", encoding="utf-8")
-    for name, entry in bits.items():
-        if before.get(name) != entry:
-            print(name)
+    for table, entries in tables.items():
+        for name, entry in entries.items():
+            if before.get(table, {}).get(name) != entry:
+                print(name)

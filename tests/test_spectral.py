@@ -477,6 +477,63 @@ def test_moments_at_2s_12_keep_their_powers_within_the_byte_budget():
     assert peak <= _POWER_BYTES
 
 
+def test_moments_of_h_at_the_cap_hold_little_beside_its_blocks():
+    # H's real form is its input's real part, stacked straight into 49
+    # blocks of width at most 25.  Measured 1.65 MiB; a copy of the real
+    # part and a second n x n mask took it to 3.36
+    m = build_heisenberg(HalfInteger(24)).matrix
+    tracemalloc.start()
+    try:
+        moments(m, 25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 2**20
+
+
+@pytest.mark.parametrize("n", [25, 81, 169])
+def test_moments_and_the_eigensolver_do_not_depend_on_the_input_layout(n):
+    # a dense real symmetric m, one component whose form is m's own memory,
+    # in C and F order, transposed and as complex128, and a complex
+    # Hermitian c in C and F order and as c^H: each gives the same bytes.
+    # The eigensolver, whose one block of 169 takes about 0.5 s a layout,
+    # is checked at n = 25 and 81
+    rng = np.random.default_rng(n)
+    r = rng.standard_normal((n, n))
+    m = r + r.T
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    c = z + z.T.conj()
+    fortran = np.asfortranarray(m)
+    for twins in (
+        [m, fortran, m.T, m.astype(complex), fortran.astype(complex)],
+        [c, np.asfortranarray(c), c.T.conj()],
+    ):
+        assert len({moments(x, 9).tobytes() for x in twins}) == 1
+        if n < 169:
+            decompositions = map(hermitian_eig, twins)
+            bits = {(d.values.tobytes(), d.vectors.tobytes(), d.residual) for d in decompositions}
+            assert len(bits) == 1
+
+
+def test_moments_never_write_into_their_input():
+    # the form that gauge hands back may be the input's own memory, which
+    # the moments, scaling their powers in place, copy before they write;
+    # for one component and for three, writable or read-only, an input
+    # keeps its bytes and gives the traces of a private copy
+    rng = np.random.default_rng(73)
+    split = np.kron(np.eye(3), np.ones((4, 4)))
+    r = rng.standard_normal((12, 12))
+    z = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    for one in (r + r.T, (r + r.T).astype(complex), z + z.T.conj()):
+        for m in (one, one * split):
+            expected = moments(m.copy(), 7).tobytes()
+            for writeable in (True, False):
+                x = m.copy()
+                x.flags.writeable = writeable
+                assert moments(x, 7).tobytes() == expected
+                assert x.tobytes() == m.tobytes()
+
+
 def _spy_band_reads(monkeypatch):
     """The band of every read that moments takes within its band, as a list
     that the reads fill; a read of the whole stack adds nothing."""
