@@ -25,13 +25,14 @@ including a gate whose phases theta * lambda overflow).  A reader that
 closes stdout early stops the writing, not the verdict: the code is the
 verdict's, with no traceback.  ``gate --check``
 fails a gate whose unitarity residual exceeds 1e-8 or whose generator's
-eigenpair residual exceeds 1e-8 * max(1, max |lambda|), so a loose --tol
-fails it, and reports a global phase whenever all eigenphases coincide on
-the circle, also when they straddle the 0 / 2 pi wrap.  The base tolerance
-comes from --tol, else 1e-12; a value outside (0, 1) is a usage error.  The
-eigensolver's sweep budget is no option: every block may take
-``eig.MAX_SWEEPS`` sweeps.  A spin whose decimal exponent lies beyond +-308
-is refused before it is read, and one above the cap is named as given.
+eigenpair residual exceeds 1e-8 * max(1, max |lambda|), and reports a
+global phase whenever all eigenphases coincide on the circle, also when
+they straddle the 0 / 2 pi wrap.  No tolerance is an option: every command
+calls the library at its defaults, ``DEFAULT_TOL`` = 1e-12 and
+``default_cluster_tol``, the constants at which tests/test_margins.py
+measures every bound, and every block may take ``eig.MAX_SWEEPS`` sweeps.
+A spin whose decimal exponent lies beyond +-308 is refused before it is
+read, and one above the cap is named as given.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ _OPERATORS = {"H": build_heisenberg, "K": build_cyclic}
 
 _GATE_RESIDUAL_LIMIT = 1e-8
 # per unit of max(1, max |lambda|): a gate can be unitary to rounding while
-# its generator's eigenpairs, solved to a loose --tol, are far off
+# its generator's eigenpairs are far off, so this guards the eigensolve
 _EIGENPAIR_RESIDUAL_LIMIT = 1e-8
 _CLOSED_FORM_TOL = 1e-9
 _UNIFORM_PHASE_TOL = 1e-9
@@ -101,26 +102,14 @@ def _parse_spin_arg(text: str) -> HalfInteger:
     return s
 
 
-def _number(need: str, test: Callable) -> Callable[[str], float]:
-    """An argparse type: ``float(text)``, which must pass ``test``."""
-
-    def parse(text: str) -> float:
-        try:
-            value = float(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-        if not test(value):
-            raise argparse.ArgumentTypeError(f"must be {need}: {text!r}")
-        return value
-
-    return parse
-
-
-_positive_float = _number("a positive finite number", lambda v: 0 < v < math.inf)
-# a block's off-diagonal norm never exceeds its Frobenius norm, so a tol of 1
-# or more meets every stop tol * ||block||_F before the first sweep
-_tol = _number("a positive number below 1", lambda v: 0 < v < 1)
-_finite_float = _number("finite", math.isfinite)
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite: {text!r}")
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -155,13 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
             default="plain",
             help="output format (default: plain)",
         )
-        p.add_argument(
-            "--tol",
-            type=_tol,
-            default=DEFAULT_TOL,
-            help="base tolerance for the eigensolver and algebra checks, "
-            "above 0 and below 1 (default: 1e-12)",
-        )
 
     p_spectrum = sub.add_parser(
         "spectrum", help="clustered eigenvalues of a built operator or a matrix file"
@@ -179,12 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="path of a whitespace-separated matrix of a+bi entries, at most "
         f"{_MAX_FILE_DIMENSION} x {_MAX_FILE_DIMENSION}, where a dense matrix takes "
         "about a minute (required with --hamiltonian file, and rejected otherwise)",
-    )
-    p_spectrum.add_argument(
-        "--cluster-tol",
-        type=_positive_float,
-        default=None,
-        help="degeneracy resolution (default: 1e-9 scaled by the matrix norm)",
     )
     add_common(p_spectrum)
     p_spectrum.set_defaults(handler=cmd_spectrum)
@@ -372,8 +348,8 @@ def cmd_spectrum(args: argparse.Namespace) -> dict:
         h = _OPERATORS[args.hamiltonian](args.spin)
         matrix, charge = h.matrix, h.charge
 
-    dec = hermitian_eig(matrix, args.tol, charge=charge)
-    cluster_tol = args.cluster_tol or default_cluster_tol(matrix)
+    dec = hermitian_eig(matrix, charge=charge)
+    cluster_tol = default_cluster_tol(matrix)
     spectrum = cluster_spectrum(dec.values, cluster_tol)
     closed_form_match = None
     if args.spin is not None:
@@ -384,7 +360,7 @@ def cmd_spectrum(args: argparse.Namespace) -> dict:
         "hamiltonian": args.hamiltonian,
         "source": args.file,
         "dimension": spectrum.dimension,
-        "tol": args.tol,
+        "tol": DEFAULT_TOL,
         "cluster_tol": cluster_tol,
         "clusters": _cluster_dicts(spectrum),
         "closed_form_match": closed_form_match,
@@ -393,7 +369,7 @@ def cmd_spectrum(args: argparse.Namespace) -> dict:
     }
 
 
-def _certify_spin(s: HalfInteger, kmax: int, tol: float) -> tuple[IsospectralReport, bool]:
+def _certify_spin(s: HalfInteger, kmax: int) -> tuple[IsospectralReport, bool]:
     h = build_heisenberg(s)
     k = build_cyclic(s)
     cert = certify_isospectral(
@@ -401,7 +377,6 @@ def _certify_spin(s: HalfInteger, kmax: int, tol: float) -> tuple[IsospectralRep
         k.matrix,
         kmax=kmax,
         prefix=s.dimension,
-        eig_tol=tol,
         charges=(h.charge, k.charge),
     )
     return cert, _closed_form_match(cert.spectrum_a, s)
@@ -409,14 +384,14 @@ def _certify_spin(s: HalfInteger, kmax: int, tol: float) -> tuple[IsospectralRep
 
 def cmd_verify(args: argparse.Namespace) -> dict:
     s = args.spin
-    algebra = verify_su2(make_spin_triple(s), args.tol)
+    algebra = verify_su2(make_spin_triple(s))
     kmax = s.dimension**2 if s.twice <= _FULL_MOMENT_TWICE else s.dimension
-    cert, closed_form_match = _certify_spin(s, kmax, args.tol)
+    cert, closed_form_match = _certify_spin(s, kmax)
     return {
         "command": "verify",
         "spin": str(s),
         "dimension": cert.dimension,
-        "tol": args.tol,
+        "tol": DEFAULT_TOL,
         "kmax": len(cert.moments.powers),
         "cluster_tol": cert.spectrum_a.cluster_tol,
         "algebra": {
@@ -464,7 +439,7 @@ def _gate_check(gate: Gate) -> dict:
 
 def cmd_gate(args: argparse.Namespace) -> dict:
     h = _OPERATORS[args.hamiltonian](args.spin)
-    gate = synthesize_gate(h, args.theta, eig_tol=args.tol)
+    gate = synthesize_gate(h, args.theta)
     check = _gate_check(gate) if args.check else None
     return {
         "command": "gate",
@@ -472,7 +447,7 @@ def cmd_gate(args: argparse.Namespace) -> dict:
         "hamiltonian": args.hamiltonian,
         "theta": gate.theta,
         "dimension": gate.dimension,
-        "tol": args.tol,
+        "tol": DEFAULT_TOL,
         # the complex array itself; json writes each entry as an [re, im] pair
         "matrix": gate.matrix,
         "check": check,
@@ -484,7 +459,7 @@ def cmd_table(args: argparse.Namespace) -> dict:
     rows = []
     for twice in range(1, args.max_spin.twice + 1):
         s = HalfInteger(twice)
-        cert, closed_form_match = _certify_spin(s, s.dimension, args.tol)
+        cert, closed_form_match = _certify_spin(s, s.dimension)
         rows.append(
             {
                 "spin": str(s),
@@ -502,7 +477,7 @@ def cmd_table(args: argparse.Namespace) -> dict:
     return {
         "command": "table",
         "max_spin": str(args.max_spin),
-        "tol": args.tol,
+        "tol": DEFAULT_TOL,
         "rows": rows,
         "verdict": all(row["verdict"] for row in rows),
     }

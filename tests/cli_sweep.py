@@ -145,6 +145,9 @@ ARGV = (
          "--format", fmt)
         for fmt in FORMATS
     ),
+    # no command takes a tolerance: each argv below that passes --tol or
+    # --cluster-tol, which older trees took, is a usage error.  Here a loose
+    # solve failed the gate's check
     *(
         ("gate", "--spin", "1", "--theta", "0.3", "--check", "--tol", "1e-3", "--format", fmt)
         for fmt in FORMATS
@@ -157,14 +160,14 @@ ARGV = (
         for kmax in ("120", "1000")
         for fmt in FORMATS
     ),
-    # a block that runs out of sweeps, its tol below the rounding floor
+    # a block that ran out of sweeps, its tol below the rounding floor
     *((*_FILE, "{dir}/cyclic-2s2.txt", "--tol", "1e-100", "--format", fmt) for fmt in FORMATS),
     *(("table", "--max-spin", spin, "--format", fmt) for spin in ("2", "12") for fmt in FORMATS),
     *((*_FILE, "{dir}/" + name, "--format", fmt) for name in FILES for fmt in FORMATS),
     *((*_FILE, "{dir}/tiny-asymmetry.txt", "--tol", "5e-324", "--format", fmt) for fmt in FORMATS),
     *((*_FILE, "{dir}/missing.txt", "--format", fmt) for fmt in FORMATS),
     # a tol below the rounding of the sector basis, and one that K's one
-    # block reaches, 96 sweeps at 1e-70, and one that it does not
+    # block reached, 96 sweeps at 1e-70, and one that it did not
     ("verify", "--spin", "3/2", "--tol", "1e-100"),
     ("verify", "--spin", "12", "--tol", "1e-100"),
     ("table", "--max-spin", "3", "--tol", "1e-100"),
@@ -203,10 +206,11 @@ ARGV = (
     ("gate", "--spin", "1", "--theta", "inf"),
     # negative non-finite values, each named in its own message
     *(("gate", "--spin", "1", "--theta", theta) for theta in ("-inf", "-nan", "-Infinity")),
+    # tolerances that older trees refused by value
     ("spectrum", "--spin", "1", "--cluster-tol", "-inf"),
     ("verify", "--spin", "1", "--tol", "-nan"),
-    ("table", "--max-spin", "30"),
     ("verify", "--spin", "1", "--tol", "1"),
+    ("table", "--max-spin", "30"),
 )
 
 

@@ -4,14 +4,16 @@ Run as ``python tests/code_lines.py [ROOT]`` from a checkout, or with the
 root of one.  A code line is a line that holds a token other than a comment
 or a line break; the lines of module, class and function docstrings are not
 code.  A token over several lines, such as a string, makes each of them a
-code line.  Prints one count per module and the total.  Only the standard
-library is used, so that any tree can be counted.
+code line.  Prints one count per module and the total, and stops quietly
+when the reader closes the pipe.  Only the standard library is used, so
+that any tree can be counted.
 """
 
 from __future__ import annotations
 
 import ast
 import io
+import os
 import sys
 import tokenize
 from pathlib import Path
@@ -54,11 +56,19 @@ def code_lines(source: str) -> int:
 def main() -> int:
     root = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).resolve().parents[1]
     total = 0
-    for path in sorted((root / "src" / "spintool").glob("*.py")):
-        count = code_lines(path.read_text(encoding="utf-8"))
-        total += count
-        print(f"{count:6d}  {path.name}")
-    print(f"{total:6d}  total")
+    try:
+        for path in sorted((root / "src" / "spintool").glob("*.py")):
+            count = code_lines(path.read_text(encoding="utf-8"))
+            total += count
+            print(f"{count:6d}  {path.name}")
+        print(f"{total:6d}  total")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone, as after "| head -3": stdout now points at
+        # devnull, so that the flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0
 
 

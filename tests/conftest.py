@@ -4,7 +4,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from spintool import eig, spectral
+import spintool.cli as cli
+from spintool import eig, gates, spectral, spin
 from spintool.cli import main
 from spintool.eig import hermitian_eig
 from spintool.hamiltonians import build_cyclic, build_heisenberg
@@ -70,6 +71,26 @@ def sweep_budget(monkeypatch):
             monkeypatch.setattr(module, "_eigensolves", budget)
 
     return lower
+
+
+@pytest.fixture()
+def cli_tol(monkeypatch):
+    """``cli_tol(t)`` runs every later command of the test at the base
+    tolerance t, where the command line takes DEFAULT_TOL: each library call
+    of ``spintool.cli`` that solves or checks gets t.  The reports still
+    write DEFAULT_TOL; the library is the way to tune a tolerance."""
+
+    def at(tol: float) -> None:
+        calls = {
+            "hermitian_eig": functools.partial(eig.hermitian_eig, tol=tol),
+            "verify_su2": functools.partial(spin.verify_su2, tol=tol),
+            "certify_isospectral": functools.partial(spectral.certify_isospectral, eig_tol=tol),
+            "synthesize_gate": functools.partial(gates.synthesize_gate, eig_tol=tol),
+        }
+        for name, call in calls.items():
+            monkeypatch.setattr(cli, name, call)
+
+    return at
 
 
 @pytest.fixture(scope="session")

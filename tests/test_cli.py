@@ -7,6 +7,7 @@ import os
 import re
 import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +16,9 @@ import numpy as np
 import pytest
 
 import spintool.cli as cli
+from spintool.eig import hermitian_eig
 from spintool.gates import unitarity_residual
+from spintool.spectral import cluster_spectrum
 
 SCHEMA = json.loads(
     (Path(cli.__file__).parent / "report_schema.json").read_text(encoding="utf-8")
@@ -230,12 +233,17 @@ def test_gate_check_catches_broken_unitary(run_cli, monkeypatch):
     assert "verdict=FAIL" in out
 
 
-@pytest.mark.parametrize("tol, passed", [("1e-12", True), ("1e-3", False), ("0.5", False)])
-def test_gate_check_fails_loose_eigenpairs(run_cli, tol, passed):
-    # at a loose tol the gate is still unitary to rounding, but built from
-    # eigenpairs 4.4e-4 off at 1e-3 against a bound of 1e-8 * max |lambda|,
-    # 2e-8 for H at spin 1
-    argv = ["gate", "--spin", "1", "--theta", "0.3", "--check", "--tol", tol]
+@pytest.mark.parametrize(
+    "tol, passed", [(1e-12, True), (1e-3, False), (0.5, False), (1.0, False), (1e308, False)]
+)
+def test_gate_check_fails_loose_eigenpairs(run_cli, cli_tol, tol, passed):
+    # solved at a loose tol, which only the library takes, the gate is still
+    # unitary to rounding, but built from eigenpairs 4.4e-4 off at 1e-3
+    # against a bound of 1e-8 * max |lambda|, 2e-8 for H at spin 1.  A tol of
+    # 1 or more meets every stop before the first sweep: such a gate once
+    # passed its check with wrong eigenphases
+    cli_tol(tol)
+    argv = ["gate", "--spin", "1", "--theta", "0.3", "--check"]
     code, out, err = run_cli(*argv, "--format", "json")
     assert (code, err) == (0 if passed else 1, "")
     doc = _valid_json(out)
@@ -803,13 +811,14 @@ def test_every_line_break_of_splitlines_ends_a_matrix_row(run_cli, tmp_path, fmt
 
 
 @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
-def test_a_tiny_asymmetry_fails_a_subnormal_tol(run_cli, tmp_path, fmt):
+def test_a_tiny_asymmetry_fails_a_subnormal_tol(run_cli, cli_tol, tmp_path, fmt):
     # the squares of the defect underflow; it once read 0 and passed
     path = tmp_path / "tiny.txt"
     path.write_text("0 1e-300\n0 0\n")
     argv = ["spectrum", "--hamiltonian", "file", "--file", str(path), "--format", fmt]
     assert run_cli(*argv)[0] == 0
-    assert run_cli(*argv, "--tol", "5e-324") == (
+    cli_tol(5e-324)
+    assert run_cli(*argv) == (
         3, "", "error: matrix is not Hermitian: defect 1.414e-300 exceeds 9.881e-324\n"
     )
 
@@ -906,17 +915,18 @@ def test_sector_sweep_budget_names_the_sector(run_cli, sweep_budget):
 
 
 @pytest.mark.parametrize(
-    "argv, rounding, bound",
+    "argv, tol, rounding, bound",
     [
-        ("spectrum --spin 1 --hamiltonian K --tol 1e-100", "6.923e-15", "3.464e-100"),
-        ("verify --spin 1 --tol 1e-100", "6.923e-15", "3.464e-100"),
-        ("spectrum --spin 12 --hamiltonian K --tol 1e-17", "3.125e-10", "2.252e-14"),
+        ("spectrum --spin 1 --hamiltonian K", 1e-100, "6.923e-15", "3.464e-100"),
+        ("verify --spin 1", 1e-100, "6.923e-15", "3.464e-100"),
+        ("spectrum --spin 12 --hamiltonian K", 1e-17, "3.125e-10", "2.252e-14"),
     ],
     ids=["spectrum-1", "verify-1", "spectrum-12"],
 )
-def test_a_tol_below_rounding_is_named_not_the_charge(run_cli, argv, rounding, bound):
+def test_a_tol_below_rounding_is_named_not_the_charge(run_cli, cli_tol, argv, tol, rounding, bound):
     # (S3, S1) commutes with K; the leak bound tol * ||K||_F stands, but the
     # error says that it lies below the rounding n * eps * ||K||_F of the basis
+    cli_tol(tol)
     code, out, err = run_cli(*argv.split())
     assert (code, out) == (3, "")
     assert re.fullmatch(
@@ -1004,8 +1014,8 @@ _TOL_ARGVS = [
 
 @pytest.mark.parametrize("argv", _TOL_ARGVS, ids=lambda argv: argv[0])
 def test_an_ambient_spin_tool_tol_changes_nothing(run_cli, monkeypatch, argv):
-    # the tolerance comes from --tol alone: a SPIN_TOOL_TOL once replaced the
-    # default, and banana or 1 then exited 2 and 1e-3 loosened every check
+    # a SPIN_TOOL_TOL once replaced the default, and banana or 1 then exited
+    # 2 and 1e-3 loosened every check
     argv = [*argv, "--format", "json"]
     monkeypatch.delenv("SPIN_TOOL_TOL", raising=False)
     unset = run_cli(*argv)
@@ -1013,36 +1023,41 @@ def test_an_ambient_spin_tool_tol_changes_nothing(run_cli, monkeypatch, argv):
     for value in ["banana", "1e-3", "1"]:
         monkeypatch.setenv("SPIN_TOOL_TOL", value)
         assert run_cli(*argv) == unset
-        code, out, _ = run_cli(*argv, "--tol", "1e-13")
-        assert code == 0
-        assert json.loads(out)["tol"] == 1e-13
-
-
-@pytest.mark.parametrize("tol", ["1", "1e308"])
-@pytest.mark.parametrize("argv", _TOL_ARGVS, ids=lambda argv: argv[0])
-def test_a_tol_of_one_or_more_is_usage_error(run_cli, argv, tol):
-    # a block's off-diagonal norm never exceeds its Frobenius norm, so such a
-    # tol meets every stop before the first sweep: gate --check once passed
-    # with wrong eigenphases, and verify and table ended in exit 1
-    need = f"must be a positive number below 1: '{tol}'"
-    code, out, err = run_cli(*argv, "--tol", tol)
-    assert (code, out) == (2, "")
-    assert err.splitlines()[-1].endswith(f"error: argument --tol: {need}")
-    assert run_cli(*argv, "--tol", "1e-12")[0] == 0
 
 
 @pytest.mark.parametrize(
-    "argv, flag, need",
+    "argv, option",
     [
-        (["verify", "--spin", "1", "--tol", "abc"], "--tol", "not a number: 'abc'"),
-        (["gate", "--spin", "1", "--theta", "0x10"], "--theta", "not a number: '0x10'"),
-        (["spectrum", "--spin", "1", "--cluster-tol", "x"], "--cluster-tol", "not a number: 'x'"),
+        *((argv, ["--tol", "1e-12"]) for argv in _TOL_ARGVS),
+        (["spectrum", "--spin", "1"], ["--cluster-tol", "1e-6"]),
     ],
+    ids=[*(argv[0] for argv in _TOL_ARGVS), "spectrum-cluster"],
 )
-def test_a_value_that_is_not_a_number_is_usage_error(run_cli, argv, flag, need):
-    code, out, err = run_cli(*argv)
+def test_no_command_takes_a_tolerance(run_cli, argv, option):
+    # every command runs at the constants that tests/test_margins.py audits;
+    # a loose --tol once failed the true claim, and one below rounding exited 3
+    code, out, err = run_cli(*argv, *option)
     assert (code, out) == (2, "")
-    assert err.splitlines()[-1].endswith(f"error: argument {flag}: {need}")
+    assert err.splitlines()[-1].endswith(f"unrecognized arguments: {' '.join(option)}")
+
+
+def test_subnormal_tol_ends_silently_in_an_exit_code(run_cli, cli_tol):
+    # a subnormal pivot once overflowed the Jacobi step: with warnings as
+    # errors that was a RuntimeWarning traceback and exit 1
+    cli_tol(1e-310)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli("spectrum", "--spin", "3", "--hamiltonian", "H")
+    assert code in (0, 3), err
+    assert "Warning" not in err and "Traceback" not in err
+    if code == 0:
+        assert out.splitlines()[-1].startswith("verdict=")
+
+
+def test_a_value_that_is_not_a_number_is_usage_error(run_cli):
+    code, out, err = run_cli("gate", "--spin", "1", "--theta", "0x10")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].endswith("error: argument --theta: not a number: '0x10'")
 
 
 @pytest.mark.parametrize(
@@ -1092,8 +1107,8 @@ _CLOSE_PAIR = "1 0 0\n0 1.0000001 0\n0 0 3\n"
 
 
 def test_cluster_tol_merges_close_eigenvalues(run_cli, tmp_path):
-    # 1 and 1 + 1e-7 lie apart at the default 1e-9 * ||M||_F and together
-    # at --cluster-tol 1e-6, which the report echoes
+    # 1 and 1 + 1e-7 lie apart at the command's 1e-9 * ||M||_F and together
+    # at a cluster_tol of 1e-6, which the library takes
     path = tmp_path / "close.txt"
     path.write_text(_CLOSE_PAIR)
     argv = ["spectrum", "--hamiltonian", "file", "--file", str(path), "--format", "json"]
@@ -1102,21 +1117,10 @@ def test_cluster_tol_merges_close_eigenvalues(run_cli, tmp_path):
     split = _valid_json(out)
     assert split["cluster_tol"] == 1e-9 * math.sqrt(1 + 1.0000001**2 + 9)
     assert [c["multiplicity"] for c in split["clusters"]] == [1, 1, 1]
-    code, out, err = run_cli(*argv, "--cluster-tol", "1e-6")
-    assert (code, err) == (0, "")
-    merged = _valid_json(out)
-    assert merged["cluster_tol"] == 1e-6
-    assert [c["multiplicity"] for c in merged["clusters"]] == [2, 1]
-    assert merged["clusters"][1]["value"] == pytest.approx(3.0, abs=1e-12)
-
-
-@pytest.mark.parametrize("value", ["0", "inf", "nan", "-1e-6", "-inf"])
-def test_a_cluster_tol_that_is_not_positive_and_finite_is_usage_error(run_cli, value):
-    # "--cluster-tol=-inf" keeps argparse from reading -inf as an option
-    code, out, err = run_cli("spectrum", "--spin", "1", f"--cluster-tol={value}")
-    assert (code, out) == (2, "")
-    need = f"must be a positive finite number: '{value}'"
-    assert err.splitlines()[-1].endswith(f"error: argument --cluster-tol: {need}")
+    merged = cluster_spectrum(hermitian_eig(cli.read_matrix_file(str(path))).values, 1e-6)
+    assert merged.cluster_tol == 1e-6
+    assert merged.multiplicities == (2, 1)
+    assert merged.values[1] == pytest.approx(3.0, abs=1e-12)
 
 
 @pytest.mark.parametrize(

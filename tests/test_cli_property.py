@@ -2,7 +2,7 @@
 
 Every argv the CLI accepts ends in a documented exit code: hypothesis draws
 argv for each subcommand at spins 1/2..2, including huge and subnormal
-angles and tolerances.  ``cli.main`` must return 0, 1, 2 or 3 without
+angles.  ``cli.main`` must return 0, 1, 2 or 3 without
 raising; on 0 or 1 a json report must validate against the shipped schema
 and plain or csv output must not contain a non-finite number.
 
@@ -14,7 +14,7 @@ that differ only by a -0.0 for a +0.0 or by one ulp.
 Every matrix file that ``spectrum --hamiltonian file`` reads ends in a
 documented exit code too: hypothesis draws real, purely imaginary, sparse
 and nearly Hermitian matrices of sizes 1..12, with subnormal, huge and
-negative-zero entries, at tolerances from the smallest subnormal up past 1.
+negative-zero entries, at the one tolerance that every command runs at.
 """
 
 import contextlib
@@ -31,6 +31,7 @@ from hypothesis import strategies as st
 from test_cli import _assert_same_text, _dumps_with_pairs, _reference_csv, _reference_plain
 
 import spintool.cli as cli
+from spintool.linalg import DEFAULT_TOL
 from spintool.spectral import default_cluster_tol
 
 SCHEMA = json.loads(
@@ -43,10 +44,6 @@ EDGE_FLOATS = [1e308, -1e308, 5e-324, -5e-324, 2.2250738585072014e-308, 0.0, -0.
 THETAS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EDGE_FLOATS)
 )
-TOLS = st.one_of(
-    st.floats(min_value=5e-324, max_value=1e308),
-    st.sampled_from([5e-324, 1e-300, 1e-12, 1.0, 1e308]),
-)
 
 
 def _value(flag: str, values: st.SearchStrategy) -> st.SearchStrategy:
@@ -56,16 +53,8 @@ def _value(flag: str, values: st.SearchStrategy) -> st.SearchStrategy:
     )
 
 
-def _option(flag: str, values: st.SearchStrategy) -> st.SearchStrategy:
-    """Either nothing or the flag with a drawn value, in either form."""
-    return st.one_of(st.just([]), _value(flag, values))
-
-
 def _common() -> st.SearchStrategy:
-    return st.tuples(
-        st.sampled_from(["plain", "json", "csv"]).map(lambda f: ["--format", f]),
-        _option("--tol", TOLS.map(repr)),
-    ).map(lambda parts: sum(parts, []))
+    return st.sampled_from(["plain", "json", "csv"]).map(lambda f: ["--format", f])
 
 
 COMMANDS = {
@@ -182,21 +171,14 @@ def test_gate_writer_gives_the_bytes_of_one_call_per_entry(colliding):
 ENTRIES = st.floats(min_value=-1e3, max_value=1e3)
 EDGES = st.sampled_from([5e-324, -5e-324, 1e308, -0.0])
 PATTERNS = ("real", "imaginary", "sparse", "nearly Hermitian")
-# --tol, or none for the default 1e-12; 1 and beyond are usage errors
-FILE_TOLS = st.one_of(
-    st.none(),
-    st.sampled_from([5e-324, 1e-300, 1e-12, 1e-6, 0.5, 1.0, 1e308]),
-    st.floats(min_value=5e-324, max_value=1.0),
-)
 
 
 @st.composite
-def _matrix_files(draw) -> tuple[np.ndarray, float | None, float | None]:
-    """A matrix, the --tol to read it at, and for a nearly Hermitian one its
-    defect ||M - M^H||_F, drawn just inside or just outside tol * n."""
+def _matrix_files(draw) -> tuple[np.ndarray, float | None]:
+    """A matrix, and for a nearly Hermitian one its defect ||M - M^H||_F,
+    drawn just inside or just outside DEFAULT_TOL * n."""
     n = draw(st.integers(1, 12))
     pattern = draw(st.sampled_from(PATTERNS))
-    tol = draw(FILE_TOLS)
     upper = np.triu_indices(n, 1)
     m = np.zeros((n, n), dtype=complex)
     diagonal = draw(st.lists(ENTRIES, min_size=n, max_size=n))
@@ -227,10 +209,10 @@ def _matrix_files(draw) -> tuple[np.ndarray, float | None, float | None]:
     defect = None
     if pattern == "nearly Hermitian":
         # an imaginary part t on the real diagonal is exact, and its defect 2|t|
-        bound = (1e-12 if tol is None else min(tol, 0.5)) * n
+        bound = DEFAULT_TOL * n
         defect = bound * draw(st.sampled_from([1 - 2**-10, 1 + 2**-10]))
         m[-1, -1] += 0.5j * defect
-    return m, tol, defect
+    return m, defect
 
 
 def test_every_drawn_matrix_file_ends_in_an_exit_code(tmp_path):
@@ -239,7 +221,7 @@ def test_every_drawn_matrix_file_ends_in_an_exit_code(tmp_path):
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(drawn=_matrix_files())
     def check(drawn):
-        m, tol, defect = drawn
+        m, defect = drawn
         path.write_text(
             "\n".join(" ".join(cli.format_complex(complex(z)) for z in row) for row in m) + "\n",
             encoding="utf-8",
@@ -247,13 +229,10 @@ def test_every_drawn_matrix_file_ends_in_an_exit_code(tmp_path):
         n = m.shape[0]
         for fmt in ("json", "csv", "plain"):
             argv = ["spectrum", "--hamiltonian", "file", "--file", str(path), "--format", fmt]
-            argv += [] if tol is None else ["--tol", repr(tol)]
             code, out = _run(argv)
             assert code in (0, 1, 2, 3), argv
-            if tol is not None and tol >= 1:
-                assert code == 2, argv
             # 2|t| is exact, and so is its square for t far above underflow
-            if defect is not None and defect > (tol or 1e-12) * n and defect > 1e-150:
+            if defect is not None and defect > DEFAULT_TOL * n and defect > 1e-150:
                 assert code == 3, argv
             if code not in (0, 1):
                 continue
@@ -262,7 +241,7 @@ def test_every_drawn_matrix_file_ends_in_an_exit_code(tmp_path):
                 continue
             report = json.loads(out)
             jsonschema.validate(report, SCHEMA)
-            if code or tol is not None:
+            if code:
                 continue
             # Each value joins its cluster within cluster_tol of the running
             # mean, which never exceeds the values joined so far, so a

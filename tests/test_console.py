@@ -94,22 +94,12 @@ def test_k_gate_at_the_cap_is_one_matrix_in_every_format():
 
 
 def test_an_ambient_spin_tool_tol_is_not_read(monkeypatch):
-    # the process inherits the variable, and the tolerance is still --tol's
-    # default
+    # the process inherits the variable, and the tolerance is still the
+    # constant DEFAULT_TOL
     monkeypatch.setenv("SPIN_TOOL_TOL", "1e-3")
     code, out, err = run("verify", "--spin", "1", "--format", "json")
     assert (code, err) == (0, "")
     assert json.loads(out)["tol"] == 1e-12
-
-
-def test_subnormal_tol_ends_silently_in_an_exit_code():
-    # a subnormal pivot once overflowed the Jacobi step: with warnings as
-    # errors that was a RuntimeWarning traceback and exit 1
-    code, out, err = run("spectrum", "--spin", "3", "--hamiltonian", "H", "--tol", "1e-310")
-    assert code in (0, 3), err
-    assert "Warning" not in err and "Traceback" not in err
-    if code == 0:
-        assert out.splitlines()[-1].startswith("verdict=")
 
 
 def test_the_cli_sweep_tells_a_tree_from_a_changed_copy(tmp_path):

@@ -361,6 +361,13 @@ def stack_dtypes(monkeypatch):
     return seen
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-12, np.nan, -np.inf])
+def test_a_tol_that_is_not_positive_is_refused(tol):
+    # the library is the one place that takes a tolerance
+    with pytest.raises(ValueError, match="^tol must be positive, got "):
+        hermitian_eig(np.eye(2), tol=tol)
+
+
 @pytest.mark.parametrize("route", ["sectors", "full", "scalar-sectors"])
 def test_subnormal_tol_stays_finite_and_silent(route, stack_dtypes):
     # stop near 1e-308 leaves subnormal pivots above the skip threshold;
@@ -1022,7 +1029,7 @@ def test_single_precision_rounding_is_named_not_the_charge():
         hermitian_eig(single, charge=(t.s1, t.s1))
 
 
-def test_a_tol_below_a_blocks_rounding_floor_is_said(run_cli, tmp_path):
+def test_a_tol_below_a_blocks_rounding_floor_is_said(run_cli, cli_tol, tmp_path):
     # without its charge K at 2s = 2 is one block, 9 wide, whose sweeps stall
     # far above a stop of 1e-100 * ||K||_F: the error says that tol is below
     # the block's rounding floor, width * eps * its norm, and names no cause
@@ -1042,15 +1049,15 @@ def test_a_tol_below_a_blocks_rounding_floor_is_said(run_cli, tmp_path):
     with pytest.raises(ConvergenceError) as error:
         _within(1, k.matrix)
     assert str(error.value).endswith("after 1 sweeps")
-    # the CLI still exits 3 with the error, and no traceback
+    # the CLI, its solve at that tol, still exits 3 with the error, and no
+    # traceback
     path = tmp_path / "k.txt"
     path.write_text(
         "\n".join(" ".join(f"{z.real:.17g}{z.imag:+.17g}i" for z in row) for row in k.matrix),
         encoding="utf-8",
     )
-    code, out, err = run_cli(
-        "spectrum", "--hamiltonian", "file", "--file", str(path), "--tol", "1e-100"
-    )
+    cli_tol(1e-100)
+    code, out, err = run_cli("spectrum", "--hamiltonian", "file", "--file", str(path))
     assert (code, out) == (3, "")
     assert err == f"error: {message}\n"
 
@@ -1468,7 +1475,7 @@ def test_a_held_admission_error_is_raised_before_any_finish(monkeypatch):
     assert calls == [s.dimension**2] * 2
 
 
-def test_table_raises_the_first_failing_spins_error(run_cli, sweep_budget):
+def test_table_raises_the_first_failing_spins_error(run_cli, sweep_budget, cli_tol):
     # one sweep solves every block at 2s = 1, none wider than 2, and runs out
     # at 2s = 2 on H's component 2, before any sector of K
     sweep_budget(1)
@@ -1477,14 +1484,16 @@ def test_table_raises_the_first_failing_spins_error(run_cli, sweep_budget):
     assert (code, out) == (3, "")
     assert err.startswith("error: component 2 (width 3): ")
     assert run_cli("verify", "--spin", "1") == (3, "", err)
-    # K fails at admission, its tol below the rounding of the sector basis,
-    # and H's component that runs out is still the error
-    code, out, err = run_cli("verify", "--spin", "3", "--tol", "1e-100")
+    # so too at the cap, where K's sectors are 25 wide
+    code, out, err = run_cli("verify", "--spin", "12")
     assert (code, out) == (3, "")
     assert err.startswith("error: component 2 (width 3): ")
-    # so too at the cap, where K's sectors are 25 wide
-    for tol in ([], ["--tol", "1e-100"]):
-        code, out, err = run_cli("verify", "--spin", "12", *tol)
+    # at a tol of 1e-100, which only the library takes, K fails at
+    # admission, its tol below the rounding of the sector basis, and H's
+    # component that runs out is still the error
+    cli_tol(1e-100)
+    for spin in ("3", "12"):
+        code, out, err = run_cli("verify", "--spin", spin)
         assert (code, out) == (3, "")
         assert err.startswith("error: component 2 (width 3): ")
 

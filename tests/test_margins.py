@@ -4,7 +4,11 @@ One case per 2s = 1..24 measures each bound as the ratio measured / bound
 and asserts it at most ``MARGIN``, so that every bound holds with at least
 100x to spare.  A ratio near 1 would let rounding, not the operators, decide
 a verdict; the ratios that :func:`margins` returns are the audit's record.
+The command line takes no tolerance, so its every run is at the constants
+that this audit measures at, and a test here says so.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -13,7 +17,7 @@ from spintool.eig import hermitian_eig
 from spintool.gates import synthesize_gate
 from spintool.hamiltonians import build_cyclic, build_heisenberg
 from spintool.linalg import DEFAULT_TOL, frobenius_norm
-from spintool.spectral import certify_isospectral, closed_form_spectrum
+from spintool.spectral import certify_isospectral, closed_form_spectrum, default_cluster_tol
 from spintool.spin import MAX_TWICE_SPIN, HalfInteger, make_spin_triple, verify_su2
 
 MARGIN = 1e-2
@@ -60,3 +64,22 @@ def margins(twice: int) -> dict[str, float]:
 def test_every_bound_holds_with_a_hundredfold_margin(twice):
     ratios = margins(twice)
     assert {name: ratio for name, ratio in ratios.items() if not ratio <= MARGIN} == {}
+
+
+def test_the_command_line_runs_at_the_audited_constants(run_cli):
+    # a change to the constants of the commands fails here, next to the
+    # margins that were measured at them
+    argv = {
+        "verify": ["--spin", "1/2"],
+        "table": ["--max-spin", "1/2"],
+        "gate": ["--spin", "1/2", "--theta", "0.7", "--check"],
+        "spectrum": ["--spin", "1/2"],
+    }
+    reports = {}
+    for command, args in argv.items():
+        code, out, err = run_cli(command, *args, "--format", "json")
+        assert (code, err) == (0, "")
+        reports[command] = json.loads(out)
+        assert reports[command]["tol"] == DEFAULT_TOL
+    h = build_heisenberg(HalfInteger(1))
+    assert reports["spectrum"]["cluster_tol"] == default_cluster_tol(h.matrix)

@@ -3,7 +3,10 @@
 import ast
 import dataclasses
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -72,6 +75,8 @@ def test_readme_quick_start_runs(capsys):
     computed = ast.literal_eval(lines[2])
     assert [m for _, m in computed] == [m for _, m in closed]
     assert [v for v, _ in computed] == pytest.approx([v for v, _ in closed], abs=1e-12)
+    # a nearly Hermitian matrix, read and clustered at the library's tolerances
+    assert lines[4:] == ["((1.0, 2),)"]
 
 
 def test_code_lines_leave_out_docstrings_comments_and_blank_lines():
@@ -98,3 +103,16 @@ not a docstring"""
 '''
     # import, class, the two lines of x, def and the two of the return
     assert code_lines(source) == 7
+
+
+def test_code_lines_stop_quietly_when_the_reader_goes():
+    # "python tests/code_lines.py | head -3" once ended in a BrokenPipeError
+    # traceback; here the reader has gone before the first write
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        script = Path(__file__).with_name("code_lines.py")
+        done = subprocess.run([sys.executable, str(script)], stdout=write, stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (0, b"")

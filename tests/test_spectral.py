@@ -746,6 +746,13 @@ def test_cluster_spectrum_singleton_and_guards():
             cluster_spectrum([0.0, bad, 1.0], 1e-9)
 
 
+@pytest.mark.parametrize("cluster_tol", [0.0, np.nan, -1e-6, -np.inf])
+def test_a_cluster_tol_that_is_not_positive_is_refused(cluster_tol):
+    # the library is the one place that takes a clustering resolution
+    with pytest.raises(ValueError, match="^cluster_tol must be positive, got "):
+        cluster_spectrum([0.0, 1.0], cluster_tol)
+
+
 def test_cluster_separation_invariant():
     spectrum = cluster_spectrum([0.0, 0.3, 0.7, 1.2], 0.5)
     gaps = np.diff(spectrum.values)
