@@ -44,7 +44,6 @@ import math
 import os
 import re
 import sys
-from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
 
 import numpy as np
@@ -486,8 +485,6 @@ def cmd_table(args: argparse.Namespace) -> dict:
 # -- rendering: plain and csv are views of the JSON report -------------------
 
 _ZERO_CELL = format_complex(0j)
-# entries per numpy pass that finds a matrix's kept entries
-_KEPT_BLOCK = 1 << 16
 
 
 def _complex_cells(values: np.ndarray) -> list[str]:
@@ -499,36 +496,6 @@ def _complex_cells(values: np.ndarray) -> list[str]:
     ]
 
 
-def _kept_rows(m: np.ndarray) -> Iterator[tuple[list[int] | None, np.ndarray]]:
-    """Each row of m as its kept columns and their values, or as None and
-    the whole row when every entry is kept.
-
-    An entry is kept unless both its parts are +0.0; the test is on the bit
-    patterns, so an entry holding a -0.0 is kept and written with its own
-    text.  The kept entries are found a block of rows per numpy pass.
-    """
-    n = m.shape[1]
-    step = max(1, _KEPT_BLOCK // max(n, 1))
-    for start in range(0, m.shape[0], step):
-        block = m[start : start + step]
-        bits = block.view(np.uint64)
-        kept = (bits[:, 0::2] | bits[:, 1::2]) != 0
-        counts = kept.sum(axis=1)
-        full = counts == n
-        kept[full] = False
-        counts[full] = 0
-        columns = np.nonzero(kept)[1].tolist()
-        values = block[kept]
-        ends = np.cumsum(counts).tolist()
-        begin = 0
-        for row, is_full, end in zip(block, full.tolist(), ends):
-            if is_full:
-                yield None, row
-            else:
-                yield columns[begin:end], values[begin:end]
-            begin = end
-
-
 def _matrix_rows(
     m: np.ndarray,
     zero: str,
@@ -538,49 +505,25 @@ def _matrix_rows(
 ) -> Iterator[str]:
     """The text of each row of the complex matrix m, its entries joined by sep.
 
-    Only the kept entries (see ``_kept_rows``) are formatted, by ``cells``;
-    the +0.0 entries between them are written as runs of the fixed text
-    ``zero``.  A row with every entry kept is written by ``full``, by
-    default one join of its cells.  Each distinct row is formatted once: a
-    first pass counts the rows that are not full by a hash of their kept
-    values' bytes, and a row whose count says that a row with the same hash
-    is still to come keeps its cells until the last such row is written.  A
-    hit is taken only when the bytes themselves are equal.  So the memo holds
-    the cells of kept entries, never zero text, and only while a row that
-    uses them is still to come; full rows never enter it.  At the cap, the
-    rows of H's gate at total M and -M hold the same kept values, so it
-    formats 325 of its 625 rows.  The count pass is there for rows with no
-    twin: in K's gate at theta = 0 and spin 6, 160 of the 169 rows are not
-    full and no two are alike, so none of them is held once it is written.
+    An entry is kept unless both its parts are +0.0; the test is on the bit
+    patterns, so an entry holding a -0.0 is kept and written with its own
+    text.  Only the kept entries are formatted, by ``cells``; the +0.0
+    entries between them are written as runs of the fixed text ``zero``.  A
+    row with every entry kept is written by ``full``, by default one join of
+    its cells.
     """
     n = m.shape[1]
     m = np.ascontiguousarray(m, dtype=np.complex128)
-    # the rows that are not full, counted by the hash of their kept bytes
-    counts = Counter(
-        hash(values.tobytes()) for columns, values in _kept_rows(m) if columns is not None
-    )
     sep_zero = sep + zero
-    memo: dict[int, tuple[bytes, list[str]]] = {}
-    for columns, values in _kept_rows(m):
-        if columns is None:
-            yield sep.join(cells(values)) if full is None else full(values)
+    for row, bits in zip(m, m.view(np.uint64)):
+        kept = np.flatnonzero(bits[0::2] | bits[1::2])
+        if len(kept) == n:
+            yield sep.join(cells(row)) if full is None else full(row)
             continue
-        data = values.tobytes()
-        key = hash(data)
-        held = memo.get(key)
-        if held is not None and held[0] == data:
-            texts = held[1]
-        else:
-            texts = cells(values)
-            if held is None and counts[key] > 1:
-                memo[key] = (data, texts)
-        counts[key] -= 1
-        if not counts[key]:
-            memo.pop(key, None)
         # the cells, and a run of zero text for each gap between them
         items = []
         last = -1
-        for j, text in zip(columns, texts):
+        for j, text in zip(kept.tolist(), cells(row[kept])):
             if j > last + 1:
                 items.append(zero + sep_zero * (j - last - 2))
             items.append(text)
@@ -685,13 +628,11 @@ def _render_json(report: dict) -> Iterable[str]:
         raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
     sep = ",\n      "
     dense = sep.join([_PAIR] * m.shape[1])
-    rows = _matrix_rows(
-        m,
-        _ZERO_PAIR,
-        _pair_cells,
-        sep,
-        full=lambda values: dense % tuple(values.view(np.float64).tolist()),
-    )
+
+    def full(row: np.ndarray) -> str:
+        return dense % tuple(row.view(np.float64).tolist())
+
+    rows = _matrix_rows(m, _ZERO_PAIR, _pair_cells, sep, full)
     # each row ends in the separator that follows it, so that the pieces
     # written one after another give json's text
     between, last = ",\n    ", m.shape[0] - 1

@@ -488,8 +488,16 @@ def closed_form_spectrum(s: HalfInteger) -> Spectrum:
 
 
 def default_cluster_tol(m: np.ndarray) -> float:
-    """Degeneracy resolution used when none is given: 1e-9 * max(1, ||m||_F)."""
-    return 1e-9 * max(1.0, frobenius_norm(m))
+    """Degeneracy resolution used when none is given: 1e-9 * max(1, ||m||_F).
+
+    Raises ValueError when ||m||_F is not finite: an entry that is NaN or
+    infinite, or entries whose squares sum beyond double precision.
+    """
+    with np.errstate(over="ignore"):
+        norm = frobenius_norm(m)
+    if not math.isfinite(norm):
+        raise ValueError(f"the matrix's Frobenius norm must be finite, got {norm}")
+    return 1e-9 * max(1.0, norm)
 
 
 def spectra_match(a: Spectrum, b: Spectrum, value_tol: float | None = None) -> bool:

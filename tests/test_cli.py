@@ -386,8 +386,7 @@ _CAP_GATE = ["gate", "--spin", "12", "--hamiltonian", "H", "--theta", "0.7", "--
 def test_gate_at_the_cap_holds_one_dense_copy_at_a_time(fmt):
     # measured 13.0 / 12.8 / 12.8 MiB (json / csv / plain): H itself, 6.0,
     # beside the eigensolve's one complex copy of the vectors, and then the
-    # gate beside one row of text and the cells of the twin rows still to
-    # come.  With the whole text rendered before the
+    # gate beside one row of text.  With the whole text rendered before the
     # first write, the decomposition held while the gate was scattered and
     # the vectors finished through dense float64 copies, it read 23.0 / 19.3
     # / 19.3
@@ -457,35 +456,37 @@ def _formatted_rows_and_held_bytes(monkeypatch, report, fmt):
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
-def test_h_gate_at_the_cap_formats_each_distinct_row_once(monkeypatch, fmt):
-    # H's rows at total M and -M hold the same kept values, so 300 of its
-    # 625 rows take the cells of their twin: measured 0.55 / 0.46 / 0.46 MiB
-    # held (json / csv / plain), the cells of the twins still to come
+def test_h_gate_at_the_cap_holds_no_row_once_it_is_written(monkeypatch, fmt):
+    # measured 0.056 / 0.017 / 0.017 MiB held (json / csv / plain); a memo
+    # that formatted each of the 325 distinct rows once, and held the cells
+    # of the rows at total M until their twins at -M were written, held
+    # 0.55 / 0.46 / 0.46
     report = _gate_report("--spin", "12", "--hamiltonian", "H", "--theta", "0.7")
-    formatted, held = _formatted_rows_and_held_bytes(monkeypatch, report, fmt)
-    assert formatted == 325
-    assert held < 1.0 * 2**20
+    held = _formatted_rows_and_held_bytes(monkeypatch, report, fmt)[1]
+    assert held < 0.25 * 2**20
 
 
 def test_k_gate_at_the_cap_formats_every_row_and_holds_none(monkeypatch):
     # every entry of K's gate is kept: each row is formatted whole, and
-    # nothing is kept from one row to the next (measured 0.1 MiB held, the
-    # numpy pass over a block of rows, against 0.06 MiB of cells per row)
+    # nothing is kept from one row to the next (measured 0.035 MiB held,
+    # against 0.06 MiB of cells per row; a numpy pass over a block of rows
+    # held 0.1)
     report = _gate_report("--spin", "12", "--hamiltonian", "K", "--theta", "0.7")
     formatted, held = _formatted_rows_and_held_bytes(monkeypatch, report, "csv")
     assert formatted == 625
-    assert held < 0.5 * 2**20
+    assert held < 0.25 * 2**20
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
-def test_k_gate_at_theta_zero_holds_no_row_that_has_no_twin(monkeypatch, fmt):
+def test_k_gate_at_theta_zero_holds_no_row_once_it_is_written(monkeypatch, fmt):
     # at theta = 0, 160 of the 169 rows of K's gate at 2s = 12 are not full,
     # and no two are alike: no row's cells may be kept once it is written
-    # (measured 0.70 / 0.68 / 0.68 MiB held; a memo of every such row held
-    # 3.9 / 3.2 / 3.2 MiB)
+    # (measured 0.032 / 0.023 / 0.023 MiB held; a count pass and memo keyed
+    # by a hash of each row held 0.70 / 0.68 / 0.68, and a memo of every
+    # such row 3.9 / 3.2 / 3.2)
     report = _gate_report("--spin", "6", "--hamiltonian", "K", "--theta", "0")
     held = _formatted_rows_and_held_bytes(monkeypatch, report, fmt)[1]
-    assert held < 1.5 * 2**20
+    assert held < 0.25 * 2**20
 
 
 @pytest.mark.parametrize(

@@ -816,6 +816,14 @@ def test_default_cluster_tol_floor():
     assert default_cluster_tol(h) == 1e-9
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf, 1e200])
+def test_default_cluster_tol_refuses_a_norm_that_is_not_finite(entry):
+    # max(1, nan) is 1, so a NaN once gave the floor's 1e-9; an infinite
+    # entry, or entries whose squares overflow, gave an infinite tolerance
+    with pytest.raises(ValueError, match="Frobenius norm must be finite"):
+        default_cluster_tol(np.array([[entry]]))
+
+
 def test_spectra_match_cases():
     a = cluster_spectrum([0.0, 1.0], 1e-9)
     b = cluster_spectrum([1e-11, 1.0], 1e-9)
