@@ -38,6 +38,7 @@ read, and one above the cap is named as given.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -126,6 +127,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser.  Each subcommand's ``handler`` looks its
+    ``cmd_*`` function up when it runs, not when the parser is built, so
+    that :func:`main` builds one parser per process."""
     parser = _Parser(
         prog="spintool",
         description=(
@@ -162,14 +166,14 @@ def build_parser() -> argparse.ArgumentParser:
         "about a minute (required with --hamiltonian file, and rejected otherwise)",
     )
     add_common(p_spectrum)
-    p_spectrum.set_defaults(handler=cmd_spectrum)
+    p_spectrum.set_defaults(handler=lambda args: cmd_spectrum(args))
 
     p_verify = sub.add_parser(
         "verify", help="algebra suite plus isospectrality certificate for one spin"
     )
     p_verify.add_argument("--spin", type=_parse_spin_arg, required=True)
     add_common(p_verify)
-    p_verify.set_defaults(handler=cmd_verify)
+    p_verify.set_defaults(handler=lambda args: cmd_verify(args))
 
     p_gate = sub.add_parser("gate", help="synthesize the gate exp(-i theta M)")
     p_gate.add_argument("--spin", type=_parse_spin_arg, required=True)
@@ -185,14 +189,14 @@ def build_parser() -> argparse.ArgumentParser:
         "the eigenpair residual exceeds 1e-8 * max(1, max |lambda|)",
     )
     add_common(p_gate)
-    p_gate.set_defaults(handler=cmd_gate)
+    p_gate.set_defaults(handler=lambda args: cmd_gate(args))
 
     p_table = sub.add_parser(
         "table", help="one isospectrality row per spin 1/2, 1, ..., max-spin"
     )
     p_table.add_argument("--max-spin", type=_parse_spin_arg, required=True)
     add_common(p_table)
-    p_table.set_defaults(handler=cmd_table)
+    p_table.set_defaults(handler=lambda args: cmd_table(args))
 
     return parser
 
@@ -704,10 +708,15 @@ def _plain_lines(report: dict) -> Iterator[str]:
 _RENDERERS = {"json": _render_json, "csv": _render_csv, "plain": _render_plain}
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first call of main: parsing leaves it as it was
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

@@ -35,7 +35,12 @@ count.  A sweep seats each round's pivots in halves, the p's first and
 their q's second, so that the partner of every row and column is a
 reversed view and each update is a pass over whole arrays; its products
 and sums are those of pairs seated side by side, in the same order, so
-the layout changes no bit.  So the blocks of every operator of a
+the layout changes no bit.  A real round stores -s e, as s (-e), where
+s e would be, and so adds the partners' products to both halves in one
+sum, where a complex round subtracts on the p half: x - y is x + (-y) in
+IEEE 754, and negating a real factor negates its product exactly, signed
+zeros included, which a complex product need not.  As a round's cost
+hardly depends on the count, the blocks of every operator of a
 certificate, over the components of its nonzero pattern or over its charge
 sectors, are solved together.  A block is padded to the width that its own
 route gives it, the widest of its width class there made even, and the
@@ -107,6 +112,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -230,12 +236,21 @@ def _round_robin(width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
 
 def _quarters(x: np.ndarray) -> tuple[tuple, tuple]:
     """The views of a (count, 2, 2, 2, half, half) state that a round takes:
-    the state, its rows' partners, p half and q half, and A's plane, its
-    columns' partners, p half and q half."""
+    the state and its rows' partners, and A's plane and its columns'
+    partners.  Axis 2 holds the p and q halves of either."""
     a = x[:, 0]
-    rows = x, x[:, :, ::-1], x[:, :, 0], x[:, :, 1]
-    cols = a, a[:, :, ::-1], a[:, :, 0], a[:, :, 1]
-    return rows, cols
+    return (x, x[:, :, ::-1]), (a, a[:, :, ::-1])
+
+
+def _add_partners(x: np.ndarray, other: np.ndarray, complex_stack: bool) -> None:
+    """p <- p - other's p and q <- q + other's q, the halves on axis 2, in
+    place.  A real stack's other holds its p half negated, so there it is
+    one sum (see :func:`_jacobi_stack`)."""
+    if complex_stack:
+        np.subtract(x[:, :, 0], other[:, :, 0], out=x[:, :, 0])
+        np.add(x[:, :, 1], other[:, :, 1], out=x[:, :, 1])
+    else:
+        np.add(x, other, out=x)
 
 
 def _jacobi_stack(
@@ -261,11 +276,17 @@ def _jacobi_stack(
     their partners' coefficients and one with their own, then a subtraction
     on the p half and an addition on the q half:
     p <- p c - q conj(s e) and q <- q conj(c e) + p s.  A's columns take the
-    same with c | s e and c e | s.  Each product and sum is the one that
-    rows and columns paired side by side would take, in the same order, so
-    the bits do not depend on the layout.  A move between rounds is one
-    gather of both planes, rows and columns alike, into the buffer that
-    held the partners' products; the last goes back to natural order.
+    same with c | s e and c e | s.  A real stack holds -s e, taken as
+    s (-e), where s e would be, and sums its halves in one addition over
+    the whole state: in IEEE 754 x - y is x + (-y), and s (-e) = -(s e) and
+    q (-y) = -(q y) hold to the bit, signed zeros included.  A complex
+    product with a negated factor may differ from the negated product in
+    the sign of a zero, so a complex stack subtracts.  Each product and sum
+    is the one that rows and columns paired side by side would take, in the
+    same order, so the bits do not depend on the layout.  A move between
+    rounds is one gather of both planes, rows and columns alike, into the
+    buffer that held the partners' products; the last goes back to natural
+    order.
     Running blocks only ever stop, so the buffers are made once, and the
     blocks still running take their leading entries.
 
@@ -305,13 +326,16 @@ def _jacobi_stack(
             if not count:
                 # per block of the first sweep: two states, the round's and
                 # one for its partners' products and then its next layout;
-                # [c | c e, s e | s] per pivot for the columns, and for the
-                # rows, which differ only in conj(c e) and conj(s e); the
-                # coefficients of a quarter, the same as the quarter's
-                # beside it; A's pivot entries as read and as written
+                # [c | c e, s e | s] per pivot for the columns, -s e in a
+                # real stack, and for the rows, which differ only in
+                # conj(c e) and conj(s e); e and s's factor, -e in a real
+                # stack; the coefficients of a quarter, the same as the
+                # quarter's beside it; A's pivot entries as read and as
+                # written
                 buffers = np.empty((2, running.size, 2, 2, 2, half, half), dtype=dtype)
                 stores = [
                     np.empty((running.size, 2, 2, 2, half), dtype=dtype),
+                    np.empty((running.size, 2, half), dtype=dtype),
                     np.empty((running.size, 2, 2, half, half), dtype=dtype),
                     np.empty((running.size, 3 * half), dtype=dtype),
                     np.empty((running.size, 4 * half), dtype=dtype),
@@ -320,17 +344,20 @@ def _jacobi_stack(
             states = buffers[:, :count]
             flats = states.reshape(2, count, 2 * area)
             views = [_quarters(state) for state in states]
-            cs, coefs, entries, fixed = (store[:count] for store in stores)
+            cs, es, coefs, entries, fixed = (store[:count] for store in stores)
             cols_cs = cs[:, 0]
             rows_cs = cs[:, 1] if complex_stack else cols_cs
-            c, ce = cols_cs[:, 0, 0], cols_cs[:, 0, 1]
-            se, s = cols_cs[:, 1, 0], cols_cs[:, 1, 1]
+            # (c, s) on the diagonal of each 2 x 2, (c e, s e) off it
+            slots = cols_cs.reshape(count, 4, half)
+            c, s, cs_pair, ce_pair = slots[:, 0], slots[:, 3], slots[:, ::3], slots[:, 1:3]
+            e = es[:, 0]
             by_row, by_col = rows_cs[..., np.newaxis], cols_cs[:, :, :, np.newaxis]
             own_rows = coefs[:, 0, np.newaxis, :, np.newaxis]
             other_rows = coefs[:, 1, np.newaxis, :, np.newaxis]
             own_cols, other_cols = coefs[:, 0, np.newaxis], coefs[:, 1, np.newaxis]
             app, aqq = entries[:, :half].real, entries[:, half : 2 * half].real
             pivot = entries[:, 2 * half :]
+            kept = fixed[:, 2 * half :].reshape(count, 2, half)
             places = np.arange(count)[:, np.newaxis] * (2 * area) + pivots
         floor = skip[running, np.newaxis]
         # the running blocks into the first round's layout, by way of the
@@ -347,12 +374,8 @@ def _jacobi_stack(
         try:
             for r, move in enumerate(moves):
                 flat = flats[r % 2]
-                (x, rows_partner, rows_p, rows_q), (a_x, cols_partner, cols_p, cols_q) = (
-                    views[r % 2]
-                )
-                (other, _, other_p, other_q), (other_a, _, other_cp, other_cq) = (
-                    views[1 - r % 2]
-                )
+                (x, rows_partner), (a_x, cols_partner) = views[r % 2]
+                (other, _), (other_a, _) = views[1 - r % 2]
                 np.take(flat, pivots[: 3 * half], axis=1, out=entries, mode="wrap")
                 b = np.abs(pivot)
                 idle = b <= floor
@@ -362,18 +385,24 @@ def _jacobi_stack(
                 d = aqq - app
                 twice_b = 2.0 * b
                 t = np.copysign(twice_b, d) / (np.abs(d) + np.hypot(twice_b, d))
-                e = np.conjugate(pivot)
-                e.real /= b
                 if complex_stack:
+                    np.conjugate(pivot, out=e)
+                    e.real /= b
                     e.imag /= b
+                else:
+                    np.divide(pivot, b, out=e)
                 # idle pivots get the identity rotation c = 1, s = 0, e = 1
                 t[idle] = 0.0
                 e[idle] = 1.0
                 # c and s in the stack's dtype keep the updates free of casts
                 np.divide(1.0, np.hypot(1.0, t), out=c)
                 np.multiply(t, c, out=s)
-                np.multiply(c, e, out=ce)
-                np.multiply(s, e, out=se)
+                # (c e, s e), or in a real stack (c e, -s e) as s (-e)
+                if complex_stack:
+                    es[:, 1] = e
+                else:
+                    np.negative(e, out=es[:, 1])
+                np.multiply(cs_pair, es, out=ce_pair)
                 if complex_stack:
                     rows_cs[...] = cols_cs
                     np.conjugate(cols_cs, out=rows_cs, where=conjugated)
@@ -381,21 +410,21 @@ def _jacobi_stack(
                 coefs[...] = by_row
                 np.multiply(rows_partner, other_rows, out=other)
                 np.multiply(x, own_rows, out=x)
-                np.subtract(rows_p, other_p, out=rows_p)
-                np.add(rows_q, other_q, out=rows_q)
+                _add_partners(x, other, complex_stack)
                 # p <- p c - q s e and q <- q c e + p s, on A's columns
                 coefs[...] = by_col
                 np.multiply(cols_partner, other_cols, out=other_a)
                 np.multiply(a_x, own_cols, out=a_x)
-                np.subtract(cols_p, other_cp, out=cols_p)
-                np.add(cols_q, other_cq, out=cols_q)
+                _add_partners(a_x, other_a, complex_stack)
                 # (J^H A J)[p, p] and [q, q] in closed form; a rotated pivot
-                # is exactly 0 and an idle one keeps its value
+                # is exactly 0 and an idle one keeps its value, at (p, q)
+                # and conjugated at (q, p)
                 t *= b
                 np.subtract(app, t, out=fixed[:, :half])
                 np.add(aqq, t, out=fixed[:, half : 2 * half])
-                np.multiply(pivot, idle, out=fixed[:, 2 * half : 3 * half])
-                np.conjugate(fixed[:, 2 * half : 3 * half], out=fixed[:, 3 * half :])
+                np.multiply(pivot[:, np.newaxis], idle[:, np.newaxis], out=kept)
+                if complex_stack:
+                    np.conjugate(kept[:, 1], out=kept[:, 1])
                 np.put(flat, places, fixed, mode="wrap")
                 np.take(flat, move, axis=1, out=flats[1 - r % 2], mode="wrap")
         finally:
@@ -602,6 +631,8 @@ class _Eigensolve:
         m = require_square(m, "eigensolver needs a square matrix")
         if not np.isfinite(m).all():
             raise ValueError("matrix entries must be finite")
+        if not isinstance(tol, numbers.Real):
+            raise TypeError(f"tol must be a real number, got {tol!r}")
         if not tol > 0.0:
             raise ValueError(f"tol must be positive, got {tol}")
         component, colour, a, self.reach = gauge(m)
@@ -639,7 +670,7 @@ class _Eigensolve:
         groups = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
         # for n = 0 the split holds one empty group, which is no block
         self.groups = [idx for idx in groups if idx.size]
-        blocks = [swept[np.ix_(idx, idx)] for idx in self.groups]
+        blocks = [swept[idx[:, np.newaxis], idx] for idx in self.groups]
         if w is None:
             blocks = [_symmetrized(block) for block in blocks]
         norms = [frobenius_norm(block) for block in blocks]
@@ -688,7 +719,7 @@ class _Eigensolve:
         v = np.zeros((*rows.members.shape, rows.members.shape[1]), dtype=self.dtype)
         for idx, (_, r, _, _) in zip(self.groups, solved):
             if self.w is None:
-                v[block[idx[0]]][np.ix_(row[idx], column[idx])] = r
+                v[block[idx[0]]][row[idx][:, np.newaxis], column[idx]] = r
             else:
                 v[0][:, column[idx]] = self.w[:, idx] @ r
         self.w = None
@@ -798,7 +829,9 @@ def hermitian_eig(
     complex128 either way.  A matrix the squares of whose entries sum
     beyond double precision, as 1e308 on a diagonal do, raises
     :class:`NumericalError`: the stop threshold and the sweeps' off-diagonal
-    norms are taken from that sum, unscaled.
+    norms are taken from that sum, unscaled.  A tol that is no
+    :class:`numbers.Real`, as a str or None, raises TypeError, and one that
+    is not positive ValueError.
     """
     (dec,) = _eigensolves([(m, charge)], tol)
     return dec

@@ -90,8 +90,12 @@ def synthesize_gate(h: Hamiltonian, theta: float, eig_tol: float = DEFAULT_TOL) 
     overflowing, fails that check too.  ``theta`` may be any finite
     :class:`numbers.Real`, NumPy's real scalars and ``Fraction`` included,
     whose float is finite too; the gate is that of ``float(theta)``, and
-    ``Gate.theta`` that float.
+    ``Gate.theta`` that float.  ``h`` must be a :class:`Hamiltonian`, which
+    carries the generator's charge, spin and kind; anything else raises
+    TypeError.
     """
+    if not isinstance(h, Hamiltonian):
+        raise TypeError(f"the generator must be a Hamiltonian, got {type(h).__name__}")
     try:
         finite = isinstance(theta, numbers.Real) and math.isfinite(theta)
     except OverflowError:  # an int or a Fraction beyond double precision

@@ -568,7 +568,8 @@ def certify_isospectral(
     ``charges`` passes each operator's conserved-charge factors (or None)
     to the eigensolver, which then diagonalizes sector by sector.  Empty
     operators have no spectrum and raise :class:`ShapeError`; a ``kmax`` or
-    ``prefix`` that is not an integer raises TypeError before any work.
+    ``prefix`` that is not an integer raises TypeError before any work, as
+    an ``eig_tol`` that is no real number does (see :func:`hermitian_eig`).
 
     Both eigensolves are one batched solve: an operator on the sector route
     sweeps its own charge factors, and then the blocks of both operators

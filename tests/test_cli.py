@@ -1149,6 +1149,32 @@ def test_any_arithmetic_error_of_a_command_exits_3(monkeypatch, capsys):
     assert capsys.readouterr() == ("", "error: ZeroDivisionError: x\n")
 
 
+def test_main_builds_one_parser_and_runs_the_handler_it_finds_then(monkeypatch, capsys):
+    # the parser is built on the first call only; a command patched after
+    # it was built is still the one that runs
+    built, ran = [], []
+    real_build, real_verify = cli.build_parser, cli.cmd_verify
+
+    def build():
+        built.append(None)
+        return real_build()
+
+    def verify(args):
+        ran.append(args.spin)
+        return real_verify(args)
+
+    monkeypatch.setattr(cli, "build_parser", build)
+    cli._parser.cache_clear()
+    try:
+        assert cli.main(["verify", "--spin", "1/2"]) == 0
+        monkeypatch.setattr(cli, "cmd_verify", verify)
+        assert cli.main(["verify", "--spin", "1", "--format", "json"]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1 and ran == [cli.HalfInteger.parse("1")]
+    assert '"verdict": true' in capsys.readouterr().out
+
+
 def test_file_and_built_operator_routes_agree(run_cli, tmp_path):
     k = cli.build_cyclic(cli.HalfInteger(3)).matrix
     path = tmp_path / "k.txt"

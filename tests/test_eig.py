@@ -37,6 +37,7 @@ from spintool.linalg import (
     gauge,
 )
 from spintool.hamiltonians import build_bilinear, build_cyclic, build_heisenberg
+from spintool.gates import synthesize_gate
 from spintool.spectral import (
     certify_isospectral,
     closed_form_spectrum,
@@ -366,6 +367,20 @@ def test_a_tol_that_is_not_positive_is_refused(tol):
     # the library is the one place that takes a tolerance
     with pytest.raises(ValueError, match="^tol must be positive, got "):
         hermitian_eig(np.eye(2), tol=tol)
+
+
+@pytest.mark.parametrize("tol", ["1e-3", None])
+def test_a_tol_that_is_no_real_number_is_a_type_error(tol):
+    # it once ended in "'>' not supported between instances of ..."; the
+    # certificate's and the gate's eig_tol reach the same check
+    message = f"^tol must be a real number, got {re.escape(repr(tol))}$"
+    h = build_heisenberg(HalfInteger(1))
+    with pytest.raises(TypeError, match=message):
+        hermitian_eig(h.matrix, tol=tol)
+    with pytest.raises(TypeError, match=message):
+        certify_isospectral(h.matrix, h.matrix, eig_tol=tol)
+    with pytest.raises(TypeError, match=message):
+        synthesize_gate(h, 0.3, eig_tol=tol)
 
 
 @pytest.mark.parametrize("route", ["sectors", "full", "scalar-sectors"])

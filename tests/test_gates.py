@@ -154,6 +154,14 @@ def test_rejects_non_hermitian_generator():
         synthesize_gate(bad, 1.0)
 
 
+def test_a_generator_that_is_no_hamiltonian_is_a_type_error():
+    # a bare matrix carries no charge, spin or kind; it once ended in
+    # "'numpy.ndarray' object has no attribute 'matrix'"
+    m = build_heisenberg(HalfInteger(1)).matrix
+    with pytest.raises(TypeError, match="^the generator must be a Hamiltonian, got ndarray$"):
+        synthesize_gate(m, 0.3)
+
+
 def test_an_overflowing_pattern_is_a_non_finite_generator():
     # 1e308 * 6 * 6 overflows at 2s = 12: the matrix is not finite, which the
     # eigensolver rejects before its hermiticity check, and moments reject

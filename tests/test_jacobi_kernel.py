@@ -89,6 +89,44 @@ def test_split_kernel_gives_the_interleaved_bits(stack, max_sweeps):
         assert block.tobytes() == kept.tobytes()
 
 
+def _signed_zero_block(pivot, partner):
+    """A 4 x 4 real symmetric block whose first round pivots on (0, 1) and
+    (2, 3), both ``pivot``.  Row 0 and column 0, p's of that round, hold
+    -0.0 where their q's, row 1 and column 1, hold ``partner``, so each
+    such p entry meets a partner product that is a zero of either sign, or
+    any product with s e = 0 where the rotation is idle."""
+    return np.array(
+        [
+            [1.0, pivot, -0.0, -0.0],
+            [pivot, -2.0, partner, partner],
+            [-0.0, partner, 0.5, pivot],
+            [-0.0, partner, pivot, 3.0],
+        ]
+    )
+
+
+@pytest.mark.parametrize("partner", [0.0, -0.0, 1.5, -1.5])
+@pytest.mark.parametrize(
+    "pivot, stop",
+    [(0.0, 0.0), (1e-300, 1e-12), (-1e-300, 1e-12), (0.7, 0.0), (-0.7, 1e-12),
+     (5e-324, 0.0), (-5e-324, 0.0)],
+    ids=["zero", "idle", "idle-negative", "rotated", "rotated-negative", "subnormal",
+         "subnormal-negative"],
+)
+def test_signed_zeros_of_a_real_stack_keep_the_interleaved_bits(pivot, stop, partner):
+    # a real round sums its halves once, with -s e in the slot of s e; x - y
+    # is x + (-y), so each -0.0 keeps its sign.  A stop of 0 runs every
+    # sweep; 1e-12 makes a tiny pivot idle, so that its s e is 0
+    block = _signed_zero_block(pivot, partner)
+    blocks = [block, block[:3, :3].copy(), -block]
+    stops = [stop * frobenius_norm(b) for b in blocks]
+    for max_sweeps in (1, 3):
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            split = _jacobi_stack(blocks, stops, max_sweeps)
+        _assert_same_results(split, interleaved_jacobi_stack(blocks, stops, max_sweeps))
+        assert all(d.dtype == np.float64 and v.dtype == np.float64 for d, v, _, _ in split)
+
+
 @pytest.mark.parametrize("build", [build_heisenberg, build_cyclic], ids=["H", "K"])
 def test_the_cap_decomposes_as_under_the_interleaved_kernel(build, monkeypatch):
     ham = build(HalfInteger(24))
