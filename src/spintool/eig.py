@@ -112,7 +112,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,6 +123,7 @@ from .linalg import (
     NumericalError,
     ShapeError,
     _require_hermitian,
+    _require_tol,
     frobenius_norm,
     gauge,
     require_hermitian,
@@ -631,10 +631,10 @@ class _Eigensolve:
         m = require_square(m, "eigensolver needs a square matrix")
         if not np.isfinite(m).all():
             raise ValueError("matrix entries must be finite")
-        if not isinstance(tol, numbers.Real):
-            raise TypeError(f"tol must be a real number, got {tol!r}")
-        if not tol > 0.0:
-            raise ValueError(f"tol must be positive, got {tol}")
+        _require_tol(tol)
+        if tol >= 1.0:
+            # off(m) <= ||m||_F, so the stop tol * ||m||_F holds before any sweep
+            raise ValueError(f"tol must be below 1, got {tol}: no sweep starts at that stop")
         component, colour, a, self.reach = gauge(m)
         # a real form's defect has m's entries up to sign: checked in its
         # dtype, within the reach beyond which the form is zero
@@ -829,9 +829,13 @@ def hermitian_eig(
     complex128 either way.  A matrix the squares of whose entries sum
     beyond double precision, as 1e308 on a diagonal do, raises
     :class:`NumericalError`: the stop threshold and the sweeps' off-diagonal
-    norms are taken from that sum, unscaled.  A tol that is no
-    :class:`numbers.Real`, as a str or None, raises TypeError, and one that
-    is not positive ValueError.
+    norms are taken from that sum, unscaled.  tol must lie in (0, 1): one
+    that is no :class:`numbers.Real`, as a str or None, raises TypeError,
+    and one that is not positive ValueError, as :func:`require_hermitian`
+    has it; one of 1 or more, True among them, raises ValueError too, since
+    the off-diagonal norm never exceeds ||m||_F and no sweep would start.
+    This is the one eigensolver tolerance a caller sets: the certificate
+    and the gate solve at ``DEFAULT_TOL``.
     """
     (dec,) = _eigensolves([(m, charge)], tol)
     return dec

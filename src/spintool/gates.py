@@ -76,10 +76,11 @@ class Gate:
         return self.matrix.shape[0]
 
 
-def synthesize_gate(h: Hamiltonian, theta: float, eig_tol: float = DEFAULT_TOL) -> Gate:
+def synthesize_gate(h: Hamiltonian, theta: float) -> Gate:
     """Build U(theta) = exp(-i theta M) from a Hermitian generator.
 
-    :func:`eig.hermitian_eig`, given the carrier's charge, is the one check
+    :func:`eig.hermitian_eig`, given the carrier's charge and
+    ``DEFAULT_TOL``, read from this module when called, is the one check
     of the generator: a matrix that is not Hermitian raises
     :class:`HermiticityError` and a non-finite one ValueError.  U is the
     direct sum of the gates of the blocks that the decomposition's
@@ -102,7 +103,7 @@ def synthesize_gate(h: Hamiltonian, theta: float, eig_tol: float = DEFAULT_TOL) 
         finite = False
     if not finite:
         raise ValueError(f"theta must be a finite real number, got {theta!r}")
-    dec = hermitian_eig(h.matrix, eig_tol, charge=h.charge)
+    dec = hermitian_eig(h.matrix, DEFAULT_TOL, charge=h.charge)
     values, source_residual, (rows, columns) = dec.values, dec.residual, dec.blocks
     # the vectors' blocks are all the gate needs: the decomposition's dense
     # vectors go before the gate is scattered (for one block, v views them)

@@ -36,6 +36,7 @@ construction, so products with them are taken blockwise too.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -160,10 +161,24 @@ def _defect(a: np.ndarray, reach: int) -> float:
 def require_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> None:
     """Raise :class:`HermiticityError` unless the defect is <= tol * dim.
 
-    A matrix holding NaN has a NaN defect, which is not <= any bound.
+    A matrix holding NaN has a NaN defect, which is not <= any bound.  A
+    tol that is no :class:`numbers.Real` raises TypeError, and one that is
+    not positive, NaN among them, ValueError (see :func:`_require_tol`).
     """
     a = require_square(a, "hermiticity is defined for square matrices")
+    _require_tol(tol)
     _require_hermitian(a, tol, a.shape[0] - 1)
+
+
+def _require_tol(tol, name: str = "tol") -> None:
+    """The one rule for a tolerance that a caller sets, named ``name`` in
+    the message: TypeError for one that is no :class:`numbers.Real`, as a
+    str or None, and ValueError for one that is not positive, as 0, -inf or
+    NaN.  A bool is the int it equals, as ``numbers.Real`` has it."""
+    if not isinstance(tol, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {tol!r}")
+    if not tol > 0.0:
+        raise ValueError(f"{name} must be positive, got {tol}")
 
 
 def _require_hermitian(a: np.ndarray, tol: float, reach: int) -> None:

@@ -47,11 +47,12 @@ from .linalg import (
     NumericalError,
     ShapeError,
     _require_hermitian,
+    _require_tol,
     frobenius_norm,
     gauge,
     require_square,
 )
-from .spin import HalfInteger
+from .spin import HalfInteger, _require_spin
 
 __all__ = [
     "Spectrum",
@@ -443,14 +444,19 @@ def cluster_spectrum(values, cluster_tol: float) -> Spectrum:
     A value joins the current cluster when it sits within ``cluster_tol``
     of the cluster's running mean; otherwise it opens a new cluster.  For
     well-separated spectra this reproduces exact multiplicities.
+    ``cluster_tol`` must be a positive, finite real number: one that is no
+    :class:`numbers.Real` raises TypeError, and one that is not positive or
+    is infinite, which would merge every spectrum into one cluster,
+    ValueError.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1 or values.size == 0:
         raise ShapeError("expected a non-empty 1-D value list")
     if not np.isfinite(values).all():
         raise ValueError("values must be finite")
-    if not cluster_tol > 0.0:
-        raise ValueError(f"cluster_tol must be positive, got {cluster_tol}")
+    _require_tol(cluster_tol, "cluster_tol")
+    if not math.isfinite(cluster_tol):
+        raise ValueError(f"cluster_tol must be finite, got {cluster_tol}")
     if np.any(np.diff(values) < 0.0):
         raise ValueError("values must be ascending")
     clusters: list[tuple[float, int]] = []
@@ -478,8 +484,10 @@ def closed_form_spectrum(s: HalfInteger) -> Spectrum:
 
     Coupling two spin-s sites gives total-spin sectors j = 0..2s, and on
     each sector the operator equals (j(j+1) - 2s(s+1)) / 2 with
-    multiplicity 2j+1.  All values are dyadic rationals, hence exact.
+    multiplicity 2j+1.  All values are dyadic rationals, hence exact.  An
+    ``s`` that is no :class:`HalfInteger` raises TypeError.
     """
+    _require_spin(s)
     casimir = s.twice * (s.twice + 2) / 4.0
     clusters = tuple(
         (j * (j + 1) / 2.0 - casimir, 2 * j + 1) for j in range(s.twice + 1)
@@ -553,7 +561,6 @@ def certify_isospectral(
     b: np.ndarray,
     kmax: int | None = None,
     prefix: int | None = None,
-    eig_tol: float = DEFAULT_TOL,
     *,
     charges: tuple = (None, None),
 ) -> IsospectralReport:
@@ -566,10 +573,13 @@ def certify_isospectral(
     ``prefix`` additionally reports the comparison restricted to the first
     so-many powers; the verdict never rests on the prefix alone.
     ``charges`` passes each operator's conserved-charge factors (or None)
-    to the eigensolver, which then diagonalizes sector by sector.  Empty
-    operators have no spectrum and raise :class:`ShapeError`; a ``kmax`` or
-    ``prefix`` that is not an integer raises TypeError before any work, as
-    an ``eig_tol`` that is no real number does (see :func:`hermitian_eig`).
+    to the eigensolver, which then diagonalizes sector by sector; one that
+    is not a pair raises ValueError.  Both operators are solved at
+    ``DEFAULT_TOL``, read from this module when called: the certificate
+    takes no tolerance, so every certificate is made at the constants that
+    tests/test_margins.py audits.  Empty operators have no spectrum and
+    raise :class:`ShapeError`; a ``kmax`` or ``prefix`` that is not an
+    integer raises TypeError before any work.
 
     Both eigensolves are one batched solve: an operator on the sector route
     sweeps its own charge factors, and then the blocks of both operators
@@ -596,8 +606,12 @@ def certify_isospectral(
         prefix = _integer(prefix, "prefix")
         if not 1 <= prefix <= kmax:
             raise ValueError(f"prefix must lie in 1..kmax, got {prefix}")
+    try:
+        charge_a, charge_b = charges
+    except (TypeError, ValueError):
+        raise ValueError("charges must be a pair: a charge or None for a, then for b") from None
 
-    dec_a, dec_b = _eigensolves([(a, charges[0]), (b, charges[1])], eig_tol)
+    dec_a, dec_b = _eigensolves([(a, charge_a), (b, charge_b)], DEFAULT_TOL)
     cluster_tol = max(default_cluster_tol(a), default_cluster_tol(b))
     spectrum_a = cluster_spectrum(dec_a.values, cluster_tol)
     spectrum_b = cluster_spectrum(dec_b.values, cluster_tol)

@@ -83,6 +83,12 @@ class HalfInteger:
         return f"{self.twice}/2"
 
 
+def _require_spin(s) -> None:
+    """Raise TypeError, naming :class:`HalfInteger`, unless s is one."""
+    if not isinstance(s, HalfInteger):
+        raise TypeError(f"the spin must be a HalfInteger, got {type(s).__name__}")
+
+
 @dataclass(frozen=True)
 class SpinTriple:
     """Carrier for (S1, S2, S3); construction does not validate the algebra.
@@ -111,8 +117,10 @@ def make_spin_triple(s: HalfInteger) -> SpinTriple:
     Magnetic numbers descend along the diagonal, so the raising operator has
     entries sqrt(s(s+1) - m'(m'+1)) with m' the target level's number.  For
     dyadic s both s(s+1) and every m are exact in floating point, which keeps
-    small cases (notably s = 1/2) free of rounding.
+    small cases (notably s = 1/2) free of rounding.  An ``s`` that is no
+    :class:`HalfInteger`, as the int 2, raises TypeError.
     """
+    _require_spin(s)
     if s.twice > MAX_TWICE_SPIN:
         raise ValueError(
             f"spin {s} exceeds the supported cap 2s <= {MAX_TWICE_SPIN}"
@@ -150,8 +158,11 @@ class AlgebraReport:
         return max(self.residuals.values())
 
 
-def verify_su2(triple: SpinTriple, tol: float = DEFAULT_TOL) -> AlgebraReport:
+def verify_su2(triple: SpinTriple) -> AlgebraReport:
     """Measure how well a triple satisfies the su(2) relations.
+
+    Every residual is held to ``DEFAULT_TOL`` * dimension, the constant
+    read from this module when called, which the report keeps as ``tol``.
 
     Checked identities: the cyclic commutators [Sj, Sk] = i Sl, the Casimir
     sum S1^2 + S2^2 + S3^2 = s(s+1) I, tr(Sj^2) = s(s+1)(2s+1)/3, the
@@ -189,5 +200,5 @@ def verify_su2(triple: SpinTriple, tol: float = DEFAULT_TOL) -> AlgebraReport:
                 power = power @ squares[j]
             residuals[f"tr(S{j + 1}^{exponent})"] = abs(np.trace(power).item())
 
-    passed = max(residuals.values()) <= tol * n
-    return AlgebraReport(spin=s, dimension=n, tol=tol, residuals=residuals, passed=passed)
+    passed = max(residuals.values()) <= DEFAULT_TOL * n
+    return AlgebraReport(spin=s, dimension=n, tol=DEFAULT_TOL, residuals=residuals, passed=passed)

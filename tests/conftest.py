@@ -76,19 +76,16 @@ def sweep_budget(monkeypatch):
 @pytest.fixture()
 def cli_tol(monkeypatch):
     """``cli_tol(t)`` runs every later command of the test at the base
-    tolerance t, where the command line takes DEFAULT_TOL: each library call
-    of ``spintool.cli`` that solves or checks gets t.  The reports still
-    write DEFAULT_TOL; the library is the way to tune a tolerance."""
+    tolerance t, where the command line takes DEFAULT_TOL: the certificate,
+    the gate and the algebra suite read ``DEFAULT_TOL`` from their own
+    modules when called, which is set to t, and each ``hermitian_eig`` call
+    of ``spintool.cli`` gets t.  The reports still write ``cli.DEFAULT_TOL``;
+    ``hermitian_eig`` is the one library call that takes a tolerance."""
 
     def at(tol: float) -> None:
-        calls = {
-            "hermitian_eig": functools.partial(eig.hermitian_eig, tol=tol),
-            "verify_su2": functools.partial(spin.verify_su2, tol=tol),
-            "certify_isospectral": functools.partial(spectral.certify_isospectral, eig_tol=tol),
-            "synthesize_gate": functools.partial(gates.synthesize_gate, eig_tol=tol),
-        }
-        for name, call in calls.items():
-            monkeypatch.setattr(cli, name, call)
+        for module in (spectral, gates, spin):
+            monkeypatch.setattr(module, "DEFAULT_TOL", tol)
+        monkeypatch.setattr(cli, "hermitian_eig", functools.partial(eig.hermitian_eig, tol=tol))
 
     return at
 

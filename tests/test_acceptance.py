@@ -117,7 +117,7 @@ def test_criterion_05_su2_algebra_suite():
     with criterion(5, "su(2) identities hold for 2s=1..12; n=4 trace formula fails"):
         for twice in range(1, 13):
             triple = make_spin_triple(HalfInteger(twice))
-            report = verify_su2(triple, tol=1e-12)
+            report = verify_su2(triple)
             assert report.passed
             assert report.max_residual <= 1e-12 * report.dimension
             for name, value in report.residuals.items():

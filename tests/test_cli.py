@@ -233,15 +233,11 @@ def test_gate_check_catches_broken_unitary(run_cli, monkeypatch):
     assert "verdict=FAIL" in out
 
 
-@pytest.mark.parametrize(
-    "tol, passed", [(1e-12, True), (1e-3, False), (0.5, False), (1.0, False), (1e308, False)]
-)
+@pytest.mark.parametrize("tol, passed", [(1e-12, True), (1e-3, False), (0.5, False)])
 def test_gate_check_fails_loose_eigenpairs(run_cli, cli_tol, tol, passed):
     # solved at a loose tol, which only the library takes, the gate is still
     # unitary to rounding, but built from eigenpairs 4.4e-4 off at 1e-3
-    # against a bound of 1e-8 * max |lambda|, 2e-8 for H at spin 1.  A tol of
-    # 1 or more meets every stop before the first sweep: such a gate once
-    # passed its check with wrong eigenphases
+    # against a bound of 1e-8 * max |lambda|, 2e-8 for H at spin 1
     cli_tol(tol)
     argv = ["gate", "--spin", "1", "--theta", "0.3", "--check"]
     code, out, err = run_cli(*argv, "--format", "json")
@@ -256,6 +252,16 @@ def test_gate_check_fails_loose_eigenpairs(run_cli, cli_tol, tol, passed):
     lines = out.splitlines()
     assert lines[2] == f"eigenpair_residual={check['eigenpair_residual']!r}"
     assert lines[-1] == ("verdict=PASS" if passed else "verdict=FAIL")
+
+
+@pytest.mark.parametrize("tol", [1.0, 1e308])
+def test_a_gate_at_a_tol_of_one_or_more_is_refused(run_cli, cli_tol, tol):
+    # such a tol meets every stop before the first sweep: the gate was once
+    # built from the diagonal, with wrong eigenphases, and failed only its check
+    cli_tol(tol)
+    code, out, err = run_cli("gate", "--spin", "1", "--theta", "0.3", "--check")
+    assert (code, out) == (2, "")
+    assert err == f"error: tol must be below 1, got {tol}: no sweep starts at that stop\n"
 
 
 def test_gate_cells_are_format_complex_of_the_json_pairs(run_cli, monkeypatch):

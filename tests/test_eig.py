@@ -35,9 +35,9 @@ from spintool.linalg import (
     ShapeError,
     frobenius_norm,
     gauge,
+    require_hermitian,
 )
 from spintool.hamiltonians import build_bilinear, build_cyclic, build_heisenberg
-from spintool.gates import synthesize_gate
 from spintool.spectral import (
     certify_isospectral,
     closed_form_spectrum,
@@ -190,9 +190,9 @@ def test_a_sweep_budget_is_no_argument():
     with pytest.raises(TypeError):
         hermitian_eig(m, max_sweeps=100)
     with pytest.raises(TypeError):
-        certify_isospectral(m, m, 4, 2, DEFAULT_TOL, 100)
+        certify_isospectral(m, m, 4, 2, 100)
     with pytest.raises(TypeError):
-        certify_isospectral(m, m, 4, 2, DEFAULT_TOL, (charge, charge))
+        certify_isospectral(m, m, 4, 2, (charge, charge))
 
 
 def test_sweep_budget_exhaustion():
@@ -364,23 +364,34 @@ def stack_dtypes(monkeypatch):
 
 @pytest.mark.parametrize("tol", [0.0, -1e-12, np.nan, -np.inf])
 def test_a_tol_that_is_not_positive_is_refused(tol):
-    # the library is the one place that takes a tolerance
-    with pytest.raises(ValueError, match="^tol must be positive, got "):
-        hermitian_eig(np.eye(2), tol=tol)
+    # the library is the one place that takes a tolerance, and the
+    # hermiticity check takes the eigensolver's rule: a NaN tol once failed
+    # the identity there with "defect 0.000e+00 exceeds nan", and 0 passed it
+    for check in (hermitian_eig, require_hermitian):
+        with pytest.raises(ValueError, match="^tol must be positive, got "):
+            check(np.eye(2), tol=tol)
 
 
 @pytest.mark.parametrize("tol", ["1e-3", None])
 def test_a_tol_that_is_no_real_number_is_a_type_error(tol):
-    # it once ended in "'>' not supported between instances of ..."; the
-    # certificate's and the gate's eig_tol reach the same check
+    # it once ended in "'>' not supported between instances of ..."
     message = f"^tol must be a real number, got {re.escape(repr(tol))}$"
     h = build_heisenberg(HalfInteger(1))
-    with pytest.raises(TypeError, match=message):
-        hermitian_eig(h.matrix, tol=tol)
-    with pytest.raises(TypeError, match=message):
-        certify_isospectral(h.matrix, h.matrix, eig_tol=tol)
-    with pytest.raises(TypeError, match=message):
-        synthesize_gate(h, 0.3, eig_tol=tol)
+    for check in (hermitian_eig, require_hermitian):
+        with pytest.raises(TypeError, match=message):
+            check(h.matrix, tol=tol)
+
+
+@pytest.mark.parametrize("tol", [1.0, 1e308, np.inf, True], ids=["1", "1e308", "inf", "True"])
+def test_a_tol_of_one_or_more_is_refused(tol):
+    # off(m) <= ||m||_F, so such a stop held before the first sweep: the
+    # diagonal, [1, 1], came back with residual 2.0 and no error
+    m = np.array([[1.0, 2.0], [2.0, 1.0]])
+    message = f"^tol must be below 1, got {re.escape(str(tol))}: no sweep starts at that stop$"
+    with pytest.raises(ValueError, match=message):
+        hermitian_eig(m, tol=tol)
+    # a tol below 1 sweeps
+    np.testing.assert_allclose(hermitian_eig(m, tol=0.5).values, [-1.0, 3.0])
 
 
 @pytest.mark.parametrize("route", ["sectors", "full", "scalar-sectors"])

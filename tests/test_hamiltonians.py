@@ -6,7 +6,7 @@ import pytest
 from spintool.eig import hermitian_eig
 from spintool.hamiltonians import build_bilinear, build_cyclic, build_heisenberg
 from spintool.linalg import frobenius_norm, hermiticity_defect
-from spintool.spectral import cluster_spectrum, default_cluster_tol
+from spintool.spectral import closed_form_spectrum, cluster_spectrum, default_cluster_tol
 from spintool.spin import HalfInteger, make_spin_triple
 
 H_HALF = 0.25 * np.array(
@@ -96,6 +96,15 @@ def test_built_operators_are_exactly_hermitian(twice, patterns):
         h = build_bilinear(s, pattern)
         assert np.isfinite(h.matrix).all()
         _assert_exactly_hermitian(h.matrix)
+
+
+@pytest.mark.parametrize(
+    "build", [make_spin_triple, build_heisenberg, build_cyclic, closed_form_spectrum]
+)
+def test_a_spin_that_is_no_half_integer_is_a_type_error(build):
+    # the int 2 once ended in "'int' object has no attribute 'twice'"
+    with pytest.raises(TypeError, match="^the spin must be a HalfInteger, got int$"):
+        build(2)
 
 
 def test_spin_one_heisenberg_spectrum():

@@ -46,17 +46,24 @@ def test_the_public_surface_is_pinned():
     assert sorted(spintool.__all__) == PUBLIC
     # the certificate's tolerances are constants, not knobs
     certify = inspect.signature(spintool.certify_isospectral).parameters
-    assert list(certify) == ["a", "b", "kmax", "prefix", "eig_tol", "charges"]
-    # and so is the sweep budget: no public function takes one
+    assert list(certify) == ["a", "b", "kmax", "prefix", "charges"]
+    # and so is the sweep budget: no public function takes one; nor does
+    # any but the eigensolver and the hermiticity check take a tolerance
     functions = [getattr(spintool, name) for name in PUBLIC]
+    tuned = {"hermitian_eig", "require_hermitian"}
     for function in filter(inspect.isfunction, functions):
-        assert not any("sweep" in p for p in inspect.signature(function).parameters)
+        params = inspect.signature(function).parameters
+        assert not any("sweep" in p for p in params)
+        if function.__name__ not in tuned:
+            assert not {"tol", "eig_tol"} & set(params), function.__name__
     eig_params = inspect.signature(spintool.hermitian_eig).parameters
     assert list(eig_params) == ["m", "tol", "charge"]
+    assert list(inspect.signature(spintool.require_hermitian).parameters) == ["a", "tol"]
     keyword = inspect.Parameter.KEYWORD_ONLY
     assert eig_params["charge"].kind is certify["charges"].kind is keyword
     gate = inspect.signature(spintool.synthesize_gate).parameters
-    assert list(gate) == ["h", "theta", "eig_tol"]
+    assert list(gate) == ["h", "theta"]
+    assert list(inspect.signature(spintool.verify_su2).parameters) == ["triple"]
     assert list(inspect.signature(spintool.newton_check).parameters) == ["values", "traces"]
     # built operators are Hermitian by construction: no field records it
     fields = [f.name for f in dataclasses.fields(spintool.Hamiltonian)]

@@ -753,6 +753,23 @@ def test_a_cluster_tol_that_is_not_positive_is_refused(cluster_tol):
         cluster_spectrum([0.0, 1.0], cluster_tol)
 
 
+@pytest.mark.parametrize(
+    "cluster_tol, error, message",
+    [
+        (np.inf, ValueError, "cluster_tol must be finite, got inf"),
+        ("1e-3", TypeError, "cluster_tol must be a real number, got '1e-3'"),
+        (None, TypeError, "cluster_tol must be a real number, got None"),
+    ],
+    ids=["inf", "str", "None"],
+)
+def test_a_cluster_tol_that_is_no_finite_real_number_is_refused(cluster_tol, error, message):
+    # inf once merged [1, 2, 5] into one cluster, (2.667, 3), and a str
+    # ended in "'>' not supported between instances of 'str' and 'float'";
+    # the rule is the one hermitian_eig applies to its tol, and then finite
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        cluster_spectrum([1.0, 2.0, 5.0], cluster_tol)
+
+
 def test_cluster_separation_invariant():
     spectrum = cluster_spectrum([0.0, 0.3, 0.7, 1.2], 0.5)
     gaps = np.diff(spectrum.values)
@@ -1136,6 +1153,18 @@ def test_a_non_integer_kmax_or_prefix_fails_before_any_work(monkeypatch):
     report = certify_isospectral(eye2, eye2, kmax=np.int64(2), prefix=np.int32(1))
     assert report.moments.powers == (1, 2)
     assert report.moments.prefix_len == 1 and report.moments.passed
+
+
+@pytest.mark.parametrize("charges", [(None,), (None, None, None), None, ()])
+def test_charges_that_are_not_a_pair_fail_before_any_work(charges, monkeypatch):
+    # a 1-tuple once ended in "IndexError: tuple index out of range"
+    def refuse(*args, **kwargs):
+        raise AssertionError("no work before the arguments are checked")
+
+    monkeypatch.setattr(spectral, "_eigensolves", refuse)
+    h = build_heisenberg(HalfInteger(1))
+    with pytest.raises(ValueError, match="^charges must be a pair: "):
+        certify_isospectral(h.matrix, h.matrix, charges=charges)
 
 
 @pytest.mark.parametrize("twice", [1, 2, 3, 5])
