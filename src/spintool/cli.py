@@ -11,9 +11,11 @@ renders it and derives the exit code from its verdict.  ``json`` output
 ``plain`` key=value lines and ``csv`` are views of it.  The csv output is the
 command's main table (spectrum clusters, verify moments, gate matrix, table
 rows) and the repeated plain lines show the same cells.  The gate report
-holds its matrix as the complex array, and every format writes it straight
-from that array; in json each entry is an [re, im] pair, in the same bytes
-that ``json.dumps(indent=2)`` gives for a list of such pairs.  A renderer
+holds its matrix as the gate's blocks, a :class:`linalg.BlockStack`, and
+every format writes each row from its block, the entries off the block as
+fixed zero text, with no dense array built; a dense array in the report's
+place is one block.  In json each entry is an [re, im] pair, in the same
+bytes that ``json.dumps(indent=2)`` gives for a list of such pairs.  A renderer
 runs every check when it is called, before the first write, and then hands
 out its text in pieces, a line or a matrix row each, which ``main`` writes
 as they are drawn: an error writes nothing, and no more than one row of a
@@ -52,7 +54,7 @@ import numpy as np
 from .eig import hermitian_eig
 from .gates import Gate, gate_eigenphases, synthesize_gate
 from .hamiltonians import build_cyclic, build_heisenberg
-from .linalg import DEFAULT_TOL, NumericalError
+from .linalg import DEFAULT_TOL, BlockStack, NumericalError
 from .spectral import (
     IsospectralReport,
     Spectrum,
@@ -451,8 +453,9 @@ def cmd_gate(args: argparse.Namespace) -> dict:
         "theta": gate.theta,
         "dimension": gate.dimension,
         "tol": DEFAULT_TOL,
-        # the complex array itself; json writes each entry as an [re, im] pair
-        "matrix": gate.matrix,
+        # the gate's blocks, with no dense array; json writes each entry as
+        # an [re, im] pair
+        "matrix": gate.matrix_blocks,
         "check": check,
         "verdict": check is None or check["passed"],
     }
@@ -501,33 +504,36 @@ def _complex_cells(values: np.ndarray) -> list[str]:
 
 
 def _matrix_rows(
-    m: np.ndarray,
+    m: BlockStack | np.ndarray,
     zero: str,
     cells: Callable[[np.ndarray], list[str]],
     sep: str,
     full: Callable[[np.ndarray], str] | None = None,
 ) -> Iterator[str]:
-    """The text of each row of the complex matrix m, its entries joined by sep.
+    """The text of each row of m, a gate's matrix, its entries joined by sep.
 
-    An entry is kept unless both its parts are +0.0; the test is on the bit
-    patterns, so an entry holding a -0.0 is kept and written with its own
-    text.  Only the kept entries are formatted, by ``cells``; the +0.0
-    entries between them are written as runs of the fixed text ``zero``.  A
-    row with every entry kept is written by ``full``, by default one join of
-    its cells.
+    m is a :class:`linalg.BlockStack`, or an array, which is one block (see
+    :meth:`BlockStack.of`).  Each row is read from its block: the entries in
+    the block's columns are formatted by ``cells``, and the +0.0 entries off
+    them, where a gate's matrix holds nothing else, are written as runs of
+    the fixed text ``zero``, the text that ``cells`` gives +0.0.  A row
+    whose block holds every column, as each row of one block does, is
+    written by ``full``, by default one join of its cells.
     """
+    m = BlockStack.of(m)
     n = m.shape[1]
-    m = np.ascontiguousarray(m, dtype=np.complex128)
     sep_zero = sep + zero
-    for row, bits in zip(m, m.view(np.uint64)):
-        kept = np.flatnonzero(bits[0::2] | bits[1::2])
-        if len(kept) == n:
+    kept = [c[f].tolist() for c, f in zip(m.columns.members, m.columns.filled)]
+    for block, slot in zip(*m.rows.places().tolist()):
+        columns = kept[block]
+        row = m.stack[block, slot, : len(columns)]
+        if len(columns) == n:
             yield sep.join(cells(row)) if full is None else full(row)
             continue
         # the cells, and a run of zero text for each gap between them
         items = []
         last = -1
-        for j, text in zip(kept.tolist(), cells(row[kept])):
+        for j, text in zip(columns, cells(row)):
             if j > last + 1:
                 items.append(zero + sep_zero * (j - last - 2))
             items.append(text)
@@ -613,10 +619,12 @@ def _render_json(report: dict) -> Iterable[str]:
     A gate report comes as its head, one piece per matrix row and its tail;
     any other report as one piece.  json.dumps takes its C encoder only
     without indent, so the report's largest field is written here, each
-    entry as its [re, im] pair (see ``_matrix_rows``), and a row with every
-    entry kept through one %-template of the whole row, built once.  Both
-    checks, the head's allow_nan=False and the matrix's finiteness, run on
-    the call, so a report that json cannot write raises before any piece.
+    entry as its [re, im] pair (see ``_matrix_rows``), and a row whose block
+    holds every column through one %-template of the whole row, built once.
+    Both checks, the head's allow_nan=False and the matrix's finiteness,
+    run on the call, so a report that json cannot write raises before any
+    piece; the finiteness is taken on the blocks, and only a matrix that
+    fails it is made dense, to name its first such value as json would.
     """
     if report["command"] != "gate":
         return [json.dumps(report, indent=2, allow_nan=False) + "\n"]
@@ -624,11 +632,10 @@ def _render_json(report: dict) -> Iterable[str]:
     # json escapes line breaks in strings, so no string can hold this text
     head, tail = text.split('\n  "matrix": null')
     head += '\n  "matrix": [\n    '
-    m = report["matrix"]
-    flat = m.view(np.float64)  # each row as re, im, re, im, ...
-    finite = np.isfinite(flat)
-    if not finite.all():
-        value = float(flat[~finite][0])
+    m = BlockStack.of(report["matrix"])
+    if not np.isfinite(m.stack)[m.rows.inside(m.columns)].all():
+        flat = m.dense.view(np.float64)  # each row as re, im, re, im, ...
+        value = float(flat[~np.isfinite(flat)][0])
         raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
     sep = ",\n      "
     dense = sep.join([_PAIR] * m.shape[1])

@@ -104,15 +104,15 @@ vectors keep by construction, or the one block of a pattern that is one
 component.  M v is taken there only within the half-bandwidth w of M's
 pattern, which bounds the band of every block of the stack, _ROWS rows at a
 time: w = 2s + 2 for K, each of whose blocks of rows then reads about
-2w + _ROWS of its n columns.  The complex128 vectors are written once, from
-that stack, at the end.
+2w + _ROWS of its n columns.  The vectors are kept as that stack, cast to
+complex128 at the end; the dense n x n array is built only when read.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -120,8 +120,10 @@ from .linalg import (
     _ROWS,
     DEFAULT_TOL,
     Blocks,
+    BlockStack,
     NumericalError,
     ShapeError,
+    _Dense,
     _require_hermitian,
     _require_tol,
     frobenius_norm,
@@ -169,24 +171,36 @@ class EigDecomposition:
     the most any one block needed.  ``leak`` and ``commutator`` are the
     sector route's measured charge certificate (see :func:`hermitian_eig`);
     both are 0.0 on the component route, also where a charge was given.
-    ``blocks`` are the row and column blocks that ``vectors`` keep to, for
-    products with the vectors on the blocks' stack: the rows' are the
-    components of M's pattern, and the columns' are the same labels taken
-    in the order of ``values``.  Each is one block for a pattern of one
-    component.  None only for a decomposition built by hand.
+
+    ``vectors`` is held as :attr:`vector_blocks`, the
+    :class:`linalg.BlockStack` of the blocks it keeps to, for products with
+    the vectors on the blocks' stack; the read-only complex128 n x n array
+    is built when ``vectors`` is first read.  ``blocks`` are its row and
+    column blocks: the rows' are the components of M's pattern, and the
+    columns' are the same labels taken in the order of ``values``.  Each is
+    one block for a pattern of one component, and for vectors given as an
+    array, as a decomposition built by hand may give them.
     """
 
     values: np.ndarray
-    vectors: np.ndarray
+    vectors: np.ndarray = _Dense()
     residual: float
     sweeps: int
     leak: float = 0.0
     commutator: float = 0.0
-    blocks: tuple[Blocks, Blocks] | None = field(default=None, repr=False, compare=False)
 
     @property
     def dimension(self) -> int:
         return self.values.shape[0]
+
+    @property
+    def vector_blocks(self) -> BlockStack:
+        return BlockStack.of(vars(self)["vectors"])
+
+    @property
+    def blocks(self) -> tuple[Blocks, Blocks]:
+        held = self.vector_blocks
+        return held.rows, held.columns
 
 
 def _symmetrized(a: np.ndarray) -> np.ndarray:
@@ -533,8 +547,15 @@ def _charge_factors(charge, n: int, tol: float) -> tuple[np.ndarray, np.ndarray]
     """The factors (A, B) checked square, finite, Hermitian and of product n,
     as the arrays to sweep: float64 copies of their real parts where neither
     has an imaginary part, as K's, else complex128 copies of both, so that
-    the two share one kernel call.  No factor is walked."""
-    a_site, b_site = (require_square(f, "charge factors must be square") for f in charge)
+    the two share one kernel call.  No factor is walked.  A charge that is
+    no pair, as an int, raises TypeError."""
+    try:
+        pair = tuple(charge)
+    except TypeError:
+        raise TypeError(
+            f"a charge must be a pair (A, B) of single-site factors, got {type(charge).__name__}"
+        ) from None
+    a_site, b_site = (require_square(f, "charge factors must be square") for f in pair)
     if a_site.shape[0] * b_site.shape[0] != n:
         raise ShapeError(
             f"charge factors of sizes {a_site.shape[0]} and {b_site.shape[0]} do "
@@ -697,11 +718,12 @@ class _Eigensolve:
         their component, or as W[:, idx] R.  The stack is mapped through D
         and pinned, and m v - lambda v is taken against m (the real form for
         D = I is m) on it, within m's half-bandwidth, _ROWS rows at a time.
-        Only then, with m's real form gone, are the complex128 vectors
-        written, once: the one block, cast if it is real, or the blocks
-        scattered into columns that hold, off them, zero times the column's
-        pin, the signed zeros that pinning dense columns gives, so the bits
-        do not depend on the layout.
+        Only then, with m's real form gone, is the stack cast to complex128
+        and its padding set to +0.0, as :meth:`Blocks.stack` sets it, which
+        the decomposition keeps as its vectors.  Off the blocks, each column
+        holds zero times its pin, the signed zeros that pinning dense
+        columns gives, so the bits of the dense vectors, when they are
+        built, do not depend on the layout.
         """
         n, colour, component = self.m.shape[0], self.colour, self.component
         a = self.m if colour.any() else self.a
@@ -712,7 +734,7 @@ class _Eigensolve:
             values[idx] = diagonal
         order = np.argsort(values, kind="stable")
         values = values[order]
-        blocks = rows, columns = Blocks.of(component), Blocks.of(component[order])
+        rows, columns = Blocks.of(component), Blocks.of(component[order])
         (block, row), places = rows.places(), columns.places()
         # the slot of each index's column, once sorted, in its block
         column = places[1, np.argsort(order)]
@@ -741,22 +763,18 @@ class _Eigensolve:
             deltas[..., i0:i1, :] -= v[..., i0:i1, :] * lam
         residual = float(np.max(np.linalg.norm(deltas, axis=-2), initial=0.0))
         del a, stack, deltas
-        if rows.members.shape[0] == 1:
-            vectors = v[0].astype(np.complex128, copy=False)
-        else:
-            vectors = np.empty((n, n), dtype=np.complex128)
-            vectors[...] = (np.zeros((), dtype=v.dtype) * pins)[places[0], 0, places[1]]
-            rows.scatter(v, columns, out=vectors)
+        vectors, fill = v.astype(np.complex128, copy=False), None
+        if rows.members.shape[0] > 1:
+            vectors[~rows.inside(columns)] = 0
+            fill = (np.zeros((), dtype=v.dtype) * pins)[places[0], 0, places[1]]
         values.flags.writeable = False
-        vectors.flags.writeable = False
         return EigDecomposition(
             values=values,
-            vectors=vectors,
+            vectors=BlockStack(vectors, rows, columns, fill),
             residual=residual,
             sweeps=max((sweeps for _, _, sweeps, _ in solved), default=0),
             leak=self.leak,
             commutator=self.commutator,
-            blocks=blocks,
         )
 
 

@@ -10,17 +10,18 @@ one eigenbasis.  The generator's hermiticity is checked once, by
 Both products of a gate follow the blocks of the generator's nonzero
 pattern (see :class:`linalg.Blocks`), which the eigendecomposition records.
 U is the direct sum of the blocks V_b diag(exp(-i theta lambda_b)) V_b^H,
-taken on a zero-padded stack of the vectors' blocks, and U^H U - I is taken
-on that same stack before it is scattered into a zeroed matrix.  H, which
-conserves total S3, splits into 4s+1 blocks, 49 of width at most 25 at
-2s = 24, where 97% of its gate is exact zeros; K's pattern is one
-component, one block whose stack is the matrix itself, so its gate costs
-the dense products.  The decomposition is dropped once the stack is taken,
-so for a pattern that splits, as H's, U is the one dense copy held beside
-the generator.  Each operand of the products is dropped once it is used, so
-K's gate at the cap peaks no higher than its eigensolve.
-:func:`unitarity_residual`, for a matrix built by hand, takes the dense
-product, with no walk of its pattern.
+taken on the zero-padded stack of the vectors' blocks that the
+decomposition holds, and U^H U - I is taken on that same stack.  U stays a
+stack too, a :class:`linalg.BlockStack`: ``Gate.matrix``, the dense array,
+is scattered only when it is first read, and the command line writes U's
+rows from its blocks.  H, which conserves total S3, splits into 4s+1
+blocks, 49 of width at most 25 at 2s = 24, where 97% of its gate is exact
+zeros, so neither its vectors nor its gate is ever an n x n array unless a
+caller reads one; K's pattern is one component, one block whose stack is
+the matrix itself, so its gate costs the dense products.  Each operand of
+the products is dropped once it is used, so K's gate at the cap peaks no
+higher than its eigensolve.  :func:`unitarity_residual`, for a matrix
+built by hand, takes the dense product, with no walk of its pattern.
 """
 
 from __future__ import annotations
@@ -36,7 +37,9 @@ from .hamiltonians import Hamiltonian, HamiltonianKind
 from .linalg import (
     DEFAULT_TOL,
     Blocks,
+    BlockStack,
     NumericalError,
+    _Dense,
     frobenius_norm,
     require_square,
 )
@@ -61,19 +64,27 @@ class Gate:
     ``unitarity_residual`` is ||U^H U - I||_F as measured at synthesis, and
     ``source_residual`` the generator's eigenpair residual, the decomposition's
     largest ||M v - lambda v||; each is None for a gate assembled by hand.
+    ``matrix`` is held as :attr:`matrix_blocks`, the
+    :class:`linalg.BlockStack` of U's blocks, and read as the dense array,
+    built on the first read; a matrix given as an array, as a gate
+    assembled by hand gives it, is read as given and held as one block.
     """
 
     theta: float
     kind: HamiltonianKind
     spin: HalfInteger
-    matrix: np.ndarray
+    matrix: np.ndarray = _Dense()
     source_values: np.ndarray
     unitarity_residual: float | None = None
     source_residual: float | None = None
 
     @property
+    def matrix_blocks(self) -> BlockStack:
+        return BlockStack.of(vars(self)["matrix"])
+
+    @property
     def dimension(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix_blocks.shape[0]
 
 
 def synthesize_gate(h: Hamiltonian, theta: float) -> Gate:
@@ -85,7 +96,8 @@ def synthesize_gate(h: Hamiltonian, theta: float) -> Gate:
     :class:`HermiticityError` and a non-finite one ValueError.  U is the
     direct sum of the gates of the blocks that the decomposition's
     ``blocks`` record: the components of the generator's pattern, or the
-    one block of every index, whose gate is the dense product.
+    one block of every index, whose gate is the dense product; the gate
+    holds U as that stack (see :class:`Gate`).
     ||U^H U - I||, taken on the same blocks, is checked against
     1e-10 * dim before U is returned; a NaN gate, from theta * lambda
     overflowing, fails that check too.  ``theta`` may be any finite
@@ -104,11 +116,11 @@ def synthesize_gate(h: Hamiltonian, theta: float) -> Gate:
     if not finite:
         raise ValueError(f"theta must be a finite real number, got {theta!r}")
     dec = hermitian_eig(h.matrix, DEFAULT_TOL, charge=h.charge)
-    values, source_residual, (rows, columns) = dec.values, dec.residual, dec.blocks
-    # the vectors' blocks are all the gate needs: the decomposition's dense
-    # vectors go before the gate is scattered (for one block, v views them)
-    v = rows.stack(dec.vectors, columns)
-    del dec
+    values, source_residual, vectors = dec.values, dec.residual, dec.vector_blocks
+    # the vectors' stack is all the gate needs, and no dense array of them
+    # is built; it goes once it is used
+    v, rows, columns = vectors.stack, vectors.rows, vectors.columns
+    del dec, vectors
     # theta * lambda can overflow; the gate is then NaN and fails the bound below
     with np.errstate(over="ignore", invalid="ignore"):
         phases = np.exp(-1j * float(theta) * values)
@@ -126,13 +138,11 @@ def synthesize_gate(h: Hamiltonian, theta: float) -> Gate:
         raise NumericalError(
             f"synthesized gate failed the unitarity bound: {residual:.3e}"
         )
-    u = rows.scatter(stack)
-    u.flags.writeable = False
     return Gate(
         theta=float(theta),
         kind=h.kind,
         spin=h.s,
-        matrix=u,
+        matrix=BlockStack(stack, rows, rows),
         source_values=values,
         unitarity_residual=residual,
         source_residual=source_residual,
@@ -140,7 +150,12 @@ def synthesize_gate(h: Hamiltonian, theta: float) -> Gate:
 
 
 def gate_eigenphases(gate: Gate) -> np.ndarray:
-    """Eigenphases -theta * lambda reduced to [0, 2 pi), ascending."""
+    """Eigenphases -theta * lambda reduced to [0, 2 pi), ascending.
+
+    ``gate`` must be a :class:`Gate`; anything else raises TypeError.
+    """
+    if not isinstance(gate, Gate):
+        raise TypeError(f"the gate must be a Gate, got {type(gate).__name__}")
     phases = np.mod(-gate.theta * gate.source_values, 2.0 * np.pi)
     # mod rounds a tiny negative phase up to 2 pi itself, which is phase 0
     phases[phases == 2.0 * np.pi] = 0.0

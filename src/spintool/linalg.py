@@ -9,8 +9,9 @@ The same walk, kept within a half-bandwidth w and its blocks of rows
 sized by w, checks the form that :func:`gauge` hands back, which is zero
 beyond w, for the moments and the eigensolver.
 No function here writes into its arguments, but for the ``out`` of
-:meth:`Blocks.scatter`; what :func:`gauge` and :meth:`Blocks.stack` hand
-back may be the argument's own memory, which callers must not write into.
+:meth:`Blocks.scatter`, and a :class:`BlockStack` makes the arrays it is
+given read-only; what :func:`gauge` and :meth:`Blocks.stack` hand back may
+be the argument's own memory, which callers must not write into.
 
 The block helpers at the end, which are not exported, are the package's one
 home for a matrix's nonzero pattern.  :func:`gauge` walks the pattern once,
@@ -31,10 +32,13 @@ most 25 instead of one of 625 at 2s = 24.  A pattern that does not split,
 such as K's, is one block, whose stack is a view of the matrix.
 The eigensolver's vectors keep to the blocks of the pattern it splits by
 construction, so products with them are taken blockwise too.
+A :class:`BlockStack` holds such a matrix as its stack and builds the
+dense array only when it is read, as the eigenvectors and a gate are held.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from collections.abc import Iterator
@@ -320,8 +324,13 @@ class Blocks:
         if columns is None:
             columns = self
         stack = a[self.members[:, :, None], columns.members[:, None, :]]
-        stack[~(self.filled[:, :, None] & columns.filled[:, None, :])] = 0
+        stack[~self.inside(columns)] = 0
         return stack
+
+    def inside(self, columns: Blocks) -> np.ndarray:
+        """The slots of a stack, rows from these blocks and columns from
+        ``columns``, that hold entries: True but in the padding."""
+        return self.filled[:, :, None] & columns.filled[:, None, :]
 
     def places(self) -> np.ndarray:
         """Rows 0 and 1: the block of every index and its slot there."""
@@ -348,7 +357,7 @@ class Blocks:
             columns = self
         if self.members.shape[0] == 1 and out is None:
             return stack[0]
-        inside = self.filled[:, :, None] & columns.filled[:, None, :]
+        inside = self.inside(columns)
         rows = np.broadcast_to(self.members[:, :, None], inside.shape)[inside]
         cols = np.broadcast_to(columns.members[:, None, :], inside.shape)[inside]
         if out is None:
@@ -356,3 +365,74 @@ class Blocks:
             out = np.zeros((n, n), dtype=stack.dtype)
         out[rows, cols] = stack[inside]
         return out
+
+
+@dataclass(frozen=True)
+class BlockStack:
+    """A complex matrix held as the stack of its blocks.
+
+    ``stack[b]`` holds the entries of rows ``rows.members[b]`` and columns
+    ``columns.members[b]`` in its filled slots, as :meth:`Blocks.stack`
+    takes them; its padding is not read.  Off the blocks, column j holds
+    ``fill[j]``, or +0.0 where ``fill`` is None.  The stack and ``fill``
+    are made read-only.  :attr:`dense` is the whole array, built on its
+    first read and then kept.
+    """
+
+    stack: np.ndarray
+    rows: Blocks
+    columns: Blocks
+    fill: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        for held in (self.stack, self.fill):
+            if held is not None:
+                held.flags.writeable = False
+
+    @classmethod
+    def of(cls, a) -> BlockStack:
+        """a, if it is a BlockStack; else the one block of the 2-D array a
+        as C-contiguous complex128, which is a view of a if a is that."""
+        if isinstance(a, BlockStack):
+            return a
+        a = np.ascontiguousarray(a, dtype=np.complex128)
+        rows, columns = (Blocks.of(np.zeros(k, dtype=np.intp)) for k in a.shape)
+        return cls(a[np.newaxis], rows, columns)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return int(self.rows.filled.sum()), int(self.columns.filled.sum())
+
+    @functools.cached_property
+    def dense(self) -> np.ndarray:
+        """The read-only array: the blocks scattered over ``fill``, or a
+        view of the stack for one block and no fill."""
+        if self.fill is None:
+            dense = self.rows.scatter(self.stack, self.columns)
+        else:
+            dense = np.empty(self.shape, dtype=self.stack.dtype)
+            dense[...] = self.fill
+            self.rows.scatter(self.stack, self.columns, out=dense)
+        dense.flags.writeable = False
+        return dense
+
+
+class _Dense:
+    """A dataclass field that takes an array or a :class:`BlockStack` and
+    reads as the array: a BlockStack as its :attr:`~BlockStack.dense`,
+    built on the first read, an array as given.  The field has no default;
+    what it took is ``vars(obj)[name]``."""
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            # dataclasses take a default from here: there is none
+            raise AttributeError(self.name)
+        held = obj.__dict__[self.name]
+        return held.dense if isinstance(held, BlockStack) else held
+
+    def __set__(self, obj, value) -> None:
+        obj.__dict__[self.name] = value
+

@@ -438,6 +438,14 @@ def _power_sums(x: np.ndarray, kmax: int) -> np.ndarray:
     return np.cumprod(np.broadcast_to(x, (kmax, x.size)), axis=0).sum(axis=1)
 
 
+def _require_finite_tol(tol, name: str) -> None:
+    """:func:`linalg._require_tol`, and ValueError for an infinite tol, under
+    which any two values would be one."""
+    _require_tol(tol, name)
+    if not math.isfinite(tol):
+        raise ValueError(f"{name} must be finite, got {tol}")
+
+
 def cluster_spectrum(values, cluster_tol: float) -> Spectrum:
     """Group an ascending eigenvalue list into degeneracy clusters.
 
@@ -454,9 +462,7 @@ def cluster_spectrum(values, cluster_tol: float) -> Spectrum:
         raise ShapeError("expected a non-empty 1-D value list")
     if not np.isfinite(values).all():
         raise ValueError("values must be finite")
-    _require_tol(cluster_tol, "cluster_tol")
-    if not math.isfinite(cluster_tol):
-        raise ValueError(f"cluster_tol must be finite, got {cluster_tol}")
+    _require_finite_tol(cluster_tol, "cluster_tol")
     if np.any(np.diff(values) < 0.0):
         raise ValueError("values must be ascending")
     clusters: list[tuple[float, int]] = []
@@ -512,10 +518,16 @@ def spectra_match(a: Spectrum, b: Spectrum, value_tol: float | None = None) -> b
     """True when cluster counts, multiplicities, and values all agree.
 
     Values compare within ``value_tol``; when omitted, the looser of the
-    two cluster tolerances is used.
+    two cluster tolerances is used.  A ``value_tol`` that is given must be
+    a positive, finite real number, as ``cluster_spectrum``'s
+    ``cluster_tol``: TypeError for one that is no :class:`numbers.Real`,
+    ValueError for one that is not positive, NaN among them, or infinite,
+    either of which would hold any two values equal.
     """
     if value_tol is None:
         value_tol = max(a.cluster_tol, b.cluster_tol)
+    else:
+        _require_finite_tol(value_tol, "value_tol")
     if a.dimension != b.dimension or len(a.clusters) != len(b.clusters):
         return False
     for (va, ma), (vb, mb) in zip(a.clusters, b.clusters):

@@ -169,7 +169,10 @@ def verify_su2(triple: SpinTriple) -> AlgebraReport:
     vanishing of tr(Sj Sk) for j != k, and tr(Sj^n) = 0 for odd n <= 7.
     The squared-trace formula is a strictly n = 2 statement; it already fails
     at n = 4 for s = 3/2, so no higher even power is asserted.
+    ``triple`` must be a :class:`SpinTriple`; anything else raises TypeError.
     """
+    if not isinstance(triple, SpinTriple):
+        raise TypeError(f"the triple must be a SpinTriple, got {type(triple).__name__}")
     s = triple.s
     n = triple.dimension
     ops = triple.operators

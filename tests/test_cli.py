@@ -18,6 +18,7 @@ import pytest
 import spintool.cli as cli
 from spintool.eig import hermitian_eig
 from spintool.gates import unitarity_residual
+from spintool.linalg import Blocks, BlockStack
 from spintool.spectral import cluster_spectrum
 
 SCHEMA = json.loads(
@@ -264,7 +265,37 @@ def test_a_gate_at_a_tol_of_one_or_more_is_refused(run_cli, cli_tol, tol):
     assert err == f"error: tol must be below 1, got {tol}: no sweep starts at that stop\n"
 
 
-def test_gate_cells_are_format_complex_of_the_json_pairs(run_cli, monkeypatch):
+# a gate of two blocks over the labels [1, 0, 0, 1, 1]: rows and columns
+# {1, 2}, the first block, and {0, 3, 4}; the blocks hold signed zeros and
+# +0.0, and every entry off them is +0.0
+_BLOCK_LABEL = [1, 0, 0, 1, 1]
+_EDGE_BLOCKS = np.array(
+    [
+        [complex(-0.0, 0.0), 0j, 0j, complex(1e16, -1e16), complex(0.0, 0.0)],
+        [0j, complex(0.0, -0.0), complex(5e-324, -5e-324), 0j, 0j],
+        [0j, complex(0.0, 0.0), complex(-100.0, -0.05), 0j, 0j],
+        [complex(-1.5, 1e-300), 0j, 0j, complex(-0.0, -0.0), complex(2.0, -1.0)],
+        [complex(0.1, 2.5), 0j, 0j, complex(-0.0, 5e-324), complex(0.0, -0.0)],
+    ]
+)
+
+
+def _in_blocks(dense, label=_BLOCK_LABEL):
+    """dense, which is zero off the blocks of label, as a gate holds it: the
+    stack of its blocks, here with NaN in their padding, which no writer
+    may read."""
+    rows = Blocks.of(np.array(label))
+    assert rows.members.shape[0] > 1
+    stack = rows.stack(dense)
+    stack[~rows.inside(rows)] = np.nan
+    return BlockStack(stack, rows, rows)
+
+
+@pytest.mark.parametrize("held", ["dense", "blocks"])
+def test_gate_cells_are_format_complex_of_the_json_pairs(run_cli, monkeypatch, held):
+    # a dense matrix, as a gate assembled by hand holds, is one block; a
+    # gate of several blocks writes each row from its block, in row order,
+    # and builds no dense array
     edge = np.array(
         [
             [complex(0.0, -0.0), complex(-0.0, 0.0), complex(1e16, -1e16)],
@@ -272,22 +303,35 @@ def test_gate_cells_are_format_complex_of_the_json_pairs(run_cli, monkeypatch):
             [complex(-1.5, 1e-300), complex(2.0, -1.0), complex(-0.0, -0.0)],
         ]
     )
+    matrix = edge
+    if held == "blocks":
+        edge = _EDGE_BLOCKS
+        matrix = _in_blocks(edge)
     real = cli.synthesize_gate
 
     def with_edge_entries(ham, theta, **kwargs):
         gate = real(ham, theta, **kwargs)
-        return cli.Gate(gate.theta, gate.kind, gate.spin, edge, gate.source_values)
+        return cli.Gate(gate.theta, gate.kind, gate.spin, matrix, gate.source_values)
 
     monkeypatch.setattr(cli, "synthesize_gate", with_edge_entries)
     argv = ["gate", "--spin", "1/2", "--theta", "1.0"]
+    n = len(edge)
     cells = [[cli.format_complex(z) for z in row] for row in edge.tolist()]
     _, out, _ = run_cli(*argv, "--format", "csv")
-    assert out.splitlines() == ["col0,col1,col2"] + [",".join(row) for row in cells]
+    header = ",".join(f"col{j}" for j in range(n))
+    assert out.splitlines() == [header] + [",".join(row) for row in cells]
     _, out, _ = run_cli(*argv)
-    assert out.splitlines()[1:4] == [" ".join(row) for row in cells]
+    assert out.splitlines()[1 : n + 1] == [" ".join(row) for row in cells]
     _, out, _ = run_cli(*argv, "--format", "json")
     pairs = json.loads(out)["matrix"]
     assert [[cli.format_complex(complex(*z)) for z in row] for row in pairs] == cells
+    if held == "blocks":
+        assert "dense" not in vars(matrix)
+        report = _gate_report(*argv[1:])
+        assert report["matrix"] is matrix and report["dimension"] == n
+        _assert_same_text("".join(cli._render_json(report)), _dumps_with_pairs(report))
+        _assert_same_text("".join(cli._render_csv(report)), _reference_csv(report))
+        _assert_same_text("".join(cli._render_plain(report)), _reference_plain(report))
 
 
 def _gate_report(*argv):
@@ -296,9 +340,15 @@ def _gate_report(*argv):
     return cli.cmd_gate(args)
 
 
+def _dense(report):
+    """The report's matrix as a dense array: the gate's blocks scattered, or
+    the array that a test put in their place."""
+    return BlockStack.of(report["matrix"]).dense
+
+
 def _dumps_with_pairs(report):
     """The json of the report with its matrix as (re, im) pairs of floats."""
-    m = report["matrix"]
+    m = _dense(report)
     pairs = [list(zip(re, im)) for re, im in zip(m.real.tolist(), m.imag.tolist())]
     return json.dumps({**report, "matrix": pairs}, indent=2, allow_nan=False) + "\n"
 
@@ -345,21 +395,30 @@ def test_gate_json_comes_in_row_pieces(spin, hamiltonian):
         assert json.loads(piece.rstrip().rstrip(",")) == row
 
 
+@pytest.mark.parametrize("held", ["dense", "blocks"])
 @pytest.mark.parametrize("check", [[], ["--check"]])
-def test_gate_json_of_a_non_finite_matrix_writes_nothing(run_cli, monkeypatch, check):
+def test_gate_json_of_a_non_finite_matrix_writes_nothing(run_cli, monkeypatch, check, held):
     real = cli.synthesize_gate
 
     def with_a_nan(ham, theta, **kwargs):
         gate = real(ham, theta, **kwargs)
-        matrix = gate.matrix.copy()
-        matrix[-1, -1] = complex(1.0, np.nan)
+        if held == "dense":
+            matrix = gate.matrix.copy()
+            matrix[-1, -1] = complex(1.0, np.nan)
+        else:
+            # in H's last block, one of 9 at 2s = 4
+            blocks = gate.matrix_blocks
+            assert blocks.rows.members.shape[0] == 9
+            stack = blocks.stack.copy()
+            stack[-1, 0, 0] = complex(1.0, np.nan)
+            matrix = BlockStack(stack, blocks.rows, blocks.columns)
         return cli.Gate(
             gate.theta,
             gate.kind,
             gate.spin,
             matrix,
             gate.source_values,
-            unitarity_residual(matrix),
+            unitarity_residual(BlockStack.of(matrix).dense),
             gate.source_residual,
         )
 
@@ -371,31 +430,48 @@ def test_gate_json_of_a_non_finite_matrix_writes_nothing(run_cli, monkeypatch, c
     assert "not JSON compliant" in err
 
 
-@pytest.mark.parametrize("where", ["matrix", "head"])
+@pytest.mark.parametrize("where", ["matrix", "block", "head"])
 def test_gate_json_of_a_nan_report_raises_before_any_piece(where):
     # both checks run on the call itself, not as the pieces are drawn, so
-    # main has written nothing when the error reaches it
+    # main has written nothing when the error reaches it; each names the
+    # first value that is not finite, as json does, in row-major order also
+    # where the blocks hold another before it
     report = _gate_report("--spin", "1", "--theta", "0.7", "--check")
     if where == "matrix":
-        report["matrix"] = report["matrix"].copy()
+        report["matrix"] = _dense(report).copy()
         report["matrix"][0, 0] = complex(np.nan, 0.0)
+    elif where == "block":
+        bad = np.zeros((5, 5), dtype=complex)
+        # in the first block, rows {1, 2}, and then in the second, whose
+        # row 0 comes first, its real part before its imaginary part
+        bad[1, 2] = complex(np.nan, 0.0)
+        bad[0, 3] = complex(-np.inf, np.nan)
+        report["matrix"] = _in_blocks(bad)
     else:
         report["check"] = {**report["check"], "unitarity_residual": math.nan}
-    with pytest.raises(ValueError, match="not JSON compliant"):
+    with pytest.raises(ValueError) as expected:
+        _dumps_with_pairs(report)
+    with pytest.raises(ValueError, match="not JSON compliant") as found:
         cli._render_json(report)
+    assert str(found.value) == str(expected.value)
+    if where == "block":
+        assert str(found.value).endswith(": -inf")
 
 
 _CAP_GATE = ["gate", "--spin", "12", "--hamiltonian", "H", "--theta", "0.7", "--check"]
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
-def test_gate_at_the_cap_holds_one_dense_copy_at_a_time(fmt):
-    # measured 13.0 / 12.8 / 12.8 MiB (json / csv / plain): H itself, 6.0,
-    # beside the eigensolve's one complex copy of the vectors, and then the
-    # gate beside one row of text.  With the whole text rendered before the
-    # first write, the decomposition held while the gate was scattered and
-    # the vectors finished through dense float64 copies, it read 23.0 / 19.3
-    # / 19.3
+def test_h_gate_at_the_cap_holds_no_dense_vectors_or_gate(fmt):
+    # measured 9.16 / 8.97 / 8.97 MiB (json / csv / plain): H itself, 6.0,
+    # beside the eigensolve's copy of H's strided real form for its norm,
+    # 2.98, and the blocks of the vectors and then of the gate, 0.47 MiB
+    # each, beside one row of text; the bound leaves 0.84 MiB to spare, and
+    # an n x n complex array is 5.96.  With the vectors and then the gate
+    # scattered into such arrays it read 13.0 / 12.8 / 12.8; with the whole
+    # text rendered before the first write, the decomposition held while
+    # the gate was scattered and the vectors finished through dense float64
+    # copies, 23.0 / 19.3 / 19.3
     with open(os.devnull, "w", encoding="utf-8") as out, contextlib.redirect_stdout(out):
         tracemalloc.start()
         try:
@@ -404,12 +480,12 @@ def test_gate_at_the_cap_holds_one_dense_copy_at_a_time(fmt):
         finally:
             tracemalloc.stop()
     assert code == 0
-    assert peak < 14.0 * 2**20
+    assert peak < 10.0 * 2**20
 
 
 def _reference_csv(report):
     """The csv of a gate report, one format_complex call per cell."""
-    m = report["matrix"]
+    m = _dense(report)
     lines = [",".join(f"col{j}" for j in range(report["dimension"]))]
     lines += [",".join(cli.format_complex(z) for z in row) for row in m.tolist()]
     return "\n".join(lines) + "\n"
@@ -420,7 +496,7 @@ def _reference_plain(report):
 
     The lines around the matrix are those of the same report with no rows.
     """
-    m = report["matrix"]
+    m = _dense(report)
     around = "".join(cli._render_plain({**report, "matrix": m[:0]})).splitlines()
     rows = [" ".join(cli.format_complex(z) for z in row) for row in m.tolist()]
     return "\n".join(around[:-1] + rows + around[-1:]) + "\n"

@@ -95,17 +95,19 @@ def test_diagonal_matrix_sorted_exactly():
 @pytest.mark.parametrize(
     "build, mib",
     [
-        (build_heisenberg, 7.25),
+        (build_heisenberg, 3.5),
         (build_cyclic, 19.5),
         (lambda s: build_bilinear(s, _REAL_ROTATION), 16.5),
     ],
     ids=["H", "K", "rotated"],
 )
 def test_sector_route_at_the_cap_frees_its_basis_before_the_residual(build, mib):
-    # H's split pattern leaves its charge unused: measured 6.7 MiB on the
-    # component route, its complex vectors written once, after the residual
-    # on the blocks' stack and with its real form gone; finished through
-    # dense float64 copies that ended in a complex cast, it read 9.1.  K and
+    # H's split pattern leaves its charge unused: measured 2.99 MiB on the
+    # component route, the copy of its strided real form for its norm (2.98)
+    # beside its vectors, kept as the stack of their blocks; with those
+    # scattered into an n x n complex array after the residual it read 6.8,
+    # and finished through dense float64 copies that ended in a complex
+    # cast, 9.1.  K and
     # the rotation take the sector route: measured 18.2 and 15.0 MiB, the
     # complex vectors, M V and V Lambda for the residual; with W and the
     # rotated matrix kept alive to the end of the solve they read 30.0 and
@@ -122,21 +124,47 @@ def test_sector_route_at_the_cap_frees_its_basis_before_the_residual(build, mib)
 
 
 def test_certificate_at_the_cap_holds_one_copy_of_the_vectors_at_a_time():
-    # measured 27.2 MiB: both decompositions, 12.0, and K's powers for the
-    # moments; the eigensolve itself peaks at 24.2, H's decomposition and
-    # K's residual.  With both real forms kept from the eigensolve for the
-    # moments it read 30.2, and with each superseded copy of the vectors
-    # also kept until the residual, 36.0
+    # measured 21.7 MiB, 3.6 above K's own eigensolve (18.1): K's dense
+    # vectors, H's as the stack of its blocks, and K's powers for the
+    # moments.  With H's vectors also scattered into an n x n complex array,
+    # 5.96 MiB, which nothing in the certificate reads, it read 27.2; with
+    # both real forms kept from the eigensolve for the moments, 30.2, and
+    # with each superseded copy of the vectors also kept until the
+    # residual, 36.0
     h, k = build_heisenberg(HalfInteger(24)), build_cyclic(HalfInteger(24))
-    tracemalloc.start()
-    try:
-        certify_isospectral(
+    peaks = []
+    for solve in (
+        lambda: hermitian_eig(k.matrix, charge=k.charge),
+        lambda: certify_isospectral(
             h.matrix, k.matrix, kmax=49, prefix=25, charges=(h.charge, k.charge)
-        )
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 28.5 * 2**20
+        ),
+    ):
+        tracemalloc.start()
+        try:
+            solve()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    alone, peak = peaks
+    assert peak < 23.0 * 2**20
+    # beyond K's eigensolve, less than one n x n complex array
+    assert peak - alone < h.dimension**2 * np.dtype(np.complex128).itemsize
+
+
+@pytest.mark.parametrize("build", [build_heisenberg, build_cyclic], ids=["H", "K"])
+def test_vectors_are_made_dense_only_when_read(build, assert_kept_blocks):
+    # the decomposition holds the stack of the vectors' blocks, which the
+    # dense array, scattered from it on the first read, gives back bit for
+    # bit, padding as +0.0 included; the array is read-only, and kept
+    ham = build(HalfInteger(8))
+    dec = hermitian_eig(ham.matrix, charge=ham.charge)
+    held = dec.vector_blocks
+    assert "dense" not in vars(held) and not held.stack.flags.writeable
+    vectors = dec.vectors
+    assert vectors is dec.vectors and not vectors.flags.writeable
+    rows, columns = dec.blocks
+    assert rows.stack(vectors, columns).tobytes() == held.stack.tobytes()
+    assert_kept_blocks(dec)
 
 
 def test_empty_matrix_gives_an_empty_decomposition():

@@ -17,7 +17,6 @@ from spintool.hamiltonians import (
     build_heisenberg,
 )
 from spintool.linalg import (
-    Blocks,
     HermiticityError,
     NumericalError,
     ShapeError,
@@ -324,21 +323,36 @@ def test_k_gate_at_the_cap_peaks_no_higher_than_its_eigensolve():
     assert peak < 19.5 * 2**20
 
 
+def test_h_gate_at_the_cap_builds_no_dense_array():
+    # measured 2.99 MiB, the eigensolve's copy of H's strided real form for
+    # its norm (2.98) and the blocks of the vectors and of U, 0.47 MiB each;
+    # when the vectors and U were scattered into n x n complex arrays it
+    # read 6.82, above the bound, which is the size of one such array
+    ham = build_heisenberg(HalfInteger(24))
+    tracemalloc.start()
+    try:
+        gate = synthesize_gate(ham, 0.7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ham.dimension**2 * np.dtype(np.complex128).itemsize
+    # the dense gate is built when it is read, once, read-only
+    assert gate.matrix is gate.matrix and not gate.matrix.flags.writeable
+
+
 def test_a_stray_nonzero_in_the_eigenvectors_takes_the_dense_product(monkeypatch):
     # the gate follows the blocks that the decomposition records: vectors
-    # with a stray nonzero outside H's blocks, recorded as the one block of
-    # every index, give the dense product
+    # with a stray nonzero outside H's blocks, given as an array and so
+    # recorded as the one block of every index, give the dense product
     ham = build_heisenberg(HalfInteger(4))
     dec = hermitian_eig(ham.matrix, charge=ham.charge)
     label = gauge(ham.matrix)[0]
     vectors = dec.vectors.copy()
     column = vectors[:, 3]
     column[np.flatnonzero(label != label[np.flatnonzero(column)[0]])[0]] = 1e-300
-    one = Blocks.of(np.zeros(ham.dimension, dtype=np.intp))
-    np.testing.assert_array_equal(one.members, np.arange(ham.dimension)[np.newaxis])
-    stray = EigDecomposition(
-        dec.values, vectors, dec.residual, dec.sweeps, blocks=(one, one)
-    )
+    stray = EigDecomposition(dec.values, vectors, dec.residual, dec.sweeps)
+    for blocks in stray.blocks:
+        np.testing.assert_array_equal(blocks.members, np.arange(ham.dimension)[np.newaxis])
     monkeypatch.setattr(gates, "hermitian_eig", lambda *args, **kwargs: stray)
     gate = synthesize_gate(ham, 0.7)
     phases = np.exp(-0.7j * dec.values)

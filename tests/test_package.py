@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import spintool
@@ -68,6 +69,29 @@ def test_the_public_surface_is_pinned():
     # built operators are Hermitian by construction: no field records it
     fields = [f.name for f in dataclasses.fields(spintool.Hamiltonian)]
     assert fields == ["kind", "s", "matrix", "charge"]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda m: spintool.verify_su2(m), "the triple must be a SpinTriple, got ndarray"),
+        (lambda m: spintool.gate_eigenphases(m), "the gate must be a Gate, got ndarray"),
+        (
+            lambda m: spintool.certify_isospectral(m, m, charges=(1, None)),
+            "a charge must be a pair (A, B) of single-site factors, got int",
+        ),
+        (
+            lambda m: spintool.hermitian_eig(m, charge=1.5),
+            "a charge must be a pair (A, B) of single-site factors, got float",
+        ),
+    ],
+    ids=["verify_su2", "gate_eigenphases", "certify_isospectral", "hermitian_eig"],
+)
+def test_an_input_of_the_wrong_type_is_a_type_error_that_names_the_type(call, message):
+    # each once ended in a raw error: AttributeError for the first two,
+    # "'int' object is not iterable" from unpacking the charge for the others
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        call(np.eye(4))
 
 
 def test_readme_quick_start_runs(capsys):

@@ -770,6 +770,28 @@ def test_a_cluster_tol_that_is_no_finite_real_number_is_refused(cluster_tol, err
         cluster_spectrum([1.0, 2.0, 5.0], cluster_tol)
 
 
+@pytest.mark.parametrize(
+    "value_tol, error, message",
+    [
+        (float("nan"), ValueError, "value_tol must be positive, got nan"),
+        (float("inf"), ValueError, "value_tol must be finite, got inf"),
+        (0.0, ValueError, "value_tol must be positive, got 0.0"),
+        (-1e-9, ValueError, "value_tol must be positive, got -1e-09"),
+        ("1e-9", TypeError, "value_tol must be a real number, got '1e-9'"),
+    ],
+    ids=["nan", "inf", "zero", "negative", "str"],
+)
+def test_a_value_tol_that_is_no_positive_finite_real_number_is_refused(value_tol, error, message):
+    # nan and inf once held the spectra [1] and [5] equal, since
+    # abs(1 - 5) > nan is False; the rule is cluster_spectrum's
+    a, b = cluster_spectrum([1.0], 1e-9), cluster_spectrum([5.0], 1e-9)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        spectra_match(a, b, value_tol)
+    # None keeps the default, the looser of the two cluster tolerances
+    assert not spectra_match(a, b, None)
+    assert spectra_match(a, cluster_spectrum([1.0 + 5e-10], 1e-9), None)
+
+
 def test_cluster_separation_invariant():
     spectrum = cluster_spectrum([0.0, 0.3, 0.7, 1.2], 0.5)
     gaps = np.diff(spectrum.values)
