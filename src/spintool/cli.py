@@ -13,9 +13,9 @@ command's main table (spectrum clusters, verify moments, gate matrix, table
 rows) and the repeated plain lines show the same cells.  The gate report
 holds its matrix as the gate's blocks, a :class:`linalg.BlockStack`, and
 every format writes each row from its block, the entries off the block as
-fixed zero text, with no dense array built; a dense array in the report's
-place is one block.  In json each entry is an [re, im] pair, in the same
-bytes that ``json.dumps(indent=2)`` gives for a list of such pairs.  A renderer
+fixed zero text, with no dense array built.  In json each entry is an
+[re, im] pair, in the same bytes that ``json.dumps(indent=2)`` gives for a
+list of such pairs.  A renderer
 runs every check when it is called, before the first write, and then hands
 out its text in pieces, a line or a matrix row each, which ``main`` writes
 as they are drawn: an error writes nothing, and no more than one row of a
@@ -504,23 +504,22 @@ def _complex_cells(values: np.ndarray) -> list[str]:
 
 
 def _matrix_rows(
-    m: BlockStack | np.ndarray,
+    m: BlockStack,
     zero: str,
     cells: Callable[[np.ndarray], list[str]],
     sep: str,
     full: Callable[[np.ndarray], str] | None = None,
 ) -> Iterator[str]:
-    """The text of each row of m, a gate's matrix, its entries joined by sep.
+    """The text of each row of m, a gate's blocks, its entries joined by sep.
 
-    m is a :class:`linalg.BlockStack`, or an array, which is one block (see
-    :meth:`BlockStack.of`).  Each row is read from its block: the entries in
-    the block's columns are formatted by ``cells``, and the +0.0 entries off
-    them, where a gate's matrix holds nothing else, are written as runs of
-    the fixed text ``zero``, the text that ``cells`` gives +0.0.  A row
-    whose block holds every column, as each row of one block does, is
-    written by ``full``, by default one join of its cells.
+    Each row is read from its block of m, a :class:`linalg.BlockStack`: the
+    entries in the block's columns are formatted by ``cells``, and the +0.0
+    entries off them, where a gate's matrix holds nothing else, are written
+    as runs of the fixed text ``zero``, the text that ``cells`` gives +0.0.
+    A row whose block holds every column, as each row of one block does
+    (K's gate, or one built by hand from an array), is written by ``full``,
+    by default one join of its cells.
     """
-    m = BlockStack.of(m)
     n = m.shape[1]
     sep_zero = sep + zero
     kept = [c[f].tolist() for c, f in zip(m.columns.members, m.columns.filled)]
@@ -632,7 +631,7 @@ def _render_json(report: dict) -> Iterable[str]:
     # json escapes line breaks in strings, so no string can hold this text
     head, tail = text.split('\n  "matrix": null')
     head += '\n  "matrix": [\n    '
-    m = BlockStack.of(report["matrix"])
+    m = report["matrix"]
     if not np.isfinite(m.stack)[m.rows.inside(m.columns)].all():
         flat = m.dense.view(np.float64)  # each row as re, im, re, im, ...
         value = float(flat[~np.isfinite(flat)][0])

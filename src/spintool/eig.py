@@ -123,7 +123,6 @@ from .linalg import (
     BlockStack,
     NumericalError,
     ShapeError,
-    _Dense,
     _require_hermitian,
     _require_tol,
     frobenius_norm,
@@ -172,18 +171,17 @@ class EigDecomposition:
     sector route's measured charge certificate (see :func:`hermitian_eig`);
     both are 0.0 on the component route, also where a charge was given.
 
-    ``vectors`` is held as :attr:`vector_blocks`, the
-    :class:`linalg.BlockStack` of the blocks it keeps to, for products with
-    the vectors on the blocks' stack; the read-only complex128 n x n array
-    is built when ``vectors`` is first read.  ``blocks`` are its row and
-    column blocks: the rows' are the components of M's pattern, and the
-    columns' are the same labels taken in the order of ``values``.  Each is
-    one block for a pattern of one component, and for vectors given as an
-    array, as a decomposition built by hand may give them.
+    ``vector_blocks`` holds the vectors as the :class:`linalg.BlockStack`
+    of the blocks they keep to, for products with them on the blocks'
+    stack: its rows' blocks are the components of M's pattern, and its
+    columns' the same labels taken in the order of ``values``, each one
+    block for a pattern of one component.  ``vectors`` reads the
+    read-only complex128 n x n array, built on its first read.  A
+    decomposition built by hand gives ``BlockStack.of(vectors)``.
     """
 
     values: np.ndarray
-    vectors: np.ndarray = _Dense()
+    vector_blocks: BlockStack
     residual: float
     sweeps: int
     leak: float = 0.0
@@ -194,13 +192,8 @@ class EigDecomposition:
         return self.values.shape[0]
 
     @property
-    def vector_blocks(self) -> BlockStack:
-        return BlockStack.of(vars(self)["vectors"])
-
-    @property
-    def blocks(self) -> tuple[Blocks, Blocks]:
-        held = self.vector_blocks
-        return held.rows, held.columns
+    def vectors(self) -> np.ndarray:
+        return self.vector_blocks.dense
 
 
 def _symmetrized(a: np.ndarray) -> np.ndarray:
@@ -548,14 +541,16 @@ def _charge_factors(charge, n: int, tol: float) -> tuple[np.ndarray, np.ndarray]
     as the arrays to sweep: float64 copies of their real parts where neither
     has an imaginary part, as K's, else complex128 copies of both, so that
     the two share one kernel call.  No factor is walked.  A charge that is
-    no pair, as an int, raises TypeError."""
+    not iterable, as an int, raises TypeError, and one of other than two
+    factors ValueError, each naming what it got."""
+    expected = "a charge must be a pair (A, B) of single-site factors, got"
     try:
-        pair = tuple(charge)
+        factors = tuple(charge)
     except TypeError:
-        raise TypeError(
-            f"a charge must be a pair (A, B) of single-site factors, got {type(charge).__name__}"
-        ) from None
-    a_site, b_site = (require_square(f, "charge factors must be square") for f in pair)
+        raise TypeError(f"{expected} {type(charge).__name__}") from None
+    if len(factors) != 2:
+        raise ValueError(f"{expected} {type(charge).__name__} of length {len(factors)}")
+    a_site, b_site = (require_square(f, "charge factors must be square") for f in factors)
     if a_site.shape[0] * b_site.shape[0] != n:
         raise ShapeError(
             f"charge factors of sizes {a_site.shape[0]} and {b_site.shape[0]} do "
@@ -720,9 +715,9 @@ class _Eigensolve:
         D = I is m) on it, within m's half-bandwidth, _ROWS rows at a time.
         Only then, with m's real form gone, is the stack cast to complex128
         and its padding set to +0.0, as :meth:`Blocks.stack` sets it, which
-        the decomposition keeps as its vectors.  Off the blocks, each column
-        holds zero times its pin, the signed zeros that pinning dense
-        columns gives, so the bits of the dense vectors, when they are
+        the decomposition keeps as its ``vector_blocks``.  Off the blocks,
+        each column holds zero times its pin, the signed zeros that pinning
+        dense columns gives, so the bits of the dense vectors, when they are
         built, do not depend on the layout.
         """
         n, colour, component = self.m.shape[0], self.colour, self.component
@@ -770,7 +765,7 @@ class _Eigensolve:
         values.flags.writeable = False
         return EigDecomposition(
             values=values,
-            vectors=BlockStack(vectors, rows, columns, fill),
+            vector_blocks=BlockStack(vectors, rows, columns, fill),
             residual=residual,
             sweeps=max((sweeps for _, _, sweeps, _ in solved), default=0),
             leak=self.leak,

@@ -8,20 +8,21 @@ one eigenbasis.  The generator's hermiticity is checked once, by
 :func:`eig.hermitian_eig`.
 
 Both products of a gate follow the blocks of the generator's nonzero
-pattern (see :class:`linalg.Blocks`), which the eigendecomposition records.
-U is the direct sum of the blocks V_b diag(exp(-i theta lambda_b)) V_b^H,
-taken on the zero-padded stack of the vectors' blocks that the
-decomposition holds, and U^H U - I is taken on that same stack.  U stays a
-stack too, a :class:`linalg.BlockStack`: ``Gate.matrix``, the dense array,
-is scattered only when it is first read, and the command line writes U's
-rows from its blocks.  H, which conserves total S3, splits into 4s+1
-blocks, 49 of width at most 25 at 2s = 24, where 97% of its gate is exact
-zeros, so neither its vectors nor its gate is ever an n x n array unless a
-caller reads one; K's pattern is one component, one block whose stack is
-the matrix itself, so its gate costs the dense products.  Each operand of
-the products is dropped once it is used, so K's gate at the cap peaks no
-higher than its eigensolve.  :func:`unitarity_residual`, for a matrix
-built by hand, takes the dense product, with no walk of its pattern.
+pattern (see :class:`linalg.Blocks`), the blocks of the eigendecomposition's
+``vector_blocks``.  U is the direct sum of the blocks
+V_b diag(exp(-i theta lambda_b)) V_b^H, taken on the zero-padded stack of
+the vectors' blocks, and U^H U - I is taken on that same stack.  U stays a
+stack too, the :class:`linalg.BlockStack` ``Gate.matrix_blocks``:
+``Gate.matrix``, the dense array, is scattered only when it is first read,
+and the command line writes U's rows from its blocks.  H, which conserves
+total S3, splits into 4s+1 blocks, 49 of width at most 25 at 2s = 24, where
+97% of its gate is exact zeros, so neither its vectors nor its gate is ever
+an n x n array unless a caller reads one; K's pattern is one component, one
+block whose stack is the matrix itself, so its gate costs the dense
+products.  Each operand of the products is dropped once it is used, so K's
+gate at the cap peaks no higher than its eigensolve.
+:func:`unitarity_residual`, for a matrix built by hand, takes the dense
+product, with no walk of its pattern.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .linalg import (
     Blocks,
     BlockStack,
     NumericalError,
-    _Dense,
     frobenius_norm,
     require_square,
 )
@@ -64,23 +64,23 @@ class Gate:
     ``unitarity_residual`` is ||U^H U - I||_F as measured at synthesis, and
     ``source_residual`` the generator's eigenpair residual, the decomposition's
     largest ||M v - lambda v||; each is None for a gate assembled by hand.
-    ``matrix`` is held as :attr:`matrix_blocks`, the
-    :class:`linalg.BlockStack` of U's blocks, and read as the dense array,
-    built on the first read; a matrix given as an array, as a gate
-    assembled by hand gives it, is read as given and held as one block.
+    ``matrix_blocks`` holds U as the :class:`linalg.BlockStack` of its
+    blocks, rows and columns alike, and ``matrix`` reads the read-only
+    complex128 dense array, built on its first read.  A gate assembled by
+    hand gives ``BlockStack.of(matrix)``, one block.
     """
 
     theta: float
     kind: HamiltonianKind
     spin: HalfInteger
-    matrix: np.ndarray = _Dense()
+    matrix_blocks: BlockStack
     source_values: np.ndarray
     unitarity_residual: float | None = None
     source_residual: float | None = None
 
     @property
-    def matrix_blocks(self) -> BlockStack:
-        return BlockStack.of(vars(self)["matrix"])
+    def matrix(self) -> np.ndarray:
+        return self.matrix_blocks.dense
 
     @property
     def dimension(self) -> int:
@@ -94,8 +94,8 @@ def synthesize_gate(h: Hamiltonian, theta: float) -> Gate:
     ``DEFAULT_TOL``, read from this module when called, is the one check
     of the generator: a matrix that is not Hermitian raises
     :class:`HermiticityError` and a non-finite one ValueError.  U is the
-    direct sum of the gates of the blocks that the decomposition's
-    ``blocks`` record: the components of the generator's pattern, or the
+    direct sum of the gates of the blocks of the decomposition's
+    ``vector_blocks``: the components of the generator's pattern, or the
     one block of every index, whose gate is the dense product; the gate
     holds U as that stack (see :class:`Gate`).
     ||U^H U - I||, taken on the same blocks, is checked against
@@ -142,7 +142,7 @@ def synthesize_gate(h: Hamiltonian, theta: float) -> Gate:
         theta=float(theta),
         kind=h.kind,
         spin=h.s,
-        matrix=BlockStack(stack, rows, rows),
+        matrix_blocks=BlockStack(stack, rows, rows),
         source_values=values,
         unitarity_residual=residual,
         source_residual=source_residual,

@@ -1,17 +1,18 @@
 """Matrix checks, error types and block helpers shared by every other module.
 
 Matrices are plain 2-D ``numpy.ndarray`` values.  ``require_square`` is
-the package's one check that a lone matrix argument is square, and
-:func:`hermiticity_defect` measures ||a - a^H||_F in one walk over blocks
-of rows, each scaled by its own power of two, so that neither the squares
-of tiny differences nor those of huge ones leave the range of a double.
+the package's one check that a lone matrix argument is square and
+numeric, and :func:`hermiticity_defect` measures ||a - a^H||_F in one walk
+over blocks of rows, each scaled by its own power of two, so that neither
+the squares of tiny differences nor those of huge ones leave the range of
+a double.
 The same walk, kept within a half-bandwidth w and its blocks of rows
 sized by w, checks the form that :func:`gauge` hands back, which is zero
 beyond w, for the moments and the eigensolver.
-No function here writes into its arguments, but for the ``out`` of
-:meth:`Blocks.scatter`, and a :class:`BlockStack` makes the arrays it is
-given read-only; what :func:`gauge` and :meth:`Blocks.stack` hand back may
-be the argument's own memory, which callers must not write into.
+No function here writes into its arguments, but a :class:`BlockStack`
+makes the arrays it is given read-only; what :func:`gauge` and
+:meth:`Blocks.stack` hand back may be the argument's own memory, which
+callers must not write into.
 
 The block helpers at the end, which are not exported, are the package's one
 home for a matrix's nonzero pattern.  :func:`gauge` walks the pattern once,
@@ -24,16 +25,17 @@ is exact, as for H and K, else m as complex128, and it tests and builds
 that form on the links it walked.  Where that array holds m's own values,
 as H's real part does, it is m's own memory, not a copy.  :class:`Blocks`
 gathers a matrix's diagonal blocks, one per component, into a zero-padded
-stack of shape (count, width, width) and scatters such a stack back into a
-dense array.
+stack of shape (count, width, width).
 A product over a pattern that splits, such as that of H, which conserves
 total S3, then costs count * width^3 instead of n^3: 49 blocks of width at
 most 25 instead of one of 625 at 2s = 24.  A pattern that does not split,
 such as K's, is one block, whose stack is a view of the matrix.
 The eigensolver's vectors keep to the blocks of the pattern it splits by
 construction, so products with them are taken blockwise too.
-A :class:`BlockStack` holds such a matrix as its stack and builds the
-dense array only when it is read, as the eigenvectors and a gate are held.
+A :class:`BlockStack` holds such a matrix as its stack and scatters the
+dense array only when it is read.  It is the one type in which a
+decomposition holds its eigenvectors and a gate its matrix; a matrix given
+by hand is held as the one block that :meth:`BlockStack.of` makes of it.
 """
 
 from __future__ import annotations
@@ -80,10 +82,14 @@ class HermiticityError(NumericalError):
 
 
 def require_square(a, what: str) -> np.ndarray:
-    """``np.asarray(a)``, or :class:`ShapeError` "<what>, got shape <shape>"."""
+    """``np.asarray(a)``, or :class:`ShapeError` "<what>, got shape <shape>",
+    or TypeError naming a dtype that is not bool, integer, float or complex,
+    as str, bytes, object, datetime64 or timedelta64."""
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"{what}, got shape {a.shape}")
+    if a.dtype.kind not in "biufc":
+        raise TypeError(f"a matrix must be numeric, got dtype {a.dtype}")
     return a
 
 
@@ -310,21 +316,16 @@ class Blocks:
         members[filled] = np.argsort(label, kind="stable")
         return cls(members, filled)
 
-    def stack(self, a: np.ndarray, columns: Blocks | None = None) -> np.ndarray:
-        """a's blocks, rows from these blocks and columns from ``columns``.
-
-        ``columns`` defaults to these blocks, which gives a's diagonal
-        blocks; it must have the same count and width.  The result has shape
-        (count, width, width), zero in the padding.  For one block it is the
-        view ``a[np.newaxis]``, so callers must not write into it unless a
-        is their own; otherwise it is a new array.
+    def stack(self, a: np.ndarray) -> np.ndarray:
+        """a's diagonal blocks, of shape (count, width, width), zero in the
+        padding.  For one block it is the view ``a[np.newaxis]``, so callers
+        must not write into it unless a is their own; otherwise it is a new
+        array.
         """
         if self.members.shape[0] == 1:
             return a[np.newaxis]
-        if columns is None:
-            columns = self
-        stack = a[self.members[:, :, None], columns.members[:, None, :]]
-        stack[~self.inside(columns)] = 0
+        stack = a[self.members[:, :, None], self.members[:, None, :]]
+        stack[~self.inside(self)] = 0
         return stack
 
     def inside(self, columns: Blocks) -> np.ndarray:
@@ -339,44 +340,20 @@ class Blocks:
         at[:, self.members[block, slot]] = block, slot
         return at
 
-    def scatter(
-        self,
-        stack: np.ndarray,
-        columns: Blocks | None = None,
-        out: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """The n x n array holding ``stack``'s blocks, zero elsewhere.
-
-        Rows come from these blocks and columns from ``columns``, as
-        :meth:`stack` takes them, so this is its inverse for a matrix with
-        no nonzero outside the blocks; the padding of ``stack`` is not read.
-        Given ``out``, the blocks are written into it and its other entries
-        kept.  Else, for one block, it is the view ``stack[0]``.
-        """
-        if columns is None:
-            columns = self
-        if self.members.shape[0] == 1 and out is None:
-            return stack[0]
-        inside = self.inside(columns)
-        rows = np.broadcast_to(self.members[:, :, None], inside.shape)[inside]
-        cols = np.broadcast_to(columns.members[:, None, :], inside.shape)[inside]
-        if out is None:
-            n = int(np.count_nonzero(self.filled))
-            out = np.zeros((n, n), dtype=stack.dtype)
-        out[rows, cols] = stack[inside]
-        return out
-
 
 @dataclass(frozen=True)
 class BlockStack:
     """A complex matrix held as the stack of its blocks.
 
     ``stack[b]`` holds the entries of rows ``rows.members[b]`` and columns
-    ``columns.members[b]`` in its filled slots, as :meth:`Blocks.stack`
-    takes them; its padding is not read.  Off the blocks, column j holds
+    ``columns.members[b]`` in its filled slots, the two of the same count
+    and width; its padding is not read.  Off the blocks, column j holds
     ``fill[j]``, or +0.0 where ``fill`` is None.  The stack and ``fill``
     are made read-only.  :attr:`dense` is the whole array, built on its
-    first read and then kept.
+    first read and then kept.  The eigensolver holds its vectors so, the
+    rows' blocks the components of m's pattern and the columns' the same
+    labels in the order of the values, and a gate holds U so, rows and
+    columns alike.
     """
 
     stack: np.ndarray
@@ -391,10 +368,8 @@ class BlockStack:
 
     @classmethod
     def of(cls, a) -> BlockStack:
-        """a, if it is a BlockStack; else the one block of the 2-D array a
-        as C-contiguous complex128, which is a view of a if a is that."""
-        if isinstance(a, BlockStack):
-            return a
+        """The one block of the 2-D array a as C-contiguous complex128,
+        which is a view of a if a is that."""
         a = np.ascontiguousarray(a, dtype=np.complex128)
         rows, columns = (Blocks.of(np.zeros(k, dtype=np.intp)) for k in a.shape)
         return cls(a[np.newaxis], rows, columns)
@@ -405,34 +380,16 @@ class BlockStack:
 
     @functools.cached_property
     def dense(self) -> np.ndarray:
-        """The read-only array: the blocks scattered over ``fill``, or a
-        view of the stack for one block and no fill."""
-        if self.fill is None:
-            dense = self.rows.scatter(self.stack, self.columns)
+        """The read-only array: a view of the stack for one block, which
+        holds every entry, else the blocks scattered over ``fill``."""
+        if self.rows.members.shape[0] == 1:
+            dense = self.stack[0]
         else:
-            dense = np.empty(self.shape, dtype=self.stack.dtype)
-            dense[...] = self.fill
-            self.rows.scatter(self.stack, self.columns, out=dense)
+            inside = self.rows.inside(self.columns)
+            rows = np.broadcast_to(self.rows.members[:, :, None], inside.shape)[inside]
+            cols = np.broadcast_to(self.columns.members[:, None, :], inside.shape)[inside]
+            fill = 0 if self.fill is None else self.fill
+            dense = np.full(self.shape, fill, dtype=self.stack.dtype)
+            dense[rows, cols] = self.stack[inside]
         dense.flags.writeable = False
         return dense
-
-
-class _Dense:
-    """A dataclass field that takes an array or a :class:`BlockStack` and
-    reads as the array: a BlockStack as its :attr:`~BlockStack.dense`,
-    built on the first read, an array as given.  The field has no default;
-    what it took is ``vars(obj)[name]``."""
-
-    def __set_name__(self, owner, name: str) -> None:
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            # dataclasses take a default from here: there is none
-            raise AttributeError(self.name)
-        held = obj.__dict__[self.name]
-        return held.dense if isinstance(held, BlockStack) else held
-
-    def __set__(self, obj, value) -> None:
-        obj.__dict__[self.name] = value
-

@@ -605,7 +605,7 @@ def certify_isospectral(
     moments read nothing that the eigensolve made.
     """
     a = require_square(a, "expected square matrices")
-    b = np.asarray(b)
+    b = require_square(b, "expected square matrices")
     if a.shape != b.shape:
         raise ShapeError(f"dimension mismatch: {a.shape} vs {b.shape}")
     n = a.shape[0]

@@ -97,7 +97,7 @@ def assert_kept_blocks():
     outside the pairs is exactly zero."""
 
     def check(dec) -> None:
-        rows, columns = dec.blocks
+        rows, columns = dec.vector_blocks.rows, dec.vector_blocks.columns
         np.testing.assert_array_equal(
             rows.filled.sum(axis=1), columns.filled.sum(axis=1)
         )

@@ -222,7 +222,7 @@ def test_gate_check_catches_broken_unitary(run_cli, monkeypatch):
             theta=gate.theta,
             kind=gate.kind,
             spin=gate.spin,
-            matrix=damaged,
+            matrix_blocks=BlockStack.of(damaged),
             source_values=gate.source_values,
             unitarity_residual=unitarity_residual(damaged),
             source_residual=gate.source_residual,
@@ -293,7 +293,7 @@ def _in_blocks(dense, label=_BLOCK_LABEL):
 
 @pytest.mark.parametrize("held", ["dense", "blocks"])
 def test_gate_cells_are_format_complex_of_the_json_pairs(run_cli, monkeypatch, held):
-    # a dense matrix, as a gate assembled by hand holds, is one block; a
+    # a dense matrix, which a gate assembled by hand holds as one block; a
     # gate of several blocks writes each row from its block, in row order,
     # and builds no dense array
     edge = np.array(
@@ -303,7 +303,7 @@ def test_gate_cells_are_format_complex_of_the_json_pairs(run_cli, monkeypatch, h
             [complex(-1.5, 1e-300), complex(2.0, -1.0), complex(-0.0, -0.0)],
         ]
     )
-    matrix = edge
+    matrix = BlockStack.of(edge)
     if held == "blocks":
         edge = _EDGE_BLOCKS
         matrix = _in_blocks(edge)
@@ -341,9 +341,8 @@ def _gate_report(*argv):
 
 
 def _dense(report):
-    """The report's matrix as a dense array: the gate's blocks scattered, or
-    the array that a test put in their place."""
-    return BlockStack.of(report["matrix"]).dense
+    """The report's matrix as a dense array: the gate's blocks scattered."""
+    return report["matrix"].dense
 
 
 def _dumps_with_pairs(report):
@@ -403,8 +402,9 @@ def test_gate_json_of_a_non_finite_matrix_writes_nothing(run_cli, monkeypatch, c
     def with_a_nan(ham, theta, **kwargs):
         gate = real(ham, theta, **kwargs)
         if held == "dense":
-            matrix = gate.matrix.copy()
-            matrix[-1, -1] = complex(1.0, np.nan)
+            dense = gate.matrix.copy()
+            dense[-1, -1] = complex(1.0, np.nan)
+            matrix = BlockStack.of(dense)
         else:
             # in H's last block, one of 9 at 2s = 4
             blocks = gate.matrix_blocks
@@ -418,7 +418,7 @@ def test_gate_json_of_a_non_finite_matrix_writes_nothing(run_cli, monkeypatch, c
             gate.spin,
             matrix,
             gate.source_values,
-            unitarity_residual(BlockStack.of(matrix).dense),
+            unitarity_residual(matrix.dense),
             gate.source_residual,
         )
 
@@ -438,8 +438,9 @@ def test_gate_json_of_a_nan_report_raises_before_any_piece(where):
     # where the blocks hold another before it
     report = _gate_report("--spin", "1", "--theta", "0.7", "--check")
     if where == "matrix":
-        report["matrix"] = _dense(report).copy()
-        report["matrix"][0, 0] = complex(np.nan, 0.0)
+        dense = _dense(report).copy()
+        dense[0, 0] = complex(np.nan, 0.0)
+        report["matrix"] = BlockStack.of(dense)
     elif where == "block":
         bad = np.zeros((5, 5), dtype=complex)
         # in the first block, rows {1, 2}, and then in the second, whose
@@ -497,7 +498,8 @@ def _reference_plain(report):
     The lines around the matrix are those of the same report with no rows.
     """
     m = _dense(report)
-    around = "".join(cli._render_plain({**report, "matrix": m[:0]})).splitlines()
+    around = "".join(cli._render_plain({**report, "matrix": BlockStack.of(m[:0])}))
+    around = around.splitlines()
     rows = [" ".join(cli.format_complex(z) for z in row) for row in m.tolist()]
     return "\n".join(around[:-1] + rows + around[-1:]) + "\n"
 
@@ -605,14 +607,13 @@ def test_gate_zero_and_signed_zero_entries_in_every_format():
     # and (-0.0, -0.0) keep theirs in csv and plain
     z, nz = 0.0, -0.0
     report = _gate_report("--spin", "1/2", "--theta", "1.0", "--check")
-    report["matrix"] = np.array(
-        [
-            [complex(z, z)] * 4,
-            [complex(z, nz), complex(nz, z), complex(nz, nz), complex(z, z)],
-            [complex(5e-324, -1e16), complex(-0.1, 2.5), complex(1e300, z), complex(z, -1.0)],
-            [complex(z, 1.0), complex(z, z), complex(-2.5, nz), complex(z, z)],
-        ]
-    )
+    dense = [
+        [complex(z, z)] * 4,
+        [complex(z, nz), complex(nz, z), complex(nz, nz), complex(z, z)],
+        [complex(5e-324, -1e16), complex(-0.1, 2.5), complex(1e300, z), complex(z, -1.0)],
+        [complex(z, 1.0), complex(z, z), complex(-2.5, nz), complex(z, z)],
+    ]
+    report["matrix"] = BlockStack.of(dense)
     _assert_same_text("".join(cli._render_json(report)), _dumps_with_pairs(report))
     csv_text = "".join(cli._render_csv(report))
     _assert_same_text(csv_text, _reference_csv(report))
@@ -624,16 +625,17 @@ def test_gate_zero_and_signed_zero_entries_in_every_format():
 
 def test_gate_json_of_edge_entries_is_byte_exact():
     report = _gate_report("--spin", "1/2", "--theta", "1.0")
-    report["matrix"] = np.array(
+    dense = np.array(
         [
             [complex(-0.0, 5e-324), complex(1e300, -1e-300), complex(0.1, -0.0)],
             [complex(-5e-324, 1e16), complex(-2.5, 2.0**-1074), complex(1e-300, -1e300)],
         ]
     )
+    report["matrix"] = BlockStack.of(dense)
     _assert_same_text("".join(cli._render_json(report)), _dumps_with_pairs(report))
     for bad in (np.nan, np.inf):
-        report["matrix"] = report["matrix"].copy()
-        report["matrix"][1, 1] = complex(1.0, bad)
+        dense[1, 1] = complex(1.0, bad)
+        report["matrix"] = BlockStack.of(dense.copy())
         with pytest.raises(ValueError) as expected:
             _dumps_with_pairs(report)
         with pytest.raises(ValueError) as found:

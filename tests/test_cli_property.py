@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 from test_cli import _assert_same_text, _dumps_with_pairs, _reference_csv, _reference_plain
 
 import spintool.cli as cli
-from spintool.linalg import DEFAULT_TOL
+from spintool.linalg import DEFAULT_TOL, BlockStack
 from spintool.spectral import default_cluster_tol
 
 SCHEMA = json.loads(
@@ -151,7 +151,7 @@ def test_gate_writer_gives_the_bytes_of_one_call_per_entry():
             "theta": 0.7,
             "dimension": m.shape[0],
             "tol": 1e-12,
-            "matrix": m,
+            "matrix": BlockStack.of(m),
             "check": None,
             "verdict": True,
         }

@@ -155,15 +155,19 @@ def test_certificate_at_the_cap_holds_one_copy_of_the_vectors_at_a_time():
 def test_vectors_are_made_dense_only_when_read(build, assert_kept_blocks):
     # the decomposition holds the stack of the vectors' blocks, which the
     # dense array, scattered from it on the first read, gives back bit for
-    # bit, padding as +0.0 included; the array is read-only, and kept
+    # bit, padding as +0.0 included; the array is read-only, and kept, and
+    # for K's one block it is a view of the stack, with no copy
     ham = build(HalfInteger(8))
     dec = hermitian_eig(ham.matrix, charge=ham.charge)
     held = dec.vector_blocks
     assert "dense" not in vars(held) and not held.stack.flags.writeable
     vectors = dec.vectors
     assert vectors is dec.vectors and not vectors.flags.writeable
-    rows, columns = dec.blocks
-    assert rows.stack(vectors, columns).tobytes() == held.stack.tobytes()
+    rows, columns = held.rows, held.columns
+    gathered = vectors[rows.members[:, :, None], columns.members[:, None, :]]
+    gathered[~rows.inside(columns)] = 0
+    assert gathered.tobytes() == held.stack.tobytes()
+    assert np.shares_memory(vectors, held.stack) == (build is build_cyclic)
     assert_kept_blocks(dec)
 
 
@@ -796,7 +800,8 @@ def _assert_same_bits(a, b):
     assert a.vectors.tobytes() == b.vectors.tobytes()
     for name in ("residual", "sweeps", "leak", "commutator"):
         assert getattr(a, name) == getattr(b, name), name
-    for kept, plain in zip(a.blocks, b.blocks, strict=True):
+    for name in ("rows", "columns"):
+        kept, plain = getattr(a.vector_blocks, name), getattr(b.vector_blocks, name)
         np.testing.assert_array_equal(kept.members, plain.members)
         np.testing.assert_array_equal(kept.filled, plain.filled)
 
@@ -934,7 +939,7 @@ def test_the_banded_residual_matches_a_dense_one(twice):
         k = build_cyclic(HalfInteger(twice))
         m, charge = k.matrix, k.charge
     dec = hermitian_eig(m, charge=charge)
-    assert dec.blocks[0].members.shape[0] == 1
+    assert dec.vector_blocks.rows.members.shape[0] == 1
     deltas = m @ dec.vectors - dec.vectors * dec.values
     dense = float(np.max(np.linalg.norm(deltas, axis=0)))
     assert abs(dec.residual - dense) <= 1e-12 * frobenius_norm(m)
@@ -1015,7 +1020,7 @@ def test_full_route_sweeps_the_components_as_blocks(
     np.testing.assert_allclose(dec.values, np.linalg.eigvalsh(m), atol=1e-10 * n * scale)
     # the vectors keep to the blocks, the residual is taken on them, and the
     # decomposition keeps them
-    for blocks in dec.blocks:
+    for blocks in (dec.vector_blocks.rows, dec.vector_blocks.columns):
         assert blocks.members.shape == (count, width)
     assert_kept_blocks(dec)
     dense = np.max(np.linalg.norm(m @ dec.vectors - dec.vectors * dec.values, axis=0))

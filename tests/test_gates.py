@@ -17,6 +17,7 @@ from spintool.hamiltonians import (
     build_heisenberg,
 )
 from spintool.linalg import (
+    BlockStack,
     HermiticityError,
     NumericalError,
     ShapeError,
@@ -204,7 +205,7 @@ def test_overflowing_phases_fail_the_unitarity_bound():
     # theta is finite, but theta * lambda overflows and the gate comes out NaN
     ham = build_heisenberg(HalfInteger(4))
     # H's gate is built block by block, and its NaN blocks fail all the same
-    rows, _ = hermitian_eig(ham.matrix, charge=ham.charge).blocks
+    rows = hermitian_eig(ham.matrix, charge=ham.charge).vector_blocks.rows
     assert rows.members.shape[0] == 9
     with pytest.raises(NumericalError, match="unitarity bound: nan"):
         synthesize_gate(ham, 1e308)
@@ -219,7 +220,7 @@ def test_gate_keeps_its_unitarity_residual():
         for build in (build_heisenberg, build_cyclic):
             ham = build(HalfInteger(twice))
             gate = synthesize_gate(ham, 0.7)
-            rows = hermitian_eig(ham.matrix, charge=ham.charge).blocks[0]
+            rows = hermitian_eig(ham.matrix, charge=ham.charge).vector_blocks.rows
             assert gate.unitarity_residual == gates._gram_residual(rows.stack(gate.matrix), rows)
             dense = unitarity_residual(gate.matrix)
             if build is build_cyclic:
@@ -284,7 +285,7 @@ def test_blockwise_gate_matches_the_dense_product(twice, assert_kept_blocks):
     # H conserves total S3: 4s+1 components, and its eigenvectors keep to
     # them, as the decomposition records
     assert label.max() + 1 == 2 * twice + 1
-    for blocks in dec.blocks:
+    for blocks in (dec.vector_blocks.rows, dec.vector_blocks.columns):
         assert blocks.members.shape[0] == 2 * twice + 1
     assert_kept_blocks(dec)
     for theta in (0.7, -2.3):
@@ -302,10 +303,13 @@ def test_k_takes_the_dense_product():
     # K's pattern is one component: one block of every index, whose gate
     # is the dense product
     assert not gauge(ham.matrix)[0].any()
-    for blocks in hermitian_eig(ham.matrix, charge=ham.charge).blocks:
+    held = hermitian_eig(ham.matrix, charge=ham.charge).vector_blocks
+    for blocks in (held.rows, held.columns):
         np.testing.assert_array_equal(blocks.members, np.arange(ham.dimension)[np.newaxis])
     gate = synthesize_gate(ham, 0.7)
     np.testing.assert_array_equal(gate.matrix, _dense_gate(ham, 0.7))
+    # read as a view of the one block, with no copy
+    assert np.shares_memory(gate.matrix, gate.matrix_blocks.stack)
 
 
 def test_k_gate_at_the_cap_peaks_no_higher_than_its_eigensolve():
@@ -341,17 +345,17 @@ def test_h_gate_at_the_cap_builds_no_dense_array():
 
 
 def test_a_stray_nonzero_in_the_eigenvectors_takes_the_dense_product(monkeypatch):
-    # the gate follows the blocks that the decomposition records: vectors
-    # with a stray nonzero outside H's blocks, given as an array and so
-    # recorded as the one block of every index, give the dense product
+    # the gate follows the blocks that the decomposition holds: vectors
+    # with a stray nonzero outside H's blocks, given by hand as the one
+    # block of every index, give the dense product
     ham = build_heisenberg(HalfInteger(4))
     dec = hermitian_eig(ham.matrix, charge=ham.charge)
     label = gauge(ham.matrix)[0]
     vectors = dec.vectors.copy()
     column = vectors[:, 3]
     column[np.flatnonzero(label != label[np.flatnonzero(column)[0]])[0]] = 1e-300
-    stray = EigDecomposition(dec.values, vectors, dec.residual, dec.sweeps)
-    for blocks in stray.blocks:
+    stray = EigDecomposition(dec.values, BlockStack.of(vectors), dec.residual, dec.sweeps)
+    for blocks in (stray.vector_blocks.rows, stray.vector_blocks.columns):
         np.testing.assert_array_equal(blocks.members, np.arange(ham.dimension)[np.newaxis])
     monkeypatch.setattr(gates, "hermitian_eig", lambda *args, **kwargs: stray)
     gate = synthesize_gate(ham, 0.7)

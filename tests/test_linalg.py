@@ -12,6 +12,7 @@ from spintool.gates import unitarity_residual
 from spintool.hamiltonians import build_bilinear, build_cyclic, build_heisenberg
 from spintool.linalg import (
     Blocks,
+    BlockStack,
     HermiticityError,
     frobenius_norm,
     gauge,
@@ -546,7 +547,7 @@ def _permuted_block_diagonal(rng, widths):
     return m[np.ix_(order, order)]
 
 
-def test_blocks_stack_and_scatter_are_inverse():
+def test_blocks_stack_and_the_dense_read_are_inverse():
     rng = np.random.default_rng(61)
     m = _permuted_block_diagonal(rng, [3, 1, 4, 1, 5])
     label = gauge(m)[0]
@@ -555,7 +556,9 @@ def test_blocks_stack_and_scatter_are_inverse():
     assert stack.shape == (5, 5, 5)
     # the padding is 0 and the blocks are m's own
     assert np.count_nonzero(stack) == np.count_nonzero(m)
-    np.testing.assert_array_equal(blocks.scatter(stack), m)
+    held = BlockStack(stack, blocks, blocks)
+    np.testing.assert_array_equal(held.dense, m)
+    assert held.dense is held.dense and not held.dense.flags.writeable
     for b, members in enumerate(blocks.members):
         idx = members[blocks.filled[b]]
         assert np.all(label[idx] == b) and np.all(np.diff(idx) > 0)
@@ -564,15 +567,16 @@ def test_blocks_stack_and_scatter_are_inverse():
     np.testing.assert_array_equal(block, label)
     np.testing.assert_array_equal(blocks.members[block, slot], np.arange(label.size))
     # columns from the blocks of the same labels in another order, as an
-    # eigenbasis sorted by value takes them, scattered into an array that
-    # keeps its entries off the blocks
+    # eigenbasis sorted by value takes them, read over a fill that holds
+    # each column's entries off the blocks; the padding, NaN here, is not read
     order = rng.permutation(label.size)
     columns = Blocks.of(label[order])
-    stack = blocks.stack(m[:, order], columns)
-    out = np.full(m.shape, -1.0 + 0j)
-    assert blocks.scatter(stack, columns, out=out) is out
+    stack = m[:, order][blocks.members[:, :, None], columns.members[:, None, :]]
+    stack[~blocks.inside(columns)] = np.nan
+    fill = -1.0 - np.arange(label.size)
     on = label[:, np.newaxis] == label[order]
-    np.testing.assert_array_equal(out, np.where(on, m[:, order], -1.0))
+    dense = BlockStack(stack, blocks, columns, fill).dense
+    np.testing.assert_array_equal(dense, np.where(on, m[:, order], fill))
 
 
 def _assert_one_block(blocks, n):
@@ -588,14 +592,18 @@ def test_blocks_decline_what_cannot_pay():
     _assert_one_block(Blocks.of(np.array([0, 0, 0, 0, 1])), 5)
     _assert_one_block(Blocks.of(np.zeros(0, dtype=np.intp)), 0)
     assert Blocks.of(np.array([0, 1, 0, 2])).members.shape == (3, 2)
-    # its stack and scatter are views, which copy nothing
+    # its stack and the dense read of it are views, which copy nothing, and
+    # so is the one block that BlockStack.of makes of a complex128 array
     m = np.arange(25.0).reshape(5, 5)
     one = Blocks.of(np.array([0, 0, 0, 0, 1]))
     stack = one.stack(m)
     assert stack.shape == (1, 5, 5) and np.shares_memory(stack, m)
     np.testing.assert_array_equal(stack[0], m)
-    assert np.shares_memory(one.scatter(stack), m)
-    np.testing.assert_array_equal(one.scatter(stack), m)
+    dense = BlockStack(stack, one, one).dense
+    assert np.shares_memory(dense, m) and m.flags.writeable
+    np.testing.assert_array_equal(dense, m)
+    z = m + 1j
+    assert np.shares_memory(BlockStack.of(z).dense, z)
     assert one.stack(np.zeros((0, 0))).shape == (1, 0, 0)
 
 

@@ -69,6 +69,27 @@ def test_the_public_surface_is_pinned():
     # built operators are Hermitian by construction: no field records it
     fields = [f.name for f in dataclasses.fields(spintool.Hamiltonian)]
     assert fields == ["kind", "s", "matrix", "charge"]
+    # the vectors and a gate's matrix are held as block stacks, read dense
+    fields = [f.name for f in dataclasses.fields(spintool.EigDecomposition)]
+    assert fields == ["values", "vector_blocks", "residual", "sweeps", "leak", "commutator"]
+    fields = [f.name for f in dataclasses.fields(spintool.Gate)]
+    assert fields == [
+        "theta", "kind", "spin", "matrix_blocks", "source_values", "unitarity_residual",
+        "source_residual",
+    ]
+
+
+@pytest.mark.parametrize("build", ["build_heisenberg", "build_cyclic"])
+def test_vectors_and_a_gate_read_as_read_only_complex_arrays(build):
+    ham = getattr(spintool, build)(spintool.HalfInteger(3))
+    n = ham.dimension
+    dense = [
+        spintool.hermitian_eig(ham.matrix, charge=ham.charge).vectors,
+        spintool.synthesize_gate(ham, 0.7).matrix,
+    ]
+    for array in dense:
+        assert isinstance(array, np.ndarray) and array.dtype == np.complex128
+        assert array.shape == (n, n) and not array.flags.writeable
 
 
 @pytest.mark.parametrize(
@@ -92,6 +113,58 @@ def test_an_input_of_the_wrong_type_is_a_type_error_that_names_the_type(call, me
     # "'int' object is not iterable" from unpacking the charge for the others
     with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
         call(np.eye(4))
+
+
+@pytest.mark.parametrize("count", [0, 1, 3])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m, charge: spintool.hermitian_eig(m, charge=charge),
+        lambda m, charge: spintool.certify_isospectral(m, m, charges=(charge, None)),
+    ],
+    ids=["hermitian_eig", "certify_isospectral"],
+)
+def test_a_charge_of_other_than_two_factors_is_refused_with_its_count(call, count):
+    # each once ended in Python's own "too many values to unpack" or "not
+    # enough values to unpack"
+    message = f"a charge must be a pair (A, B) of single-site factors, got tuple of length {count}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(np.eye(4), (np.eye(2),) * count)
+
+
+_NOT_NUMERIC = {
+    "str": np.array([["2", "0"], ["0", "5"]]),
+    "bytes": np.array([[b"2", b"0"], [b"0", b"5"]]),
+    "object": np.array([[2, 0], [0, 5]], dtype=object),
+    "datetime64": np.array([[2, 0], [0, 5]], dtype="datetime64[s]"),
+    "timedelta64": np.array([[2, 0], [0, 5]], dtype="timedelta64[s]"),
+}
+
+
+@pytest.mark.parametrize("dtype", list(_NOT_NUMERIC))
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: spintool.moments(m, 3),
+        spintool.hermitian_eig,
+        lambda m: spintool.certify_isospectral(m, np.eye(2)),
+        lambda m: spintool.certify_isospectral(np.eye(2), m),
+        spintool.require_hermitian,
+        spintool.hermiticity_defect,
+        spintool.unitarity_residual,
+    ],
+    ids=[
+        "moments", "hermitian_eig", "certify_a", "certify_b", "require_hermitian",
+        "hermiticity_defect", "unitarity_residual",
+    ],
+)
+def test_a_matrix_that_is_not_numeric_is_a_type_error_that_names_its_dtype(call, dtype):
+    # each was once read silently, str moments as [7, 29, 133] and datetime
+    # eigenvalues among them, or ended in a raw numpy error
+    m = _NOT_NUMERIC[dtype]
+    message = f"a matrix must be numeric, got dtype {m.dtype}"
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        call(m)
 
 
 def test_readme_quick_start_runs(capsys):
