@@ -29,10 +29,13 @@ verdict's, with no traceback.  ``gate --check``
 fails a gate whose unitarity residual exceeds 1e-8 or whose generator's
 eigenpair residual exceeds 1e-8 * max(1, max |lambda|), and reports a
 global phase whenever all eigenphases coincide on the circle, also when
-they straddle the 0 / 2 pi wrap.  No tolerance is an option: every command
-calls the library at its defaults, ``DEFAULT_TOL`` = 1e-12 and
-``default_cluster_tol``, the constants at which tests/test_margins.py
-measures every bound, and every block may take ``eig.MAX_SWEEPS`` sweeps.
+they straddle the 0 / 2 pi wrap; the verdicts of ``spectrum``, ``verify``
+and ``table`` fail on an eigenpair residual beyond that bound too.  No
+tolerance is an option: every eigensolve stops at the library's constant
+``eig.DEFAULT_TOL`` = 1e-12, which no caller sets, and every command
+clusters at ``default_cluster_tol``, the constants at which
+tests/test_margins.py measures every bound; every block may take
+``eig.MAX_SWEEPS`` sweeps.
 A spin whose decimal exponent lies beyond +-308 is refused before it is
 read, and one above the cap is named as given.
 """
@@ -56,6 +59,7 @@ from .gates import Gate, gate_eigenphases, synthesize_gate
 from .hamiltonians import build_cyclic, build_heisenberg
 from .linalg import DEFAULT_TOL, BlockStack, NumericalError
 from .spectral import (
+    EIGENPAIR_RESIDUAL_LIMIT,
     IsospectralReport,
     Spectrum,
     certify_isospectral,
@@ -82,9 +86,6 @@ _FULL_MOMENT_TWICE = 12
 _OPERATORS = {"H": build_heisenberg, "K": build_cyclic}
 
 _GATE_RESIDUAL_LIMIT = 1e-8
-# per unit of max(1, max |lambda|): a gate can be unitary to rounding while
-# its generator's eigenpairs are far off, so this guards the eigensolve
-_EIGENPAIR_RESIDUAL_LIMIT = 1e-8
 _CLOSED_FORM_TOL = 1e-9
 _UNIFORM_PHASE_TOL = 1e-9
 # a matrix file is at most as wide as the product space at the cap; a dense
@@ -335,6 +336,14 @@ def _closed_form_match(spectrum: Spectrum, s: HalfInteger) -> bool:
     return spectra_match(spectrum, closed_form_spectrum(s), value_tol=_CLOSED_FORM_TOL)
 
 
+def _eigenpairs_pass(residual: float, values: np.ndarray) -> bool:
+    """Whether an eigenpair residual lies within
+    ``EIGENPAIR_RESIDUAL_LIMIT`` * max(1, max |lambda|): a spectrum, or a
+    gate unitary to rounding, can look right while its eigenpairs are far
+    off, so this guards the eigensolve."""
+    return residual <= EIGENPAIR_RESIDUAL_LIMIT * max(1.0, float(np.max(np.abs(values))))
+
+
 def cmd_spectrum(args: argparse.Namespace) -> dict:
     """The report keeps --spin and --file as given: a matrix file has no
     spin and no closed form, and a built operator has no source."""
@@ -369,7 +378,7 @@ def cmd_spectrum(args: argparse.Namespace) -> dict:
         "cluster_tol": cluster_tol,
         "clusters": _cluster_dicts(spectrum),
         "closed_form_match": closed_form_match,
-        "verdict": closed_form_match is not False,
+        "verdict": closed_form_match is not False and _eigenpairs_pass(dec.residual, dec.values),
         "notes": _spin_notes(args.spin),
     }
 
@@ -418,7 +427,6 @@ def cmd_verify(args: argparse.Namespace) -> dict:
 def _gate_check(gate: Gate) -> dict:
     residual = gate.unitarity_residual
     eigenpair = gate.source_residual
-    radius = max(1.0, float(np.max(np.abs(gate.source_values))))
     phases = gate_eigenphases(gate)
     # The phases lie on a circle: they span 2 pi minus the widest gap between
     # neighbours, where the last gap wraps from the largest phase back to the
@@ -438,7 +446,7 @@ def _gate_check(gate: Gate) -> dict:
         "eigenphases": [float(p) for p in phases],
         "global_phase": global_phase,
         "passed": residual <= _GATE_RESIDUAL_LIMIT
-        and eigenpair <= _EIGENPAIR_RESIDUAL_LIMIT * radius,
+        and _eigenpairs_pass(eigenpair, gate.source_values),
     }
 
 

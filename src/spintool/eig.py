@@ -92,9 +92,9 @@ it is taken elementwise in the commutator, which gives the values of the
 mode products, all but the sign of a zero.  Nothing about the charge is
 assumed: the commutator ||[M, Q]||_F and the leak, the norm of M' outside
 the sectors, are measured and reported, and a leak above the component
-route's stop threshold tol * ||M||_F is an error.  The real form is rotated
-instead of M only if D commutes with Q exactly, so that it has M's sectors;
-else M is, in complex arithmetic.  A pattern of several components is split
+route's stop threshold DEFAULT_TOL * ||M||_F is an error.  The real form is
+rotated instead of M only if D commutes with Q exactly, so that it has M's
+sectors; else M is, in complex arithmetic.  A pattern of several components is split
 already, as H's: its conserved S3 makes the charge (S3, S3) diagonal, and
 the sectors of a diagonal charge hold whole components.  Its charge is
 checked and then goes unused.  Both routes end in the same sorting, phase
@@ -124,7 +124,6 @@ from .linalg import (
     NumericalError,
     ShapeError,
     _require_hermitian,
-    _require_tol,
     frobenius_norm,
     gauge,
     require_hermitian,
@@ -139,22 +138,18 @@ __all__ = [
 
 # the sweeps a block may take.  Cyclic Jacobi converges quadratically once
 # its pivots are small (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13(4),
-# 1992): at every spin, H and K by sectors stop within 6 sweeps at tol
-# 1e-12, and H within 10 at tol 5e-324, so a block runs out only at a stop
-# far below its rounding floor, which the ConvergenceError then names
+# 1992): at every spin, H and K by sectors stop within 6 sweeps at
+# DEFAULT_TOL, and a dense 625 x 625 matrix within 10
 MAX_SWEEPS = 100
 
-_EPS = float(np.finfo(np.float64).eps)
-
-# Charge factors are solved to rounding level, within MAX_SWEEPS, whatever
-# the caller's tol: an eigenvector error d in them shows up as off-sector
-# mass of about d * ||m||, which would otherwise compete with the leak bound
-# itself.
-_SITE_TOL = _EPS
+# Charge factors are solved to rounding level, within MAX_SWEEPS, below
+# DEFAULT_TOL: an eigenvector error d in them shows up as off-sector mass of
+# about d * ||m||, which would otherwise compete with the leak bound itself.
+_SITE_TOL = float(np.finfo(np.float64).eps)
 
 
 class ConvergenceError(NumericalError):
-    """The sweep budget ran out before the off-diagonal mass fell below tol."""
+    """The sweep budget ran out before the off-diagonal mass fell below its stop."""
 
 
 @dataclass(frozen=True)
@@ -452,7 +447,7 @@ def _jacobi_stack(
 
 
 def _solved(
-    routes: list[tuple[list[np.ndarray], list[float], list[str], list[float]]],
+    routes: list[tuple[list[np.ndarray], list[float], list[str]]],
     max_sweeps: int,
 ) -> list[list[tuple[np.ndarray, np.ndarray, int, float]]]:
     """Run the kernel on the blocks of every route, one stack per width and
@@ -460,11 +455,11 @@ def _solved(
     each converged.  The callers pass MAX_SWEEPS; tests pass less, to make
     a block run out.
 
-    A route is one operator's blocks with their stops, names and rounding
-    floors.  Within a route, blocks up to 16 wide form one class, as do
-    blocks whose widths share an interval (2^(k-1), 2^k], so padding never
-    doubles a wide block; a class is padded to its widest block, made even,
-    in float64 if all its blocks are real.  Blocks of every route that are
+    A route is one operator's blocks with their stops and names.  Within a
+    route, blocks up to 16 wide form one class, as do blocks whose widths
+    share an interval (2^(k-1), 2^k], so padding never doubles a wide
+    block; a class is padded to its widest block, made even, in float64 if
+    all its blocks are real.  Blocks of every route that are
     padded to the same width in the same dtype share one stack, so each
     keeps the rounds, the padding and the arithmetic that its own route
     alone would give it, bit for bit.  The kernel's arithmetic is per block,
@@ -474,9 +469,8 @@ def _solved(
     This is the one place where a solved block is checked: once every stack
     is swept, the first block still above its stop, in route order and then
     in block order, raises a :class:`ConvergenceError` that starts with its
-    name; where the stop lies below the block's floor, the error says that
-    tol is below it too.  Returns the kernel's results per route, in block
-    order, every block converged; twins share theirs.
+    name.  Returns the kernel's results per route, in block order, every
+    block converged; twins share theirs.
     """
     stacks: dict[tuple[int, np.dtype], list[tuple[int, int]]] = {}
     for r, (blocks, *_) in enumerate(routes):
@@ -504,18 +498,12 @@ def _solved(
         results = dict(zip(firsts, stacked))
         for (r, j), key in zip(members, keys):
             solved[r][j] = results[key]
-    for (_, stops, names, floors), results in zip(routes, solved):
-        for stop, name, floor, (_, _, _, off) in zip(stops, names, floors, results):
+    for (_, stops, names), results in zip(routes, solved):
+        for stop, name, (_, _, _, off) in zip(stops, names, results):
             if off > stop:
-                below = ""
-                if stop < floor:
-                    below = (
-                        "; tol is below the block's rounding floor, "
-                        f"width * eps * norm = {floor:.3e}"
-                    )
                 raise ConvergenceError(
                     f"{name}off-diagonal norm {off:.3e} still above {stop:.3e} "
-                    f"after {max_sweeps} sweeps{below}"
+                    f"after {max_sweeps} sweeps"
                 )
     return solved
 
@@ -536,11 +524,12 @@ def _mode(t: np.ndarray, f: np.ndarray, axis: int) -> np.ndarray:
     return t * np.expand_dims(diagonal, [i for i in range(t.ndim) if i != axis])
 
 
-def _charge_factors(charge, n: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The factors (A, B) checked square, finite, Hermitian and of product n,
-    as the arrays to sweep: float64 copies of their real parts where neither
-    has an imaginary part, as K's, else complex128 copies of both, so that
-    the two share one kernel call.  No factor is walked.  A charge that is
+def _charge_factors(charge, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The factors (A, B) checked square, finite, Hermitian within
+    ``DEFAULT_TOL`` per dimension and of product n, as the arrays to sweep:
+    float64 copies of their real parts where neither has an imaginary part,
+    as K's, else complex128 copies of both, so that the two share one
+    kernel call.  No factor is walked.  A charge that is
     not iterable, as an int, raises TypeError, and one of other than two
     factors ValueError, each naming what it got."""
     expected = "a charge must be a pair (A, B) of single-site factors, got"
@@ -559,7 +548,7 @@ def _charge_factors(charge, n: int, tol: float) -> tuple[np.ndarray, np.ndarray]
     for f in (a_site, b_site):
         if not np.isfinite(f).all():
             raise ValueError("charge factor entries must be finite")
-        require_hermitian(f, tol)
+        require_hermitian(f, DEFAULT_TOL)
     if any(np.iscomplexobj(f) and f.imag.any() for f in (a_site, b_site)):
         return a_site.astype(np.complex128), b_site.astype(np.complex128)
     return np.array(a_site.real, dtype=np.float64), np.array(b_site.real, dtype=np.float64)
@@ -578,7 +567,7 @@ def _split_sectors(
     an error; ``precision``, the input's dtype, tells what rounding it may be.
     """
     stops = [_SITE_TOL * frobenius_norm(f) for f in factors]
-    route = [_symmetrized(f) for f in factors], stops, ["", ""], [0.0, 0.0]
+    route = [_symmetrized(f) for f in factors], stops, ["", ""]
     (solved,) = _solved([route], MAX_SWEEPS)
     (qa, va, _, _), (qb, vb, _, _) = solved
     a_site, b_site = factors
@@ -634,23 +623,21 @@ class _Eigensolve:
 
     Built, it has checked its input, as :func:`hermitian_eig` documents,
     chosen its route and cut ``route``, the blocks to sweep over equal
-    labels with their stops, names and rounding floors: the components of
-    m, each symmetrized once cut, or with a charge those of m rotated into
-    the basis W by :func:`_split_sectors`, which symmetrizes the whole.
-    Each block is swept to tol times its own norm, or :func:`_solved` names
-    it by route, label and width in the :class:`ConvergenceError`.
+    labels with their stops and names: the components of m, each
+    symmetrized once cut, or with a charge those of m rotated into the
+    basis W by :func:`_split_sectors`, which symmetrizes the whole.  Each
+    block is swept to ``DEFAULT_TOL``, read from this module when the solve
+    is built, times its own norm, or :func:`_solved` names it by route,
+    label and width in the :class:`ConvergenceError`.
     :meth:`finish` takes the blocks solved, every one converged, and returns
     the decomposition.
     """
 
-    def __init__(self, m, charge, tol: float) -> None:
+    def __init__(self, m, charge) -> None:
         m = require_square(m, "eigensolver needs a square matrix")
         if not np.isfinite(m).all():
             raise ValueError("matrix entries must be finite")
-        _require_tol(tol)
-        if tol >= 1.0:
-            # off(m) <= ||m||_F, so the stop tol * ||m||_F holds before any sweep
-            raise ValueError(f"tol must be below 1, got {tol}: no sweep starts at that stop")
+        tol = DEFAULT_TOL
         component, colour, a, self.reach = gauge(m)
         # a real form's defect has m's entries up to sign: checked in its
         # dtype, within the reach beyond which the form is zero
@@ -664,7 +651,7 @@ class _Eigensolve:
                 "rescale its entries"
             )
         if charge is not None:
-            charge = _charge_factors(charge, m.shape[0], tol)
+            charge = _charge_factors(charge, m.shape[0])
         self.leak = self.commutator = 0.0
         if component.any() or charge is None:
             # the walk has split the pattern already, as H's by its conserved
@@ -689,13 +676,10 @@ class _Eigensolve:
         blocks = [swept[idx[:, np.newaxis], idx] for idx in self.groups]
         if w is None:
             blocks = [_symmetrized(block) for block in blocks]
-        norms = [frobenius_norm(block) for block in blocks]
         names = [
             f"{name} {int(labels[idx[0]])} (width {idx.size}): " for idx in self.groups
         ]
-        # a stop below about width * eps * ||block||_F may lie under rounding
-        floors = [idx.size * _EPS * norm for idx, norm in zip(self.groups, norms)]
-        self.route = blocks, [tol * norm for norm in norms], names, floors
+        self.route = blocks, [tol * frobenius_norm(block) for block in blocks], names
         # the rotations take swept's dtype, also for n = 0, where there are none
         self.dtype = np.result_type(swept, *([] if w is None else [w]))
         self.m, self.a, self.colour, self.component = m, a, colour, component
@@ -774,9 +758,7 @@ class _Eigensolve:
 
 
 def _eigensolves(
-    operators: list[tuple[np.ndarray, tuple | None]],
-    tol: float,
-    max_sweeps: int = MAX_SWEEPS,
+    operators: list[tuple[np.ndarray, tuple | None]], max_sweeps: int = MAX_SWEEPS
 ) -> list[EigDecomposition]:
     """:func:`hermitian_eig` of each (m, charge), with one kernel call per stack
     for the blocks of all of them.
@@ -795,7 +777,7 @@ def _eigensolves(
     solves, failure = [], None
     for m, charge in operators:
         try:
-            solves.append(_Eigensolve(m, charge, tol))
+            solves.append(_Eigensolve(m, charge))
         except Exception as exc:  # held, never dropped: raised below
             failure = exc
             break
@@ -806,49 +788,41 @@ def _eigensolves(
 
 
 def hermitian_eig(
-    m: np.ndarray,
-    tol: float = DEFAULT_TOL,
-    *,
-    charge: tuple[np.ndarray, np.ndarray] | None = None,
+    m: np.ndarray, *, charge: tuple[np.ndarray, np.ndarray] | None = None
 ) -> EigDecomposition:
     """Diagonalize a Hermitian matrix with round-robin Jacobi sweeps.
 
-    Stops once the off-diagonal Frobenius norm is <= tol * ||m||_F.  The
-    blocks are swept each to tol times its own norm, which keeps the total
-    there, within MAX_SWEEPS = 100 sweeps, or a :class:`ConvergenceError`
-    names the block that ran out by its label and width.  They are the
-    connected components of ``m``'s nonzero pattern.  ``charge = (A, B)``,
-    single-site Hermitian factors whose sum A x I + I x B should commute
-    with ``m``, is always checked: square, finite, Hermitian and of product
-    n.  It is used only where the pattern is one component, as K's, and then
-    selects the sector route of the module docstring, whose blocks are the
-    sectors of equal rounded charge 2(qa + qb).  Its rotated mass outside
-    the sectors is reported as ``leak`` and ``||[m, A x I + I x B]||_F`` as
-    ``commutator``; a leak above tol * ||m||_F raises
-    :class:`NumericalError`, so a wrong charge is never trusted; within
-    n * eps * ||m||_F, eps the coarser of float64's and the input's own
-    precision, the error names a tol below the rounding of the basis or of
-    the input instead.  Where tol lies below a block's rounding floor,
-    width * eps * its norm, a ConvergenceError says so too.  Pivots at or
-    below the stop threshold scaled by 1/(10 n) are skipped; the
-    convergence check always measures the true remaining off-diagonal
-    mass, so skipping never masks a miss.  Inputs within the
-    hermiticity tolerance are symmetrized once, each block as it is cut
-    (component route) or the whole matrix once rotated into the charge
-    basis, where the leak is measured (sector route); the reported
-    residual is still taken against the original matrix.  Where
-    :func:`linalg.gauge` finds a real form D^H m D, it is swept in real
-    arithmetic and the vectors are D V (see the module docstring); they are
-    complex128 either way.  A matrix the squares of whose entries sum
-    beyond double precision, as 1e308 on a diagonal do, raises
-    :class:`NumericalError`: the stop threshold and the sweeps' off-diagonal
-    norms are taken from that sum, unscaled.  tol must lie in (0, 1): one
-    that is no :class:`numbers.Real`, as a str or None, raises TypeError,
-    and one that is not positive ValueError, as :func:`require_hermitian`
-    has it; one of 1 or more, True among them, raises ValueError too, since
-    the off-diagonal norm never exceeds ||m||_F and no sweep would start.
-    This is the one eigensolver tolerance a caller sets: the certificate
-    and the gate solve at ``DEFAULT_TOL``.
+    Stops once the off-diagonal Frobenius norm is <= tol * ||m||_F, for tol
+    the constant ``DEFAULT_TOL`` = 1e-12, read from this module when called:
+    no caller sets the stop, so every solve is made at the constant that
+    tests/test_margins.py audits.  The blocks are swept each to tol times
+    its own norm, which keeps the total there, within MAX_SWEEPS = 100
+    sweeps, or a :class:`ConvergenceError` names the block that ran out by
+    its label and width.  They are the connected components of ``m``'s
+    nonzero pattern.  ``charge = (A, B)``, single-site Hermitian factors
+    whose sum A x I + I x B should commute with ``m``, is always checked:
+    square, finite, Hermitian and of product n.  It is used only where the
+    pattern is one component, as K's, and then selects the sector route of
+    the module docstring, whose blocks are the sectors of equal rounded
+    charge 2(qa + qb).  Its rotated mass outside the sectors is reported as
+    ``leak`` and ``||[m, A x I + I x B]||_F`` as ``commutator``; a leak
+    above tol * ||m||_F raises :class:`NumericalError`, so a wrong charge is
+    never trusted; within n * eps * ||m||_F, eps the coarser of float64's
+    and the input's own precision, as for a float32 input, the error names
+    the rounding of the basis or of the input instead.  Pivots at or below
+    the stop threshold scaled by 1/(10 n) are skipped; the convergence
+    check always measures the true remaining off-diagonal mass, so
+    skipping never masks a miss.  Inputs Hermitian within tol per
+    dimension are symmetrized once, each block as it is cut (component
+    route) or the whole matrix once rotated into the charge basis, where
+    the leak is measured (sector route); the reported residual is still
+    taken against the original matrix.  Where :func:`linalg.gauge` finds a
+    real form D^H m D, it is swept in real arithmetic and the vectors are
+    D V (see the module docstring); they are complex128 either way.  A
+    matrix the squares of whose entries sum beyond double precision, as
+    1e308 on a diagonal do, raises :class:`NumericalError`: the stop
+    threshold and the sweeps' off-diagonal norms are taken from that sum,
+    unscaled.
     """
-    (dec,) = _eigensolves([(m, charge)], tol)
+    (dec,) = _eigensolves([(m, charge)])
     return dec

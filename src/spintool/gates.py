@@ -36,7 +36,6 @@ import numpy as np
 from .eig import hermitian_eig
 from .hamiltonians import Hamiltonian, HamiltonianKind
 from .linalg import (
-    DEFAULT_TOL,
     Blocks,
     BlockStack,
     NumericalError,
@@ -90,14 +89,13 @@ class Gate:
 def synthesize_gate(h: Hamiltonian, theta: float) -> Gate:
     """Build U(theta) = exp(-i theta M) from a Hermitian generator.
 
-    :func:`eig.hermitian_eig`, given the carrier's charge and
-    ``DEFAULT_TOL``, read from this module when called, is the one check
-    of the generator: a matrix that is not Hermitian raises
-    :class:`HermiticityError` and a non-finite one ValueError.  U is the
-    direct sum of the gates of the blocks of the decomposition's
-    ``vector_blocks``: the components of the generator's pattern, or the
-    one block of every index, whose gate is the dense product; the gate
-    holds U as that stack (see :class:`Gate`).
+    :func:`eig.hermitian_eig`, given the carrier's charge, is the one check
+    of the generator, at the eigensolver's constant ``eig.DEFAULT_TOL``: a
+    matrix that is not Hermitian raises :class:`HermiticityError` and a
+    non-finite one ValueError.  U is the direct sum of the gates of the
+    blocks of the decomposition's ``vector_blocks``: the components of the
+    generator's pattern, or the one block of every index, whose gate is the
+    dense product; the gate holds U as that stack (see :class:`Gate`).
     ||U^H U - I||, taken on the same blocks, is checked against
     1e-10 * dim before U is returned; a NaN gate, from theta * lambda
     overflowing, fails that check too.  ``theta`` may be any finite
@@ -115,7 +113,7 @@ def synthesize_gate(h: Hamiltonian, theta: float) -> Gate:
         finite = False
     if not finite:
         raise ValueError(f"theta must be a finite real number, got {theta!r}")
-    dec = hermitian_eig(h.matrix, DEFAULT_TOL, charge=h.charge)
+    dec = hermitian_eig(h.matrix, charge=h.charge)
     values, source_residual, vectors = dec.values, dec.residual, dec.vector_blocks
     # the vectors' stack is all the gate needs, and no dense array of them
     # is built; it goes once it is used

@@ -12,8 +12,13 @@ Hermitian for any real pattern c (see :class:`Hamiltonian`).
 When the pattern c is a proper rotation (orthogonal, det +1), the operator
 is H conjugated by a rotation of the second site that maps each Sj to
 sum_k c_jk Sk, so it commutes with the charge S3 x I + I x sum_k c_3k Sk.
-Its single-site factors are kept as ``Hamiltonian.charge`` for the
-eigensolver's sector route.
+The form is linear in its pattern, so the operator of lambda c, for any
+real lambda != 0, is lambda times that of c and commutes with the same
+charge: an improper rotation is -1 times a proper one, and 2 c_K is 2
+times K.  Such a pattern takes the charge of c = (lambda c) / lambda, with
+lambda the real cube root of its determinant.  The single-site factors
+are kept as ``Hamiltonian.charge`` for the eigensolver's sector route,
+which measures the charge's split and refuses one that does not hold.
 """
 
 from __future__ import annotations
@@ -54,8 +59,9 @@ class Hamiltonian:
     product, or a real scaling, of conjugate pairs is a conjugate pair; and
     both mirrored entries sum their terms in the same (j, k) order.
     ``charge`` holds the single-site factors (A, B) of a conserved charge
-    A x I + I x B when the pattern is a proper rotation within 1e-12, and
-    is None otherwise.
+    A x I + I x B when the pattern is a real multiple lambda != 0 of a
+    proper rotation within 1e-12, the charge of that rotation, and is None
+    otherwise.
     """
 
     kind: HamiltonianKind
@@ -100,11 +106,18 @@ def _assemble(s: HalfInteger, label: str, coeffs) -> Hamiltonian:
 
 
 def _rotation_charge(pattern, ops) -> tuple[np.ndarray, np.ndarray] | None:
+    """The charge of c / lambda, lambda = cbrt(det c), where that is
+    orthogonal within _ROTATION_TOL; a c whose determinant is 1 within it
+    is taken as it is, so a proper rotation keeps its own charge to the
+    bit.  A singular c has none, nor has one whose determinant or
+    c / lambda lies beyond double precision."""
     c = np.array(pattern)
-    if np.abs(c @ c.T - np.eye(3)).max() > _ROTATION_TOL:
-        return None
-    if abs(np.linalg.det(c) - 1.0) > _ROTATION_TOL:
-        return None
+    with np.errstate(all="ignore"):
+        det = np.linalg.det(c)
+        if not abs(det - 1.0) <= _ROTATION_TOL:
+            c = c / np.cbrt(det)
+        if not np.abs(c @ c.T - np.eye(3)).max() <= _ROTATION_TOL:
+            return None
     second = sum(c[2, k] * ops[k] for k in range(3))
     second.flags.writeable = False
     return ops[2], second

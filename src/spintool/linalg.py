@@ -88,14 +88,23 @@ def require_square(a, what: str) -> np.ndarray:
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"{what}, got shape {a.shape}")
-    if a.dtype.kind not in "biufc":
-        raise TypeError(f"a matrix must be numeric, got dtype {a.dtype}")
+    return _require_kind(a, "biufc", "a matrix must be numeric")
+
+
+def _require_kind(a: np.ndarray, kinds: str, what: str) -> np.ndarray:
+    """a, or TypeError "<what>, got dtype <dtype>" where its dtype's kind is
+    not one of ``kinds``: "biufc" for a matrix, "biuf" for real values."""
+    if a.dtype.kind not in kinds:
+        raise TypeError(f"{what}, got dtype {a.dtype}")
     return a
 
 
 def frobenius_norm(a: np.ndarray) -> float:
-    """Frobenius norm, sqrt(sum |a_ij|^2)."""
-    return float(np.linalg.norm(np.asarray(a)))
+    """Frobenius norm, sqrt(sum |a_ij|^2), of an array of any shape, a stack
+    of blocks too; TypeError for a dtype that :func:`require_square`
+    refuses, as str."""
+    a = _require_kind(np.asarray(a), "biufc", "a matrix must be numeric")
+    return float(np.linalg.norm(a))
 
 
 def _difference_blocks(

@@ -42,11 +42,11 @@ import numpy as np
 from .eig import _eigensolves
 from .linalg import (
     _ROWS,
-    DEFAULT_TOL,
     Blocks,
     NumericalError,
     ShapeError,
     _require_hermitian,
+    _require_kind,
     _require_tol,
     frobenius_norm,
     gauge,
@@ -68,6 +68,10 @@ __all__ = [
 ]
 
 MOMENT_TOL = 1e-8
+# per unit of max(1, max |lambda|): an eigenpair residual ||M v - lambda v||,
+# taken against the input, is the one check that the rotations were a
+# similarity, so every verdict that rests on an eigensolve reads it
+EIGENPAIR_RESIDUAL_LIMIT = 1e-8
 
 # the fewest baby steps m^1..m^J that moments keeps
 _BABY_STEPS = 4
@@ -130,7 +134,11 @@ class IsospectralReport:
     """Combined direct and moment evidence for two operators.
 
     ``spectra_equal`` comes from the clustered spectra alone and is the
-    verdict of record; the moment report corroborates it.
+    verdict of record; the moment report corroborates it.  ``verdict``
+    also requires both eigenpair residuals to lie within
+    ``EIGENPAIR_RESIDUAL_LIMIT`` times the moments' scale, max(1, max
+    |lambda|) over both spectra, since clustered values cannot show that
+    the rotations behind them were a similarity.
     """
 
     dimension: int
@@ -143,7 +151,9 @@ class IsospectralReport:
 
     @property
     def verdict(self) -> bool:
-        return self.spectra_equal and self.moments.passed
+        bound = EIGENPAIR_RESIDUAL_LIMIT * self.moments.scale
+        residuals = self.residual_a <= bound and self.residual_b <= bound
+        return self.spectra_equal and self.moments.passed and residuals
 
 
 def _integer(value, name: str) -> int:
@@ -421,9 +431,10 @@ def newton_check(values, traces) -> bool:
     grow.  The sums of (values_i / r)^k are taken as a running product over
     k, each power within k ulps of its ``pow``, and every term lies in
     [-1, 1], so none overflows.  A NaN on either side fails the comparison.
+    Either list of a dtype that is not bool, integer or float, as str or
+    complex, raises TypeError (see :func:`_real_values`).
     """
-    values = np.asarray(values, dtype=np.float64)
-    traces = np.asarray(traces, dtype=np.float64)
+    values, traces = _real_values(values), _real_values(traces)
     if values.ndim != 1 or traces.ndim != 1:
         raise ShapeError("values and traces must be 1-D")
     if values.size == 0 or traces.size == 0:
@@ -431,6 +442,14 @@ def newton_check(values, traces) -> bool:
     radius = max(1.0, float(np.max(np.abs(values))))
     scaled = np.abs(_power_sums(values / radius, traces.size) - _over_powers(traces, radius))
     return bool(np.all(scaled <= MOMENT_TOL * values.size))
+
+
+def _real_values(values) -> np.ndarray:
+    """A value list as float64, once its dtype is checked bool, integer or
+    float: TypeError for any other, as str, which the cast would read as
+    numbers, or complex, whose imaginary parts it would drop."""
+    values = _require_kind(np.asarray(values), "biuf", "values must be real numbers")
+    return values.astype(np.float64, copy=False)
 
 
 def _power_sums(x: np.ndarray, kmax: int) -> np.ndarray:
@@ -455,9 +474,10 @@ def cluster_spectrum(values, cluster_tol: float) -> Spectrum:
     ``cluster_tol`` must be a positive, finite real number: one that is no
     :class:`numbers.Real` raises TypeError, and one that is not positive or
     is infinite, which would merge every spectrum into one cluster,
-    ValueError.
+    ValueError.  Values of a dtype that is not bool, integer or float raise
+    TypeError (see :func:`_real_values`).
     """
-    values = np.asarray(values, dtype=np.float64)
+    values = _real_values(values)
     if values.ndim != 1 or values.size == 0:
         raise ShapeError("expected a non-empty 1-D value list")
     if not np.isfinite(values).all():
@@ -505,7 +525,8 @@ def default_cluster_tol(m: np.ndarray) -> float:
     """Degeneracy resolution used when none is given: 1e-9 * max(1, ||m||_F).
 
     Raises ValueError when ||m||_F is not finite: an entry that is NaN or
-    infinite, or entries whose squares sum beyond double precision.
+    infinite, or entries whose squares sum beyond double precision; and
+    TypeError for a dtype that is not numeric, as :func:`frobenius_norm`.
     """
     with np.errstate(over="ignore"):
         norm = frobenius_norm(m)
@@ -522,8 +543,12 @@ def spectra_match(a: Spectrum, b: Spectrum, value_tol: float | None = None) -> b
     a positive, finite real number, as ``cluster_spectrum``'s
     ``cluster_tol``: TypeError for one that is no :class:`numbers.Real`,
     ValueError for one that is not positive, NaN among them, or infinite,
-    either of which would hold any two values equal.
+    either of which would hold any two values equal.  ``a`` and ``b`` must
+    be :class:`Spectrum` values; anything else raises TypeError.
     """
+    for spectrum in (a, b):
+        if not isinstance(spectrum, Spectrum):
+            raise TypeError(f"a spectrum must be a Spectrum, got {type(spectrum).__name__}")
     if value_tol is None:
         value_tol = max(a.cluster_tol, b.cluster_tol)
     else:
@@ -586,9 +611,9 @@ def certify_isospectral(
     so-many powers; the verdict never rests on the prefix alone.
     ``charges`` passes each operator's conserved-charge factors (or None)
     to the eigensolver, which then diagonalizes sector by sector; one that
-    is not a pair raises ValueError.  Both operators are solved at
-    ``DEFAULT_TOL``, read from this module when called: the certificate
-    takes no tolerance, so every certificate is made at the constants that
+    is not a pair raises ValueError.  Both operators are solved at the
+    eigensolver's constant ``eig.DEFAULT_TOL``: the certificate takes no
+    tolerance, so every certificate is made at the constants that
     tests/test_margins.py audits.  Empty operators have no spectrum and
     raise :class:`ShapeError`; a ``kmax`` or ``prefix`` that is not an
     integer raises TypeError before any work.
@@ -623,7 +648,7 @@ def certify_isospectral(
     except (TypeError, ValueError):
         raise ValueError("charges must be a pair: a charge or None for a, then for b") from None
 
-    dec_a, dec_b = _eigensolves([(a, charge_a), (b, charge_b)], DEFAULT_TOL)
+    dec_a, dec_b = _eigensolves([(a, charge_a), (b, charge_b)])
     cluster_tol = max(default_cluster_tol(a), default_cluster_tol(b))
     spectrum_a = cluster_spectrum(dec_a.values, cluster_tol)
     spectrum_b = cluster_spectrum(dec_b.values, cluster_tol)

@@ -4,8 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-import spintool.cli as cli
-from spintool import eig, gates, spectral, spin
+from spintool import eig, spectral, spin
 from spintool.cli import main
 from spintool.eig import hermitian_eig
 from spintool.hamiltonians import build_cyclic, build_heisenberg
@@ -76,18 +75,34 @@ def sweep_budget(monkeypatch):
 @pytest.fixture()
 def cli_tol(monkeypatch):
     """``cli_tol(t)`` runs every later command of the test at the base
-    tolerance t, where the command line takes DEFAULT_TOL: the certificate,
-    the gate and the algebra suite read ``DEFAULT_TOL`` from their own
-    modules when called, which is set to t, and each ``hermitian_eig`` call
-    of ``spintool.cli`` gets t.  The reports still write ``cli.DEFAULT_TOL``;
-    ``hermitian_eig`` is the one library call that takes a tolerance."""
+    tolerance t, where the command line takes DEFAULT_TOL: every eigensolve,
+    of ``spectrum``, the certificate or the gate, and the algebra suite read
+    ``DEFAULT_TOL`` from ``eig`` and ``spin`` when called, which is set to t.
+    The reports still write ``cli.DEFAULT_TOL``."""
 
     def at(tol: float) -> None:
-        for module in (spectral, gates, spin):
+        for module in (eig, spin):
             monkeypatch.setattr(module, "DEFAULT_TOL", tol)
-        monkeypatch.setattr(cli, "hermitian_eig", functools.partial(eig.hermitian_eig, tol=tol))
 
     return at
+
+
+@pytest.fixture()
+def lossy_rotations(monkeypatch):
+    """``lossy_rotations()`` finishes every later eigensolve of the test
+    with each block's rotations transposed, as a kernel that lost
+    similarity would return them: the values, the rotated diagonal, are
+    right, and the eigenpair residuals are not.  The charge factors keep
+    theirs, so the sectors still split."""
+    finish = eig._Eigensolve.finish
+
+    def transposed(self, solved):
+        return finish(self, [(d, r.T, k, off) for d, r, k, off in solved])
+
+    def lose() -> None:
+        monkeypatch.setattr(eig._Eigensolve, "finish", transposed)
+
+    return lose
 
 
 @pytest.fixture(scope="session")

@@ -236,7 +236,7 @@ def test_gate_check_catches_broken_unitary(run_cli, monkeypatch):
 
 @pytest.mark.parametrize("tol, passed", [(1e-12, True), (1e-3, False), (0.5, False)])
 def test_gate_check_fails_loose_eigenpairs(run_cli, cli_tol, tol, passed):
-    # solved at a loose tol, which only the library takes, the gate is still
+    # solved at a loose stop, which only a test sets, the gate is still
     # unitary to rounding, but built from eigenpairs 4.4e-4 off at 1e-3
     # against a bound of 1e-8 * max |lambda|, 2e-8 for H at spin 1
     cli_tol(tol)
@@ -255,14 +255,41 @@ def test_gate_check_fails_loose_eigenpairs(run_cli, cli_tol, tol, passed):
     assert lines[-1] == ("verdict=PASS" if passed else "verdict=FAIL")
 
 
-@pytest.mark.parametrize("tol", [1.0, 1e308])
-def test_a_gate_at_a_tol_of_one_or_more_is_refused(run_cli, cli_tol, tol):
-    # such a tol meets every stop before the first sweep: the gate was once
-    # built from the diagonal, with wrong eigenphases, and failed only its check
-    cli_tol(tol)
-    code, out, err = run_cli("gate", "--spin", "1", "--theta", "0.3", "--check")
-    assert (code, out) == (2, "")
-    assert err == f"error: tol must be below 1, got {tol}: no sweep starts at that stop\n"
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "spectrum --spin 1 --hamiltonian H",
+        "spectrum --spin 3/2 --hamiltonian K",
+        "verify --spin 1",
+        "table --max-spin 3/2",
+    ],
+)
+def test_a_kernel_that_loses_similarity_fails_every_verdict(run_cli, lossy_rotations, argv):
+    # transposed rotations keep every value, so every byte of the report but
+    # the verdicts stays, closed form and moments included: each verdict
+    # fails on its eigenpair residuals, which no format prints
+    argv = [*argv.split(), "--format", "json"]
+    code, out, err = run_cli(*argv)
+    honest = _valid_json(out)
+    assert (code, err, honest["verdict"]) == (0, "", True)
+    lossy_rotations()
+    code, out, err = run_cli(*argv)
+    lossy = _valid_json(out)
+    assert (code, err, lossy["verdict"]) == (1, "", False)
+    for row in honest.get("rows", []):
+        row["verdict"] = False
+    assert lossy == {**honest, "verdict": False}
+
+
+def test_a_gate_of_lost_similarity_fails_its_check(run_cli, lossy_rotations):
+    # the vectors stay orthonormal, so the gate is unitary to rounding; only
+    # its generator's eigenpair residual shows the loss
+    lossy_rotations()
+    code, out, err = run_cli("gate", "--spin", "1", "--theta", "0.3", "--check", "--format", "json")
+    check = _valid_json(out)["check"]
+    assert (code, err) == (1, "")
+    assert check["unitarity_residual"] <= 1e-10
+    assert check["eigenpair_residual"] > 1e-8 * 2.0 and not check["passed"]
 
 
 # a gate of two blocks over the labels [1, 0, 0, 1, 1]: rows and columns

@@ -74,7 +74,7 @@ _REAL_ROTATION = ((0.0, 0.0, 1.0), (0.0, -1.0, 0.0), (1.0, 0.0, 0.0))
 def _within(sweeps, m, charge=None):
     """hermitian_eig with ``sweeps`` for each block, by the private seam
     that alone takes a budget; the charge factors keep MAX_SWEEPS."""
-    (dec,) = eig._eigensolves([(m, charge)], DEFAULT_TOL, sweeps)
+    (dec,) = eig._eigensolves([(m, charge)], sweeps)
     return dec
 
 
@@ -207,8 +207,6 @@ def test_rejects_bad_arguments():
         hermitian_eig(np.ones((2, 3)))
     with pytest.raises(ValueError):
         hermitian_eig(np.eye(2) * np.nan)
-    with pytest.raises(ValueError):
-        hermitian_eig(np.eye(2, dtype=complex), tol=0.0)
 
 
 def test_a_sweep_budget_is_no_argument():
@@ -396,12 +394,11 @@ def stack_dtypes(monkeypatch):
 
 @pytest.mark.parametrize("tol", [0.0, -1e-12, np.nan, -np.inf])
 def test_a_tol_that_is_not_positive_is_refused(tol):
-    # the library is the one place that takes a tolerance, and the
-    # hermiticity check takes the eigensolver's rule: a NaN tol once failed
-    # the identity there with "defect 0.000e+00 exceeds nan", and 0 passed it
-    for check in (hermitian_eig, require_hermitian):
-        with pytest.raises(ValueError, match="^tol must be positive, got "):
-            check(np.eye(2), tol=tol)
+    # the hermiticity check takes the library's rule for a tolerance: a NaN
+    # tol once failed the identity there with "defect 0.000e+00 exceeds
+    # nan", and 0 passed it
+    with pytest.raises(ValueError, match="^tol must be positive, got "):
+        require_hermitian(np.eye(2), tol=tol)
 
 
 @pytest.mark.parametrize("tol", ["1e-3", None])
@@ -409,25 +406,12 @@ def test_a_tol_that_is_no_real_number_is_a_type_error(tol):
     # it once ended in "'>' not supported between instances of ..."
     message = f"^tol must be a real number, got {re.escape(repr(tol))}$"
     h = build_heisenberg(HalfInteger(1))
-    for check in (hermitian_eig, require_hermitian):
-        with pytest.raises(TypeError, match=message):
-            check(h.matrix, tol=tol)
-
-
-@pytest.mark.parametrize("tol", [1.0, 1e308, np.inf, True], ids=["1", "1e308", "inf", "True"])
-def test_a_tol_of_one_or_more_is_refused(tol):
-    # off(m) <= ||m||_F, so such a stop held before the first sweep: the
-    # diagonal, [1, 1], came back with residual 2.0 and no error
-    m = np.array([[1.0, 2.0], [2.0, 1.0]])
-    message = f"^tol must be below 1, got {re.escape(str(tol))}: no sweep starts at that stop$"
-    with pytest.raises(ValueError, match=message):
-        hermitian_eig(m, tol=tol)
-    # a tol below 1 sweeps
-    np.testing.assert_allclose(hermitian_eig(m, tol=0.5).values, [-1.0, 3.0])
+    with pytest.raises(TypeError, match=message):
+        require_hermitian(h.matrix, tol=tol)
 
 
 @pytest.mark.parametrize("route", ["sectors", "full", "scalar-sectors"])
-def test_subnormal_tol_stays_finite_and_silent(route, stack_dtypes):
+def test_subnormal_tol_stays_finite_and_silent(route, stack_dtypes, monkeypatch):
     # stop near 1e-308 leaves subnormal pivots above the skip threshold;
     # tau = d / (2 b) and pivot / b once overflowed there.  H and the
     # rotation are exactly real, so this runs the float64 stack.  The
@@ -440,9 +424,10 @@ def test_subnormal_tol_stays_finite_and_silent(route, stack_dtypes):
         charge = (np.eye(5), np.eye(5))
     else:
         ham, charge = _routed(route, 6)
+    monkeypatch.setattr(eig, "DEFAULT_TOL", 1e-310)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        dec = hermitian_eig(ham.matrix, tol=1e-310, charge=charge)
+        dec = hermitian_eig(ham.matrix, charge=charge)
     assert set(stack_dtypes) == {np.dtype(np.float64)}
     n = ham.dimension
     scale = max(1.0, frobenius_norm(ham.matrix))
@@ -743,7 +728,7 @@ def test_sector_blocks_are_exactly_hermitian(twice, label):
     else:
         ham = build_bilinear(s, _random_rotation(700 + twice))
     stop = DEFAULT_TOL * frobenius_norm(ham.matrix)
-    factors = _charge_factors(ham.charge, ham.dimension, DEFAULT_TOL)
+    factors = _charge_factors(ham.charge, ham.dimension)
     # the matrix as given and, where there is one, its real form, which is
     # what the solver sweeps
     form = gauge(ham.matrix)[2]
@@ -856,14 +841,16 @@ def test_a_charge_given_with_h_is_checked_but_not_used():
         _assert_same_bits(hermitian_eig(ham.matrix, charge=charge), plain)
 
 
-def test_sector_route_rejects_a_charge_that_does_not_commute():
+def test_sector_route_rejects_a_charge_that_does_not_commute(monkeypatch):
     s = HalfInteger(2)
     t = make_spin_triple(s)
     k = build_cyclic(s)
     with pytest.raises(NumericalError, match="off-sector norm"):
         hermitian_eig(k.matrix, charge=(t.s1, t.s1))
+    # far below the rounding of the basis, the wrong charge is still blamed
+    monkeypatch.setattr(eig, "DEFAULT_TOL", 1e-100)
     with pytest.raises(NumericalError, match="^charge does not split the operator: "):
-        hermitian_eig(k.matrix, charge=(t.s1, t.s1), tol=1e-100)
+        hermitian_eig(k.matrix, charge=(t.s1, t.s1))
     with pytest.raises(ShapeError):
         hermitian_eig(k.matrix, charge=(t.s3, np.eye(2)))
 
@@ -1051,22 +1038,23 @@ def test_full_route_names_the_component_that_runs_out():
 
 
 @pytest.mark.parametrize("twice, tol", [(2, 1e-100), (4, 1e-30), (24, 1e-17)])
-def test_a_tol_below_rounding_is_named_not_the_charge(twice, tol):
+def test_a_tol_below_rounding_is_named_not_the_charge(twice, tol, monkeypatch):
     # (S3, S1) commutes with K, but no rounded basis W keeps K's mass in the
     # sectors to tol * ||K||_F below about eps * ||K||_F: the bound stands,
     # and the error names the tol, with the same off-sector norm
     k = build_cyclic(HalfInteger(twice))
     rounding = k.dimension * np.finfo(np.float64).eps * frobenius_norm(k.matrix)
+    assert hermitian_eig(k.matrix, charge=k.charge).leak <= 0.1 * rounding
+    monkeypatch.setattr(eig, "DEFAULT_TOL", tol)
     with pytest.raises(NumericalError) as error:
-        hermitian_eig(k.matrix, tol=tol, charge=k.charge)
+        hermitian_eig(k.matrix, charge=k.charge)
     assert str(error.value).startswith(
         f"tol is below the rounding of the sector basis, {rounding:.3e}: "
         "off-sector norm "
     )
-    assert hermitian_eig(k.matrix, charge=k.charge).leak <= 0.1 * rounding
 
 
-def test_single_precision_rounding_is_named_not_the_charge():
+def test_single_precision_rounding_is_named_not_the_charge(monkeypatch):
     # (S3, S1) commutes with K, but not with K rounded to complex64: the leak
     # lies within the input's own rounding, n * eps(float32) * ||K||_F, and
     # the error says so instead of blaming the charge
@@ -1081,44 +1069,12 @@ def test_single_precision_rounding_is_named_not_the_charge():
         f"tol is below the rounding of the complex64 input, {rounding:.3e}: "
         "off-sector norm "
     )
-    # a tol above that rounding passes, and a wrong charge is still blamed
-    assert hermitian_eig(single, tol=10 * rounding, charge=k.charge).leak <= rounding
+    # a wrong charge is still blamed, and a stop above that rounding passes
     t = make_spin_triple(HalfInteger(2))
     with pytest.raises(NumericalError, match="^charge does not split the operator: "):
         hermitian_eig(single, charge=(t.s1, t.s1))
-
-
-def test_a_tol_below_a_blocks_rounding_floor_is_said(run_cli, cli_tol, tmp_path):
-    # without its charge K at 2s = 2 is one block, 9 wide, whose sweeps stall
-    # far above a stop of 1e-100 * ||K||_F: the error says that tol is below
-    # the block's rounding floor, width * eps * its norm, and names no cause
-    k = build_cyclic(HalfInteger(2))
-    norm = frobenius_norm(gauge(k.matrix)[2])
-    floor = 9 * np.finfo(np.float64).eps * norm
-    with pytest.raises(ConvergenceError) as error:
-        hermitian_eig(k.matrix, tol=1e-100)
-    message = str(error.value)
-    assert re.fullmatch(
-        rf"component 0 \(width 9\): off-diagonal norm \S+ still above "
-        rf"{1e-100 * norm:.3e} after 100 sweeps; tol is below the block's "
-        rf"rounding floor, width \* eps \* norm = {floor:.3e}",
-        message,
-    ), message
-    # a stop above the floor keeps the plain message
-    with pytest.raises(ConvergenceError) as error:
-        _within(1, k.matrix)
-    assert str(error.value).endswith("after 1 sweeps")
-    # the CLI, its solve at that tol, still exits 3 with the error, and no
-    # traceback
-    path = tmp_path / "k.txt"
-    path.write_text(
-        "\n".join(" ".join(f"{z.real:.17g}{z.imag:+.17g}i" for z in row) for row in k.matrix),
-        encoding="utf-8",
-    )
-    cli_tol(1e-100)
-    code, out, err = run_cli("spectrum", "--hamiltonian", "file", "--file", str(path))
-    assert (code, out) == (3, "")
-    assert err == f"error: {message}\n"
+    monkeypatch.setattr(eig, "DEFAULT_TOL", 10 * rounding)
+    assert hermitian_eig(single, charge=k.charge).leak <= rounding
 
 
 @pytest.mark.parametrize("twice", [2, 3, 24])
@@ -1252,7 +1208,7 @@ def test_blocks_padded_apart_are_stacked_apart(monkeypatch):
         (_permuted_block_hermitian(97, [5, 1, 7, 3]), None),
     ]
     stacks = _kernel_spy(monkeypatch)
-    batched = eig._eigensolves(pairs, DEFAULT_TOL)
+    batched = eig._eigensolves(pairs)
     assert _one_dtype(stacks) == {np.dtype(np.float64), np.dtype(np.complex128)}
     padded = [
         (2 * -(-max(b.shape[0] for b in blocks) // 2), blocks[0].dtype.name)
@@ -1281,10 +1237,10 @@ def test_sector_routes_sweep_their_own_factors_then_batch_their_blocks(monkeypat
     assert not any(gauge(ham.matrix)[0].any() for ham in operators)
     pairs = [(ham.matrix, ham.charge) for ham in operators]
     stacks = _kernel_spy(monkeypatch)
-    batched = eig._eigensolves(pairs, DEFAULT_TOL)
+    batched = eig._eigensolves(pairs)
     dtypes = ("float64", "complex128")
     for factors, ham, dtype in zip(stacks[:2], operators, dtypes, strict=True):
-        given = _charge_factors(ham.charge, ham.dimension, DEFAULT_TOL)
+        given = _charge_factors(ham.charge, ham.dimension)
         swept = [_symmetrized(f) for f in given]
         assert [b.dtype.name for b in factors] == [dtype, dtype]
         assert all(np.array_equal(b, f) for b, f in zip(factors, swept, strict=True))
@@ -1390,9 +1346,9 @@ def test_twins_take_the_results_of_sweeping_every_member(monkeypatch):
     pairs += [(ham.matrix, ham.charge) for ham in rotations]
     twin = _permuted_block_hermitian(101, [3])
     pairs += [(np.kron(np.eye(3), twin), None), (np.kron(np.eye(2), twin.real), None)]
-    batched = eig._eigensolves(pairs, DEFAULT_TOL)
+    batched = eig._eigensolves(pairs)
     monkeypatch.setattr(eig, "_solved", _every_member_solved)
-    reference = eig._eigensolves(pairs, DEFAULT_TOL)
+    reference = eig._eigensolves(pairs)
     for dec, ref in zip(batched, reference, strict=True):
         _assert_same_bits(dec, ref)
 
@@ -1410,8 +1366,8 @@ def test_blocks_equal_but_for_a_signed_zero_or_a_stop_are_swept_apart(monkeypatc
     stop = DEFAULT_TOL * frobenius_norm(c)
     loose = 1e-3 * frobenius_norm(c)
     routes = [
-        ([a, b, c, c], [DEFAULT_TOL, DEFAULT_TOL, stop, loose], [""] * 4, [0.0] * 4),
-        ([c], [stop], [""], [0.0]),
+        ([a, b, c, c], [DEFAULT_TOL, DEFAULT_TOL, stop, loose], [""] * 4),
+        ([c], [stop], [""]),
     ]
     calls = _kernel_keys(monkeypatch)
     solved = eig._solved(routes, MAX_SWEEPS)
@@ -1429,7 +1385,7 @@ def test_blocks_equal_but_for_a_signed_zero_or_a_stop_are_swept_apart(monkeypatc
 def test_one_operator_given_twice_shares_one_solve(monkeypatch):
     h = build_heisenberg(HalfInteger(6))
     calls = _kernel_keys(monkeypatch)
-    batched = eig._eigensolves([(h.matrix, h.charge)] * 2, DEFAULT_TOL)
+    batched = eig._eigensolves([(h.matrix, h.charge)] * 2)
     assert [len(keys) for keys in calls] == [7]
     alone = hermitian_eig(h.matrix, charge=h.charge)
     for dec in batched:
@@ -1440,7 +1396,7 @@ def test_a_twin_that_runs_out_is_named_by_the_first(run_cli, sweep_budget):
     # at 2s = 3, H's components 2 and 4 are both 3 wide and one block; one
     # sweep leaves it off-diagonal mass, and the error names component 2
     h = build_heisenberg(HalfInteger(3))
-    blocks, *_ = eig._Eigensolve(h.matrix, None, DEFAULT_TOL).route
+    blocks, *_ = eig._Eigensolve(h.matrix, None).route
     assert blocks[2].shape == (3, 3) and blocks[2].tobytes() == blocks[4].tobytes()
     with pytest.raises(ConvergenceError, match=r"^component 2 \(width 3\): "):
         _within(1, h.matrix)
@@ -1547,9 +1503,9 @@ def test_table_raises_the_first_failing_spins_error(run_cli, sweep_budget, cli_t
     code, out, err = run_cli("verify", "--spin", "12")
     assert (code, out) == (3, "")
     assert err.startswith("error: component 2 (width 3): ")
-    # at a tol of 1e-100, which only the library takes, K fails at
-    # admission, its tol below the rounding of the sector basis, and H's
-    # component that runs out is still the error
+    # at a stop of 1e-100, which only a test sets, K fails at admission,
+    # its stop below the rounding of the sector basis, and H's component
+    # that runs out is still the error
     cli_tol(1e-100)
     for spin in ("3", "12"):
         code, out, err = run_cli("verify", "--spin", spin)

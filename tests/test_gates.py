@@ -233,12 +233,12 @@ def test_gate_keeps_its_unitarity_residual():
 @pytest.mark.parametrize("tol", [1e-12, 1e-3])
 def test_gate_keeps_its_generators_eigenpair_residual(tol, monkeypatch):
     # the residual of the decomposition that built the gate, bit for bit,
-    # also where a loose tol leaves the gate unitary but its pairs far off;
-    # the gate reads its tolerance, DEFAULT_TOL, from its module when called
-    monkeypatch.setattr(gates, "DEFAULT_TOL", tol)
+    # also where a loose stop leaves the gate unitary but its pairs far off;
+    # every eigensolve reads its stop, DEFAULT_TOL, from eig when called
+    monkeypatch.setattr(eig, "DEFAULT_TOL", tol)
     ham = build_heisenberg(HalfInteger(2))
     gate = synthesize_gate(ham, 0.3)
-    dec = hermitian_eig(ham.matrix, tol, charge=ham.charge)
+    dec = hermitian_eig(ham.matrix, charge=ham.charge)
     assert gate.source_residual == dec.residual
     assert gate.unitarity_residual <= 1e-10 * gate.dimension
     assert (gate.source_residual > 1e-8 * 2.0) == (tol == 1e-3)

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -188,16 +189,60 @@ def test_charge_factors_of_the_named_operators():
 @pytest.mark.parametrize(
     "pattern",
     [
-        np.diag([1.0, 1.0, -1.0]),  # orthogonal with det -1
-        -np.eye(3),
-        2.0 * np.eye(3),
-        [[1, 2, 0], [0, 1, 0], [0, 0, 1]],
+        [[1, 2, 0], [0, 1, 0], [0, 0, 1]],  # det 1, not orthogonal
+        np.diag([1.0, 2.0, 4.0]),  # det 8, not twice a rotation
         np.eye(3) + 1e-9,
         np.zeros((3, 3)),
+        np.diag([1.0, 1.0, 0.0]),  # singular
     ],
 )
-def test_charge_is_none_unless_pattern_is_a_rotation(pattern):
-    assert build_bilinear(HalfInteger(2), pattern).charge is None
+def test_charge_is_none_unless_pattern_is_a_multiple_of_a_rotation(pattern):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert build_bilinear(HalfInteger(2), pattern).charge is None
+
+
+_SHIFTED = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "pattern, rotation",
+    [
+        (np.diag([1.0, 1.0, -1.0]), np.diag([-1.0, -1.0, 1.0])),  # orthogonal, det -1
+        (-np.eye(3), np.eye(3)),
+        (2.0 * np.eye(3), np.eye(3)),
+        (-_SHIFTED, _SHIFTED),  # -K
+        (2.0 * _SHIFTED, _SHIFTED),
+        (-3.0 * _SHIFTED, _SHIFTED),
+    ],
+    ids=["diag(1,1,-1)", "-I", "2I", "-cK", "2cK", "-3cK"],
+)
+def test_a_multiple_of_a_rotation_takes_that_rotations_charge(pattern, rotation):
+    # the form is linear in its pattern, so lambda c commutes with the charge
+    # of c: an improper pattern is -1 times a proper one.  Each of these
+    # once had no charge
+    s = HalfInteger(2)
+    got = build_bilinear(s, pattern).charge
+    want = build_bilinear(s, rotation).charge
+    assert got is not None
+    for a, b in zip(got, want, strict=True):
+        np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("twice", [2, 3, 8])
+def test_minus_k_is_solved_by_the_sectors_of_ks_charge(twice):
+    # -K takes K's charge (S3, S1): its values are -1 times K's, and the
+    # sector route's leak and commutator bound the charge as they do K's
+    s = HalfInteger(twice)
+    k, minus = build_cyclic(s), build_bilinear(s, -_SHIFTED)
+    for a, b in zip(minus.charge, k.charge, strict=True):
+        assert a.tobytes() == b.tobytes()
+    dec = hermitian_eig(minus.matrix, charge=minus.charge)
+    ref = hermitian_eig(k.matrix, charge=k.charge)
+    stop = 1e-12 * frobenius_norm(minus.matrix)
+    assert 0.0 < dec.leak <= stop and dec.commutator <= stop
+    np.testing.assert_allclose(dec.values, -ref.values[::-1], rtol=0.0, atol=1e-11)
+    assert dec.residual <= 1e-8 * max(1.0, np.abs(dec.values).max())
 
 
 def test_bilinear_zero_pattern():

@@ -48,20 +48,25 @@ def test_the_public_surface_is_pinned():
     # the certificate's tolerances are constants, not knobs
     certify = inspect.signature(spintool.certify_isospectral).parameters
     assert list(certify) == ["a", "b", "kmax", "prefix", "charges"]
-    # and so is the sweep budget: no public function takes one; nor does
-    # any but the eigensolver and the hermiticity check take a tolerance
-    functions = [getattr(spintool, name) for name in PUBLIC]
-    tuned = {"hermitian_eig", "require_hermitian"}
-    for function in filter(inspect.isfunction, functions):
+    # and so are the sweep budget and the eigensolver's stop: no public
+    # function takes either, and only the hermiticity check and the two
+    # cluster comparisons take a tolerance
+    functions = list(filter(inspect.isfunction, (getattr(spintool, name) for name in PUBLIC)))
+    tuned = set()
+    for function in functions:
         params = inspect.signature(function).parameters
         assert not any("sweep" in p for p in params)
-        if function.__name__ not in tuned:
-            assert not {"tol", "eig_tol"} & set(params), function.__name__
-    eig_params = inspect.signature(spintool.hermitian_eig).parameters
-    assert list(eig_params) == ["m", "tol", "charge"]
+        if any("tol" in p for p in params):
+            tuned.add(function.__name__)
+    assert tuned == {"require_hermitian", "cluster_spectrum", "spectra_match"}
     assert list(inspect.signature(spintool.require_hermitian).parameters) == ["a", "tol"]
     keyword = inspect.Parameter.KEYWORD_ONLY
-    assert eig_params["charge"].kind is certify["charges"].kind is keyword
+    eig_params = inspect.signature(spintool.hermitian_eig).parameters.values()
+    assert [(p.name, p.kind, p.default) for p in eig_params] == [
+        ("m", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty),
+        ("charge", keyword, None),
+    ]
+    assert certify["charges"].kind is keyword
     gate = inspect.signature(spintool.synthesize_gate).parameters
     assert list(gate) == ["h", "theta"]
     assert list(inspect.signature(spintool.verify_su2).parameters) == ["triple"]
@@ -167,6 +172,61 @@ def test_a_matrix_that_is_not_numeric_is_a_type_error_that_names_its_dtype(call,
         call(m)
 
 
+_SPECTRUM = spintool.Spectrum(clusters=((1.0, 1),), cluster_tol=1e-9, dimension=1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: spintool.frobenius_norm(_NOT_NUMERIC["str"]),
+            "a matrix must be numeric, got dtype <U1",
+        ),
+        (
+            lambda: spintool.frobenius_norm(np.stack([_NOT_NUMERIC["object"]] * 2)),
+            "a matrix must be numeric, got dtype object",
+        ),
+        (
+            lambda: spintool.default_cluster_tol(_NOT_NUMERIC["str"]),
+            "a matrix must be numeric, got dtype <U1",
+        ),
+        (
+            lambda: spintool.cluster_spectrum(["2", "5"], 1e-9),
+            "values must be real numbers, got dtype <U1",
+        ),
+        (
+            lambda: spintool.cluster_spectrum([2.0, 5j], 1e-9),
+            "values must be real numbers, got dtype complex128",
+        ),
+        (
+            lambda: spintool.newton_check(["2", "5"], ["7", "29"]),
+            "values must be real numbers, got dtype <U1",
+        ),
+        (
+            lambda: spintool.newton_check([2, 5], np.array([7, 29], dtype=object)),
+            "values must be real numbers, got dtype object",
+        ),
+        (lambda: spintool.spectra_match(1, 2), "a spectrum must be a Spectrum, got int"),
+        (
+            lambda: spintool.spectra_match(_SPECTRUM, np.array([1.0])),
+            "a spectrum must be a Spectrum, got ndarray",
+        ),
+    ],
+    ids=[
+        "frobenius_norm", "frobenius_norm-stack", "default_cluster_tol", "cluster_spectrum-str",
+        "cluster_spectrum-complex", "newton_check-values", "newton_check-traces", "spectra_match",
+        "spectra_match-array",
+    ],
+)
+def test_input_that_is_no_number_is_a_type_error(call, message):
+    # each was once read as numbers, a str norm as 5.385 and str clusters
+    # and power sums as given, or ended in a raw AttributeError; a norm
+    # still takes a stack of blocks of numbers
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        call()
+    assert spintool.frobenius_norm(np.ones((2, 2, 2))) == pytest.approx(np.sqrt(8.0))
+
+
 def test_readme_quick_start_runs(capsys):
     text = README.read_text(encoding="utf-8")
     section = text[text.index("## Library quick start") :]
@@ -179,7 +239,8 @@ def test_readme_quick_start_runs(capsys):
     computed = ast.literal_eval(lines[2])
     assert [m for _, m in computed] == [m for _, m in closed]
     assert [v for v, _ in computed] == pytest.approx([v for v, _ in closed], abs=1e-12)
-    # a nearly Hermitian matrix, read and clustered at the library's tolerances
+    # a close pair, solved at the constant stop and clustered at a resolution
+    # that the caller sets
     assert lines[4:] == ["((1.0, 2),)"]
 
 

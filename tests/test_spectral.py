@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import re
 import tracemalloc
@@ -933,21 +934,115 @@ def test_certificate_powers_the_operators_it_was_given(monkeypatch):
 
 @pytest.mark.parametrize("twice", [3, 8])
 def test_det_minus_one_pattern_is_rejected_against_h(twice):
-    # S2 x S1 + S1 x S2 + S3 x S3: an improper rotation of H's pattern, so
-    # no charge is derived for it, and its spectrum is that of -H
+    # S2 x S1 + S1 x S2 + S3 x S3: an improper rotation of H's pattern, -1
+    # times the proper one whose charge, (S3, -S3), it takes, and its
+    # spectrum is that of -H
     s = HalfInteger(twice)
     h = build_heisenberg(s)
     impostor = build_bilinear(s, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
-    assert impostor.charge is None
+    proper = build_bilinear(s, [[0, -1, 0], [-1, 0, 0], [0, 0, -1]])
+    for a, b in zip(impostor.charge, proper.charge, strict=True):
+        assert a.tobytes() == b.tobytes()
     np.testing.assert_allclose(
         np.linalg.eigvalsh(impostor.matrix),
         np.sort(-np.linalg.eigvalsh(h.matrix)),
         rtol=0.0,
         atol=1e-12,
     )
-    report = certify_isospectral(h.matrix, impostor.matrix, charges=(h.charge, None))
+    report = certify_isospectral(
+        h.matrix, impostor.matrix, charges=(h.charge, impostor.charge)
+    )
     assert not report.spectra_equal
     assert not report.verdict
+
+
+@pytest.mark.parametrize("twice", [1, 2, 3, 8])
+def test_a_kernel_that_loses_similarity_fails_the_verdict_on_its_residuals(
+    twice, lossy_rotations
+):
+    # transposed rotations leave the values, the rotated diagonal, as they
+    # are, so the spectra and the moments, which read no vector, still pass:
+    # only the eigenpair residuals, taken against the input, show the loss
+    s = HalfInteger(twice)
+    h, k = build_heisenberg(s), build_cyclic(s)
+
+    def certified():
+        return certify_isospectral(h.matrix, k.matrix, charges=(h.charge, k.charge))
+
+    honest = certified()
+    lossy_rotations()
+    report = certified()
+    assert honest.verdict and report.spectra_equal and report.moments.passed
+    assert report.spectrum_a == honest.spectrum_a and report.moments == honest.moments
+    bound = spectral.EIGENPAIR_RESIDUAL_LIMIT * report.moments.scale
+    assert max(honest.residual_a, honest.residual_b) <= 1e-3 * bound
+    assert report.residual_a > bound and report.residual_b > bound
+    assert not report.verdict
+
+
+@pytest.mark.parametrize("field", ["residual_a", "residual_b"])
+def test_the_verdict_holds_each_residual_to_its_bound(field, spin_cache):
+    # the bound is EIGENPAIR_RESIDUAL_LIMIT times the moments' scale,
+    # max(1, max |lambda|) over both spectra: s(s + 1) = 3.75 at 2s = 3
+    cert = spin_cache(3).cert
+    bound = spectral.EIGENPAIR_RESIDUAL_LIMIT * cert.moments.scale
+    assert cert.moments.scale == pytest.approx(3.75) and cert.verdict
+    assert dataclasses.replace(cert, **{field: bound}).verdict
+    for beyond in (np.nextafter(bound, np.inf), np.nan):
+        assert not dataclasses.replace(cert, **{field: beyond}).verdict
+
+
+def _improper_signed_permutations():
+    """The 24 signed permutation matrices with determinant -1."""
+    patterns = []
+    for order in itertools.permutations(range(3)):
+        for signs in itertools.product((1.0, -1.0), repeat=3):
+            q = np.eye(3)[list(order)] * np.array(signs)[:, np.newaxis]
+            if np.linalg.det(q) < 0.0:
+                patterns.append(q)
+    assert len(patterns) == 24
+    return patterns
+
+
+def _at_the_cap(patterns):
+    """-I, -c_K and the first pattern whose charge is (S3, +-S2): one for
+    each route, H's components, K's real sectors and complex sectors."""
+    minus_k = -np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    picked = [q for q in patterns if np.array_equal(q, -np.eye(3))]
+    picked += [q for q in patterns if np.array_equal(q, minus_k)]
+    picked += [next(q for q in patterns if q[2, 1] != 0.0)]
+    return picked
+
+
+@pytest.mark.parametrize(
+    "twice, pattern",
+    [(t, q) for t in (1, 2, 3, 8) for q in _improper_signed_permutations()]
+    + [(24, q) for q in _at_the_cap(_improper_signed_permutations())],
+    ids=lambda x: ";".join(",".join(f"{int(c):+d}" for c in row) for row in x)
+    if isinstance(x, np.ndarray)
+    else str(x),
+)
+def test_every_improper_signed_permutation_is_rejected_against_h(twice, pattern):
+    # an improper pattern is -1 times a proper rotation R, so it takes R's
+    # charge and the sector route at every spin, and its spectrum is -spec H,
+    # which is not spec H: its top value is s(s + 1), H's s^2.  The direct
+    # route rejects it and the odd moments flip sign.  Every pattern runs
+    # where a certificate takes milliseconds, 2s <= 8; at the cap, where one
+    # takes 0.1-0.15 s, the three patterns that stand for the three routes
+    s = HalfInteger(twice)
+    h, impostor = build_heisenberg(s), build_bilinear(s, pattern)
+    proper = build_bilinear(s, -pattern)
+    for a, b in zip(impostor.charge, proper.charge, strict=True):
+        assert a.tobytes() == b.tobytes()
+    kmax = s.dimension**2 if twice <= 8 else s.dimension
+    report = certify_isospectral(
+        h.matrix, impostor.matrix, kmax=kmax, charges=(h.charge, impostor.charge)
+    )
+    assert not report.spectra_equal
+    assert not report.verdict
+    assert report.spectrum_b.values[-1] == pytest.approx(-report.spectrum_a.values[0])
+    # tr(m) is 0 for both, and tr(m^3) flips sign
+    assert not report.moments.passed
 
 
 def _k_impostor(twice, change):
