@@ -126,7 +126,6 @@ from .linalg import (
     _require_hermitian,
     frobenius_norm,
     gauge,
-    require_hermitian,
     require_square,
 )
 
@@ -548,7 +547,7 @@ def _charge_factors(charge, n: int) -> tuple[np.ndarray, np.ndarray]:
     for f in (a_site, b_site):
         if not np.isfinite(f).all():
             raise ValueError("charge factor entries must be finite")
-        require_hermitian(f, DEFAULT_TOL)
+        _require_hermitian(f, DEFAULT_TOL, f.shape[0] - 1)
     if any(np.iscomplexobj(f) and f.imag.any() for f in (a_site, b_site)):
         return a_site.astype(np.complex128), b_site.astype(np.complex128)
     return np.array(a_site.real, dtype=np.float64), np.array(b_site.real, dtype=np.float64)
@@ -598,7 +597,7 @@ def _split_sectors(
         rounding = n * eps * frobenius_norm(m)
         cause = "charge does not split the operator"
         if leak <= rounding:
-            cause = f"tol is below the rounding of {source}, {rounding:.3e}"
+            cause = f"the leak lies within the rounding of {source}, {rounding:.3e}"
         raise NumericalError(
             f"{cause}: off-sector norm {leak:.3e} exceeds {stop:.3e} "
             f"(commutator norm {commutator:.3e})"
@@ -643,8 +642,10 @@ class _Eigensolve:
         # dtype, within the reach beyond which the form is zero
         _require_hermitian(a, tol, self.reach)
 
+        # the form's entries are m's up to sign, so its norm is taken on m,
+        # of which a real form may be a strided view that the norm copies
         with np.errstate(over="ignore"):
-            norm = frobenius_norm(a)
+            norm = frobenius_norm(m)
         if not math.isfinite(norm):
             raise NumericalError(
                 "the squares of the matrix's entries sum beyond double precision; "
@@ -807,12 +808,12 @@ def hermitian_eig(
     charge 2(qa + qb).  Its rotated mass outside the sectors is reported as
     ``leak`` and ``||[m, A x I + I x B]||_F`` as ``commutator``; a leak
     above tol * ||m||_F raises :class:`NumericalError`, so a wrong charge is
-    never trusted; within n * eps * ||m||_F, eps the coarser of float64's
-    and the input's own precision, as for a float32 input, the error names
-    the rounding of the basis or of the input instead.  Pivots at or below
-    the stop threshold scaled by 1/(10 n) are skipped; the convergence
-    check always measures the true remaining off-diagonal mass, so
-    skipping never masks a miss.  Inputs Hermitian within tol per
+    never trusted.  A leak within n * eps * ||m||_F, eps the coarser of
+    float64's and the input's own precision, as for a complex64 K, is said
+    to lie within the rounding of the basis or of the input instead.
+    Pivots at or below the stop threshold scaled by 1/(10 n) are skipped;
+    the convergence check always measures the true remaining off-diagonal
+    mass, so skipping never masks a miss.  Inputs Hermitian within tol per
     dimension are symmetrized once, each block as it is cut (component
     route) or the whole matrix once rotated into the charge basis, where
     the leak is measured (sector route); the reported residual is still

@@ -2,10 +2,12 @@
 
 Matrices are plain 2-D ``numpy.ndarray`` values.  ``require_square`` is
 the package's one check that a lone matrix argument is square and
-numeric, and :func:`hermiticity_defect` measures ||a - a^H||_F in one walk
-over blocks of rows, each scaled by its own power of two, so that neither
-the squares of tiny differences nor those of huge ones leave the range of
-a double.
+numeric.  No function here takes a tolerance: :func:`require_hermitian`
+holds a matrix to ``DEFAULT_TOL`` per dimension.  Its defect,
+:func:`hermiticity_defect`, measures ||a - a^H||_F in one walk over
+blocks of rows, each scaled by its own power of two, so that neither the
+squares of tiny differences nor those of huge ones leave the range of a
+double.
 The same walk, kept within a half-bandwidth w and its blocks of rows
 sized by w, checks the form that :func:`gauge` hands back, which is zero
 beyond w, for the moments and the eigensolver.
@@ -42,7 +44,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -101,10 +102,11 @@ def _require_kind(a: np.ndarray, kinds: str, what: str) -> np.ndarray:
 
 def frobenius_norm(a: np.ndarray) -> float:
     """Frobenius norm, sqrt(sum |a_ij|^2), of an array of any shape, a stack
-    of blocks too; TypeError for a dtype that :func:`require_square`
-    refuses, as str."""
+    of blocks too, summed in double precision at least, so that the squares
+    of float32 entries do not overflow where the norm is finite; TypeError
+    for a dtype that :func:`require_square` refuses, as str."""
     a = _require_kind(np.asarray(a), "biufc", "a matrix must be numeric")
-    return float(np.linalg.norm(a))
+    return float(np.linalg.norm(a.astype(np.result_type(a, np.float64), copy=False)))
 
 
 def _difference_blocks(
@@ -177,27 +179,13 @@ def _defect(a: np.ndarray, reach: int) -> float:
     return defect
 
 
-def require_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> None:
-    """Raise :class:`HermiticityError` unless the defect is <= tol * dim.
+def require_hermitian(a: np.ndarray) -> None:
+    """Raise :class:`HermiticityError` unless the defect is <= DEFAULT_TOL * dim.
 
-    A matrix holding NaN has a NaN defect, which is not <= any bound.  A
-    tol that is no :class:`numbers.Real` raises TypeError, and one that is
-    not positive, NaN among them, ValueError (see :func:`_require_tol`).
+    A matrix holding NaN has a NaN defect, which is not <= any bound.
     """
     a = require_square(a, "hermiticity is defined for square matrices")
-    _require_tol(tol)
-    _require_hermitian(a, tol, a.shape[0] - 1)
-
-
-def _require_tol(tol, name: str = "tol") -> None:
-    """The one rule for a tolerance that a caller sets, named ``name`` in
-    the message: TypeError for one that is no :class:`numbers.Real`, as a
-    str or None, and ValueError for one that is not positive, as 0, -inf or
-    NaN.  A bool is the int it equals, as ``numbers.Real`` has it."""
-    if not isinstance(tol, numbers.Real):
-        raise TypeError(f"{name} must be a real number, got {tol!r}")
-    if not tol > 0.0:
-        raise ValueError(f"{name} must be positive, got {tol}")
+    _require_hermitian(a, DEFAULT_TOL, a.shape[0] - 1)
 
 
 def _require_hermitian(a: np.ndarray, tol: float, reach: int) -> None:

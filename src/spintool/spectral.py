@@ -7,6 +7,10 @@ matrix powers, which corroborates the verdict without any diagonalization.
 Each route gauges the operator it is given, by :func:`linalg.gauge`, so
 neither reads an array that the other made; in :func:`certify_isospectral`
 the two eigensolves share their Jacobi stacks, bit for bit as each alone.
+Only the cluster comparisons take a tolerance: :func:`cluster_spectrum` its
+resolution and :func:`spectra_match` the distance within which two values
+agree, both held to one rule, positive, finite real numbers
+(:func:`_require_tol`).  Everything else runs at module constants.
 
 Trace magnitudes grow like ||M||^k, so every moment comparison is scaled
 per power by max(1, r)^k with r the spectral radius; a fixed absolute
@@ -34,6 +38,7 @@ rescaling its power's own band, so they cost O(n w), not O(n^2).
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -47,7 +52,6 @@ from .linalg import (
     ShapeError,
     _require_hermitian,
     _require_kind,
-    _require_tol,
     frobenius_norm,
     gauge,
     require_square,
@@ -457,11 +461,17 @@ def _power_sums(x: np.ndarray, kmax: int) -> np.ndarray:
     return np.cumprod(np.broadcast_to(x, (kmax, x.size)), axis=0).sum(axis=1)
 
 
-def _require_finite_tol(tol, name: str) -> None:
-    """:func:`linalg._require_tol`, and ValueError for an infinite tol, under
-    which any two values would be one."""
-    _require_tol(tol, name)
-    if not math.isfinite(tol):
+def _require_tol(tol, name: str) -> None:
+    """The one rule for a tolerance, named ``name`` in the message: TypeError
+    for one that is no :class:`numbers.Real`, as a str or None, and
+    ValueError for one that is not positive, as 0 or NaN, or infinite, under
+    which any two values would be one.  A bool is the int it equals, as
+    ``numbers.Real`` has it, and an int beyond double range is finite."""
+    if not isinstance(tol, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {tol!r}")
+    if not tol > 0.0:
+        raise ValueError(f"{name} must be positive, got {tol}")
+    if not tol < math.inf:
         raise ValueError(f"{name} must be finite, got {tol}")
 
 
@@ -482,7 +492,7 @@ def cluster_spectrum(values, cluster_tol: float) -> Spectrum:
         raise ShapeError("expected a non-empty 1-D value list")
     if not np.isfinite(values).all():
         raise ValueError("values must be finite")
-    _require_finite_tol(cluster_tol, "cluster_tol")
+    _require_tol(cluster_tol, "cluster_tol")
     if np.any(np.diff(values) < 0.0):
         raise ValueError("values must be ascending")
     clusters: list[tuple[float, int]] = []
@@ -535,24 +545,20 @@ def default_cluster_tol(m: np.ndarray) -> float:
     return 1e-9 * max(1.0, norm)
 
 
-def spectra_match(a: Spectrum, b: Spectrum, value_tol: float | None = None) -> bool:
+def spectra_match(a: Spectrum, b: Spectrum, value_tol: float) -> bool:
     """True when cluster counts, multiplicities, and values all agree.
 
-    Values compare within ``value_tol``; when omitted, the looser of the
-    two cluster tolerances is used.  A ``value_tol`` that is given must be
-    a positive, finite real number, as ``cluster_spectrum``'s
-    ``cluster_tol``: TypeError for one that is no :class:`numbers.Real`,
-    ValueError for one that is not positive, NaN among them, or infinite,
-    either of which would hold any two values equal.  ``a`` and ``b`` must
-    be :class:`Spectrum` values; anything else raises TypeError.
+    Values compare within ``value_tol``, which must be a positive, finite
+    real number, as ``cluster_spectrum``'s ``cluster_tol``: TypeError for
+    one that is no :class:`numbers.Real`, ValueError for one that is not
+    positive, NaN among them, or infinite, either of which would hold any
+    two values equal.  ``a`` and ``b`` must be :class:`Spectrum` values;
+    anything else raises TypeError.
     """
     for spectrum in (a, b):
         if not isinstance(spectrum, Spectrum):
             raise TypeError(f"a spectrum must be a Spectrum, got {type(spectrum).__name__}")
-    if value_tol is None:
-        value_tol = max(a.cluster_tol, b.cluster_tol)
-    else:
-        _require_finite_tol(value_tol, "value_tol")
+    _require_tol(value_tol, "value_tol")
     if a.dimension != b.dimension or len(a.clusters) != len(b.clusters):
         return False
     for (va, ma), (vb, mb) in zip(a.clusters, b.clusters):

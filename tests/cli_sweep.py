@@ -145,29 +145,30 @@ ARGV = (
          "--format", fmt)
         for fmt in FORMATS
     ),
-    # no command takes a tolerance: each argv below that passes --tol or
-    # --cluster-tol, which older trees took, is a usage error.  Here a loose
-    # solve failed the gate's check
+    # no command takes a tolerance or a moment range: each argv below that
+    # passes --tol, --cluster-tol or --kmax, which older trees took, ends in
+    # a usage error, and its comment says what it once ran.  Here a loose
+    # solve once failed the gate's check
     *(
         ("gate", "--spin", "1", "--theta", "0.3", "--check", "--tol", "1e-3", "--format", fmt)
         for fmt in FORMATS
     ),
     # the moment range is a rule of the spin: 2s = 13 is the first on the
-    # 2s+1 prefix, and a --kmax, which older trees took, is a usage error
+    # 2s+1 prefix; a --kmax once ran 120 and 1000 powers at 2s = 12
     *(("verify", "--spin", "13/2", "--format", fmt) for fmt in FORMATS),
     *(
         ("verify", "--spin", "12", "--kmax", kmax, "--format", fmt)
         for kmax in ("120", "1000")
         for fmt in FORMATS
     ),
-    # a block that ran out of sweeps, its tol below the rounding floor
+    # once a block that ran out of sweeps, its tol below the rounding floor
     *((*_FILE, "{dir}/cyclic-2s2.txt", "--tol", "1e-100", "--format", fmt) for fmt in FORMATS),
     *(("table", "--max-spin", spin, "--format", fmt) for spin in ("2", "12") for fmt in FORMATS),
     *((*_FILE, "{dir}/" + name, "--format", fmt) for name in FILES for fmt in FORMATS),
     *((*_FILE, "{dir}/tiny-asymmetry.txt", "--tol", "5e-324", "--format", fmt) for fmt in FORMATS),
     *((*_FILE, "{dir}/missing.txt", "--format", fmt) for fmt in FORMATS),
-    # a tol below the rounding of the sector basis, and one that K's one
-    # block reached, 96 sweeps at 1e-70, and one that it did not
+    # once a tol below the rounding of the sector basis, and one that K's
+    # one block reached, 96 sweeps at 1e-70, and one that it did not
     ("verify", "--spin", "3/2", "--tol", "1e-100"),
     ("verify", "--spin", "12", "--tol", "1e-100"),
     ("table", "--max-spin", "3", "--tol", "1e-100"),
@@ -177,9 +178,9 @@ ARGV = (
     (*_FILE, "{dir}/cyclic-2s2.txt", "--tol", "1e-70"),
     (*_FILE, "{dir}/cyclic-2s2.txt", "--tol", "1e-80"),
     # the edges of the moments' rule for J: J = 5 and 6 with kmax = n; two
-    # ranges past the overflow point, which only the library reaches now,
-    # so that here they are usage errors; and K at its first n above the
-    # rows of one block of its residual
+    # --kmax ranges that once ran past the overflow point, which only the
+    # library reaches now; and K at its first n above the rows of one block
+    # of its residual
     ("verify", "--spin", "2"),
     ("verify", "--spin", "5/2"),
     ("verify", "--spin", "2", "--kmax", "10000"),
@@ -206,7 +207,7 @@ ARGV = (
     ("gate", "--spin", "1", "--theta", "inf"),
     # negative non-finite values, each named in its own message
     *(("gate", "--spin", "1", "--theta", theta) for theta in ("-inf", "-nan", "-Infinity")),
-    # tolerances that older trees refused by value
+    # tolerances that older trees refused by value, each a usage error now
     ("spectrum", "--spin", "1", "--cluster-tol", "-inf"),
     ("verify", "--spin", "1", "--tol", "-nan"),
     ("verify", "--spin", "1", "--tol", "1"),

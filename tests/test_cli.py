@@ -1042,7 +1042,7 @@ def test_a_tol_below_rounding_is_named_not_the_charge(run_cli, cli_tol, argv, to
     code, out, err = run_cli(*argv.split())
     assert (code, out) == (3, "")
     assert re.fullmatch(
-        rf"error: tol is below the rounding of the sector basis, {rounding}: "
+        rf"error: the leak lies within the rounding of the sector basis, {rounding}: "
         rf"off-sector norm \S+ exceeds {bound} \(commutator norm \S+\)\n",
         err,
     ), err

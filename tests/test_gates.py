@@ -328,10 +328,11 @@ def test_k_gate_at_the_cap_peaks_no_higher_than_its_eigensolve():
 
 
 def test_h_gate_at_the_cap_builds_no_dense_array():
-    # measured 2.99 MiB, the eigensolve's copy of H's strided real form for
-    # its norm (2.98) and the blocks of the vectors and of U, 0.47 MiB each;
-    # when the vectors and U were scattered into n x n complex arrays it
-    # read 6.82, above the bound, which is the size of one such array
+    # measured 1.58 MiB, most of it the blocks of the vectors and of U,
+    # 0.47 MiB each; when the vectors and U were scattered into n x n
+    # complex arrays it read 6.82, and when the eigensolve took its norm on
+    # a copy of H's strided real form 2.99, each above the bound, which is
+    # the size of one n x n float64 array
     ham = build_heisenberg(HalfInteger(24))
     tracemalloc.start()
     try:
@@ -339,7 +340,7 @@ def test_h_gate_at_the_cap_builds_no_dense_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < ham.dimension**2 * np.dtype(np.complex128).itemsize
+    assert peak < ham.dimension**2 * np.dtype(np.float64).itemsize
     # the dense gate is built when it is read, once, read-only
     assert gate.matrix is gate.matrix and not gate.matrix.flags.writeable
 

@@ -48,9 +48,9 @@ def test_the_public_surface_is_pinned():
     # the certificate's tolerances are constants, not knobs
     certify = inspect.signature(spintool.certify_isospectral).parameters
     assert list(certify) == ["a", "b", "kmax", "prefix", "charges"]
-    # and so are the sweep budget and the eigensolver's stop: no public
-    # function takes either, and only the hermiticity check and the two
-    # cluster comparisons take a tolerance
+    # and so are the sweep budget, the eigensolver's stop and the
+    # hermiticity bound: no public function takes any of them, and only the
+    # two cluster comparisons take a tolerance, which has no default
     functions = list(filter(inspect.isfunction, (getattr(spintool, name) for name in PUBLIC)))
     tuned = set()
     for function in functions:
@@ -58,8 +58,10 @@ def test_the_public_surface_is_pinned():
         assert not any("sweep" in p for p in params)
         if any("tol" in p for p in params):
             tuned.add(function.__name__)
-    assert tuned == {"require_hermitian", "cluster_spectrum", "spectra_match"}
-    assert list(inspect.signature(spintool.require_hermitian).parameters) == ["a", "tol"]
+    assert tuned == {"cluster_spectrum", "spectra_match"}
+    assert list(inspect.signature(spintool.require_hermitian).parameters) == ["a"]
+    value_tol = inspect.signature(spintool.spectra_match).parameters["value_tol"]
+    assert value_tol.default is inspect.Parameter.empty
     keyword = inspect.Parameter.KEYWORD_ONLY
     eig_params = inspect.signature(spintool.hermitian_eig).parameters.values()
     assert [(p.name, p.kind, p.default) for p in eig_params] == [
@@ -206,9 +208,9 @@ _SPECTRUM = spintool.Spectrum(clusters=((1.0, 1),), cluster_tol=1e-9, dimension=
             lambda: spintool.newton_check([2, 5], np.array([7, 29], dtype=object)),
             "values must be real numbers, got dtype object",
         ),
-        (lambda: spintool.spectra_match(1, 2), "a spectrum must be a Spectrum, got int"),
+        (lambda: spintool.spectra_match(1, 2, 1e-9), "a spectrum must be a Spectrum, got int"),
         (
-            lambda: spintool.spectra_match(_SPECTRUM, np.array([1.0])),
+            lambda: spintool.spectra_match(_SPECTRUM, np.array([1.0]), 1e-9),
             "a spectrum must be a Spectrum, got ndarray",
         ),
     ],

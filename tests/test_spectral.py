@@ -747,50 +747,50 @@ def test_cluster_spectrum_singleton_and_guards():
             cluster_spectrum([0.0, bad, 1.0], 1e-9)
 
 
-@pytest.mark.parametrize("cluster_tol", [0.0, np.nan, -1e-6, -np.inf])
-def test_a_cluster_tol_that_is_not_positive_is_refused(cluster_tol):
-    # the library is the one place that takes a clustering resolution
-    with pytest.raises(ValueError, match="^cluster_tol must be positive, got "):
-        cluster_spectrum([0.0, 1.0], cluster_tol)
+_TOLERANCES = {
+    # the number of clusters of [1, 2, 5], and whether [1] and [5] match
+    "cluster_tol": lambda tol: len(cluster_spectrum([1.0, 2.0, 5.0], tol).clusters),
+    "value_tol": lambda tol: spectra_match(
+        cluster_spectrum([1.0], 1e-9), cluster_spectrum([5.0], 1e-9), tol
+    ),
+}
 
 
+@pytest.mark.parametrize("name", list(_TOLERANCES))
 @pytest.mark.parametrize(
-    "cluster_tol, error, message",
+    "tol, outcome",
     [
-        (np.inf, ValueError, "cluster_tol must be finite, got inf"),
-        ("1e-3", TypeError, "cluster_tol must be a real number, got '1e-3'"),
-        (None, TypeError, "cluster_tol must be a real number, got None"),
+        (5e-324, {"cluster_tol": 3, "value_tol": False}),
+        (1.0, {"cluster_tol": 2, "value_tol": False}),
+        (1e308, {"cluster_tol": 1, "value_tol": True}),
+        (True, {"cluster_tol": 2, "value_tol": False}),
+        (10**400, {"cluster_tol": 1, "value_tol": True}),
+        (np.inf, (ValueError, "must be finite, got inf")),
+        (np.nan, (ValueError, "must be positive, got nan")),
+        (0, (ValueError, "must be positive, got 0")),
+        (-1, (ValueError, "must be positive, got -1")),
+        (-np.inf, (ValueError, "must be positive, got -inf")),
+        ("1e-3", (TypeError, "must be a real number, got '1e-3'")),
+        (None, (TypeError, "must be a real number, got None")),
     ],
-    ids=["inf", "str", "None"],
-)
-def test_a_cluster_tol_that_is_no_finite_real_number_is_refused(cluster_tol, error, message):
-    # inf once merged [1, 2, 5] into one cluster, (2.667, 3), and a str
-    # ended in "'>' not supported between instances of 'str' and 'float'";
-    # the rule is the one hermitian_eig applies to its tol, and then finite
-    with pytest.raises(error, match=f"^{re.escape(message)}$"):
-        cluster_spectrum([1.0, 2.0, 5.0], cluster_tol)
-
-
-@pytest.mark.parametrize(
-    "value_tol, error, message",
-    [
-        (float("nan"), ValueError, "value_tol must be positive, got nan"),
-        (float("inf"), ValueError, "value_tol must be finite, got inf"),
-        (0.0, ValueError, "value_tol must be positive, got 0.0"),
-        (-1e-9, ValueError, "value_tol must be positive, got -1e-09"),
-        ("1e-9", TypeError, "value_tol must be a real number, got '1e-9'"),
+    ids=[
+        "subnormal", "one", "1e308", "True", "int-1e400", "inf", "nan", "zero",
+        "negative", "minus-inf", "str", "None",
     ],
-    ids=["nan", "inf", "zero", "negative", "str"],
 )
-def test_a_value_tol_that_is_no_positive_finite_real_number_is_refused(value_tol, error, message):
-    # nan and inf once held the spectra [1] and [5] equal, since
-    # abs(1 - 5) > nan is False; the rule is cluster_spectrum's
-    a, b = cluster_spectrum([1.0], 1e-9), cluster_spectrum([5.0], 1e-9)
-    with pytest.raises(error, match=f"^{re.escape(message)}$"):
-        spectra_match(a, b, value_tol)
-    # None keeps the default, the looser of the two cluster tolerances
-    assert not spectra_match(a, b, None)
-    assert spectra_match(a, cluster_spectrum([1.0 + 5e-10], 1e-9), None)
+def test_a_value_tol_that_is_no_positive_finite_real_number_is_refused(name, tol, outcome):
+    # one rule holds both tolerances.  inf once merged [1, 2, 5] into one
+    # cluster, inf and nan held [1] and [5] equal, since abs(1 - 5) > nan is
+    # False, and a str ended in "'>' not supported between instances of
+    # 'str' and 'float'", and an int beyond double range in an
+    # OverflowError; a bool is the int it equals
+    call = _TOLERANCES[name]
+    if isinstance(outcome, dict):
+        assert call(tol) == outcome[name]
+        return
+    error, message = outcome
+    with pytest.raises(error, match=f"^{name} {re.escape(message)}$"):
+        call(tol)
 
 
 def test_cluster_separation_invariant():
@@ -867,10 +867,11 @@ def test_default_cluster_tol_refuses_a_norm_that_is_not_finite(entry):
 def test_spectra_match_cases():
     a = cluster_spectrum([0.0, 1.0], 1e-9)
     b = cluster_spectrum([1e-11, 1.0], 1e-9)
-    assert spectra_match(a, b)
+    assert spectra_match(a, b, 1e-9)
+    assert not spectra_match(a, b, 1e-12)
     c = cluster_spectrum([0.0, 1.0, 1.0], 1e-9)
-    assert not spectra_match(a, c)
-    assert not spectra_match(a, cluster_spectrum([0.5, 1.0], 1e-9))
+    assert not spectra_match(a, c, 1e-9)
+    assert not spectra_match(a, cluster_spectrum([0.5, 1.0], 1e-9), 1e-9)
 
 
 def test_certify_spin_half_golden():
@@ -992,43 +993,63 @@ def test_the_verdict_holds_each_residual_to_its_bound(field, spin_cache):
         assert not dataclasses.replace(cert, **{field: beyond}).verdict
 
 
-def _improper_signed_permutations():
-    """The 24 signed permutation matrices with determinant -1."""
+def _signed_permutations(det):
+    """The 24 signed permutation matrices with determinant ``det``, 1 or -1."""
     patterns = []
     for order in itertools.permutations(range(3)):
         for signs in itertools.product((1.0, -1.0), repeat=3):
             q = np.eye(3)[list(order)] * np.array(signs)[:, np.newaxis]
-            if np.linalg.det(q) < 0.0:
+            if np.linalg.det(q) * det > 0.0:
                 patterns.append(q)
     assert len(patterns) == 24
     return patterns
 
 
-def _at_the_cap(patterns):
-    """-I, -c_K and the first pattern whose charge is (S3, +-S2): one for
-    each route, H's components, K's real sectors and complex sectors."""
-    minus_k = -np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-    picked = [q for q in patterns if np.array_equal(q, -np.eye(3))]
-    picked += [q for q in patterns if np.array_equal(q, minus_k)]
-    picked += [next(q for q in patterns if q[2, 1] != 0.0)]
-    return picked
+def _signed_permutation_cases(det, spins):
+    """(2s, pattern) for every signed permutation of determinant ``det`` at
+    each 2s of ``spins``, where a certificate takes milliseconds, and at the
+    cap, where one takes 0.1-0.3 s, the three that stand for the three
+    routes: det I by H's components, det c_K by K's real sectors, and the
+    first whose charge is (S3, +-S2) by complex sectors."""
+    patterns = _signed_permutations(det)
+    c_k = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    cap = [next(q for q in patterns if np.array_equal(q, det * r)) for r in (np.eye(3), c_k)]
+    cap.append(next(q for q in patterns if q[2, 1] != 0.0))
+    return [(t, q) for t in spins for q in patterns] + [(24, q) for q in cap]
+
+
+def _case_id(x):
+    if isinstance(x, np.ndarray):
+        return ";".join(",".join(f"{int(c):+d}" for c in row) for row in x)
+    return str(x)
 
 
 @pytest.mark.parametrize(
-    "twice, pattern",
-    [(t, q) for t in (1, 2, 3, 8) for q in _improper_signed_permutations()]
-    + [(24, q) for q in _at_the_cap(_improper_signed_permutations())],
-    ids=lambda x: ";".join(",".join(f"{int(c):+d}" for c in row) for row in x)
-    if isinstance(x, np.ndarray)
-    else str(x),
+    "twice, pattern", _signed_permutation_cases(1, (1, 2, 8)), ids=_case_id
+)
+def test_every_proper_signed_permutation_certifies_isospectral_to_h(twice, pattern):
+    # a proper pattern is a rotation R, and its operator is H with one site
+    # rotated by R's unitary, so its spectrum is H's closed form.  It takes
+    # R's charge, and H's components, K's real sectors or complex sectors,
+    # as the gauge keeps that charge; 2s = 3 runs all 24 in test_eig.py
+    s = HalfInteger(twice)
+    h, rotated = build_heisenberg(s), build_bilinear(s, pattern)
+    kmax = s.dimension**2 if twice <= 8 else s.dimension
+    report = certify_isospectral(
+        h.matrix, rotated.matrix, kmax=kmax, charges=(h.charge, rotated.charge)
+    )
+    assert report.verdict
+    assert spectra_match(report.spectrum_b, closed_form_spectrum(s), 1e-9)
+
+
+@pytest.mark.parametrize(
+    "twice, pattern", _signed_permutation_cases(-1, (1, 2, 3, 8)), ids=_case_id
 )
 def test_every_improper_signed_permutation_is_rejected_against_h(twice, pattern):
     # an improper pattern is -1 times a proper rotation R, so it takes R's
     # charge and the sector route at every spin, and its spectrum is -spec H,
     # which is not spec H: its top value is s(s + 1), H's s^2.  The direct
-    # route rejects it and the odd moments flip sign.  Every pattern runs
-    # where a certificate takes milliseconds, 2s <= 8; at the cap, where one
-    # takes 0.1-0.15 s, the three patterns that stand for the three routes
+    # route rejects it and the odd moments flip sign
     s = HalfInteger(twice)
     h, impostor = build_heisenberg(s), build_bilinear(s, pattern)
     proper = build_bilinear(s, -pattern)
