@@ -105,7 +105,8 @@ component.  M v is taken there only within the half-bandwidth w of M's
 pattern, which bounds the band of every block of the stack, _ROWS rows at a
 time: w = 2s + 2 for K, each of whose blocks of rows then reads about
 2w + _ROWS of its n columns.  The vectors are kept as that stack, cast to
-complex128 at the end; the dense n x n array is built only when read.
+complex128 at the end; the dense n x n array, +0.0 off the blocks, is built
+only when read.
 """
 
 from __future__ import annotations
@@ -170,8 +171,9 @@ class EigDecomposition:
     stack: its rows' blocks are the components of M's pattern, and its
     columns' the same labels taken in the order of ``values``, each one
     block for a pattern of one component.  ``vectors`` reads the
-    read-only complex128 n x n array, built on its first read.  A
-    decomposition built by hand gives ``BlockStack.of(vectors)``.
+    read-only complex128 n x n array, +0.0 off the blocks, built on its
+    first read.  A decomposition built by hand gives
+    ``BlockStack.of(vectors)``.
     """
 
     values: np.ndarray
@@ -644,8 +646,7 @@ class _Eigensolve:
 
         # the form's entries are m's up to sign, so its norm is taken on m,
         # of which a real form may be a strided view that the norm copies
-        with np.errstate(over="ignore"):
-            norm = frobenius_norm(m)
+        norm = frobenius_norm(m)
         if not math.isfinite(norm):
             raise NumericalError(
                 "the squares of the matrix's entries sum beyond double precision; "
@@ -700,10 +701,8 @@ class _Eigensolve:
         D = I is m) on it, within m's half-bandwidth, _ROWS rows at a time.
         Only then, with m's real form gone, is the stack cast to complex128
         and its padding set to +0.0, as :meth:`Blocks.stack` sets it, which
-        the decomposition keeps as its ``vector_blocks``.  Off the blocks,
-        each column holds zero times its pin, the signed zeros that pinning
-        dense columns gives, so the bits of the dense vectors, when they are
-        built, do not depend on the layout.
+        the decomposition keeps as its ``vector_blocks``, whose dense read
+        is +0.0 off the blocks, as a gate's is.
         """
         n, colour, component = self.m.shape[0], self.colour, self.component
         a = self.m if colour.any() else self.a
@@ -715,9 +714,9 @@ class _Eigensolve:
         order = np.argsort(values, kind="stable")
         values = values[order]
         rows, columns = Blocks.of(component), Blocks.of(component[order])
-        (block, row), places = rows.places(), columns.places()
+        block, row = rows.places()
         # the slot of each index's column, once sorted, in its block
-        column = places[1, np.argsort(order)]
+        column = columns.places()[1, np.argsort(order)]
         v = np.zeros((*rows.members.shape, rows.members.shape[1]), dtype=self.dtype)
         for idx, (_, r, _, _) in zip(self.groups, solved):
             if self.w is None:
@@ -727,8 +726,7 @@ class _Eigensolve:
         self.w = None
         if colour.any():
             v = v * np.where(colour[rows.members], 1j, 1.0)[..., np.newaxis]
-        pins = _pins(v)
-        v = v * pins
+        v = v * _pins(v)
         # m has no nonzero beyond reach off the diagonal, in the stack too,
         # so rows [i0, i1) of m v read v's rows only within reach of them
         stack, lam = rows.stack(a), values[columns.members][:, np.newaxis, :]
@@ -743,14 +741,13 @@ class _Eigensolve:
             deltas[..., i0:i1, :] -= v[..., i0:i1, :] * lam
         residual = float(np.max(np.linalg.norm(deltas, axis=-2), initial=0.0))
         del a, stack, deltas
-        vectors, fill = v.astype(np.complex128, copy=False), None
+        vectors = v.astype(np.complex128, copy=False)
         if rows.members.shape[0] > 1:
             vectors[~rows.inside(columns)] = 0
-            fill = (np.zeros((), dtype=v.dtype) * pins)[places[0], 0, places[1]]
         values.flags.writeable = False
         return EigDecomposition(
             values=values,
-            vector_blocks=BlockStack(vectors, rows, columns, fill),
+            vector_blocks=BlockStack(vectors, rows, columns),
             residual=residual,
             sweeps=max((sweeps for _, _, sweeps, _ in solved), default=0),
             leak=self.leak,

@@ -35,9 +35,10 @@ such as K's, is one block, whose stack is a view of the matrix.
 The eigensolver's vectors keep to the blocks of the pattern it splits by
 construction, so products with them are taken blockwise too.
 A :class:`BlockStack` holds such a matrix as its stack and scatters the
-dense array only when it is read.  It is the one type in which a
-decomposition holds its eigenvectors and a gate its matrix; a matrix given
-by hand is held as the one block that :meth:`BlockStack.of` makes of it.
+dense array, +0.0 off the blocks, only when it is read.  It is the one type
+in which a decomposition holds its eigenvectors and a gate its matrix; a
+matrix given by hand is held as the one block that :meth:`BlockStack.of`
+makes of it.
 """
 
 from __future__ import annotations
@@ -103,10 +104,13 @@ def _require_kind(a: np.ndarray, kinds: str, what: str) -> np.ndarray:
 def frobenius_norm(a: np.ndarray) -> float:
     """Frobenius norm, sqrt(sum |a_ij|^2), of an array of any shape, a stack
     of blocks too, summed in double precision at least, so that the squares
-    of float32 entries do not overflow where the norm is finite; TypeError
-    for a dtype that :func:`require_square` refuses, as str."""
+    of float32 entries do not overflow where the norm is finite.  Squares
+    that sum beyond double precision, as 1e308 does alone, give inf, with
+    no warning, and squares below the subnormals, as of 1e-170, are lost;
+    TypeError for a dtype that :func:`require_square` refuses, as str."""
     a = _require_kind(np.asarray(a), "biufc", "a matrix must be numeric")
-    return float(np.linalg.norm(a.astype(np.result_type(a, np.float64), copy=False)))
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(np.asarray(a, np.result_type(a, np.float64))))
 
 
 def _difference_blocks(
@@ -344,24 +348,20 @@ class BlockStack:
 
     ``stack[b]`` holds the entries of rows ``rows.members[b]`` and columns
     ``columns.members[b]`` in its filled slots, the two of the same count
-    and width; its padding is not read.  Off the blocks, column j holds
-    ``fill[j]``, or +0.0 where ``fill`` is None.  The stack and ``fill``
-    are made read-only.  :attr:`dense` is the whole array, built on its
-    first read and then kept.  The eigensolver holds its vectors so, the
-    rows' blocks the components of m's pattern and the columns' the same
-    labels in the order of the values, and a gate holds U so, rows and
-    columns alike.
+    and width; its padding is not read, and every entry off the blocks is
+    +0.0.  The stack is made read-only.  :attr:`dense` is the whole array,
+    built on its first read and then kept.  The eigensolver holds its
+    vectors so, the rows' blocks the components of m's pattern and the
+    columns' the same labels in the order of the values, and a gate holds U
+    so, rows and columns alike.
     """
 
     stack: np.ndarray
     rows: Blocks
     columns: Blocks
-    fill: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        for held in (self.stack, self.fill):
-            if held is not None:
-                held.flags.writeable = False
+        self.stack.flags.writeable = False
 
     @classmethod
     def of(cls, a) -> BlockStack:
@@ -378,15 +378,14 @@ class BlockStack:
     @functools.cached_property
     def dense(self) -> np.ndarray:
         """The read-only array: a view of the stack for one block, which
-        holds every entry, else the blocks scattered over ``fill``."""
+        holds every entry, else the blocks scattered onto +0.0."""
         if self.rows.members.shape[0] == 1:
             dense = self.stack[0]
         else:
             inside = self.rows.inside(self.columns)
             rows = np.broadcast_to(self.rows.members[:, :, None], inside.shape)[inside]
             cols = np.broadcast_to(self.columns.members[:, None, :], inside.shape)[inside]
-            fill = 0 if self.fill is None else self.fill
-            dense = np.full(self.shape, fill, dtype=self.stack.dtype)
+            dense = np.zeros(self.shape, dtype=self.stack.dtype)
             dense[rows, cols] = self.stack[inside]
         dense.flags.writeable = False
         return dense

@@ -538,8 +538,7 @@ def default_cluster_tol(m: np.ndarray) -> float:
     infinite, or entries whose squares sum beyond double precision; and
     TypeError for a dtype that is not numeric, as :func:`frobenius_norm`.
     """
-    with np.errstate(over="ignore"):
-        norm = frobenius_norm(m)
+    norm = frobenius_norm(m)
     if not math.isfinite(norm):
         raise ValueError(f"the matrix's Frobenius norm must be finite, got {norm}")
     return 1e-9 * max(1.0, norm)

@@ -107,20 +107,21 @@ def lossy_rotations(monkeypatch):
 
 @pytest.fixture(scope="session")
 def assert_kept_blocks():
-    """Check that a decomposition's vectors keep to its blocks: each row
-    block pairs with a column block of as many indices, and every entry
-    outside the pairs is exactly zero."""
+    """Check that a :class:`linalg.BlockStack`, a decomposition's vectors
+    or a gate's matrix, keeps to its blocks: each row block pairs with a
+    column block of as many indices, and every entry of the dense read
+    outside the pairs is +0.0, with no sign bit on either part."""
 
-    def check(dec) -> None:
-        rows, columns = dec.vector_blocks.rows, dec.vector_blocks.columns
+    def check(held) -> None:
+        rows, columns = held.rows, held.columns
         np.testing.assert_array_equal(
             rows.filled.sum(axis=1), columns.filled.sum(axis=1)
         )
-        inside = np.zeros(dec.vectors.shape, dtype=bool)
+        inside = np.zeros(held.shape, dtype=bool)
         for r, kept_r, c, kept_c in zip(
             rows.members, rows.filled, columns.members, columns.filled
         ):
             inside[np.ix_(r[kept_r], c[kept_c])] = True
-        assert not dec.vectors[~inside].any()
+        assert not held.dense[~inside].view(np.uint64).any()
 
     return check

@@ -166,7 +166,7 @@ def test_vectors_are_made_dense_only_when_read(build, assert_kept_blocks):
     gathered[~rows.inside(columns)] = 0
     assert gathered.tobytes() == held.stack.tobytes()
     assert np.shares_memory(vectors, held.stack) == (build is build_cyclic)
-    assert_kept_blocks(dec)
+    assert_kept_blocks(dec.vector_blocks)
 
 
 def test_empty_matrix_gives_an_empty_decomposition():
@@ -989,7 +989,7 @@ def test_full_route_sweeps_the_components_as_blocks(
     # decomposition keeps them
     for blocks in (dec.vector_blocks.rows, dec.vector_blocks.columns):
         assert blocks.members.shape == (count, width)
-    assert_kept_blocks(dec)
+    assert_kept_blocks(dec.vector_blocks)
     dense = np.max(np.linalg.norm(m @ dec.vectors - dec.vectors * dec.values, axis=0))
     assert dec.residual == pytest.approx(dense, rel=1e-6, abs=1e-14 * scale)
     assert dec.residual <= 1e-10 * n * scale
@@ -1689,19 +1689,27 @@ def test_moments_keep_their_pinned_bits(name):
 
 if __name__ == "__main__":
     # regenerate the pinned bits: PYTHONPATH=src python tests/test_eig.py,
-    # which prints the name of each entry whose bits it changed
+    # which computes them at the BLAS thread count that the file records, as
+    # the tests do, and prints each entry whose bits it changed with the
+    # fields that changed, as "H-2s8: vectors"
     before = json.loads(_BITS.read_text(encoding="utf-8"))
-    bits = {}
-    for name, make in _PINNED.items():
-        ham = make()
-        bits[name] = _bits(hermitian_eig(ham.matrix, charge=ham.charge))
-    traces = {name: _digest(call()) for name, call in _PINNED_MOMENTS.items()}
+    threads = before["platform"]["blas_threads"]
+    with _blas_threads(threads):
+        bits = {}
+        for name, make in _PINNED.items():
+            ham = make()
+            bits[name] = _bits(hermitian_eig(ham.matrix, charge=ham.charge))
+        traces = {name: _digest(call()) for name, call in _PINNED_MOMENTS.items()}
     tables = {"bits": bits, "moments": traces}
-    threads = _openblas_threads()
-    pinned = {**_platform(), "blas_threads": None if threads is None else threads[0]()}
+    pinned = {**_platform(), "blas_threads": threads}
     text = json.dumps({"platform": pinned, **tables}, indent=1)
     _BITS.write_text(text + "\n", encoding="utf-8")
     for table, entries in tables.items():
         for name, entry in entries.items():
-            if before.get(table, {}).get(name) != entry:
-                print(name)
+            old = before.get(table, {}).get(name)
+            if old != entry:
+                if isinstance(entry, dict):
+                    fields = [key for key in entry if (old or {}).get(key) != entry[key]]
+                else:
+                    fields = [table]
+                print(f"{name}: {', '.join(fields)}")

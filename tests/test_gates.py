@@ -287,14 +287,13 @@ def test_blockwise_gate_matches_the_dense_product(twice, assert_kept_blocks):
     assert label.max() + 1 == 2 * twice + 1
     for blocks in (dec.vector_blocks.rows, dec.vector_blocks.columns):
         assert blocks.members.shape[0] == 2 * twice + 1
-    assert_kept_blocks(dec)
+    assert_kept_blocks(dec.vector_blocks)
     for theta in (0.7, -2.3):
         gate = synthesize_gate(ham, theta)
         dense = _dense_gate(ham, theta)
         assert np.max(np.abs(gate.matrix - dense)) <= 1e-14 * n
         # outside the blocks every entry is +0.0, bit for bit
-        outside = gate.matrix[label[:, None] != label[None, :]]
-        assert not outside.view(np.uint64).any()
+        assert_kept_blocks(gate.matrix_blocks)
         assert gate.unitarity_residual <= 1e-10 * n
 
 

@@ -14,6 +14,7 @@ from spintool.linalg import (
     Blocks,
     BlockStack,
     HermiticityError,
+    NumericalError,
     frobenius_norm,
     gauge,
     hermiticity_defect,
@@ -43,6 +44,21 @@ def test_frobenius_norm_sums_single_precision_in_double(dtype):
         warnings.simplefilter("error")
         norm = frobenius_norm(m)
     assert norm == pytest.approx(2.0 * float(m[0, 0].real), rel=1e-15)
+
+
+def test_squares_that_sum_beyond_double_precision_give_inf_with_no_warning():
+    # the sum of squares once overflowed with a RuntimeWarning, which warnings
+    # as errors turned into an undocumented error; the norm is now inf, the
+    # moments end in their trace overflow and the eigensolver still refuses
+    # the matrix by name
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge = np.array([[1e308, 0.0], [0.0, 1.0]])
+        assert frobenius_norm(huge) == math.inf
+        with pytest.raises(NumericalError, match="trace of power 2 overflowed"):
+            moments(np.array([[0, 1e200 * (1 + 1j)], [1e200 * (1 - 1j), 0]]), 3)
+        with pytest.raises(NumericalError, match="sum beyond double precision"):
+            hermitian_eig(huge)
 
 
 def test_hermiticity_defect_and_require():
@@ -579,16 +595,16 @@ def test_blocks_stack_and_the_dense_read_are_inverse():
     np.testing.assert_array_equal(block, label)
     np.testing.assert_array_equal(blocks.members[block, slot], np.arange(label.size))
     # columns from the blocks of the same labels in another order, as an
-    # eigenbasis sorted by value takes them, read over a fill that holds
-    # each column's entries off the blocks; the padding, NaN here, is not read
+    # eigenbasis sorted by value takes them, read as +0.0 off the blocks;
+    # the padding, NaN here, is not read
     order = rng.permutation(label.size)
     columns = Blocks.of(label[order])
     stack = m[:, order][blocks.members[:, :, None], columns.members[:, None, :]]
     stack[~blocks.inside(columns)] = np.nan
-    fill = -1.0 - np.arange(label.size)
     on = label[:, np.newaxis] == label[order]
-    dense = BlockStack(stack, blocks, columns, fill).dense
-    np.testing.assert_array_equal(dense, np.where(on, m[:, order], fill))
+    dense = BlockStack(stack, blocks, columns).dense
+    np.testing.assert_array_equal(dense, np.where(on, m[:, order], 0))
+    assert not dense[~on].view(np.uint64).any()
 
 
 def _assert_one_block(blocks, n):
